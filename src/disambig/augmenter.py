@@ -13,13 +13,12 @@ idempotence guard and as the gold label for scoring.
 from __future__ import annotations
 
 import copy
-import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .corpus import Corpus, Database, Dialog, Entity, SYSTEM, USER, name_key
 from .errors import SchemaMismatch
 from .grammar import Grammar
+from .jsonl import iter_jsonl, write_jsonl
 from .seeding import derive_seed, rng_for
 from .synthesizer import (
     AddressingMethod,
@@ -277,23 +276,17 @@ def augment_corpus(
     seed: int,
     allowed: frozenset[str] | set[str] = DEFAULT_ALLOWED,
     methods: tuple[AddressingMethod, ...] = (AddressingMethod.EXACT,),
-    threads: int = 1,
 ) -> tuple[Corpus, list[AugmentationRecord], AugmentationStats]:
     """Per-dialog augmentation plus corpus-level statistics.
 
-    Each dialog derives its own seeds from its id, so the output is the same
-    for any thread count.
+    Each dialog derives its own seeds from its id, so its output does not
+    depend on the rest of the corpus.
     """
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda d: augment_dialog(d, db, grammar, seed, allowed, methods), corpus.dialogs))
-    else:
-        results = [augment_dialog(d, db, grammar, seed, allowed, methods) for d in corpus.dialogs]
-
     stats = AugmentationStats(dialogs_total=len(corpus.dialogs))
     new_dialogs: list[Dialog] = []
     all_records: list[AugmentationRecord] = []
-    for dialog, (new_dialog, records) in zip(corpus.dialogs, results):
+    for dialog in corpus.dialogs:
+        new_dialog, records = augment_dialog(dialog, db, grammar, seed, allowed, methods)
         new_dialogs.append(new_dialog)
         all_records.extend(records)
         applied = [r for r in records if r.skipped_reason is None]
@@ -344,19 +337,8 @@ def multi_result_report(corpus: Corpus) -> dict:
 
 
 def write_records(records: list[AugmentationRecord], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(json.dumps(record.to_json(), ensure_ascii=False, sort_keys=True) + "\n")
+    write_jsonl(path, (record.to_json() for record in records))
 
 
 def read_records(path: str) -> list[AugmentationRecord]:
-    records = []
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                records.append(AugmentationRecord.from_json(json.loads(line)))
-            except (json.JSONDecodeError, KeyError) as exc:
-                raise SchemaMismatch(f"{path}: bad record on line {line_no}: {exc}") from exc
-    return records
+    return list(iter_jsonl(path, AugmentationRecord.from_json))

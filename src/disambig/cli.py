@@ -2,7 +2,7 @@
 
 Subcommands: grammar-count, synth, augment, stats, upsample, resolve,
 score.  Every generating subcommand takes a seed (default 0) and is fully
-deterministic given its flags, including across thread counts.  Exit codes:
+deterministic given its flags.  Exit codes:
 0 success, 1 validation error, 2 I/O error.  Diagnostics go to stderr; data
 goes to the declared output files (or stdout for the two query commands).
 """
@@ -17,6 +17,7 @@ from pathlib import Path
 from . import augmenter, corpus as corpus_mod, metrics, resolver, synthesizer
 from .errors import DisambigError, SchemaMismatch
 from .grammar import count_language, load_grammar_file
+from .jsonl import first_row, read_json
 
 
 class _Parser(argparse.ArgumentParser):
@@ -40,6 +41,13 @@ def _counts(text: str) -> tuple[int, int, int]:
     return tuple(parts)
 
 
+def _threads(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("expected a thread count of at least 1")
+    return value
+
+
 def _guard_outputs(inputs: list[str | None], outputs: list[str | None]) -> None:
     resolved_inputs = {Path(p).resolve() for p in inputs if p}
     for out in outputs:
@@ -51,8 +59,9 @@ def _apply_config_file(args: argparse.Namespace) -> argparse.Namespace:
     """Fill unset flags from a JSON config whose keys mirror flag names."""
     if not getattr(args, "config", None):
         return args
-    with open(args.config, encoding="utf-8") as handle:
-        overrides = json.load(handle)
+    overrides = read_json(args.config)
+    if not isinstance(overrides, dict):
+        raise SchemaMismatch(f"{args.config}: config must be a JSON object")
     for key, value in overrides.items():
         attr = key.replace("-", "_")
         if not hasattr(args, attr):
@@ -81,7 +90,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list among exact,positional,partial,typo,multiple,attribute")
     p.add_argument("--splits", default="train,dev,test", help="which splits to emit")
     p.add_argument("--seed", type=int, default=None, help="generation seed (default 0)")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=_threads, default=None,
+                   help="accepted and validated; has no effect, the work is GIL-bound")
     p.add_argument("--config", default=None, help="JSON config mirroring these flags")
 
     p = sub.add_parser("augment", help="inject disambiguation turns into a corpus")
@@ -94,7 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mix-methods", action="store_true",
                    help="vary the user-prefix addressing method instead of always using the exact name")
     p.add_argument("--seed", type=int, default=None, help="generation seed (default 0)")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=_threads, default=None,
+                   help="accepted and validated; has no effect, the work is GIL-bound")
     p.add_argument("--config", default=None)
 
     p = sub.add_parser("stats", help="multi-result proportions of a corpus")
@@ -143,27 +154,23 @@ def _parse_methods(text: str | None) -> tuple[synthesizer.AddressingMethod, ...]
 
 
 def _sniff_kind(path: str) -> str:
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            if line.strip():
-                row = json.loads(line)
-                return "records" if "dialog_id" in row else "examples"
-    raise SchemaMismatch(f"{path} is empty")
+    return "records" if "dialog_id" in first_row(path) else "examples"
 
 
 def _load_gold(path: str) -> corpus_mod.Corpus:
-    with open(path, encoding="utf-8") as handle:
-        first = ""
-        for line in handle:
-            if line.strip():
-                first = line
-                break
-    if not first:
-        raise SchemaMismatch(f"{path} is empty")
-    row = json.loads(first)
+    row = first_row(path)
     if "system" in row and "candidates" in row:
         return synthesizer.examples_to_corpus(synthesizer.read_examples(path))
     return corpus_mod.load_corpus(path, format="native")
+
+
+def _write_json(obj, path: str | None) -> None:
+    """Pretty-printed JSON to ``path``, or to stdout when no path is given."""
+    text = json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=2) + "\n"
+    if path:
+        Path(path).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
 
 
 def _cmd_grammar_count(args) -> int:
@@ -181,7 +188,6 @@ def _cmd_synth(args) -> int:
         per_method=tuple(args.per_method) if args.per_method else None,
         methods=_parse_methods(args.methods),
         seed=args.seed if args.seed is not None else 0,
-        threads=args.threads if args.threads is not None else 1,
     )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -203,8 +209,7 @@ def _cmd_synth(args) -> int:
 def _load_allow_list(path: str | None) -> frozenset[str]:
     if not path:
         return augmenter.DEFAULT_ALLOWED
-    with open(path, encoding="utf-8") as handle:
-        names = json.load(handle)
+    names = read_json(path)
     if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
         raise SchemaMismatch(f"{path}: allow-list must be a JSON list of domain names")
     return frozenset(names)
@@ -224,27 +229,20 @@ def _cmd_augment(args) -> int:
     _guard_outputs([args.input, args.db, args.grammar, args.allow_list], [str(p) for p in outputs])
 
     seed = args.seed if args.seed is not None else 0
-    threads = args.threads if args.threads is not None else 1
-    new_corpus, records, stats = augmenter.augment_corpus(
-        dialog_corpus, db, grammar, seed, allowed, methods, threads=threads
-    )
+    new_corpus, records, stats = augmenter.augment_corpus(dialog_corpus, db, grammar, seed, allowed, methods)
 
     corpus_mod.write_corpus(new_corpus, str(outputs[0]))
     augmenter.write_records(records, str(outputs[1]))
-    outputs[2].write_text(json.dumps(stats.to_json(), ensure_ascii=False, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    _write_json(stats.to_json(), str(outputs[2]))
     _log(f"modified {stats.turns_modified} of {stats.turns_total} turns "
          f"across {stats.dialogs_modified} of {stats.dialogs_total} dialogs")
     return 0
 
 
 def _cmd_stats(args) -> int:
+    _guard_outputs([args.input], [args.out])
     report = augmenter.multi_result_report(corpus_mod.load_corpus(args.input, format=args.format))
-    text = json.dumps(report, ensure_ascii=False, sort_keys=True, indent=2)
-    if args.out:
-        _guard_outputs([args.input], [args.out])
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
-    else:
-        print(text)
+    _write_json(report, args.out)
     return 0
 
 
@@ -294,16 +292,11 @@ def _cmd_resolve(args) -> int:
 
 
 def _cmd_score(args) -> int:
+    _guard_outputs([args.preds, args.gold, args.records], [args.out])
     preds = metrics.read_predictions(args.preds)
     gold = _load_gold(args.gold)
     records = augmenter.read_records(args.records) if args.records else None
-    report = metrics.score(preds, gold, records)
-    text = json.dumps(report.to_json(), ensure_ascii=False, sort_keys=True, indent=2)
-    if args.out:
-        _guard_outputs([args.preds, args.gold, args.records], [args.out])
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
-    else:
-        print(text)
+    _write_json(metrics.score(preds, gold, records).to_json(), args.out)
     return 0
 
 

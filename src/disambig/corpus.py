@@ -19,6 +19,7 @@ operation that "modifies" a dialog returns a new copy.
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 import re
@@ -26,6 +27,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import NotEnoughEntities, SchemaMismatch, UnknownDomain
+from .jsonl import iter_jsonl, read_json, write_jsonl
 
 USER = "USER"
 SYSTEM = "SYSTEM"
@@ -189,16 +191,11 @@ def validate_corpus(corpus: Corpus) -> None:
 # --- native format ------------------------------------------------------------
 
 
-def _dumps(obj: dict) -> str:
-    return json.dumps(obj, ensure_ascii=False, sort_keys=True)
-
-
 def write_corpus(corpus: Corpus, path: str, format: str = "native") -> None:
     """Serialize a corpus; the native writer is the exact inverse of the loader."""
     if format == "native":
-        lines = [_dumps({"meta": {"split_name": corpus.split_name, "source_format": corpus.source_format}})]
-        lines.extend(_dumps(d.to_json()) for d in corpus.dialogs)
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        meta = {"meta": {"split_name": corpus.split_name, "source_format": corpus.source_format}}
+        write_jsonl(path, itertools.chain([meta], (d.to_json() for d in corpus.dialogs)))
     elif format in ("sgd", "multiwoz22"):
         payload = [_dialog_to_schema_guided(d) for d in corpus.dialogs]
         Path(path).write_text(_dumps_pretty(payload), encoding="utf-8")
@@ -222,25 +219,22 @@ def load_corpus(path: str, format: str = "native") -> Corpus:
     return corpus
 
 
+_DEFAULT_META = {"split_name": "train", "source_format": "native"}
+
+
+def _native_row(obj: dict) -> Dialog | dict:
+    """A dialog, or the fields of a ``meta`` header row."""
+    if "meta" in obj:
+        return {**_DEFAULT_META, **obj["meta"]}
+    return Dialog.from_json(obj)
+
+
 def _load_native(path: str) -> Corpus:
-    split_name = "train"
-    source_format = "native"
-    dialogs: list[Dialog] = []
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaMismatch(f"{path}: line {line_no} is not valid JSON: {exc}") from exc
-            if line_no == 1 and "meta" in obj:
-                split_name = obj["meta"].get("split_name", split_name)
-                source_format = obj["meta"].get("source_format", source_format)
-                continue
-            dialogs.append(Dialog.from_json(obj))
-    return Corpus(dialogs=dialogs, split_name=split_name, source_format=source_format)
+    rows = list(iter_jsonl(path, _native_row))
+    meta = rows.pop(0) if rows and isinstance(rows[0], dict) else _DEFAULT_META
+    if any(isinstance(row, dict) for row in rows):
+        raise SchemaMismatch(f"{path}: only the first row may be a meta header")
+    return Corpus(dialogs=rows, split_name=meta["split_name"], source_format=meta["source_format"])
 
 
 # --- schema-guided adapters (SGD and MultiWOZ 2.2 share the envelope) ---------
@@ -315,11 +309,7 @@ def _infer_split(path: str) -> str:
 def _load_schema_guided(path: str, format: str) -> Corpus:
     dialogs: list[Dialog] = []
     for file_path in _schema_guided_files(path):
-        with open(file_path, encoding="utf-8") as handle:
-            try:
-                payload = json.load(handle)
-            except json.JSONDecodeError as exc:
-                raise SchemaMismatch(f"{file_path}: invalid JSON: {exc}") from exc
+        payload = read_json(str(file_path))
         if not isinstance(payload, list):
             raise SchemaMismatch(f"{file_path}: expected a list of dialogs")
         for obj in payload:
@@ -426,11 +416,7 @@ class Database:
 
 
 def load_database(path: str) -> Database:
-    with open(path, encoding="utf-8") as handle:
-        try:
-            payload = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise SchemaMismatch(f"{path}: invalid JSON: {exc}") from exc
+    payload = read_json(path)
     try:
         name_fields = dict(payload["name_fields"])
         raw_tables = payload["tables"]

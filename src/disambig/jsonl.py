@@ -1,0 +1,68 @@
+"""The JSON-lines format shared by every file passed between stages.
+
+Synthesized splits, native corpora, augmentation records and prediction
+files are all JSONL: one JSON object per line, written with sorted keys and
+without ASCII escaping so that equal data gives equal bytes.  Reading skips
+blank lines and reports any malformed row as :class:`SchemaMismatch`
+naming the file and the line, so a bad input never escapes as a traceback.
+Whole-document JSON inputs (database, schema-guided corpora, config and
+allow-list files) are read through :func:`read_json` under the same rule.
+"""
+
+from __future__ import annotations
+
+import json
+from typing import Callable, Iterable, Iterator, TypeVar
+
+from .errors import SchemaMismatch
+
+T = TypeVar("T")
+
+# What a row parser raises on a row of the wrong shape.  ValueError also
+# covers JSONDecodeError and UnicodeDecodeError.
+_ROW_ERRORS = (SchemaMismatch, KeyError, TypeError, ValueError, AttributeError)
+
+
+def iter_jsonl(path: str, parse: Callable[[object], T]) -> Iterator[T]:
+    """Yield ``parse(row)`` for every non-blank line of ``path``."""
+    # Lines are decoded one at a time so that a UTF-8 error names its line.
+    with open(path, "rb") as handle:
+        for line_no, line in enumerate(handle, start=1):
+            if not line.strip():
+                continue
+            try:
+                yield parse(json.loads(line.decode("utf-8")))
+            except _ROW_ERRORS as exc:
+                raise SchemaMismatch(f"{path}: line {line_no}: {exc}") from exc
+
+
+def _object(row: object) -> dict:
+    if not isinstance(row, dict):
+        raise TypeError(f"expected a JSON object, got {type(row).__name__}")
+    return row
+
+
+def first_row(path: str) -> dict:
+    """The first non-blank row of ``path``, which must be a JSON object."""
+    rows = iter_jsonl(path, _object)
+    try:
+        return next(rows)
+    except StopIteration:
+        raise SchemaMismatch(f"{path} is empty") from None
+    finally:
+        rows.close()
+
+
+def write_jsonl(path: str, rows: Iterable[dict]) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        for row in rows:
+            handle.write(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n")
+
+
+def read_json(path: str):
+    """Load a whole-document JSON file."""
+    with open(path, encoding="utf-8") as handle:
+        try:
+            return json.load(handle)
+        except ValueError as exc:
+            raise SchemaMismatch(f"{path}: invalid JSON: {exc}") from exc

@@ -11,12 +11,12 @@ reported.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from .augmenter import AugmentationRecord
 from .corpus import Corpus, USER, name_key
 from .errors import MissingPrediction, SchemaMismatch, UnknownSubsetTurn
+from .jsonl import iter_jsonl, write_jsonl
 from .resolver import normalize
 
 ALL = "ALL"
@@ -42,36 +42,30 @@ class PredictionRow:
             obj["state"] = self.state
         return obj
 
+    @classmethod
+    def from_json(cls, obj: dict) -> "PredictionRow":
+        return cls(
+            dialog_id=obj["dialog_id"],
+            turn_index=int(obj["turn_index"]),
+            entities=list(obj.get("entities", [])),
+            state={k: list(v) for k, v in obj["state"].items()} if obj.get("state") is not None else None,
+        )
+
 
 PredictionFile = dict[Key, PredictionRow]
 
 
 def read_predictions(path: str) -> PredictionFile:
     rows: PredictionFile = {}
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                row = PredictionRow(
-                    dialog_id=obj["dialog_id"],
-                    turn_index=int(obj["turn_index"]),
-                    entities=list(obj.get("entities", [])),
-                    state={k: list(v) for k, v in obj["state"].items()} if obj.get("state") is not None else None,
-                )
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise SchemaMismatch(f"{path}: bad prediction on line {line_no}: {exc}") from exc
-            if row.key in rows:
-                raise SchemaMismatch(f"{path}: duplicate prediction key {row.key}")
-            rows[row.key] = row
+    for row in iter_jsonl(path, PredictionRow.from_json):
+        if row.key in rows:
+            raise SchemaMismatch(f"{path}: duplicate prediction key {row.key}")
+        rows[row.key] = row
     return rows
 
 
 def write_predictions(rows: list[PredictionRow], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for row in rows:
-            handle.write(json.dumps(row.to_json(), ensure_ascii=False, sort_keys=True) + "\n")
+    write_jsonl(path, (row.to_json() for row in rows))
 
 
 def _entity_key(name: str) -> str:
@@ -107,19 +101,22 @@ def gold_states(gold: Corpus) -> dict[Key, dict[str, set[str]]]:
     return states
 
 
-def _subset_keys(gold: Corpus, subset) -> dict[Key, set[str]]:
+def _select(table: dict, subset) -> dict:
+    """The rows of ``table`` named by ``subset``: ALL, or an iterable of keys."""
     if subset == ALL:
-        return gold_entity_turns(gold)
+        return table
+    chosen = {}
+    for key in subset:
+        if key not in table:
+            raise UnknownSubsetTurn(key)
+        chosen[key] = table[key]
+    return chosen
+
+
+def _subset_keys(gold: Corpus, subset) -> dict[Key, set[str]]:
     if subset == AUGMENTED_ONLY:
         return gold_entity_turns(gold, origin="augment")
-    # explicit key collection, e.g. from augmentation records
-    marked = gold_entity_turns(gold)
-    chosen: dict[Key, set[str]] = {}
-    for key in subset:
-        if key not in marked:
-            raise UnknownSubsetTurn(key)
-        chosen[key] = marked[key]
-    return chosen
+    return _select(gold_entity_turns(gold), subset)
 
 
 def entity_accuracy(preds: PredictionFile, gold: Corpus, subset=ALL) -> float:
@@ -143,14 +140,7 @@ def joint_goal_accuracy(preds: PredictionFile, gold: Corpus, subset=ALL) -> floa
     state matches when every gold slot's value set is reproduced exactly;
     extra predicted slots do not score either way.
     """
-    states = gold_states(gold)
-    if subset != ALL:
-        chosen = {}
-        for key in subset:
-            if key not in states:
-                raise UnknownSubsetTurn(key)
-            chosen[key] = states[key]
-        states = chosen
+    states = _select(gold_states(gold), subset)
     if not states:
         raise SchemaMismatch("no gold turns carry a dialog state in this subset")
     correct = 0
@@ -166,9 +156,7 @@ def slot_accuracy(preds: PredictionFile, gold: Corpus, subset=ALL) -> float:
     """Per-slot partial credit: each turn scores the fraction of its gold
     slots predicted exactly, averaged over turns.  Because a turn's
     all-or-nothing score never exceeds its fraction correct, JGA <= this."""
-    states = gold_states(gold)
-    if subset != ALL:
-        states = {key: states[key] for key in subset}
+    states = _select(gold_states(gold), subset)
     fractions: list[float] = []
     for key, gold_state in sorted(states.items()):
         if key not in preds or preds[key].state is None:
@@ -254,9 +242,3 @@ def score(preds: PredictionFile, gold: Corpus, records: list[AugmentationRecord]
             if user_keys:
                 report.jga_augmented = joint_goal_accuracy(preds, gold, subset=user_keys)
     return report
-
-
-def write_report(report: ScoreReport, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report.to_json(), handle, ensure_ascii=False, sort_keys=True, indent=2)
-        handle.write("\n")

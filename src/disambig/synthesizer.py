@@ -8,8 +8,6 @@ through derived seeds, so a dataset is a pure function of its config.
 
 from __future__ import annotations
 
-import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -21,11 +19,11 @@ from .errors import (
     NoDiscriminatingAttribute,
     NotEnoughEntities,
     NoUniquePartial,
-    SchemaMismatch,
     TypoGenerationFailed,
     UnknownDomain,
 )
 from .grammar import Grammar, Template, fill, sample
+from .jsonl import iter_jsonl, write_jsonl
 from .resolver import STOPWORDS
 from .seeding import derive_seed, rng_for
 
@@ -340,7 +338,6 @@ class SynthConfig:
     per_method: tuple[int, int, int] | None = None
     methods: tuple[AddressingMethod, ...] = METHODS
     seed: int = 0
-    threads: int = 1
 
 
 def _split_plan(config: SynthConfig, split_index: int) -> list[AddressingMethod]:
@@ -360,17 +357,12 @@ def synthesize_split(db: Database, grammar: Grammar, config: SynthConfig, split:
     index = {"train": 0, "dev": 1, "test": 2}[split]
     plan = _split_plan(config, index)
     domains = sorted(db.tables)
-
-    def build(i: int) -> SingleTurnExample:
-        return synthesize_example(
-            db, grammar, domains[i % len(domains)], plan[i],
-            derive_seed("dataset", split, i, config.seed),
+    return [
+        synthesize_example(
+            db, grammar, domains[i % len(domains)], method, derive_seed("dataset", split, i, config.seed)
         )
-
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            return list(pool.map(build, range(len(plan))))
-    return [build(i) for i in range(len(plan))]
+        for i, method in enumerate(plan)
+    ]
 
 
 def synthesize_dataset(
@@ -383,22 +375,11 @@ def synthesize_dataset(
 
 
 def write_examples(examples: list[SingleTurnExample], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for example in examples:
-            handle.write(json.dumps(example.to_json(), ensure_ascii=False, sort_keys=True) + "\n")
+    write_jsonl(path, (example.to_json() for example in examples))
 
 
 def read_examples(path: str) -> list[SingleTurnExample]:
-    examples = []
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                examples.append(SingleTurnExample.from_json(json.loads(line)))
-            except (json.JSONDecodeError, KeyError, ValueError) as exc:
-                raise SchemaMismatch(f"{path}: bad example on line {line_no}: {exc}") from exc
-    return examples
+    return list(iter_jsonl(path, SingleTurnExample.from_json))
 
 
 def example_dialog_id(index: int) -> str:

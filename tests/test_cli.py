@@ -54,6 +54,64 @@ class TestUsageErrors:
         assert code == 1
 
 
+_EXAMPLE = json.dumps({
+    "system": "hotel a or b?", "user": "a", "method": "exact", "domain": "hotel", "seed": 0,
+    "candidates": [{"domain": "hotel", "name": "a"}, {"domain": "hotel", "name": "b"}], "target_names": ["a"],
+})
+
+# Each case: the files to create under tmp_path, then argv.  An argv token
+# naming one of those files becomes its path, OUT becomes an unused path under
+# tmp_path, and DB, GRAMMAR and TOY become the shipped files.
+_MALFORMED_INPUTS = {
+    "resolve-in-not-json": (
+        {"in.jsonl": "{oops\n"}, ["resolve", "--in", "in.jsonl", "--out", "OUT"]),
+    "resolve-examples-list-row": (
+        {"in.jsonl": _EXAMPLE + "\n[1, 2]\n"}, ["resolve", "--in", "in.jsonl", "--out", "OUT"]),
+    "resolve-records-list-row": (
+        {"in.jsonl": "[1, 2]\n"}, ["resolve", "--in", "in.jsonl", "--kind", "records", "--out", "OUT"]),
+    "score-gold-not-json": (
+        {"preds.jsonl": "", "gold.jsonl": "not json\n"}, ["score", "--preds", "preds.jsonl", "--gold", "gold.jsonl"]),
+    "score-records-list-row": (
+        {"preds.jsonl": "", "gold.jsonl": _EXAMPLE + "\n", "records.jsonl": "[1]\n"},
+        ["score", "--preds", "preds.jsonl", "--gold", "gold.jsonl", "--records", "records.jsonl"]),
+    "augment-in-list-row": (
+        {"in.jsonl": "[1]\n"}, ["augment", "--in", "in.jsonl", "--db", DB, "--grammar", GRAMMAR, "--out", "OUT"]),
+    "stats-meta-not-object": ({"in.jsonl": '{"meta": 5}\n'}, ["stats", "--in", "in.jsonl"]),
+    "stats-string-row": ({"in.jsonl": '"x"\n'}, ["stats", "--in", "in.jsonl"]),
+    "stats-not-utf8": ({"in.jsonl": b"\xff\n"}, ["stats", "--in", "in.jsonl"]),
+    "synth-config-not-json": ({"config.json": "{"}, ["synth", "--config", "config.json", "--out", "OUT"]),
+    "synth-config-not-object": ({"config.json": "[1]"}, ["synth", "--config", "config.json", "--out", "OUT"]),
+    "augment-allow-list-not-json": (
+        {"allow.json": "["},
+        ["augment", "--in", TOY, "--db", DB, "--grammar", GRAMMAR, "--allow-list", "allow.json", "--out", "OUT"]),
+}
+
+
+@pytest.mark.parametrize("files, argv", _MALFORMED_INPUTS.values(), ids=list(_MALFORMED_INPUTS))
+def test_malformed_input_is_a_validation_error(capsys, tmp_path, repo_root, files, argv):
+    paths = {name: tmp_path / name for name in files}
+    for name, content in files.items():
+        paths[name].write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
+    paths.update({shipped: repo_root / shipped for shipped in (DB, GRAMMAR, TOY)})
+    before = {name: _digest(path) for name, path in paths.items()}
+    argv = [str(tmp_path / "out") if token == "OUT" else str(paths.get(token, token)) for token in argv]
+    code, _, err = _run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    assert {name: _digest(path) for name, path in paths.items()} == before
+
+
+@pytest.mark.parametrize("command", ["synth", "augment"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_threads_below_one_rejected(capsys, tmp_path, repo_root, command, value):
+    extra = ["--in", str(repo_root / TOY)] if command == "augment" else []
+    code, _, err = _run(capsys, command, *extra, "--out", str(tmp_path / "o"), "--threads", value)
+    assert code == 1
+    assert "--threads" in err
+    assert not (tmp_path / "o").exists()
+
+
 class TestSynth:
     def test_deterministic_across_runs_and_threads(self, capsys, tmp_path, repo_root):
         out1, out2, out3 = tmp_path / "a", tmp_path / "b", tmp_path / "c"

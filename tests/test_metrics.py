@@ -124,6 +124,13 @@ class TestJointGoalAccuracy:
         with pytest.raises(MissingPrediction):
             joint_goal_accuracy({row.key: row}, gold)
 
+    @pytest.mark.parametrize("metric", [joint_goal_accuracy, slot_accuracy])
+    def test_unknown_subset_turn(self, metric):
+        gold = Corpus(dialogs=[_state_dialog("s0", {"hotel-area": ["north"]})])
+        row = PredictionRow("s0", 0, state={"hotel-area": ["north"]})
+        with pytest.raises(UnknownSubsetTurn, match="ghost"):
+            metric({row.key: row}, gold, subset=[("ghost", 5)])
+
 
 class TestJgaNeverExceedsSlotAccuracy:
     def test_randomized_fixture_predictions(self):

@@ -213,13 +213,6 @@ class TestDataset:
         }
         assert len(fingerprints) == 3
 
-    def test_threaded_generation_matches_serial(self, shipped_db, shipped_grammar):
-        serial = synthesize_split(shipped_db, shipped_grammar, SynthConfig(totals=(24, 0, 0), seed=9), "train")
-        threaded = synthesize_split(
-            shipped_db, shipped_grammar, SynthConfig(totals=(24, 0, 0), seed=9, threads=8), "train"
-        )
-        assert serial == threaded
-
     def test_jsonl_round_trip_and_determinism(self, shipped_db, shipped_grammar, tmp_path):
         config = SynthConfig(totals=(0, 0, 12), seed=5)
         test_split = synthesize_split(shipped_db, shipped_grammar, config, "test")
