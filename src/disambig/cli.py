@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -48,6 +49,22 @@ def _threads(text: str) -> int:
     return value
 
 
+def _finite_float(low: float, high: float = math.inf):
+    """A ``type=`` parser accepting only finite floats from ``low`` to ``high``."""
+    expected = f"from {low:g} to {high:g}" if high < math.inf else f"of at least {low:g}"
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and low <= value <= high):
+            raise argparse.ArgumentTypeError(f"expected a finite number {expected}, got {text!r}")
+        return value
+
+    return parse
+
+
 def _guard_outputs(inputs: list[str | None], outputs: list[str | None]) -> None:
     resolved_inputs = {Path(p).resolve() for p in inputs if p}
     for out in outputs:
@@ -55,25 +72,36 @@ def _guard_outputs(inputs: list[str | None], outputs: list[str | None]) -> None:
             raise SchemaMismatch(f"output path {out!r} would overwrite an input")
 
 
-def _apply_config_file(args: argparse.Namespace) -> argparse.Namespace:
-    """Fill unset flags from a JSON config whose keys mirror flag names."""
+def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
+    """Fill unset flags from a JSON config whose keys mirror flag names.
+
+    Each value goes through its flag's own ``type=`` parser, written as it
+    would be on the command line (a list becomes comma-separated), so a
+    config file can set nothing that the flag itself would reject.
+    """
     if not getattr(args, "config", None):
-        return args
+        return
     overrides = read_json(args.config)
     if not isinstance(overrides, dict):
         raise SchemaMismatch(f"{args.config}: config must be a JSON object")
+    flags = {action.dest: action for action in parser._actions if action.option_strings and hasattr(args, action.dest)}
     for key, value in overrides.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        action = flags.get(key.replace("-", "_"))
+        if action is None:
             raise SchemaMismatch(f"config file key {key!r} matches no flag of this subcommand")
-        if getattr(args, attr) is None:
-            setattr(args, attr, value)
-    return args
+        if getattr(args, action.dest) is not None:
+            continue
+        text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+        try:
+            setattr(args, action.dest, action.type(text) if action.type else text)
+        except (argparse.ArgumentTypeError, ValueError) as exc:
+            raise SchemaMismatch(f"{args.config}: key {key!r}: {exc}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="disambig", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.subcommands = sub.choices
 
     p = sub.add_parser("grammar-count", help="count the language of a grammar start symbol")
     p.add_argument("grammar", help="grammar source file")
@@ -116,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("upsample", help="duplicate augmented dialogs up to a multiple of the corpus size")
     p.add_argument("--in", dest="input", required=True, help="augmented native corpus")
     p.add_argument("--out", required=True)
-    p.add_argument("--factor", type=float, default=1.0,
+    p.add_argument("--factor", type=_finite_float(0.0), default=1.0,
                    help="target augmented-row count as a multiple of the corpus size")
 
     p = sub.add_parser("resolve", help="run the rule-based resolver over examples or records")
@@ -124,7 +152,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="prediction JSONL")
     p.add_argument("--kind", choices=["examples", "records"], default=None,
                    help="input schema (default: sniffed from the first row)")
-    p.add_argument("--max-fuzzy", type=float, default=resolver.DEFAULT_MAX_FUZZY)
+    p.add_argument("--max-fuzzy", type=_finite_float(0.0, 1.0), default=resolver.DEFAULT_MAX_FUZZY,
+                   help="largest OSA distance / longer string length a fuzzy name match may have (0 to 1)")
 
     p = sub.add_parser("score", help="score a prediction file against gold")
     p.add_argument("--preds", required=True)
@@ -180,7 +209,6 @@ def _cmd_grammar_count(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    args = _apply_config_file(args)
     db = corpus_mod.load_database(_default_path(args.db, "data/database.json"))
     grammar = load_grammar_file(_default_path(args.grammar, "grammars/disambiguation.cfg"))
     config = synthesizer.SynthConfig(
@@ -216,7 +244,6 @@ def _load_allow_list(path: str | None) -> frozenset[str]:
 
 
 def _cmd_augment(args) -> int:
-    args = _apply_config_file(args)
     dialog_corpus = corpus_mod.load_corpus(args.input, format=args.format)
     db = corpus_mod.load_database(_default_path(args.db, "data/database.json"))
     grammar = load_grammar_file(_default_path(args.grammar, "grammars/disambiguation.cfg"))
@@ -252,8 +279,6 @@ def _cmd_upsample(args) -> int:
     augmented = [d for d in base.dialogs if any("disambig" in t.extras for t in d.turns)]
     if not augmented:
         raise SchemaMismatch("corpus has no augmented dialogs to upsample")
-    if args.factor < 0:
-        raise SchemaMismatch("--factor must be nonnegative")
     target = round(args.factor * len(base.dialogs))
     dialogs = list(base.dialogs)
     extra_needed = max(0, target - len(augmented))
@@ -318,6 +343,7 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _apply_config_file(args, parser.subcommands[args.command])
         return _COMMANDS[args.command](args)
     except DisambigError as exc:
         _log(f"error: {exc}")

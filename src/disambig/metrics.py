@@ -101,10 +101,20 @@ def gold_states(gold: Corpus) -> dict[Key, dict[str, set[str]]]:
     return states
 
 
-def _select(table: dict, subset) -> dict:
-    """The rows of ``table`` named by ``subset``: ALL, or an iterable of keys."""
+def _select(table: dict, subset, gold: Corpus, turn_offset: int = 0) -> dict:
+    """The rows of ``table`` named by ``subset``.
+
+    ``subset`` is ALL, AUGMENTED_ONLY (the turns whose marker came from the
+    augmenter, each shifted by ``turn_offset`` and kept when ``table`` has
+    it) or an iterable of keys, each of which must be in ``table``.
+    """
     if subset == ALL:
         return table
+    if subset == AUGMENTED_ONLY:
+        keys = [(dialog_id, index + turn_offset) for dialog_id, index in gold_entity_turns(gold, origin="augment")]
+        return {key: table[key] for key in keys if key in table}
+    if isinstance(subset, str):
+        raise ValueError(f"unknown subset {subset!r}: expected ALL, AUGMENTED_ONLY or an iterable of keys")
     chosen = {}
     for key in subset:
         if key not in table:
@@ -113,15 +123,9 @@ def _select(table: dict, subset) -> dict:
     return chosen
 
 
-def _subset_keys(gold: Corpus, subset) -> dict[Key, set[str]]:
-    if subset == AUGMENTED_ONLY:
-        return gold_entity_turns(gold, origin="augment")
-    return _select(gold_entity_turns(gold), subset)
-
-
 def entity_accuracy(preds: PredictionFile, gold: Corpus, subset=ALL) -> float:
     """Mean over subset turns of exact (normalized) target-set equality."""
-    targets = _subset_keys(gold, subset)
+    targets = _select(gold_entity_turns(gold), subset, gold)
     if not targets:
         raise SchemaMismatch("no gold turns define an entity target in this subset")
     correct = 0
@@ -136,11 +140,12 @@ def entity_accuracy(preds: PredictionFile, gold: Corpus, subset=ALL) -> float:
 def joint_goal_accuracy(preds: PredictionFile, gold: Corpus, subset=ALL) -> float:
     """Mean over user turns of all-or-nothing state correctness.
 
-    ``subset`` is ALL (every user turn) or an iterable of keys.  A predicted
+    ``subset`` is ALL (every user turn), AUGMENTED_ONLY (the user turn right
+    after each augmented system turn) or an iterable of keys.  A predicted
     state matches when every gold slot's value set is reproduced exactly;
     extra predicted slots do not score either way.
     """
-    states = _select(gold_states(gold), subset)
+    states = _select(gold_states(gold), subset, gold, turn_offset=1)
     if not states:
         raise SchemaMismatch("no gold turns carry a dialog state in this subset")
     correct = 0
@@ -156,7 +161,7 @@ def slot_accuracy(preds: PredictionFile, gold: Corpus, subset=ALL) -> float:
     """Per-slot partial credit: each turn scores the fraction of its gold
     slots predicted exactly, averaged over turns.  Because a turn's
     all-or-nothing score never exceeds its fraction correct, JGA <= this."""
-    states = _select(gold_states(gold), subset)
+    states = _select(gold_states(gold), subset, gold, turn_offset=1)
     fractions: list[float] = []
     for key, gold_state in sorted(states.items()):
         if key not in preds or preds[key].state is None:

@@ -44,22 +44,50 @@ def normalize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-def edit_distance(a: str, b: str) -> int:
-    """Levenshtein distance with unit costs plus adjacent transpositions."""
+def edit_distance(a: str, b: str, bound: int | None = None) -> int:
+    """Optimal string alignment distance: Levenshtein with unit costs plus
+    adjacent transpositions.
+
+    With ``bound=k`` only the work that bound allows is done (Ukkonen's
+    cutoff): the result is exact when the distance is at most ``k`` and
+    above ``k`` otherwise.  Only the diagonal band ``|i - j| <= k`` is filled,
+    cells are clipped at ``k + 1``, and the search stops once two consecutive
+    rows are over the bound, since a transposition reaches back two rows.
+    Without a bound the band covers the whole matrix, because the distance
+    never exceeds the longer length.
+    """
     if a == b:
         return 0
-    if not a or not b:
-        return len(a) + len(b)
-    previous2: list[int] | None = None
-    previous = list(range(len(b) + 1))
+    len_b = len(b)
+    k = max(len(a), len_b) if bound is None else bound
+    over = k + 1
+    if abs(len(a) - len_b) > k:
+        return over
+    previous2: list[int] = []
+    previous = [j if j <= k else over for j in range(len_b + 1)]
+    previous_min = 0
     for i, ca in enumerate(a, start=1):
-        current = [i] + [0] * len(b)
-        for j, cb in enumerate(b, start=1):
-            cost = 0 if ca == cb else 1
-            current[j] = min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + cost)
-            if i > 1 and j > 1 and ca == b[j - 2] and a[i - 2] == cb:
-                current[j] = min(current[j], previous2[j - 2] + 1)
-        previous2, previous = previous, current
+        current = [over] * (len_b + 1)
+        if i <= k:
+            current[0] = i
+        row_min = current[0]
+        for j in range(max(1, i - k), min(len_b, i + k) + 1):
+            cb = b[j - 1]
+            value = previous[j - 1] if ca == cb else previous[j - 1] + 1
+            if previous[j] < value:
+                value = previous[j] + 1
+            if current[j - 1] < value:
+                value = current[j - 1] + 1
+            if i > 1 and j > 1 and ca == b[j - 2] and a[i - 2] == cb and previous2[j - 2] < value:
+                value = previous2[j - 2] + 1
+            if value > over:
+                value = over
+            current[j] = value
+            if value < row_min:
+                row_min = value
+        if row_min > k and previous_min > k:
+            return over
+        previous2, previous, previous_min = previous, current, row_min
     return previous[-1]
 
 
@@ -130,7 +158,29 @@ def _name_evidence(utterance: list[str], names: list[list[str]]) -> dict[int, fl
     return matched
 
 
+def _edit_budget(longer: int, max_fuzzy: float) -> int:
+    """The largest k in [0, longer] with ``k / longer <= max_fuzzy`` as a
+    float comparison, or -1 when there is none (negative or NaN budgets).
+
+    The product ``max_fuzzy * longer`` only seeds the search; the float
+    division decides, so a distance passes exactly when it would pass the
+    plain ``distance / longer <= max_fuzzy`` test.
+    """
+    if not max_fuzzy >= 0:
+        return -1
+    if max_fuzzy >= 1:
+        return longer
+    k = int(max_fuzzy * longer)
+    while k < longer and (k + 1) / longer <= max_fuzzy:
+        k += 1
+    while k / longer > max_fuzzy:
+        k -= 1
+    return k
+
+
 def _fuzzy_evidence(utterance: list[str], names: list[list[str]], max_fuzzy: float) -> dict[int, float]:
+    """Names within an OSA-distance budget of some utterance window: the
+    distance divided by the longer string must be at most ``max_fuzzy``."""
     scored: dict[int, float] = {}
     for index, name in enumerate(names):
         name_text = " ".join(name)
@@ -141,9 +191,10 @@ def _fuzzy_evidence(utterance: list[str], names: list[list[str]], max_fuzzy: flo
                 longer = max(len(window_text), len(name_text))
                 if longer == 0 or abs(len(window_text) - len(name_text)) / longer > max_fuzzy:
                     continue
-                distance = edit_distance(window_text, name_text) / longer
-                if distance <= max_fuzzy and (best is None or distance < best):
-                    best = distance
+                k = _edit_budget(longer, max_fuzzy)
+                distance = edit_distance(window_text, name_text, bound=k)
+                if distance <= k and (best is None or distance / longer < best):
+                    best = distance / longer
         if best is not None:
             scored[index] = 1.0 - best
     return scored

@@ -75,3 +75,25 @@ def slow_edit_distance(a: str, b: str) -> int:
         return best
 
     return go(len(a), len(b))
+
+
+def slow_fuzzy_evidence(utterance: list[str], names: list[list[str]], max_fuzzy: float) -> dict[int, float]:
+    """The fuzzy-name stage with the full distance for every pair: for each
+    name, one minus the smallest ``distance / longer`` over utterance windows
+    of one token fewer to one token more, among those at most ``max_fuzzy``."""
+    scored: dict[int, float] = {}
+    for index, name in enumerate(names):
+        name_text = " ".join(name)
+        best: float | None = None
+        for length in range(max(1, len(name) - 1), len(name) + 2):
+            for start in range(len(utterance) - length + 1):
+                window_text = " ".join(utterance[start:start + length])
+                longer = max(len(window_text), len(name_text))
+                if longer == 0 or abs(len(window_text) - len(name_text)) / longer > max_fuzzy:
+                    continue
+                distance = slow_edit_distance(window_text, name_text) / longer
+                if distance <= max_fuzzy and (best is None or distance < best):
+                    best = distance
+        if best is not None:
+            scored[index] = 1.0 - best
+    return scored

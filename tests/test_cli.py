@@ -81,6 +81,10 @@ _MALFORMED_INPUTS = {
     "stats-not-utf8": ({"in.jsonl": b"\xff\n"}, ["stats", "--in", "in.jsonl"]),
     "synth-config-not-json": ({"config.json": "{"}, ["synth", "--config", "config.json", "--out", "OUT"]),
     "synth-config-not-object": ({"config.json": "[1]"}, ["synth", "--config", "config.json", "--out", "OUT"]),
+    "synth-config-total-not-counts": (
+        {"config.json": '{"total": "abc"}'}, ["synth", "--config", "config.json", "--out", "OUT"]),
+    "synth-config-threads-zero": (
+        {"config.json": '{"threads": 0}'}, ["synth", "--config", "config.json", "--out", "OUT"]),
     "augment-allow-list-not-json": (
         {"allow.json": "["},
         ["augment", "--in", TOY, "--db", DB, "--grammar", GRAMMAR, "--allow-list", "allow.json", "--out", "OUT"]),
@@ -109,6 +113,18 @@ def test_threads_below_one_rejected(capsys, tmp_path, repo_root, command, value)
     code, _, err = _run(capsys, command, *extra, "--out", str(tmp_path / "o"), "--threads", value)
     assert code == 1
     assert "--threads" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    *(("resolve", "--max-fuzzy", v) for v in ("nan", "inf", "-0.1", "1.5", "abc")),
+    *(("upsample", "--factor", v) for v in ("nan", "inf", "-inf", "-1")),
+])
+def test_float_flags_reject_non_finite_and_out_of_range(capsys, tmp_path, repo_root, command, flag, value):
+    code, _, err = _run(capsys, command, "--in", str(repo_root / TOY), "--out", str(tmp_path / "o"), f"{flag}={value}")
+    assert code == 1
+    assert f"argument {flag}: expected a finite number" in err
+    assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
 
 
@@ -256,6 +272,24 @@ class TestResolveAndScore:
         report = json.loads(out)
         assert report["entity_accuracy_augmented"] == 1.0
         assert report["counts"]["turns_augmented"] == 16
+
+    def test_predictions_are_pinned(self, capsys, tmp_path, repo_root):
+        # Digests of the resolver's output before its edit-distance cutoff; a
+        # speed change to the resolver must not move a byte of them.
+        split = tmp_path / "synth" / "test.jsonl"
+        code, _, _ = _run(capsys, "synth", "--db", str(repo_root / DB), "--grammar", str(repo_root / GRAMMAR),
+                          "--per-method", "0,0,100", "--splits", "test", "--out", str(split.parent), "--seed", "0")
+        assert code == 0
+        assert _digest(split) == "ac9ed958eec6942f39e947decd6150f587f94f9d0f35db5281e2e2b47ad422a4"
+        pinned = {
+            "0.25": "e2249413298f44313919d94f976d5a6625b333939461a3c98f0927b9b7d8ae85",
+            "0.4": "81f2a055e792d03d8b00ba2cacfae5cd36446827675910c8c178b64ac2d0dcaa",
+        }
+        for max_fuzzy, digest in pinned.items():
+            preds = tmp_path / f"preds-{max_fuzzy}.jsonl"
+            code, _, _ = _run(capsys, "resolve", "--in", str(split), "--out", str(preds), "--max-fuzzy", max_fuzzy)
+            assert code == 0
+            assert _digest(preds) == digest, max_fuzzy
 
     def test_score_missing_prediction(self, capsys, tmp_path, synth_dir):
         preds = tmp_path / "preds.jsonl"

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from disambig.augmenter import augment_corpus
 from disambig.corpus import Corpus, Dialog, Frame, Turn
 from disambig.errors import MissingPrediction, SchemaMismatch, UnknownSubsetTurn
 from disambig.metrics import (
@@ -12,6 +13,7 @@ from disambig.metrics import (
     PredictionRow,
     entity_accuracy,
     gold_entity_turns,
+    gold_states,
     joint_goal_accuracy,
     read_predictions,
     score,
@@ -130,6 +132,30 @@ class TestJointGoalAccuracy:
         row = PredictionRow("s0", 0, state={"hotel-area": ["north"]})
         with pytest.raises(UnknownSubsetTurn, match="ghost"):
             metric({row.key: row}, gold, subset=[("ghost", 5)])
+
+
+def test_augmented_only_subset_on_augmented_toy_corpus(toy_corpus, shipped_db, shipped_grammar):
+    gold, records, _ = augment_corpus(toy_corpus, shipped_db, shipped_grammar, seed=0)
+    augmented = sorted((r.dialog_id, r.turn_index) for r in records if r.skipped_reason is None)
+    targets, states = gold_entity_turns(gold), gold_states(gold)
+    preds = {}
+    for dialog in gold.dialogs:
+        for index in range(len(dialog.turns)):
+            right = (len(dialog.id) + index) % 3 != 0
+            key = (dialog.id, index)
+            preds[key] = PredictionRow(
+                dialog.id, index,
+                entities=sorted(targets.get(key, ())) if right else ["wrong lodge"],
+                state={slot: sorted(values) for slot, values in states.get(key, {}).items()} if right else {},
+            )
+    user_turns = [(d, t + 1) for d, t in augmented if (d, t + 1) in states]
+    assert augmented and user_turns
+    assert entity_accuracy(preds, gold, subset=AUGMENTED_ONLY) == entity_accuracy(preds, gold, subset=augmented)
+    for metric in (joint_goal_accuracy, slot_accuracy):
+        assert metric(preds, gold, subset=AUGMENTED_ONLY) == metric(preds, gold, subset=user_turns)
+    for metric in (entity_accuracy, joint_goal_accuracy, slot_accuracy):
+        with pytest.raises(ValueError, match="augmented"):
+            metric(preds, gold, subset="augmented")
 
 
 class TestJgaNeverExceedsSlotAccuracy:

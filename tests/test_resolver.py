@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import math
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from disambig.corpus import Entity
 from disambig.errors import NoMatch
@@ -16,8 +18,9 @@ from disambig.resolver import (
     predict_names,
     resolve,
 )
+from disambig.resolver import _edit_budget, _fuzzy_evidence
 
-from .oracles import slow_edit_distance
+from .oracles import slow_edit_distance, slow_fuzzy_evidence
 
 
 def _candidates(*names: str, domain: str = "restaurant") -> list[Entity]:
@@ -59,6 +62,82 @@ class TestEditDistance:
     @given(st.text(alphabet="abcdef", max_size=10), st.text(alphabet="abcdef", max_size=10))
     def test_symmetry(self, a, b):
         assert edit_distance(a, b) == edit_distance(b, a)
+
+    def test_length_gap_over_bound_returns_at_once(self):
+        assert edit_distance("abc", "abcdefgh", bound=2) > 2
+        assert edit_distance("abc", "abcdefgh", bound=5) == 5
+
+    @settings(max_examples=300)
+    @given(st.text(alphabet="abc ", max_size=10), st.text(alphabet="abc ", max_size=10), st.integers(0, 12))
+    def test_bounded_agrees_with_recursive_oracle(self, a, b, bound):
+        exact = slow_edit_distance(a, b)
+        bounded = edit_distance(a, b, bound=bound)
+        if exact <= bound:
+            assert bounded == exact
+        else:
+            assert bounded > bound
+
+
+_VOCAB = ["alpha", "kitchen", "briar", "manor", "cedar", "lodge", "the", "north", "inn", "ab"]
+
+# Float budgets whose products with a length land on or near an integer, and
+# budgets outside [0, 1] that the library function must also survive.
+_BUDGETS = [0.25, 0.1, 1 / 3, 0.2 + 0.05, 0.0, 1.0, 0.3, 2 / 7, math.nan, math.inf, -0.25, 1.5]
+
+
+def _one_edit(draw, text: str) -> str:
+    i = draw(st.integers(0, len(text) - 1))
+    c = draw(st.sampled_from("abcdeiklnort"))
+    return draw(st.sampled_from([
+        text[:i] + c + text[i:],
+        text[:i] + text[i + 1:],
+        text[:i] + c + text[i + 1:],
+        text[:i] + text[i + 1:i + 2] + text[i:i + 1] + text[i + 2:],
+    ]))
+
+
+@st.composite
+def _confusable_case(draw) -> tuple[list[str], list[list[str]]]:
+    """An utterance and 1-4 names that share tokens or differ by one edit."""
+    base = draw(st.lists(st.sampled_from(_VOCAB), min_size=1, max_size=3))
+    names = [base]
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()):
+            names.append(normalize(_one_edit(draw, " ".join(base))) or ["x"])
+        else:
+            names.append(draw(st.lists(st.sampled_from(base + _VOCAB), min_size=1, max_size=3)))
+    typo = normalize(_one_edit(draw, " ".join(draw(st.sampled_from(names)))))
+    pool = _VOCAB + [token for name in names for token in name] + typo
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6)), names
+
+
+class TestFuzzyEvidence:
+    @settings(max_examples=300)
+    @given(_confusable_case(), st.one_of(st.sampled_from(_BUDGETS), st.floats(0, 1)))
+    def test_bounded_agrees_with_full_distance_oracle(self, case, max_fuzzy):
+        utterance, names = case
+        assert _fuzzy_evidence(utterance, names, max_fuzzy) == slow_fuzzy_evidence(utterance, names, max_fuzzy)
+
+    def test_budget_is_the_largest_passing_distance(self):
+        # Exhaustive over every exact ratio n / longer and its float
+        # neighbours, where ``int(max_fuzzy * longer)`` alone can be one short.
+        for longer in range(1, 201):
+            for budget in [*_BUDGETS, *(n / longer for n in range(longer + 1))]:
+                for max_fuzzy in (math.nextafter(budget, -math.inf), budget, math.nextafter(budget, math.inf)):
+                    k = _edit_budget(longer, max_fuzzy)
+                    if not max_fuzzy >= 0:
+                        assert k == -1
+                        continue
+                    assert 0 <= k <= longer
+                    assert k / longer <= max_fuzzy
+                    assert k == longer or (k + 1) / longer > max_fuzzy, (longer, max_fuzzy)
+
+    @pytest.mark.parametrize("max_fuzzy, expected", [
+        (math.nan, []), (-1.0, []), (math.inf, ["glorious gardens"]), (5.0, ["glorious gardens"]),
+    ])
+    def test_any_float_budget_is_safe(self, max_fuzzy, expected):
+        candidates = _candidates("glorious gardens", "marble brasserie", "willow eatery")
+        assert predict_names(candidates, "glorius gardenz", max_fuzzy=max_fuzzy) == expected
 
 
 class TestResolveOrdinal:
