@@ -12,8 +12,7 @@ idempotence guard and as the gold label for scoring.
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .corpus import Corpus, Database, Dialog, Entity, SYSTEM, USER, name_key
 from .errors import SchemaMismatch
@@ -194,6 +193,10 @@ def augment_dialog(
 ) -> tuple[Dialog, list[AugmentationRecord]]:
     """Rewrite every augmentable turn of one dialog; pure in its arguments.
 
+    The returned dialog is a new object that shares every turn it does not
+    rewrite (and those turns' frames and entities) with the input; only the
+    system turn and the user turn after it are new at each applied
+    augmentation.  Input and output are both read-only from then on.
     Dialogs without augmentable turns come back equal to the input.  A turn
     whose domain table is too small is skipped with a reason, never a hard
     failure.
@@ -202,12 +205,12 @@ def augment_dialog(
         if method not in AUGMENT_METHODS:
             raise SchemaMismatch(f"method {method.value!r} cannot voice a single accepted entity")
     found = find_augmentable_turns(dialog, db, allowed)
-    new_dialog = copy.deepcopy(dialog)
+    turns = list(dialog.turns)
     records: list[AugmentationRecord] = []
     for turn_index, pool, accepted in found:
         base = (dialog.id, turn_index, seed)
-        system_turn = new_dialog.turns[turn_index]
-        user_turn = new_dialog.turns[turn_index + 1]
+        system_turn = turns[turn_index]
+        user_turn = turns[turn_index + 1]
 
         count = rng_for("augment.count", *base).choice(CANDIDATE_COUNTS)
         accepted_key = name_key(accepted.name)
@@ -242,31 +245,33 @@ def augment_dialog(
         )
         prefix = _ensure_sentence_final(build_user_utterance(grammar, mention, derive_seed("augment.user", *base)))
 
-        original_system = system_turn.utterance
-        original_user = user_turn.utterance
-        system_turn.utterance = new_system
-        system_turn.extras["disambig"] = {
+        marker = {
             "origin": "augment",
             "method": method.value,
             "target_names": [accepted.name],
             "candidate_names": [e.name for e in candidates],
             "user_prefix": prefix,
         }
-        user_turn.utterance = prefix + " " + original_user
+        turns[turn_index] = replace(
+            system_turn, utterance=new_system, extras={**system_turn.extras, "disambig": marker}
+        )
+        turns[turn_index + 1] = replace(
+            user_turn, utterance=prefix + " " + user_turn.utterance, extras=dict(user_turn.extras)
+        )
 
         records.append(
             AugmentationRecord(
                 dialog_id=dialog.id,
                 turn_index=turn_index,
-                original_system=original_system,
+                original_system=system_turn.utterance,
                 new_system=new_system,
                 user_prefix=prefix,
-                original_user=original_user,
+                original_user=user_turn.utterance,
                 candidates=candidates,
                 target=accepted,
             )
         )
-    return new_dialog, records
+    return replace(dialog, turns=turns), records
 
 
 def augment_corpus(

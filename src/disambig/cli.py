@@ -77,7 +77,9 @@ def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser
 
     Each value goes through its flag's own ``type=`` parser, written as it
     would be on the command line (a list becomes comma-separated), so a
-    config file can set nothing that the flag itself would reject.
+    config file can set nothing that the flag itself would reject.  A flag
+    that takes no value (``--mix-methods``) takes a JSON ``true`` (as if
+    given) or ``false`` (as if left out), and nothing else.
     """
     if not getattr(args, "config", None):
         return
@@ -89,6 +91,12 @@ def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser
         action = flags.get(key.replace("-", "_"))
         if action is None:
             raise SchemaMismatch(f"config file key {key!r} matches no flag of this subcommand")
+        if action.nargs == 0:
+            if not isinstance(value, bool):
+                raise SchemaMismatch(f"{args.config}: key {key!r}: expected true or false, got {value!r}")
+            if value:
+                setattr(args, action.dest, action.const)
+            continue
         if getattr(args, action.dest) is not None:
             continue
         text = ",".join(map(str, value)) if isinstance(value, list) else str(value)

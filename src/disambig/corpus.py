@@ -13,8 +13,10 @@ The per-domain entity store is a JSON document::
      "nouns": {"hotel": "hotel", ...},            # optional
      "tables": {"hotel": [{"name": ..., "area": ...}, ...], ...}}
 
-Corpus and Database instances are treated as immutable after load; every
-operation that "modifies" a dialog returns a new copy.
+Corpus and Database instances are treated as immutable after load.  An
+operation that "modifies" a dialog returns a new Dialog that shares every
+part it did not change with the input (the augmenter rebuilds only the turns
+it rewrites), so input and output are both read-only from then on.
 """
 
 from __future__ import annotations
@@ -397,11 +399,13 @@ class Database:
     nouns: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        self._names: dict[str, frozenset[str]] = {}
         for domain, entities in self.tables.items():
             if domain not in self.name_fields:
                 raise SchemaMismatch(f"domain {domain!r} has no declared name field")
             keys = [name_key(e.name) for e in entities]
-            if len(set(keys)) != len(keys):
+            self._names[domain] = frozenset(keys)
+            if len(self._names[domain]) != len(keys):
                 raise SchemaMismatch(f"domain {domain!r} has duplicate entity names after normalization")
 
     def noun(self, domain: str) -> str:
@@ -411,8 +415,9 @@ class Database:
         base = domain.rsplit("_", 1)[0].replace("_", " ")
         return base[:-1] if base.endswith("s") and len(base) > 3 else base
 
-    def names(self, domain: str) -> set[str]:
-        return {name_key(e.name) for e in self.tables.get(domain, [])}
+    def names(self, domain: str) -> frozenset[str]:
+        """Normalized entity names of a domain (empty for an unknown one)."""
+        return self._names.get(domain, frozenset())
 
 
 def load_database(path: str) -> Database:

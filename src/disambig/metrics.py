@@ -238,6 +238,10 @@ def score(preds: PredictionFile, gold: Corpus, records: list[AugmentationRecord]
     if augmented_keys:
         report.entity_accuracy_augmented = entity_accuracy(preds, gold, subset=augmented_keys)
 
+    # Prediction files without any state (``resolve`` never writes one) get
+    # no joint goal accuracy, so the gold states are not built for them.
+    if not any(row.state is not None for row in preds.values()):
+        return report
     states = gold_states(gold)
     has_states = bool(states) and all(preds[key].state is not None for key in states if key in preds)
     if has_states and all(key in preds for key in states):

@@ -2,15 +2,35 @@
 
 These deliberately use different algorithms from the library: exhaustive
 enumeration instead of arithmetic counting, memoized recursion instead of
-the distance matrix, and a derivability search instead of trusting the
-sampler.  Keep them slow and obvious.
+the distance matrix, a derivability search instead of trusting the
+sampler, and a deep copy of the whole dialog instead of rebuilding only the
+rewritten turns.  Keep them slow and obvious.
 """
 
 from __future__ import annotations
 
+import copy
 from functools import lru_cache
 
+from disambig.augmenter import (
+    AUGMENT_METHODS,
+    DEFAULT_ALLOWED,
+    SKIP_NOT_ENOUGH_ENTITIES,
+    AugmentationRecord,
+    _ensure_sentence_final,
+    find_augmentable_turns,
+)
+from disambig.corpus import Database, Dialog, name_key
+from disambig.errors import SchemaMismatch
 from disambig.grammar import Grammar, Nonterminal, Template
+from disambig.seeding import derive_seed, rng_for
+from disambig.synthesizer import (
+    CANDIDATE_COUNTS,
+    AddressingMethod,
+    apply_addressing,
+    build_system_utterance,
+    build_user_utterance,
+)
 
 
 def enumerate_templates(grammar: Grammar, start: str, cap: int = 20_000) -> list[tuple]:
@@ -97,3 +117,71 @@ def slow_fuzzy_evidence(utterance: list[str], names: list[list[str]], max_fuzzy:
         if best is not None:
             scored[index] = 1.0 - best
     return scored
+
+
+def slow_augment_dialog(
+    dialog: Dialog,
+    db: Database,
+    grammar: Grammar,
+    seed: int,
+    allowed=DEFAULT_ALLOWED,
+    methods: tuple[AddressingMethod, ...] = (AddressingMethod.EXACT,),
+) -> tuple[Dialog, list[AugmentationRecord]]:
+    """``augment_dialog`` as it was before it shared turns: deep-copy the
+    whole dialog, then rewrite the chosen turns of the copy in place."""
+    for method in methods:
+        if method not in AUGMENT_METHODS:
+            raise SchemaMismatch(f"method {method.value!r} cannot voice a single accepted entity")
+    found = find_augmentable_turns(dialog, db, allowed)
+    new_dialog = copy.deepcopy(dialog)
+    records: list[AugmentationRecord] = []
+    for turn_index, pool, accepted in found:
+        base = (dialog.id, turn_index, seed)
+        system_turn = new_dialog.turns[turn_index]
+        user_turn = new_dialog.turns[turn_index + 1]
+
+        count = rng_for("augment.count", *base).choice(CANDIDATE_COUNTS)
+        accepted_key = name_key(accepted.name)
+        others = [e for e in db.tables[accepted.domain] if name_key(e.name) != accepted_key]
+        if len(others) < count - 1:
+            records.append(AugmentationRecord(
+                dialog_id=dialog.id, turn_index=turn_index,
+                original_system=system_turn.utterance, new_system=system_turn.utterance,
+                user_prefix="", original_user=user_turn.utterance,
+                candidates=pool, target=accepted, skipped_reason=SKIP_NOT_ENOUGH_ENTITIES,
+            ))
+            continue
+
+        fill_rng = rng_for("augment.fill", *base)
+        candidates = fill_rng.sample(others, count - 1)
+        position = fill_rng.randrange(count)
+        candidates.insert(position, accepted)
+
+        method = methods[rng_for("augment.method", *base).randrange(len(methods))]
+        noun = db.noun(accepted.domain)
+        new_system = build_system_utterance(grammar, candidates, noun, derive_seed("augment.system", *base))
+        mention = apply_addressing(
+            candidates, [position], method, derive_seed("augment.mention", *base),
+            grammar=grammar, domain_noun=noun,
+        )
+        prefix = _ensure_sentence_final(build_user_utterance(grammar, mention, derive_seed("augment.user", *base)))
+
+        original_system = system_turn.utterance
+        original_user = user_turn.utterance
+        system_turn.utterance = new_system
+        system_turn.extras["disambig"] = {
+            "origin": "augment",
+            "method": method.value,
+            "target_names": [accepted.name],
+            "candidate_names": [e.name for e in candidates],
+            "user_prefix": prefix,
+        }
+        user_turn.utterance = prefix + " " + original_user
+
+        records.append(AugmentationRecord(
+            dialog_id=dialog.id, turn_index=turn_index,
+            original_system=original_system, new_system=new_system,
+            user_prefix=prefix, original_user=original_user,
+            candidates=candidates, target=accepted,
+        ))
+    return new_dialog, records

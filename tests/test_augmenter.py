@@ -6,6 +6,7 @@ import json
 import pytest
 
 from disambig.augmenter import (
+    AUGMENT_METHODS,
     DEFAULT_ALLOWED,
     MULTIWOZ_ALLOWED_DOMAINS,
     SGD_ALLOWED_SERVICES,
@@ -20,6 +21,8 @@ from disambig.augmenter import (
 from disambig.corpus import Corpus, Database, Dialog, Entity, Frame, Turn, name_key
 from disambig.resolver import predict_names
 from disambig.synthesizer import AddressingMethod
+
+from .oracles import slow_augment_dialog
 
 
 def _dialog_by_id(corpus, dialog_id):
@@ -188,6 +191,67 @@ class TestAugmentDialog:
         dialog = _dialog_by_id(toy_corpus, "hotel_accept_2nd")
         with pytest.raises(SchemaMismatch):
             augment_dialog(dialog, shipped_db, shipped_grammar, seed=0, methods=(AddressingMethod.MULTIPLE,))
+
+
+class TestAugmentDialogAgainstDeepCopy:
+    """The turn-sharing ``augment_dialog`` against the deep-copying original."""
+
+    @pytest.fixture(params=["shipped", "tiny"])
+    def db(self, request, shipped_db, toy_corpus):
+        if request.param == "shipped":
+            return shipped_db
+        # At most four of the toy corpus's accepted entities per domain: some
+        # accepted entities are missing and some turns are skipped for want
+        # of candidates, so every path of augment_dialog runs.
+        accepted: dict[str, dict[str, Entity]] = {}
+        for dialog in toy_corpus.dialogs:
+            for _, _, entity in find_augmentable_turns(dialog, shipped_db):
+                accepted.setdefault(entity.domain, {})[name_key(entity.name)] = entity
+        return Database(
+            tables={domain: list(entities.values())[:4] for domain, entities in accepted.items()},
+            name_fields={domain: "name" for domain in accepted},
+            nouns=shipped_db.nouns,
+        )
+
+    @pytest.mark.parametrize("methods", [(AddressingMethod.EXACT,), AUGMENT_METHODS], ids=["exact", "mixed"])
+    @pytest.mark.parametrize("seed", [0, 1, 3, 7])
+    def test_equal_dialogs_and_records(self, toy_corpus, db, shipped_db, shipped_grammar, seed, methods):
+        applied = skipped = 0
+        for dialog in toy_corpus.dialogs:
+            fast = augment_dialog(dialog, db, shipped_grammar, seed=seed, methods=methods)
+            slow = slow_augment_dialog(dialog, db, shipped_grammar, seed=seed, methods=methods)
+            assert fast == slow, dialog.id
+            assert fast[0].to_json() == slow[0].to_json(), dialog.id
+            applied += sum(r.skipped_reason is None for r in fast[1])
+            skipped += sum(r.skipped_reason is not None for r in fast[1])
+        assert applied > 0
+        if db is not shipped_db:
+            assert skipped > 0
+
+    def test_only_rewritten_turns_are_new(self, toy_corpus, shipped_db, shipped_grammar):
+        for dialog in toy_corpus.dialogs:
+            new_dialog, records = augment_dialog(dialog, shipped_db, shipped_grammar, seed=0)
+            assert new_dialog is not dialog and new_dialog.turns is not dialog.turns
+            rewritten = {i for r in records if r.skipped_reason is None for i in (r.turn_index, r.turn_index + 1)}
+            for index, (old, new) in enumerate(zip(dialog.turns, new_dialog.turns)):
+                assert (new is not old) == (index in rewritten)
+                assert new.frames is old.frames
+
+    def test_mutating_a_rewritten_turn_leaves_the_input_alone(self, toy_corpus, shipped_db, shipped_grammar):
+        snapshot = copy.deepcopy(toy_corpus)
+        for dialog in toy_corpus.dialogs:
+            new_dialog, records = augment_dialog(dialog, shipped_db, shipped_grammar, seed=2, methods=AUGMENT_METHODS)
+            for record in records:
+                if record.skipped_reason is not None:
+                    continue
+                system_turn = new_dialog.turns[record.turn_index]
+                user_turn = new_dialog.turns[record.turn_index + 1]
+                system_turn.utterance += " changed"
+                system_turn.extras["disambig"]["method"] = "changed"
+                system_turn.extras["added"] = True
+                user_turn.utterance = "changed"
+                user_turn.extras["added"] = True
+        assert toy_corpus == snapshot
 
 
 class TestAugmentCorpus:

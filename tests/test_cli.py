@@ -85,6 +85,9 @@ _MALFORMED_INPUTS = {
         {"config.json": '{"total": "abc"}'}, ["synth", "--config", "config.json", "--out", "OUT"]),
     "synth-config-threads-zero": (
         {"config.json": '{"threads": 0}'}, ["synth", "--config", "config.json", "--out", "OUT"]),
+    "augment-config-flag-not-bool": (
+        {"config.json": '{"mix-methods": "false"}'},
+        ["augment", "--in", TOY, "--db", DB, "--grammar", GRAMMAR, "--config", "config.json", "--out", "OUT"]),
     "augment-allow-list-not-json": (
         {"allow.json": "["},
         ["augment", "--in", TOY, "--db", DB, "--grammar", GRAMMAR, "--allow-list", "allow.json", "--out", "OUT"]),
@@ -168,11 +171,27 @@ class TestSynth:
         assert len((tmp_path / "o" / "train.jsonl").read_text().splitlines()) == 12
 
 
+# sha256 of the seed-0 toy-corpus outputs, taken before augment_dialog
+# stopped deep-copying dialogs; a speed change must not move a byte.
+_AUGMENT_PINS = {
+    "plain": {
+        "corpus.jsonl": "447bf0be949e3f064ab8dd4c41c728b42610f28d2fa31d8581517999303cc61f",
+        "records.jsonl": "050d0a0038fe51667b0727bf4a34e981ec07a82045f0c10002288129871ce7f3",
+        "stats.json": "4078015371574ae62a022567e2d4c5145dba3f95ef8ac878d960dcd8feb23d27",
+    },
+    "mixed": {
+        "corpus.jsonl": "8172cfa425fe862631e967dd51fd643e1a0a364aca80620437bcc78ae6d0660f",
+        "records.jsonl": "677454ea45e7d6bbf9538b9325b1eef4096dcb4df271be3289e4d09bb11de540",
+    },
+}
+_SCORE_RECORDS_MIXED_PIN = "aefee47d705b88fdfb48c28c25f92c569ba9f4f313263102ac084303fdad6d73"
+
+
 class TestAugment:
-    def _augment(self, capsys, tmp_path, repo_root, out_name: str, *extra: str) -> Path:
+    def _augment(self, capsys, tmp_path, repo_root, out_name: str, *extra: str, seed: str = "5") -> Path:
         out = tmp_path / out_name
         code, _, _ = _run(capsys, "augment", "--in", str(repo_root / TOY), "--db", str(repo_root / DB),
-                          "--grammar", str(repo_root / GRAMMAR), "--out", str(out), "--seed", "5", *extra)
+                          "--grammar", str(repo_root / GRAMMAR), "--out", str(out), "--seed", seed, *extra)
         assert code == 0
         return out
 
@@ -198,6 +217,34 @@ class TestAugment:
         out = self._augment(capsys, tmp_path, repo_root, "restricted", "--allow-list", str(allow))
         stats = json.loads((out / "stats.json").read_text())
         assert set(stats["per_domain"]) == {"attraction"}
+
+    def test_outputs_are_pinned(self, capsys, tmp_path, repo_root):
+        for kind, extra in (("plain", ()), ("mixed", ("--mix-methods",))):
+            out = self._augment(capsys, tmp_path, repo_root, kind, *extra, seed="0")
+            for name, digest in _AUGMENT_PINS[kind].items():
+                assert _digest(out / name) == digest, (kind, name)
+
+    def test_score_records_is_pinned(self, capsys, tmp_path, repo_root):
+        out = self._augment(capsys, tmp_path, repo_root, "mixed", "--mix-methods", seed="0")
+        preds, report = tmp_path / "preds.jsonl", tmp_path / "score.json"
+        assert _run(capsys, "resolve", "--in", str(out / "records.jsonl"), "--kind", "records",
+                    "--out", str(preds))[0] == 0
+        assert _run(capsys, "score", "--preds", str(preds), "--gold", str(out / "corpus.jsonl"),
+                    "--records", str(out / "records.jsonl"), "--out", str(report))[0] == 0
+        assert _digest(report) == _SCORE_RECORDS_MIXED_PIN
+
+    @pytest.mark.parametrize("value, kind", [(True, "mixed"), (False, "plain")])
+    def test_config_sets_a_flag_without_value(self, capsys, tmp_path, repo_root, value, kind):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"mix-methods": value}), encoding="utf-8")
+        out = self._augment(capsys, tmp_path, repo_root, "o", "--config", str(config), seed="0")
+        assert _digest(out / "records.jsonl") == _AUGMENT_PINS[kind]["records.jsonl"]
+
+    def test_command_line_flag_wins_over_config_false(self, capsys, tmp_path, repo_root):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"mix-methods": False}), encoding="utf-8")
+        out = self._augment(capsys, tmp_path, repo_root, "o", "--config", str(config), "--mix-methods", seed="0")
+        assert _digest(out / "records.jsonl") == _AUGMENT_PINS["mixed"]["records.jsonl"]
 
 
 class TestStats:

@@ -6,6 +6,7 @@ import pytest
 
 from disambig.augmenter import augment_corpus
 from disambig.corpus import Corpus, Dialog, Frame, Turn
+from disambig import metrics
 from disambig.errors import MissingPrediction, SchemaMismatch, UnknownSubsetTurn
 from disambig.metrics import (
     ALL,
@@ -219,6 +220,42 @@ class TestScore:
         preds[stray.key] = stray
         with pytest.raises(UnknownSubsetTurn, match="not-in-gold"):
             score(preds, gold)
+
+    def test_predictions_without_states_skip_gold_states(self, monkeypatch, toy_corpus, shipped_db, shipped_grammar):
+        # What ``resolve --kind records`` writes: entities only, no state.
+        gold, records, _ = augment_corpus(toy_corpus, shipped_db, shipped_grammar, seed=0)
+        preds = {}
+        for record in records:
+            row = PredictionRow(record.dialog_id, record.turn_index, entities=[record.target.name])
+            preds[row.key] = row
+        monkeypatch.setattr(metrics, "gold_states", lambda gold: pytest.fail("gold states built for no state"))
+        report = score(preds, gold, records)
+        assert report.to_json() == {
+            "entity_accuracy_all": 1.0,
+            "entity_accuracy_augmented": 1.0,
+            "jga_all": None,
+            "jga_augmented": None,
+            "per_method": {"exact": 1.0},
+            "counts": {"turns_augmented": 16, "turns_skipped_no_target": 784,
+                       "turns_total": 800, "turns_with_gold_targets": 16},
+        }
+
+    def test_predictions_with_states_get_jga(self, toy_corpus, shipped_db, shipped_grammar):
+        gold, records, _ = augment_corpus(toy_corpus, shipped_db, shipped_grammar, seed=0)
+        targets, states = gold_entity_turns(gold), gold_states(gold)
+        preds = {}
+        for dialog in gold.dialogs:
+            for index in range(len(dialog.turns)):
+                key = (dialog.id, index)
+                right = (len(dialog.id) + index) % 4 != 0
+                state = {slot: sorted(values) for slot, values in states[key].items()} if key in states else None
+                preds[key] = PredictionRow(dialog.id, index, entities=sorted(targets.get(key, ())),
+                                           state=state if right or state is None else {})
+        report = score(preds, gold, records)
+        assert report.jga_all == joint_goal_accuracy(preds, gold, subset=ALL)
+        assert report.jga_augmented == joint_goal_accuracy(preds, gold, subset=AUGMENTED_ONLY)
+        assert 0 < report.jga_all < 1
+        assert report.entity_accuracy_all == 1.0
 
 
 def test_prediction_file_round_trip(tmp_path):
