@@ -73,17 +73,20 @@ def _guard_outputs(inputs: list[str | None], outputs: list[str | None]) -> None:
 
 
 def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    """Fill unset flags from a JSON config whose keys mirror flag names.
+    """Fill the flags left off the command line from a JSON config whose keys
+    mirror flag names, then from the flags' defaults.
 
-    Each value goes through its flag's own ``type=`` parser, written as it
-    would be on the command line (a list becomes comma-separated), so a
-    config file can set nothing that the flag itself would reject.  A flag
-    that takes no value (``--mix-methods``) takes a JSON ``true`` (as if
-    given) or ``false`` (as if left out), and nothing else.
+    The command line beats the config, and the config beats the default:
+    ``build_parser`` parses with every value-taking flag defaulting to None
+    and keeps the real defaults in ``parser.late_defaults``, so None here
+    means "not given".  Each config value goes through its flag's own
+    ``type=`` parser and ``choices``, written as it would be on the command
+    line (a list becomes comma-separated), so a config file can set nothing
+    that the flag itself would reject.  A flag that takes no value
+    (``--mix-methods``) takes a JSON ``true`` (as if given) or ``false`` (as
+    if left out), and nothing else.
     """
-    if not getattr(args, "config", None):
-        return
-    overrides = read_json(args.config)
+    overrides = read_json(args.config) if getattr(args, "config", None) else {}
     if not isinstance(overrides, dict):
         raise SchemaMismatch(f"{args.config}: config must be a JSON object")
     flags = {action.dest: action for action in parser._actions if action.option_strings and hasattr(args, action.dest)}
@@ -101,9 +104,15 @@ def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser
             continue
         text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
         try:
-            setattr(args, action.dest, action.type(text) if action.type else text)
+            parsed = action.type(text) if action.type else text
         except (argparse.ArgumentTypeError, ValueError) as exc:
             raise SchemaMismatch(f"{args.config}: key {key!r}: {exc}") from exc
+        if action.choices is not None and parsed not in action.choices:
+            raise SchemaMismatch(f"{args.config}: key {key!r}: expected one of {sorted(action.choices)}, got {parsed!r}")
+        setattr(args, action.dest, parsed)
+    for dest, default in parser.late_defaults.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -169,6 +178,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--records", default=None, help="records.jsonl defining the augmented subset")
     p.add_argument("--out", default=None, help="write the report here instead of stdout")
 
+    # Defaults are applied after parsing, behind any --config value.
+    for p in sub.choices.values():
+        p.late_defaults = {
+            action.dest: action.default for action in p._actions
+            if action.option_strings and action.nargs != 0 and action.default not in (None, argparse.SUPPRESS)
+        }
+        p.set_defaults(**dict.fromkeys(p.late_defaults))
     return parser
 
 

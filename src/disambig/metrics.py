@@ -125,7 +125,10 @@ def _select(table: dict, subset, gold: Corpus, turn_offset: int = 0) -> dict:
 
 def entity_accuracy(preds: PredictionFile, gold: Corpus, subset=ALL) -> float:
     """Mean over subset turns of exact (normalized) target-set equality."""
-    targets = _select(gold_entity_turns(gold), subset, gold)
+    return _entity_accuracy(preds, _select(gold_entity_turns(gold), subset, gold))
+
+
+def _entity_accuracy(preds: PredictionFile, targets: dict[Key, set[str]]) -> float:
     if not targets:
         raise SchemaMismatch("no gold turns define an entity target in this subset")
     correct = 0
@@ -195,19 +198,6 @@ class ScoreReport:
         }
 
 
-def _per_method_accuracy(preds: PredictionFile, gold: Corpus) -> dict[str, float]:
-    by_method: dict[str, list[Key]] = {}
-    for dialog in gold.dialogs:
-        for index, turn in enumerate(dialog.turns):
-            marker = turn.extras.get("disambig")
-            if marker and marker.get("method"):
-                by_method.setdefault(marker["method"], []).append((dialog.id, index))
-    return {
-        method: entity_accuracy(preds, gold, subset=keys)
-        for method, keys in sorted(by_method.items())
-    }
-
-
 def score(preds: PredictionFile, gold: Corpus, records: list[AugmentationRecord] | None = None) -> ScoreReport:
     """All four headline numbers plus bucket counts.
 
@@ -216,27 +206,35 @@ def score(preds: PredictionFile, gold: Corpus, records: list[AugmentationRecord]
     came from the augmenter.  Buckets that do not apply stay None.
     """
     report = ScoreReport()
-    turn_counts = {dialog.id: len(dialog.turns) for dialog in gold.dialogs}
+    dialogs = {dialog.id: dialog for dialog in gold.dialogs}
+    if len(dialogs) != len(gold.dialogs):
+        raise SchemaMismatch("gold corpus has duplicate dialog ids")
     for key in preds:
-        if key[0] not in turn_counts or not 0 <= key[1] < turn_counts[key[0]]:
+        if key[0] not in dialogs or not 0 <= key[1] < len(dialogs[key[0]].turns):
             raise UnknownSubsetTurn(key)
+    # One scan of the gold corpus; every bucket below is a selection from it.
     marked = gold_entity_turns(gold)
-    total_turns = sum(turn_counts.values())
+    markers = {key: dialogs[key[0]].turns[key[1]].extras["disambig"] for key in marked}
+    total_turns = sum(len(dialog.turns) for dialog in dialogs.values())
     report.counts["turns_total"] = total_turns
     report.counts["turns_with_gold_targets"] = len(marked)
     report.counts["turns_skipped_no_target"] = total_turns - len(marked)
 
     if marked:
-        report.entity_accuracy_all = entity_accuracy(preds, gold, subset=ALL)
-        report.per_method = _per_method_accuracy(preds, gold)
+        report.entity_accuracy_all = _entity_accuracy(preds, marked)
+        by_method: dict[str, dict[Key, set[str]]] = {}
+        for key, marker in markers.items():
+            if marker.get("method"):
+                by_method.setdefault(marker["method"], {})[key] = marked[key]
+        report.per_method = {method: _entity_accuracy(preds, targets) for method, targets in sorted(by_method.items())}
 
     if records is not None:
         augmented_keys = [(r.dialog_id, r.turn_index) for r in records if r.skipped_reason is None]
     else:
-        augmented_keys = sorted(gold_entity_turns(gold, origin="augment"))
+        augmented_keys = sorted(key for key, marker in markers.items() if marker.get("origin") == "augment")
     report.counts["turns_augmented"] = len(augmented_keys)
     if augmented_keys:
-        report.entity_accuracy_augmented = entity_accuracy(preds, gold, subset=augmented_keys)
+        report.entity_accuracy_augmented = _entity_accuracy(preds, _select(marked, augmented_keys, gold))
 
     # Prediction files without any state (``resolve`` never writes one) get
     # no joint goal accuracy, so the gold states are not built for them.

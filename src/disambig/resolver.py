@@ -6,6 +6,11 @@ ordinal position, exact or partial name windows, fuzzy name matches within
 an edit-distance budget, then attribute descriptions.  Everything here is
 pure and reentrant; ties are surfaced through the ``ambiguous`` flag rather
 than silently broken.
+
+The name and attribute stages index the reply's token windows once per
+call and look names and values up in that set.  The fuzzy stage joins each
+window length's texts once per call and screens every pair by the
+character-set bound before the cutoff DP of ``edit_distance`` runs.
 """
 
 from __future__ import annotations
@@ -104,12 +109,14 @@ class Resolution:
     ambiguous: bool
 
 
-def _windows(tokens: list[str], length: int) -> list[tuple[str, ...]]:
-    return [tuple(tokens[i:i + length]) for i in range(len(tokens) - length + 1)]
-
-
-def _contains_window(haystack: list[str], needle: tuple[str, ...]) -> bool:
-    return any(tuple(haystack[i:i + len(needle)]) == needle for i in range(len(haystack) - len(needle) + 1))
+def _spans(tokens: list[str], longest: int) -> set[tuple[str, ...]]:
+    """Every contiguous window of ``tokens`` of at most ``longest`` tokens,
+    the empty window included."""
+    return {
+        tuple(tokens[start:start + length])
+        for length in range(min(longest, len(tokens)) + 1)
+        for start in range(len(tokens) - length + 1)
+    }
 
 
 def _ordinal_positions(tokens: list[str], n_candidates: int) -> list[int] | None:
@@ -142,19 +149,23 @@ def _ordinal_positions(tokens: list[str], n_candidates: int) -> list[int] | None
 
 
 def _name_evidence(utterance: list[str], names: list[list[str]]) -> dict[int, float]:
-    """Indices with exact or uniquely-identifying partial name windows."""
-    matched: dict[int, float] = {}
+    """Indices with exact or uniquely-identifying partial name windows.
+
+    A name matches exactly when it is one of the reply's windows (a name
+    with no tokens always does).  A reply window that is a proper
+    sub-window of exactly one name, and not made only of stopwords, names
+    that candidate.
+    """
+    spans = _spans(utterance, max((len(name) for name in names), default=0))
+    matched = {index: 1.0 for index, name in enumerate(names) if tuple(name) in spans}
+    owners: dict[tuple[str, ...], set[int]] = {}
     for index, name in enumerate(names):
-        if _contains_window(utterance, tuple(name)):
-            matched[index] = 1.0
-    max_len = max((len(n) for n in names), default=0)
-    for length in range(1, max_len + 1):
-        for window in _windows(utterance, length):
-            if all(token in STOPWORDS for token in window):
-                continue
-            owners = [i for i, name in enumerate(names) if len(window) < len(name) and _contains_window(name, window)]
-            if len(owners) == 1:
-                matched.setdefault(owners[0], 1.0)
+        for window in _spans(name, len(name) - 1):
+            owners.setdefault(window, set()).add(index)
+    for window in spans:
+        owner = owners.get(window)
+        if owner is not None and len(owner) == 1 and not STOPWORDS.issuperset(window):
+            matched.setdefault(next(iter(owner)), 1.0)
     return matched
 
 
@@ -178,20 +189,37 @@ def _edit_budget(longer: int, max_fuzzy: float) -> int:
     return k
 
 
+def _char_set_bound(a: set[str], b: set[str]) -> int:
+    """A lower bound on the OSA distance of two strings with character sets
+    ``a`` and ``b``.  Each character found in one string but not the other
+    needs its own deletion, insertion or substitution, one edit serves at
+    most one such character on each side, and a transposition changes
+    neither set."""
+    return max(len(a - b), len(b - a))
+
+
 def _fuzzy_evidence(utterance: list[str], names: list[list[str]], max_fuzzy: float) -> dict[int, float]:
     """Names within an OSA-distance budget of some utterance window: the
-    distance divided by the longer string must be at most ``max_fuzzy``."""
+    distance divided by the longer string must be at most ``max_fuzzy``.
+    A pair whose character-set bound is over the budget skips the DP."""
+    windows: dict[int, list[tuple[str, int, set[str]]]] = {}
     scored: dict[int, float] = {}
     for index, name in enumerate(names):
         name_text = " ".join(name)
+        name_len = len(name_text)
+        name_chars = set(name_text)
         best: float | None = None
         for length in range(max(1, len(name) - 1), len(name) + 2):
-            for window in _windows(utterance, length):
-                window_text = " ".join(window)
-                longer = max(len(window_text), len(name_text))
-                if longer == 0 or abs(len(window_text) - len(name_text)) / longer > max_fuzzy:
+            if length not in windows:
+                texts = (" ".join(utterance[start:start + length]) for start in range(len(utterance) - length + 1))
+                windows[length] = [(text, len(text), set(text)) for text in texts]
+            for window_text, window_len, window_chars in windows[length]:
+                longer = max(window_len, name_len)
+                if longer == 0 or abs(window_len - name_len) / longer > max_fuzzy:
                     continue
                 k = _edit_budget(longer, max_fuzzy)
+                if _char_set_bound(window_chars, name_chars) > k:
+                    continue
                 distance = edit_distance(window_text, name_text, bound=k)
                 if distance <= k and (best is None or distance / longer < best):
                     best = distance / longer
@@ -201,16 +229,14 @@ def _fuzzy_evidence(utterance: list[str], names: list[list[str]], max_fuzzy: flo
 
 
 def _attribute_evidence(utterance: list[str], candidates: list[Entity]) -> dict[int, float]:
+    """Candidates by the fraction of their attribute values that are reply windows."""
+    values = [[tuple(normalize(str(value))) for value in entity.attributes.values()] for entity in candidates]
+    spans = _spans(utterance, max((len(value) for entity_values in values for value in entity_values), default=0))
     scored: dict[int, float] = {}
-    for index, entity in enumerate(candidates):
-        if not entity.attributes:
-            continue
-        hits = sum(
-            1 for value in entity.attributes.values()
-            if (value_tokens := normalize(str(value))) and _contains_window(utterance, tuple(value_tokens))
-        )
+    for index, entity_values in enumerate(values):
+        hits = sum(1 for value in entity_values if value and value in spans)
         if hits:
-            scored[index] = hits / len(entity.attributes)
+            scored[index] = hits / len(entity_values)
     return scored
 
 

@@ -3,8 +3,9 @@
 These deliberately use different algorithms from the library: exhaustive
 enumeration instead of arithmetic counting, memoized recursion instead of
 the distance matrix, a derivability search instead of trusting the
-sampler, and a deep copy of the whole dialog instead of rebuilding only the
-rewritten turns.  Keep them slow and obvious.
+sampler, a deep copy of the whole dialog instead of rebuilding only the
+rewritten turns, and a rescan of the reply per name instead of one index of
+its windows.  Keep them slow and obvious.
 """
 
 from __future__ import annotations
@@ -20,9 +21,10 @@ from disambig.augmenter import (
     _ensure_sentence_final,
     find_augmentable_turns,
 )
-from disambig.corpus import Database, Dialog, name_key
+from disambig.corpus import Database, Dialog, Entity, name_key
 from disambig.errors import SchemaMismatch
 from disambig.grammar import Grammar, Nonterminal, Template
+from disambig.resolver import STOPWORDS, normalize
 from disambig.seeding import derive_seed, rng_for
 from disambig.synthesizer import (
     CANDIDATE_COUNTS,
@@ -116,6 +118,47 @@ def slow_fuzzy_evidence(utterance: list[str], names: list[list[str]], max_fuzzy:
                     best = distance
         if best is not None:
             scored[index] = 1.0 - best
+    return scored
+
+
+def _windows(tokens: list[str], length: int) -> list[tuple[str, ...]]:
+    return [tuple(tokens[i:i + length]) for i in range(len(tokens) - length + 1)]
+
+
+def _contains_window(haystack: list[str], needle: tuple[str, ...]) -> bool:
+    return any(tuple(haystack[i:i + len(needle)]) == needle for i in range(len(haystack) - len(needle) + 1))
+
+
+def slow_name_evidence(utterance: list[str], names: list[list[str]]) -> dict[int, float]:
+    """The name stage rescanning the reply for every name and every window:
+    indices with exact or uniquely-identifying partial name windows."""
+    matched: dict[int, float] = {}
+    for index, name in enumerate(names):
+        if _contains_window(utterance, tuple(name)):
+            matched[index] = 1.0
+    max_len = max((len(n) for n in names), default=0)
+    for length in range(1, max_len + 1):
+        for window in _windows(utterance, length):
+            if all(token in STOPWORDS for token in window):
+                continue
+            owners = [i for i, name in enumerate(names) if len(window) < len(name) and _contains_window(name, window)]
+            if len(owners) == 1:
+                matched.setdefault(owners[0], 1.0)
+    return matched
+
+
+def slow_attribute_evidence(utterance: list[str], candidates: list[Entity]) -> dict[int, float]:
+    """The attribute stage rescanning the reply for every attribute value."""
+    scored: dict[int, float] = {}
+    for index, entity in enumerate(candidates):
+        if not entity.attributes:
+            continue
+        hits = sum(
+            1 for value in entity.attributes.values()
+            if (value_tokens := normalize(str(value))) and _contains_window(utterance, tuple(value_tokens))
+        )
+        if hits:
+            scored[index] = hits / len(entity.attributes)
     return scored
 
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from disambig.cli import run
+from disambig.corpus import load_corpus, write_corpus
 
 GRAMMAR = "grammars/disambiguation.cfg"
 DB = "data/database.json"
@@ -87,6 +88,9 @@ _MALFORMED_INPUTS = {
         {"config.json": '{"threads": 0}'}, ["synth", "--config", "config.json", "--out", "OUT"]),
     "augment-config-flag-not-bool": (
         {"config.json": '{"mix-methods": "false"}'},
+        ["augment", "--in", TOY, "--db", DB, "--grammar", GRAMMAR, "--config", "config.json", "--out", "OUT"]),
+    "augment-config-format-not-a-choice": (
+        {"config.json": '{"format": "bogus"}'},
         ["augment", "--in", TOY, "--db", DB, "--grammar", GRAMMAR, "--config", "config.json", "--out", "OUT"]),
     "augment-allow-list-not-json": (
         {"allow.json": "["},
@@ -170,6 +174,19 @@ class TestSynth:
         assert code == 0
         assert len((tmp_path / "o" / "train.jsonl").read_text().splitlines()) == 12
 
+    @pytest.mark.parametrize("extra, split, rows", [
+        ((), "test", 5),
+        (("--splits", "train", "--total", "3,0,0"), "train", 3),  # the command line beats the config
+    ])
+    def test_config_sets_flags_that_have_defaults(self, capsys, tmp_path, repo_root, extra, split, rows):
+        config = {"db": str(repo_root / DB), "grammar": str(repo_root / GRAMMAR), "splits": "test", "total": [0, 0, 5]}
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        code, _, _ = _run(capsys, "synth", "--config", str(config_path), *extra, "--out", str(tmp_path / "o"))
+        assert code == 0
+        assert [p.name for p in (tmp_path / "o").iterdir()] == [f"{split}.jsonl"]
+        assert len((tmp_path / "o" / f"{split}.jsonl").read_text().splitlines()) == rows
+
 
 # sha256 of the seed-0 toy-corpus outputs, taken before augment_dialog
 # stopped deep-copying dialogs; a speed change must not move a byte.
@@ -245,6 +262,28 @@ class TestAugment:
         config.write_text(json.dumps({"mix-methods": False}), encoding="utf-8")
         out = self._augment(capsys, tmp_path, repo_root, "o", "--config", str(config), "--mix-methods", seed="0")
         assert _digest(out / "records.jsonl") == _AUGMENT_PINS["mixed"]["records.jsonl"]
+
+    def test_config_sets_format(self, capsys, tmp_path, repo_root):
+        sgd = tmp_path / "toy_sgd.json"
+        write_corpus(load_corpus(str(repo_root / TOY)), str(sgd), format="sgd")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"format": "sgd"}), encoding="utf-8")
+        outputs = []
+        for name, extra in (("flag", ("--format", "sgd")), ("config", ("--config", str(config)))):
+            outputs.append(tmp_path / name)
+            code, _, _ = _run(capsys, "augment", "--in", str(sgd), "--db", str(repo_root / DB),
+                              "--grammar", str(repo_root / GRAMMAR), "--out", str(outputs[-1]), "--seed", "0", *extra)
+            assert code == 0, name
+        for name in ("corpus.jsonl", "records.jsonl", "stats.json"):
+            assert (outputs[0] / name).read_bytes() == (outputs[1] / name).read_bytes()
+        assert json.loads((outputs[1] / "stats.json").read_text())["turns_total"] == 800
+
+    def test_command_line_format_beats_config(self, capsys, tmp_path, repo_root):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"format": "sgd"}), encoding="utf-8")
+        out = self._augment(capsys, tmp_path, repo_root, "o", "--config", str(config), "--format", "native", seed="0")
+        for name, digest in _AUGMENT_PINS["plain"].items():
+            assert _digest(out / name) == digest, name
 
 
 class TestStats:
@@ -331,6 +370,27 @@ class TestResolveAndScore:
         pinned = {
             "0.25": "e2249413298f44313919d94f976d5a6625b333939461a3c98f0927b9b7d8ae85",
             "0.4": "81f2a055e792d03d8b00ba2cacfae5cd36446827675910c8c178b64ac2d0dcaa",
+        }
+        for max_fuzzy, digest in pinned.items():
+            preds = tmp_path / f"preds-{max_fuzzy}.jsonl"
+            code, _, _ = _run(capsys, "resolve", "--in", str(split), "--out", str(preds), "--max-fuzzy", max_fuzzy)
+            assert code == 0
+            assert _digest(preds) == digest, max_fuzzy
+
+    def test_attribute_predictions_are_pinned(self, capsys, tmp_path, repo_root):
+        # Attribute replies pass through every earlier stage, so they carry
+        # most of the fuzzy pairs the character-set screen drops; at 1 the
+        # budget is the whole longer length.  Digests taken before the screen.
+        split = tmp_path / "synth" / "test.jsonl"
+        code, _, _ = _run(capsys, "synth", "--db", str(repo_root / DB), "--grammar", str(repo_root / GRAMMAR),
+                          "--methods", "attribute", "--per-method", "0,0,200", "--splits", "test",
+                          "--out", str(split.parent), "--seed", "0")
+        assert code == 0
+        assert _digest(split) == "f1327770b50ff24f2e2194cc68f5bc58d43c4f75f031d24bc69f874f6d619800"
+        pinned = {
+            "0": "65abe8677501e131dc0d0e504dc3f71a998514bb7c979d2c823cede3c0e81201",
+            "0.25": "65abe8677501e131dc0d0e504dc3f71a998514bb7c979d2c823cede3c0e81201",
+            "1": "009b638d9e7860411d679b974809c884c54fa57a6d88e031aea4e1ce36f3f262",
         }
         for max_fuzzy, digest in pinned.items():
             preds = tmp_path / f"preds-{max_fuzzy}.jsonl"

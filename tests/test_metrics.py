@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from disambig.augmenter import augment_corpus
+from disambig.augmenter import AUGMENT_METHODS, DEFAULT_ALLOWED, augment_corpus
 from disambig.corpus import Corpus, Dialog, Frame, Turn
 from disambig import metrics
 from disambig.errors import MissingPrediction, SchemaMismatch, UnknownSubsetTurn
@@ -221,6 +221,11 @@ class TestScore:
         with pytest.raises(UnknownSubsetTurn, match="not-in-gold"):
             score(preds, gold)
 
+    def test_duplicate_gold_dialog_ids_rejected(self):
+        gold = Corpus(dialogs=[_marked_dialog("g0", ["alpha inn"]), _marked_dialog("g0", ["briar manor"])])
+        with pytest.raises(SchemaMismatch, match="duplicate dialog ids"):
+            score({}, gold)
+
     def test_predictions_without_states_skip_gold_states(self, monkeypatch, toy_corpus, shipped_db, shipped_grammar):
         # What ``resolve --kind records`` writes: entities only, no state.
         gold, records, _ = augment_corpus(toy_corpus, shipped_db, shipped_grammar, seed=0)
@@ -239,6 +244,31 @@ class TestScore:
             "counts": {"turns_augmented": 16, "turns_skipped_no_target": 784,
                        "turns_total": 800, "turns_with_gold_targets": 16},
         }
+
+    def test_one_gold_scan_gives_every_bucket(self, monkeypatch, toy_corpus, shipped_db, shipped_grammar):
+        gold, _, _ = augment_corpus(toy_corpus, shipped_db, shipped_grammar, 3, DEFAULT_ALLOWED, AUGMENT_METHODS)
+        gold.dialogs.append(_marked_dialog("hand-0", ["alpha inn"], origin="hand"))
+        targets = gold_entity_turns(gold)
+        preds, by_method = {}, {}
+        for dialog in gold.dialogs:
+            for index, turn in enumerate(dialog.turns):
+                key = (dialog.id, index)
+                preds[key] = PredictionRow(dialog.id, index, entities=sorted(targets.get(key, ())))
+                if "disambig" in turn.extras:
+                    by_method.setdefault(turn.extras["disambig"]["method"], []).append(key)
+        for key in sorted(targets)[::3]:
+            preds[key].entities = ["wrong lodge"]
+        expected = {
+            "entity_accuracy_all": entity_accuracy(preds, gold),
+            "entity_accuracy_augmented": entity_accuracy(preds, gold, subset=AUGMENTED_ONLY),
+            "per_method": {method: entity_accuracy(preds, gold, subset=keys) for method, keys in by_method.items()},
+        }
+        assert len(expected["per_method"]) > 1 and 0 < expected["entity_accuracy_all"] < 1
+        calls = []
+        monkeypatch.setattr(metrics, "gold_entity_turns", lambda *a, **k: calls.append(a) or gold_entity_turns(*a, **k))
+        report = score(preds, gold).to_json()
+        assert {name: report[name] for name in expected} == expected
+        assert len(calls) == 1
 
     def test_predictions_with_states_get_jga(self, toy_corpus, shipped_db, shipped_grammar):
         gold, records, _ = augment_corpus(toy_corpus, shipped_db, shipped_grammar, seed=0)

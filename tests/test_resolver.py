@@ -18,9 +18,9 @@ from disambig.resolver import (
     predict_names,
     resolve,
 )
-from disambig.resolver import _edit_budget, _fuzzy_evidence
+from disambig.resolver import _attribute_evidence, _char_set_bound, _edit_budget, _fuzzy_evidence, _name_evidence
 
-from .oracles import slow_edit_distance, slow_fuzzy_evidence
+from .oracles import slow_attribute_evidence, slow_edit_distance, slow_fuzzy_evidence, slow_name_evidence
 
 
 def _candidates(*names: str, domain: str = "restaurant") -> list[Entity]:
@@ -109,6 +109,87 @@ def _confusable_case(draw) -> tuple[list[str], list[list[str]]]:
     typo = normalize(_one_edit(draw, " ".join(draw(st.sampled_from(names)))))
     pool = _VOCAB + [token for name in names for token in name] + typo
     return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6)), names
+
+
+_STOPWORD_VOCAB = ["the", "of", "a", "one", "in"]
+
+
+@st.composite
+def _name_case(draw) -> tuple[list[str], list[list[str]]]:
+    """A confusable case plus the name stage's edge cases: a copy of another
+    name, a name with no tokens, a name of stopwords only, and stopwords and
+    repeated tokens spliced into the reply."""
+    utterance, names = draw(_confusable_case())
+    if draw(st.booleans()):
+        names.append(list(draw(st.sampled_from(names))))
+    if draw(st.booleans()):
+        names.append([])
+    if draw(st.booleans()):
+        names.append(draw(st.lists(st.sampled_from(_STOPWORD_VOCAB), min_size=1, max_size=2)))
+    names = draw(st.permutations(names))
+    for token in draw(st.lists(st.sampled_from(utterance + _STOPWORD_VOCAB), max_size=4)):
+        position = draw(st.integers(0, len(utterance)))
+        utterance = utterance[:position] + [token] + utterance[position:]
+    return utterance, names
+
+
+# Attribute values of one to three tokens, with punctuation, case and a value
+# that normalizes to no tokens at all.
+_ATTRIBUTE_VALUES = ["north", "cheap", "4", "4 stars", "free wifi", "the north", "guest house",
+                     "Wi-Fi", "North!", "free parking lot", "?", "cheap 4"]
+
+
+@st.composite
+def _attribute_case(draw) -> tuple[list[str], list[Entity]]:
+    """1-5 candidates with attribute values that share tokens or span several,
+    and a reply drawn from those values' tokens and filler words."""
+    candidates = [
+        Entity(domain="hotel", name=f"name {i}", attributes=draw(st.dictionaries(
+            st.sampled_from(["area", "price", "stars", "internet", "parking"]),
+            st.sampled_from(_ATTRIBUTE_VALUES), max_size=4,
+        )))
+        for i in range(draw(st.integers(1, 5)))
+    ]
+    pool = [token for value in _ATTRIBUTE_VALUES for token in normalize(value)] + _STOPWORD_VOCAB + ["with"]
+    return draw(st.lists(st.sampled_from(pool), max_size=8)), candidates
+
+
+class TestWindowStages:
+    @settings(max_examples=500)
+    @given(_name_case())
+    def test_name_stage_agrees_with_rescanning_oracle(self, case):
+        utterance, names = case
+        assert _name_evidence(utterance, names) == slow_name_evidence(utterance, names)
+
+    @pytest.mark.parametrize("utterance, names, expected", [
+        (["the", "palm"], [["the", "palm"], ["the", "crown"]], {0: 1.0}),
+        (["the", "of"], [["the", "palm", "of"], ["the", "crown"]], {}),
+        (["alpha"], [["alpha", "kitchen"], ["alpha", "kitchen"]], {}),
+        (["alpha", "kitchen"], [["alpha", "kitchen"], ["alpha", "kitchen"]], {0: 1.0, 1: 1.0}),
+        (["zzz"], [[], ["alpha", "kitchen"]], {0: 1.0}),
+        (["kitchen", "kitchen"], [["alpha", "kitchen"], ["briar", "manor"]], {0: 1.0}),
+    ])
+    def test_name_stage_edge_cases(self, utterance, names, expected):
+        assert _name_evidence(utterance, names) == expected == slow_name_evidence(utterance, names)
+
+    @settings(max_examples=500)
+    @given(_attribute_case())
+    def test_attribute_stage_agrees_with_rescanning_oracle(self, case):
+        utterance, candidates = case
+        assert _attribute_evidence(utterance, candidates) == slow_attribute_evidence(utterance, candidates)
+
+    def test_multi_token_attribute_value(self):
+        candidates = [
+            Entity(domain="hotel", name="alpha lodge", attributes={"parking": "free parking lot", "area": "?"}),
+            Entity(domain="hotel", name="briar manor", attributes={"parking": "free wifi"}),
+        ]
+        utterance = normalize("the one with free parking, lot please")
+        assert _attribute_evidence(utterance, candidates) == {0: 0.5} == slow_attribute_evidence(utterance, candidates)
+
+    @settings(max_examples=500)
+    @given(st.text(alphabet="abcde ", max_size=9), st.text(alphabet="abcde ", max_size=9))
+    def test_char_set_bound_never_exceeds_distance(self, a, b):
+        assert _char_set_bound(set(a), set(b)) <= slow_edit_distance(a, b)
 
 
 class TestFuzzyEvidence:
