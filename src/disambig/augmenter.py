@@ -12,7 +12,7 @@ idempotence guard and as the gold label for scoring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 from .corpus import Corpus, Database, Dialog, Entity, SYSTEM, USER, name_key
 from .errors import SchemaMismatch
@@ -108,13 +108,7 @@ class AugmentationStats:
     per_domain: dict[str, dict[str, int]] = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {
-            "dialogs_total": self.dialogs_total,
-            "dialogs_modified": self.dialogs_modified,
-            "turns_total": self.turns_total,
-            "turns_modified": self.turns_modified,
-            "per_domain": self.per_domain,
-        }
+        return asdict(self)
 
 
 def _state_first_seen(dialog: Dialog) -> dict[str, int]:

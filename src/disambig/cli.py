@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import augmenter, corpus as corpus_mod, metrics, resolver, synthesizer
@@ -134,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--methods", default=None,
                    help="comma list among exact,positional,partial,typo,multiple,attribute")
     p.add_argument("--splits", default="train,dev,test", help="which splits to emit")
-    p.add_argument("--seed", type=int, default=None, help="generation seed (default 0)")
+    p.add_argument("--seed", type=int, default=0, help="generation seed (default 0)")
     p.add_argument("--threads", type=_threads, default=None,
                    help="accepted and validated; has no effect, the work is GIL-bound")
     p.add_argument("--config", default=None, help="JSON config mirroring these flags")
@@ -148,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--allow-list", default=None, help="JSON file with a list of augmentable domains")
     p.add_argument("--mix-methods", action="store_true",
                    help="vary the user-prefix addressing method instead of always using the exact name")
-    p.add_argument("--seed", type=int, default=None, help="generation seed (default 0)")
+    p.add_argument("--seed", type=int, default=0, help="generation seed (default 0)")
     p.add_argument("--threads", type=_threads, default=None,
                    help="accepted and validated; has no effect, the work is GIL-bound")
     p.add_argument("--config", default=None)
@@ -239,7 +240,7 @@ def _cmd_synth(args) -> int:
         totals=tuple(args.total) if args.total else ((100_000, 10_000, 10_000) if not args.per_method else None),
         per_method=tuple(args.per_method) if args.per_method else None,
         methods=_parse_methods(args.methods),
-        seed=args.seed if args.seed is not None else 0,
+        seed=args.seed,
     )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -279,8 +280,7 @@ def _cmd_augment(args) -> int:
     outputs = [out_dir / "corpus.jsonl", out_dir / "records.jsonl", out_dir / "stats.json"]
     _guard_outputs([args.input, args.db, args.grammar, args.allow_list], [str(p) for p in outputs])
 
-    seed = args.seed if args.seed is not None else 0
-    new_corpus, records, stats = augmenter.augment_corpus(dialog_corpus, db, grammar, seed, allowed, methods)
+    new_corpus, records, stats = augmenter.augment_corpus(dialog_corpus, db, grammar, args.seed, allowed, methods)
 
     corpus_mod.write_corpus(new_corpus, str(outputs[0]))
     augmenter.write_records(records, str(outputs[1]))
@@ -308,9 +308,7 @@ def _cmd_upsample(args) -> int:
     extra_needed = max(0, target - len(augmented))
     for i in range(extra_needed):
         source = augmented[i % len(augmented)]
-        clone = corpus_mod.Dialog.from_json(source.to_json())
-        clone.id = f"{source.id}~up{i // len(augmented) + 1}"
-        dialogs.append(clone)
+        dialogs.append(replace(source, id=f"{source.id}~up{i // len(augmented) + 1}"))
     out = corpus_mod.Corpus(dialogs=dialogs, split_name=base.split_name, source_format=base.source_format)
     corpus_mod.write_corpus(out, args.out)
     _log(f"upsampled {len(augmented)} augmented dialogs with {extra_needed} duplicates (target {target})")

@@ -267,7 +267,7 @@ _NAME_FIELD_HINTS = {
 }
 
 
-def guess_name_field(service: str, record: dict | None = None) -> str:
+def guess_name_field(service: str, record: dict) -> str:
     for key in (service, service.rsplit("_", 1)[0]):
         if key in _NAME_FIELD_HINTS:
             return _NAME_FIELD_HINTS[key]
@@ -363,11 +363,38 @@ def _dialog_from_schema_guided(obj: dict, where: str) -> Dialog:
     return Dialog(id=str(dialog_id), services=services, turns=turns, extras=dialog_extras)
 
 
+def _entity_to_result(entity: Entity) -> dict:
+    """A search result as a ``service_results`` record, with the name under
+    the field ``_result_to_entity`` reads it back from."""
+    record = dict(entity.attributes)
+    name_field = guess_name_field(entity.domain, {**record, "name": entity.name})
+    if name_field in record:
+        raise SchemaMismatch(
+            f"search result {entity.name!r} of {entity.domain!r}: attribute {name_field!r} would read back as its name"
+        )
+    record[name_field] = entity.name
+    return record
+
+
 def _dialog_to_schema_guided(dialog: Dialog) -> dict:
+    """The schema-guided form of a dialog.  Search results go into the
+    ``service_results`` of a frame of their domain (a new frame when the turn
+    has none), unless a frame read from such a file still carries them raw."""
     turns = []
-    for turn in dialog.turns:
+    for index, turn in enumerate(dialog.turns):
+        carried = {frame.service for frame in turn.frames if "service_results" in frame.extras}
+        results: dict[str, list[dict]] = {}
+        for entity in turn.search_results or []:
+            if entity.domain not in carried:
+                results.setdefault(entity.domain, []).append(_entity_to_result(entity))
+        present = {frame.service for frame in turn.frames}
+        added = [Frame(service=domain) for domain in results if domain not in present]
+        for frame in added:
+            if frame.service not in dialog.services:
+                raise SchemaMismatch(f"dialog {dialog.id!r} turn {index}: search results of {frame.service!r}, "
+                                     "which is not one of the dialog's services")
         frames = []
-        for frame in turn.frames:
+        for frame in turn.frames + added:
             state_extras = frame.extras.get("state_extras", {})
             raw_frame = {
                 "service": frame.service,
@@ -378,6 +405,8 @@ def _dialog_to_schema_guided(dialog: Dialog) -> dict:
                 },
             }
             raw_frame.update({k: v for k, v in frame.extras.items() if k != "state_extras"})
+            if frame.service in results:
+                raw_frame["service_results"] = results.pop(frame.service)
             frames.append(raw_frame)
         raw_turn = {"speaker": turn.speaker, "utterance": turn.utterance, "frames": frames}
         raw_turn.update(turn.extras)
@@ -449,27 +478,6 @@ def write_database(db: Database, path: str) -> None:
     }
     payload = {"name_fields": db.name_fields, "nouns": db.nouns, "tables": tables}
     Path(path).write_text(_dumps_pretty(payload) + "\n", encoding="utf-8")
-
-
-def database_from_corpus(corpus: Corpus, name_fields: dict[str, str] | None = None) -> Database:
-    """Reconstruct per-domain tables from the union of search results.
-
-    This is an approximation: source corpora never ship their full database,
-    so only entities the system actually surfaced are recoverable.
-    """
-    overrides = name_fields or {}
-    tables: dict[str, list[Entity]] = {}
-    seen: dict[str, set[str]] = {}
-    for dialog in corpus.dialogs:
-        for turn in dialog.turns:
-            for entity in turn.search_results or []:
-                key = name_key(entity.name)
-                if key in seen.setdefault(entity.domain, set()):
-                    continue
-                seen[entity.domain].add(key)
-                tables.setdefault(entity.domain, []).append(entity)
-    fields = {domain: overrides.get(domain, guess_name_field(domain)) for domain in tables}
-    return Database(tables=tables, name_fields=fields)
 
 
 def sample_entities(db: Database, domain: str, n: int, seed: int) -> list[Entity]:

@@ -6,12 +6,14 @@ joint goal accuracy (a turn counts only when every gold slot's value set is
 matched exactly).  Gold entity targets come from the ``disambig`` markers
 that synthesis and augmentation leave in system-turn extras; turns without
 a marker carry no entity decision and are skipped, with the skip count
-reported.
-"""
+reported.  Two judges compare predictions with gold: ``_entity_hits`` per
+marked turn and ``_slot_hits`` per user turn.  ``score`` judges each gold
+turn once and every bucket of its report averages a selection of that
+judgement."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .augmenter import AugmentationRecord
 from .corpus import Corpus, USER, name_key
@@ -123,58 +125,59 @@ def _select(table: dict, subset, gold: Corpus, turn_offset: int = 0) -> dict:
     return chosen
 
 
-def entity_accuracy(preds: PredictionFile, gold: Corpus, subset=ALL) -> float:
-    """Mean over subset turns of exact (normalized) target-set equality."""
-    return _entity_accuracy(preds, _select(gold_entity_turns(gold), subset, gold))
-
-
-def _entity_accuracy(preds: PredictionFile, targets: dict[Key, set[str]]) -> float:
-    if not targets:
-        raise SchemaMismatch("no gold turns define an entity target in this subset")
-    correct = 0
+def _entity_hits(preds: PredictionFile, targets: dict[Key, set[str]]) -> dict[Key, bool]:
+    """Per turn, in key order: whether the predicted name set equals gold."""
+    hits: dict[Key, bool] = {}
     for key, gold_names in sorted(targets.items()):
         if key not in preds:
             raise MissingPrediction(key)
-        predicted = {_entity_key(n) for n in preds[key].entities}
-        correct += predicted == gold_names
-    return correct / len(targets)
+        hits[key] = {_entity_key(n) for n in preds[key].entities} == gold_names
+    return hits
+
+
+def _slot_hits(preds: PredictionFile, states: dict[Key, dict[str, set[str]]]) -> dict[Key, tuple[int, int]]:
+    """Per user turn, in key order: (gold slots predicted exactly, gold slots).
+    Extra predicted slots do not score either way."""
+    hits: dict[Key, tuple[int, int]] = {}
+    for key, gold_state in sorted(states.items()):
+        if key not in preds or preds[key].state is None:
+            raise MissingPrediction(key)
+        predicted = {slot: {name_key(v) for v in values} for slot, values in preds[key].state.items()}
+        hits[key] = (sum(predicted.get(slot) == values for slot, values in gold_state.items()), len(gold_state))
+    return hits
+
+
+def _joint(slots: dict[Key, tuple[int, int]]) -> float:
+    return sum(right == total for right, total in slots.values()) / len(slots)
+
+
+def entity_accuracy(preds: PredictionFile, gold: Corpus, subset=ALL) -> float:
+    """Mean over subset turns of exact (normalized) target-set equality."""
+    hits = _entity_hits(preds, _select(gold_entity_turns(gold), subset, gold))
+    if not hits:
+        raise SchemaMismatch("no gold turns define an entity target in this subset")
+    return sum(hits.values()) / len(hits)
 
 
 def joint_goal_accuracy(preds: PredictionFile, gold: Corpus, subset=ALL) -> float:
     """Mean over user turns of all-or-nothing state correctness.
 
     ``subset`` is ALL (every user turn), AUGMENTED_ONLY (the user turn right
-    after each augmented system turn) or an iterable of keys.  A predicted
-    state matches when every gold slot's value set is reproduced exactly;
-    extra predicted slots do not score either way.
+    after each augmented system turn) or an iterable of keys.  A turn counts
+    when every gold slot's value set is reproduced exactly.
     """
-    states = _select(gold_states(gold), subset, gold, turn_offset=1)
-    if not states:
+    slots = _slot_hits(preds, _select(gold_states(gold), subset, gold, turn_offset=1))
+    if not slots:
         raise SchemaMismatch("no gold turns carry a dialog state in this subset")
-    correct = 0
-    for key, gold_state in sorted(states.items()):
-        if key not in preds or preds[key].state is None:
-            raise MissingPrediction(key)
-        predicted = {slot: {name_key(v) for v in values} for slot, values in preds[key].state.items()}
-        correct += all(predicted.get(slot) == values for slot, values in gold_state.items())
-    return correct / len(states)
+    return _joint(slots)
 
 
 def slot_accuracy(preds: PredictionFile, gold: Corpus, subset=ALL) -> float:
     """Per-slot partial credit: each turn scores the fraction of its gold
     slots predicted exactly, averaged over turns.  Because a turn's
     all-or-nothing score never exceeds its fraction correct, JGA <= this."""
-    states = _select(gold_states(gold), subset, gold, turn_offset=1)
-    fractions: list[float] = []
-    for key, gold_state in sorted(states.items()):
-        if key not in preds or preds[key].state is None:
-            raise MissingPrediction(key)
-        predicted = {slot: {name_key(v) for v in values} for slot, values in preds[key].state.items()}
-        if gold_state:
-            hits = sum(predicted.get(slot) == values for slot, values in gold_state.items())
-            fractions.append(hits / len(gold_state))
-        else:
-            fractions.append(1.0)
+    slots = _slot_hits(preds, _select(gold_states(gold), subset, gold, turn_offset=1))
+    fractions = [right / total if total else 1.0 for right, total in slots.values()]
     return sum(fractions) / len(fractions) if fractions else 1.0
 
 
@@ -188,14 +191,7 @@ class ScoreReport:
     counts: dict[str, int] = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {
-            "entity_accuracy_all": self.entity_accuracy_all,
-            "entity_accuracy_augmented": self.entity_accuracy_augmented,
-            "jga_all": self.jga_all,
-            "jga_augmented": self.jga_augmented,
-            "per_method": self.per_method,
-            "counts": self.counts,
-        }
+        return asdict(self)
 
 
 def score(preds: PredictionFile, gold: Corpus, records: list[AugmentationRecord] | None = None) -> ScoreReport:
@@ -212,40 +208,41 @@ def score(preds: PredictionFile, gold: Corpus, records: list[AugmentationRecord]
     for key in preds:
         if key[0] not in dialogs or not 0 <= key[1] < len(dialogs[key[0]].turns):
             raise UnknownSubsetTurn(key)
-    # One scan of the gold corpus; every bucket below is a selection from it.
-    marked = gold_entity_turns(gold)
-    markers = {key: dialogs[key[0]].turns[key[1]].extras["disambig"] for key in marked}
+    # One scan of the gold corpus and one judgement per turn; every bucket
+    # below is the mean of a selection from that judgement.
+    hits = _entity_hits(preds, gold_entity_turns(gold))
+    markers = {key: dialogs[key[0]].turns[key[1]].extras["disambig"] for key in hits}
     total_turns = sum(len(dialog.turns) for dialog in dialogs.values())
     report.counts["turns_total"] = total_turns
-    report.counts["turns_with_gold_targets"] = len(marked)
-    report.counts["turns_skipped_no_target"] = total_turns - len(marked)
+    report.counts["turns_with_gold_targets"] = len(hits)
+    report.counts["turns_skipped_no_target"] = total_turns - len(hits)
 
-    if marked:
-        report.entity_accuracy_all = _entity_accuracy(preds, marked)
-        by_method: dict[str, dict[Key, set[str]]] = {}
+    if hits:
+        report.entity_accuracy_all = sum(hits.values()) / len(hits)
+        by_method: dict[str, list[bool]] = {}
         for key, marker in markers.items():
             if marker.get("method"):
-                by_method.setdefault(marker["method"], {})[key] = marked[key]
-        report.per_method = {method: _entity_accuracy(preds, targets) for method, targets in sorted(by_method.items())}
+                by_method.setdefault(marker["method"], []).append(hits[key])
+        report.per_method = {method: sum(bucket) / len(bucket) for method, bucket in sorted(by_method.items())}
 
     if records is not None:
         augmented_keys = [(r.dialog_id, r.turn_index) for r in records if r.skipped_reason is None]
     else:
-        augmented_keys = sorted(key for key, marker in markers.items() if marker.get("origin") == "augment")
+        augmented_keys = [key for key, marker in markers.items() if marker.get("origin") == "augment"]
     report.counts["turns_augmented"] = len(augmented_keys)
     if augmented_keys:
-        report.entity_accuracy_augmented = _entity_accuracy(preds, _select(marked, augmented_keys, gold))
+        augmented = _select(hits, augmented_keys, gold)
+        report.entity_accuracy_augmented = sum(augmented.values()) / len(augmented)
 
     # Prediction files without any state (``resolve`` never writes one) get
     # no joint goal accuracy, so the gold states are not built for them.
     if not any(row.state is not None for row in preds.values()):
         return report
     states = gold_states(gold)
-    has_states = bool(states) and all(preds[key].state is not None for key in states if key in preds)
-    if has_states and all(key in preds for key in states):
-        report.jga_all = joint_goal_accuracy(preds, gold, subset=ALL)
-        if augmented_keys:
-            user_keys = [(d, t + 1) for d, t in augmented_keys if (d, t + 1) in states]
-            if user_keys:
-                report.jga_augmented = joint_goal_accuracy(preds, gold, subset=user_keys)
+    if states and all(key in preds and preds[key].state is not None for key in states):
+        slots = _slot_hits(preds, states)
+        report.jga_all = _joint(slots)
+        user_keys = [(d, t + 1) for d, t in augmented_keys if (d, t + 1) in slots]
+        if user_keys:
+            report.jga_augmented = _joint(_select(slots, user_keys, gold))
     return report

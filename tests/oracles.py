@@ -4,8 +4,9 @@ These deliberately use different algorithms from the library: exhaustive
 enumeration instead of arithmetic counting, memoized recursion instead of
 the distance matrix, a derivability search instead of trusting the
 sampler, a deep copy of the whole dialog instead of rebuilding only the
-rewritten turns, and a rescan of the reply per name instead of one index of
-its windows.  Keep them slow and obvious.
+rewritten turns, a rescan of the reply per name instead of one index of
+its windows, and a fresh gold scan and comparison per score bucket instead
+of one judgement per turn.  Keep them slow and obvious.
 """
 
 from __future__ import annotations
@@ -21,9 +22,10 @@ from disambig.augmenter import (
     _ensure_sentence_final,
     find_augmentable_turns,
 )
-from disambig.corpus import Database, Dialog, Entity, name_key
-from disambig.errors import SchemaMismatch
+from disambig.corpus import Corpus, Database, Dialog, Entity, name_key
+from disambig.errors import MissingPrediction, SchemaMismatch, UnknownSubsetTurn
 from disambig.grammar import Grammar, Nonterminal, Template
+from disambig.metrics import ALL, AUGMENTED_ONLY, gold_entity_turns, gold_states
 from disambig.resolver import STOPWORDS, normalize
 from disambig.seeding import derive_seed, rng_for
 from disambig.synthesizer import (
@@ -228,3 +230,110 @@ def slow_augment_dialog(
             candidates=candidates, target=accepted,
         ))
     return new_dialog, records
+
+
+def _slow_select(table: dict, subset, gold: Corpus, turn_offset: int = 0) -> dict:
+    if subset == ALL:
+        return table
+    if subset == AUGMENTED_ONLY:
+        keys = [(dialog_id, index + turn_offset) for dialog_id, index in gold_entity_turns(gold, origin="augment")]
+        return {key: table[key] for key in keys if key in table}
+    if isinstance(subset, str):
+        raise ValueError(f"unknown subset {subset!r}: expected ALL, AUGMENTED_ONLY or an iterable of keys")
+    chosen = {}
+    for key in subset:
+        if key not in table:
+            raise UnknownSubsetTurn(key)
+        chosen[key] = table[key]
+    return chosen
+
+
+def _slow_entity_mean(preds, targets: dict) -> float:
+    if not targets:
+        raise SchemaMismatch("no gold turns define an entity target in this subset")
+    correct = 0
+    for key, gold_names in sorted(targets.items()):
+        if key not in preds:
+            raise MissingPrediction(key)
+        predicted = {" ".join(normalize(n)) for n in preds[key].entities}
+        correct += predicted == gold_names
+    return correct / len(targets)
+
+
+def slow_entity_accuracy(preds, gold: Corpus, subset=ALL) -> float:
+    """``metrics.entity_accuracy`` as a fresh gold scan plus its own loop."""
+    return _slow_entity_mean(preds, _slow_select(gold_entity_turns(gold), subset, gold))
+
+
+def slow_joint_goal_accuracy(preds, gold: Corpus, subset=ALL) -> float:
+    """``metrics.joint_goal_accuracy`` with its own comparison loop."""
+    states = _slow_select(gold_states(gold), subset, gold, turn_offset=1)
+    if not states:
+        raise SchemaMismatch("no gold turns carry a dialog state in this subset")
+    correct = 0
+    for key, gold_state in sorted(states.items()):
+        if key not in preds or preds[key].state is None:
+            raise MissingPrediction(key)
+        predicted = {slot: {name_key(v) for v in values} for slot, values in preds[key].state.items()}
+        correct += all(predicted.get(slot) == values for slot, values in gold_state.items())
+    return correct / len(states)
+
+
+def slow_slot_accuracy(preds, gold: Corpus, subset=ALL) -> float:
+    """``metrics.slot_accuracy`` with its own comparison loop."""
+    states = _slow_select(gold_states(gold), subset, gold, turn_offset=1)
+    fractions: list[float] = []
+    for key, gold_state in sorted(states.items()):
+        if key not in preds or preds[key].state is None:
+            raise MissingPrediction(key)
+        predicted = {slot: {name_key(v) for v in values} for slot, values in preds[key].state.items()}
+        if gold_state:
+            hits = sum(predicted.get(slot) == values for slot, values in gold_state.items())
+            fractions.append(hits / len(gold_state))
+        else:
+            fractions.append(1.0)
+    return sum(fractions) / len(fractions) if fractions else 1.0
+
+
+def slow_score(preds, gold: Corpus, records: list[AugmentationRecord] | None = None) -> dict:
+    """``metrics.score`` as a JSON report, judging every bucket afresh: one
+    entity comparison per bucket and one state scan per JGA number."""
+    report: dict = {"entity_accuracy_all": None, "entity_accuracy_augmented": None,
+                    "jga_all": None, "jga_augmented": None, "per_method": None, "counts": {}}
+    dialogs = {dialog.id: dialog for dialog in gold.dialogs}
+    if len(dialogs) != len(gold.dialogs):
+        raise SchemaMismatch("gold corpus has duplicate dialog ids")
+    for key in preds:
+        if key[0] not in dialogs or not 0 <= key[1] < len(dialogs[key[0]].turns):
+            raise UnknownSubsetTurn(key)
+    marked = gold_entity_turns(gold)
+    markers = {key: dialogs[key[0]].turns[key[1]].extras["disambig"] for key in marked}
+    total_turns = sum(len(dialog.turns) for dialog in dialogs.values())
+    report["counts"]["turns_total"] = total_turns
+    report["counts"]["turns_with_gold_targets"] = len(marked)
+    report["counts"]["turns_skipped_no_target"] = total_turns - len(marked)
+    if marked:
+        report["entity_accuracy_all"] = _slow_entity_mean(preds, marked)
+        by_method: dict[str, dict] = {}
+        for key, marker in markers.items():
+            if marker.get("method"):
+                by_method.setdefault(marker["method"], {})[key] = marked[key]
+        report["per_method"] = {m: _slow_entity_mean(preds, t) for m, t in sorted(by_method.items())}
+    if records is not None:
+        augmented_keys = [(r.dialog_id, r.turn_index) for r in records if r.skipped_reason is None]
+    else:
+        augmented_keys = sorted(key for key, marker in markers.items() if marker.get("origin") == "augment")
+    report["counts"]["turns_augmented"] = len(augmented_keys)
+    if augmented_keys:
+        report["entity_accuracy_augmented"] = _slow_entity_mean(preds, _slow_select(marked, augmented_keys, gold))
+    if not any(row.state is not None for row in preds.values()):
+        return report
+    states = gold_states(gold)
+    has_states = bool(states) and all(preds[key].state is not None for key in states if key in preds)
+    if has_states and all(key in preds for key in states):
+        report["jga_all"] = slow_joint_goal_accuracy(preds, gold, subset=ALL)
+        if augmented_keys:
+            user_keys = [(d, t + 1) for d, t in augmented_keys if (d, t + 1) in states]
+            if user_keys:
+                report["jga_augmented"] = slow_joint_goal_accuracy(preds, gold, subset=user_keys)
+    return report

@@ -276,7 +276,9 @@ class TestAugment:
             assert code == 0, name
         for name in ("corpus.jsonl", "records.jsonl", "stats.json"):
             assert (outputs[0] / name).read_bytes() == (outputs[1] / name).read_bytes()
-        assert json.loads((outputs[1] / "stats.json").read_text())["turns_total"] == 800
+        stats = json.loads((outputs[1] / "stats.json").read_text())
+        assert stats["turns_total"] == 800
+        assert stats["turns_modified"] == 16  # as many as on the native file
 
     def test_command_line_format_beats_config(self, capsys, tmp_path, repo_root):
         config = tmp_path / "config.json"
@@ -309,6 +311,21 @@ class TestUpsample:
         assert len(marked) == 50  # factor 1.0 of a 50-dialog corpus
         ids = [r["id"] for r in rows]
         assert len(ids) == len(set(ids))
+
+    # sha256 of the upsampled seed-0 augmented toy corpus, taken while
+    # upsample still copied each dialog through JSON.
+    @pytest.mark.parametrize("factor, digest", [
+        ("3", "b91b01ec38e0bf3f2efa7be6c23ef48717416964853c6a96ecf78b3f1045c120"),
+        ("0.5", "bdf8a0d9ab1efd18cb087ae80a673478f6f7332452de1ce3fb627a768f256661"),
+    ])
+    def test_output_is_pinned(self, capsys, tmp_path, repo_root, factor, digest):
+        augmented = tmp_path / "aug"
+        _run(capsys, "augment", "--in", str(repo_root / TOY), "--db", str(repo_root / DB),
+             "--grammar", str(repo_root / GRAMMAR), "--out", str(augmented), "--seed", "0")
+        out = tmp_path / "upsampled.jsonl"
+        assert _run(capsys, "upsample", "--in", str(augmented / "corpus.jsonl"), "--out", str(out),
+                    "--factor", factor)[0] == 0
+        assert _digest(out) == digest
 
     def test_without_augmented_rows_fails(self, capsys, tmp_path, repo_root):
         out = tmp_path / "up.jsonl"

@@ -4,6 +4,7 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from disambig.corpus import (
     Corpus,
@@ -12,7 +13,6 @@ from disambig.corpus import (
     Entity,
     Frame,
     Turn,
-    database_from_corpus,
     load_corpus,
     load_database,
     name_key,
@@ -74,6 +74,58 @@ SGD_DIALOG = {
         },
     ],
 }
+
+
+def _read_view(corpus: Corpus) -> list:
+    """What the augmenter and the metrics read of a corpus: per turn the
+    speaker, utterance, extras, the slot values of each frame that has any,
+    and the search results grouped by domain in their order."""
+    view = []
+    for dialog in corpus.dialogs:
+        turns = []
+        for turn in dialog.turns:
+            by_domain: dict[str, list] = {}
+            for entity in turn.search_results or []:
+                by_domain.setdefault(entity.domain, []).append((entity.name, entity.attributes))
+            slots = [(frame.service, frame.slot_values) for frame in turn.frames if frame.slot_values]
+            turns.append((turn.speaker, turn.utterance, turn.extras, slots, by_domain))
+        view.append((dialog.id, dialog.services, turns))
+    return view
+
+
+# Services whose name field is a hint ("hotel", "hotels_1", "movies_3") or
+# guessed from the record ("train").
+_SERVICES = ["hotel", "hotels_1", "movies_3", "train"]
+_WORDS = st.sampled_from(["the palm", "crown inn", "north", "4", "Café Nord"])
+
+
+@st.composite
+def _native_corpora(draw) -> Corpus:
+    dialogs = []
+    for number in range(draw(st.integers(0, 3))):
+        services = draw(st.lists(st.sampled_from(_SERVICES), min_size=1, max_size=3, unique=True))
+        service = st.sampled_from(services)
+        turns = []
+        first = draw(st.integers(0, 1))
+        for index in range(draw(st.integers(1, 4))):
+            speaker = ("USER", "SYSTEM")[(first + index) % 2]
+            frames = [
+                Frame(service=name, slot_values=draw(st.dictionaries(
+                    st.sampled_from(["area", "stars"]), st.lists(_WORDS, min_size=1, max_size=2), max_size=2)))
+                for name in draw(st.lists(service, max_size=2, unique=True))
+            ]
+            results = None
+            if speaker == "SYSTEM" and draw(st.booleans()):
+                results = [
+                    Entity(domain=draw(service), name=draw(_WORDS),
+                           attributes=draw(st.dictionaries(st.sampled_from(["area", "stars"]), _WORDS, max_size=2)))
+                    for _ in range(draw(st.integers(0, 4)))
+                ]
+            extras = {"disambig": {"origin": "augment", "target_names": ["the palm"]}} if draw(st.booleans()) else {}
+            turns.append(Turn(speaker=speaker, utterance=draw(_WORDS), frames=frames,
+                              search_results=results, extras=extras))
+        dialogs.append(Dialog(id=f"d{number}", services=services, turns=turns))
+    return Corpus(dialogs=dialogs)
 
 
 @pytest.fixture
@@ -227,12 +279,45 @@ class TestSchemaGuidedAdapters:
         assert corpus.dialogs[0].turns[0].extras["turn_id"] == "0"
         assert corpus.dialogs[0].turns[1].search_results is None
 
-    def test_database_reconstruction_from_results(self, sgd_dir):
-        corpus = load_corpus(str(sgd_dir), format="sgd")
-        db = database_from_corpus(corpus)
-        assert set(db.tables) == {"hotels_1"}
-        assert db.names("hotels_1") == {"the palm", "the crown"}
-        assert db.name_fields["hotels_1"] == "hotel_name"
+    def test_sgd_results_are_written_back_as_read(self, tmp_path):
+        dialog = json.loads(json.dumps(SGD_DIALOG))
+        dialog["turns"][1]["frames"][0]["service_results"][0]["star_rating"] = 4
+        source = tmp_path / "dialogues_001.json"
+        source.write_text(json.dumps([dialog]), encoding="utf-8")
+        out = tmp_path / "rewritten.json"
+        write_corpus(load_corpus(str(source), format="sgd"), str(out), format="sgd")
+        written = json.loads(out.read_text(encoding="utf-8"))[0]["turns"][1]["frames"]
+        assert [frame["service_results"] for frame in written] == [dialog["turns"][1]["frames"][0]["service_results"]]
+
+    @pytest.mark.parametrize("format", ["sgd", "multiwoz22"])
+    def test_toy_corpus_round_trip_keeps_what_is_read(self, tmp_path, toy_corpus, format):
+        path = tmp_path / "toy.json"
+        write_corpus(toy_corpus, str(path), format=format)
+        again = load_corpus(str(path), format=format)
+        assert sum(1 for d in again.dialogs for t in d.turns if t.search_results) == 41
+        assert _read_view(again) == _read_view(toy_corpus)
+        rewritten = tmp_path / "again.json"
+        write_corpus(again, str(rewritten), format=format)
+        assert rewritten.read_bytes() == path.read_bytes()
+
+    @given(corpus=_native_corpora(), format=st.sampled_from(["sgd", "multiwoz22"]))
+    def test_round_trip_keeps_what_is_read(self, tmp_path_factory, corpus, format):
+        path = tmp_path_factory.mktemp("round") / "corpus.json"
+        write_corpus(corpus, str(path), format=format)
+        assert _read_view(load_corpus(str(path), format=format)) == _read_view(corpus)
+
+    @pytest.mark.parametrize("domain, attributes, match", [
+        ("hotels_1", {"hotel_name": "x"}, "read back as its name"),
+        ("train", {"operator_name": "x"}, "read back as its name"),
+        ("train", {"name": "x"}, "read back as its name"),
+        ("taxi", {}, "not one of the dialog's services"),
+    ])
+    def test_unwritable_search_results_rejected(self, tmp_path, domain, attributes, match):
+        turns = [Turn(speaker="SYSTEM", utterance="two",
+                      search_results=[Entity(domain=domain, name="the palm", attributes=attributes)])]
+        corpus = Corpus(dialogs=[Dialog(id="d1", services=["hotels_1", "train"], turns=turns)])
+        with pytest.raises(SchemaMismatch, match=match):
+            write_corpus(corpus, str(tmp_path / "out.json"), format="sgd")
 
 
 class TestDatabase:

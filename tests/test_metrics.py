@@ -3,9 +3,10 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from disambig.augmenter import AUGMENT_METHODS, DEFAULT_ALLOWED, augment_corpus
-from disambig.corpus import Corpus, Dialog, Frame, Turn
+from disambig.augmenter import AUGMENT_METHODS, DEFAULT_ALLOWED, AugmentationRecord, augment_corpus
+from disambig.corpus import Corpus, Dialog, Entity, Frame, Turn
 from disambig import metrics
 from disambig.errors import MissingPrediction, SchemaMismatch, UnknownSubsetTurn
 from disambig.metrics import (
@@ -21,6 +22,8 @@ from disambig.metrics import (
     slot_accuracy,
     write_predictions,
 )
+
+from .oracles import slow_entity_accuracy, slow_joint_goal_accuracy, slow_score, slow_slot_accuracy
 
 
 def _marked_dialog(dialog_id: str, targets: list[str], origin: str = "synth") -> Dialog:
@@ -286,6 +289,115 @@ class TestScore:
         assert report.jga_augmented == joint_goal_accuracy(preds, gold, subset=AUGMENTED_ONLY)
         assert 0 < report.jga_all < 1
         assert report.entity_accuracy_all == 1.0
+
+    def test_one_state_scan_with_states(self, monkeypatch, toy_corpus, shipped_db, shipped_grammar):
+        gold, records, _ = augment_corpus(toy_corpus, shipped_db, shipped_grammar, seed=0)
+        targets, states = gold_entity_turns(gold), gold_states(gold)
+        preds = {}
+        for dialog in gold.dialogs:
+            for index in range(len(dialog.turns)):
+                key = (dialog.id, index)
+                state = {slot: sorted(values) for slot, values in states[key].items()} if key in states else None
+                preds[key] = PredictionRow(dialog.id, index, entities=sorted(targets.get(key, ())), state=state)
+        calls = []
+
+        def counted(name, function):
+            return lambda *args, **kwargs: calls.append(name) or function(*args, **kwargs)
+
+        for name in ("gold_entity_turns", "gold_states"):
+            monkeypatch.setattr(metrics, name, counted(name, getattr(metrics, name)))
+        report = score(preds, gold, records)
+        assert report.jga_all == 1.0 and report.jga_augmented == 1.0
+        assert sorted(calls) == ["gold_entity_turns", "gold_states"]
+
+
+_NAMES = ["alpha inn", "Briar Manor", "crown lodge!"]
+_SLOTS = ["hotel-area", "hotel-name"]
+_VALUES = ["north", "North ", "south", "alpha inn"]
+
+
+@st.composite
+def _scoring_case(draw):
+    """A random gold corpus with markers of several origins and methods,
+    predictions that may miss, stray or carry states, a subset and records."""
+    ids = draw(st.lists(st.sampled_from(["d0", "d1", "d2", "d3"]), max_size=4, unique=True))
+    if ids and draw(st.integers(0, 7)) == 0:
+        ids.append(ids[0])  # duplicate dialog ids
+    dialogs, keys, marked, user_keys = [], [], [], []
+    for dialog_id in ids:
+        turns = []
+        speakers = ["SYSTEM", "USER"] if draw(st.booleans()) else ["USER", "SYSTEM"]
+        for index in range(draw(st.integers(1, 5))):
+            speaker = speakers[index % 2]
+            extras, frames = {}, []
+            if speaker == "SYSTEM" and draw(st.booleans()):
+                extras["disambig"] = {
+                    "origin": draw(st.sampled_from(["synth", "augment", "hand"])),
+                    "method": draw(st.sampled_from(["exact", "typo", "positional", ""])),
+                    "target_names": draw(st.lists(st.sampled_from(_NAMES), min_size=1, max_size=2)),
+                }
+            if speaker == "USER":
+                slot_values = draw(st.dictionaries(st.sampled_from(_SLOTS),
+                                                   st.lists(st.sampled_from(_VALUES), min_size=1, max_size=2)))
+                frames = [Frame(service="hotel", slot_values=slot_values)] if draw(st.booleans()) else []
+            turns.append(Turn(speaker=speaker, utterance="u", frames=frames, extras=extras))
+            keys.append((dialog_id, index))
+            if speaker == "USER":
+                user_keys.append((dialog_id, index))
+            elif extras:
+                marked.append((dialog_id, index))
+        dialogs.append(Dialog(id=dialog_id, services=["hotel"], turns=turns))
+    gold = Corpus(dialogs=dialogs)
+
+    with_states = draw(st.booleans())
+    preds = {}
+    strays = [draw(st.sampled_from([("ghost", 0), ("d0", 9)]))] if draw(st.integers(0, 4)) == 0 else []
+    missing = draw(st.sampled_from([0, 1, 6]))  # in twentieths
+    for key in keys + strays:
+        if draw(st.integers(0, 19)) < missing:
+            continue
+        entities = draw(st.lists(st.sampled_from(_NAMES + ["ALPHA INN", "wrong lodge"]), max_size=2))
+        state = None
+        if with_states and draw(st.integers(0, 19)) > 0:
+            state = draw(st.dictionaries(st.sampled_from(_SLOTS),
+                                         st.lists(st.sampled_from(_VALUES), min_size=1, max_size=2)))
+        preds[key] = PredictionRow(key[0], key[1], entities=entities, state=state)
+
+    subset = draw(st.one_of(
+        st.sampled_from([ALL, AUGMENTED_ONLY, "augmented"]),
+        *(st.lists(st.sampled_from(pool), max_size=4) for pool in (keys, marked, user_keys) if pool),
+    ))
+    records = None
+    if draw(st.booleans()):
+        entity = Entity(domain="hotel", name="alpha inn")
+        records = [
+            AugmentationRecord(dialog_id=key[0], turn_index=key[1], original_system="", new_system="",
+                               user_prefix="", original_user="", candidates=[entity], target=entity,
+                               skipped_reason=draw(st.sampled_from([None, "not_enough_entities"])))
+            for key in draw(st.lists(st.sampled_from(marked + [("ghost", 2)]), max_size=4))
+        ]
+    return gold, preds, subset, records
+
+
+def _outcome(function, *args):
+    try:
+        return "value", function(*args)
+    except Exception as exc:  # the oracle and the judge must fail alike
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200)
+@given(_scoring_case())
+def test_judged_tables_match_the_slow_references(case):
+    gold, preds, subset, records = case
+    pairs = [
+        (entity_accuracy, slow_entity_accuracy),
+        (joint_goal_accuracy, slow_joint_goal_accuracy),
+        (slot_accuracy, slow_slot_accuracy),
+    ]
+    for fast, slow in pairs:
+        assert _outcome(fast, preds, gold, subset) == _outcome(slow, preds, gold, subset), fast.__name__
+    assert _outcome(lambda: score(preds, gold, records).to_json()) == _outcome(slow_score, preds, gold, records)
 
 
 def test_prediction_file_round_trip(tmp_path):
