@@ -202,9 +202,12 @@ def _parse_methods(text: str | None) -> tuple[synthesizer.AddressingMethod, ...]
     if not text:
         return synthesizer.METHODS
     try:
-        return tuple(synthesizer.AddressingMethod(part.strip()) for part in text.split(",") if part.strip())
+        methods = tuple(synthesizer.AddressingMethod(part.strip()) for part in text.split(",") if part.strip())
     except ValueError as exc:
         raise SchemaMismatch(f"unknown addressing method in {text!r}") from exc
+    if not methods:
+        raise SchemaMismatch(f"no addressing method in {text!r}")
+    return methods
 
 
 def _sniff_kind(path: str) -> str:
@@ -236,22 +239,20 @@ def _cmd_grammar_count(args) -> int:
 def _cmd_synth(args) -> int:
     db = corpus_mod.load_database(_default_path(args.db, "data/database.json"))
     grammar = load_grammar_file(_default_path(args.grammar, "grammars/disambiguation.cfg"))
-    config = synthesizer.SynthConfig(
-        totals=tuple(args.total) if args.total else ((100_000, 10_000, 10_000) if not args.per_method else None),
-        per_method=tuple(args.per_method) if args.per_method else None,
-        methods=_parse_methods(args.methods),
-        seed=args.seed,
-    )
+    config = synthesizer.SynthConfig(per_method=args.per_method, methods=_parse_methods(args.methods), seed=args.seed)
+    if args.total:
+        config = replace(config, totals=args.total)
+    splits = [s.strip() for s in args.splits.split(",") if s.strip()]
+    for split in splits:
+        if split not in corpus_mod.SPLITS:
+            raise SchemaMismatch(f"unknown split {split!r}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    splits = [s.strip() for s in args.splits.split(",") if s.strip()]
     _guard_outputs(
         [args.db, args.grammar, args.config],
         [str(out_dir / f"{split}.jsonl") for split in splits],
     )
     for split in splits:
-        if split not in ("train", "dev", "test"):
-            raise SchemaMismatch(f"unknown split {split!r}")
         examples = synthesizer.synthesize_split(db, grammar, config, split)
         target = out_dir / f"{split}.jsonl"
         synthesizer.write_examples(examples, str(target))
@@ -315,21 +316,29 @@ def _cmd_upsample(args) -> int:
     return 0
 
 
+def _predict_row(args, row: int, candidates: list, utterance: str) -> list[str]:
+    """The resolver's names for the ``row``-th row of the input (counting from 1)."""
+    try:
+        return resolver.predict_names(candidates, utterance, max_fuzzy=args.max_fuzzy)
+    except ValueError as exc:  # a candidate pool the resolver cannot take
+        raise SchemaMismatch(f"{args.input}: row {row}: {exc}, got {len(candidates)}") from exc
+
+
 def _cmd_resolve(args) -> int:
     _guard_outputs([args.input], [args.out])
     kind = args.kind or _sniff_kind(args.input)
     rows: list[metrics.PredictionRow] = []
     if kind == "examples":
         for index, example in enumerate(synthesizer.read_examples(args.input)):
-            names = resolver.predict_names(example.candidates, example.user_utterance, max_fuzzy=args.max_fuzzy)
+            names = _predict_row(args, index + 1, example.candidates, example.user_utterance)
             rows.append(metrics.PredictionRow(
                 dialog_id=synthesizer.example_dialog_id(index), turn_index=0, entities=names,
             ))
     else:
-        for record in augmenter.read_records(args.input):
+        for index, record in enumerate(augmenter.read_records(args.input)):
             if record.skipped_reason is not None:
                 continue
-            names = resolver.predict_names(record.candidates, record.user_prefix, max_fuzzy=args.max_fuzzy)
+            names = _predict_row(args, index + 1, record.candidates, record.user_prefix)
             rows.append(metrics.PredictionRow(
                 dialog_id=record.dialog_id, turn_index=record.turn_index, entities=names,
             ))

@@ -2,10 +2,13 @@
 
 The native on-disk format is JSON lines: an optional first line
 ``{"meta": {"split_name": ..., "source_format": ...}}`` followed by one
-dialog object per line.  Adapters ingest SGD-style directories and
-MultiWOZ-2.2-style JSON (both share the schema-guided envelope); fields the
-model does not cover are carried in opaque ``extras`` blobs so writing back
-is lossless for everything we touched plus everything we did not.
+dialog object per line.  Adapters turn SGD-style directories and
+MultiWOZ-2.2-style JSON (both share the schema-guided envelope) into native
+rows; fields the model does not cover ride along in opaque ``extras`` blobs,
+so writing back is lossless.  Both formats go through ``Dialog.from_json``,
+which keeps the lists and dicts ``json.loads`` built and checks each turn as
+it is appended: a broken invariant or a container of the wrong type raises
+SchemaMismatch (naming the file and line for JSONL) instead of being coerced.
 
 The per-domain entity store is a JSON document::
 
@@ -13,10 +16,10 @@ The per-domain entity store is a JSON document::
      "nouns": {"hotel": "hotel", ...},            # optional
      "tables": {"hotel": [{"name": ..., "area": ...}, ...], ...}}
 
-Corpus and Database instances are treated as immutable after load.  An
-operation that "modifies" a dialog returns a new Dialog that shares every
-part it did not change with the input (the augmenter rebuilds only the turns
-it rewrites), so input and output are both read-only from then on.
+Corpus and Database instances are immutable after load, the adopted
+containers included.  An operation that "modifies" a dialog returns a new
+Dialog sharing every part it did not change (the augmenter rebuilds only the
+turns it rewrites), so input and output are both read-only from then on.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import random
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 from .errors import NotEnoughEntities, SchemaMismatch, UnknownDomain
 from .jsonl import iter_jsonl, read_json, write_jsonl
@@ -55,6 +59,7 @@ class Entity:
     def __post_init__(self) -> None:
         if not self.name:
             raise SchemaMismatch(f"entity in domain {self.domain!r} has an empty name")
+        _expect(self.attributes, dict, f"entity {self.name!r} attributes")
         self.attributes = {k: str(v) for k, v in self.attributes.items()}
 
     def to_json(self) -> dict:
@@ -63,7 +68,7 @@ class Entity:
     @classmethod
     def from_json(cls, obj: dict) -> "Entity":
         try:
-            return cls(domain=obj["domain"], name=obj["name"], attributes=dict(obj.get("attributes", {})))
+            return cls(domain=obj["domain"], name=obj["name"], attributes=obj.get("attributes", {}))
         except KeyError as exc:
             raise SchemaMismatch(f"entity record missing key {exc}") from exc
 
@@ -85,12 +90,8 @@ class Frame:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Frame":
-        return cls(
-            service=obj["service"],
-            slot_values={k: list(v) for k, v in obj.get("slot_values", {}).items()},
-            requested_slots=list(obj.get("requested_slots", [])),
-            extras=dict(obj.get("extras", {})),
-        )
+        return cls(service=obj["service"], slot_values=obj.get("slot_values", {}),
+                   requested_slots=obj.get("requested_slots", []), extras=obj.get("extras", {}))
 
 
 @dataclass
@@ -120,7 +121,7 @@ class Turn:
             utterance=obj["utterance"],
             frames=[Frame.from_json(f) for f in obj.get("frames", [])],
             search_results=None if results is None else [Entity.from_json(e) for e in results],
-            extras=dict(obj.get("extras", {})),
+            extras=obj.get("extras", {}),
         )
 
 
@@ -141,15 +142,46 @@ class Dialog:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Dialog":
+        """Decode a native row, adopting its containers and checking each turn as it is appended."""
         try:
-            return cls(
-                id=obj["id"],
-                services=list(obj["services"]),
-                turns=[Turn.from_json(t) for t in obj["turns"]],
-                extras=dict(obj.get("extras", {})),
-            )
+            dialog = cls(id=obj["id"], services=obj["services"], turns=[], extras=obj.get("extras", {}))
+            _expect(dialog.services, list, f"dialog {dialog.id!r} services")
+            _expect(dialog.extras, dict, f"dialog {dialog.id!r} extras")
+            for raw_turn in obj["turns"]:
+                _append_turn(dialog, Turn.from_json(raw_turn))
+            return dialog
         except KeyError as exc:
             raise SchemaMismatch(f"dialog record missing key {exc}") from exc
+
+
+def _expect(value, kind: type, what: str) -> None:
+    if not isinstance(value, kind):
+        raise SchemaMismatch(f"{what}: expected {'an array' if kind is list else 'an object'}, got {value!r:.60}")
+
+
+def _append_turn(dialog: Dialog, turn: Turn) -> None:
+    """Append ``turn`` to ``dialog``, or raise SchemaMismatch if it breaks an invariant there."""
+    index = len(dialog.turns)
+    where = f"dialog {dialog.id!r} turn {index}"
+    if turn.speaker not in (USER, SYSTEM):
+        raise SchemaMismatch(f"{where}: speaker {turn.speaker!r}")
+    if index > 0 and turn.speaker == dialog.turns[-1].speaker:
+        raise SchemaMismatch(f"{where}: speakers do not alternate")
+    if turn.speaker == USER and turn.search_results is not None:
+        raise SchemaMismatch(f"{where}: user turns cannot carry search results")
+    _expect(turn.extras, dict, f"{where}: extras")
+    for frame in turn.frames:
+        if frame.service not in dialog.services:
+            raise SchemaMismatch(f"{where}: frame service {frame.service!r} not in dialog services")
+        _expect(frame.requested_slots, list, f"{where}: requested_slots")
+        _expect(frame.extras, dict, f"{where}: frame extras")
+        for slot, values in frame.slot_values.items():
+            if not slot:
+                raise SchemaMismatch(f"{where}: empty slot name")
+            _expect(values, list, f"{where}: slot {slot!r}")
+            if any(not isinstance(v, str) or not v for v in values):
+                raise SchemaMismatch(f"{where}: slot {slot!r} has an empty or non-string value")
+    dialog.turns.append(turn)
 
 
 SPLITS = ("train", "dev", "test")
@@ -160,34 +192,6 @@ class Corpus:
     dialogs: list[Dialog]
     split_name: str = "train"
     source_format: str = "native"
-
-
-def validate_corpus(corpus: Corpus) -> None:
-    """Re-check every type invariant; raises SchemaMismatch, never repairs."""
-    if corpus.split_name not in SPLITS:
-        raise SchemaMismatch(f"split_name {corpus.split_name!r} not one of {SPLITS}")
-    seen_ids: set[str] = set()
-    for dialog in corpus.dialogs:
-        if dialog.id in seen_ids:
-            raise SchemaMismatch(f"duplicate dialog id {dialog.id!r}")
-        seen_ids.add(dialog.id)
-        declared = set(dialog.services)
-        for index, turn in enumerate(dialog.turns):
-            where = f"dialog {dialog.id!r} turn {index}"
-            if turn.speaker not in (USER, SYSTEM):
-                raise SchemaMismatch(f"{where}: speaker {turn.speaker!r}")
-            if index > 0 and turn.speaker == dialog.turns[index - 1].speaker:
-                raise SchemaMismatch(f"{where}: speakers do not alternate")
-            if turn.speaker == USER and turn.search_results is not None:
-                raise SchemaMismatch(f"{where}: user turns cannot carry search results")
-            for frame in turn.frames:
-                if frame.service not in declared:
-                    raise SchemaMismatch(f"{where}: frame service {frame.service!r} not in dialog services")
-                for slot, values in frame.slot_values.items():
-                    if not slot:
-                        raise SchemaMismatch(f"{where}: empty slot name")
-                    if any(not isinstance(v, str) or not v for v in values):
-                        raise SchemaMismatch(f"{where}: slot {slot!r} has an empty or non-string value")
 
 
 # --- native format ------------------------------------------------------------
@@ -210,33 +214,38 @@ def _dumps_pretty(obj) -> str:
 
 
 def load_corpus(path: str, format: str = "native") -> Corpus:
-    """Load and validate a corpus from any of the supported formats."""
+    """Load a corpus from any of the supported formats.  Each dialog is
+    checked once, as it is decoded; a broken invariant raises SchemaMismatch."""
     if format == "native":
-        corpus = _load_native(path)
+        corpus = Corpus(dialogs=[])
+        rows = iter_jsonl(path, _native_row)
     elif format in ("sgd", "multiwoz22"):
-        corpus = _load_schema_guided(path, format)
+        corpus = Corpus(dialogs=[], split_name=_infer_split(path), source_format=format)
+        rows = _schema_guided_dialogs(path)
     else:
         raise SchemaMismatch(f"unknown corpus format {format!r}")
-    validate_corpus(corpus)
+    seen_ids: set[str] = set()
+    for index, row in enumerate(rows):
+        if isinstance(row, Dialog):
+            if row.id in seen_ids:
+                raise SchemaMismatch(f"duplicate dialog id {row.id!r}")
+            seen_ids.add(row.id)
+            corpus.dialogs.append(row)
+        elif index:
+            raise SchemaMismatch(f"{path}: only the first row may be a meta header")
+        else:
+            corpus.split_name, corpus.source_format = row["split_name"], row["source_format"]
     return corpus
-
-
-_DEFAULT_META = {"split_name": "train", "source_format": "native"}
 
 
 def _native_row(obj: dict) -> Dialog | dict:
     """A dialog, or the fields of a ``meta`` header row."""
-    if "meta" in obj:
-        return {**_DEFAULT_META, **obj["meta"]}
-    return Dialog.from_json(obj)
-
-
-def _load_native(path: str) -> Corpus:
-    rows = list(iter_jsonl(path, _native_row))
-    meta = rows.pop(0) if rows and isinstance(rows[0], dict) else _DEFAULT_META
-    if any(isinstance(row, dict) for row in rows):
-        raise SchemaMismatch(f"{path}: only the first row may be a meta header")
-    return Corpus(dialogs=rows, split_name=meta["split_name"], source_format=meta["source_format"])
+    if "meta" not in obj:
+        return Dialog.from_json(obj)
+    meta = {"split_name": "train", "source_format": "native", **obj["meta"]}
+    if meta["split_name"] not in SPLITS:
+        raise SchemaMismatch(f"split_name {meta['split_name']!r} not one of {SPLITS}")
+    return meta
 
 
 # --- schema-guided adapters (SGD and MultiWOZ 2.2 share the envelope) ---------
@@ -282,12 +291,13 @@ def guess_name_field(service: str, record: dict) -> str:
     return "name"
 
 
-def _result_to_entity(service: str, record: dict) -> Entity:
+def _result_row(service: str, record: dict) -> dict:
+    """A ``service_results`` record as a native search-result row."""
     name_field = guess_name_field(service, record)
     if name_field not in record:
         raise SchemaMismatch(f"search result for {service!r} lacks its name field {name_field!r}")
     attributes = {k: v for k, v in record.items() if k != name_field}
-    return Entity(domain=service, name=str(record[name_field]), attributes=attributes)
+    return {"domain": service, "name": str(record[name_field]), "attributes": attributes}
 
 
 def _schema_guided_files(path: str) -> list[Path]:
@@ -308,64 +318,56 @@ def _infer_split(path: str) -> str:
     return "train"
 
 
-def _load_schema_guided(path: str, format: str) -> Corpus:
-    dialogs: list[Dialog] = []
+def _schema_guided_dialogs(path: str) -> Iterator[Dialog]:
     for file_path in _schema_guided_files(path):
         payload = read_json(str(file_path))
         if not isinstance(payload, list):
             raise SchemaMismatch(f"{file_path}: expected a list of dialogs")
         for obj in payload:
-            dialogs.append(_dialog_from_schema_guided(obj, str(file_path)))
-    return Corpus(dialogs=dialogs, split_name=_infer_split(path), source_format=format)
+            yield Dialog.from_json(_native_dialog_row(obj, str(file_path)))
 
 
-def _dialog_from_schema_guided(obj: dict, where: str) -> Dialog:
+def _native_dialog_row(obj: dict, where: str) -> dict:
+    """A schema-guided dialog as a native row, for Dialog.from_json to decode and check."""
     if "turns" not in obj:
         raise SchemaMismatch(f"{where}: dialog {obj.get('dialogue_id')!r} has no 'turns' key")
     dialog_id = obj.get("dialogue_id") or obj.get("dialog_id")
     if not dialog_id:
         raise SchemaMismatch(f"{where}: dialog without a dialogue_id")
-    turns: list[Turn] = []
+    turns = []
     for raw_turn in obj["turns"]:
         try:
-            speaker = raw_turn["speaker"]
-            utterance = raw_turn["utterance"]
+            speaker, utterance = raw_turn["speaker"], raw_turn["utterance"]
         except (KeyError, TypeError) as exc:
             raise SchemaMismatch(f"{where}: turn in {dialog_id!r} missing speaker/utterance") from exc
-        frames: list[Frame] = []
-        results: list[Entity] = []
+        frames, results = [], []
         for raw_frame in raw_turn.get("frames", []):
             service = raw_frame.get("service")
             if not service:
                 raise SchemaMismatch(f"{where}: frame without service in dialog {dialog_id!r}")
             state = raw_frame.get("state", {})
-            slot_values = {k: [str(v) for v in vs] for k, vs in state.get("slot_values", {}).items()}
-            requested = list(state.get("requested_slots", []))
+            # Scalar slot values are stringified; a value list of the wrong type is left to the check.
+            slot_values = {k: [str(v) for v in vs] if isinstance(vs, list) else vs
+                           for k, vs in state.get("slot_values", {}).items()}
             state_extras = {k: v for k, v in state.items() if k not in ("slot_values", "requested_slots")}
             frame_extras = {k: v for k, v in raw_frame.items() if k not in ("service", "state")}
             if state_extras:
                 frame_extras["state_extras"] = state_extras
-            for record in raw_frame.get("service_results", []):
-                results.append(_result_to_entity(service, record))
-            frames.append(Frame(service=service, slot_values=slot_values, requested_slots=requested, extras=frame_extras))
-        turn_extras = {k: v for k, v in raw_turn.items() if k not in ("speaker", "utterance", "frames")}
-        turns.append(
-            Turn(
-                speaker=speaker,
-                utterance=utterance,
-                frames=frames,
-                search_results=results if (speaker == SYSTEM and results) else None,
-                extras=turn_extras,
-            )
-        )
-    services = list(obj.get("services", []))
-    dialog_extras = {k: v for k, v in obj.items() if k not in ("dialogue_id", "dialog_id", "services", "turns")}
-    return Dialog(id=str(dialog_id), services=services, turns=turns, extras=dialog_extras)
+            results.extend(_result_row(service, record) for record in raw_frame.get("service_results", []))
+            frames.append({"service": service, "slot_values": slot_values,
+                           "requested_slots": state.get("requested_slots", []), "extras": frame_extras})
+        turn = {"speaker": speaker, "utterance": utterance, "frames": frames,
+                "extras": {k: v for k, v in raw_turn.items() if k not in ("speaker", "utterance", "frames")}}
+        if speaker == SYSTEM and results:
+            turn["search_results"] = results
+        turns.append(turn)
+    extras = {k: v for k, v in obj.items() if k not in ("dialogue_id", "dialog_id", "services", "turns")}
+    return {"id": str(dialog_id), "services": obj.get("services", []), "turns": turns, "extras": extras}
 
 
 def _entity_to_result(entity: Entity) -> dict:
     """A search result as a ``service_results`` record, with the name under
-    the field ``_result_to_entity`` reads it back from."""
+    the field ``_result_row`` reads it back from."""
     record = dict(entity.attributes)
     name_field = guess_name_field(entity.domain, {**record, "name": entity.name})
     if name_field in record:
@@ -396,14 +398,11 @@ def _dialog_to_schema_guided(dialog: Dialog) -> dict:
         frames = []
         for frame in turn.frames + added:
             state_extras = frame.extras.get("state_extras", {})
-            raw_frame = {
-                "service": frame.service,
-                "state": {
-                    "slot_values": frame.slot_values,
-                    "requested_slots": frame.requested_slots,
-                    **state_extras,
-                },
-            }
+            raw_frame = {"service": frame.service}
+            # Both formats give user frames a state and system frames none, unless it holds something.
+            if turn.speaker == USER or frame.slot_values or frame.requested_slots or state_extras:
+                raw_frame["state"] = {"slot_values": frame.slot_values, "requested_slots": frame.requested_slots,
+                                      **state_extras}
             raw_frame.update({k: v for k, v in frame.extras.items() if k != "state_extras"})
             if frame.service in results:
                 raw_frame["service_results"] = results.pop(frame.service)

@@ -46,12 +46,17 @@ class PredictionRow:
 
     @classmethod
     def from_json(cls, obj: dict) -> "PredictionRow":
-        return cls(
-            dialog_id=obj["dialog_id"],
-            turn_index=int(obj["turn_index"]),
-            entities=list(obj.get("entities", [])),
-            state={k: list(v) for k, v in obj["state"].items()} if obj.get("state") is not None else None,
-        )
+        """A row read from a prediction file; its types are checked, not coerced."""
+        row = cls(dialog_id=obj["dialog_id"], turn_index=obj["turn_index"], entities=obj.get("entities", []),
+                  state=obj.get("state"))
+        if type(row.turn_index) is not int:
+            raise SchemaMismatch(f"turn_index: expected an integer, got {row.turn_index!r}")
+        if not isinstance(row.entities, list):
+            raise SchemaMismatch(f"entities: expected an array, got {row.entities!r:.60}")
+        for slot, values in ({} if row.state is None else row.state).items():
+            if not isinstance(values, list):
+                raise SchemaMismatch(f"state slot {slot!r}: expected an array, got {values!r:.60}")
+        return row
 
 
 PredictionFile = dict[Key, PredictionRow]

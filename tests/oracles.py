@@ -5,8 +5,10 @@ enumeration instead of arithmetic counting, memoized recursion instead of
 the distance matrix, a derivability search instead of trusting the
 sampler, a deep copy of the whole dialog instead of rebuilding only the
 rewritten turns, a rescan of the reply per name instead of one index of
-its windows, and a fresh gold scan and comparison per score bucket instead
-of one judgement per turn.  Keep them slow and obvious.
+its windows, a fresh gold scan and comparison per score bucket instead
+of one judgement per turn, and a copying decoder followed by a second walk
+of the whole corpus instead of checking each dialog as it is decoded.  Keep
+them slow and obvious.
 """
 
 from __future__ import annotations
@@ -22,9 +24,24 @@ from disambig.augmenter import (
     _ensure_sentence_final,
     find_augmentable_turns,
 )
-from disambig.corpus import Corpus, Database, Dialog, Entity, name_key
+from disambig.corpus import (
+    SPLITS,
+    SYSTEM,
+    USER,
+    Corpus,
+    Database,
+    Dialog,
+    Entity,
+    Frame,
+    Turn,
+    _infer_split,
+    _schema_guided_files,
+    guess_name_field,
+    name_key,
+)
 from disambig.errors import MissingPrediction, SchemaMismatch, UnknownSubsetTurn
 from disambig.grammar import Grammar, Nonterminal, Template
+from disambig.jsonl import iter_jsonl, read_json
 from disambig.metrics import ALL, AUGMENTED_ONLY, gold_entity_turns, gold_states
 from disambig.resolver import STOPWORDS, normalize
 from disambig.seeding import derive_seed, rng_for
@@ -337,3 +354,147 @@ def slow_score(preds, gold: Corpus, records: list[AugmentationRecord] | None = N
             if user_keys:
                 report["jga_augmented"] = slow_joint_goal_accuracy(preds, gold, subset=user_keys)
     return report
+
+
+# --- corpus loading: copy every container, then validate the whole corpus ------
+
+
+def _slow_entity(obj: dict) -> Entity:
+    try:
+        return Entity(domain=obj["domain"], name=obj["name"], attributes=dict(obj.get("attributes", {})))
+    except KeyError as exc:
+        raise SchemaMismatch(f"entity record missing key {exc}") from exc
+
+
+def _slow_frame(obj: dict) -> Frame:
+    return Frame(
+        service=obj["service"],
+        slot_values={k: list(v) for k, v in obj.get("slot_values", {}).items()},
+        requested_slots=list(obj.get("requested_slots", [])),
+        extras=dict(obj.get("extras", {})),
+    )
+
+
+def _slow_turn(obj: dict) -> Turn:
+    results = obj.get("search_results")
+    return Turn(
+        speaker=obj["speaker"],
+        utterance=obj["utterance"],
+        frames=[_slow_frame(f) for f in obj.get("frames", [])],
+        search_results=None if results is None else [_slow_entity(e) for e in results],
+        extras=dict(obj.get("extras", {})),
+    )
+
+
+def slow_dialog_from_json(obj: dict) -> Dialog:
+    """A native dialog row decoded into fresh copies of every container, unchecked."""
+    try:
+        return Dialog(
+            id=obj["id"],
+            services=list(obj["services"]),
+            turns=[_slow_turn(t) for t in obj["turns"]],
+            extras=dict(obj.get("extras", {})),
+        )
+    except KeyError as exc:
+        raise SchemaMismatch(f"dialog record missing key {exc}") from exc
+
+
+def slow_validate_corpus(corpus: Corpus) -> None:
+    """Re-check every type invariant; raises SchemaMismatch, never repairs."""
+    if corpus.split_name not in SPLITS:
+        raise SchemaMismatch(f"split_name {corpus.split_name!r} not one of {SPLITS}")
+    seen_ids: set[str] = set()
+    for dialog in corpus.dialogs:
+        if dialog.id in seen_ids:
+            raise SchemaMismatch(f"duplicate dialog id {dialog.id!r}")
+        seen_ids.add(dialog.id)
+        declared = set(dialog.services)
+        for index, turn in enumerate(dialog.turns):
+            where = f"dialog {dialog.id!r} turn {index}"
+            if turn.speaker not in (USER, SYSTEM):
+                raise SchemaMismatch(f"{where}: speaker {turn.speaker!r}")
+            if index > 0 and turn.speaker == dialog.turns[index - 1].speaker:
+                raise SchemaMismatch(f"{where}: speakers do not alternate")
+            if turn.speaker == USER and turn.search_results is not None:
+                raise SchemaMismatch(f"{where}: user turns cannot carry search results")
+            for frame in turn.frames:
+                if frame.service not in declared:
+                    raise SchemaMismatch(f"{where}: frame service {frame.service!r} not in dialog services")
+                for slot, values in frame.slot_values.items():
+                    if not slot:
+                        raise SchemaMismatch(f"{where}: empty slot name")
+                    if any(not isinstance(v, str) or not v for v in values):
+                        raise SchemaMismatch(f"{where}: slot {slot!r} has an empty or non-string value")
+
+
+def _slow_result_to_entity(service: str, record: dict) -> Entity:
+    name_field = guess_name_field(service, record)
+    if name_field not in record:
+        raise SchemaMismatch(f"search result for {service!r} lacks its name field {name_field!r}")
+    attributes = {k: v for k, v in record.items() if k != name_field}
+    return Entity(domain=service, name=str(record[name_field]), attributes=attributes)
+
+
+def _slow_dialog_from_schema_guided(obj: dict, where: str) -> Dialog:
+    if "turns" not in obj:
+        raise SchemaMismatch(f"{where}: dialog {obj.get('dialogue_id')!r} has no 'turns' key")
+    dialog_id = obj.get("dialogue_id") or obj.get("dialog_id")
+    if not dialog_id:
+        raise SchemaMismatch(f"{where}: dialog without a dialogue_id")
+    turns: list[Turn] = []
+    for raw_turn in obj["turns"]:
+        try:
+            speaker = raw_turn["speaker"]
+            utterance = raw_turn["utterance"]
+        except (KeyError, TypeError) as exc:
+            raise SchemaMismatch(f"{where}: turn in {dialog_id!r} missing speaker/utterance") from exc
+        frames: list[Frame] = []
+        results: list[Entity] = []
+        for raw_frame in raw_turn.get("frames", []):
+            service = raw_frame.get("service")
+            if not service:
+                raise SchemaMismatch(f"{where}: frame without service in dialog {dialog_id!r}")
+            state = raw_frame.get("state", {})
+            slot_values = {k: [str(v) for v in vs] for k, vs in state.get("slot_values", {}).items()}
+            requested = list(state.get("requested_slots", []))
+            state_extras = {k: v for k, v in state.items() if k not in ("slot_values", "requested_slots")}
+            frame_extras = {k: v for k, v in raw_frame.items() if k not in ("service", "state")}
+            if state_extras:
+                frame_extras["state_extras"] = state_extras
+            for record in raw_frame.get("service_results", []):
+                results.append(_slow_result_to_entity(service, record))
+            frames.append(Frame(service=service, slot_values=slot_values, requested_slots=requested,
+                                extras=frame_extras))
+        turn_extras = {k: v for k, v in raw_turn.items() if k not in ("speaker", "utterance", "frames")}
+        turns.append(Turn(speaker=speaker, utterance=utterance, frames=frames,
+                          search_results=results if (speaker == SYSTEM and results) else None, extras=turn_extras))
+    services = list(obj.get("services", []))
+    dialog_extras = {k: v for k, v in obj.items() if k not in ("dialogue_id", "dialog_id", "services", "turns")}
+    return Dialog(id=str(dialog_id), services=services, turns=turns, extras=dialog_extras)
+
+
+def _slow_native_row(obj: dict) -> Dialog | dict:
+    if "meta" in obj:
+        return {"split_name": "train", "source_format": "native", **obj["meta"]}
+    return slow_dialog_from_json(obj)
+
+
+def slow_load_corpus(path: str, format: str = "native") -> Corpus:
+    """``corpus.load_corpus``: decode every dialog with copies, then validate the whole corpus."""
+    if format == "native":
+        rows = list(iter_jsonl(path, _slow_native_row))
+        default = {"split_name": "train", "source_format": "native"}
+        meta = rows.pop(0) if rows and isinstance(rows[0], dict) else default
+        if any(isinstance(row, dict) for row in rows):
+            raise SchemaMismatch(f"{path}: only the first row may be a meta header")
+        corpus = Corpus(dialogs=rows, split_name=meta["split_name"], source_format=meta["source_format"])
+    else:
+        dialogs = []
+        for file_path in _schema_guided_files(path):
+            payload = read_json(str(file_path))
+            if not isinstance(payload, list):
+                raise SchemaMismatch(f"{file_path}: expected a list of dialogs")
+            dialogs.extend(_slow_dialog_from_schema_guided(obj, str(file_path)) for obj in payload)
+        corpus = Corpus(dialogs=dialogs, split_name=_infer_split(path), source_format=format)
+    slow_validate_corpus(corpus)
+    return corpus

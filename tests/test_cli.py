@@ -60,6 +60,25 @@ _EXAMPLE = json.dumps({
     "candidates": [{"domain": "hotel", "name": "a"}, {"domain": "hotel", "name": "b"}], "target_names": ["a"],
 })
 
+
+def _example(count: int) -> str:
+    candidates = [{"domain": "hotel", "name": f"n{i}"} for i in range(count)]
+    return json.dumps({**json.loads(_EXAMPLE), "user": "n0", "candidates": candidates, "target_names": ["n0"][:count]})
+
+
+def _record(count: int, skipped_reason: str | None = None) -> str:
+    candidates = [{"domain": "hotel", "name": f"n{i}"} for i in range(count)]
+    return json.dumps({"dialog_id": "d1", "turn_index": 1, "original_system": "s", "new_system": "s",
+                       "user_prefix": "n0", "original_user": "u", "candidates": candidates,
+                       "target": {"domain": "hotel", "name": "n0"}, "skipped_reason": skipped_reason})
+
+
+_PREDICTION = {"dialog_id": "synth-000000", "turn_index": 0, "entities": ["a"]}
+
+# A native corpus whose slot value is a string where a list belongs.
+_SLOT_VALUE_NOT_A_LIST = json.dumps({"id": "d1", "services": ["hotel"], "turns": [
+    {"speaker": "USER", "utterance": "hi", "frames": [{"service": "hotel", "slot_values": {"hotel-area": "north"}}]}]})
+
 # Each case: the files to create under tmp_path, then argv.  An argv token
 # naming one of those files becomes its path, OUT becomes an unused path under
 # tmp_path, and DB, GRAMMAR and TOY become the shipped files.
@@ -95,6 +114,24 @@ _MALFORMED_INPUTS = {
     "augment-allow-list-not-json": (
         {"allow.json": "["},
         ["augment", "--in", TOY, "--db", DB, "--grammar", GRAMMAR, "--allow-list", "allow.json", "--out", "OUT"]),
+    "augment-slot-value-not-a-list": (
+        {"in.jsonl": _SLOT_VALUE_NOT_A_LIST + "\n"},
+        ["augment", "--in", "in.jsonl", "--db", DB, "--grammar", GRAMMAR, "--out", "OUT"]),
+    **{f"resolve-{kind}-{count}-candidates": (
+        {"in.jsonl": (_EXAMPLE if kind == "examples" else _record(2)) + "\n" + make(count) + "\n"},
+        ["resolve", "--in", "in.jsonl", "--kind", kind, "--out", "OUT"])
+       for kind, make in (("examples", _example), ("records", _record)) for count in (0, 6)},
+    **{f"score-preds-{name}": (
+        {"preds.jsonl": json.dumps({**_PREDICTION, **change}) + "\n", "gold.jsonl": _EXAMPLE + "\n"},
+        ["score", "--preds", "preds.jsonl", "--gold", "gold.jsonl"])
+       for name, change in (("turn-index-float", {"turn_index": 0.9}), ("turn-index-bool", {"turn_index": False}),
+                            ("entities-string", {"entities": "abc"}),
+                            ("state-value-string", {"state": {"hotel-area": "north"}}))},
+    "synth-methods-empty": (
+        {}, ["synth", "--db", DB, "--grammar", GRAMMAR, "--per-method", "1,1,1", "--methods", ",", "--out", "OUT"]),
+    "synth-splits-bogus": (
+        {}, ["synth", "--db", DB, "--grammar", GRAMMAR, "--per-method", "1,1,1", "--splits", "test,bogus",
+             "--out", "OUT"]),
 }
 
 
@@ -111,6 +148,7 @@ def test_malformed_input_is_a_validation_error(capsys, tmp_path, repo_root, file
     assert err.startswith("error:")
     assert "Traceback" not in err
     assert {name: _digest(path) for name, path in paths.items()} == before
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["synth", "augment"])
@@ -360,6 +398,15 @@ class TestResolveAndScore:
         assert report["counts"]["turns_with_gold_targets"] == 30
         assert set(report["per_method"]) == {"exact", "positional", "partial", "typo", "multiple", "attribute"}
         assert report["entity_accuracy_all"] >= 0.9
+
+    def test_skipped_records_are_not_resolved(self, capsys, tmp_path):
+        records = tmp_path / "records.jsonl"
+        records.write_text(_record(7, "not_enough_entities") + "\n" + _record(2) + "\n", encoding="utf-8")
+        preds = tmp_path / "preds.jsonl"
+        code, _, err = _run(capsys, "resolve", "--in", str(records), "--out", str(preds))
+        assert code == 0, err
+        assert [json.loads(line) for line in preds.read_text().splitlines()] == [
+            {"dialog_id": "d1", "turn_index": 1, "entities": ["n0"]}]
 
     def test_records_pipeline(self, capsys, tmp_path, repo_root):
         augmented = tmp_path / "aug"

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import json
+import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from disambig.augmenter import AUGMENT_METHODS, augment_corpus
 from disambig.corpus import (
     Corpus,
     Database,
@@ -21,6 +24,10 @@ from disambig.corpus import (
     write_database,
 )
 from disambig.errors import NotEnoughEntities, SchemaMismatch, UnknownDomain
+from disambig.metrics import PredictionRow, score
+from disambig.resolver import predict_names
+
+from .oracles import slow_load_corpus
 
 SGD_DIALOG = {
     "dialogue_id": "1_00000",
@@ -72,6 +79,19 @@ SGD_DIALOG = {
                 }
             ],
         },
+    ],
+}
+
+MULTIWOZ_DIALOG = {
+    "dialogue_id": "PMUL0001.json",
+    "services": ["restaurant"],
+    "turns": [
+        {"speaker": "USER", "utterance": "food please", "turn_id": "0",
+         "frames": [{"service": "restaurant",
+                     "state": {"active_intent": "find_restaurant", "requested_slots": [],
+                               "slot_values": {"restaurant-food": ["indian"]}},
+                     "slots": []}]},
+        {"speaker": "SYSTEM", "utterance": "how about the curry house?", "turn_id": "1", "frames": []},
     ],
 }
 
@@ -184,6 +204,17 @@ class TestNativeRoundTrip:
         assert len(toy_corpus.dialogs) == 50
 
 
+def _tiny_row() -> dict:
+    """The native row of the tiny corpus's dialog, in fresh containers."""
+    return json.loads(json.dumps(_tiny_corpus().dialogs[0].to_json()))
+
+
+def _write_native(path: Path, rows: list[dict], split: str = "train") -> Path:
+    meta = {"meta": {"split_name": split, "source_format": "native"}}
+    path.write_text("".join(json.dumps(row) + "\n" for row in [meta, *rows]), encoding="utf-8")
+    return path
+
+
 class TestValidation:
     def test_duplicate_dialog_ids(self, tmp_path):
         corpus = _tiny_corpus()
@@ -194,40 +225,200 @@ class TestValidation:
             load_corpus(str(path))
 
     def test_speakers_must_alternate(self):
-        from disambig.corpus import validate_corpus
-
-        corpus = _tiny_corpus()
-        corpus.dialogs[0].turns.append(Turn(speaker="SYSTEM", utterance="again"))
+        row = _tiny_row()
+        row["turns"].append({"speaker": "SYSTEM", "utterance": "again"})
         with pytest.raises(SchemaMismatch, match="alternate"):
-            validate_corpus(corpus)
+            Dialog.from_json(row)
 
     def test_user_turns_cannot_carry_results(self):
-        from disambig.corpus import validate_corpus
-
-        corpus = _tiny_corpus()
-        corpus.dialogs[0].turns[0].search_results = [Entity(domain="hotel", name="x y")]
+        row = _tiny_row()
+        row["turns"][0]["search_results"] = [{"domain": "hotel", "name": "x y"}]
         with pytest.raises(SchemaMismatch, match="search results"):
-            validate_corpus(corpus)
+            Dialog.from_json(row)
 
-    def test_frame_service_must_be_declared(self):
-        from disambig.corpus import validate_corpus
-
-        corpus = _tiny_corpus()
-        corpus.dialogs[0].turns[0].frames[0].service = "spaceport"
-        with pytest.raises(SchemaMismatch, match="spaceport"):
-            validate_corpus(corpus)
+    def test_frame_service_must_be_declared(self, tmp_path):
+        row = _tiny_row()
+        row["turns"][0]["frames"][0]["service"] = "spaceport"
+        path = _write_native(tmp_path / "bad.jsonl", [row])
+        expected = f"{path}: line 2: dialog 'd1' turn 0: frame service 'spaceport' not in dialog services"
+        with pytest.raises(SchemaMismatch, match=f"^{re.escape(expected)}$"):
+            load_corpus(str(path))
 
     def test_empty_slot_values_rejected(self):
-        from disambig.corpus import validate_corpus
-
-        corpus = _tiny_corpus()
-        corpus.dialogs[0].turns[0].frames[0].slot_values = {"hotel-area": [""]}
+        row = _tiny_row()
+        row["turns"][0]["frames"][0]["slot_values"] = {"hotel-area": [""]}
         with pytest.raises(SchemaMismatch, match="empty"):
-            validate_corpus(corpus)
+            Dialog.from_json(row)
 
     def test_entity_requires_name(self):
         with pytest.raises(SchemaMismatch):
             Entity(domain="hotel", name="")
+
+    @pytest.mark.parametrize("mutate, match", [
+        (lambda row: row.update(services="hotel"), "services: expected an array"),
+        (lambda row: row.update(extras=[["k", "v"]]), "extras: expected an object"),
+        (lambda row: row["turns"][0].update(extras=[["k", "v"]]), "turn 0: extras: expected an object"),
+        (lambda row: row["turns"][0]["frames"][0].update(extras=[]), "frame extras: expected an object"),
+        (lambda row: row["turns"][0]["frames"][0].update(requested_slots="area"), "requested_slots: expected an array"),
+        (lambda row: row["turns"][0]["frames"][0]["slot_values"].update({"hotel-area": "north"}),
+         "slot 'hotel-area': expected an array"),
+        (lambda row: row["turns"][1]["search_results"][0].update(attributes=[["area", "north"]]), "attributes"),
+    ], ids=["services", "dialog-extras", "turn-extras", "frame-extras", "requested-slots", "slot-values",
+            "entity-attributes"])
+    def test_wrong_containers_rejected(self, tmp_path, mutate, match):
+        row = _tiny_row()
+        mutate(row)
+        path = _write_native(tmp_path / "bad.jsonl", [row])
+        with pytest.raises(SchemaMismatch, match=f"^{re.escape(str(path))}: line 2: .*{match}"):
+            load_corpus(str(path))
+
+    def test_loaded_containers_are_the_decoded_ones(self):
+        row = _tiny_row()
+        dialog = Dialog.from_json(row)
+        frame = dialog.turns[0].frames[0]
+        assert dialog.services is row["services"] and dialog.extras is row["extras"]
+        assert frame.slot_values is row["turns"][0]["frames"][0]["slot_values"]
+        assert dialog.to_json() == _tiny_row()
+
+
+# Mutations of valid rows.  The parent's loader and the current one must give
+# equal corpora or the same error; "container" mutations, which the parent
+# coerced into a value, must now be rejected.
+_INVARIANT_MUTATIONS = ["none", "bad-speaker", "repeated-speaker", "user-results", "undeclared-service",
+                        "empty-slot-name", "bad-value", "missing-key", "duplicate-id"]
+_CONTAINER_MUTATIONS = ["services-string", "requested-string", "values-string"]
+_NATIVE_CONTAINER_MUTATIONS = ["extras-list", "attributes-list"]
+_SGD_NAME_FIELDS = {"hotels_1": "hotel_name", "restaurants_1": "restaurant_name"}
+
+
+@st.composite
+def _rows(draw, format: str) -> list[dict]:
+    """Valid rows in ``format``; the first turn of each dialog is a user turn
+    with at least one frame holding at least one slot."""
+    rows = []
+    for number in range(draw(st.integers(1, 3))):
+        services = draw(st.lists(st.sampled_from(sorted(_SGD_NAME_FIELDS)), min_size=1, max_size=2, unique=True))
+        turns = []
+        for index in range(draw(st.integers(2, 4))):
+            speaker = ("USER", "SYSTEM")[index % 2]
+            frames = []
+            for service in draw(st.lists(st.sampled_from(services), min_size=index == 0, max_size=2, unique=True)):
+                values = st.lists(st.sampled_from(["north", "4", "the palm"] + ([4] if format == "sgd" else [])),
+                                  min_size=1, max_size=2)
+                state = {"slot_values": draw(st.dictionaries(st.sampled_from(["area", "stars"]), values,
+                                                             min_size=index == 0, max_size=2)),
+                         "requested_slots": draw(st.lists(st.just("phone"), max_size=1))}
+                names = draw(st.lists(st.sampled_from(["the palm", "crown inn"]), max_size=2, unique=True))
+                if format == "native":
+                    frames.append({"service": service, **state, "extras": draw(st.sampled_from([{}, {"slots": []}]))})
+                    continue
+                frame = {"service": service, "slots": []}
+                if speaker == "USER":
+                    frame["state"] = {"active_intent": "Find", **state}
+                elif names:
+                    frame["service_results"] = [{_SGD_NAME_FIELDS[service]: name, "area": "north"} for name in names]
+                frames.append(frame)
+            turn = {"speaker": speaker, "utterance": f"u{index}", "frames": frames}
+            if format == "native":
+                turn["extras"] = draw(st.sampled_from([{}, {"turn_id": str(index)}]))
+                if speaker == "SYSTEM" and names:
+                    turn["search_results"] = [{"domain": services[0], "name": name, "attributes": {"area": "north"}}
+                                              for name in names]
+            turns.append(turn)
+        if format == "native":
+            rows.append({"id": f"d{number}", "services": services, "turns": turns, "extras": {}})
+        else:
+            rows.append({"dialogue_id": f"d{number}", "services": services, "turns": turns})
+    return rows
+
+
+@st.composite
+def _mutated(draw, format: str) -> tuple[list[dict], str, str]:
+    """Rows, the split to declare, and the mutation applied to them."""
+    rows = draw(_rows(format))
+    kinds = _INVARIANT_MUTATIONS + _CONTAINER_MUTATIONS
+    if format == "native":
+        kinds += ["bad-split"] + _NATIVE_CONTAINER_MUTATIONS
+    kind = draw(st.sampled_from(kinds))
+    dialog = draw(st.sampled_from(rows))
+    turns = dialog["turns"]
+    turn = draw(st.sampled_from(turns))
+    frame = turns[0]["frames"][0]
+    slot_values = frame["slot_values"] if format == "native" else frame["state"]["slot_values"]
+    slot = draw(st.sampled_from(sorted(slot_values)))
+    split = "bogus" if kind == "bad-split" else "test"
+    if kind == "bad-speaker":
+        turn["speaker"] = draw(st.sampled_from(["BOT", "user", 5, None]))
+    elif kind == "repeated-speaker":
+        index = draw(st.integers(1, len(turns) - 1))
+        turns[index]["speaker"] = turns[index - 1]["speaker"]
+    elif kind == "user-results":
+        if format == "native":
+            turns[0]["search_results"] = draw(st.sampled_from([[], [{"domain": dialog["services"][0], "name": "x"}]]))
+        else:
+            frame["service_results"] = [{_SGD_NAME_FIELDS[frame["service"]]: "the palm"}]
+    elif kind == "undeclared-service":
+        frame["service"] = "spaceport"
+    elif kind == "empty-slot-name":
+        slot_values[""] = ["north"]
+    elif kind == "bad-value":
+        slot_values[slot] = [draw(st.sampled_from(["", 5, None]))]
+    elif kind == "missing-key":
+        holders = [(dialog, ["id", "services", "turns", "extras"] if format == "native" else
+                    ["dialogue_id", "services", "turns"]),
+                   (turn, ["speaker", "utterance", "frames", "extras"]),
+                   (frame, ["service", "slot_values", "requested_slots", "extras"] if format == "native" else
+                    ["service", "state"])]
+        for other in turns:
+            for entity in other.get("search_results", []):
+                holders.append((entity, ["domain", "name", "attributes"]))
+            for raw_frame in other["frames"]:
+                for record in raw_frame.get("service_results", []):
+                    holders.append((record, [_SGD_NAME_FIELDS[raw_frame["service"]]]))
+        holder, keys = draw(st.sampled_from(holders))
+        holder.pop(draw(st.sampled_from([k for k in keys if k in holder] or ["absent"])), None)
+    elif kind == "duplicate-id":
+        rows.append(json.loads(json.dumps(rows[0])))
+    elif kind == "services-string":
+        dialog["services"] = dialog["services"][0]
+    elif kind == "requested-string":
+        (frame if format == "native" else frame["state"])["requested_slots"] = "phone"
+    elif kind == "values-string":
+        slot_values[slot] = "north"
+    elif kind == "extras-list":
+        draw(st.sampled_from([dialog, turn, frame]))["extras"] = [["k", "v"]]
+    elif kind == "attributes-list":
+        turns[1]["search_results"] = [{"domain": dialog["services"][0], "name": "x", "attributes": [["a", "b"]]}]
+    return rows, split, kind
+
+
+def _outcome(load, path: Path, format: str):
+    try:
+        return load(str(path), format=format)
+    except SchemaMismatch as exc:
+        return exc
+
+
+@settings(max_examples=200)
+@given(case=st.sampled_from(["native", "sgd"]).flatmap(lambda f: st.tuples(st.just(f), _mutated(f))))
+def test_decoding_matches_the_slow_reference(tmp_path_factory, case):
+    format, (rows, split, kind) = case
+    directory = tmp_path_factory.mktemp("decode")
+    if format == "native":
+        path = _write_native(directory / "corpus.jsonl", rows, split)
+    else:
+        path = directory / "dialogues_001.json"
+        path.write_text(json.dumps(rows), encoding="utf-8")
+    new = _outcome(load_corpus, path, format)
+    if kind in _CONTAINER_MUTATIONS + _NATIVE_CONTAINER_MUTATIONS:
+        assert isinstance(new, SchemaMismatch)
+        return
+    old = _outcome(slow_load_corpus, path, format)
+    if isinstance(old, Corpus):
+        assert new == old
+    else:
+        assert type(new) is type(old)
+        assert re.fullmatch(rf"({re.escape(str(path))}: line \d+: )?{re.escape(str(old))}", str(new))
 
 
 class TestSchemaGuidedAdapters:
@@ -259,25 +450,21 @@ class TestSchemaGuidedAdapters:
         assert again.dialogs == corpus.dialogs
 
     def test_multiwoz22_single_file(self, tmp_path):
-        dialog = {
-            "dialogue_id": "PMUL0001.json",
-            "services": ["restaurant"],
-            "turns": [
-                {"speaker": "USER", "utterance": "food please", "turn_id": "0",
-                 "frames": [{"service": "restaurant",
-                             "state": {"active_intent": "find_restaurant", "requested_slots": [],
-                                       "slot_values": {"restaurant-food": ["indian"]}},
-                             "slots": []}]},
-                {"speaker": "SYSTEM", "utterance": "how about the curry house?", "turn_id": "1", "frames": []},
-            ],
-        }
         path = tmp_path / "dev.json"
-        path.write_text(json.dumps([dialog]), encoding="utf-8")
+        path.write_text(json.dumps([MULTIWOZ_DIALOG]), encoding="utf-8")
         corpus = load_corpus(str(path), format="multiwoz22")
         assert corpus.split_name == "dev"
         assert corpus.dialogs[0].turns[0].frames[0].slot_values == {"restaurant-food": ["indian"]}
         assert corpus.dialogs[0].turns[0].extras["turn_id"] == "0"
         assert corpus.dialogs[0].turns[1].search_results is None
+
+    @pytest.mark.parametrize("dialog, format", [(SGD_DIALOG, "sgd"), (MULTIWOZ_DIALOG, "multiwoz22")])
+    def test_load_write_gives_back_the_input(self, tmp_path, dialog, format):
+        source = tmp_path / "dialogues_001.json"
+        source.write_text(json.dumps([dialog]), encoding="utf-8")
+        out = tmp_path / "rewritten.json"
+        write_corpus(load_corpus(str(source), format=format), str(out), format=format)
+        assert json.loads(out.read_text(encoding="utf-8")) == [dialog]
 
     def test_sgd_results_are_written_back_as_read(self, tmp_path):
         dialog = json.loads(json.dumps(SGD_DIALOG))
@@ -375,6 +562,26 @@ class TestSampleEntities:
     def test_unknown_domain(self, shipped_db):
         with pytest.raises(UnknownDomain):
             sample_entities(shipped_db, "submarines", 3, seed=0)
+
+
+def test_loaded_corpus_is_never_mutated(tmp_path, repo_root, shipped_db, shipped_grammar):
+    """Decoded dialogs hold the containers json.loads built, and augmented
+    dialogs share turns with them, so every later stage must leave them alone."""
+    corpus = load_corpus(str(repo_root / "data" / "toy_corpus.jsonl"))
+    before = [json.dumps(dialog.to_json(), sort_keys=True) for dialog in corpus.dialogs]
+    augmented, records, _ = augment_corpus(corpus, shipped_db, shipped_grammar, 3, methods=AUGMENT_METHODS)
+    preds = {}
+    for r in records:
+        if r.skipped_reason is None:
+            preds[(r.dialog_id, r.turn_index)] = PredictionRow(r.dialog_id, r.turn_index,
+                                                               predict_names(r.candidates, r.user_prefix))
+    assert score(preds, augmented, records).entity_accuracy_all is not None
+    upsampled = augmented.dialogs + [replace(dialog, id=f"{dialog.id}~up1") for dialog in augmented.dialogs]
+    for format in ("native", "sgd", "multiwoz22"):
+        write_corpus(corpus, str(tmp_path / f"corpus.{format}"), format=format)
+        write_corpus(Corpus(dialogs=upsampled), str(tmp_path / f"upsampled.{format}"), format=format)
+    after = [json.dumps(dialog.to_json(), sort_keys=True) for dialog in corpus.dialogs]
+    assert [dialog.id for dialog, old, new in zip(corpus.dialogs, before, after) if old != new] == []
 
 
 def test_name_key_normalization():
