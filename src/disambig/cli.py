@@ -2,9 +2,13 @@
 
 Subcommands: grammar-count, synth, augment, stats, upsample, resolve,
 score.  Every generating subcommand takes a seed (default 0) and is fully
-deterministic given its flags.  Exit codes:
-0 success, 1 validation error, 2 I/O error.  Diagnostics go to stderr; data
-goes to the declared output files (or stdout for the two query commands).
+deterministic given its flags.  ``synth`` and ``augment`` also take
+``--config FILE``, a JSON object whose keys mirror their flags: its values
+become the subcommand's argparse defaults and the command line is parsed
+again, so a flag given on the command line beats the config, and the config
+beats the flag's default.  Exit codes: 0 success, 1 validation error, 2 I/O
+error.  Diagnostics go to stderr; data goes to the declared output files
+(or stdout for the two query commands).
 """
 
 from __future__ import annotations
@@ -73,47 +77,41 @@ def _guard_outputs(inputs: list[str | None], outputs: list[str | None]) -> None:
             raise SchemaMismatch(f"output path {out!r} would overwrite an input")
 
 
-def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    """Fill the flags left off the command line from a JSON config whose keys
-    mirror flag names, then from the flags' defaults.
+def _config_defaults(path: str, parser: argparse.ArgumentParser) -> dict:
+    """The values of a JSON config whose keys mirror the flags of ``parser``,
+    keyed by destination, for ``parser.set_defaults``.
 
-    The command line beats the config, and the config beats the default:
-    ``build_parser`` parses with every value-taking flag defaulting to None
-    and keeps the real defaults in ``parser.late_defaults``, so None here
-    means "not given".  Each config value goes through its flag's own
+    Set as defaults and parsed again, they give "command line > config >
+    default" from argparse itself.  Each value goes through its flag's own
     ``type=`` parser and ``choices``, written as it would be on the command
     line (a list becomes comma-separated), so a config file can set nothing
-    that the flag itself would reject.  A flag that takes no value
-    (``--mix-methods``) takes a JSON ``true`` (as if given) or ``false`` (as
-    if left out), and nothing else.
+    that the flag itself would reject, even when the command line overrides
+    it.  A flag that takes no value (``--mix-methods``) takes a JSON ``true``
+    (as if given) or ``false`` (as if left out), and nothing else.
     """
-    overrides = read_json(args.config) if getattr(args, "config", None) else {}
+    overrides = read_json(path)
     if not isinstance(overrides, dict):
-        raise SchemaMismatch(f"{args.config}: config must be a JSON object")
-    flags = {action.dest: action for action in parser._actions if action.option_strings and hasattr(args, action.dest)}
+        raise SchemaMismatch(f"{path}: config must be a JSON object")
+    flags = {action.dest: action for action in parser._actions if action.option_strings and action.dest != "help"}
+    values = {}
     for key, value in overrides.items():
         action = flags.get(key.replace("-", "_"))
         if action is None:
             raise SchemaMismatch(f"config file key {key!r} matches no flag of this subcommand")
         if action.nargs == 0:
             if not isinstance(value, bool):
-                raise SchemaMismatch(f"{args.config}: key {key!r}: expected true or false, got {value!r}")
-            if value:
-                setattr(args, action.dest, action.const)
-            continue
-        if getattr(args, action.dest) is not None:
+                raise SchemaMismatch(f"{path}: key {key!r}: expected true or false, got {value!r}")
+            values[action.dest] = action.const if value else action.default
             continue
         text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
         try:
             parsed = action.type(text) if action.type else text
         except (argparse.ArgumentTypeError, ValueError) as exc:
-            raise SchemaMismatch(f"{args.config}: key {key!r}: {exc}") from exc
+            raise SchemaMismatch(f"{path}: key {key!r}: {exc}") from exc
         if action.choices is not None and parsed not in action.choices:
-            raise SchemaMismatch(f"{args.config}: key {key!r}: expected one of {sorted(action.choices)}, got {parsed!r}")
-        setattr(args, action.dest, parsed)
-    for dest, default in parser.late_defaults.items():
-        if getattr(args, dest) is None:
-            setattr(args, dest, default)
+            raise SchemaMismatch(f"{path}: key {key!r}: expected one of {sorted(action.choices)}, got {parsed!r}")
+        values[action.dest] = parsed
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -126,38 +124,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start", required=True, help="start symbol or rule name")
 
     p = sub.add_parser("synth", help="synthesize single-turn disambiguation datasets")
-    p.add_argument("--db", default=None, help="database JSON (default: data/database.json)")
-    p.add_argument("--grammar", default=None, help="grammar file (default: grammars/disambiguation.cfg)")
+    p.add_argument("--db", help="database JSON (default: data/database.json)")
+    p.add_argument("--grammar", help="grammar file (default: grammars/disambiguation.cfg)")
     p.add_argument("--out", required=True, help="output directory for train/dev/test JSONL")
-    p.add_argument("--total", type=_counts, default=None,
+    p.add_argument("--total", type=_counts,
                    help="split totals TRAIN,DEV,TEST with methods cycled (default 100000,10000,10000)")
-    p.add_argument("--per-method", type=_counts, default=None, help="per-method counts TRAIN,DEV,TEST")
-    p.add_argument("--methods", default=None,
-                   help="comma list among exact,positional,partial,typo,multiple,attribute")
+    p.add_argument("--per-method", type=_counts, help="per-method counts TRAIN,DEV,TEST")
+    p.add_argument("--methods", help="comma list among exact,positional,partial,typo,multiple,attribute")
     p.add_argument("--splits", default="train,dev,test", help="which splits to emit")
     p.add_argument("--seed", type=int, default=0, help="generation seed (default 0)")
-    p.add_argument("--threads", type=_threads, default=None,
-                   help="accepted and validated; has no effect, the work is GIL-bound")
-    p.add_argument("--config", default=None, help="JSON config mirroring these flags")
+    p.add_argument("--threads", type=_threads, help="accepted and validated; has no effect, the work is GIL-bound")
+    p.add_argument("--config", help="JSON config mirroring these flags")
 
     p = sub.add_parser("augment", help="inject disambiguation turns into a corpus")
     p.add_argument("--in", dest="input", required=True, help="input corpus")
     p.add_argument("--format", default="native", choices=["native", "sgd", "multiwoz22"])
-    p.add_argument("--db", default=None)
-    p.add_argument("--grammar", default=None)
+    p.add_argument("--db")
+    p.add_argument("--grammar")
     p.add_argument("--out", required=True, help="output directory (corpus.jsonl, records.jsonl, stats.json)")
-    p.add_argument("--allow-list", default=None, help="JSON file with a list of augmentable domains")
+    p.add_argument("--allow-list", help="JSON file with a list of augmentable domains")
     p.add_argument("--mix-methods", action="store_true",
                    help="vary the user-prefix addressing method instead of always using the exact name")
     p.add_argument("--seed", type=int, default=0, help="generation seed (default 0)")
-    p.add_argument("--threads", type=_threads, default=None,
-                   help="accepted and validated; has no effect, the work is GIL-bound")
-    p.add_argument("--config", default=None)
+    p.add_argument("--threads", type=_threads, help="accepted and validated; has no effect, the work is GIL-bound")
+    p.add_argument("--config")
 
     p = sub.add_parser("stats", help="multi-result proportions of a corpus")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--format", default="native", choices=["native", "sgd", "multiwoz22"])
-    p.add_argument("--out", default=None, help="write JSON here instead of stdout")
+    p.add_argument("--out", help="write JSON here instead of stdout")
 
     p = sub.add_parser("upsample", help="duplicate augmented dialogs up to a multiple of the corpus size")
     p.add_argument("--in", dest="input", required=True, help="augmented native corpus")
@@ -168,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("resolve", help="run the rule-based resolver over examples or records")
     p.add_argument("--in", dest="input", required=True, help="SingleTurnExample or AugmentationRecord JSONL")
     p.add_argument("--out", required=True, help="prediction JSONL")
-    p.add_argument("--kind", choices=["examples", "records"], default=None,
+    p.add_argument("--kind", choices=["examples", "records"],
                    help="input schema (default: sniffed from the first row)")
     p.add_argument("--max-fuzzy", type=_finite_float(0.0, 1.0), default=resolver.DEFAULT_MAX_FUZZY,
                    help="largest OSA distance / longer string length a fuzzy name match may have (0 to 1)")
@@ -176,16 +171,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("score", help="score a prediction file against gold")
     p.add_argument("--preds", required=True)
     p.add_argument("--gold", required=True, help="native corpus or SingleTurnExample JSONL")
-    p.add_argument("--records", default=None, help="records.jsonl defining the augmented subset")
-    p.add_argument("--out", default=None, help="write the report here instead of stdout")
-
-    # Defaults are applied after parsing, behind any --config value.
-    for p in sub.choices.values():
-        p.late_defaults = {
-            action.dest: action.default for action in p._actions
-            if action.option_strings and action.nargs != 0 and action.default not in (None, argparse.SUPPRESS)
-        }
-        p.set_defaults(**dict.fromkeys(p.late_defaults))
+    p.add_argument("--records", help="records.jsonl defining the augmented subset")
+    p.add_argument("--out", help="write the report here instead of stdout")
     return parser
 
 
@@ -211,14 +198,11 @@ def _parse_methods(text: str | None) -> tuple[synthesizer.AddressingMethod, ...]
 
 
 def _sniff_kind(path: str) -> str:
-    return "records" if "dialog_id" in first_row(path) else "examples"
-
-
-def _load_gold(path: str) -> corpus_mod.Corpus:
+    """What the first row of ``path`` shows the file to hold: "records", "examples" or else a native "corpus"."""
     row = first_row(path)
-    if "system" in row and "candidates" in row:
-        return synthesizer.examples_to_corpus(synthesizer.read_examples(path))
-    return corpus_mod.load_corpus(path, format="native")
+    if "dialog_id" in row:
+        return "records"
+    return "examples" if "system" in row and "candidates" in row else "corpus"
 
 
 def _write_json(obj, path: str | None) -> None:
@@ -316,32 +300,23 @@ def _cmd_upsample(args) -> int:
     return 0
 
 
-def _predict_row(args, row: int, candidates: list, utterance: str) -> list[str]:
-    """The resolver's names for the ``row``-th row of the input (counting from 1)."""
-    try:
-        return resolver.predict_names(candidates, utterance, max_fuzzy=args.max_fuzzy)
-    except ValueError as exc:  # a candidate pool the resolver cannot take
-        raise SchemaMismatch(f"{args.input}: row {row}: {exc}, got {len(candidates)}") from exc
-
-
 def _cmd_resolve(args) -> int:
     _guard_outputs([args.input], [args.out])
-    kind = args.kind or _sniff_kind(args.input)
-    rows: list[metrics.PredictionRow] = []
-    if kind == "examples":
-        for index, example in enumerate(synthesizer.read_examples(args.input)):
-            names = _predict_row(args, index + 1, example.candidates, example.user_utterance)
-            rows.append(metrics.PredictionRow(
-                dialog_id=synthesizer.example_dialog_id(index), turn_index=0, entities=names,
-            ))
+    # One (row number, prediction key, candidates, reply) per input row to resolve.
+    if (args.kind or _sniff_kind(args.input)) == "records":
+        items = ((row, (record.dialog_id, record.turn_index), record.candidates, record.user_prefix)
+                 for row, record in enumerate(augmenter.read_records(args.input), start=1)
+                 if record.skipped_reason is None)
     else:
-        for index, record in enumerate(augmenter.read_records(args.input)):
-            if record.skipped_reason is not None:
-                continue
-            names = _predict_row(args, index + 1, record.candidates, record.user_prefix)
-            rows.append(metrics.PredictionRow(
-                dialog_id=record.dialog_id, turn_index=record.turn_index, entities=names,
-            ))
+        items = ((row, (synthesizer.example_dialog_id(row - 1), 0), example.candidates, example.user_utterance)
+                 for row, example in enumerate(synthesizer.read_examples(args.input), start=1))
+    rows: list[metrics.PredictionRow] = []
+    for row, (dialog_id, turn_index), candidates, reply in items:
+        try:
+            names = resolver.predict_names(candidates, reply, max_fuzzy=args.max_fuzzy)
+        except ValueError as exc:  # a candidate pool the resolver cannot take
+            raise SchemaMismatch(f"{args.input}: row {row}: {exc}, got {len(candidates)}") from exc
+        rows.append(metrics.PredictionRow(dialog_id=dialog_id, turn_index=turn_index, entities=names))
     metrics.write_predictions(rows, args.out)
     _log(f"resolved {len(rows)} rows from {args.input}")
     return 0
@@ -350,7 +325,10 @@ def _cmd_resolve(args) -> int:
 def _cmd_score(args) -> int:
     _guard_outputs([args.preds, args.gold, args.records], [args.out])
     preds = metrics.read_predictions(args.preds)
-    gold = _load_gold(args.gold)
+    if _sniff_kind(args.gold) == "examples":
+        gold = synthesizer.examples_to_corpus(synthesizer.read_examples(args.gold))
+    else:
+        gold = corpus_mod.load_corpus(args.gold, format="native")
     records = augmenter.read_records(args.records) if args.records else None
     _write_json(metrics.score(preds, gold, records).to_json(), args.out)
     return 0
@@ -374,7 +352,10 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        _apply_config_file(args, parser.subcommands[args.command])
+        if getattr(args, "config", None):
+            subparser = parser.subcommands[args.command]
+            subparser.set_defaults(**_config_defaults(args.config, subparser))
+            args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
     except DisambigError as exc:
         _log(f"error: {exc}")

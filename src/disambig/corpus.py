@@ -8,7 +8,8 @@ rows; fields the model does not cover ride along in opaque ``extras`` blobs,
 so writing back is lossless.  Both formats go through ``Dialog.from_json``,
 which keeps the lists and dicts ``json.loads`` built and checks each turn as
 it is appended: a broken invariant or a container of the wrong type raises
-SchemaMismatch (naming the file and line for JSONL) instead of being coerced.
+SchemaMismatch (naming the file and line for JSONL, the file and the
+dialog's index for SGD and MultiWOZ) instead of being coerced.
 
 The per-domain entity store is a JSON document::
 
@@ -145,6 +146,8 @@ class Dialog:
         """Decode a native row, adopting its containers and checking each turn as it is appended."""
         try:
             dialog = cls(id=obj["id"], services=obj["services"], turns=[], extras=obj.get("extras", {}))
+            if not isinstance(dialog.id, str):  # prediction keys, which must match it, are strings
+                raise SchemaMismatch(f"dialog id {dialog.id!r:.60}: expected a string")
             _expect(dialog.services, list, f"dialog {dialog.id!r} services")
             _expect(dialog.extras, dict, f"dialog {dialog.id!r} extras")
             for raw_turn in obj["turns"]:
@@ -323,8 +326,12 @@ def _schema_guided_dialogs(path: str) -> Iterator[Dialog]:
         payload = read_json(str(file_path))
         if not isinstance(payload, list):
             raise SchemaMismatch(f"{file_path}: expected a list of dialogs")
-        for obj in payload:
-            yield Dialog.from_json(_native_dialog_row(obj, str(file_path)))
+        for index, obj in enumerate(payload):
+            try:
+                row = _native_dialog_row(obj, str(file_path))
+            except (AttributeError, TypeError) as exc:  # a JSON value of the wrong type
+                raise SchemaMismatch(f"{file_path}: dialog at index {index}: {exc}") from exc
+            yield Dialog.from_json(row)
 
 
 def _native_dialog_row(obj: dict, where: str) -> dict:

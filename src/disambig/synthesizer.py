@@ -386,7 +386,7 @@ def example_dialog_id(index: int) -> str:
     return f"synth-{index:06d}"
 
 
-def examples_to_corpus(examples: list[SingleTurnExample], split_name: str = "test") -> Corpus:
+def examples_to_corpus(examples: list[SingleTurnExample]) -> Corpus:
     """View a synthesized file as a two-turn-dialog corpus for the scoring
     harness; the system turn carries the gold marker in its extras."""
     dialogs = []
@@ -408,4 +408,4 @@ def examples_to_corpus(examples: list[SingleTurnExample], split_name: str = "tes
         dialogs.append(
             Dialog(id=example_dialog_id(index), services=[example.domain], turns=[system_turn, user_turn])
         )
-    return Corpus(dialogs=dialogs, split_name=split_name, source_format="native")
+    return Corpus(dialogs=dialogs, split_name="test", source_format="native")

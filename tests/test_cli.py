@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from disambig import cli
 from disambig.cli import run
 from disambig.corpus import load_corpus, write_corpus
 
@@ -79,6 +80,13 @@ _PREDICTION = {"dialog_id": "synth-000000", "turn_index": 0, "entities": ["a"]}
 _SLOT_VALUE_NOT_A_LIST = json.dumps({"id": "d1", "services": ["hotel"], "turns": [
     {"speaker": "USER", "utterance": "hi", "frames": [{"service": "hotel", "slot_values": {"hotel-area": "north"}}]}]})
 
+
+def _sgd_dialog(frame: object) -> dict:
+    """A one-turn schema-guided dialog whose only frame is ``frame``."""
+    return {"dialogue_id": "d1", "services": ["hotels_1"],
+            "turns": [{"speaker": "USER", "utterance": "hi", "frames": [frame]}]}
+
+
 # Each case: the files to create under tmp_path, then argv.  An argv token
 # naming one of those files becomes its path, OUT becomes an unused path under
 # tmp_path, and DB, GRAMMAR and TOY become the shipped files.
@@ -105,6 +113,8 @@ _MALFORMED_INPUTS = {
         {"config.json": '{"total": "abc"}'}, ["synth", "--config", "config.json", "--out", "OUT"]),
     "synth-config-threads-zero": (
         {"config.json": '{"threads": 0}'}, ["synth", "--config", "config.json", "--out", "OUT"]),
+    "synth-config-threads-zero-overridden": (
+        {"config.json": '{"threads": 0}'}, ["synth", "--config", "config.json", "--threads", "2", "--out", "OUT"]),
     "augment-config-flag-not-bool": (
         {"config.json": '{"mix-methods": "false"}'},
         ["augment", "--in", TOY, "--db", DB, "--grammar", GRAMMAR, "--config", "config.json", "--out", "OUT"]),
@@ -127,6 +137,13 @@ _MALFORMED_INPUTS = {
        for name, change in (("turn-index-float", {"turn_index": 0.9}), ("turn-index-bool", {"turn_index": False}),
                             ("entities-string", {"entities": "abc"}),
                             ("state-value-string", {"state": {"hotel-area": "north"}}))},
+    **{f"stats-sgd-{name}": ({"in.json": json.dumps(payload)}, ["stats", "--format", "sgd", "--in", "in.json"])
+       for name, payload in (("frame-not-an-object", [_sgd_dialog(1)]),
+                             ("state-not-an-object", [_sgd_dialog({"service": "hotels_1", "state": []})]),
+                             ("dialog-not-an-object", [1]))},
+    **{f"stats-id-{name}": ({"in.jsonl": json.dumps({"id": value, "services": [], "turns": []}) + "\n"},
+                            ["stats", "--in", "in.jsonl"])
+       for name, value in (("list", ["a"]), ("int", 3))},
     "synth-methods-empty": (
         {}, ["synth", "--db", DB, "--grammar", GRAMMAR, "--per-method", "1,1,1", "--methods", ",", "--out", "OUT"]),
     "synth-splits-bogus": (
@@ -149,6 +166,46 @@ def test_malformed_input_is_a_validation_error(capsys, tmp_path, repo_root, file
     assert "Traceback" not in err
     assert {name: _digest(path) for name, path in paths.items()} == before
     assert not (tmp_path / "out").exists()
+
+
+# Every value-taking flag of synth and augment that --config may set, except
+# the required ones: (command, flag, default, (text, JSON, parsed) twice).
+_CONFIGURABLE_FLAGS = [
+    *((command, flag, None, ("a.json", "a.json", "a.json"), ("b.json", "b.json", "b.json"))
+      for command in ("synth", "augment") for flag in ("db", "grammar")),
+    *((command, "seed", 0, ("7", 7, 7), ("9", 9, 9)) for command in ("synth", "augment")),
+    *((command, "threads", None, ("2", 2, 2), ("8", 8, 8)) for command in ("synth", "augment")),
+    ("synth", "total", None, ("3,0,5", [3, 0, 5], (3, 0, 5)), ("7", 7, (7, 7, 7))),
+    ("synth", "per-method", None, ("2,0,0", [2, 0, 0], (2, 0, 0)), ("0,1,4", "0,1,4", (0, 1, 4))),
+    ("synth", "methods", None, ("exact,typo", "exact,typo", "exact,typo"), ("partial", "partial", "partial")),
+    ("synth", "splits", "train,dev,test", ("test", "test", "test"), ("train,dev", ["train", "dev"], "train,dev")),
+    ("augment", "format", "native", ("sgd", "sgd", "sgd"), ("multiwoz22", "multiwoz22", "multiwoz22")),
+    ("augment", "allow-list", None, ("a.json", "a.json", "a.json"), ("b.json", "b.json", "b.json")),
+]
+
+
+@pytest.mark.parametrize("command, flag, default, first, second", _CONFIGURABLE_FLAGS,
+                         ids=[f"{command}-{flag}" for command, flag, *_ in _CONFIGURABLE_FLAGS])
+def test_config_precedence(monkeypatch, tmp_path, command, flag, default, first, second):
+    parsed = []
+    monkeypatch.setitem(cli._COMMANDS, command, lambda args: parsed.append(args) or 0)
+    dest = flag.replace("-", "_")
+    required = ["--out", "o"] + (["--in", "in.jsonl"] if command == "augment" else [])
+
+    def value_of(*extra: str, config: dict | None = None):
+        argv = [command, *required, *extra]
+        if config is not None:
+            (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+            argv += ["--config", str(tmp_path / "config.json")]
+        assert run(argv) == 0
+        return getattr(parsed.pop(), dest)
+
+    (text, config_value, value), (other_text, _, other_value) = first, second
+    assert value_of(f"--{flag}", text) == value
+    assert value_of(config={flag: config_value}) == value
+    assert value_of(f"--{flag}", other_text, config={flag: config_value}) == other_value
+    assert value_of(config={}) == default
+    assert value_of() == default
 
 
 @pytest.mark.parametrize("command", ["synth", "augment"])
