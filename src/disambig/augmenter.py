@@ -12,20 +12,15 @@ idempotence guard and as the gold label for scoring.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 
-from .corpus import Corpus, Database, Dialog, Entity, SYSTEM, USER, name_key
+from .corpus import SYSTEM, Corpus, Database, Dialog, Entity, _expect, name_key
 from .errors import SchemaMismatch
 from .grammar import Grammar
 from .jsonl import iter_jsonl, write_jsonl
-from .seeding import derive_seed, rng_for
-from .synthesizer import (
-    AddressingMethod,
-    CANDIDATE_COUNTS,
-    apply_addressing,
-    build_system_utterance,
-    build_user_utterance,
-)
+from .seeding import rng_for
+from .synthesizer import CANDIDATE_COUNTS, AddressingMethod, build_exchange
 
 # Domains eligible for augmentation: only those whose entries name a specific
 # target entity (a hotel, a movie, ...), never request-any domains like taxi.
@@ -86,6 +81,8 @@ class AugmentationRecord:
 
     @classmethod
     def from_json(cls, obj: dict) -> "AugmentationRecord":
+        for key, kind in (("dialog_id", str), ("turn_index", int), ("user_prefix", str)):
+            _expect(obj[key], kind, key)
         return cls(
             dialog_id=obj["dialog_id"],
             turn_index=obj["turn_index"],
@@ -205,66 +202,45 @@ def augment_dialog(
         base = (dialog.id, turn_index, seed)
         system_turn = turns[turn_index]
         user_turn = turns[turn_index + 1]
-
         count = rng_for("augment.count", *base).choice(CANDIDATE_COUNTS)
         accepted_key = name_key(accepted.name)
         others = [e for e in db.tables[accepted.domain] if name_key(e.name) != accepted_key]
-        if len(others) < count - 1:
-            records.append(
-                AugmentationRecord(
-                    dialog_id=dialog.id,
-                    turn_index=turn_index,
-                    original_system=system_turn.utterance,
-                    new_system=system_turn.utterance,
-                    user_prefix="",
-                    original_user=user_turn.utterance,
-                    candidates=pool,
-                    target=accepted,
-                    skipped_reason=SKIP_NOT_ENOUGH_ENTITIES,
-                )
+        skipped_reason = SKIP_NOT_ENOUGH_ENTITIES if len(others) < count - 1 else None
+        candidates, new_system, prefix = pool, system_turn.utterance, ""
+        if skipped_reason is None:
+            fill_rng = rng_for("augment.fill", *base)
+            candidates = fill_rng.sample(others, count - 1)
+            position = fill_rng.randrange(count)
+            candidates.insert(position, accepted)
+            method = methods[rng_for("augment.method", *base).randrange(len(methods))]
+            new_system, answer = build_exchange(
+                grammar, candidates, [position], method, db.noun(accepted.domain), "augment", base
             )
-            continue
-
-        fill_rng = rng_for("augment.fill", *base)
-        candidates = fill_rng.sample(others, count - 1)
-        position = fill_rng.randrange(count)
-        candidates.insert(position, accepted)
-
-        method = methods[rng_for("augment.method", *base).randrange(len(methods))]
-        noun = db.noun(accepted.domain)
-        new_system = build_system_utterance(grammar, candidates, noun, derive_seed("augment.system", *base))
-        mention = apply_addressing(
-            candidates, [position], method, derive_seed("augment.mention", *base),
-            grammar=grammar, domain_noun=noun,
-        )
-        prefix = _ensure_sentence_final(build_user_utterance(grammar, mention, derive_seed("augment.user", *base)))
-
-        marker = {
-            "origin": "augment",
-            "method": method.value,
-            "target_names": [accepted.name],
-            "candidate_names": [e.name for e in candidates],
-            "user_prefix": prefix,
-        }
-        turns[turn_index] = replace(
-            system_turn, utterance=new_system, extras={**system_turn.extras, "disambig": marker}
-        )
-        turns[turn_index + 1] = replace(
-            user_turn, utterance=prefix + " " + user_turn.utterance, extras=dict(user_turn.extras)
-        )
-
-        records.append(
-            AugmentationRecord(
-                dialog_id=dialog.id,
-                turn_index=turn_index,
-                original_system=system_turn.utterance,
-                new_system=new_system,
-                user_prefix=prefix,
-                original_user=user_turn.utterance,
-                candidates=candidates,
-                target=accepted,
+            prefix = _ensure_sentence_final(answer)
+            marker = {
+                "origin": "augment",
+                "method": method.value,
+                "target_names": [accepted.name],
+                "candidate_names": [e.name for e in candidates],
+                "user_prefix": prefix,
+            }
+            turns[turn_index] = replace(
+                system_turn, utterance=new_system, extras={**system_turn.extras, "disambig": marker}
             )
-        )
+            turns[turn_index + 1] = replace(
+                user_turn, utterance=prefix + " " + user_turn.utterance, extras=dict(user_turn.extras)
+            )
+        records.append(AugmentationRecord(
+            dialog_id=dialog.id,
+            turn_index=turn_index,
+            original_system=system_turn.utterance,
+            new_system=new_system,
+            user_prefix=prefix,
+            original_user=user_turn.utterance,
+            candidates=candidates,
+            target=accepted,
+            skipped_reason=skipped_reason,
+        ))
     return replace(dialog, turns=turns), records
 
 
@@ -288,20 +264,14 @@ def augment_corpus(
         new_dialog, records = augment_dialog(dialog, db, grammar, seed, allowed, methods)
         new_dialogs.append(new_dialog)
         all_records.extend(records)
-        applied = [r for r in records if r.skipped_reason is None]
+        applied = Counter(r.target.domain for r in records if r.skipped_reason is None)
         stats.turns_total += len(dialog.turns)
-        stats.turns_modified += len(applied)
-        if applied:
-            stats.dialogs_modified += 1
-        touched_domains = set()
-        for record in applied:
-            domain_stats = stats.per_domain.setdefault(
-                record.target.domain, {"dialogs_modified": 0, "turns_modified": 0}
-            )
-            domain_stats["turns_modified"] += 1
-            touched_domains.add(record.target.domain)
-        for domain in touched_domains:
-            stats.per_domain[domain]["dialogs_modified"] += 1
+        stats.turns_modified += applied.total()
+        stats.dialogs_modified += bool(applied)
+        for domain, turns_modified in applied.items():
+            domain_stats = stats.per_domain.setdefault(domain, {"dialogs_modified": 0, "turns_modified": 0})
+            domain_stats["dialogs_modified"] += 1
+            domain_stats["turns_modified"] += turns_modified
     new_corpus = Corpus(dialogs=new_dialogs, split_name=corpus.split_name, source_format=corpus.source_format)
     return new_corpus, all_records, stats
 

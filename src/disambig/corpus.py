@@ -58,6 +58,7 @@ class Entity:
     attributes: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        _expect(self.name, str, "entity name")
         if not self.name:
             raise SchemaMismatch(f"entity in domain {self.domain!r} has an empty name")
         _expect(self.attributes, dict, f"entity {self.name!r} attributes")
@@ -146,8 +147,7 @@ class Dialog:
         """Decode a native row, adopting its containers and checking each turn as it is appended."""
         try:
             dialog = cls(id=obj["id"], services=obj["services"], turns=[], extras=obj.get("extras", {}))
-            if not isinstance(dialog.id, str):  # prediction keys, which must match it, are strings
-                raise SchemaMismatch(f"dialog id {dialog.id!r:.60}: expected a string")
+            _expect(dialog.id, str, "dialog id")  # prediction keys, which must match it, are strings
             _expect(dialog.services, list, f"dialog {dialog.id!r} services")
             _expect(dialog.extras, dict, f"dialog {dialog.id!r} extras")
             for raw_turn in obj["turns"]:
@@ -157,9 +157,13 @@ class Dialog:
             raise SchemaMismatch(f"dialog record missing key {exc}") from exc
 
 
+_KIND_NAMES = {list: "an array", dict: "an object", str: "a string", int: "an integer"}
+
+
 def _expect(value, kind: type, what: str) -> None:
-    if not isinstance(value, kind):
-        raise SchemaMismatch(f"{what}: expected {'an array' if kind is list else 'an object'}, got {value!r:.60}")
+    """Raise SchemaMismatch unless ``value`` is a JSON value of ``kind`` (a bool is not an integer)."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise SchemaMismatch(f"{what}: expected {_KIND_NAMES[kind]}, got {value!r:.60}")
 
 
 def _append_turn(dialog: Dialog, turn: Turn) -> None:
@@ -172,6 +176,7 @@ def _append_turn(dialog: Dialog, turn: Turn) -> None:
         raise SchemaMismatch(f"{where}: speakers do not alternate")
     if turn.speaker == USER and turn.search_results is not None:
         raise SchemaMismatch(f"{where}: user turns cannot carry search results")
+    _expect(turn.utterance, str, f"{where}: utterance")
     _expect(turn.extras, dict, f"{where}: extras")
     for frame in turn.frames:
         if frame.service not in dialog.services:
@@ -341,6 +346,7 @@ def _native_dialog_row(obj: dict, where: str) -> dict:
     dialog_id = obj.get("dialogue_id") or obj.get("dialog_id")
     if not dialog_id:
         raise SchemaMismatch(f"{where}: dialog without a dialogue_id")
+    _expect(dialog_id, str, f"{where}: dialogue_id")
     turns = []
     for raw_turn in obj["turns"]:
         try:
@@ -369,7 +375,7 @@ def _native_dialog_row(obj: dict, where: str) -> dict:
             turn["search_results"] = results
         turns.append(turn)
     extras = {k: v for k, v in obj.items() if k not in ("dialogue_id", "dialog_id", "services", "turns")}
-    return {"id": str(dialog_id), "services": obj.get("services", []), "turns": turns, "extras": extras}
+    return {"id": dialog_id, "services": obj.get("services", []), "turns": turns, "extras": extras}
 
 
 def _entity_to_result(entity: Entity) -> dict:

@@ -19,6 +19,7 @@ finite, exactly countable language.
 
 from __future__ import annotations
 
+import graphlib
 import re
 from dataclasses import dataclass
 
@@ -168,27 +169,14 @@ def _validate(grammar: Grammar) -> None:
 
 
 def _check_acyclic(grammar: Grammar) -> None:
-    # Colors: 0 unvisited, 1 on stack, 2 done.  Raises with the offending path.
-    color: dict[str, int] = {}
-
-    def visit(name: str, path: list[str]) -> None:
-        state = color.get(name, 0)
-        if state == 2:
-            return
-        if state == 1:
-            cycle = path[path.index(name):] + [name]
-            raise CyclicGrammar(cycle)
-        color[name] = 1
-        path.append(name)
-        for alt in grammar.rules[name]:
-            for symbol in alt:
-                if isinstance(symbol, Nonterminal):
-                    visit(symbol.name, path)
-        path.pop()
-        color[name] = 2
-
-    for rule_name in grammar.rules:
-        visit(rule_name, [])
+    # Each rule's predecessors are the nonterminals it refers to, so a cycle
+    # comes back against reference order.
+    graph = {name: [s.name for alt in alts for s in alt if isinstance(s, Nonterminal)]
+             for name, alts in grammar.rules.items()}
+    try:
+        graphlib.TopologicalSorter(graph).prepare()
+    except graphlib.CycleError as exc:
+        raise CyclicGrammar(exc.args[1][::-1]) from None
 
 
 def sample(grammar: Grammar, start: str, seed: int) -> Template:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 
 from .augmenter import AugmentationRecord
-from .corpus import Corpus, USER, name_key
+from .corpus import USER, Corpus, _expect, name_key
 from .errors import MissingPrediction, SchemaMismatch, UnknownSubsetTurn
 from .jsonl import iter_jsonl, write_jsonl
 from .resolver import normalize
@@ -49,13 +49,15 @@ class PredictionRow:
         """A row read from a prediction file; its types are checked, not coerced."""
         row = cls(dialog_id=obj["dialog_id"], turn_index=obj["turn_index"], entities=obj.get("entities", []),
                   state=obj.get("state"))
-        if type(row.turn_index) is not int:
-            raise SchemaMismatch(f"turn_index: expected an integer, got {row.turn_index!r}")
-        if not isinstance(row.entities, list):
-            raise SchemaMismatch(f"entities: expected an array, got {row.entities!r:.60}")
+        _expect(row.dialog_id, str, "dialog_id")
+        _expect(row.turn_index, int, "turn_index")
+        _expect(row.entities, list, "entities")
+        for name in row.entities:
+            _expect(name, str, "entities item")
         for slot, values in ({} if row.state is None else row.state).items():
-            if not isinstance(values, list):
-                raise SchemaMismatch(f"state slot {slot!r}: expected an array, got {values!r:.60}")
+            _expect(values, list, f"state slot {slot!r}")
+            for value in values:
+                _expect(value, str, f"state slot {slot!r} value")
         return row
 
 

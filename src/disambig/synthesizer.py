@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
-from .corpus import Corpus, Database, Dialog, Entity, Frame, Turn, SYSTEM, USER, name_key, sample_entities
+from .corpus import SYSTEM, USER, Corpus, Database, Dialog, Entity, Frame, Turn, _expect, name_key, sample_entities
 from .errors import (
     GrammarMissingStart,
     InvalidTargetArity,
@@ -96,6 +96,8 @@ class SingleTurnExample:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SingleTurnExample":
+        for key in ("system", "user"):
+            _expect(obj[key], str, key)
         candidates = [Entity.from_json(e) for e in obj["candidates"]]
         by_key = {name_key(e.name): i for i, e in enumerate(candidates)}
         targets = [by_key[name_key(name)] for name in obj["target_names"]]
@@ -283,6 +285,21 @@ def build_user_utterance(grammar: Grammar, mention: str, seed: int) -> str:
     return fill(template, {"mention": mention})
 
 
+def build_exchange(grammar: Grammar, candidates: list[Entity], targets: list[int], method: AddressingMethod,
+                   noun: str, namespace: str, base: tuple) -> tuple[str, str]:
+    """The system question listing ``candidates`` and the user answer that
+    picks ``targets`` under ``method``.  The mention, the question and the
+    answer each derive their seed from ``base`` under their own name
+    (``<namespace>.mention``, ``.system``, ``.user``), so synthesis
+    ("synth") and augmentation ("augment") word exchanges the same way from
+    seeds that never coincide."""
+    mention = apply_addressing(
+        candidates, targets, method, derive_seed(f"{namespace}.mention", *base), grammar=grammar, domain_noun=noun
+    )
+    system = build_system_utterance(grammar, candidates, noun, derive_seed(f"{namespace}.system", *base))
+    return system, build_user_utterance(grammar, mention, derive_seed(f"{namespace}.user", *base))
+
+
 def synthesize_example(
     db: Database,
     grammar: Grammar,
@@ -309,13 +326,10 @@ def synthesize_example(
     else:
         targets = [target_rng.randrange(count)]
 
-    noun = db.noun(domain)
-    mention = apply_addressing(
-        candidates, targets, method, derive_seed("synth.mention", *base), grammar=grammar, domain_noun=noun
-    )
+    system, user = build_exchange(grammar, candidates, targets, method, db.noun(domain), "synth", base)
     return SingleTurnExample(
-        system_utterance=build_system_utterance(grammar, candidates, noun, derive_seed("synth.system", *base)),
-        user_utterance=build_user_utterance(grammar, mention, derive_seed("synth.user", *base)),
+        system_utterance=system,
+        user_utterance=user,
         candidates=candidates,
         targets=targets,
         method=method,

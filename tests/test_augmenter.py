@@ -276,6 +276,55 @@ class TestAugmentCorpus:
         augment_corpus(toy_corpus, shipped_db, shipped_grammar, seed=0)
         assert toy_corpus == snapshot
 
+    def test_stats_count_dialogs_and_turns_per_domain(self, shipped_grammar):
+        # Per dialog, the (domain, offered names, index of the accepted one) of each exchange.
+        # The attraction table is too small for any candidate list, so its turns are skipped.
+        exchanges = {
+            "two_hotels": [("hotel", ["alpha lodge", "birch inn"], 0), ("hotel", ["cedar house", "dune hotel"], 1)],
+            "hotel_then_restaurant": [("hotel", ["elm court", "fir manor"], 1),
+                                      ("restaurant", ["gold wok", "harbor grill"], 0)],
+            "hotel_then_attraction": [("hotel", ["alpha lodge", "cedar house"], 1),
+                                      ("attraction", ["lark museum", "moss garden"], 0)],
+            "attraction_only": [("attraction", ["lark museum", "moss garden"], 1)],
+        }
+        names = {domain: sorted({n for picks in exchanges.values() for d, offered, _ in picks if d == domain
+                                 for n in offered}) for domain in ("hotel", "restaurant", "attraction")}
+        names["restaurant"] += ["ivy bistro", "jade kitchen", "kiln pizza"]
+        db = Database(tables={d: [Entity(domain=d, name=n) for n in ns] for d, ns in names.items()},
+                      name_fields={d: "name" for d in names})
+        dialogs = []
+        for dialog_id, picks in exchanges.items():
+            turns = [Turn(speaker="USER", utterance="i need a few places", frames=[Frame(service=picks[0][0])])]
+            for domain, offered, accepted in picks:
+                turns.append(Turn(speaker="SYSTEM", utterance=" or ".join(offered) + "?",
+                                  search_results=[Entity(domain=domain, name=n) for n in offered]))
+                turns.append(Turn(speaker="USER", utterance="that one", frames=[
+                    Frame(service=domain, slot_values={f"{domain}-name": [offered[accepted]]})]))
+            turns.append(Turn(speaker="SYSTEM", utterance="done."))
+            dialogs.append(Dialog(id=dialog_id, services=sorted({d for d, _, _ in picks}), turns=turns))
+
+        _, records, stats = augment_corpus(Corpus(dialogs=dialogs), db, shipped_grammar, seed=0)
+
+        assert [(r.dialog_id, r.turn_index, r.target.name, r.skipped_reason) for r in records] == [
+            ("two_hotels", 1, "alpha lodge", None),
+            ("two_hotels", 3, "dune hotel", None),
+            ("hotel_then_restaurant", 1, "fir manor", None),
+            ("hotel_then_restaurant", 3, "gold wok", None),
+            ("hotel_then_attraction", 1, "cedar house", None),
+            ("hotel_then_attraction", 3, "lark museum", "not_enough_entities"),
+            ("attraction_only", 1, "moss garden", "not_enough_entities"),
+        ]
+        assert stats.to_json() == {
+            "dialogs_total": 4,
+            "dialogs_modified": 3,
+            "turns_total": 6 + 6 + 6 + 4,
+            "turns_modified": 5,
+            "per_domain": {
+                "hotel": {"dialogs_modified": 3, "turns_modified": 4},
+                "restaurant": {"dialogs_modified": 1, "turns_modified": 1},
+            },
+        }
+
 
 class TestMultiResultReport:
     def test_all_single_results_is_zero(self, shipped_db):

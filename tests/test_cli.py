@@ -74,11 +74,25 @@ def _record(count: int, skipped_reason: str | None = None) -> str:
                        "target": {"domain": "hotel", "name": "n0"}, "skipped_reason": skipped_reason})
 
 
+# Two candidates, the first named by a number where a string belongs.
+_NUMBER_NAMED = [{"domain": "hotel", "name": 12345678}, {"domain": "hotel", "name": "n0"}]
+
 _PREDICTION = {"dialog_id": "synth-000000", "turn_index": 0, "entities": ["a"]}
 
 # A native corpus whose slot value is a string where a list belongs.
 _SLOT_VALUE_NOT_A_LIST = json.dumps({"id": "d1", "services": ["hotel"], "turns": [
     {"speaker": "USER", "utterance": "hi", "frames": [{"service": "hotel", "slot_values": {"hotel-area": "north"}}]}]})
+
+
+def _hotel_offer(name: object = "aldergate lodge", utterance: object = "that one") -> str:
+    """A native dialog whose system turn offers two shipped hotels and whose
+    user then takes the first, so ``augment`` rewrites both turns."""
+    results = [{"domain": "hotel", "name": name}, {"domain": "hotel", "name": "birchwood innhouse"}]
+    return json.dumps({"id": "d1", "services": ["hotel"], "turns": [
+        {"speaker": "USER", "utterance": "a hotel please", "frames": [{"service": "hotel"}]},
+        {"speaker": "SYSTEM", "utterance": "which one?", "search_results": results},
+        {"speaker": "USER", "utterance": utterance,
+         "frames": [{"service": "hotel", "slot_values": {"hotel-name": ["aldergate lodge"]}}]}]})
 
 
 def _sgd_dialog(frame: object) -> dict:
@@ -131,16 +145,38 @@ _MALFORMED_INPUTS = {
         {"in.jsonl": (_EXAMPLE if kind == "examples" else _record(2)) + "\n" + make(count) + "\n"},
         ["resolve", "--in", "in.jsonl", "--kind", kind, "--out", "OUT"])
        for kind, make in (("examples", _example), ("records", _record)) for count in (0, 6)},
+    **{f"augment-{name}": (
+        {"in.jsonl": row + "\n"}, ["augment", "--in", "in.jsonl", "--db", DB, "--grammar", GRAMMAR, "--out", "OUT"])
+       for name, row in (("utterance-not-a-string", _hotel_offer(utterance=5)),
+                         ("search-result-name-not-a-string", _hotel_offer(name=7)))},
+    **{f"resolve-examples-{name}": (
+        {"in.jsonl": json.dumps({**json.loads(_EXAMPLE), **change}) + "\n"},
+        ["resolve", "--in", "in.jsonl", "--out", "OUT"])
+       for name, change in (("system-not-a-string", {"system": 5}), ("user-not-a-string", {"user": 5}),
+                            ("candidate-name-not-a-string", {"candidates": _NUMBER_NAMED, "target_names": ["n0"]}))},
+    **{f"resolve-records-{name}": (
+        {"in.jsonl": json.dumps({**json.loads(_record(2)), **change}) + "\n"},
+        ["resolve", "--in", "in.jsonl", "--kind", "records", "--out", "OUT"])
+       for name, change in (("user-prefix-not-a-string", {"user_prefix": 5}),
+                            ("dialog-id-not-a-string", {"dialog_id": 5}),
+                            ("turn-index-string", {"turn_index": "3"}), ("turn-index-bool", {"turn_index": True}),
+                            ("candidate-name-not-a-string", {"candidates": _NUMBER_NAMED}),
+                            ("target-name-not-a-string", {"target": _NUMBER_NAMED[0]}))},
     **{f"score-preds-{name}": (
         {"preds.jsonl": json.dumps({**_PREDICTION, **change}) + "\n", "gold.jsonl": _EXAMPLE + "\n"},
         ["score", "--preds", "preds.jsonl", "--gold", "gold.jsonl"])
        for name, change in (("turn-index-float", {"turn_index": 0.9}), ("turn-index-bool", {"turn_index": False}),
                             ("entities-string", {"entities": "abc"}),
-                            ("state-value-string", {"state": {"hotel-area": "north"}}))},
+                            ("state-value-string", {"state": {"hotel-area": "north"}}),
+                            ("dialog-id-not-a-string", {"dialog_id": ["synth-000000"]}),
+                            ("entity-not-a-string", {"entities": [5]}),
+                            ("state-value-item-not-a-string", {"state": {"hotel-area": [5]}}))},
     **{f"stats-sgd-{name}": ({"in.json": json.dumps(payload)}, ["stats", "--format", "sgd", "--in", "in.json"])
        for name, payload in (("frame-not-an-object", [_sgd_dialog(1)]),
                              ("state-not-an-object", [_sgd_dialog({"service": "hotels_1", "state": []})]),
-                             ("dialog-not-an-object", [1]))},
+                             ("dialog-not-an-object", [1]),
+                             ("dialogue-id-not-a-string", [{**_sgd_dialog({"service": "hotels_1"}),
+                                                            "dialogue_id": ["a"]}]))},
     **{f"stats-id-{name}": ({"in.jsonl": json.dumps({"id": value, "services": [], "turns": []}) + "\n"},
                             ["stats", "--in", "in.jsonl"])
        for name, value in (("list", ["a"]), ("int", 3))},
