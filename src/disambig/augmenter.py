@@ -83,6 +83,8 @@ class AugmentationRecord:
     def from_json(cls, obj: dict) -> "AugmentationRecord":
         for key, kind in (("dialog_id", str), ("turn_index", int), ("user_prefix", str)):
             _expect(obj[key], kind, key)
+        if obj.get("skipped_reason") is not None:
+            _expect(obj["skipped_reason"], str, "skipped_reason")
         return cls(
             dialog_id=obj["dialog_id"],
             turn_index=obj["turn_index"],
@@ -283,23 +285,20 @@ def multi_result_report(corpus: Corpus) -> dict:
     those with a multi-result turn of that same service.
     """
     dialogs_multi = 0
-    service_totals: dict[str, int] = {}
-    service_multi: dict[str, int] = {}
+    service_totals: Counter[str] = Counter()
+    service_multi: Counter[str] = Counter()
     for dialog in corpus.dialogs:
-        for service in set(dialog.services):
-            service_totals[service] = service_totals.get(service, 0) + 1
+        service_totals.update(set(dialog.services))
         multi_services = set()
         for turn in dialog.turns:
             results = turn.search_results or []
             if len(results) >= 2:
                 multi_services.update(entity.domain for entity in results)
-        if multi_services:
-            dialogs_multi += 1
-        for service in multi_services:
-            service_multi[service] = service_multi.get(service, 0) + 1
+        dialogs_multi += bool(multi_services)
+        service_multi.update(multi_services)
     overall = dialogs_multi / len(corpus.dialogs) if corpus.dialogs else 0.0
     per_service = {
-        service: service_multi.get(service, 0) / total
+        service: service_multi[service] / total
         for service, total in sorted(service_totals.items())
     }
     return {"dialogs_total": len(corpus.dialogs), "overall": overall, "per_service": per_service}

@@ -178,6 +178,14 @@ def _append_turn(dialog: Dialog, turn: Turn) -> None:
         raise SchemaMismatch(f"{where}: user turns cannot carry search results")
     _expect(turn.utterance, str, f"{where}: utterance")
     _expect(turn.extras, dict, f"{where}: extras")
+    if "disambig" in turn.extras:
+        marker = turn.extras["disambig"]
+        _expect(marker, dict, f"{where}: disambig marker")
+        _expect(marker.get("target_names"), list, f"{where}: marker target_names")
+        for name in marker["target_names"]:
+            _expect(name, str, f"{where}: marker target name")
+        for key in ("method", "origin"):
+            _expect(marker.get(key, ""), str, f"{where}: marker {key}")
     for frame in turn.frames:
         if frame.service not in dialog.services:
             raise SchemaMismatch(f"{where}: frame service {frame.service!r} not in dialog services")
@@ -299,13 +307,22 @@ def guess_name_field(service: str, record: dict) -> str:
     return "name"
 
 
-def _result_row(service: str, record: dict) -> dict:
-    """A ``service_results`` record as a native search-result row."""
-    name_field = guess_name_field(service, record)
+def _entity_row(domain: str, record: dict, name_field: str, where: str) -> dict:
+    """A flat record that keeps its name under ``name_field`` as a native entity row."""
+    _expect(record, dict, where)
     if name_field not in record:
-        raise SchemaMismatch(f"search result for {service!r} lacks its name field {name_field!r}")
+        raise SchemaMismatch(f"{where} lacks its name field {name_field!r}")
     attributes = {k: v for k, v in record.items() if k != name_field}
-    return {"domain": service, "name": str(record[name_field]), "attributes": attributes}
+    return {"domain": domain, "name": str(record[name_field]), "attributes": attributes}
+
+
+def _entity_record(entity: Entity, name_field: str) -> dict:
+    """The inverse of ``_entity_row``: an entity as a flat record with its name under ``name_field``."""
+    if name_field in entity.attributes:
+        raise SchemaMismatch(
+            f"entity {entity.name!r} of {entity.domain!r}: attribute {name_field!r} would read back as its name"
+        )
+    return {**entity.attributes, name_field: entity.name}
 
 
 def _schema_guided_files(path: str) -> list[Path]:
@@ -366,7 +383,9 @@ def _native_dialog_row(obj: dict, where: str) -> dict:
             frame_extras = {k: v for k, v in raw_frame.items() if k not in ("service", "state")}
             if state_extras:
                 frame_extras["state_extras"] = state_extras
-            results.extend(_result_row(service, record) for record in raw_frame.get("service_results", []))
+            label = f"search result for {service!r}"
+            results.extend(_entity_row(service, record, guess_name_field(service, record), label)
+                           for record in raw_frame.get("service_results", []))
             frames.append({"service": service, "slot_values": slot_values,
                            "requested_slots": state.get("requested_slots", []), "extras": frame_extras})
         turn = {"speaker": speaker, "utterance": utterance, "frames": frames,
@@ -376,19 +395,6 @@ def _native_dialog_row(obj: dict, where: str) -> dict:
         turns.append(turn)
     extras = {k: v for k, v in obj.items() if k not in ("dialogue_id", "dialog_id", "services", "turns")}
     return {"id": dialog_id, "services": obj.get("services", []), "turns": turns, "extras": extras}
-
-
-def _entity_to_result(entity: Entity) -> dict:
-    """A search result as a ``service_results`` record, with the name under
-    the field ``_result_row`` reads it back from."""
-    record = dict(entity.attributes)
-    name_field = guess_name_field(entity.domain, {**record, "name": entity.name})
-    if name_field in record:
-        raise SchemaMismatch(
-            f"search result {entity.name!r} of {entity.domain!r}: attribute {name_field!r} would read back as its name"
-        )
-    record[name_field] = entity.name
-    return record
 
 
 def _dialog_to_schema_guided(dialog: Dialog) -> dict:
@@ -401,7 +407,8 @@ def _dialog_to_schema_guided(dialog: Dialog) -> dict:
         results: dict[str, list[dict]] = {}
         for entity in turn.search_results or []:
             if entity.domain not in carried:
-                results.setdefault(entity.domain, []).append(_entity_to_result(entity))
+                name_field = guess_name_field(entity.domain, {**entity.attributes, "name": entity.name})
+                results.setdefault(entity.domain, []).append(_entity_record(entity, name_field))
         present = {frame.service for frame in turn.frames}
         added = [Frame(service=domain) for domain in results if domain not in present]
         for frame in added:
@@ -464,28 +471,26 @@ class Database:
 def load_database(path: str) -> Database:
     payload = read_json(path)
     try:
-        name_fields = dict(payload["name_fields"])
-        raw_tables = payload["tables"]
+        name_fields, raw_tables = payload["name_fields"], payload["tables"]
     except (KeyError, TypeError) as exc:
         raise SchemaMismatch(f"{path}: database needs 'name_fields' and 'tables' keys") from exc
+    nouns = payload.get("nouns", {})
+    for key, mapping in (("name_fields", name_fields), ("nouns", nouns), ("tables", raw_tables)):
+        _expect(mapping, dict, f"{path}: {key}")
+        for domain, value in mapping.items():
+            _expect(value, list if key == "tables" else str, f"{path}: {key}[{domain!r}]")
     tables: dict[str, list[Entity]] = {}
     for domain, records in raw_tables.items():
         if domain not in name_fields:
             raise SchemaMismatch(f"{path}: domain {domain!r} missing from name_fields")
-        name_field = name_fields[domain]
-        entities = []
-        for record in records:
-            if name_field not in record:
-                raise SchemaMismatch(f"{path}: record in {domain!r} lacks name field {name_field!r}")
-            attributes = {k: v for k, v in record.items() if k != name_field}
-            entities.append(Entity(domain=domain, name=str(record[name_field]), attributes=attributes))
-        tables[domain] = entities
-    return Database(tables=tables, name_fields=name_fields, nouns=dict(payload.get("nouns", {})))
+        where = f"{path}: record in {domain!r}"
+        tables[domain] = [Entity(**_entity_row(domain, record, name_fields[domain], where)) for record in records]
+    return Database(tables=tables, name_fields=name_fields, nouns=nouns)
 
 
 def write_database(db: Database, path: str) -> None:
     tables = {
-        domain: [{db.name_fields[domain]: e.name, **e.attributes} for e in entities]
+        domain: [_entity_record(e, db.name_fields[domain]) for e in entities]
         for domain, entities in db.tables.items()
     }
     payload = {"name_fields": db.name_fields, "nouns": db.nouns, "tables": tables}

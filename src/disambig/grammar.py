@@ -22,6 +22,7 @@ from __future__ import annotations
 import graphlib
 import re
 from dataclasses import dataclass
+from functools import cache
 
 from .errors import (
     CyclicGrammar,
@@ -211,11 +212,9 @@ def count_language(grammar: Grammar, start: str) -> int:
     """
     if start not in grammar.rules:
         raise UnknownStart(start)
-    memo: dict[str, int] = {}
 
+    @cache
     def count(name: str) -> int:
-        if name in memo:
-            return memo[name]
         total = 0
         for alt in grammar.rules[name]:
             product = 1
@@ -223,7 +222,6 @@ def count_language(grammar: Grammar, start: str) -> int:
                 if isinstance(symbol, Nonterminal):
                     product *= count(symbol.name)
             total += product
-        memo[name] = total
         return total
 
     return count(start)

@@ -24,7 +24,7 @@ from .errors import (
 )
 from .grammar import Grammar, Template, fill, sample
 from .jsonl import iter_jsonl, write_jsonl
-from .resolver import STOPWORDS
+from .resolver import STOPWORDS, _spans
 from .seeding import derive_seed, rng_for
 
 SYSTEM_QUESTION = "SYSTEM_QUESTION"
@@ -126,40 +126,20 @@ def _join_names(names: list[str], both: bool) -> str:
     return ", ".join(names[:-1]) + ", and " + names[-1]
 
 
-def _token_windows(tokens: list[str]) -> list[tuple[int, int]]:
-    spans = []
-    for length in range(1, len(tokens)):
-        for start in range(len(tokens) - length + 1):
-            spans.append((start, length))
-    return spans
-
-
-def _window_in(tokens: list[str], window: list[str]) -> bool:
-    return any(tokens[i:i + len(window)] == window for i in range(len(tokens) - len(window) + 1))
-
-
 def _partial_mention(target: Entity, others: list[Entity]) -> str:
     """Shortest uniquely-identifying contiguous token window, prefixes first.
 
     Users shorten names for simplicity, so the shortest prefix that still
     tells the candidates apart is preferred; stopword-only windows never
-    count as identifying.
+    count as identifying.  A window identifies the target when it is not
+    one of the other names' windows, as listed by the resolver's ``_spans``.
     """
     tokens = target.name.split()
-    other_tokens = [e.name.split() for e in others]
-
-    def unique(window: list[str]) -> bool:
-        if all(t.lower() in STOPWORDS for t in window):
-            return False
-        return not any(_window_in(ot, window) for ot in other_tokens)
-
-    for length in range(1, len(tokens)):
-        prefix = tokens[:length]
-        if unique(prefix):
-            return " ".join(prefix)
-    for start, length in sorted(_token_windows(tokens), key=lambda sl: (sl[1], sl[0])):
-        window = tokens[start:start + length]
-        if unique(window):
+    taken = set().union(*(_spans(e.name.split(), len(tokens) - 1) for e in others))
+    for _, length, start in sorted((start > 0, length, start) for length in range(1, len(tokens))
+                                   for start in range(len(tokens) - length + 1)):
+        window = tuple(tokens[start:start + length])
+        if window not in taken and not all(t.lower() in STOPWORDS for t in window):
             return " ".join(window)
     raise NoUniquePartial(f"every proper subsequence of {target.name!r} is ambiguous")
 
@@ -356,11 +336,7 @@ class SynthConfig:
 
 def _split_plan(config: SynthConfig, split_index: int) -> list[AddressingMethod]:
     if config.per_method is not None:
-        count = config.per_method[split_index]
-        plan: list[AddressingMethod] = []
-        for method in config.methods:
-            plan.extend([method] * count)
-        return plan
+        return [method for method in config.methods for _ in range(config.per_method[split_index])]
     total = config.totals[split_index]
     return [config.methods[i % len(config.methods)] for i in range(total)]
 

@@ -5,10 +5,11 @@ enumeration instead of arithmetic counting, memoized recursion instead of
 the distance matrix, a derivability search instead of trusting the
 sampler, a deep copy of the whole dialog instead of rebuilding only the
 rewritten turns, a rescan of the reply per name instead of one index of
-its windows, a fresh gold scan and comparison per score bucket instead
-of one judgement per turn, and a copying decoder followed by a second walk
-of the whole corpus instead of checking each dialog as it is decoded.  Keep
-them slow and obvious.
+its windows, a rescan of every other name per partial-mention window
+instead of one set of their windows, a fresh gold scan and comparison per
+score bucket instead of one judgement per turn, and a copying decoder
+followed by a second walk of the whole corpus instead of checking each
+dialog as it is decoded.  Keep them slow and obvious.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from disambig.corpus import (
     guess_name_field,
     name_key,
 )
-from disambig.errors import MissingPrediction, SchemaMismatch, UnknownSubsetTurn
+from disambig.errors import MissingPrediction, NoUniquePartial, SchemaMismatch, UnknownSubsetTurn
 from disambig.grammar import Grammar, Nonterminal, Template
 from disambig.jsonl import iter_jsonl, read_json
 from disambig.metrics import ALL, AUGMENTED_ONLY, gold_entity_turns, gold_states
@@ -164,6 +165,43 @@ def slow_name_evidence(utterance: list[str], names: list[list[str]]) -> dict[int
             if len(owners) == 1:
                 matched.setdefault(owners[0], 1.0)
     return matched
+
+
+# --- partial mentions: rescan every other name for every window ---------------
+
+
+def _token_windows(tokens: list[str]) -> list[tuple[int, int]]:
+    spans = []
+    for length in range(1, len(tokens)):
+        for start in range(len(tokens) - length + 1):
+            spans.append((start, length))
+    return spans
+
+
+def _window_in(tokens: list[str], window: list[str]) -> bool:
+    return any(tokens[i:i + len(window)] == window for i in range(len(tokens) - len(window) + 1))
+
+
+def slow_partial_mention(target: Entity, others: list[Entity]) -> str:
+    """``synthesizer._partial_mention``: prefixes by length, then every
+    window by length and start, each checked against every other name."""
+    tokens = target.name.split()
+    other_tokens = [e.name.split() for e in others]
+
+    def unique(window: list[str]) -> bool:
+        if all(t.lower() in STOPWORDS for t in window):
+            return False
+        return not any(_window_in(ot, window) for ot in other_tokens)
+
+    for length in range(1, len(tokens)):
+        prefix = tokens[:length]
+        if unique(prefix):
+            return " ".join(prefix)
+    for start, length in sorted(_token_windows(tokens), key=lambda sl: (sl[1], sl[0])):
+        window = tokens[start:start + length]
+        if unique(window):
+            return " ".join(window)
+    raise NoUniquePartial(f"every proper subsequence of {target.name!r} is ambiguous")
 
 
 def slow_attribute_evidence(utterance: list[str], candidates: list[Entity]) -> dict[int, float]:

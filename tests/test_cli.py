@@ -101,6 +101,20 @@ def _sgd_dialog(frame: object) -> dict:
             "turns": [{"speaker": "USER", "utterance": "hi", "frames": [frame]}]}
 
 
+# A database of five hotels that synth accepts, to be broken one field at a time.
+_DATABASE = {"name_fields": {"hotel": "name"}, "nouns": {"hotel": "hotel"}, "tables": {"hotel": [
+    {"name": f"{word} lodge", "area": word} for word in ("alder", "birch", "cedar", "elm", "fir")]}}
+
+
+def _marked_gold(marker: object) -> str:
+    """A native dialog whose system turn carries ``marker`` as its gold label."""
+    return json.dumps({"id": "d1", "services": ["hotel"], "turns": [
+        {"speaker": "SYSTEM", "utterance": "a or b?", "extras": {"disambig": marker}},
+        {"speaker": "USER", "utterance": "a"}]})
+
+
+_MARKER = {"origin": "augment", "method": "exact", "target_names": ["a"]}
+
 # Each case: the files to create under tmp_path, then argv.  An argv token
 # naming one of those files becomes its path, OUT becomes an unused path under
 # tmp_path, and DB, GRAMMAR and TOY become the shipped files.
@@ -180,6 +194,30 @@ _MALFORMED_INPUTS = {
     **{f"stats-id-{name}": ({"in.jsonl": json.dumps({"id": value, "services": [], "turns": []}) + "\n"},
                             ["stats", "--in", "in.jsonl"])
        for name, value in (("list", ["a"]), ("int", 3))},
+    **{f"synth-db-{name}": (
+        {"db.json": json.dumps({**_DATABASE, **change})},
+        ["synth", "--db", "db.json", "--grammar", GRAMMAR, "--total", "6,0,0", "--splits", "train", "--out", "OUT"])
+       for name, change in (("tables-not-an-object", {"tables": [1]}), ("table-not-an-array", {"tables": {"hotel": 5}}),
+                            ("record-not-an-object", {"tables": {"hotel": [1]}}), ("nouns-not-an-object", {"nouns": 5}),
+                            ("noun-not-a-string", {"nouns": {"hotel": 5}}),
+                            ("name-fields-not-an-object", {"name_fields": [["hotel", "name"]]}),
+                            ("name-field-not-a-string", {"name_fields": {"hotel": ["name"]}}))},
+    **{f"score-gold-{name}": (
+        {"preds.jsonl": json.dumps({"dialog_id": "d1", "turn_index": 0, "entities": ["a"]}) + "\n",
+         "gold.jsonl": _marked_gold(marker) + "\n"},
+        ["score", "--preds", "preds.jsonl", "--gold", "gold.jsonl"])
+       for name, marker in (("marker-not-an-object", 5),
+                            ("marker-without-target-names", {"origin": "augment", "method": "exact"}),
+                            ("marker-target-name-not-a-string", {**_MARKER, "target_names": [5]}),
+                            ("marker-method-not-a-string", {**_MARKER, "method": ["x"]}),
+                            ("marker-origin-not-a-string", {**_MARKER, "origin": 5}))},
+    "stats-marker-not-an-object": ({"in.jsonl": _marked_gold(5) + "\n"}, ["stats", "--in", "in.jsonl"]),
+    "augment-marker-not-an-object": (
+        {"in.jsonl": _marked_gold(5) + "\n"},
+        ["augment", "--in", "in.jsonl", "--db", DB, "--grammar", GRAMMAR, "--out", "OUT"]),
+    "resolve-records-skipped-reason-not-a-string": (
+        {"in.jsonl": _record(2, skipped_reason=5) + "\n"},
+        ["resolve", "--in", "in.jsonl", "--kind", "records", "--out", "OUT"]),
     "synth-methods-empty": (
         {}, ["synth", "--db", DB, "--grammar", GRAMMAR, "--per-method", "1,1,1", "--methods", ",", "--out", "OUT"]),
     "synth-splits-bogus": (

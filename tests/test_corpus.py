@@ -442,6 +442,17 @@ class TestSchemaGuidedAdapters:
         with pytest.raises(SchemaMismatch, match="turns"):
             load_corpus(str(path), format="sgd")
 
+    def test_errors_after_search_results_name_the_file(self, tmp_path):
+        dialog = {"dialogue_id": "x", "services": ["hotels_1"], "turns": [
+            {"speaker": "SYSTEM", "utterance": "a",
+             "frames": [{"service": "hotels_1", "service_results": [{"hotel_name": "the palm"}]}]},
+            {"utterance": "b"}]}
+        path = tmp_path / "dialogues_001.json"
+        path.write_text(json.dumps([dialog]), encoding="utf-8")
+        with pytest.raises(SchemaMismatch) as info:
+            load_corpus(str(path), format="sgd")
+        assert str(info.value) == f"{path}: turn in 'x' missing speaker/utterance"
+
     def test_sgd_round_trip_preserves_content(self, sgd_dir, tmp_path):
         corpus = load_corpus(str(sgd_dir), format="sgd")
         out = tmp_path / "rewritten.json"
@@ -534,6 +545,15 @@ class TestDatabase:
         write_database(shipped_db, str(path))
         again = load_database(str(path))
         assert again == shipped_db
+
+    def test_write_rejects_attribute_named_like_the_name_field(self, tmp_path):
+        # Written as {"name": "other"}, it would read back named "other".
+        db = Database(tables={"d": [Entity(domain="d", name="real name", attributes={"name": "other"})]},
+                      name_fields={"d": "name"})
+        path = tmp_path / "db.json"
+        with pytest.raises(SchemaMismatch, match="read back as its name"):
+            write_database(db, str(path))
+        assert not path.exists()
 
     def test_noun_defaults(self):
         db = Database(tables={"movies_2": []}, name_fields={"movies_2": "title"})

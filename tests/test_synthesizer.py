@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from disambig.corpus import Database, Entity, name_key
 from disambig.errors import (
@@ -17,6 +18,7 @@ from disambig.synthesizer import (
     AddressingMethod,
     METHODS,
     SynthConfig,
+    _partial_mention,
     apply_addressing,
     examples_to_corpus,
     format_option_list,
@@ -27,11 +29,30 @@ from disambig.synthesizer import (
     write_examples,
 )
 
-from .oracles import slow_edit_distance
+from .oracles import slow_edit_distance, slow_partial_mention
 
 
 def _entities(*names: str, domain: str = "restaurant") -> list[Entity]:
     return [Entity(domain=domain, name=name) for name in names]
+
+
+# Case twins, stopwords in both cases, and punctuation attached to tokens.
+_PARTIAL_VOCABULARY = ("palm", "Palm", "palm,", "(palm)", "the", "The", "of", "and", "inn", "inn.", "north", "lodge")
+
+
+@st.composite
+def _partial_cases(draw) -> tuple[Entity, list[Entity]]:
+    """A target and the other candidates, from names of one to five tokens
+    drawn with repeats, sometimes with one name equal to a window of another."""
+    names = draw(st.lists(st.lists(st.sampled_from(_PARTIAL_VOCABULARY), min_size=1, max_size=5),
+                          min_size=2, max_size=5))
+    if draw(st.booleans()):
+        source = draw(st.sampled_from(names))
+        start = draw(st.integers(0, len(source) - 1))
+        names.append(source[start:draw(st.integers(start + 1, len(source)))])
+    entities = draw(st.permutations([Entity(domain="hotel", name=" ".join(tokens)) for tokens in names]))
+    index = draw(st.integers(0, len(entities) - 1))
+    return entities[index], entities[:index] + entities[index + 1:]
 
 
 class TestApplyAddressing:
@@ -62,6 +83,17 @@ class TestApplyAddressing:
         candidates = _entities("unique", "copper kettle")
         with pytest.raises(NoUniquePartial):
             apply_addressing(candidates, [0], AddressingMethod.PARTIAL, 0)
+
+    @settings(max_examples=500)
+    @given(case=_partial_cases())
+    def test_partial_matches_the_slow_reference(self, case):
+        def outcome(mention):
+            try:
+                return mention(*case)
+            except NoUniquePartial as exc:
+                return f"NoUniquePartial: {exc}"
+
+        assert outcome(_partial_mention) == outcome(slow_partial_mention)
 
     def test_typo_is_exactly_one_edit(self):
         candidates = _entities("glorious gardens", "marble brasserie", "willow eatery")
