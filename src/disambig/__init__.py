@@ -2,9 +2,9 @@
 disambiguation turns in task-oriented dialog corpora."""
 
 from .corpus import Corpus, Database, Dialog, Entity, Frame, Turn, load_corpus, load_database, write_corpus
-from .grammar import Grammar, Template, count_language, delexicalize, fill, load_grammar, sample
-from .resolver import Resolution, edit_distance, normalize, resolve
-from .synthesizer import AddressingMethod, SingleTurnExample, SynthConfig, apply_addressing, synthesize_dataset, synthesize_example
+from .grammar import Grammar, count_language, fill, load_grammar, sample
+from .resolver import edit_distance, normalize, resolve
+from .synthesizer import AddressingMethod, SingleTurnExample, SynthConfig, apply_addressing, synthesize_example
 
 __version__ = "0.1.0"
 
@@ -16,14 +16,11 @@ __all__ = [
     "Entity",
     "Frame",
     "Grammar",
-    "Resolution",
     "SingleTurnExample",
     "SynthConfig",
-    "Template",
     "Turn",
     "apply_addressing",
     "count_language",
-    "delexicalize",
     "edit_distance",
     "fill",
     "load_corpus",
@@ -32,7 +29,6 @@ __all__ = [
     "normalize",
     "resolve",
     "sample",
-    "synthesize_dataset",
     "synthesize_example",
     "write_corpus",
 ]

@@ -132,6 +132,9 @@ def find_augmentable_turns(
     after the user turn.  Turns where the user makes no choice, where the
     accepted entity is missing from the database, or that end the dialog are
     filtered out, as are turns already carrying an augmentation marker.
+    When several domains qualify, the first by name is taken, so the choice
+    does not hang on the order of the results (which an SGD or MultiWOZ
+    round trip regroups by frame).
     """
     first_seen = _state_first_seen(dialog)
     found: list[tuple[int, list[Entity], Entity]] = []
@@ -145,7 +148,7 @@ def find_augmentable_turns(
         by_domain: dict[str, list[Entity]] = {}
         for entity in turn.search_results:
             by_domain.setdefault(entity.domain, []).append(entity)
-        for domain, pool in by_domain.items():
+        for domain, pool in sorted(by_domain.items()):
             if domain not in allowed or len(pool) < 2:
                 continue
             accepted = _accepted_entity(pool, first_seen, user_turn_index=index + 1)

@@ -129,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory for train/dev/test JSONL")
     p.add_argument("--total", type=_counts,
                    help="split totals TRAIN,DEV,TEST with methods cycled (default 100000,10000,10000)")
-    p.add_argument("--per-method", type=_counts, help="per-method counts TRAIN,DEV,TEST")
+    p.add_argument("--per-method", type=_counts, help="per-method counts TRAIN,DEV,TEST (instead of --total)")
     p.add_argument("--methods", help="comma list among exact,positional,partial,typo,multiple,attribute")
     p.add_argument("--splits", default="train,dev,test", help="which splits to emit")
     p.add_argument("--seed", type=int, default=0, help="generation seed (default 0)")
@@ -221,6 +221,8 @@ def _cmd_grammar_count(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    if args.total is not None and args.per_method is not None:
+        raise SchemaMismatch("--total and --per-method cannot both be set")
     db = corpus_mod.load_database(_default_path(args.db, "data/database.json"))
     grammar = load_grammar_file(_default_path(args.grammar, "grammars/disambiguation.cfg"))
     config = synthesizer.SynthConfig(per_method=args.per_method, methods=_parse_methods(args.methods), seed=args.seed)
@@ -263,7 +265,7 @@ def _cmd_augment(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = [out_dir / "corpus.jsonl", out_dir / "records.jsonl", out_dir / "stats.json"]
-    _guard_outputs([args.input, args.db, args.grammar, args.allow_list], [str(p) for p in outputs])
+    _guard_outputs([args.input, args.db, args.grammar, args.allow_list, args.config], [str(p) for p in outputs])
 
     new_corpus, records, stats = augmenter.augment_corpus(dialog_corpus, db, grammar, args.seed, allowed, methods)
 
@@ -291,9 +293,19 @@ def _cmd_upsample(args) -> int:
     target = round(args.factor * len(base.dialogs))
     dialogs = list(base.dialogs)
     extra_needed = max(0, target - len(augmented))
+    # Copy n of a dialog is named "<id>~up<n>"; n skips ids already in the
+    # corpus, so upsampling an upsampled corpus keeps ids unique.
+    taken = {d.id for d in dialogs}
+    next_copy = dict.fromkeys(taken, 1)
     for i in range(extra_needed):
         source = augmented[i % len(augmented)]
-        dialogs.append(replace(source, id=f"{source.id}~up{i // len(augmented) + 1}"))
+        n = next_copy[source.id]
+        while f"{source.id}~up{n}" in taken:
+            n += 1
+        next_copy[source.id] = n + 1
+        copy_id = f"{source.id}~up{n}"
+        taken.add(copy_id)
+        dialogs.append(replace(source, id=copy_id))
     out = corpus_mod.Corpus(dialogs=dialogs, split_name=base.split_name, source_format=base.source_format)
     corpus_mod.write_corpus(out, args.out)
     _log(f"upsampled {len(augmented)} augmented dialogs with {extra_needed} duplicates (target {target})")

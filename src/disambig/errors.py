@@ -56,14 +56,6 @@ class UnboundSlot(GrammarError):
         super().__init__(f"no binding for slot {slot!r}")
 
 
-class OverlappingSpans(GrammarError):
-    pass
-
-
-class SpanOutOfBounds(GrammarError):
-    pass
-
-
 # --- corpus and database -----------------------------------------------------
 
 

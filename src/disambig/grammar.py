@@ -27,9 +27,7 @@ from functools import cache
 from .errors import (
     CyclicGrammar,
     DuplicateStartSymbol,
-    OverlappingSpans,
     ParseError,
-    SpanOutOfBounds,
     UnboundSlot,
     UndefinedNonterminal,
     UnknownStart,
@@ -58,31 +56,6 @@ class Slot:
 
 Symbol = str | Nonterminal | Slot
 Token = str | Slot
-
-
-@dataclass(frozen=True)
-class Template:
-    """A flat sequence of literal words and slot placeholders.
-
-    Templates come from two places: sampling a grammar (``source_start`` and
-    ``derivation_seed`` record the derivation) and delexicalizing a concrete
-    utterance (both stay ``None``).
-    """
-
-    tokens: tuple[Token, ...]
-    source_start: str | None = None
-    derivation_seed: int | None = None
-
-    def __post_init__(self) -> None:
-        if not self.tokens:
-            raise ValueError("template must contain at least one token")
-        for token in self.tokens:
-            if isinstance(token, Slot) and not token.name:
-                raise ValueError("slot placeholders must carry a nonempty name")
-
-    def placeholders(self) -> list[str]:
-        """Slot names in template order (duplicates kept)."""
-        return [t.name for t in self.tokens if isinstance(t, Slot)]
 
 
 @dataclass(frozen=True)
@@ -180,11 +153,11 @@ def _check_acyclic(grammar: Grammar) -> None:
         raise CyclicGrammar(exc.args[1][::-1]) from None
 
 
-def sample(grammar: Grammar, start: str, seed: int) -> Template:
-    """Derive one template from ``start``, uniform over alternatives.
+def sample(grammar: Grammar, start: str, seed: int) -> tuple[Token, ...]:
+    """Derive one token sequence from ``start``, uniform over alternatives.
 
     Pure function of (grammar, start, seed): the same arguments always yield
-    the same template.
+    the same tokens, ready for :func:`fill`.
     """
     if start not in grammar.rules:
         raise UnknownStart(start)
@@ -201,7 +174,7 @@ def sample(grammar: Grammar, start: str, seed: int) -> Template:
                 tokens.append(symbol)
 
     expand(start)
-    return Template(tuple(tokens), source_start=start, derivation_seed=seed)
+    return tuple(tokens)
 
 
 def count_language(grammar: Grammar, start: str) -> int:
@@ -227,39 +200,10 @@ def count_language(grammar: Grammar, start: str) -> int:
     return count(start)
 
 
-def delexicalize(utterance: str, entity_spans: list[tuple[int, int, str]]) -> Template:
-    """Replace character spans with slot placeholders, keep the rest literal.
-
-    Spans are (start, end, slot_name) with ``end`` exclusive; they must be
-    in bounds and non-overlapping.  Literal stretches are whitespace-split,
-    so filling the result with the original span texts reproduces the
-    utterance byte-for-byte whenever tokens were single-space separated and
-    spans sit on token boundaries.
-    """
-    for start, end, slot_name in entity_spans:
-        if not slot_name:
-            raise ValueError("slot names must be nonempty")
-        if start < 0 or end > len(utterance) or start >= end:
-            raise SpanOutOfBounds(f"span ({start}, {end}) outside utterance of length {len(utterance)}")
-    ordered = sorted(entity_spans)
-    for (_, prev_end, prev_name), (nxt_start, _, nxt_name) in zip(ordered, ordered[1:]):
-        if nxt_start < prev_end:
-            raise OverlappingSpans(f"spans for {prev_name!r} and {nxt_name!r} overlap")
-
-    tokens: list[Token] = []
-    cursor = 0
-    for start, end, slot_name in ordered:
-        tokens.extend(utterance[cursor:start].split())
-        tokens.append(Slot(slot_name))
-        cursor = end
-    tokens.extend(utterance[cursor:].split())
-    return Template(tuple(tokens))
-
-
-def fill(template: Template, bindings: dict[str, str]) -> str:
+def fill(tokens: tuple[Token, ...], bindings: dict[str, str]) -> str:
     """Substitute every placeholder and join tokens with single spaces."""
     parts: list[str] = []
-    for token in template.tokens:
+    for token in tokens:
         if isinstance(token, Slot):
             if token.name not in bindings:
                 raise UnboundSlot(token.name)

@@ -8,11 +8,10 @@ through derived seeds, so a dataset is a pure function of its config.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
-from .corpus import SYSTEM, USER, Corpus, Database, Dialog, Entity, Frame, Turn, _expect, name_key, sample_entities
+from .corpus import SPLITS, SYSTEM, USER, Corpus, Database, Dialog, Entity, Frame, Turn, _expect, name_key, sample_entities
 from .errors import (
     GrammarMissingStart,
     InvalidTargetArity,
@@ -22,7 +21,7 @@ from .errors import (
     TypoGenerationFailed,
     UnknownDomain,
 )
-from .grammar import Grammar, Template, fill, sample
+from .grammar import Grammar, fill, sample
 from .jsonl import iter_jsonl, write_jsonl
 from .resolver import STOPWORDS, _spans
 from .seeding import derive_seed, rng_for
@@ -208,8 +207,8 @@ def _attribute_mention(
     chosen = choices[rng_for("attribute.pick", target.name, seed).randrange(len(choices))]
     phrase = " and ".join(realize_attribute_phrase(a, target.attributes[a]) for a in chosen)
     if grammar is not None and ATTRIBUTE_MENTION in grammar.rules:
-        template = sample(grammar, ATTRIBUTE_MENTION, derive_seed("attribute.template", target.name, seed))
-        return fill(template, {"domain_noun": domain_noun, "attribute_phrase": phrase})
+        tokens = sample(grammar, ATTRIBUTE_MENTION, derive_seed("attribute.template", target.name, seed))
+        return fill(tokens, {"domain_noun": domain_noun, "attribute_phrase": phrase})
     return f"the {domain_noun} {phrase}"
 
 
@@ -255,14 +254,13 @@ def _require_starts(grammar: Grammar, *starts: str) -> None:
 
 
 def build_system_utterance(grammar: Grammar, candidates: list[Entity], noun: str, seed: int) -> str:
-    template = sample(grammar, SYSTEM_QUESTION, seed)
+    tokens = sample(grammar, SYSTEM_QUESTION, seed)
     option_list = format_option_list([e.name for e in candidates])
-    return fill(template, {"option_list": option_list, "entity_type": noun})
+    return fill(tokens, {"option_list": option_list, "entity_type": noun})
 
 
 def build_user_utterance(grammar: Grammar, mention: str, seed: int) -> str:
-    template = sample(grammar, USER_ANSWER, seed)
-    return fill(template, {"mention": mention})
+    return fill(sample(grammar, USER_ANSWER, seed), {"mention": mention})
 
 
 def build_exchange(grammar: Grammar, candidates: list[Entity], targets: list[int], method: AddressingMethod,
@@ -344,8 +342,7 @@ def _split_plan(config: SynthConfig, split_index: int) -> list[AddressingMethod]
 def synthesize_split(db: Database, grammar: Grammar, config: SynthConfig, split: str) -> list[SingleTurnExample]:
     """Generate one split independently; seeds are namespaced by split name,
     so splits never share an example regardless of which are generated."""
-    index = {"train": 0, "dev": 1, "test": 2}[split]
-    plan = _split_plan(config, index)
+    plan = _split_plan(config, SPLITS.index(split))
     domains = sorted(db.tables)
     return [
         synthesize_example(
@@ -353,12 +350,6 @@ def synthesize_split(db: Database, grammar: Grammar, config: SynthConfig, split:
         )
         for i, method in enumerate(plan)
     ]
-
-
-def synthesize_dataset(
-    db: Database, grammar: Grammar, config: SynthConfig
-) -> tuple[list[SingleTurnExample], list[SingleTurnExample], list[SingleTurnExample]]:
-    return tuple(synthesize_split(db, grammar, config, split) for split in ("train", "dev", "test"))
 
 
 # --- JSONL and corpus views -----------------------------------------------------

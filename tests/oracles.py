@@ -41,7 +41,7 @@ from disambig.corpus import (
     name_key,
 )
 from disambig.errors import MissingPrediction, NoUniquePartial, SchemaMismatch, UnknownSubsetTurn
-from disambig.grammar import Grammar, Nonterminal, Template
+from disambig.grammar import Grammar, Nonterminal
 from disambig.jsonl import iter_jsonl, read_json
 from disambig.metrics import ALL, AUGMENTED_ONLY, gold_entity_turns, gold_states
 from disambig.resolver import STOPWORDS, normalize
@@ -93,9 +93,8 @@ def derivable(grammar: Grammar, start: str, tokens: tuple) -> bool:
     return matches((Nonterminal(start),), tuple(tokens))
 
 
-def template_in_language(grammar: Grammar, template: Template) -> bool:
-    assert template.source_start is not None
-    return derivable(grammar, template.source_start, template.tokens)
+def template_in_language(grammar: Grammar, start: str, tokens: tuple) -> bool:
+    return derivable(grammar, start, tokens)
 
 
 def slow_edit_distance(a: str, b: str) -> int:

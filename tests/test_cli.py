@@ -357,6 +357,23 @@ class TestSynth:
         assert len((tmp_path / "o" / f"{split}.jsonl").read_text().splitlines()) == rows
 
 
+    @pytest.mark.parametrize("extra, config", [
+        (("--total", "7,0,0", "--per-method", "1,0,0"), None),
+        (("--total", "7,0,0"), {"per-method": [1, 0, 0]}),  # a config value counts as set
+        ((), {"total": [7, 0, 0], "per-method": [1, 0, 0]}),
+    ])
+    def test_total_and_per_method_together_fail(self, capsys, tmp_path, repo_root, extra, config):
+        argv = ["synth", "--db", str(repo_root / DB), "--grammar", str(repo_root / GRAMMAR), *extra,
+                "--out", str(tmp_path / "o")]
+        if config is not None:
+            (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+            argv += ["--config", str(tmp_path / "config.json")]
+        code, _, err = _run(capsys, *argv)
+        assert code == 1
+        assert err.startswith("error:") and "--per-method" in err
+        assert not (tmp_path / "o").exists()
+
+
 # sha256 of the seed-0 toy-corpus outputs, taken before augment_dialog
 # stopped deep-copying dialogs; a speed change must not move a byte.
 _AUGMENT_PINS = {
@@ -449,6 +466,19 @@ class TestAugment:
         assert stats["turns_total"] == 800
         assert stats["turns_modified"] == 16  # as many as on the native file
 
+    def test_refuses_to_overwrite_its_config(self, capsys, tmp_path, repo_root):
+        out = tmp_path / "cfg" / "out"
+        out.mkdir(parents=True)
+        config = out / "stats.json"
+        config.write_text(json.dumps({"seed": 0}), encoding="utf-8")
+        before = config.read_bytes()
+        code, _, err = _run(capsys, "augment", "--in", str(repo_root / TOY), "--db", str(repo_root / DB),
+                            "--grammar", str(repo_root / GRAMMAR), "--out", str(out), "--config", str(config))
+        assert code == 1
+        assert err.startswith("error:") and "overwrite" in err
+        assert config.read_bytes() == before
+        assert [p.name for p in out.iterdir()] == ["stats.json"]
+
     def test_command_line_format_beats_config(self, capsys, tmp_path, repo_root):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"format": "sgd"}), encoding="utf-8")
@@ -495,6 +525,19 @@ class TestUpsample:
         assert _run(capsys, "upsample", "--in", str(augmented / "corpus.jsonl"), "--out", str(out),
                     "--factor", factor)[0] == 0
         assert _digest(out) == digest
+
+    def test_upsampling_its_own_output_keeps_ids_unique(self, capsys, tmp_path, repo_root):
+        augmented = tmp_path / "aug"
+        _run(capsys, "augment", "--in", str(repo_root / TOY), "--db", str(repo_root / DB),
+             "--grammar", str(repo_root / GRAMMAR), "--out", str(augmented), "--seed", "0")
+        once, twice = tmp_path / "once.jsonl", tmp_path / "twice.jsonl"
+        assert _run(capsys, "upsample", "--in", str(augmented / "corpus.jsonl"), "--out", str(once),
+                    "--factor", "0.5")[0] == 0
+        assert _run(capsys, "upsample", "--in", str(once), "--out", str(twice), "--factor", "1")[0] == 0
+        ids = [d.id for d in load_corpus(str(twice)).dialogs]
+        assert len(ids) == len(set(ids))
+        assert "hotel_accept_2nd~up2" in ids  # ~up1 was already taken by the first run
+        assert _run(capsys, "stats", "--in", str(twice))[0] == 0
 
     def test_without_augmented_rows_fails(self, capsys, tmp_path, repo_root):
         out = tmp_path / "up.jsonl"

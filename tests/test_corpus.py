@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from disambig.augmenter import AUGMENT_METHODS, augment_corpus
+from disambig.augmenter import AUGMENT_METHODS, augment_corpus, find_augmentable_turns
 from disambig.corpus import (
     Corpus,
     Database,
@@ -146,6 +146,40 @@ def _native_corpora(draw) -> Corpus:
                               search_results=results, extras=extras))
         dialogs.append(Dialog(id=f"d{number}", services=services, turns=turns))
     return Corpus(dialogs=dialogs)
+
+
+# The two domains' offers have distinct names, so an accepted name tells its domain.
+_OFFER_NAMES = (("the palm", "crown inn", "rose court"), ("blue door", "old mill", "Café Nord"))
+_OFFER_DB = Database(
+    tables={service: [Entity(domain=service, name=name) for names in _OFFER_NAMES for name in names]
+            for service in _SERVICES},
+    name_fields=dict.fromkeys(_SERVICES, "name"),
+)
+
+
+@st.composite
+def _two_domain_offers(draw) -> Corpus:
+    """A dialog whose system turn offers results of two domains in an order
+    of their own, not that of the turn's frames, and a user turn that takes
+    up at most one offer of each domain."""
+    domains = draw(st.lists(st.sampled_from(_SERVICES), min_size=2, max_size=2, unique=True))
+    results = [Entity(domain=domain, name=name)
+               for domain, names in zip(domains, _OFFER_NAMES)
+               for name in draw(st.lists(st.sampled_from(names), min_size=2, max_size=3, unique=True))]
+    frames = [Frame(service=domain) for domain in draw(st.lists(st.sampled_from(domains), max_size=2, unique=True))]
+    picked = [name for names in _OFFER_NAMES if (name := draw(st.sampled_from((None, *names)))) is not None]
+    reply = [Frame(service=domains[0], slot_values={"name": picked})] if picked else []
+    turns = [Turn(speaker="USER", utterance="hi", frames=[Frame(service=domains[0], slot_values={"area": ["north"]})]),
+             Turn(speaker="SYSTEM", utterance="offers", frames=frames, search_results=draw(st.permutations(results))),
+             Turn(speaker="USER", utterance="that one", frames=reply)]
+    return Corpus(dialogs=[Dialog(id="d0", services=domains, turns=turns)])
+
+
+def _augmentable(corpus: Corpus) -> list:
+    """Per dialog, each augmentable turn with its domain and accepted entity."""
+    return [[(index, pool[0].domain, accepted) for index, pool, accepted
+             in find_augmentable_turns(dialog, _OFFER_DB, allowed=set(_SERVICES))]
+            for dialog in corpus.dialogs]
 
 
 @pytest.fixture
@@ -498,11 +532,13 @@ class TestSchemaGuidedAdapters:
         write_corpus(again, str(rewritten), format=format)
         assert rewritten.read_bytes() == path.read_bytes()
 
-    @given(corpus=_native_corpora(), format=st.sampled_from(["sgd", "multiwoz22"]))
+    @given(corpus=st.one_of(_native_corpora(), _two_domain_offers()), format=st.sampled_from(["sgd", "multiwoz22"]))
     def test_round_trip_keeps_what_is_read(self, tmp_path_factory, corpus, format):
         path = tmp_path_factory.mktemp("round") / "corpus.json"
         write_corpus(corpus, str(path), format=format)
-        assert _read_view(load_corpus(str(path), format=format)) == _read_view(corpus)
+        copy = load_corpus(str(path), format=format)
+        assert _read_view(copy) == _read_view(corpus)
+        assert _augmentable(copy) == _augmentable(corpus)
 
     @pytest.mark.parametrize("domain, attributes, match", [
         ("hotels_1", {"hotel_name": "x"}, "read back as its name"),

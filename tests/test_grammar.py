@@ -6,25 +6,25 @@ from hypothesis import given, strategies as st
 from disambig.errors import (
     CyclicGrammar,
     DuplicateStartSymbol,
-    OverlappingSpans,
     ParseError,
-    SpanOutOfBounds,
     UnboundSlot,
     UndefinedNonterminal,
     UnknownStart,
 )
 from disambig.grammar import (
-    Grammar,
     Slot,
-    Template,
     count_language,
-    delexicalize,
     fill,
     load_grammar,
     sample,
 )
 
 from .oracles import enumerate_templates, template_in_language
+
+
+def _slot_names(tokens: tuple) -> list[str]:
+    return [t.name for t in tokens if isinstance(t, Slot)]
+
 
 VERBING_GRAMMAR = """
 SENT -> do you mind VERBING
@@ -93,7 +93,7 @@ class TestSample:
     def test_single_derivation(self):
         grammar = load_grammar("S -> a")
         for seed in (0, 1, 99):
-            assert sample(grammar, "S", seed).tokens == ("a",)
+            assert sample(grammar, "S", seed) == ("a",)
 
     def test_pure_function_of_inputs(self):
         grammar = load_grammar(VERBING_GRAMMAR)
@@ -103,7 +103,7 @@ class TestSample:
         # exhaustive sampling oracle: with 100 seeds over 2 alternatives,
         # both must occur
         grammar = load_grammar("S -> a | b")
-        seen = {sample(grammar, "S", seed).tokens for seed in range(100)}
+        seen = {sample(grammar, "S", seed) for seed in range(100)}
         assert seen == {("a",), ("b",)}
 
     def test_unknown_start(self):
@@ -113,25 +113,23 @@ class TestSample:
 
     def test_sampling_from_inner_rule_allowed(self):
         grammar = load_grammar(VERBING_GRAMMAR)
-        template = sample(grammar, "VERBING", 3)
-        assert template.source_start == "VERBING"
+        tokens = sample(grammar, "VERBING", 3)
+        assert template_in_language(grammar, "VERBING", tokens)
 
     def test_shipped_system_question_has_one_option_list(self, shipped_grammar):
         for seed in range(1000):
-            template = sample(shipped_grammar, "SYSTEM_QUESTION", seed)
-            placeholders = template.placeholders()
-            assert placeholders.count("option_list") == 1
+            assert _slot_names(sample(shipped_grammar, "SYSTEM_QUESTION", seed)).count("option_list") == 1
 
     def test_shipped_user_answer_has_one_mention(self, shipped_grammar):
         for seed in range(500):
-            assert sample(shipped_grammar, "USER_ANSWER", seed).placeholders().count("mention") == 1
+            assert _slot_names(sample(shipped_grammar, "USER_ANSWER", seed)).count("mention") == 1
 
     def test_sampled_templates_are_in_the_language(self, shipped_grammar):
         small = load_grammar(VERBING_GRAMMAR)
         for seed in range(50):
-            assert template_in_language(small, sample(small, "SENT", seed))
+            assert template_in_language(small, "SENT", sample(small, "SENT", seed))
         for seed in range(25):
-            assert template_in_language(shipped_grammar, sample(shipped_grammar, "USER_ANSWER", seed))
+            assert template_in_language(shipped_grammar, "USER_ANSWER", sample(shipped_grammar, "USER_ANSWER", seed))
 
 
 class TestCount:
@@ -200,89 +198,19 @@ class TestCountProperty:
     @given(acyclic_grammars(), st.integers(min_value=0, max_value=2**32))
     def test_samples_are_members(self, grammar_and_start, seed):
         grammar, start = grammar_and_start
-        template = sample(grammar, start, seed)
-        assert template_in_language(grammar, template)
-
-
-SHOES = "do you mind being a bit more precise about which shoes you're curious about, the red one or the blue one"
-
-
-class TestDelexicalize:
-    def test_paper_style_spans(self):
-        spans = [
-            (SHOES.index("shoes"), SHOES.index("shoes") + len("shoes"), "ENTITY_TYPE"),
-            (SHOES.index("the red one"), SHOES.index("the red one") + len("the red one"), "OPTION"),
-            (SHOES.index("the blue one"), SHOES.index("the blue one") + len("the blue one"), "OPTION"),
-        ]
-        template = delexicalize(SHOES, spans)
-        assert template.placeholders() == ["ENTITY_TYPE", "OPTION", "OPTION"]
-        rebuilt = fill(template, {"ENTITY_TYPE": "hats", "OPTION": "the tall one"})
-        assert "shoes" not in rebuilt and "hats" in rebuilt
-
-    def test_zero_spans_is_identity(self):
-        template = delexicalize("just some words", [])
-        assert template.tokens == ("just", "some", "words")
-
-    def test_overlapping_spans_rejected(self):
-        with pytest.raises(OverlappingSpans):
-            delexicalize("one two three", [(0, 7, "A"), (4, 13, "B")])
-
-    def test_span_out_of_bounds(self):
-        with pytest.raises(SpanOutOfBounds):
-            delexicalize("short", [(0, 99, "A")])
-
-    def test_fill_restores_original_bytes(self):
-        spans = [
-            (SHOES.index("the red one"), SHOES.index("the red one") + len("the red one"), "A"),
-            (SHOES.index("the blue one"), SHOES.index("the blue one") + len("the blue one"), "B"),
-        ]
-        template = delexicalize(SHOES, spans)
-        # placeholders in order: A then B; refill with the original span texts
-        assert fill(template, {"A": "the red one", "B": "the blue one"}) == SHOES
-
-
-@given(
-    st.lists(st.text(alphabet="abcdef", min_size=1, max_size=5), min_size=1, max_size=10),
-    st.data(),
-)
-def test_delexicalize_fill_round_trip(words, data):
-    utterance = " ".join(words)
-    n_spans = data.draw(st.integers(min_value=0, max_value=min(2, len(words))))
-    chosen = sorted(data.draw(st.permutations(range(len(words))))[:n_spans])
-    spans = []
-    offsets = []
-    position = 0
-    for word in words:
-        offsets.append((position, position + len(word)))
-        position += len(word) + 1
-    originals = {}
-    for rank, index in enumerate(chosen):
-        slot_name = f"S{rank}"
-        start, end = offsets[index]
-        spans.append((start, end, slot_name))
-        originals[slot_name] = words[index]
-    template = delexicalize(utterance, spans)
-    assert fill(template, originals) == utterance
+        assert template_in_language(grammar, start, sample(grammar, start, seed))
 
 
 def test_fill_paper_examples():
-    template = Template(("hello", Slot("NAME")))
-    assert fill(template, {"NAME": "alice"}) == "hello alice"
+    tokens = ("hello", Slot("NAME"))
+    assert fill(tokens, {"NAME": "alice"}) == "hello alice"
 
-    option_template = Template(("your", "options:", Slot("OPTION_LIST")))
-    assert "a, b, or c" in fill(option_template, {"OPTION_LIST": "a, b, or c"})
+    option_tokens = ("your", "options:", Slot("OPTION_LIST"))
+    assert "a, b, or c" in fill(option_tokens, {"OPTION_LIST": "a, b, or c"})
 
     with pytest.raises(UnboundSlot):
-        fill(template, {})
-
-
-def test_unfilled_delexicalize_error_cases():
-    with pytest.raises(ValueError):
-        Template(())
-    with pytest.raises(ValueError):
-        Template((Slot(""),))
+        fill(tokens, {})
 
 
 def test_fill_ignores_extra_bindings():
-    template = Template(("hi", Slot("A")))
-    assert fill(template, {"A": "x", "B": "y"}) == "hi x"
+    assert fill(("hi", Slot("A")), {"A": "x", "B": "y"}) == "hi x"

@@ -8,7 +8,10 @@ later data edits honest.
 
 from __future__ import annotations
 
-from disambig.corpus import name_key
+import importlib.util
+import json
+
+from disambig.corpus import load_database, name_key, write_corpus, write_database
 from disambig.grammar import Nonterminal, Slot
 from disambig.resolver import STOPWORDS, edit_distance
 from disambig.synthesizer import _ATTRIBUTE_PHRASES
@@ -84,3 +87,18 @@ def test_toy_corpus_entities_come_from_the_database(toy_corpus, shipped_db):
             for entity in turn.search_results or []:
                 if entity.domain in shipped_db.tables and not entity.name.startswith("phantom"):
                     assert name_key(entity.name) in shipped_db.names(entity.domain)
+
+
+def test_build_data_tool_rebuilds_the_shipped_files(tmp_path, repo_root):
+    """``tools/build_data.py`` regenerates the database and the toy corpus
+    byte for byte (written under ``tmp_path``, never into ``data/``)."""
+    spec = importlib.util.spec_from_file_location("build_data", repo_root / "tools" / "build_data.py")
+    build_data = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(build_data)
+    write_database(build_data.build_database(), str(tmp_path / "database.json"))
+    corpus, expected = build_data.build_toy_corpus(load_database(str(tmp_path / "database.json")))
+    write_corpus(corpus, str(tmp_path / "toy_corpus.jsonl"))
+    (tmp_path / "toy_corpus_expected.json").write_text(json.dumps(expected, indent=2, sort_keys=True) + "\n",
+                                                       encoding="utf-8")
+    for name in ("database.json", "toy_corpus.jsonl", "toy_corpus_expected.json"):
+        assert (tmp_path / name).read_bytes() == (repo_root / "data" / name).read_bytes(), name

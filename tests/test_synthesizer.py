@@ -5,7 +5,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from disambig.corpus import Database, Entity, name_key
+from disambig.corpus import SPLITS, Database, Entity, name_key
 from disambig.errors import (
     InvalidTargetArity,
     NoDiscriminatingAttribute,
@@ -23,7 +23,6 @@ from disambig.synthesizer import (
     examples_to_corpus,
     format_option_list,
     read_examples,
-    synthesize_dataset,
     synthesize_example,
     synthesize_split,
     write_examples,
@@ -215,7 +214,7 @@ class TestSynthesizeExample:
 class TestDataset:
     def test_per_method_counts(self, shipped_db, shipped_grammar):
         config = SynthConfig(totals=None, per_method=(10, 1, 1), seed=3)
-        train, dev, test = synthesize_dataset(shipped_db, shipped_grammar, config)
+        train, dev, test = (synthesize_split(shipped_db, shipped_grammar, config, split) for split in SPLITS)
         assert (len(train), len(dev), len(test)) == (60, 6, 6)
         per_method = {m: sum(1 for e in train if e.method is m) for m in METHODS}
         assert all(count == 10 for count in per_method.values())
@@ -228,7 +227,7 @@ class TestDataset:
 
     def test_total_counts_cycle_methods(self, shipped_db, shipped_grammar):
         config = SynthConfig(totals=(12, 6, 6), seed=1)
-        train, dev, test = synthesize_dataset(shipped_db, shipped_grammar, config)
+        train, dev, test = (synthesize_split(shipped_db, shipped_grammar, config, split) for split in SPLITS)
         assert (len(train), len(dev), len(test)) == (12, 6, 6)
         assert {e.method for e in dev} == set(METHODS)
 
@@ -239,7 +238,7 @@ class TestDataset:
 
     def test_split_seeds_disjoint(self, shipped_db, shipped_grammar):
         config = SynthConfig(totals=(6, 6, 6), seed=0)
-        train, dev, test = synthesize_dataset(shipped_db, shipped_grammar, config)
+        train, dev, test = (synthesize_split(shipped_db, shipped_grammar, config, split) for split in SPLITS)
         fingerprints = {
             split[0].system_utterance + split[0].user_utterance for split in (train, dev, test)
         }
