@@ -23,7 +23,7 @@ from pathlib import Path
 from . import augmenter, corpus as corpus_mod, metrics, resolver, synthesizer
 from .errors import DisambigError, SchemaMismatch
 from .grammar import count_language, load_grammar_file
-from .jsonl import first_row, read_json
+from .jsonl import iter_jsonl, read_json
 
 
 class _Parser(argparse.ArgumentParser):
@@ -70,7 +70,7 @@ def _finite_float(low: float, high: float = math.inf):
     return parse
 
 
-def _guard_outputs(inputs: list[str | None], outputs: list[str | None]) -> None:
+def _guard_outputs(inputs: list[str | Path | None], outputs: list[str | None]) -> None:
     resolved_inputs = {Path(p).resolve() for p in inputs if p}
     for out in outputs:
         if out and Path(out).resolve() in resolved_inputs:
@@ -119,39 +119,42 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     parser.subcommands = sub.choices
 
+    def generator_flags(p: argparse.ArgumentParser) -> None:
+        """The inputs and knobs shared by synth and augment."""
+        p.add_argument("--db", default="data/database.json", help="database JSON (default: %(default)s)")
+        p.add_argument("--grammar", default="grammars/disambiguation.cfg", help="grammar file (default: %(default)s)")
+        p.add_argument("--seed", type=int, default=0, help="generation seed (default 0)")
+        p.add_argument("--threads", type=_threads, help="accepted and validated; has no effect, the work is GIL-bound")
+        p.add_argument("--config", help="JSON config mirroring these flags")
+
+    def corpus_input(p: argparse.ArgumentParser) -> None:
+        """The corpus read by augment and stats."""
+        p.add_argument("--in", dest="input", required=True, help="input corpus")
+        p.add_argument("--format", default="native", choices=["native", "sgd", "multiwoz22"])
+
     p = sub.add_parser("grammar-count", help="count the language of a grammar start symbol")
     p.add_argument("grammar", help="grammar source file")
     p.add_argument("--start", required=True, help="start symbol or rule name")
 
     p = sub.add_parser("synth", help="synthesize single-turn disambiguation datasets")
-    p.add_argument("--db", help="database JSON (default: data/database.json)")
-    p.add_argument("--grammar", help="grammar file (default: grammars/disambiguation.cfg)")
+    generator_flags(p)
     p.add_argument("--out", required=True, help="output directory for train/dev/test JSONL")
     p.add_argument("--total", type=_counts,
                    help="split totals TRAIN,DEV,TEST with methods cycled (default 100000,10000,10000)")
     p.add_argument("--per-method", type=_counts, help="per-method counts TRAIN,DEV,TEST (instead of --total)")
     p.add_argument("--methods", help="comma list among exact,positional,partial,typo,multiple,attribute")
     p.add_argument("--splits", default="train,dev,test", help="which splits to emit")
-    p.add_argument("--seed", type=int, default=0, help="generation seed (default 0)")
-    p.add_argument("--threads", type=_threads, help="accepted and validated; has no effect, the work is GIL-bound")
-    p.add_argument("--config", help="JSON config mirroring these flags")
 
     p = sub.add_parser("augment", help="inject disambiguation turns into a corpus")
-    p.add_argument("--in", dest="input", required=True, help="input corpus")
-    p.add_argument("--format", default="native", choices=["native", "sgd", "multiwoz22"])
-    p.add_argument("--db")
-    p.add_argument("--grammar")
+    corpus_input(p)
+    generator_flags(p)
     p.add_argument("--out", required=True, help="output directory (corpus.jsonl, records.jsonl, stats.json)")
     p.add_argument("--allow-list", help="JSON file with a list of augmentable domains")
     p.add_argument("--mix-methods", action="store_true",
                    help="vary the user-prefix addressing method instead of always using the exact name")
-    p.add_argument("--seed", type=int, default=0, help="generation seed (default 0)")
-    p.add_argument("--threads", type=_threads, help="accepted and validated; has no effect, the work is GIL-bound")
-    p.add_argument("--config")
 
     p = sub.add_parser("stats", help="multi-result proportions of a corpus")
-    p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--format", default="native", choices=["native", "sgd", "multiwoz22"])
+    corpus_input(p)
     p.add_argument("--out", help="write JSON here instead of stdout")
 
     p = sub.add_parser("upsample", help="duplicate augmented dialogs up to a multiple of the corpus size")
@@ -176,15 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _default_path(value: str | None, fallback: str) -> str:
-    if value:
-        return value
-    candidate = Path(fallback)
-    if not candidate.exists():
-        raise SchemaMismatch(f"no --db/--grammar given and default {fallback!r} not found")
-    return str(candidate)
-
-
 def _parse_methods(text: str | None) -> tuple[synthesizer.AddressingMethod, ...]:
     if not text:
         return synthesizer.METHODS
@@ -197,12 +191,23 @@ def _parse_methods(text: str | None) -> tuple[synthesizer.AddressingMethod, ...]
     return methods
 
 
-def _sniff_kind(path: str) -> str:
-    """What the first row of ``path`` shows the file to hold: "records", "examples" or else a native "corpus"."""
-    row = first_row(path)
+def _row_kind(row: dict) -> str:
     if "dialog_id" in row:
         return "records"
     return "examples" if "system" in row and "candidates" in row else "corpus"
+
+
+def _sniff_kind(path: str) -> str:
+    """What the first row of ``path`` shows the file to hold: "records",
+    "examples" or else a native "corpus".  An empty file holds zero rows,
+    which every reader takes, and is called a corpus."""
+    return next(iter_jsonl(path, _row_kind), "corpus")
+
+
+def _corpus_files(args) -> list[str | Path]:
+    """The files ``load_corpus`` reads for ``--in``: each ``dialogues_*.json``
+    of a schema-guided directory, else the path itself."""
+    return [args.input] if args.format == "native" else corpus_mod._schema_guided_files(args.input)
 
 
 def _write_json(obj, path: str | None) -> None:
@@ -223,8 +228,8 @@ def _cmd_grammar_count(args) -> int:
 def _cmd_synth(args) -> int:
     if args.total is not None and args.per_method is not None:
         raise SchemaMismatch("--total and --per-method cannot both be set")
-    db = corpus_mod.load_database(_default_path(args.db, "data/database.json"))
-    grammar = load_grammar_file(_default_path(args.grammar, "grammars/disambiguation.cfg"))
+    db = corpus_mod.load_database(args.db)
+    grammar = load_grammar_file(args.grammar)
     config = synthesizer.SynthConfig(per_method=args.per_method, methods=_parse_methods(args.methods), seed=args.seed)
     if args.total:
         config = replace(config, totals=args.total)
@@ -233,13 +238,13 @@ def _cmd_synth(args) -> int:
         if split not in corpus_mod.SPLITS:
             raise SchemaMismatch(f"unknown split {split!r}")
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     _guard_outputs(
         [args.db, args.grammar, args.config],
         [str(out_dir / f"{split}.jsonl") for split in splits],
     )
     for split in splits:
         examples = synthesizer.synthesize_split(db, grammar, config, split)
+        out_dir.mkdir(parents=True, exist_ok=True)
         target = out_dir / f"{split}.jsonl"
         synthesizer.write_examples(examples, str(target))
         _log(f"wrote {len(examples)} examples to {target}")
@@ -257,18 +262,19 @@ def _load_allow_list(path: str | None) -> frozenset[str]:
 
 def _cmd_augment(args) -> int:
     dialog_corpus = corpus_mod.load_corpus(args.input, format=args.format)
-    db = corpus_mod.load_database(_default_path(args.db, "data/database.json"))
-    grammar = load_grammar_file(_default_path(args.grammar, "grammars/disambiguation.cfg"))
+    db = corpus_mod.load_database(args.db)
+    grammar = load_grammar_file(args.grammar)
     allowed = _load_allow_list(args.allow_list)
     methods = augmenter.AUGMENT_METHODS if args.mix_methods else (synthesizer.AddressingMethod.EXACT,)
 
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     outputs = [out_dir / "corpus.jsonl", out_dir / "records.jsonl", out_dir / "stats.json"]
-    _guard_outputs([args.input, args.db, args.grammar, args.allow_list, args.config], [str(p) for p in outputs])
+    _guard_outputs([*_corpus_files(args), args.db, args.grammar, args.allow_list, args.config],
+                   [str(p) for p in outputs])
 
     new_corpus, records, stats = augmenter.augment_corpus(dialog_corpus, db, grammar, args.seed, allowed, methods)
 
+    out_dir.mkdir(parents=True, exist_ok=True)
     corpus_mod.write_corpus(new_corpus, str(outputs[0]))
     augmenter.write_records(records, str(outputs[1]))
     _write_json(stats.to_json(), str(outputs[2]))
@@ -278,7 +284,7 @@ def _cmd_augment(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    _guard_outputs([args.input], [args.out])
+    _guard_outputs(_corpus_files(args), [args.out])
     report = augmenter.multi_result_report(corpus_mod.load_corpus(args.input, format=args.format))
     _write_json(report, args.out)
     return 0

@@ -81,12 +81,6 @@ class NotEnoughEntities(DisambigError):
 # --- synthesis ----------------------------------------------------------------
 
 
-class GrammarMissingStart(DisambigError):
-    def __init__(self, start: str):
-        self.start = start
-        super().__init__(f"grammar does not define required start {start!r}")
-
-
 class InvalidTargetArity(DisambigError):
     pass
 

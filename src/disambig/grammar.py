@@ -32,6 +32,7 @@ from .errors import (
     UndefinedNonterminal,
     UnknownStart,
 )
+from .jsonl import read_text
 from .seeding import rng_for
 
 _NONTERMINAL_RE = re.compile(r"[A-Z][A-Z0-9_]*\Z")
@@ -126,8 +127,7 @@ def load_grammar(text: str) -> Grammar:
 
 
 def load_grammar_file(path: str) -> Grammar:
-    with open(path, encoding="utf-8") as handle:
-        return load_grammar(handle.read())
+    return load_grammar(read_text(path))
 
 
 def _validate(grammar: Grammar) -> None:

@@ -5,8 +5,9 @@ files are all JSONL: one JSON object per line, written with sorted keys and
 without ASCII escaping so that equal data gives equal bytes.  Reading skips
 blank lines and reports any malformed row as :class:`SchemaMismatch`
 naming the file and the line, so a bad input never escapes as a traceback.
-Whole-document JSON inputs (database, schema-guided corpora, config and
-allow-list files) are read through :func:`read_json` under the same rule.
+Whole-document inputs (database, schema-guided corpora, config and
+allow-list files, grammars) are read through :func:`read_json` and
+:func:`read_text` under the same rule.
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ from .errors import SchemaMismatch
 T = TypeVar("T")
 
 # What a row parser raises on a row of the wrong shape.  ValueError also
-# covers JSONDecodeError and UnicodeDecodeError.
-_ROW_ERRORS = (SchemaMismatch, KeyError, TypeError, ValueError, AttributeError)
+# covers JSONDecodeError and UnicodeDecodeError; json raises RecursionError
+# on nesting deeper than the interpreter's recursion limit.
+_ROW_ERRORS = (SchemaMismatch, KeyError, TypeError, ValueError, AttributeError, RecursionError)
 
 
 def iter_jsonl(path: str, parse: Callable[[object], T]) -> Iterator[T]:
@@ -36,33 +38,24 @@ def iter_jsonl(path: str, parse: Callable[[object], T]) -> Iterator[T]:
                 raise SchemaMismatch(f"{path}: line {line_no}: {exc}") from exc
 
 
-def _object(row: object) -> dict:
-    if not isinstance(row, dict):
-        raise TypeError(f"expected a JSON object, got {type(row).__name__}")
-    return row
-
-
-def first_row(path: str) -> dict:
-    """The first non-blank row of ``path``, which must be a JSON object."""
-    rows = iter_jsonl(path, _object)
-    try:
-        return next(rows)
-    except StopIteration:
-        raise SchemaMismatch(f"{path} is empty") from None
-    finally:
-        rows.close()
-
-
 def write_jsonl(path: str, rows: Iterable[dict]) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         for row in rows:
             handle.write(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n")
 
 
-def read_json(path: str):
-    """Load a whole-document JSON file."""
+def read_text(path: str) -> str:
+    """The text of a whole-document input file, which must be UTF-8."""
     with open(path, encoding="utf-8") as handle:
         try:
-            return json.load(handle)
-        except ValueError as exc:
-            raise SchemaMismatch(f"{path}: invalid JSON: {exc}") from exc
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            raise SchemaMismatch(f"{path}: {exc}") from exc
+
+
+def read_json(path: str):
+    """Load a whole-document JSON file."""
+    try:
+        return json.loads(read_text(path))
+    except (ValueError, RecursionError) as exc:
+        raise SchemaMismatch(f"{path}: invalid JSON: {exc}") from exc

@@ -13,11 +13,11 @@ from enum import Enum
 
 from .corpus import SPLITS, SYSTEM, USER, Corpus, Database, Dialog, Entity, Frame, Turn, _expect, name_key, sample_entities
 from .errors import (
-    GrammarMissingStart,
     InvalidTargetArity,
     NoDiscriminatingAttribute,
     NotEnoughEntities,
     NoUniquePartial,
+    SchemaMismatch,
     TypoGenerationFailed,
     UnknownDomain,
 )
@@ -247,12 +247,6 @@ def apply_addressing(
     return _attribute_mention(target, others, seed, grammar, noun)
 
 
-def _require_starts(grammar: Grammar, *starts: str) -> None:
-    for start in starts:
-        if start not in grammar.rules:
-            raise GrammarMissingStart(start)
-
-
 def build_system_utterance(grammar: Grammar, candidates: list[Entity], noun: str, seed: int) -> str:
     tokens = sample(grammar, SYSTEM_QUESTION, seed)
     option_list = format_option_list([e.name for e in candidates])
@@ -286,7 +280,6 @@ def synthesize_example(
     seed: int,
 ) -> SingleTurnExample:
     """One (system question, user answer, gold target) triple, pure in its args."""
-    _require_starts(grammar, SYSTEM_QUESTION, USER_ANSWER)
     table = db.tables.get(domain)
     if table is None:
         raise UnknownDomain(domain)
@@ -344,6 +337,8 @@ def synthesize_split(db: Database, grammar: Grammar, config: SynthConfig, split:
     so splits never share an example regardless of which are generated."""
     plan = _split_plan(config, SPLITS.index(split))
     domains = sorted(db.tables)
+    if plan and not domains:
+        raise SchemaMismatch("the database has no tables to draw candidates from")
     return [
         synthesize_example(
             db, grammar, domains[i % len(domains)], method, derive_seed("dataset", split, i, config.seed)

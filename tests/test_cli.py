@@ -223,6 +223,20 @@ _MALFORMED_INPUTS = {
     "synth-splits-bogus": (
         {}, ["synth", "--db", DB, "--grammar", GRAMMAR, "--per-method", "1,1,1", "--splits", "test,bogus",
              "--out", "OUT"]),
+    "grammar-count-grammar-not-utf8": ({"g.cfg": b"S -> \xff\n"}, ["grammar-count", "g.cfg", "--start", "S"]),
+    "synth-grammar-not-utf8": (
+        {"g.cfg": b"S -> \xff\n"}, ["synth", "--db", DB, "--grammar", "g.cfg", "--total", "1,0,0", "--out", "OUT"]),
+    "augment-grammar-not-utf8": (
+        {"g.cfg": b"S -> \xff\n"}, ["augment", "--in", TOY, "--db", DB, "--grammar", "g.cfg", "--out", "OUT"]),
+    "stats-nested-too-deep": ({"in.jsonl": "[" * 100_000 + "\n"}, ["stats", "--in", "in.jsonl"]),
+    "stats-sgd-nested-too-deep": ({"in.json": "[" * 100_000}, ["stats", "--format", "sgd", "--in", "in.json"]),
+    "resolve-nested-too-deep": ({"in.jsonl": "[" * 100_000 + "\n"}, ["resolve", "--in", "in.jsonl", "--out", "OUT"]),
+    "synth-db-without-tables": (
+        {"db.json": '{"name_fields": {}, "tables": {}}'},
+        ["synth", "--db", "db.json", "--grammar", GRAMMAR, "--total", "1,0,0", "--out", "OUT"]),
+    **{f"{command}-grammar-without-user-answer": (
+        {"g.cfg": "SYSTEM_QUESTION -> pick {option_list}\n"}, [command, *extra, "--grammar", "g.cfg", "--out", "OUT"])
+       for command, extra in (("synth", ["--db", DB, "--total", "1,0,0"]), ("augment", ["--in", TOY, "--db", DB]))},
 }
 
 
@@ -242,11 +256,45 @@ def test_malformed_input_is_a_validation_error(capsys, tmp_path, repo_root, file
     assert not (tmp_path / "out").exists()
 
 
+def test_missing_grammar_start_is_reported_alike(capsys, tmp_path, repo_root):
+    grammar = tmp_path / "g.cfg"
+    grammar.write_text("SYSTEM_QUESTION -> pick {option_list}\n", encoding="utf-8")
+    common = ["--db", str(repo_root / DB), "--grammar", str(grammar), "--out", str(tmp_path / "out")]
+    synth = _run(capsys, "synth", *common, "--total", "1,0,0")
+    augment = _run(capsys, "augment", *common, "--in", str(repo_root / TOY))
+    assert synth == augment == (1, "", "error: unknown start symbol or rule name 'USER_ANSWER'\n")
+
+
+@pytest.mark.parametrize("command, given, missing", [
+    ("synth", ["--total", "1,0,0"], DB),
+    ("synth", ["--total", "1,0,0", "--db", DB], GRAMMAR),
+    ("augment", ["--in", TOY, "--grammar", GRAMMAR], DB),
+])
+def test_missing_default_data_file_is_an_io_error(capsys, monkeypatch, tmp_path, repo_root, command, given, missing):
+    argv = [command, *(str(repo_root / t) if t in (DB, GRAMMAR, TOY) else t for t in given), "--out", "o"]
+    monkeypatch.chdir(tmp_path)  # where the relative defaults do not exist
+    code, _, err = _run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("i/o error:") and missing in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_empty_file_is_zero_rows(capsys, tmp_path):
+    empty, preds = tmp_path / "empty.jsonl", tmp_path / "preds.jsonl"
+    empty.write_bytes(b"")
+    code, _, err = _run(capsys, "resolve", "--in", str(empty), "--out", str(preds))
+    assert (code, err) == (0, f"resolved 0 rows from {empty}\n")
+    assert preds.read_bytes() == b""
+    code, out, _ = _run(capsys, "score", "--preds", str(preds), "--gold", str(empty))
+    assert code == 0
+    assert json.loads(out)["counts"]["turns_total"] == 0
+
+
 # Every value-taking flag of synth and augment that --config may set, except
 # the required ones: (command, flag, default, (text, JSON, parsed) twice).
 _CONFIGURABLE_FLAGS = [
-    *((command, flag, None, ("a.json", "a.json", "a.json"), ("b.json", "b.json", "b.json"))
-      for command in ("synth", "augment") for flag in ("db", "grammar")),
+    *((command, flag, default, ("a.json", "a.json", "a.json"), ("b.json", "b.json", "b.json"))
+      for command in ("synth", "augment") for flag, default in (("db", DB), ("grammar", GRAMMAR))),
     *((command, "seed", 0, ("7", 7, 7), ("9", 9, 9)) for command in ("synth", "augment")),
     *((command, "threads", None, ("2", 2, 2), ("8", 8, 8)) for command in ("synth", "augment")),
     ("synth", "total", None, ("3,0,5", [3, 0, 5], (3, 0, 5)), ("7", 7, (7, 7, 7))),
@@ -494,6 +542,16 @@ class TestStats:
         report = json.loads(out)
         assert report["overall"] == pytest.approx(toy_expected["multi_result"]["overall"])
         assert report["per_service"] == pytest.approx(toy_expected["multi_result"]["per_service"])
+
+    def test_refuses_to_overwrite_a_file_of_a_schema_guided_directory(self, capsys, tmp_path, repo_root):
+        dialogs = tmp_path / "sgd" / "dialogues_001.json"
+        dialogs.parent.mkdir()
+        write_corpus(load_corpus(str(repo_root / TOY)), str(dialogs), format="sgd")
+        before = dialogs.read_bytes()
+        code, _, err = _run(capsys, "stats", "--in", str(dialogs.parent), "--format", "sgd", "--out", str(dialogs))
+        assert code == 1
+        assert err.startswith("error:") and "overwrite" in err
+        assert dialogs.read_bytes() == before
 
 
 class TestUpsample:

@@ -184,13 +184,13 @@ class TestSynthesizeExample:
             synthesize_example(db, shipped_grammar, "d", AddressingMethod.EXACT, 0)
 
     def test_grammar_missing_start(self, shipped_db):
-        from disambig.errors import GrammarMissingStart
+        from disambig.errors import UnknownStart
         from disambig.grammar import load_grammar
 
         incomplete = load_grammar("SYSTEM_QUESTION -> pick from {option_list}")
-        with pytest.raises(GrammarMissingStart) as info:
+        with pytest.raises(UnknownStart) as info:
             synthesize_example(shipped_db, incomplete, "hotel", AddressingMethod.EXACT, 0)
-        assert info.value.start == "USER_ANSWER"
+        assert info.value.name == "USER_ANSWER"
 
     def test_single_target_methods_resolve_without_tie(self, shipped_db, shipped_grammar):
         from disambig.resolver import resolve
