@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 
-from .corpus import SYSTEM, Corpus, Database, Dialog, Entity, _expect, name_key
+from .corpus import SYSTEM, Corpus, Database, Dialog, Entity, _expect, gold_marker, name_key
 from .errors import SchemaMismatch
 from .grammar import Grammar
 from .jsonl import iter_jsonl, write_jsonl
@@ -67,17 +67,7 @@ class AugmentationRecord:
     skipped_reason: str | None = None
 
     def to_json(self) -> dict:
-        return {
-            "dialog_id": self.dialog_id,
-            "turn_index": self.turn_index,
-            "original_system": self.original_system,
-            "new_system": self.new_system,
-            "user_prefix": self.user_prefix,
-            "original_user": self.original_user,
-            "candidates": [e.to_json() for e in self.candidates],
-            "target": self.target.to_json(),
-            "skipped_reason": self.skipped_reason,
-        }
+        return {**vars(self), "candidates": [e.to_json() for e in self.candidates], "target": self.target.to_json()}
 
     @classmethod
     def from_json(cls, obj: dict) -> "AugmentationRecord":
@@ -222,13 +212,7 @@ def augment_dialog(
                 grammar, candidates, [position], method, db.noun(accepted.domain), "augment", base
             )
             prefix = _ensure_sentence_final(answer)
-            marker = {
-                "origin": "augment",
-                "method": method.value,
-                "target_names": [accepted.name],
-                "candidate_names": [e.name for e in candidates],
-                "user_prefix": prefix,
-            }
+            marker = {**gold_marker("augment", method.value, [accepted.name], candidates), "user_prefix": prefix}
             turns[turn_index] = replace(
                 system_turn, utterance=new_system, extras={**system_turn.extras, "disambig": marker}
             )

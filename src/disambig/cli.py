@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -71,9 +72,14 @@ def _finite_float(low: float, high: float = math.inf):
 
 
 def _guard_outputs(inputs: list[str | Path | None], outputs: list[str | None]) -> None:
-    resolved_inputs = {Path(p).resolve() for p in inputs if p}
+    """Refuse an output that names an input, or that is already the same
+    file as one (a hard link to it)."""
+    inputs = [Path(p) for p in inputs if p]
+    resolved_inputs = {p.resolve() for p in inputs}
+    existing_inputs = [p for p in inputs if p.exists()]
     for out in outputs:
-        if out and Path(out).resolve() in resolved_inputs:
+        if out and (Path(out).resolve() in resolved_inputs
+                    or Path(out).exists() and any(os.path.samefile(out, p) for p in existing_inputs)):
             raise SchemaMismatch(f"output path {out!r} would overwrite an input")
 
 
@@ -242,9 +248,10 @@ def _cmd_synth(args) -> int:
         [args.db, args.grammar, args.config],
         [str(out_dir / f"{split}.jsonl") for split in splits],
     )
-    for split in splits:
-        examples = synthesizer.synthesize_split(db, grammar, config, split)
-        out_dir.mkdir(parents=True, exist_ok=True)
+    # Every split is made before the first is written, so a failing split leaves no output.
+    made = [synthesizer.synthesize_split(db, grammar, config, split) for split in splits]
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for split, examples in zip(splits, made):
         target = out_dir / f"{split}.jsonl"
         synthesizer.write_examples(examples, str(target))
         _log(f"wrote {len(examples)} examples to {target}")

@@ -166,6 +166,14 @@ def _expect(value, kind: type, what: str) -> None:
         raise SchemaMismatch(f"{what}: expected {_KIND_NAMES[kind]}, got {value!r:.60}")
 
 
+def gold_marker(origin: str, method: str, target_names: list[str], candidates: list[Entity]) -> dict:
+    """The ``disambig`` marker of a system turn that lists ``candidates`` and
+    whose user reply picks ``target_names`` by addressing ``method``; it is
+    the gold label for scoring, and ``_append_turn`` checks it on load."""
+    return {"origin": origin, "method": method, "target_names": target_names,
+            "candidate_names": [e.name for e in candidates]}
+
+
 def _append_turn(dialog: Dialog, turn: Turn) -> None:
     """Append ``turn`` to ``dialog``, or raise SchemaMismatch if it breaks an invariant there."""
     index = len(dialog.turns)

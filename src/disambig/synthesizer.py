@@ -11,7 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .corpus import SPLITS, SYSTEM, USER, Corpus, Database, Dialog, Entity, Frame, Turn, _expect, name_key, sample_entities
+from .corpus import (
+    SPLITS, SYSTEM, USER, Corpus, Database, Dialog, Entity, Turn, _expect, gold_marker, name_key, sample_entities,
+)
 from .errors import (
     InvalidTargetArity,
     NoDiscriminatingAttribute,
@@ -200,16 +202,14 @@ def _attribute_mention(
     target: Entity,
     others: list[Entity],
     seed: int,
-    grammar: Grammar | None,
+    grammar: Grammar,
     domain_noun: str,
 ) -> str:
     choices = _discriminating_attributes(target, others)
     chosen = choices[rng_for("attribute.pick", target.name, seed).randrange(len(choices))]
     phrase = " and ".join(realize_attribute_phrase(a, target.attributes[a]) for a in chosen)
-    if grammar is not None and ATTRIBUTE_MENTION in grammar.rules:
-        tokens = sample(grammar, ATTRIBUTE_MENTION, derive_seed("attribute.template", target.name, seed))
-        return fill(tokens, {"domain_noun": domain_noun, "attribute_phrase": phrase})
-    return f"the {domain_noun} {phrase}"
+    tokens = sample(grammar, ATTRIBUTE_MENTION, derive_seed("attribute.template", target.name, seed))
+    return fill(tokens, {"domain_noun": domain_noun, "attribute_phrase": phrase})
 
 
 def apply_addressing(
@@ -217,10 +217,14 @@ def apply_addressing(
     targets: list[int],
     method: AddressingMethod,
     seed: int,
-    grammar: Grammar | None = None,
-    domain_noun: str | None = None,
+    grammar: Grammar,
+    domain_noun: str,
 ) -> str:
-    """Produce the user-side mention of the target(s) under one method."""
+    """Produce the user-side mention of the target(s) under one method.
+
+    An attribute mention is worded by the grammar's ``ATTRIBUTE_MENTION``
+    rule, with ``domain_noun`` (the database's noun for the domain) in its
+    ``{domain_noun}`` slot."""
     if len(set(targets)) != len(targets) or not all(0 <= t < len(candidates) for t in targets):
         raise InvalidTargetArity("targets must be distinct valid candidate indices")
     if method is AddressingMethod.MULTIPLE:
@@ -243,8 +247,7 @@ def apply_addressing(
         names = [candidates[i].name for i in targets]
         both = rng_for("multiple.both", seed, *names).random() < 0.5
         return _join_names(names, both=both)
-    noun = domain_noun or target.domain.replace("_", " ")
-    return _attribute_mention(target, others, seed, grammar, noun)
+    return _attribute_mention(target, others, seed, grammar, domain_noun)
 
 
 def build_system_utterance(grammar: Grammar, candidates: list[Entity], noun: str, seed: int) -> str:
@@ -364,23 +367,13 @@ def example_dialog_id(index: int) -> str:
 
 def examples_to_corpus(examples: list[SingleTurnExample]) -> Corpus:
     """View a synthesized file as a two-turn-dialog corpus for the scoring
-    harness; the system turn carries the gold marker in its extras."""
+    harness: the system turn carries the gold marker in its extras, and
+    neither turn has frames or search results, which scoring does not read."""
     dialogs = []
     for index, example in enumerate(examples):
-        marker = {
-            "origin": "synth",
-            "method": example.method.value,
-            "target_names": example.target_names(),
-            "candidate_names": [e.name for e in example.candidates],
-        }
-        system_turn = Turn(
-            speaker=SYSTEM,
-            utterance=example.system_utterance,
-            frames=[Frame(service=example.domain)],
-            search_results=list(example.candidates),
-            extras={"disambig": marker},
-        )
-        user_turn = Turn(speaker=USER, utterance=example.user_utterance, frames=[Frame(service=example.domain)])
+        marker = gold_marker("synth", example.method.value, example.target_names(), example.candidates)
+        system_turn = Turn(speaker=SYSTEM, utterance=example.system_utterance, extras={"disambig": marker})
+        user_turn = Turn(speaker=USER, utterance=example.user_utterance)
         dialogs.append(
             Dialog(id=example_dialog_id(index), services=[example.domain], turns=[system_turn, user_turn])
         )

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -263,6 +264,64 @@ def test_missing_grammar_start_is_reported_alike(capsys, tmp_path, repo_root):
     synth = _run(capsys, "synth", *common, "--total", "1,0,0")
     augment = _run(capsys, "augment", *common, "--in", str(repo_root / TOY))
     assert synth == augment == (1, "", "error: unknown start symbol or rule name 'USER_ANSWER'\n")
+
+
+def _shipped_grammar_without(repo_root: Path, rule: str, path: Path) -> Path:
+    """The shipped grammar with every line that names ``rule`` taken out."""
+    lines = (repo_root / GRAMMAR).read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text("".join(line for line in lines if rule not in line), encoding="utf-8")
+    return path
+
+
+def test_attribute_mentions_need_the_grammar_rule(capsys, tmp_path, repo_root):
+    grammar = _shipped_grammar_without(repo_root, "ATTRIBUTE_MENTION", tmp_path / "g.cfg")
+    common = ["--db", str(repo_root / DB), "--grammar", str(grammar)]
+    synth = ["synth", *common, "--total", "0,0,6", "--splits", "test"]
+    missing = (1, "", "error: unknown start symbol or rule name 'ATTRIBUTE_MENTION'\n")
+    assert _run(capsys, *synth, "--out", str(tmp_path / "a")) == missing
+    # Seed 1 gives some of the toy corpus's turns an attribute mention; seed 0 gives none.
+    augment = ["augment", *common, "--in", str(repo_root / TOY), "--seed", "1"]
+    assert _run(capsys, *augment, "--mix-methods", "--out", str(tmp_path / "b")) == missing
+    assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
+    code, _, _ = _run(capsys, *synth, "--methods", "exact,typo", "--out", str(tmp_path / "c"))
+    assert code == 0
+    code, _, _ = _run(capsys, *augment, "--out", str(tmp_path / "d"))
+    assert code == 0
+
+
+@pytest.mark.parametrize("rule, total", [("USER_ANSWER", "0,0,2"), ("ATTRIBUTE_MENTION", "1,0,6")])
+def test_failed_synth_leaves_no_split_behind(capsys, tmp_path, repo_root, rule, total):
+    # train is made (empty, or one exact example) before test fails.
+    grammar = _shipped_grammar_without(repo_root, rule, tmp_path / "g.cfg")
+    code, _, err = _run(capsys, "synth", "--db", str(repo_root / DB), "--grammar", str(grammar), "--total", total,
+                        "--splits", "train,test", "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert err == f"error: unknown start symbol or rule name {rule!r}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("linked, argv", [
+    ("corpus.jsonl", ["stats", "--in", "corpus.jsonl", "--out", "LINK"]),
+    ("corpus.jsonl", ["upsample", "--in", "corpus.jsonl", "--out", "LINK"]),
+    ("records.jsonl", ["resolve", "--in", "records.jsonl", "--out", "LINK"]),
+    ("preds.jsonl", ["score", "--preds", "preds.jsonl", "--gold", "corpus.jsonl", "--records", "records.jsonl",
+                     "--out", "LINK"]),
+], ids=["stats", "upsample", "resolve", "score"])
+def test_refuses_an_output_hard_linked_to_an_input(capsys, tmp_path, repo_root, linked, argv):
+    aug = tmp_path / "aug"
+    code, _, _ = _run(capsys, "augment", "--in", str(repo_root / TOY), "--db", str(repo_root / DB),
+                      "--grammar", str(repo_root / GRAMMAR), "--out", str(aug))
+    assert code == 0
+    code, _, _ = _run(capsys, "resolve", "--in", str(aug / "records.jsonl"), "--out", str(aug / "preds.jsonl"))
+    assert code == 0
+    link = tmp_path / "link.jsonl"
+    os.link(aug / linked, link)
+    before = {path.name: _digest(path) for path in aug.iterdir()}
+    code, _, err = _run(capsys, *(str(link) if t == "LINK" else str(aug / t) if t.endswith(".jsonl") else t
+                                  for t in argv))
+    assert code == 1
+    assert err.splitlines()[-1].startswith("error:") and "overwrite" in err
+    assert {path.name: _digest(path) for path in aug.iterdir()} == before
 
 
 @pytest.mark.parametrize("command, given, missing", [

@@ -5,7 +5,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from disambig.corpus import SPLITS, Database, Entity, name_key
+from disambig.corpus import SPLITS, Database, Entity, load_corpus, name_key, write_corpus
 from disambig.errors import (
     InvalidTargetArity,
     NoDiscriminatingAttribute,
@@ -13,6 +13,7 @@ from disambig.errors import (
     NoUniquePartial,
     UnknownDomain,
 )
+from disambig.metrics import PredictionRow, score
 from disambig.resolver import predict_names
 from disambig.synthesizer import (
     AddressingMethod,
@@ -20,6 +21,7 @@ from disambig.synthesizer import (
     SynthConfig,
     _partial_mention,
     apply_addressing,
+    example_dialog_id,
     examples_to_corpus,
     format_option_list,
     read_examples,
@@ -55,33 +57,36 @@ def _partial_cases(draw) -> tuple[Entity, list[Entity]]:
 
 
 class TestApplyAddressing:
-    def test_exact_is_verbatim(self):
+    def test_exact_is_verbatim(self, shipped_grammar):
         candidates = _entities("alpha kitchen", "briar manor", "cedar lodge")
-        assert apply_addressing(candidates, [2], AddressingMethod.EXACT, 0) == "cedar lodge"
+        mention = apply_addressing(candidates, [2], AddressingMethod.EXACT, 0, shipped_grammar, "restaurant")
+        assert mention == "cedar lodge"
 
-    def test_positional_second(self):
+    def test_positional_second(self, shipped_grammar):
         candidates = _entities("alpha kitchen", "briar manor", "cedar lodge")
-        assert apply_addressing(candidates, [1], AddressingMethod.POSITIONAL, 0) == "the second one"
+        mention = apply_addressing(candidates, [1], AddressingMethod.POSITIONAL, 0, shipped_grammar, "restaurant")
+        assert mention == "the second one"
 
-    def test_partial_prefers_shortest_unique_prefix(self):
+    def test_partial_prefers_shortest_unique_prefix(self, shipped_grammar):
         candidates = _entities("chiquito restauraant bar", "copper kettle", "mill house tavern")
-        assert apply_addressing(candidates, [0], AddressingMethod.PARTIAL, 0) == "chiquito"
+        mention = apply_addressing(candidates, [0], AddressingMethod.PARTIAL, 0, shipped_grammar, "restaurant")
+        assert mention == "chiquito"
 
-    def test_partial_extends_window_until_unique(self):
+    def test_partial_extends_window_until_unique(self, shipped_grammar):
         # shared first tokens force a window containing the distinctive word
         candidates = _entities("north lodge retreat", "north lodge villas")
-        mention = apply_addressing(candidates, [0], AddressingMethod.PARTIAL, 0)
+        mention = apply_addressing(candidates, [0], AddressingMethod.PARTIAL, 0, shipped_grammar, "restaurant")
         assert "retreat" in mention
         assert mention != "north lodge retreat"
 
-    def test_partial_skips_stopword_only_windows(self):
+    def test_partial_skips_stopword_only_windows(self, shipped_grammar):
         candidates = _entities("the palm", "copper kettle")
-        assert apply_addressing(candidates, [0], AddressingMethod.PARTIAL, 0) == "palm"
+        assert apply_addressing(candidates, [0], AddressingMethod.PARTIAL, 0, shipped_grammar, "restaurant") == "palm"
 
-    def test_partial_single_token_name_fails(self):
+    def test_partial_single_token_name_fails(self, shipped_grammar):
         candidates = _entities("unique", "copper kettle")
         with pytest.raises(NoUniquePartial):
-            apply_addressing(candidates, [0], AddressingMethod.PARTIAL, 0)
+            apply_addressing(candidates, [0], AddressingMethod.PARTIAL, 0, shipped_grammar, "restaurant")
 
     @settings(max_examples=500)
     @given(case=_partial_cases())
@@ -94,56 +99,65 @@ class TestApplyAddressing:
 
         assert outcome(_partial_mention) == outcome(slow_partial_mention)
 
-    def test_typo_is_exactly_one_edit(self):
+    def test_typo_is_exactly_one_edit(self, shipped_grammar):
         candidates = _entities("glorious gardens", "marble brasserie", "willow eatery")
         for seed in range(200):
-            mention = apply_addressing(candidates, [0], AddressingMethod.TYPO, seed)
+            mention = apply_addressing(candidates, [0], AddressingMethod.TYPO, seed, shipped_grammar, "restaurant")
             assert mention != "glorious gardens"
             assert mention not in ("marble brasserie", "willow eatery")
             assert slow_edit_distance(mention, "glorious gardens") == 1
 
-    def test_multiple_joins_exact_names(self):
+    def test_multiple_joins_exact_names(self, shipped_grammar):
         candidates = _entities("alpha kitchen", "briar manor", "cedar lodge")
-        mention = apply_addressing(candidates, [0, 2], AddressingMethod.MULTIPLE, 3)
+        mention = apply_addressing(candidates, [0, 2], AddressingMethod.MULTIPLE, 3, shipped_grammar, "restaurant")
         assert "alpha kitchen" in mention and "cedar lodge" in mention and "and" in mention
-        three = apply_addressing(candidates, [0, 1, 2], AddressingMethod.MULTIPLE, 3)
+        three = apply_addressing(candidates, [0, 1, 2], AddressingMethod.MULTIPLE, 3, shipped_grammar, "restaurant")
         assert three.count(",") >= 1 and "and" in three
 
-    def test_multiple_requires_two_targets(self):
+    def test_multiple_requires_two_targets(self, shipped_grammar):
         candidates = _entities("alpha kitchen", "briar manor")
         with pytest.raises(InvalidTargetArity):
-            apply_addressing(candidates, [0], AddressingMethod.MULTIPLE, 0)
+            apply_addressing(candidates, [0], AddressingMethod.MULTIPLE, 0, shipped_grammar, "restaurant")
         with pytest.raises(InvalidTargetArity):
-            apply_addressing(candidates, [0, 1], AddressingMethod.EXACT, 0)
+            apply_addressing(candidates, [0, 1], AddressingMethod.EXACT, 0, shipped_grammar, "restaurant")
         with pytest.raises(InvalidTargetArity):
-            apply_addressing(candidates, [0, 0], AddressingMethod.MULTIPLE, 0)
+            apply_addressing(candidates, [0, 0], AddressingMethod.MULTIPLE, 0, shipped_grammar, "restaurant")
 
-    def test_attribute_paper_example(self):
+    def test_attribute_paper_example(self, shipped_grammar):
         candidates = [
             Entity(domain="restaurant", name="alpha kitchen", attributes={"area": "north", "price_range": "cheap"}),
             Entity(domain="restaurant", name="briar manor", attributes={"area": "south", "price_range": "cheap"}),
             Entity(domain="restaurant", name="cedar lodge", attributes={"area": "west", "price_range": "cheap"}),
         ]
         for seed in range(20):
-            mention = apply_addressing(candidates, [0], AddressingMethod.ATTRIBUTE, seed, domain_noun="restaurant")
+            mention = apply_addressing(candidates, [0], AddressingMethod.ATTRIBUTE, seed, shipped_grammar, "restaurant")
             assert mention == "the restaurant in the north of the city"
 
-    def test_attribute_falls_back_to_pairs(self):
+    def test_attribute_falls_back_to_pairs(self, shipped_grammar):
         candidates = [
             Entity(domain="hotel", name="alpha lodge", attributes={"area": "north", "stars": "4"}),
             Entity(domain="hotel", name="briar manor", attributes={"area": "north", "stars": "3"}),
             Entity(domain="hotel", name="cedar suites", attributes={"area": "south", "stars": "4"}),
         ]
-        mention = apply_addressing(candidates, [0], AddressingMethod.ATTRIBUTE, 0, domain_noun="hotel")
+        mention = apply_addressing(candidates, [0], AddressingMethod.ATTRIBUTE, 0, shipped_grammar, "hotel")
         assert "north" in mention and "4 stars" in mention and " and " in mention
 
-    def test_attribute_no_discriminator(self):
+    def test_attribute_no_discriminator(self, shipped_grammar):
         candidates = [
             Entity(domain="hotel", name="alpha lodge", attributes={"area": "north"}),
             Entity(domain="hotel", name="briar manor", attributes={"area": "north"}),
         ]
         with pytest.raises(NoDiscriminatingAttribute):
-            apply_addressing(candidates, [0], AddressingMethod.ATTRIBUTE, 0, domain_noun="hotel")
+            apply_addressing(candidates, [0], AddressingMethod.ATTRIBUTE, 0, shipped_grammar, "hotel")
+
+    def test_grammar_and_noun_are_required(self, shipped_grammar):
+        # The wording comes from the grammar and the noun from the database;
+        # there is no built-in template or noun to fall back on.
+        candidates = _entities("alpha kitchen", "briar manor")
+        with pytest.raises(TypeError):
+            apply_addressing(candidates, [0], AddressingMethod.EXACT, 0)
+        with pytest.raises(TypeError):
+            apply_addressing(candidates, [0], AddressingMethod.EXACT, 0, shipped_grammar)
 
 
 class TestSynthesizeExample:
@@ -262,6 +276,29 @@ class TestDataset:
         marker = gold.dialogs[0].turns[0].extras["disambig"]
         assert marker["origin"] == "synth"
         assert marker["target_names"] == examples[0].target_names()
+
+    def test_examples_view_holds_only_what_scoring_reads(self, shipped_db, shipped_grammar):
+        examples = synthesize_split(shipped_db, shipped_grammar, SynthConfig(totals=(0, 0, 6), seed=2), "test")
+        for dialog, example in zip(examples_to_corpus(examples).dialogs, examples):
+            system, user = dialog.turns
+            assert [t.frames for t in dialog.turns] == [[], []]
+            assert system.search_results is None and user.search_results is None
+            assert system.extras["disambig"] == {
+                "origin": "synth", "method": example.method.value, "target_names": example.target_names(),
+                "candidate_names": [e.name for e in example.candidates]}
+
+    def test_examples_view_scores_the_same_from_a_file(self, shipped_db, shipped_grammar, tmp_path):
+        # Loading checks every marker gold_marker built; the report must not move.
+        examples = synthesize_split(shipped_db, shipped_grammar, SynthConfig(totals=(0, 0, 300), seed=7), "test")
+        preds = {}
+        for index, example in enumerate(examples):
+            row = PredictionRow(dialog_id=example_dialog_id(index), turn_index=0,
+                                entities=predict_names(example.candidates, example.user_utterance))
+            preds[row.key] = row
+        gold = examples_to_corpus(examples)
+        write_corpus(gold, str(tmp_path / "gold.jsonl"))
+        loaded = load_corpus(str(tmp_path / "gold.jsonl"))
+        assert score(preds, loaded).to_json() == score(preds, gold).to_json()
 
 
 def test_format_option_list():
