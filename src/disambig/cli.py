@@ -72,14 +72,12 @@ def _finite_float(low: float, high: float = math.inf):
 
 
 def _guard_outputs(inputs: list[str | Path | None], outputs: list[str | None]) -> None:
-    """Refuse an output that names an input, or that is already the same
-    file as one (a hard link to it)."""
-    inputs = [Path(p) for p in inputs if p]
-    resolved_inputs = {p.resolve() for p in inputs}
-    existing_inputs = [p for p in inputs if p.exists()]
+    """Refuse an output that is already the same file as an input, by any
+    path, symbolic link or hard link to it.  A missing input cannot be
+    overwritten: reading it fails first."""
+    existing = [p for p in inputs if p and Path(p).exists()]
     for out in outputs:
-        if out and (Path(out).resolve() in resolved_inputs
-                    or Path(out).exists() and any(os.path.samefile(out, p) for p in existing_inputs)):
+        if out and Path(out).exists() and any(os.path.samefile(out, p) for p in existing):
             raise SchemaMismatch(f"output path {out!r} would overwrite an input")
 
 

@@ -1,21 +1,22 @@
 #!/usr/bin/env python3
 """Count the code lines of the package, as the project's size claims count them.
 
-    python tools/code_lines.py             # src/disambig/*.py
-    python tools/code_lines.py FILE...     # the given files
+    python tools/code_lines.py
 
 A code line is a line that holds part of a token other than a comment, a
 line break or an indent.  Blank lines, comment-only lines and the lines of
 module, class and function docstrings do not count; a string that is code
-(not a docstring) counts on every line it spans.  Prints each file's count
-and then the total.  Standard library only.
+(not a docstring) counts on every line it spans.  Prints the count of each
+``src/disambig/*.py`` and then the total.  Standard library only.
+
+To count an older commit, run a copy of this file from ``tools/`` in a
+checkout of that commit (``git archive``): it counts the tree it sits in.
 """
 
 from __future__ import annotations
 
 import ast
 import io
-import sys
 import tokenize
 from pathlib import Path
 
@@ -50,10 +51,9 @@ def code_lines(source: str) -> int:
     return len(lines)
 
 
-def main(argv: list[str]) -> int:
-    paths = [Path(p) for p in argv] or sorted((ROOT / "src" / "disambig").glob("*.py"))
+def main() -> int:
     total = 0
-    for path in paths:
+    for path in sorted((ROOT / "src" / "disambig").glob("*.py")):
         count = code_lines(path.read_text(encoding="utf-8"))
         total += count
         print(f"{count:6d}  {path.name}")
@@ -62,4 +62,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main(sys.argv[1:]))
+    raise SystemExit(main())
