@@ -89,12 +89,17 @@ def test_toy_corpus_entities_come_from_the_database(toy_corpus, shipped_db):
                     assert name_key(entity.name) in shipped_db.names(entity.domain)
 
 
-def test_build_data_tool_rebuilds_the_shipped_files(tmp_path, repo_root):
-    """``tools/build_data.py`` regenerates the database and the toy corpus
-    byte for byte (written under ``tmp_path``, never into ``data/``)."""
+def _build_data(repo_root):
     spec = importlib.util.spec_from_file_location("build_data", repo_root / "tools" / "build_data.py")
     build_data = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(build_data)
+    return build_data
+
+
+def test_build_data_tool_rebuilds_the_shipped_files(tmp_path, repo_root):
+    """``tools/build_data.py`` regenerates the database and the toy corpus
+    byte for byte (written under ``tmp_path``, never into ``data/``)."""
+    build_data = _build_data(repo_root)
     write_database(build_data.build_database(), str(tmp_path / "database.json"))
     corpus, expected = build_data.build_toy_corpus(load_database(str(tmp_path / "database.json")))
     write_corpus(corpus, str(tmp_path / "toy_corpus.jsonl"))
@@ -102,3 +107,11 @@ def test_build_data_tool_rebuilds_the_shipped_files(tmp_path, repo_root):
                                                        encoding="utf-8")
     for name in ("database.json", "toy_corpus.jsonl", "toy_corpus_expected.json"):
         assert (tmp_path / name).read_bytes() == (repo_root / "data" / name).read_bytes(), name
+
+
+def test_stress_baseline_is_pinned(repo_root, shipped_grammar):
+    """The resolver on confusable candidate sets gives, per method, exactly
+    the tracked accuracy, rates and sha256 of its predictions."""
+    baseline = _build_data(repo_root).build_stress_baseline(shipped_grammar)
+    tracked = (repo_root / "baselines" / "resolver_stress_baseline.json").read_text(encoding="utf-8")
+    assert json.dumps(baseline, indent=2, sort_keys=True) + "\n" == tracked

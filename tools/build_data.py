@@ -4,16 +4,20 @@
     python tools/build_data.py database    # data/database.json
     python tools/build_data.py toy         # data/toy_corpus.jsonl + expectations
     python tools/build_data.py baseline    # baselines/resolver_baseline.json
+    python tools/build_data.py stress      # baselines/resolver_stress_baseline.json
     python tools/build_data.py all
 
 The database build enforces the vocabulary discipline the resolver round
 trip relies on: entity-name tokens never collide with user-answer grammar
 words, attribute values, ordinal or conjunction cues, and names within one
-domain stay well separated in edit distance.
+domain stay well separated in edit distance.  The stress baseline drops
+the separation rule on purpose: its candidate names share tokens, lie one
+character edit apart, or contain one another.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -390,6 +394,115 @@ def build_baseline() -> dict:
     }
 
 
+# --- stress baseline: confusable candidate sets ---------------------------------
+
+STRESS_SETS_PER_METHOD = 400
+_EDIT_ALPHABET = "abcdefghijklmnopqrstuvwxyz"
+
+
+def _one_char_edit(token: str, rng) -> str:
+    """``token`` with one substitution, deletion, insertion or adjacent swap."""
+    position = rng.randrange(len(token))
+    kind = rng.randrange(4)
+    if kind == 0:
+        return token[:position] + rng.choice(_EDIT_ALPHABET.replace(token[position], "")) + token[position + 1:]
+    if kind == 1:
+        return token[:position] + token[position + 1:]
+    if kind == 2:
+        return token[:position] + rng.choice(_EDIT_ALPHABET) + token[position:]
+    position = min(position, len(token) - 2)
+    return token[:position] + token[position + 1] + token[position] + token[position + 2:]
+
+
+def _confusable_names(rng, seconds: list[str], count: int, forbidden: set[str]) -> list[str]:
+    """``count`` distinct names of one to three tokens.  Each name after the
+    first derives from an earlier one: it swaps one token for another
+    vocabulary word, makes one character edit in one token, or adds or drops
+    an end token, so it contains or lies inside the earlier name."""
+    vocabulary = FIRSTS + seconds
+    names = [f"{rng.choice(FIRSTS)} {rng.choice(seconds)}"]
+    while len(names) < count:
+        tokens = rng.choice(names).split()
+        relation = rng.randrange(3)
+        if relation == 0:
+            tokens[rng.randrange(len(tokens))] = rng.choice(vocabulary)
+        elif relation == 1:
+            index = rng.randrange(len(tokens))
+            tokens[index] = _one_char_edit(tokens[index], rng)
+        elif len(tokens) == 3 or (len(tokens) == 2 and rng.random() < 0.5):
+            tokens = tokens[1:] if rng.random() < 0.5 else tokens[:-1]
+        elif rng.random() < 0.5:
+            tokens = [rng.choice(FIRSTS), *tokens]
+        else:
+            tokens = [*tokens, rng.choice(seconds)]
+        name = " ".join(tokens)
+        if name not in names and not forbidden & set(tokens):
+            names.append(name)
+    return names
+
+
+def build_stress_baseline(grammar) -> dict:
+    """Resolver results on confusable candidate sets, per addressing method.
+
+    Each method gets ``STRESS_SETS_PER_METHOD`` sets of 3-5 candidates from
+    the shipped vocabulary, with attributes as in the database.  Each
+    exchange is worded by ``build_exchange`` and resolved by
+    ``predict_names``; a set whose mention cannot be made counts as rejected
+    by synthesis.  Rates other than ``synth_reject_rate`` are over the
+    exchanges written."""
+    from disambig.errors import NoDiscriminatingAttribute, NoMatch, NoUniquePartial, TypoGenerationFailed
+    from disambig.resolver import predict_names, resolve
+    from disambig.synthesizer import CANDIDATE_COUNTS, METHODS, AddressingMethod, build_exchange
+
+    domains = sorted(CATEGORY)
+    value_tokens = {token for category in set(CATEGORY.values()) for i in range(ENTITIES_PER_DOMAIN)
+                    for value in _attributes(category, 0, i).values() for token in value.split()}
+    forbidden = _grammar_user_vocabulary() | STOPWORDS | value_tokens
+    per_method = {}
+    for method in METHODS:
+        written = correct = ambiguous = nomatch = 0
+        predictions = []
+        for index in range(STRESS_SETS_PER_METHOD):
+            rng = rng_for("stress.set", method.value, index)
+            domain_index = rng.randrange(len(domains))
+            category = CATEGORY[domains[domain_index]]
+            count = rng.choice(CANDIDATE_COUNTS)
+            names = _confusable_names(rng, SECONDS[category], count, forbidden)
+            rows = rng.sample(range(ENTITIES_PER_DOMAIN), count)
+            candidates = [Entity(domain=domains[domain_index], name=name,
+                                 attributes=_attributes(category, domain_index, row))
+                          for name, row in zip(names, rows)]
+            if method is AddressingMethod.MULTIPLE:
+                targets = sorted(rng.sample(range(count), rng.randint(2, count)))
+            else:
+                targets = [rng.randrange(count)]
+            try:
+                _, user = build_exchange(grammar, candidates, targets, method, NOUNS[category], "stress",
+                                         (method.value, index))
+            except (NoUniquePartial, NoDiscriminatingAttribute, TypoGenerationFailed):
+                continue
+            written += 1
+            predicted = predict_names(candidates, user)
+            predictions.append(predicted)
+            correct += sorted(predicted) == sorted(candidates[t].name for t in targets)
+            try:
+                ambiguous += resolve(candidates, user).ambiguous
+            except NoMatch:
+                nomatch += 1
+        digest = hashlib.sha256(json.dumps(predictions).encode("utf-8")).hexdigest()
+        per_method[method.value] = {
+            "attempted": STRESS_SETS_PER_METHOD,
+            "written": written,
+            "accuracy": correct / written,
+            "ambiguous_rate": ambiguous / written,
+            "nomatch_rate": nomatch / written,
+            "synth_reject_rate": (STRESS_SETS_PER_METHOD - written) / STRESS_SETS_PER_METHOD,
+            "predictions_sha256": digest,
+        }
+    return {"config": {"sets_per_method": STRESS_SETS_PER_METHOD, "candidate_counts": list(CANDIDATE_COUNTS)},
+            "per_method": per_method}
+
+
 def main() -> None:
     what = sys.argv[1] if len(sys.argv) > 1 else "all"
     if what in ("database", "all"):
@@ -410,6 +523,11 @@ def main() -> None:
         (ROOT / "baselines" / "resolver_baseline.json").write_text(
             json.dumps(baseline, indent=2, sort_keys=True) + "\n", encoding="utf-8")
         print("wrote baselines/resolver_baseline.json")
+    if what in ("stress", "all"):
+        grammar = load_grammar_file(str(ROOT / "grammars" / "disambiguation.cfg"))
+        (ROOT / "baselines" / "resolver_stress_baseline.json").write_text(
+            json.dumps(build_stress_baseline(grammar), indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        print("wrote baselines/resolver_stress_baseline.json")
 
 
 if __name__ == "__main__":
