@@ -30,6 +30,7 @@ import json
 import random
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterator
 
@@ -43,9 +44,11 @@ _EDGE_PUNCT_RE = re.compile(r"^[^\w]+|[^\w]+$")
 _WS_RE = re.compile(r"\s+")
 
 
+@lru_cache(maxsize=4096)
 def name_key(text: str) -> str:
     """Normalization used for entity-name uniqueness and value matching:
-    lowercase, strip leading/trailing punctuation, collapse whitespace."""
+    lowercase, strip leading/trailing punctuation, collapse whitespace.
+    Memoized per distinct string."""
     return _WS_RE.sub(" ", _EDGE_PUNCT_RE.sub("", text.strip().lower()))
 
 

@@ -14,6 +14,7 @@ judgement."""
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 
 from .augmenter import AugmentationRecord
 from .corpus import USER, Corpus, _expect, name_key
@@ -77,6 +78,7 @@ def write_predictions(rows: list[PredictionRow], path: str) -> None:
     write_jsonl(path, (row.to_json() for row in rows))
 
 
+@lru_cache(maxsize=4096)
 def _entity_key(name: str) -> str:
     return " ".join(normalize(name))
 

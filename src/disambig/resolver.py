@@ -7,16 +7,21 @@ an edit-distance budget, then attribute descriptions.  Everything here is
 pure and reentrant; ties are surfaced through the ``ambiguous`` flag rather
 than silently broken.
 
-The name and attribute stages index the reply's token windows once per
-call and look names and values up in that set.  The fuzzy stage joins each
-window length's texts once per call and screens every pair by the
-character-set bound before the cutoff DP of ``edit_distance`` runs.
+Each distinct candidate name is indexed once per process (``_name_record``,
+a bounded memo): its normalized tokens, joined text, character set and
+proper sub-windows.  The name and attribute stages index the reply's token
+windows once per call and look names and values up in that set.  The fuzzy
+stage joins each window length's texts once per call and screens every pair
+by length ratio and character set before ``edit_distance`` runs, which is
+the bit-parallel OSA recurrence with the name as the pattern.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Set
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .corpus import Entity
 from .errors import NoMatch
@@ -49,51 +54,59 @@ def normalize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
+@lru_cache(maxsize=4096)
+def _pattern_masks(pattern: str) -> dict[str, int]:
+    """For each character of ``pattern``, the bit mask of its positions."""
+    masks: dict[str, int] = {}
+    for position, char in enumerate(pattern):
+        masks[char] = masks.get(char, 0) | 1 << position
+    return masks
+
+
 def edit_distance(a: str, b: str, bound: int | None = None) -> int:
     """Optimal string alignment distance: Levenshtein with unit costs plus
     adjacent transpositions.
 
-    With ``bound=k`` only the work that bound allows is done (Ukkonen's
-    cutoff): the result is exact when the distance is at most ``k`` and
-    above ``k`` otherwise.  Only the diagonal band ``|i - j| <= k`` is filled,
-    cells are clipped at ``k + 1``, and the search stops once two consecutive
-    rows are over the bound, since a transposition reaches back two rows.
-    Without a bound the band covers the whole matrix, because the distance
-    never exceeds the longer length.
+    Computed bit-parallel (Hyyrö 2003, Myers' 1999 algorithm extended to
+    transpositions): ``a`` is the pattern, one bit per character in a Python
+    int, and each character of ``b`` is one column of word operations, so
+    the cost is O(len(b)) whatever the length of ``a``.  The pattern masks
+    of each distinct ``a`` are memoized.  With ``bound=k`` the result is
+    exact when the distance is at most ``k`` and above ``k`` otherwise: the
+    loop stops once the last row's value, less the columns still to come,
+    is over ``k``, since each column lowers that value by at most one.
     """
     if a == b:
         return 0
-    len_b = len(b)
-    k = max(len(a), len_b) if bound is None else bound
-    over = k + 1
-    if abs(len(a) - len_b) > k:
-        return over
-    previous2: list[int] = []
-    previous = [j if j <= k else over for j in range(len_b + 1)]
-    previous_min = 0
-    for i, ca in enumerate(a, start=1):
-        current = [over] * (len_b + 1)
-        if i <= k:
-            current[0] = i
-        row_min = current[0]
-        for j in range(max(1, i - k), min(len_b, i + k) + 1):
-            cb = b[j - 1]
-            value = previous[j - 1] if ca == cb else previous[j - 1] + 1
-            if previous[j] < value:
-                value = previous[j] + 1
-            if current[j - 1] < value:
-                value = current[j - 1] + 1
-            if i > 1 and j > 1 and ca == b[j - 2] and a[i - 2] == cb and previous2[j - 2] < value:
-                value = previous2[j - 2] + 1
-            if value > over:
-                value = over
-            current[j] = value
-            if value < row_min:
-                row_min = value
-        if row_min > k and previous_min > k:
-            return over
-        previous2, previous, previous_min = previous, current, row_min
-    return previous[-1]
+    length, columns = len(a), len(b)
+    k = max(length, columns) if bound is None else bound
+    if abs(length - columns) > k:
+        return k + 1
+    if not length:
+        return columns
+    masks = _pattern_masks(a)
+    full = (1 << length) - 1
+    last = 1 << (length - 1)
+    limit = k + columns
+    positive, negative, zero, previous_match = full, 0, 0, 0
+    score = length
+    for column, char in enumerate(b, start=1):
+        match = masks.get(char, 0)
+        transposed = ((~zero & match) << 1) & previous_match
+        zero = (((match & positive) + positive) ^ positive) | match | negative | transposed
+        up = negative | ~(zero | positive)
+        down = zero & positive
+        if up & last:
+            score += 1
+        elif down & last:
+            score -= 1
+        if score + column > limit:
+            return k + 1
+        up = (up << 1) | 1
+        positive = ((down << 1) | ~(zero | up)) & full
+        negative = up & zero
+        previous_match = match
+    return score
 
 
 @dataclass(frozen=True)
@@ -148,7 +161,27 @@ def _ordinal_positions(tokens: list[str], n_candidates: int) -> list[int] | None
     return None
 
 
-def _name_evidence(utterance: list[str], names: list[list[str]]) -> dict[int, float]:
+@dataclass(frozen=True)
+class _Name:
+    """What every stage needs of one candidate name, derived once."""
+
+    tokens: tuple[str, ...]
+    text: str
+    chars: frozenset[str]
+    windows: frozenset[tuple[str, ...]]
+
+
+@lru_cache(maxsize=4096)
+def _name_record(name: str) -> _Name:
+    """The normalized tokens of ``name``, their joined text and its
+    character set, and the name's proper sub-windows (the empty one
+    included), memoized per distinct name string."""
+    tokens = normalize(name)
+    text = " ".join(tokens)
+    return _Name(tuple(tokens), text, frozenset(text), frozenset(_spans(tokens, len(tokens) - 1)))
+
+
+def _name_evidence(utterance: list[str], names: list[_Name]) -> dict[int, float]:
     """Indices with exact or uniquely-identifying partial name windows.
 
     A name matches exactly when it is one of the reply's windows (a name
@@ -156,11 +189,11 @@ def _name_evidence(utterance: list[str], names: list[list[str]]) -> dict[int, fl
     sub-window of exactly one name, and not made only of stopwords, names
     that candidate.
     """
-    spans = _spans(utterance, max((len(name) for name in names), default=0))
-    matched = {index: 1.0 for index, name in enumerate(names) if tuple(name) in spans}
+    spans = _spans(utterance, max((len(name.tokens) for name in names), default=0))
+    matched = {index: 1.0 for index, name in enumerate(names) if name.tokens in spans}
     owners: dict[tuple[str, ...], set[int]] = {}
     for index, name in enumerate(names):
-        for window in _spans(name, len(name) - 1):
+        for window in name.windows:
             owners.setdefault(window, set()).add(index)
     for window in spans:
         owner = owners.get(window)
@@ -189,7 +222,7 @@ def _edit_budget(longer: int, max_fuzzy: float) -> int:
     return k
 
 
-def _char_set_bound(a: set[str], b: set[str]) -> int:
+def _char_set_bound(a: Set[str], b: Set[str]) -> int:
     """A lower bound on the OSA distance of two strings with character sets
     ``a`` and ``b``.  Each character found in one string but not the other
     needs its own deletion, insertion or substitution, one edit serves at
@@ -198,39 +231,47 @@ def _char_set_bound(a: set[str], b: set[str]) -> int:
     return max(len(a - b), len(b - a))
 
 
-def _fuzzy_evidence(utterance: list[str], names: list[list[str]], max_fuzzy: float) -> dict[int, float]:
+def _fuzzy_evidence(utterance: list[str], names: list[_Name], max_fuzzy: float) -> dict[int, float]:
     """Names within an OSA-distance budget of some utterance window: the
     distance divided by the longer string must be at most ``max_fuzzy``.
-    A pair whose character-set bound is over the budget skips the DP."""
-    windows: dict[int, list[tuple[str, int, set[str]]]] = {}
+    The windows of each token count are grouped by text length, so the
+    length-ratio test and the budget are worked out once per group; a pair
+    whose character-set bound is over the budget skips the distance."""
+    windows: dict[int, dict[int, list[tuple[str, set[str]]]]] = {}
     scored: dict[int, float] = {}
     for index, name in enumerate(names):
-        name_text = " ".join(name)
-        name_len = len(name_text)
-        name_chars = set(name_text)
+        name_len = len(name.text)
         best: float | None = None
-        for length in range(max(1, len(name) - 1), len(name) + 2):
+        for length in range(max(1, len(name.tokens) - 1), len(name.tokens) + 2):
             if length not in windows:
-                texts = (" ".join(utterance[start:start + length]) for start in range(len(utterance) - length + 1))
-                windows[length] = [(text, len(text), set(text)) for text in texts]
-            for window_text, window_len, window_chars in windows[length]:
+                windows[length] = {}
+                for start in range(len(utterance) - length + 1):
+                    text = " ".join(utterance[start:start + length])
+                    windows[length].setdefault(len(text), []).append((text, set(text)))
+            for window_len, group in windows[length].items():
                 longer = max(window_len, name_len)
                 if longer == 0 or abs(window_len - name_len) / longer > max_fuzzy:
                     continue
                 k = _edit_budget(longer, max_fuzzy)
-                if _char_set_bound(window_chars, name_chars) > k:
-                    continue
-                distance = edit_distance(window_text, name_text, bound=k)
-                if distance <= k and (best is None or distance / longer < best):
-                    best = distance / longer
+                for window_text, window_chars in group:
+                    if _char_set_bound(window_chars, name.chars) > k:
+                        continue
+                    distance = edit_distance(name.text, window_text, bound=k)
+                    if distance <= k and (best is None or distance / longer < best):
+                        best = distance / longer
         if best is not None:
             scored[index] = 1.0 - best
     return scored
 
 
+@lru_cache(maxsize=4096)
+def _value_tokens(value: str) -> tuple[str, ...]:
+    return tuple(normalize(value))
+
+
 def _attribute_evidence(utterance: list[str], candidates: list[Entity]) -> dict[int, float]:
     """Candidates by the fraction of their attribute values that are reply windows."""
-    values = [[tuple(normalize(str(value))) for value in entity.attributes.values()] for entity in candidates]
+    values = [[_value_tokens(str(value)) for value in entity.attributes.values()] for entity in candidates]
     spans = _spans(utterance, max((len(value) for entity_values in values for value in entity_values), default=0))
     scored: dict[int, float] = {}
     for index, entity_values in enumerate(values):
@@ -258,7 +299,7 @@ def resolve(candidates: list[Entity], user_utterance: str, max_fuzzy: float = DE
         matches = [Match(position - 1, 1.0, ORDINAL) for position in positions]
         return _finish(matches)
 
-    names = [normalize(entity.name) for entity in candidates]
+    names = [_name_record(entity.name) for entity in candidates]
     for evidence_kind, evidence in (
         (EXACT_NAME, lambda: _name_evidence(tokens, names)),
         (FUZZY_NAME, lambda: _fuzzy_evidence(tokens, names, max_fuzzy)),

@@ -9,7 +9,10 @@ its windows, a rescan of every other name per partial-mention window
 instead of one set of their windows, a fresh gold scan and comparison per
 score bucket instead of one judgement per turn, and a copying decoder
 followed by a second walk of the whole corpus instead of checking each
-dialog as it is decoded.  Keep them slow and obvious.
+dialog as it is decoded, and the resolver as it was before the name index
+(every name re-normalized per call, distances by a banded cutoff DP)
+instead of the memoized name records and the bit-parallel recurrence.
+Keep them slow and obvious.
 """
 
 from __future__ import annotations
@@ -40,11 +43,27 @@ from disambig.corpus import (
     guess_name_field,
     name_key,
 )
-from disambig.errors import MissingPrediction, NoUniquePartial, SchemaMismatch, UnknownSubsetTurn
+from disambig.errors import MissingPrediction, NoMatch, NoUniquePartial, SchemaMismatch, UnknownSubsetTurn
 from disambig.grammar import Grammar, Nonterminal
 from disambig.jsonl import iter_jsonl, read_json
 from disambig.metrics import ALL, AUGMENTED_ONLY, gold_entity_turns, gold_states
-from disambig.resolver import STOPWORDS, normalize
+from disambig.resolver import (
+    ATTRIBUTE,
+    DEFAULT_MAX_FUZZY,
+    EXACT_NAME,
+    FUZZY_NAME,
+    ORDINAL,
+    STOPWORDS,
+    Match,
+    Resolution,
+    _char_set_bound,
+    _edit_budget,
+    _finish,
+    _ordinal_positions,
+    _spans,
+    has_conjunction,
+    normalize,
+)
 from disambig.seeding import derive_seed, rng_for
 from disambig.synthesizer import (
     CANDIDATE_COUNTS,
@@ -216,6 +235,137 @@ def slow_attribute_evidence(utterance: list[str], candidates: list[Entity]) -> d
         if hits:
             scored[index] = hits / len(entity.attributes)
     return scored
+
+
+# --- the resolver before the name index: re-normalize, banded cutoff DP -------
+
+
+def cutoff_edit_distance(a: str, b: str, bound: int | None = None) -> int:
+    """OSA distance by the row-by-row DP over the band ``|i - j| <= k``
+    (Ukkonen's cutoff), cells clipped at ``k + 1``, stopping once two
+    consecutive rows are over the bound."""
+    if a == b:
+        return 0
+    len_b = len(b)
+    k = max(len(a), len_b) if bound is None else bound
+    over = k + 1
+    if abs(len(a) - len_b) > k:
+        return over
+    previous2: list[int] = []
+    previous = [j if j <= k else over for j in range(len_b + 1)]
+    previous_min = 0
+    for i, ca in enumerate(a, start=1):
+        current = [over] * (len_b + 1)
+        if i <= k:
+            current[0] = i
+        row_min = current[0]
+        for j in range(max(1, i - k), min(len_b, i + k) + 1):
+            cb = b[j - 1]
+            value = previous[j - 1] if ca == cb else previous[j - 1] + 1
+            if previous[j] < value:
+                value = previous[j] + 1
+            if current[j - 1] < value:
+                value = current[j - 1] + 1
+            if i > 1 and j > 1 and ca == b[j - 2] and a[i - 2] == cb and previous2[j - 2] < value:
+                value = previous2[j - 2] + 1
+            if value > over:
+                value = over
+            current[j] = value
+            if value < row_min:
+                row_min = value
+        if row_min > k and previous_min > k:
+            return over
+        previous2, previous, previous_min = previous, current, row_min
+    return previous[-1]
+
+
+def _unindexed_name_evidence(utterance: list[str], names: list[list[str]]) -> dict[int, float]:
+    spans = _spans(utterance, max((len(name) for name in names), default=0))
+    matched = {index: 1.0 for index, name in enumerate(names) if tuple(name) in spans}
+    owners: dict[tuple[str, ...], set[int]] = {}
+    for index, name in enumerate(names):
+        for window in _spans(name, len(name) - 1):
+            owners.setdefault(window, set()).add(index)
+    for window in spans:
+        owner = owners.get(window)
+        if owner is not None and len(owner) == 1 and not STOPWORDS.issuperset(window):
+            matched.setdefault(next(iter(owner)), 1.0)
+    return matched
+
+
+def _unindexed_fuzzy_evidence(utterance: list[str], names: list[list[str]], max_fuzzy: float) -> dict[int, float]:
+    windows: dict[int, list[tuple[str, int, set[str]]]] = {}
+    scored: dict[int, float] = {}
+    for index, name in enumerate(names):
+        name_text = " ".join(name)
+        name_len = len(name_text)
+        name_chars = set(name_text)
+        best: float | None = None
+        for length in range(max(1, len(name) - 1), len(name) + 2):
+            if length not in windows:
+                texts = (" ".join(utterance[start:start + length]) for start in range(len(utterance) - length + 1))
+                windows[length] = [(text, len(text), set(text)) for text in texts]
+            for window_text, window_len, window_chars in windows[length]:
+                longer = max(window_len, name_len)
+                if longer == 0 or abs(window_len - name_len) / longer > max_fuzzy:
+                    continue
+                k = _edit_budget(longer, max_fuzzy)
+                if _char_set_bound(window_chars, name_chars) > k:
+                    continue
+                distance = cutoff_edit_distance(window_text, name_text, bound=k)
+                if distance <= k and (best is None or distance / longer < best):
+                    best = distance / longer
+        if best is not None:
+            scored[index] = 1.0 - best
+    return scored
+
+
+def _unindexed_attribute_evidence(utterance: list[str], candidates: list[Entity]) -> dict[int, float]:
+    values = [[tuple(normalize(str(value))) for value in entity.attributes.values()] for entity in candidates]
+    spans = _spans(utterance, max((len(value) for entity_values in values for value in entity_values), default=0))
+    scored: dict[int, float] = {}
+    for index, entity_values in enumerate(values):
+        hits = sum(1 for value in entity_values if value and value in spans)
+        if hits:
+            scored[index] = hits / len(entity_values)
+    return scored
+
+
+def _unindexed_resolve(candidates: list[Entity], user_utterance: str, max_fuzzy: float) -> Resolution:
+    if not 1 <= len(candidates) <= 5:
+        raise ValueError("resolve expects between 1 and 5 candidates")
+    tokens = normalize(user_utterance)
+    if not tokens:
+        raise NoMatch("empty utterance")
+    positions = _ordinal_positions(tokens, len(candidates))
+    if positions is not None:
+        return _finish([Match(position - 1, 1.0, ORDINAL) for position in positions])
+    names = [normalize(entity.name) for entity in candidates]
+    for evidence_kind, evidence in (
+        (EXACT_NAME, lambda: _unindexed_name_evidence(tokens, names)),
+        (FUZZY_NAME, lambda: _unindexed_fuzzy_evidence(tokens, names, max_fuzzy)),
+        (ATTRIBUTE, lambda: _unindexed_attribute_evidence(tokens, candidates)),
+    ):
+        scored = evidence()
+        if scored:
+            return _finish([Match(index, score, evidence_kind) for index, score in scored.items()])
+    raise NoMatch(f"no candidate matches {user_utterance!r}")
+
+
+def slow_predict_names(candidates: list[Entity], user_utterance: str,
+                       max_fuzzy: float = DEFAULT_MAX_FUZZY) -> list[str]:
+    """``predict_names`` as it was before the name index and the
+    bit-parallel distance: names re-normalized on every call, attribute
+    values re-tokenized, and the banded cutoff DP for each fuzzy pair."""
+    try:
+        resolution = _unindexed_resolve(candidates, user_utterance, max_fuzzy)
+    except NoMatch:
+        return []
+    top = resolution.matches[0].score
+    selected = [m for m in resolution.matches if m.score == top]
+    if len(selected) > 1 and not has_conjunction(user_utterance):
+        selected = [resolution.matches[0]]
+    return [candidates[m.index].name for m in selected]
 
 
 def slow_augment_dialog(

@@ -18,13 +18,33 @@ from disambig.resolver import (
     predict_names,
     resolve,
 )
-from disambig.resolver import _attribute_evidence, _char_set_bound, _edit_budget, _fuzzy_evidence, _name_evidence
+from disambig.resolver import (
+    _attribute_evidence,
+    _char_set_bound,
+    _edit_budget,
+    _fuzzy_evidence,
+    _name_evidence,
+    _name_record,
+)
 
-from .oracles import slow_attribute_evidence, slow_edit_distance, slow_fuzzy_evidence, slow_name_evidence
+from .oracles import (
+    slow_attribute_evidence,
+    slow_edit_distance,
+    slow_fuzzy_evidence,
+    slow_name_evidence,
+    slow_predict_names,
+)
 
 
 def _candidates(*names: str, domain: str = "restaurant") -> list[Entity]:
     return [Entity(domain=domain, name=name) for name in names]
+
+
+def _records(names: list[list[str]]):
+    """The stages' name records of drawn token lists (already normalized)."""
+    records = [_name_record(" ".join(name)) for name in names]
+    assert [list(record.tokens) for record in records] == names
+    return records
 
 
 class TestNormalize:
@@ -36,6 +56,22 @@ class TestNormalize:
 
     def test_lowercases(self):
         assert normalize("The SECOND one.") == ["the", "second", "one"]
+
+
+# Strings longer than one 64-bit word, drawn either independently or a few
+# edits apart, so that both the exact and the over-bound results of a
+# multi-word pattern are reached.
+@st.composite
+def _long_pair(draw) -> tuple[str, str]:
+    a = draw(st.text(alphabet="abc ", min_size=65, max_size=140))
+    if draw(st.booleans()):
+        return a, draw(st.text(alphabet="abc ", min_size=40, max_size=140))
+    b = a
+    for _ in range(draw(st.integers(0, 6))):
+        i = draw(st.integers(0, len(b)))
+        swapped = b[:i] + b[i + 1:i + 2] + b[i:i + 1] + b[i + 2:]
+        b = draw(st.sampled_from([b[:i] + "c" + b[i:], b[:i] + b[i + 1:], swapped]))
+    return a, b
 
 
 class TestEditDistance:
@@ -76,6 +112,43 @@ class TestEditDistance:
             assert bounded == exact
         else:
             assert bounded > bound
+
+
+    @settings(max_examples=40)
+    @given(_long_pair(), st.integers(0, 8))
+    def test_patterns_longer_than_a_machine_word(self, pair, bound):
+        a, b = pair
+        exact = slow_edit_distance(a, b)
+        assert edit_distance(a, b) == exact == edit_distance(b, a)
+        bounded = edit_distance(a, b, bound=bound)
+        assert bounded == exact if exact <= bound else bounded > bound
+
+    @settings(max_examples=300)
+    @given(st.text(alphabet="aé日😀ß ", max_size=9), st.text(alphabet="aé日😀ß ", max_size=9))
+    def test_non_ascii_and_empty_strings(self, a, b):
+        exact = slow_edit_distance(a, b)
+        assert edit_distance(a, b) == exact == edit_distance(b, a)
+        assert edit_distance(a, b, bound=0) == 0 if a == b else edit_distance(a, b, bound=0) > 0
+
+    @settings(max_examples=300)
+    @given(st.text(alphabet="abcd ", max_size=12), st.text(alphabet="abcd ", max_size=12), st.data())
+    def test_bound_below_the_distance_returns_over_it(self, a, b, data):
+        exact = slow_edit_distance(a, b)
+        if exact == 0:
+            assert edit_distance(a, b, bound=0) == 0
+            return
+        bound = data.draw(st.integers(0, exact - 1))
+        assert edit_distance(a, b, bound=bound) > bound
+        assert edit_distance(b, a, bound=bound) > bound
+        assert edit_distance(a, b, bound=exact) == exact == edit_distance(b, a, bound=exact)
+
+    def test_early_exit_cases(self):
+        assert edit_distance("abcdefgh", "hgfedcba", bound=0) > 0
+        assert edit_distance("aurora kitchen", "the north of", bound=3) > 3
+        assert edit_distance("", "", bound=0) == 0
+        assert edit_distance("", "ab", bound=1) > 1
+        assert edit_distance("x" * 70, "x" * 69 + "y", bound=0) > 0
+        assert edit_distance("x" * 70, "x" * 69 + "y", bound=1) == 1
 
 
 _VOCAB = ["alpha", "kitchen", "briar", "manor", "cedar", "lodge", "the", "north", "inn", "ab"]
@@ -159,7 +232,7 @@ class TestWindowStages:
     @given(_name_case())
     def test_name_stage_agrees_with_rescanning_oracle(self, case):
         utterance, names = case
-        assert _name_evidence(utterance, names) == slow_name_evidence(utterance, names)
+        assert _name_evidence(utterance, _records(names)) == slow_name_evidence(utterance, names)
 
     @pytest.mark.parametrize("utterance, names, expected", [
         (["the", "palm"], [["the", "palm"], ["the", "crown"]], {0: 1.0}),
@@ -170,7 +243,7 @@ class TestWindowStages:
         (["kitchen", "kitchen"], [["alpha", "kitchen"], ["briar", "manor"]], {0: 1.0}),
     ])
     def test_name_stage_edge_cases(self, utterance, names, expected):
-        assert _name_evidence(utterance, names) == expected == slow_name_evidence(utterance, names)
+        assert _name_evidence(utterance, _records(names)) == expected == slow_name_evidence(utterance, names)
 
     @settings(max_examples=500)
     @given(_attribute_case())
@@ -197,7 +270,8 @@ class TestFuzzyEvidence:
     @given(_confusable_case(), st.one_of(st.sampled_from(_BUDGETS), st.floats(0, 1)))
     def test_bounded_agrees_with_full_distance_oracle(self, case, max_fuzzy):
         utterance, names = case
-        assert _fuzzy_evidence(utterance, names, max_fuzzy) == slow_fuzzy_evidence(utterance, names, max_fuzzy)
+        fast = _fuzzy_evidence(utterance, _records(names), max_fuzzy)
+        assert fast == slow_fuzzy_evidence(utterance, names, max_fuzzy)
 
     def test_budget_is_the_largest_passing_distance(self):
         # Exhaustive over every exact ratio n / longer and its float
@@ -219,6 +293,52 @@ class TestFuzzyEvidence:
     def test_any_float_budget_is_safe(self, max_fuzzy, expected):
         candidates = _candidates("glorious gardens", "marble brasserie", "willow eatery")
         assert predict_names(candidates, "glorius gardenz", max_fuzzy=max_fuzzy) == expected
+
+
+# Name spellings that normalize to the same tokens, so one name reaches the
+# memo under several keys.
+_SPELLINGS = [str.lower, str.title, str.upper, lambda text: text.replace(" ", "-"), lambda text: f"{text}!"]
+_CUES = ["and", "both", "first", "second", "last", "the", "other", "all", "three"]
+
+
+@st.composite
+def _resolver_call(draw) -> tuple[list[Entity], str, float]:
+    """Confusable candidates with attributes, a reply mixing name tokens (or
+    one name with one edit), attribute values and ordinal or conjunction
+    cues, and a budget."""
+    utterance, names = draw(_confusable_case())
+    if draw(st.booleans()):
+        utterance = normalize(_one_edit(draw, " ".join(draw(st.sampled_from(names))))) or utterance
+    candidates = [
+        Entity(domain="hotel", name=draw(st.sampled_from(_SPELLINGS))(" ".join(name)), attributes=draw(st.dictionaries(
+            st.sampled_from(["area", "price", "stars", "parking"]), st.sampled_from(_ATTRIBUTE_VALUES), max_size=3,
+        )))
+        for name in names
+    ]
+    pool = [token for value in _ATTRIBUTE_VALUES for token in normalize(value)] + _CUES
+    for token in draw(st.lists(st.sampled_from(pool), max_size=3)):
+        position = draw(st.integers(0, len(utterance)))
+        utterance = utterance[:position] + [token] + utterance[position:]
+    return candidates, draw(st.sampled_from([" ", ", "])).join(utterance), draw(st.sampled_from([0, 0.1, 0.25, 0.4, 1]))
+
+
+class TestPredictNamesAgainstPreIndexOracle:
+    @settings(max_examples=150)
+    @given(st.lists(_resolver_call(), min_size=1, max_size=6), st.data())
+    def test_agrees_in_any_call_order(self, calls, data):
+        """A warm name memo never changes an answer: the calls run in a drawn
+        order, then again in reverse, against the pre-index resolver."""
+        expected = [slow_predict_names(*call) for call in calls]
+        order = data.draw(st.permutations(range(len(calls))))
+        for index in [*order, *reversed(order)]:
+            assert predict_names(*calls[index]) == expected[index]
+
+    def test_stress_style_sets(self):
+        candidates = _candidates("aurora kitchen", "aurora kitchen tavern", "aurora kitchn", "bramble kitchen")
+        for reply in ("aurora kitchen", "aurora kitchn please", "the aurora one", "bramble and aurora kitchen",
+                      "i want auroar kitchen tavern"):
+            for max_fuzzy in (0, 0.1, 0.25, 0.4, 1):
+                assert predict_names(candidates, reply, max_fuzzy) == slow_predict_names(candidates, reply, max_fuzzy)
 
 
 class TestResolveOrdinal:
