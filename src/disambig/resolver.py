@@ -266,6 +266,7 @@ def _fuzzy_evidence(utterance: list[str], names: list[_Name], max_fuzzy: float) 
 
 @lru_cache(maxsize=4096)
 def _value_tokens(value: str) -> tuple[str, ...]:
+    """The normalized tokens of an attribute value, memoized per distinct value."""
     return tuple(normalize(value))
 
 

@@ -240,7 +240,7 @@ def slow_attribute_evidence(utterance: list[str], candidates: list[Entity]) -> d
 # --- the resolver before the name index: re-normalize, banded cutoff DP -------
 
 
-def cutoff_edit_distance(a: str, b: str, bound: int | None = None) -> int:
+def _cutoff_edit_distance(a: str, b: str, bound: int | None = None) -> int:
     """OSA distance by the row-by-row DP over the band ``|i - j| <= k``
     (Ukkonen's cutoff), cells clipped at ``k + 1``, stopping once two
     consecutive rows are over the bound."""
@@ -312,7 +312,7 @@ def _unindexed_fuzzy_evidence(utterance: list[str], names: list[list[str]], max_
                 k = _edit_budget(longer, max_fuzzy)
                 if _char_set_bound(window_chars, name_chars) > k:
                     continue
-                distance = cutoff_edit_distance(window_text, name_text, bound=k)
+                distance = _cutoff_edit_distance(window_text, name_text, bound=k)
                 if distance <= k and (best is None or distance / longer < best):
                     best = distance / longer
         if best is not None:

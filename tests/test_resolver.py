@@ -142,14 +142,6 @@ class TestEditDistance:
         assert edit_distance(b, a, bound=bound) > bound
         assert edit_distance(a, b, bound=exact) == exact == edit_distance(b, a, bound=exact)
 
-    def test_early_exit_cases(self):
-        assert edit_distance("abcdefgh", "hgfedcba", bound=0) > 0
-        assert edit_distance("aurora kitchen", "the north of", bound=3) > 3
-        assert edit_distance("", "", bound=0) == 0
-        assert edit_distance("", "ab", bound=1) > 1
-        assert edit_distance("x" * 70, "x" * 69 + "y", bound=0) > 0
-        assert edit_distance("x" * 70, "x" * 69 + "y", bound=1) == 1
-
 
 _VOCAB = ["alpha", "kitchen", "briar", "manor", "cedar", "lodge", "the", "north", "inn", "ab"]
 
@@ -332,13 +324,6 @@ class TestPredictNamesAgainstPreIndexOracle:
         order = data.draw(st.permutations(range(len(calls))))
         for index in [*order, *reversed(order)]:
             assert predict_names(*calls[index]) == expected[index]
-
-    def test_stress_style_sets(self):
-        candidates = _candidates("aurora kitchen", "aurora kitchen tavern", "aurora kitchn", "bramble kitchen")
-        for reply in ("aurora kitchen", "aurora kitchn please", "the aurora one", "bramble and aurora kitchen",
-                      "i want auroar kitchen tavern"):
-            for max_fuzzy in (0, 0.1, 0.25, 0.4, 1):
-                assert predict_names(candidates, reply, max_fuzzy) == slow_predict_names(candidates, reply, max_fuzzy)
 
 
 class TestResolveOrdinal:

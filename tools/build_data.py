@@ -455,8 +455,8 @@ def build_stress_baseline(grammar) -> dict:
     from disambig.synthesizer import CANDIDATE_COUNTS, METHODS, AddressingMethod, build_exchange
 
     domains = sorted(CATEGORY)
-    value_tokens = {token for category in set(CATEGORY.values()) for i in range(ENTITIES_PER_DOMAIN)
-                    for value in _attributes(category, 0, i).values() for token in value.split()}
+    value_tokens = {token for domain_index, domain in enumerate(domains) for i in range(ENTITIES_PER_DOMAIN)
+                    for value in _attributes(CATEGORY[domain], domain_index, i).values() for token in value.split()}
     forbidden = _grammar_user_vocabulary() | STOPWORDS | value_tokens
     per_method = {}
     for method in METHODS:
