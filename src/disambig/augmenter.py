@@ -104,8 +104,8 @@ def _state_first_seen(dialog: Dialog) -> dict[str, int]:
     """First turn index at which each normalized slot value appears."""
     first_seen: dict[str, int] = {}
     for index, turn in enumerate(dialog.turns):
-        for frame in turn.frames:
-            for values in frame.slot_values.values():
+        for frame in turn["frames"]:
+            for values in frame["slot_values"].values():
                 for value in values:
                     first_seen.setdefault(name_key(value), index)
     return first_seen
@@ -124,39 +124,43 @@ def find_augmentable_turns(
     filtered out, as are turns already carrying an augmentation marker.
     When several domains qualify, the first by name is taken, so the choice
     does not hang on the order of the results (which an SGD or MultiWOZ
-    round trip regroups by frame).
+    round trip regroups by frame).  Only the returned pools are made into
+    Entity objects.
     """
     first_seen = _state_first_seen(dialog)
     found: list[tuple[int, list[Entity], Entity]] = []
     for index, turn in enumerate(dialog.turns):
-        if turn.speaker != SYSTEM or not turn.search_results:
+        if turn["speaker"] != SYSTEM or not turn.get("search_results"):
             continue
         if index + 1 >= len(dialog.turns):
             continue  # the dialog's final turn: no user reply to stay consistent with
-        if "disambig" in turn.extras:
+        if "disambig" in turn["extras"]:
             continue  # already augmented
-        by_domain: dict[str, list[Entity]] = {}
-        for entity in turn.search_results:
-            by_domain.setdefault(entity.domain, []).append(entity)
-        for domain, pool in sorted(by_domain.items()):
-            if domain not in allowed or len(pool) < 2:
+        by_domain: dict[str, list[dict]] = {}
+        for row in turn["search_results"]:
+            by_domain.setdefault(row["domain"], []).append(row)
+        for domain, rows in sorted(by_domain.items()):
+            if domain not in allowed or len(rows) < 2:
                 continue
-            accepted = _accepted_entity(pool, first_seen, user_turn_index=index + 1)
+            accepted = _accepted_entity(rows, first_seen, user_turn_index=index + 1)
             if accepted is None:
                 continue  # the user made no (single) choice here
-            if name_key(accepted.name) not in db.names(domain):
+            if name_key(rows[accepted]["name"]) not in db.names(domain):
                 continue  # offered entity absent from the database
-            found.append((index, pool, accepted))
+            pool = [Entity.from_json(row) for row in rows]
+            found.append((index, pool, pool[accepted]))
             break
     return found
 
 
-def _accepted_entity(pool: list[Entity], first_seen: dict[str, int], user_turn_index: int) -> Entity | None:
+def _accepted_entity(rows: list[dict], first_seen: dict[str, int], user_turn_index: int) -> int | None:
+    """The position in ``rows`` of the offer whose name enters the state
+    first at or after the user turn, or None when there is no single one."""
     entries = []
-    for entity in pool:
-        seen_at = first_seen.get(name_key(entity.name))
+    for position, row in enumerate(rows):
+        seen_at = first_seen.get(name_key(row["name"]))
         if seen_at is not None and seen_at >= user_turn_index:
-            entries.append((seen_at, entity))
+            entries.append((seen_at, position))
     if not entries:
         return None
     entries.sort(key=lambda pair: pair[0])
@@ -201,7 +205,7 @@ def augment_dialog(
         accepted_key = name_key(accepted.name)
         others = [e for e in db.tables[accepted.domain] if name_key(e.name) != accepted_key]
         skipped_reason = SKIP_NOT_ENOUGH_ENTITIES if len(others) < count - 1 else None
-        candidates, new_system, prefix = pool, system_turn.utterance, ""
+        candidates, new_system, prefix = pool, system_turn["utterance"], ""
         if skipped_reason is None:
             fill_rng = rng_for("augment.fill", *base)
             candidates = fill_rng.sample(others, count - 1)
@@ -213,19 +217,17 @@ def augment_dialog(
             )
             prefix = _ensure_sentence_final(answer)
             marker = {**gold_marker("augment", method.value, [accepted.name], candidates), "user_prefix": prefix}
-            turns[turn_index] = replace(
-                system_turn, utterance=new_system, extras={**system_turn.extras, "disambig": marker}
-            )
-            turns[turn_index + 1] = replace(
-                user_turn, utterance=prefix + " " + user_turn.utterance, extras=dict(user_turn.extras)
-            )
+            turns[turn_index] = {**system_turn, "utterance": new_system,
+                                 "extras": {**system_turn["extras"], "disambig": marker}}
+            turns[turn_index + 1] = {**user_turn, "utterance": prefix + " " + user_turn["utterance"],
+                                     "extras": dict(user_turn["extras"])}
         records.append(AugmentationRecord(
             dialog_id=dialog.id,
             turn_index=turn_index,
-            original_system=system_turn.utterance,
+            original_system=system_turn["utterance"],
             new_system=new_system,
             user_prefix=prefix,
-            original_user=user_turn.utterance,
+            original_user=user_turn["utterance"],
             candidates=candidates,
             target=accepted,
             skipped_reason=skipped_reason,
@@ -278,9 +280,9 @@ def multi_result_report(corpus: Corpus) -> dict:
         service_totals.update(set(dialog.services))
         multi_services = set()
         for turn in dialog.turns:
-            results = turn.search_results or []
+            results = turn.get("search_results", [])
             if len(results) >= 2:
-                multi_services.update(entity.domain for entity in results)
+                multi_services.update(entity["domain"] for entity in results)
         dialogs_multi += bool(multi_services)
         service_multi.update(multi_services)
     overall = dialogs_multi / len(corpus.dialogs) if corpus.dialogs else 0.0
@@ -296,4 +298,16 @@ def write_records(records: list[AugmentationRecord], path: str) -> None:
 
 
 def read_records(path: str) -> list[AugmentationRecord]:
-    return list(iter_jsonl(path, AugmentationRecord.from_json))
+    """The records of ``path``; a repeated (dialog_id, turn_index) is refused
+    with its line, as two records cannot both describe one turn."""
+    seen: set[tuple[str, int]] = set()
+
+    def parse(obj: dict) -> AugmentationRecord:
+        record = AugmentationRecord.from_json(obj)
+        key = (record.dialog_id, record.turn_index)
+        if key in seen:
+            raise SchemaMismatch(f"duplicate record key {key}")
+        seen.add(key)
+        return record
+
+    return list(iter_jsonl(path, parse))

@@ -298,7 +298,7 @@ def _cmd_stats(args) -> int:
 def _cmd_upsample(args) -> int:
     _guard_outputs([args.input], [args.out])
     base = corpus_mod.load_corpus(args.input, format="native")
-    augmented = [d for d in base.dialogs if any("disambig" in t.extras for t in d.turns)]
+    augmented = [d for d in base.dialogs if any("disambig" in t["extras"] for t in d.turns)]
     if not augmented:
         raise SchemaMismatch("corpus has no augmented dialogs to upsample")
     target = round(args.factor * len(base.dialogs))

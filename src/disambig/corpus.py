@@ -6,10 +6,16 @@ dialog object per line.  Adapters turn SGD-style directories and
 MultiWOZ-2.2-style JSON (both share the schema-guided envelope) into native
 rows; fields the model does not cover ride along in opaque ``extras`` blobs,
 so writing back is lossless.  Both formats go through ``Dialog.from_json``,
-which keeps the lists and dicts ``json.loads`` built and checks each turn as
-it is appended: a broken invariant or a container of the wrong type raises
-SchemaMismatch (naming the file and line for JSONL, the file and the
-dialog's index for SGD and MultiWOZ) instead of being coerced.
+which checks each turn as it is appended: a broken invariant or a container
+of the wrong type raises SchemaMismatch (naming the file and line for JSONL,
+the file and the dialog's index for SGD and MultiWOZ) instead of being
+coerced.  A dialog's turns, their frames and their search results are plain
+rows: each turn holds ``speaker``, ``utterance``, ``frames`` and ``extras``
+(plus ``search_results`` when it has any), each frame ``service``,
+``slot_values``, ``requested_slots`` and ``extras``, and each result
+``domain``, ``name`` and ``attributes``.  The lists and dicts inside them are
+the ones ``json.loads`` built, except that a result's attribute values are
+copied as strings, and writing dumps the rows as they are.
 
 The per-domain entity store is a JSON document::
 
@@ -42,6 +48,13 @@ SYSTEM = "SYSTEM"
 
 _EDGE_PUNCT_RE = re.compile(r"^[^\w]+|[^\w]+$")
 _WS_RE = re.compile(r"\s+")
+_TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+
+
+def normalize(text: str) -> list[str]:
+    """Lowercase, strip punctuation to word boundaries, whitespace-split:
+    the tokens the resolver reads a name or a reply as."""
+    return _TOKEN_RE.findall(text.lower())
 
 
 @lru_cache(maxsize=4096)
@@ -79,71 +92,14 @@ class Entity:
 
 
 @dataclass
-class Frame:
-    service: str
-    slot_values: dict[str, list[str]] = field(default_factory=dict)
-    requested_slots: list[str] = field(default_factory=list)
-    extras: dict = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        return {
-            "service": self.service,
-            "slot_values": self.slot_values,
-            "requested_slots": self.requested_slots,
-            "extras": self.extras,
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Frame":
-        return cls(service=obj["service"], slot_values=obj.get("slot_values", {}),
-                   requested_slots=obj.get("requested_slots", []), extras=obj.get("extras", {}))
-
-
-@dataclass
-class Turn:
-    speaker: str
-    utterance: str
-    frames: list[Frame] = field(default_factory=list)
-    search_results: list[Entity] | None = None
-    extras: dict = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        obj: dict = {
-            "speaker": self.speaker,
-            "utterance": self.utterance,
-            "frames": [f.to_json() for f in self.frames],
-            "extras": self.extras,
-        }
-        if self.search_results is not None:
-            obj["search_results"] = [e.to_json() for e in self.search_results]
-        return obj
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Turn":
-        results = obj.get("search_results")
-        return cls(
-            speaker=obj["speaker"],
-            utterance=obj["utterance"],
-            frames=[Frame.from_json(f) for f in obj.get("frames", [])],
-            search_results=None if results is None else [Entity.from_json(e) for e in results],
-            extras=obj.get("extras", {}),
-        )
-
-
-@dataclass
 class Dialog:
     id: str
     services: list[str]
-    turns: list[Turn]
+    turns: list[dict]
     extras: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {
-            "id": self.id,
-            "services": self.services,
-            "turns": [t.to_json() for t in self.turns],
-            "extras": self.extras,
-        }
+        return {"id": self.id, "services": self.services, "turns": self.turns, "extras": self.extras}
 
     @classmethod
     def from_json(cls, obj: dict) -> "Dialog":
@@ -154,7 +110,7 @@ class Dialog:
             _expect(dialog.services, list, f"dialog {dialog.id!r} services")
             _expect(dialog.extras, dict, f"dialog {dialog.id!r} extras")
             for raw_turn in obj["turns"]:
-                _append_turn(dialog, Turn.from_json(raw_turn))
+                _append_turn(dialog, raw_turn)
             return dialog
         except KeyError as exc:
             raise SchemaMismatch(f"dialog record missing key {exc}") from exc
@@ -177,37 +133,50 @@ def gold_marker(origin: str, method: str, target_names: list[str], candidates: l
             "candidate_names": [e.name for e in candidates]}
 
 
-def _append_turn(dialog: Dialog, turn: Turn) -> None:
-    """Append ``turn`` to ``dialog``, or raise SchemaMismatch if it breaks an invariant there."""
+def _append_turn(dialog: Dialog, raw: dict) -> None:
+    """Append the turn row of ``raw`` to ``dialog``, or raise SchemaMismatch
+    if it breaks an invariant there.  The row gets every key with its
+    default, keeps the containers of ``raw`` and drops its unknown keys."""
+    speaker, utterance = raw["speaker"], raw["utterance"]
+    frames = [{"service": f["service"], "slot_values": f.get("slot_values", {}),
+               "requested_slots": f.get("requested_slots", []), "extras": f.get("extras", {})}
+              for f in raw.get("frames", [])]
+    results = raw.get("search_results")
+    if results is not None:
+        results = [Entity.from_json(e).to_json() for e in results]  # stringifies attribute values
+    extras = raw.get("extras", {})
     index = len(dialog.turns)
     where = f"dialog {dialog.id!r} turn {index}"
-    if turn.speaker not in (USER, SYSTEM):
-        raise SchemaMismatch(f"{where}: speaker {turn.speaker!r}")
-    if index > 0 and turn.speaker == dialog.turns[-1].speaker:
+    if speaker not in (USER, SYSTEM):
+        raise SchemaMismatch(f"{where}: speaker {speaker!r}")
+    if index > 0 and speaker == dialog.turns[-1]["speaker"]:
         raise SchemaMismatch(f"{where}: speakers do not alternate")
-    if turn.speaker == USER and turn.search_results is not None:
+    if speaker == USER and results is not None:
         raise SchemaMismatch(f"{where}: user turns cannot carry search results")
-    _expect(turn.utterance, str, f"{where}: utterance")
-    _expect(turn.extras, dict, f"{where}: extras")
-    if "disambig" in turn.extras:
-        marker = turn.extras["disambig"]
+    _expect(utterance, str, f"{where}: utterance")
+    _expect(extras, dict, f"{where}: extras")
+    if "disambig" in extras:
+        marker = extras["disambig"]
         _expect(marker, dict, f"{where}: disambig marker")
         _expect(marker.get("target_names"), list, f"{where}: marker target_names")
         for name in marker["target_names"]:
             _expect(name, str, f"{where}: marker target name")
         for key in ("method", "origin"):
             _expect(marker.get(key, ""), str, f"{where}: marker {key}")
-    for frame in turn.frames:
-        if frame.service not in dialog.services:
-            raise SchemaMismatch(f"{where}: frame service {frame.service!r} not in dialog services")
-        _expect(frame.requested_slots, list, f"{where}: requested_slots")
-        _expect(frame.extras, dict, f"{where}: frame extras")
-        for slot, values in frame.slot_values.items():
+    for frame in frames:
+        if frame["service"] not in dialog.services:
+            raise SchemaMismatch(f"{where}: frame service {frame['service']!r} not in dialog services")
+        _expect(frame["requested_slots"], list, f"{where}: requested_slots")
+        _expect(frame["extras"], dict, f"{where}: frame extras")
+        for slot, values in frame["slot_values"].items():
             if not slot:
                 raise SchemaMismatch(f"{where}: empty slot name")
             _expect(values, list, f"{where}: slot {slot!r}")
             if any(not isinstance(v, str) or not v for v in values):
                 raise SchemaMismatch(f"{where}: slot {slot!r} has an empty or non-string value")
+    turn = {"speaker": speaker, "utterance": utterance, "frames": frames, "extras": extras}
+    if results is not None:
+        turn["search_results"] = results
     dialog.turns.append(turn)
 
 
@@ -327,13 +296,13 @@ def _entity_row(domain: str, record: dict, name_field: str, where: str) -> dict:
     return {"domain": domain, "name": str(record[name_field]), "attributes": attributes}
 
 
-def _entity_record(entity: Entity, name_field: str) -> dict:
-    """The inverse of ``_entity_row``: an entity as a flat record with its name under ``name_field``."""
-    if name_field in entity.attributes:
+def _entity_record(row: dict, name_field: str) -> dict:
+    """The inverse of ``_entity_row``: an entity row as a flat record with its name under ``name_field``."""
+    if name_field in row["attributes"]:
         raise SchemaMismatch(
-            f"entity {entity.name!r} of {entity.domain!r}: attribute {name_field!r} would read back as its name"
+            f"entity {row['name']!r} of {row['domain']!r}: attribute {name_field!r} would read back as its name"
         )
-    return {**entity.attributes, name_field: entity.name}
+    return {**row["attributes"], name_field: row["name"]}
 
 
 def _schema_guided_files(path: str) -> list[Path]:
@@ -414,32 +383,33 @@ def _dialog_to_schema_guided(dialog: Dialog) -> dict:
     has none), unless a frame read from such a file still carries them raw."""
     turns = []
     for index, turn in enumerate(dialog.turns):
-        carried = {frame.service for frame in turn.frames if "service_results" in frame.extras}
+        carried = {frame["service"] for frame in turn["frames"] if "service_results" in frame["extras"]}
         results: dict[str, list[dict]] = {}
-        for entity in turn.search_results or []:
-            if entity.domain not in carried:
-                name_field = guess_name_field(entity.domain, {**entity.attributes, "name": entity.name})
-                results.setdefault(entity.domain, []).append(_entity_record(entity, name_field))
-        present = {frame.service for frame in turn.frames}
-        added = [Frame(service=domain) for domain in results if domain not in present]
+        for entity in turn.get("search_results", []):
+            if entity["domain"] not in carried:
+                name_field = guess_name_field(entity["domain"], {**entity["attributes"], "name": entity["name"]})
+                results.setdefault(entity["domain"], []).append(_entity_record(entity, name_field))
+        present = {frame["service"] for frame in turn["frames"]}
+        added = [{"service": domain, "slot_values": {}, "requested_slots": [], "extras": {}}
+                 for domain in results if domain not in present]
         for frame in added:
-            if frame.service not in dialog.services:
-                raise SchemaMismatch(f"dialog {dialog.id!r} turn {index}: search results of {frame.service!r}, "
+            if frame["service"] not in dialog.services:
+                raise SchemaMismatch(f"dialog {dialog.id!r} turn {index}: search results of {frame['service']!r}, "
                                      "which is not one of the dialog's services")
         frames = []
-        for frame in turn.frames + added:
-            state_extras = frame.extras.get("state_extras", {})
-            raw_frame = {"service": frame.service}
+        for frame in turn["frames"] + added:
+            state_extras = frame["extras"].get("state_extras", {})
+            raw_frame = {"service": frame["service"]}
             # Both formats give user frames a state and system frames none, unless it holds something.
-            if turn.speaker == USER or frame.slot_values or frame.requested_slots or state_extras:
-                raw_frame["state"] = {"slot_values": frame.slot_values, "requested_slots": frame.requested_slots,
-                                      **state_extras}
-            raw_frame.update({k: v for k, v in frame.extras.items() if k != "state_extras"})
-            if frame.service in results:
-                raw_frame["service_results"] = results.pop(frame.service)
+            if turn["speaker"] == USER or frame["slot_values"] or frame["requested_slots"] or state_extras:
+                raw_frame["state"] = {"slot_values": frame["slot_values"],
+                                      "requested_slots": frame["requested_slots"], **state_extras}
+            raw_frame.update({k: v for k, v in frame["extras"].items() if k != "state_extras"})
+            if frame["service"] in results:
+                raw_frame["service_results"] = results.pop(frame["service"])
             frames.append(raw_frame)
-        raw_turn = {"speaker": turn.speaker, "utterance": turn.utterance, "frames": frames}
-        raw_turn.update(turn.extras)
+        raw_turn = {"speaker": turn["speaker"], "utterance": turn["utterance"], "frames": frames}
+        raw_turn.update(turn["extras"])
         turns.append(raw_turn)
     obj = {"dialogue_id": dialog.id, "services": dialog.services, "turns": turns}
     obj.update(dialog.extras)
@@ -462,9 +432,10 @@ class Database:
         for domain, entities in self.tables.items():
             if domain not in self.name_fields:
                 raise SchemaMismatch(f"domain {domain!r} has no declared name field")
-            keys = [name_key(e.name) for e in entities]
-            self._names[domain] = frozenset(keys)
-            if len(self._names[domain]) != len(keys):
+            names = self._names[domain] = frozenset(name_key(e.name) for e in entities)
+            # Two names the resolver reads as the same tokens would tie as exact matches.
+            tokens = {" ".join(normalize(e.name)) for e in entities}
+            if len(names) != len(entities) or len(tokens) != len(entities):
                 raise SchemaMismatch(f"domain {domain!r} has duplicate entity names after normalization")
 
     def noun(self, domain: str) -> str:
@@ -501,7 +472,7 @@ def load_database(path: str) -> Database:
 
 def write_database(db: Database, path: str) -> None:
     tables = {
-        domain: [_entity_record(e, db.name_fields[domain]) for e in entities]
+        domain: [_entity_record(e.to_json(), db.name_fields[domain]) for e in entities]
         for domain, entities in db.tables.items()
     }
     payload = {"name_fields": db.name_fields, "nouns": db.nouns, "tables": tables}

@@ -17,10 +17,9 @@ from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 
 from .augmenter import AugmentationRecord
-from .corpus import USER, Corpus, _expect, name_key
+from .corpus import USER, Corpus, _expect, name_key, normalize
 from .errors import MissingPrediction, SchemaMismatch, UnknownSubsetTurn
 from .jsonl import iter_jsonl, write_jsonl
-from .resolver import normalize
 
 ALL = "ALL"
 AUGMENTED_ONLY = "AUGMENTED_ONLY"
@@ -88,7 +87,7 @@ def gold_entity_turns(gold: Corpus, origin: str | None = None) -> dict[Key, set[
     turns: dict[Key, set[str]] = {}
     for dialog in gold.dialogs:
         for index, turn in enumerate(dialog.turns):
-            marker = turn.extras.get("disambig")
+            marker = turn["extras"].get("disambig")
             if not marker:
                 continue
             if origin is not None and marker.get("origin") != origin:
@@ -102,11 +101,11 @@ def gold_states(gold: Corpus) -> dict[Key, dict[str, set[str]]]:
     states: dict[Key, dict[str, set[str]]] = {}
     for dialog in gold.dialogs:
         for index, turn in enumerate(dialog.turns):
-            if turn.speaker != USER:
+            if turn["speaker"] != USER:
                 continue
             state: dict[str, set[str]] = {}
-            for frame in turn.frames:
-                for slot, values in frame.slot_values.items():
+            for frame in turn["frames"]:
+                for slot, values in frame["slot_values"].items():
                     state.setdefault(slot, set()).update(name_key(v) for v in values)
             states[(dialog.id, index)] = state
     return states
@@ -220,7 +219,7 @@ def score(preds: PredictionFile, gold: Corpus, records: list[AugmentationRecord]
     # One scan of the gold corpus and one judgement per turn; every bucket
     # below is the mean of a selection from that judgement.
     hits = _entity_hits(preds, gold_entity_turns(gold))
-    markers = {key: dialogs[key[0]].turns[key[1]].extras["disambig"] for key in hits}
+    markers = {key: dialogs[key[0]].turns[key[1]]["extras"]["disambig"] for key in hits}
     total_turns = sum(len(dialog.turns) for dialog in dialogs.values())
     report.counts["turns_total"] = total_turns
     report.counts["turns_with_gold_targets"] = len(hits)

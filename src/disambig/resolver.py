@@ -18,12 +18,11 @@ the bit-parallel OSA recurrence with the name as the pattern.
 
 from __future__ import annotations
 
-import re
 from collections.abc import Set
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .corpus import Entity
+from .corpus import Entity, normalize
 from .errors import NoMatch
 
 ORDINAL = "ORDINAL"
@@ -32,8 +31,6 @@ FUZZY_NAME = "FUZZY_NAME"
 ATTRIBUTE = "ATTRIBUTE"
 
 DEFAULT_MAX_FUZZY = 0.25
-
-_TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
 # Words that never identify a name on their own; partial-name evidence must
 # contain at least one token outside this set.
@@ -47,11 +44,6 @@ _ORDINAL_POSITIONS = {
 }
 
 _CONJUNCTION_TOKENS = frozenset({"and", "both"})
-
-
-def normalize(text: str) -> list[str]:
-    """Lowercase, strip punctuation to word boundaries, whitespace-split."""
-    return _TOKEN_RE.findall(text.lower())
 
 
 @lru_cache(maxsize=4096)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -45,3 +46,12 @@ def toy_expected():
     import json
 
     return json.loads((ROOT / "data" / "toy_corpus_expected.json").read_text())
+
+
+@pytest.fixture(scope="session")
+def build_data():
+    """The ``tools/build_data.py`` module, which owns the shipped-data rules and baselines."""
+    spec = importlib.util.spec_from_file_location("build_data", ROOT / "tools" / "build_data.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

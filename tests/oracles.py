@@ -36,8 +36,6 @@ from disambig.corpus import (
     Database,
     Dialog,
     Entity,
-    Frame,
-    Turn,
     _infer_split,
     _schema_guided_files,
     guess_name_field,
@@ -395,8 +393,8 @@ def slow_augment_dialog(
         if len(others) < count - 1:
             records.append(AugmentationRecord(
                 dialog_id=dialog.id, turn_index=turn_index,
-                original_system=system_turn.utterance, new_system=system_turn.utterance,
-                user_prefix="", original_user=user_turn.utterance,
+                original_system=system_turn["utterance"], new_system=system_turn["utterance"],
+                user_prefix="", original_user=user_turn["utterance"],
                 candidates=pool, target=accepted, skipped_reason=SKIP_NOT_ENOUGH_ENTITIES,
             ))
             continue
@@ -415,17 +413,17 @@ def slow_augment_dialog(
         )
         prefix = _ensure_sentence_final(build_user_utterance(grammar, mention, derive_seed("augment.user", *base)))
 
-        original_system = system_turn.utterance
-        original_user = user_turn.utterance
-        system_turn.utterance = new_system
-        system_turn.extras["disambig"] = {
+        original_system = system_turn["utterance"]
+        original_user = user_turn["utterance"]
+        system_turn["utterance"] = new_system
+        system_turn["extras"]["disambig"] = {
             "origin": "augment",
             "method": method.value,
             "target_names": [accepted.name],
             "candidate_names": [e.name for e in candidates],
             "user_prefix": prefix,
         }
-        user_turn.utterance = prefix + " " + original_user
+        user_turn["utterance"] = prefix + " " + original_user
 
         records.append(AugmentationRecord(
             dialog_id=dialog.id, turn_index=turn_index,
@@ -511,7 +509,7 @@ def slow_score(preds, gold: Corpus, records: list[AugmentationRecord] | None = N
         if key[0] not in dialogs or not 0 <= key[1] < len(dialogs[key[0]].turns):
             raise UnknownSubsetTurn(key)
     marked = gold_entity_turns(gold)
-    markers = {key: dialogs[key[0]].turns[key[1]].extras["disambig"] for key in marked}
+    markers = {key: dialogs[key[0]].turns[key[1]]["extras"]["disambig"] for key in marked}
     total_turns = sum(len(dialog.turns) for dialog in dialogs.values())
     report["counts"]["turns_total"] = total_turns
     report["counts"]["turns_with_gold_targets"] = len(marked)
@@ -546,31 +544,32 @@ def slow_score(preds, gold: Corpus, records: list[AugmentationRecord] | None = N
 # --- corpus loading: copy every container, then validate the whole corpus ------
 
 
-def _slow_entity(obj: dict) -> Entity:
+def _slow_entity(obj: dict) -> dict:
     try:
-        return Entity(domain=obj["domain"], name=obj["name"], attributes=dict(obj.get("attributes", {})))
+        return Entity(domain=obj["domain"], name=obj["name"], attributes=dict(obj.get("attributes", {}))).to_json()
     except KeyError as exc:
         raise SchemaMismatch(f"entity record missing key {exc}") from exc
 
 
-def _slow_frame(obj: dict) -> Frame:
-    return Frame(
-        service=obj["service"],
-        slot_values={k: list(v) for k, v in obj.get("slot_values", {}).items()},
-        requested_slots=list(obj.get("requested_slots", [])),
-        extras=dict(obj.get("extras", {})),
-    )
+def _slow_frame(obj: dict) -> dict:
+    return {
+        "service": obj["service"],
+        "slot_values": {k: list(v) for k, v in obj.get("slot_values", {}).items()},
+        "requested_slots": list(obj.get("requested_slots", [])),
+        "extras": dict(obj.get("extras", {})),
+    }
 
 
-def _slow_turn(obj: dict) -> Turn:
-    results = obj.get("search_results")
-    return Turn(
-        speaker=obj["speaker"],
-        utterance=obj["utterance"],
-        frames=[_slow_frame(f) for f in obj.get("frames", [])],
-        search_results=None if results is None else [_slow_entity(e) for e in results],
-        extras=dict(obj.get("extras", {})),
-    )
+def _slow_turn(obj: dict) -> dict:
+    turn = {
+        "speaker": obj["speaker"],
+        "utterance": obj["utterance"],
+        "frames": [_slow_frame(f) for f in obj.get("frames", [])],
+    }
+    if obj.get("search_results") is not None:
+        turn["search_results"] = [_slow_entity(e) for e in obj["search_results"]]
+    turn["extras"] = dict(obj.get("extras", {}))
+    return turn
 
 
 def slow_dialog_from_json(obj: dict) -> Dialog:
@@ -598,28 +597,28 @@ def slow_validate_corpus(corpus: Corpus) -> None:
         declared = set(dialog.services)
         for index, turn in enumerate(dialog.turns):
             where = f"dialog {dialog.id!r} turn {index}"
-            if turn.speaker not in (USER, SYSTEM):
-                raise SchemaMismatch(f"{where}: speaker {turn.speaker!r}")
-            if index > 0 and turn.speaker == dialog.turns[index - 1].speaker:
+            if turn["speaker"] not in (USER, SYSTEM):
+                raise SchemaMismatch(f"{where}: speaker {turn['speaker']!r}")
+            if index > 0 and turn["speaker"] == dialog.turns[index - 1]["speaker"]:
                 raise SchemaMismatch(f"{where}: speakers do not alternate")
-            if turn.speaker == USER and turn.search_results is not None:
+            if turn["speaker"] == USER and "search_results" in turn:
                 raise SchemaMismatch(f"{where}: user turns cannot carry search results")
-            for frame in turn.frames:
-                if frame.service not in declared:
-                    raise SchemaMismatch(f"{where}: frame service {frame.service!r} not in dialog services")
-                for slot, values in frame.slot_values.items():
+            for frame in turn["frames"]:
+                if frame["service"] not in declared:
+                    raise SchemaMismatch(f"{where}: frame service {frame['service']!r} not in dialog services")
+                for slot, values in frame["slot_values"].items():
                     if not slot:
                         raise SchemaMismatch(f"{where}: empty slot name")
                     if any(not isinstance(v, str) or not v for v in values):
                         raise SchemaMismatch(f"{where}: slot {slot!r} has an empty or non-string value")
 
 
-def _slow_result_to_entity(service: str, record: dict) -> Entity:
+def _slow_result_to_entity(service: str, record: dict) -> dict:
     name_field = guess_name_field(service, record)
     if name_field not in record:
         raise SchemaMismatch(f"search result for {service!r} lacks its name field {name_field!r}")
     attributes = {k: v for k, v in record.items() if k != name_field}
-    return Entity(domain=service, name=str(record[name_field]), attributes=attributes)
+    return Entity(domain=service, name=str(record[name_field]), attributes=attributes).to_json()
 
 
 def _slow_dialog_from_schema_guided(obj: dict, where: str) -> Dialog:
@@ -628,15 +627,15 @@ def _slow_dialog_from_schema_guided(obj: dict, where: str) -> Dialog:
     dialog_id = obj.get("dialogue_id") or obj.get("dialog_id")
     if not dialog_id:
         raise SchemaMismatch(f"{where}: dialog without a dialogue_id")
-    turns: list[Turn] = []
+    turns: list[dict] = []
     for raw_turn in obj["turns"]:
         try:
             speaker = raw_turn["speaker"]
             utterance = raw_turn["utterance"]
         except (KeyError, TypeError) as exc:
             raise SchemaMismatch(f"{where}: turn in {dialog_id!r} missing speaker/utterance") from exc
-        frames: list[Frame] = []
-        results: list[Entity] = []
+        frames: list[dict] = []
+        results: list[dict] = []
         for raw_frame in raw_turn.get("frames", []):
             service = raw_frame.get("service")
             if not service:
@@ -650,11 +649,13 @@ def _slow_dialog_from_schema_guided(obj: dict, where: str) -> Dialog:
                 frame_extras["state_extras"] = state_extras
             for record in raw_frame.get("service_results", []):
                 results.append(_slow_result_to_entity(service, record))
-            frames.append(Frame(service=service, slot_values=slot_values, requested_slots=requested,
-                                extras=frame_extras))
-        turn_extras = {k: v for k, v in raw_turn.items() if k not in ("speaker", "utterance", "frames")}
-        turns.append(Turn(speaker=speaker, utterance=utterance, frames=frames,
-                          search_results=results if (speaker == SYSTEM and results) else None, extras=turn_extras))
+            frames.append({"service": service, "slot_values": slot_values, "requested_slots": requested,
+                           "extras": frame_extras})
+        turn = {"speaker": speaker, "utterance": utterance, "frames": frames,
+                "extras": {k: v for k, v in raw_turn.items() if k not in ("speaker", "utterance", "frames")}}
+        if speaker == SYSTEM and results:
+            turn["search_results"] = results
+        turns.append(turn)
     services = list(obj.get("services", []))
     dialog_extras = {k: v for k, v in obj.items() if k not in ("dialogue_id", "dialog_id", "services", "turns")}
     return Dialog(id=str(dialog_id), services=services, turns=turns, extras=dialog_extras)

@@ -18,7 +18,7 @@ from disambig.augmenter import (
     read_records,
     write_records,
 )
-from disambig.corpus import Corpus, Database, Dialog, Entity, Frame, Turn, name_key
+from disambig.corpus import Corpus, Database, Dialog, Entity, name_key
 from disambig.resolver import predict_names
 from disambig.synthesizer import AddressingMethod
 
@@ -30,7 +30,12 @@ def _dialog_by_id(corpus, dialog_id):
 
 
 def _states(dialog):
-    return [[frame.to_json() for frame in turn.frames] for turn in dialog.turns]
+    return [turn["frames"] for turn in dialog.turns]
+
+
+def _dialog(dialog_id: str, services: list[str], turns: list[dict]) -> Dialog:
+    """A checked dialog from hand-written turn rows."""
+    return Dialog.from_json({"id": dialog_id, "services": services, "turns": turns})
 
 
 class TestFindAugmentable:
@@ -51,50 +56,52 @@ class TestFindAugmentable:
         # the accepted entity is the one whose name lands in the post-turn state
         state_values = set()
         for turn in dialog.turns[turn_index + 1:]:
-            for frame in turn.frames:
-                for values in frame.slot_values.values():
+            for frame in turn["frames"]:
+                for values in frame["slot_values"].values():
                     state_values.update(name_key(v) for v in values)
         assert name_key(accepted.name) in state_values
 
     def test_single_result_turn_not_augmentable(self, shipped_db):
         hotel = shipped_db.tables["hotel"][0]
-        dialog = Dialog(
-            id="single",
-            services=["hotel"],
-            turns=[
-                Turn(speaker="USER", utterance="hi", frames=[Frame(service="hotel")]),
-                Turn(speaker="SYSTEM", utterance=f"how about {hotel.name}?", search_results=[hotel]),
-                Turn(
-                    speaker="USER",
-                    utterance="fine",
-                    frames=[Frame(service="hotel", slot_values={"hotel-name": [hotel.name]})],
-                ),
-            ],
-        )
+        dialog = _dialog("single", ["hotel"], [
+            {"speaker": "USER", "utterance": "hi", "frames": [{"service": "hotel"}]},
+            {"speaker": "SYSTEM", "utterance": f"how about {hotel.name}?", "search_results": [hotel.to_json()]},
+            {"speaker": "USER", "utterance": "fine",
+             "frames": [{"service": "hotel", "slot_values": {"hotel-name": [hotel.name]}}]},
+        ])
         assert find_augmentable_turns(dialog, shipped_db) == []
 
     def test_rejected_suggestion_excluded(self, toy_corpus, shipped_db):
         rejects = [d for d in toy_corpus.dialogs
-                   if "none of those really appeal" in " ".join(t.utterance for t in d.turns)]
+                   if "none of those really appeal" in " ".join(t["utterance"] for t in d.turns)]
         assert rejects, "fixture should include rejection dialogs"
         for dialog in rejects:
             assert find_augmentable_turns(dialog, shipped_db) == []
 
+    def test_offers_entering_the_state_together_are_no_choice(self, shipped_db):
+        hotels = [hotel.to_json() for hotel in shipped_db.tables["hotel"][:3]]
+
+        def taking(*offers: dict) -> Dialog:
+            slot_values = {f"hotel-pick-{i}": [offer["name"]] for i, offer in enumerate(offers)}
+            return _dialog("tie", ["hotel"], [
+                {"speaker": "USER", "utterance": "hi", "frames": [{"service": "hotel"}]},
+                {"speaker": "SYSTEM", "utterance": "three options", "search_results": hotels},
+                {"speaker": "USER", "utterance": "that one",
+                 "frames": [{"service": "hotel", "slot_values": slot_values}]},
+            ])
+
+        assert find_augmentable_turns(taking(hotels[0], hotels[1]), shipped_db) == []
+        ((turn_index, _, accepted),) = find_augmentable_turns(taking(hotels[1]), shipped_db)
+        assert (turn_index, accepted.name) == (1, hotels[1]["name"])
+
     def test_disallowed_domain_excluded(self, shipped_db):
-        offers = [Entity(domain="train", name=f"train {i} departure") for i in range(3)]
-        dialog = Dialog(
-            id="train",
-            services=["train"],
-            turns=[
-                Turn(speaker="USER", utterance="train please", frames=[Frame(service="train")]),
-                Turn(speaker="SYSTEM", utterance="options", search_results=offers),
-                Turn(
-                    speaker="USER",
-                    utterance="the first",
-                    frames=[Frame(service="train", slot_values={"train-id": [offers[0].name]})],
-                ),
-            ],
-        )
+        offers = [{"domain": "train", "name": f"train {i} departure"} for i in range(3)]
+        dialog = _dialog("train", ["train"], [
+            {"speaker": "USER", "utterance": "train please", "frames": [{"service": "train"}]},
+            {"speaker": "SYSTEM", "utterance": "options", "search_results": offers},
+            {"speaker": "USER", "utterance": "the first",
+             "frames": [{"service": "train", "slot_values": {"train-id": [offers[0]["name"]]}}]},
+        ])
         assert find_augmentable_turns(dialog, shipped_db, allowed=DEFAULT_ALLOWED) == []
         assert find_augmentable_turns(dialog, shipped_db, allowed=frozenset({"train"})) == []  # absent from db
 
@@ -119,9 +126,9 @@ class TestAugmentDialog:
         assert record.skipped_reason is None
         assert 3 <= len(record.candidates) <= 5
         assert record.target in record.candidates
-        new_user = new_dialog.turns[record.turn_index + 1].utterance
+        new_user = new_dialog.turns[record.turn_index + 1]["utterance"]
         assert new_user == record.user_prefix + " " + record.original_user
-        assert new_dialog.turns[record.turn_index].utterance == record.new_system
+        assert new_dialog.turns[record.turn_index]["utterance"] == record.new_system
         # candidates all distinct, same domain
         keys = [name_key(e.name) for e in record.candidates]
         assert len(set(keys)) == len(keys)
@@ -151,9 +158,9 @@ class TestAugmentDialog:
                     allowed_changes.update({record.turn_index, record.turn_index + 1})
             for index, (old, new) in enumerate(zip(dialog.turns, new_dialog.turns)):
                 if index in allowed_changes:
-                    assert new.utterance != old.utterance or "disambig" in new.extras
-                    assert new.frames == old.frames
-                    assert new.search_results == old.search_results
+                    assert new["utterance"] != old["utterance"] or "disambig" in new["extras"]
+                    assert new["frames"] == old["frames"]
+                    assert new.get("search_results") == old.get("search_results")
                 else:
                     assert new == old
 
@@ -235,7 +242,7 @@ class TestAugmentDialogAgainstDeepCopy:
             rewritten = {i for r in records if r.skipped_reason is None for i in (r.turn_index, r.turn_index + 1)}
             for index, (old, new) in enumerate(zip(dialog.turns, new_dialog.turns)):
                 assert (new is not old) == (index in rewritten)
-                assert new.frames is old.frames
+                assert new["frames"] is old["frames"]
 
     def test_mutating_a_rewritten_turn_leaves_the_input_alone(self, toy_corpus, shipped_db, shipped_grammar):
         snapshot = copy.deepcopy(toy_corpus)
@@ -246,11 +253,11 @@ class TestAugmentDialogAgainstDeepCopy:
                     continue
                 system_turn = new_dialog.turns[record.turn_index]
                 user_turn = new_dialog.turns[record.turn_index + 1]
-                system_turn.utterance += " changed"
-                system_turn.extras["disambig"]["method"] = "changed"
-                system_turn.extras["added"] = True
-                user_turn.utterance = "changed"
-                user_turn.extras["added"] = True
+                system_turn["utterance"] += " changed"
+                system_turn["extras"]["disambig"]["method"] = "changed"
+                system_turn["extras"]["added"] = True
+                user_turn["utterance"] = "changed"
+                user_turn["extras"]["added"] = True
         assert toy_corpus == snapshot
 
 
@@ -294,14 +301,14 @@ class TestAugmentCorpus:
                       name_fields={d: "name" for d in names})
         dialogs = []
         for dialog_id, picks in exchanges.items():
-            turns = [Turn(speaker="USER", utterance="i need a few places", frames=[Frame(service=picks[0][0])])]
+            turns = [{"speaker": "USER", "utterance": "i need a few places", "frames": [{"service": picks[0][0]}]}]
             for domain, offered, accepted in picks:
-                turns.append(Turn(speaker="SYSTEM", utterance=" or ".join(offered) + "?",
-                                  search_results=[Entity(domain=domain, name=n) for n in offered]))
-                turns.append(Turn(speaker="USER", utterance="that one", frames=[
-                    Frame(service=domain, slot_values={f"{domain}-name": [offered[accepted]]})]))
-            turns.append(Turn(speaker="SYSTEM", utterance="done."))
-            dialogs.append(Dialog(id=dialog_id, services=sorted({d for d, _, _ in picks}), turns=turns))
+                turns.append({"speaker": "SYSTEM", "utterance": " or ".join(offered) + "?",
+                              "search_results": [{"domain": domain, "name": n} for n in offered]})
+                turns.append({"speaker": "USER", "utterance": "that one", "frames": [
+                    {"service": domain, "slot_values": {f"{domain}-name": [offered[accepted]]}}]})
+            turns.append({"speaker": "SYSTEM", "utterance": "done."})
+            dialogs.append(_dialog(dialog_id, sorted({d for d, _, _ in picks}), turns))
 
         _, records, stats = augment_corpus(Corpus(dialogs=dialogs), db, shipped_grammar, seed=0)
 
@@ -330,14 +337,10 @@ class TestMultiResultReport:
     def test_all_single_results_is_zero(self, shipped_db):
         hotel = shipped_db.tables["hotel"][0]
         dialogs = [
-            Dialog(
-                id=f"d{i}",
-                services=["hotel"],
-                turns=[
-                    Turn(speaker="USER", utterance="hi", frames=[Frame(service="hotel")]),
-                    Turn(speaker="SYSTEM", utterance="one option", search_results=[hotel]),
-                ],
-            )
+            _dialog(f"d{i}", ["hotel"], [
+                {"speaker": "USER", "utterance": "hi", "frames": [{"service": "hotel"}]},
+                {"speaker": "SYSTEM", "utterance": "one option", "search_results": [hotel.to_json()]},
+            ])
             for i in range(3)
         ]
         report = multi_result_report(Corpus(dialogs=dialogs))
@@ -346,14 +349,10 @@ class TestMultiResultReport:
     def test_every_dialog_multi_is_one(self, shipped_db):
         hotels = shipped_db.tables["hotel"][:3]
         dialogs = [
-            Dialog(
-                id=f"d{i}",
-                services=["hotel"],
-                turns=[
-                    Turn(speaker="USER", utterance="hi", frames=[Frame(service="hotel")]),
-                    Turn(speaker="SYSTEM", utterance="three options", search_results=list(hotels)),
-                ],
-            )
+            _dialog(f"d{i}", ["hotel"], [
+                {"speaker": "USER", "utterance": "hi", "frames": [{"service": "hotel"}]},
+                {"speaker": "SYSTEM", "utterance": "three options", "search_results": [h.to_json() for h in hotels]},
+            ])
             for i in range(4)
         ]
         report = multi_result_report(Corpus(dialogs=dialogs))

@@ -68,9 +68,9 @@ def _example(count: int) -> str:
     return json.dumps({**json.loads(_EXAMPLE), "user": "n0", "candidates": candidates, "target_names": ["n0"][:count]})
 
 
-def _record(count: int, skipped_reason: str | None = None) -> str:
+def _record(count: int, skipped_reason: str | None = None, turn_index: int = 1) -> str:
     candidates = [{"domain": "hotel", "name": f"n{i}"} for i in range(count)]
-    return json.dumps({"dialog_id": "d1", "turn_index": 1, "original_system": "s", "new_system": "s",
+    return json.dumps({"dialog_id": "d1", "turn_index": turn_index, "original_system": "s", "new_system": "s",
                        "user_prefix": "n0", "original_user": "u", "candidates": candidates,
                        "target": {"domain": "hotel", "name": "n0"}, "skipped_reason": skipped_reason})
 
@@ -134,6 +134,9 @@ _MALFORMED_INPUTS = {
     "augment-in-list-row": (
         {"in.jsonl": "[1]\n"}, ["augment", "--in", "in.jsonl", "--db", DB, "--grammar", GRAMMAR, "--out", "OUT"]),
     "stats-meta-not-object": ({"in.jsonl": '{"meta": 5}\n'}, ["stats", "--in", "in.jsonl"]),
+    "stats-meta-not-first": (
+        {"in.jsonl": json.dumps({"id": "d1", "services": [], "turns": []}) + '\n{"meta": {}}\n'},
+        ["stats", "--in", "in.jsonl"]),
     "stats-string-row": ({"in.jsonl": '"x"\n'}, ["stats", "--in", "in.jsonl"]),
     "stats-not-utf8": ({"in.jsonl": b"\xff\n"}, ["stats", "--in", "in.jsonl"]),
     "synth-config-not-json": ({"config.json": "{"}, ["synth", "--config", "config.json", "--out", "OUT"]),
@@ -191,7 +194,9 @@ _MALFORMED_INPUTS = {
                              ("state-not-an-object", [_sgd_dialog({"service": "hotels_1", "state": []})]),
                              ("dialog-not-an-object", [1]),
                              ("dialogue-id-not-a-string", [{**_sgd_dialog({"service": "hotels_1"}),
-                                                            "dialogue_id": ["a"]}]))},
+                                                            "dialogue_id": ["a"]}]),
+                             ("dialog-without-dialogue-id", [{"services": [], "turns": []}]),
+                             ("frame-without-service", [_sgd_dialog({"state": {}})]))},
     **{f"stats-id-{name}": ({"in.jsonl": json.dumps({"id": value, "services": [], "turns": []}) + "\n"},
                             ["stats", "--in", "in.jsonl"])
        for name, value in (("list", ["a"]), ("int", 3))},
@@ -202,7 +207,14 @@ _MALFORMED_INPUTS = {
                             ("record-not-an-object", {"tables": {"hotel": [1]}}), ("nouns-not-an-object", {"nouns": 5}),
                             ("noun-not-a-string", {"nouns": {"hotel": 5}}),
                             ("name-fields-not-an-object", {"name_fields": [["hotel", "name"]]}),
-                            ("name-field-not-a-string", {"name_fields": {"hotel": ["name"]}}))},
+                            ("name-field-not-a-string", {"name_fields": {"hotel": ["name"]}}),
+                            ("record-without-name-field", {"tables": {"hotel": [{"area": "north"}]}}))},
+    # "alder-lodge" reads as the same tokens as "alder lodge", so the resolver could not tell them apart.
+    "synth-db-names-alike": (
+        {"db.json": json.dumps({**_DATABASE, "tables": {"hotel": [*_DATABASE["tables"]["hotel"],
+                                                                 {"name": "alder-lodge", "area": "pine"}]}})},
+        ["synth", "--db", "db.json", "--grammar", GRAMMAR, "--methods", "exact", "--total", "6,0,0",
+         "--splits", "train", "--out", "OUT"]),
     **{f"score-gold-{name}": (
         {"preds.jsonl": json.dumps({"dialog_id": "d1", "turn_index": 0, "entities": ["a"]}) + "\n",
          "gold.jsonl": _marked_gold(marker) + "\n"},
@@ -221,6 +233,21 @@ _MALFORMED_INPUTS = {
         ["resolve", "--in", "in.jsonl", "--kind", "records", "--out", "OUT"]),
     "synth-methods-empty": (
         {}, ["synth", "--db", DB, "--grammar", GRAMMAR, "--per-method", "1,1,1", "--methods", ",", "--out", "OUT"]),
+    "synth-methods-unknown": (
+        {}, ["synth", "--db", DB, "--grammar", GRAMMAR, "--per-method", "1,1,1", "--methods", "exact,bogus",
+             "--out", "OUT"]),
+    **{f"synth-grammar-{name}": (
+        {"g.cfg": source}, ["synth", "--db", DB, "--grammar", "g.cfg", "--total", "1,0,0", "--out", "OUT"])
+       for name, source in (("unknown-directive", "%begin USER_ANSWER\nUSER_ANSWER -> {mention}\n"),
+                            ("lowercase-left-hand-side", "user_answer -> {mention}\n"))},
+    "resolve-records-repeated-key": (
+        {"in.jsonl": _record(2) + "\n" + _record(2) + "\n"},
+        ["resolve", "--in", "in.jsonl", "--kind", "records", "--out", "OUT"]),
+    "score-records-repeated-key": (
+        {"preds.jsonl": json.dumps({"dialog_id": "d1", "turn_index": 0, "entities": ["a"]}) + "\n",
+         "gold.jsonl": _marked_gold(_MARKER) + "\n",
+         "records.jsonl": _record(2, turn_index=0) + "\n" + _record(2, turn_index=0) + "\n"},
+        ["score", "--preds", "preds.jsonl", "--gold", "gold.jsonl", "--records", "records.jsonl"]),
     "synth-splits-bogus": (
         {}, ["synth", "--db", DB, "--grammar", GRAMMAR, "--per-method", "1,1,1", "--splits", "test,bogus",
              "--out", "OUT"]),
@@ -692,12 +719,44 @@ class TestResolveAndScore:
 
     def test_skipped_records_are_not_resolved(self, capsys, tmp_path):
         records = tmp_path / "records.jsonl"
-        records.write_text(_record(7, "not_enough_entities") + "\n" + _record(2) + "\n", encoding="utf-8")
+        records.write_text(_record(7, "not_enough_entities", turn_index=3) + "\n" + _record(2) + "\n",
+                           encoding="utf-8")
         preds = tmp_path / "preds.jsonl"
         code, _, err = _run(capsys, "resolve", "--in", str(records), "--out", str(preds))
         assert code == 0, err
         assert [json.loads(line) for line in preds.read_text().splitlines()] == [
             {"dialog_id": "d1", "turn_index": 1, "entities": ["n0"]}]
+
+    def test_blank_lines_leave_the_example_keys_alone(self, capsys, tmp_path, synth_dir):
+        # A key is the index of its example among the non-blank rows, in both resolve and score.
+        lines = (synth_dir / "test.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+        spaced = tmp_path / "spaced.jsonl"
+        spaced.write_text("\n" + lines[0] + "  \n\n" + "".join(lines[1:]) + "\n", encoding="utf-8")
+        outputs = []
+        for examples in (synth_dir / "test.jsonl", spaced):
+            preds = tmp_path / f"{examples.stem}-preds.jsonl"
+            assert _run(capsys, "resolve", "--in", str(examples), "--out", str(preds))[0] == 0
+            code, out, _ = _run(capsys, "score", "--preds", str(preds), "--gold", str(examples))
+            assert code == 0
+            outputs.append((preds.read_bytes(), out))
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[1][0].splitlines()[1])["dialog_id"] == "synth-000001"
+
+    def test_repeated_record_key_is_refused_with_its_line(self, capsys, tmp_path, repo_root):
+        augmented = tmp_path / "aug"
+        _run(capsys, "augment", "--in", str(repo_root / TOY), "--db", str(repo_root / DB),
+             "--grammar", str(repo_root / GRAMMAR), "--out", str(augmented), "--seed", "0")
+        lines = (augmented / "records.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+        records = tmp_path / "records.jsonl"
+        records.write_text("".join(lines + lines[2:3]), encoding="utf-8")
+        key = tuple(json.loads(lines[2])[name] for name in ("dialog_id", "turn_index"))
+        error = f"error: {records}: line {len(lines) + 1}: duplicate record key {key}\n"
+        preds = tmp_path / "preds.jsonl"
+        assert _run(capsys, "resolve", "--in", str(records), "--out", str(preds)) == (1, "", error)
+        assert not preds.exists()
+        assert _run(capsys, "resolve", "--in", str(augmented / "records.jsonl"), "--out", str(preds))[0] == 0
+        assert _run(capsys, "score", "--preds", str(preds), "--gold", str(augmented / "corpus.jsonl"),
+                    "--records", str(records)) == (1, "", error)
 
     def test_records_pipeline(self, capsys, tmp_path, repo_root):
         augmented = tmp_path / "aug"

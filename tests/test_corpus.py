@@ -14,8 +14,6 @@ from disambig.corpus import (
     Database,
     Dialog,
     Entity,
-    Frame,
-    Turn,
     load_corpus,
     load_database,
     name_key,
@@ -105,10 +103,10 @@ def _read_view(corpus: Corpus) -> list:
         turns = []
         for turn in dialog.turns:
             by_domain: dict[str, list] = {}
-            for entity in turn.search_results or []:
-                by_domain.setdefault(entity.domain, []).append((entity.name, entity.attributes))
-            slots = [(frame.service, frame.slot_values) for frame in turn.frames if frame.slot_values]
-            turns.append((turn.speaker, turn.utterance, turn.extras, slots, by_domain))
+            for entity in turn.get("search_results", []):
+                by_domain.setdefault(entity["domain"], []).append((entity["name"], entity["attributes"]))
+            slots = [(frame["service"], frame["slot_values"]) for frame in turn["frames"] if frame["slot_values"]]
+            turns.append((turn["speaker"], turn["utterance"], turn["extras"], slots, by_domain))
         view.append((dialog.id, dialog.services, turns))
     return view
 
@@ -130,21 +128,20 @@ def _native_corpora(draw) -> Corpus:
         for index in range(draw(st.integers(1, 4))):
             speaker = ("USER", "SYSTEM")[(first + index) % 2]
             frames = [
-                Frame(service=name, slot_values=draw(st.dictionaries(
-                    st.sampled_from(["area", "stars"]), st.lists(_WORDS, min_size=1, max_size=2), max_size=2)))
+                {"service": name, "slot_values": draw(st.dictionaries(
+                    st.sampled_from(["area", "stars"]), st.lists(_WORDS, min_size=1, max_size=2), max_size=2))}
                 for name in draw(st.lists(service, max_size=2, unique=True))
             ]
-            results = None
+            extras = {"disambig": {"origin": "augment", "target_names": ["the palm"]}} if draw(st.booleans()) else {}
+            turn = {"speaker": speaker, "utterance": draw(_WORDS), "frames": frames, "extras": extras}
             if speaker == "SYSTEM" and draw(st.booleans()):
-                results = [
-                    Entity(domain=draw(service), name=draw(_WORDS),
-                           attributes=draw(st.dictionaries(st.sampled_from(["area", "stars"]), _WORDS, max_size=2)))
+                turn["search_results"] = [
+                    {"domain": draw(service), "name": draw(_WORDS),
+                     "attributes": draw(st.dictionaries(st.sampled_from(["area", "stars"]), _WORDS, max_size=2))}
                     for _ in range(draw(st.integers(0, 4)))
                 ]
-            extras = {"disambig": {"origin": "augment", "target_names": ["the palm"]}} if draw(st.booleans()) else {}
-            turns.append(Turn(speaker=speaker, utterance=draw(_WORDS), frames=frames,
-                              search_results=results, extras=extras))
-        dialogs.append(Dialog(id=f"d{number}", services=services, turns=turns))
+            turns.append(turn)
+        dialogs.append(Dialog.from_json({"id": f"d{number}", "services": services, "turns": turns}))
     return Corpus(dialogs=dialogs)
 
 
@@ -163,16 +160,18 @@ def _two_domain_offers(draw) -> Corpus:
     of their own, not that of the turn's frames, and a user turn that takes
     up at most one offer of each domain."""
     domains = draw(st.lists(st.sampled_from(_SERVICES), min_size=2, max_size=2, unique=True))
-    results = [Entity(domain=domain, name=name)
+    results = [{"domain": domain, "name": name}
                for domain, names in zip(domains, _OFFER_NAMES)
                for name in draw(st.lists(st.sampled_from(names), min_size=2, max_size=3, unique=True))]
-    frames = [Frame(service=domain) for domain in draw(st.lists(st.sampled_from(domains), max_size=2, unique=True))]
+    frames = [{"service": domain} for domain in draw(st.lists(st.sampled_from(domains), max_size=2, unique=True))]
     picked = [name for names in _OFFER_NAMES if (name := draw(st.sampled_from((None, *names)))) is not None]
-    reply = [Frame(service=domains[0], slot_values={"name": picked})] if picked else []
-    turns = [Turn(speaker="USER", utterance="hi", frames=[Frame(service=domains[0], slot_values={"area": ["north"]})]),
-             Turn(speaker="SYSTEM", utterance="offers", frames=frames, search_results=draw(st.permutations(results))),
-             Turn(speaker="USER", utterance="that one", frames=reply)]
-    return Corpus(dialogs=[Dialog(id="d0", services=domains, turns=turns)])
+    reply = [{"service": domains[0], "slot_values": {"name": picked}}] if picked else []
+    turns = [{"speaker": "USER", "utterance": "hi",
+              "frames": [{"service": domains[0], "slot_values": {"area": ["north"]}}]},
+             {"speaker": "SYSTEM", "utterance": "offers", "frames": frames,
+              "search_results": draw(st.permutations(results))},
+             {"speaker": "USER", "utterance": "that one", "frames": reply}]
+    return Corpus(dialogs=[Dialog.from_json({"id": "d0", "services": domains, "turns": turns})])
 
 
 def _augmentable(corpus: Corpus) -> list:
@@ -192,17 +191,14 @@ def sgd_dir(tmp_path: Path) -> Path:
 
 def _tiny_corpus() -> Corpus:
     turns = [
-        Turn(speaker="USER", utterance="hi", frames=[Frame(service="hotel", slot_values={"hotel-area": ["north"]})]),
-        Turn(
-            speaker="SYSTEM",
-            utterance="two options",
-            search_results=[
-                Entity(domain="hotel", name="aurora lodge", attributes={"area": "north"}),
-                Entity(domain="hotel", name="briar manor", attributes={"area": "south"}),
-            ],
-        ),
+        {"speaker": "USER", "utterance": "hi",
+         "frames": [{"service": "hotel", "slot_values": {"hotel-area": ["north"]}}]},
+        {"speaker": "SYSTEM", "utterance": "two options", "search_results": [
+            {"domain": "hotel", "name": "aurora lodge", "attributes": {"area": "north"}},
+            {"domain": "hotel", "name": "briar manor", "attributes": {"area": "south"}},
+        ]},
     ]
-    dialog = Dialog(id="d1", services=["hotel"], turns=turns, extras={"note": "kept"})
+    dialog = Dialog.from_json({"id": "d1", "services": ["hotel"], "turns": turns, "extras": {"note": "kept"}})
     return Corpus(dialogs=[dialog], split_name="dev", source_format="native")
 
 
@@ -309,9 +305,9 @@ class TestValidation:
     def test_loaded_containers_are_the_decoded_ones(self):
         row = _tiny_row()
         dialog = Dialog.from_json(row)
-        frame = dialog.turns[0].frames[0]
+        frame = dialog.turns[0]["frames"][0]
         assert dialog.services is row["services"] and dialog.extras is row["extras"]
-        assert frame.slot_values is row["turns"][0]["frames"][0]["slot_values"]
+        assert frame["slot_values"] is row["turns"][0]["frames"][0]["slot_values"]
         assert dialog.to_json() == _tiny_row()
 
 
@@ -462,12 +458,17 @@ class TestSchemaGuidedAdapters:
         assert corpus.source_format == "sgd"
         dialog = corpus.dialogs[0]
         assert dialog.id == "1_00000"
-        results = dialog.turns[1].search_results
-        assert [e.name for e in results] == ["the palm", "the crown"]
-        assert results[0].attributes == {"star_rating": "4"}
+        results = dialog.turns[1]["search_results"]
+        assert [e["name"] for e in results] == ["the palm", "the crown"]
+        assert results[0]["attributes"] == {"star_rating": "4"}
         # unknown fields survive in extras
-        assert dialog.turns[1].frames[0].extras["actions"][0]["act"] == "OFFER"
-        assert dialog.turns[0].frames[0].extras["state_extras"]["active_intent"] == "SearchHotel"
+        assert dialog.turns[1]["frames"][0]["extras"]["actions"][0]["act"] == "OFFER"
+        assert dialog.turns[0]["frames"][0]["extras"]["state_extras"]["active_intent"] == "SearchHotel"
+
+    def test_directory_without_dialogue_files(self, tmp_path):
+        (tmp_path / "dialogues.json").write_text("[]", encoding="utf-8")  # not dialogues_*.json
+        with pytest.raises(SchemaMismatch, match=f"^{re.escape(str(tmp_path))}: no dialogues_\\*.json files found$"):
+            load_corpus(str(tmp_path), format="sgd")
 
     def test_sgd_missing_turns_key(self, tmp_path):
         bad = {"dialogue_id": "x", "services": []}
@@ -499,9 +500,9 @@ class TestSchemaGuidedAdapters:
         path.write_text(json.dumps([MULTIWOZ_DIALOG]), encoding="utf-8")
         corpus = load_corpus(str(path), format="multiwoz22")
         assert corpus.split_name == "dev"
-        assert corpus.dialogs[0].turns[0].frames[0].slot_values == {"restaurant-food": ["indian"]}
-        assert corpus.dialogs[0].turns[0].extras["turn_id"] == "0"
-        assert corpus.dialogs[0].turns[1].search_results is None
+        assert corpus.dialogs[0].turns[0]["frames"][0]["slot_values"] == {"restaurant-food": ["indian"]}
+        assert corpus.dialogs[0].turns[0]["extras"]["turn_id"] == "0"
+        assert "search_results" not in corpus.dialogs[0].turns[1]
 
     @pytest.mark.parametrize("dialog, format", [(SGD_DIALOG, "sgd"), (MULTIWOZ_DIALOG, "multiwoz22")])
     def test_load_write_gives_back_the_input(self, tmp_path, dialog, format):
@@ -526,7 +527,7 @@ class TestSchemaGuidedAdapters:
         path = tmp_path / "toy.json"
         write_corpus(toy_corpus, str(path), format=format)
         again = load_corpus(str(path), format=format)
-        assert sum(1 for d in again.dialogs for t in d.turns if t.search_results) == 41
+        assert sum(1 for d in again.dialogs for t in d.turns if t.get("search_results")) == 41
         assert _read_view(again) == _read_view(toy_corpus)
         rewritten = tmp_path / "again.json"
         write_corpus(again, str(rewritten), format=format)
@@ -547,9 +548,9 @@ class TestSchemaGuidedAdapters:
         ("taxi", {}, "not one of the dialog's services"),
     ])
     def test_unwritable_search_results_rejected(self, tmp_path, domain, attributes, match):
-        turns = [Turn(speaker="SYSTEM", utterance="two",
-                      search_results=[Entity(domain=domain, name="the palm", attributes=attributes)])]
-        corpus = Corpus(dialogs=[Dialog(id="d1", services=["hotels_1", "train"], turns=turns)])
+        turns = [{"speaker": "SYSTEM", "utterance": "two",
+                  "search_results": [{"domain": domain, "name": "the palm", "attributes": attributes}]}]
+        corpus = Corpus(dialogs=[Dialog.from_json({"id": "d1", "services": ["hotels_1", "train"], "turns": turns})])
         with pytest.raises(SchemaMismatch, match=match):
             write_corpus(corpus, str(tmp_path / "out.json"), format="sgd")
 
@@ -575,6 +576,13 @@ class TestDatabase:
         path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(SchemaMismatch, match="duplicate"):
             load_database(str(path))
+
+    @pytest.mark.parametrize("names", [["kestrel-lodge", "kestrel lodge"], ["kestrel_lodge", "Kestrel Lodge"]])
+    def test_names_read_as_the_same_tokens_rejected(self, names):
+        # The resolver reads both as "kestrel lodge", so it would tie them as exact matches.
+        with pytest.raises(SchemaMismatch, match="duplicate"):
+            Database(tables={"hotel": [Entity(domain="hotel", name=name) for name in names]},
+                     name_fields={"hotel": "name"})
 
     def test_write_load_round_trip(self, tmp_path, shipped_db):
         path = tmp_path / "db.json"

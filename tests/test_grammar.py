@@ -75,6 +75,16 @@ class TestLoad:
         with pytest.raises(ParseError):
             load_grammar("S -> a |")
 
+    @pytest.mark.parametrize("source, line_no, message", [
+        ("%begin S\nS -> a", 1, "unknown directive '%begin S'"),
+        ("%start\nS -> a", 1, "unknown directive '%start'"),
+        ("S -> a\ns -> b", 2, "left-hand side 's' is not an UPPERCASE nonterminal"),
+    ])
+    def test_bad_directive_or_left_hand_side_rejected(self, source, line_no, message):
+        with pytest.raises(ParseError, match=message) as info:
+            load_grammar(source)
+        assert info.value.line_no == line_no
+
     def test_empty_source_rejected(self):
         with pytest.raises(ParseError):
             load_grammar("   \n  # only a comment\n")

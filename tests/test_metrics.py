@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from disambig.augmenter import AUGMENT_METHODS, DEFAULT_ALLOWED, AugmentationRecord, augment_corpus
-from disambig.corpus import Corpus, Dialog, Entity, Frame, Turn
+from disambig.corpus import Corpus, Dialog, Entity
 from disambig import metrics
 from disambig.errors import MissingPrediction, SchemaMismatch, UnknownSubsetTurn
 from disambig.metrics import (
@@ -27,15 +27,11 @@ from .oracles import slow_entity_accuracy, slow_joint_goal_accuracy, slow_score,
 
 
 def _marked_dialog(dialog_id: str, targets: list[str], origin: str = "synth") -> Dialog:
-    system = Turn(
-        speaker="SYSTEM",
-        utterance="pick one",
-        frames=[Frame(service="hotel")],
-        extras={"disambig": {"origin": origin, "method": "exact", "target_names": targets,
-                             "candidate_names": targets + ["decoy inn"]}},
-    )
-    user = Turn(speaker="USER", utterance="choice", frames=[Frame(service="hotel")])
-    return Dialog(id=dialog_id, services=["hotel"], turns=[system, user])
+    system = {"speaker": "SYSTEM", "utterance": "pick one", "frames": [{"service": "hotel"}],
+              "extras": {"disambig": {"origin": origin, "method": "exact", "target_names": targets,
+                                      "candidate_names": targets + ["decoy inn"]}}}
+    user = {"speaker": "USER", "utterance": "choice", "frames": [{"service": "hotel"}]}
+    return Dialog.from_json({"id": dialog_id, "services": ["hotel"], "turns": [system, user]})
 
 
 def _entity_fixture() -> tuple[Corpus, dict]:
@@ -86,10 +82,9 @@ class TestEntityAccuracy:
 
 
 def _state_dialog(dialog_id: str, gold_slots: dict[str, list[str]]) -> Dialog:
-    user = Turn(speaker="USER", utterance="hi",
-                frames=[Frame(service="hotel", slot_values=gold_slots)])
-    system = Turn(speaker="SYSTEM", utterance="ok", frames=[])
-    return Dialog(id=dialog_id, services=["hotel"], turns=[user, system])
+    user = {"speaker": "USER", "utterance": "hi", "frames": [{"service": "hotel", "slot_values": gold_slots}]}
+    system = {"speaker": "SYSTEM", "utterance": "ok"}
+    return Dialog.from_json({"id": dialog_id, "services": ["hotel"], "turns": [user, system]})
 
 
 class TestJointGoalAccuracy:
@@ -257,8 +252,8 @@ class TestScore:
             for index, turn in enumerate(dialog.turns):
                 key = (dialog.id, index)
                 preds[key] = PredictionRow(dialog.id, index, entities=sorted(targets.get(key, ())))
-                if "disambig" in turn.extras:
-                    by_method.setdefault(turn.extras["disambig"]["method"], []).append(key)
+                if "disambig" in turn["extras"]:
+                    by_method.setdefault(turn["extras"]["disambig"]["method"], []).append(key)
         for key in sorted(targets)[::3]:
             preds[key].entities = ["wrong lodge"]
         expected = {
@@ -339,14 +334,14 @@ def _scoring_case(draw):
             if speaker == "USER":
                 slot_values = draw(st.dictionaries(st.sampled_from(_SLOTS),
                                                    st.lists(st.sampled_from(_VALUES), min_size=1, max_size=2)))
-                frames = [Frame(service="hotel", slot_values=slot_values)] if draw(st.booleans()) else []
-            turns.append(Turn(speaker=speaker, utterance="u", frames=frames, extras=extras))
+                frames = [{"service": "hotel", "slot_values": slot_values}] if draw(st.booleans()) else []
+            turns.append({"speaker": speaker, "utterance": "u", "frames": frames, "extras": extras})
             keys.append((dialog_id, index))
             if speaker == "USER":
                 user_keys.append((dialog_id, index))
             elif extras:
                 marked.append((dialog_id, index))
-        dialogs.append(Dialog(id=dialog_id, services=["hotel"], turns=turns))
+        dialogs.append(Dialog.from_json({"id": dialog_id, "services": ["hotel"], "turns": turns}))
     gold = Corpus(dialogs=dialogs)
 
     with_states = draw(st.booleans())

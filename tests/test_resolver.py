@@ -437,9 +437,17 @@ class TestMultiple:
     def test_no_match_returns_empty(self):
         assert predict_names(_candidates("alpha kitchen"), "qqq zzz") == []
 
+    def test_reply_without_word_tokens_predicts_nothing(self):
+        candidates = _candidates("alpha kitchen", "briar manor")
+        with pytest.raises(NoMatch, match="empty utterance"):
+            resolve(candidates, " ?! ... ")
+        assert predict_names(candidates, " ?! ... ") == []
+
     def test_conjunction_detection(self):
         assert has_conjunction("a and b")
         assert has_conjunction("both of them")
+        assert has_conjunction("I will take all three")
+        assert not has_conjunction("all of it")
         assert not has_conjunction("just one thing")
 
 

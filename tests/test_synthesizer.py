@@ -5,7 +5,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from disambig.corpus import SPLITS, Database, Entity, load_corpus, name_key, write_corpus
+from disambig.corpus import SPLITS, Database, Dialog, Entity, load_corpus, name_key, write_corpus
 from disambig.errors import (
     InvalidTargetArity,
     NoDiscriminatingAttribute,
@@ -273,7 +273,7 @@ class TestDataset:
         examples = synthesize_split(shipped_db, shipped_grammar, SynthConfig(totals=(0, 0, 4), seed=2), "test")
         gold = examples_to_corpus(examples)
         assert len(gold.dialogs) == 4
-        marker = gold.dialogs[0].turns[0].extras["disambig"]
+        marker = gold.dialogs[0].turns[0]["extras"]["disambig"]
         assert marker["origin"] == "synth"
         assert marker["target_names"] == examples[0].target_names()
 
@@ -281,9 +281,10 @@ class TestDataset:
         examples = synthesize_split(shipped_db, shipped_grammar, SynthConfig(totals=(0, 0, 6), seed=2), "test")
         for dialog, example in zip(examples_to_corpus(examples).dialogs, examples):
             system, user = dialog.turns
-            assert [t.frames for t in dialog.turns] == [[], []]
-            assert system.search_results is None and user.search_results is None
-            assert system.extras["disambig"] == {
+            assert Dialog.from_json(json.loads(json.dumps(dialog.to_json()))) == dialog  # the loader's rows
+            assert [t["frames"] for t in dialog.turns] == [[], []]
+            assert "search_results" not in system and "search_results" not in user
+            assert system["extras"]["disambig"] == {
                 "origin": "synth", "method": example.method.value, "target_names": example.target_names(),
                 "candidate_names": [e.name for e in example.candidates]}
 

@@ -25,7 +25,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from disambig.corpus import Corpus, Database, Dialog, Entity, Frame, Turn, name_key, write_corpus, write_database
+from disambig.corpus import Corpus, Database, Dialog, Entity, name_key, write_corpus, write_database
 from disambig.grammar import Slot, load_grammar_file
 from disambig.resolver import STOPWORDS, edit_distance
 from disambig.seeding import rng_for
@@ -257,15 +257,17 @@ def _toy_dialog(did: str, service: str, kind: str, db: Database, rng) -> tuple[D
     accepted = offers[accept_index]
 
     state: dict[str, list[str]] = {}
-    turns: list[Turn] = []
+    turns: list[dict] = []
 
     def user(utterance: str, extra_state: dict[str, list[str]] | None = None) -> None:
         state.update(extra_state or {})
-        frames = [Frame(service=service, slot_values={k: list(v) for k, v in state.items()})]
-        turns.append(Turn(speaker="USER", utterance=utterance, frames=frames))
+        frames = [{"service": service, "slot_values": {k: list(v) for k, v in state.items()}}]
+        turns.append({"speaker": "USER", "utterance": utterance, "frames": frames})
 
     def system(utterance: str, results: list[Entity] | None = None) -> None:
-        turns.append(Turn(speaker="SYSTEM", utterance=utterance, frames=[], search_results=results))
+        turns.append({"speaker": "SYSTEM", "utterance": utterance})
+        if results is not None:
+            turns[-1]["search_results"] = [e.to_json() for e in results]
 
     user(f"hello, i am trying to find a {noun} for my visit.")
     system(f"happy to help. which part of town would you like the {noun} to be in?")
@@ -310,8 +312,7 @@ def _toy_dialog(did: str, service: str, kind: str, db: Database, rng) -> tuple[D
     else:
         system("you are very welcome. enjoy your visit, goodbye!")
 
-    services = [service]
-    dialog = Dialog(id=did, services=services, turns=turns)
+    dialog = Dialog.from_json({"id": did, "services": [service], "turns": turns})
     assert len(turns) == TURNS_PER_DIALOG, (did, len(turns))
     return dialog, multi, augmentable
 
