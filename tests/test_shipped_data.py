@@ -3,7 +3,7 @@
 The resolver round-trip guarantees lean on vocabulary discipline in the
 shipped data: entity-name tokens must not collide with user-answer grammar
 words, attribute values, or ordinal/conjunction cues.  Those rules live once,
-in ``tools/build_data.py:_check_database``; these tests run it on the shipped
+in ``tools/build_data.py``; these tests run each of them on the shipped
 database and keep later data edits honest.
 """
 
@@ -21,8 +21,16 @@ def test_every_domain_is_synthesizable(shipped_db):
         assert shipped_db.noun(domain)
 
 
-def test_shipped_database_passes_the_build_checks(shipped_db, build_data):
-    build_data._check_database(shipped_db)
+def test_name_tokens_avoid_user_side_vocabulary(shipped_db, build_data):
+    build_data._check_name_vocabulary(shipped_db)
+
+
+def test_attribute_values_avoid_name_tokens(shipped_db, build_data):
+    build_data._check_attribute_values(shipped_db)
+
+
+def test_names_within_domain_stay_separated(shipped_db, build_data):
+    build_data._check_name_separation(shipped_db)
 
 
 def test_toy_corpus_entities_come_from_the_database(toy_corpus, shipped_db):

@@ -199,13 +199,22 @@ def build_database() -> Database:
 
 
 def _check_database(db: Database) -> None:
-    forbidden = _grammar_user_vocabulary() - STOPWORDS
-    value_tokens: set[str] = set()
-    for entities in db.tables.values():
-        for entity in entities:
-            for value in entity.attributes.values():
-                value_tokens.update(value.split())
-    name_tokens: set[str] = set()
+    _check_name_separation(db)
+    _check_name_vocabulary(db)
+    _check_attribute_values(db)
+
+
+def _name_tokens(db: Database) -> set[str]:
+    return {token for entities in db.tables.values() for e in entities for token in e.name.split()}
+
+
+def _value_tokens(db: Database) -> set[str]:
+    return {token for entities in db.tables.values() for e in entities
+            for value in e.attributes.values() for token in value.split()}
+
+
+def _check_name_separation(db: Database) -> None:
+    """Names in one domain are unique, two-token, and far apart in spelling."""
     for domain, entities in db.tables.items():
         assert len(entities) >= 14, domain
         names = [e.name for e in entities]
@@ -215,17 +224,25 @@ def _check_database(db: Database) -> None:
         assert len(set(firsts)) == len(firsts), f"repeated first tokens in {domain}"
         for a in names:
             assert len(a) >= 8 and len(a.split()) == 2, f"bad name shape {a!r}"
-            name_tokens.update(a.split())
             for b in names:
                 if a != b:
                     assert a not in b, f"{a!r} is a substring of {b!r}"
                     separation = edit_distance(a, b) / max(len(a), len(b))
                     assert separation > MIN_SEPARATION, f"{a!r} vs {b!r}: {separation:.2f}"
-    clash = name_tokens & forbidden
+
+
+def _check_name_vocabulary(db: Database) -> None:
+    """No name token is a word the user side of the grammar can say."""
+    clash = _name_tokens(db) & (_grammar_user_vocabulary() - STOPWORDS)
     assert not clash, f"name tokens collide with user-side vocabulary: {sorted(clash)}"
-    clash = name_tokens & value_tokens
+
+
+def _check_attribute_values(db: Database) -> None:
+    """No attribute-value token is a name token or a user-side word."""
+    value_tokens = _value_tokens(db)
+    clash = _name_tokens(db) & value_tokens
     assert not clash, f"name tokens collide with attribute values: {sorted(clash)}"
-    clash = value_tokens & forbidden - STOPWORDS
+    clash = value_tokens & (_grammar_user_vocabulary() - STOPWORDS)
     assert not clash, f"attribute values collide with user-side vocabulary: {sorted(clash)}"
 
 
