@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 
-from .corpus import SYSTEM, Corpus, Database, Dialog, Entity, _expect, gold_marker, name_key
+from .corpus import SYSTEM, Corpus, Database, Dialog, _expect, entity_row, gold_marker, name_key
 from .errors import SchemaMismatch
 from .grammar import Grammar
 from .jsonl import iter_jsonl, write_jsonl
@@ -62,12 +62,12 @@ class AugmentationRecord:
     new_system: str
     user_prefix: str
     original_user: str
-    candidates: list[Entity]
-    target: Entity
+    candidates: list[dict]
+    target: dict
     skipped_reason: str | None = None
 
     def to_json(self) -> dict:
-        return {**vars(self), "candidates": [e.to_json() for e in self.candidates], "target": self.target.to_json()}
+        return dict(vars(self))
 
     @classmethod
     def from_json(cls, obj: dict) -> "AugmentationRecord":
@@ -82,8 +82,8 @@ class AugmentationRecord:
             new_system=obj["new_system"],
             user_prefix=obj["user_prefix"],
             original_user=obj["original_user"],
-            candidates=[Entity.from_json(e) for e in obj["candidates"]],
-            target=Entity.from_json(obj["target"]),
+            candidates=[entity_row(e) for e in obj["candidates"]],
+            target=entity_row(obj["target"]),
             skipped_reason=obj.get("skipped_reason"),
         )
 
@@ -113,7 +113,7 @@ def _state_first_seen(dialog: Dialog) -> dict[str, int]:
 
 def find_augmentable_turns(
     dialog: Dialog, db: Database, allowed: frozenset[str] | set[str] = DEFAULT_ALLOWED
-) -> list[tuple[int, list[Entity], Entity]]:
+) -> list[tuple[int, list[dict], dict]]:
     """System turns where an option list can replace the suggestion.
 
     A turn qualifies when it surfaces at least two same-domain results from
@@ -124,11 +124,11 @@ def find_augmentable_turns(
     filtered out, as are turns already carrying an augmentation marker.
     When several domains qualify, the first by name is taken, so the choice
     does not hang on the order of the results (which an SGD or MultiWOZ
-    round trip regroups by frame).  Only the returned pools are made into
-    Entity objects.
+    round trip regroups by frame).  Each pool is a list of the turn's own
+    entity rows.
     """
     first_seen = _state_first_seen(dialog)
-    found: list[tuple[int, list[Entity], Entity]] = []
+    found: list[tuple[int, list[dict], dict]] = []
     for index, turn in enumerate(dialog.turns):
         if turn["speaker"] != SYSTEM or not turn.get("search_results"):
             continue
@@ -147,8 +147,7 @@ def find_augmentable_turns(
                 continue  # the user made no (single) choice here
             if name_key(rows[accepted]["name"]) not in db.names(domain):
                 continue  # offered entity absent from the database
-            pool = [Entity.from_json(row) for row in rows]
-            found.append((index, pool, pool[accepted]))
+            found.append((index, rows, rows[accepted]))
             break
     return found
 
@@ -202,8 +201,8 @@ def augment_dialog(
         system_turn = turns[turn_index]
         user_turn = turns[turn_index + 1]
         count = rng_for("augment.count", *base).choice(CANDIDATE_COUNTS)
-        accepted_key = name_key(accepted.name)
-        others = [e for e in db.tables[accepted.domain] if name_key(e.name) != accepted_key]
+        accepted_key = name_key(accepted["name"])
+        others = [e for e in db.tables[accepted["domain"]] if name_key(e["name"]) != accepted_key]
         skipped_reason = SKIP_NOT_ENOUGH_ENTITIES if len(others) < count - 1 else None
         candidates, new_system, prefix = pool, system_turn["utterance"], ""
         if skipped_reason is None:
@@ -213,10 +212,10 @@ def augment_dialog(
             candidates.insert(position, accepted)
             method = methods[rng_for("augment.method", *base).randrange(len(methods))]
             new_system, answer = build_exchange(
-                grammar, candidates, [position], method, db.noun(accepted.domain), "augment", base
+                grammar, candidates, [position], method, db.noun(accepted["domain"]), "augment", base
             )
             prefix = _ensure_sentence_final(answer)
-            marker = {**gold_marker("augment", method.value, [accepted.name], candidates), "user_prefix": prefix}
+            marker = {**gold_marker("augment", method.value, [accepted["name"]], candidates), "user_prefix": prefix}
             turns[turn_index] = {**system_turn, "utterance": new_system,
                                  "extras": {**system_turn["extras"], "disambig": marker}}
             turns[turn_index + 1] = {**user_turn, "utterance": prefix + " " + user_turn["utterance"],
@@ -255,7 +254,7 @@ def augment_corpus(
         new_dialog, records = augment_dialog(dialog, db, grammar, seed, allowed, methods)
         new_dialogs.append(new_dialog)
         all_records.extend(records)
-        applied = Counter(r.target.domain for r in records if r.skipped_reason is None)
+        applied = Counter(r.target["domain"] for r in records if r.skipped_reason is None)
         stats.turns_total += len(dialog.turns)
         stats.turns_modified += applied.total()
         stats.dialogs_modified += bool(applied)

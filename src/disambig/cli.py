@@ -333,13 +333,13 @@ def _cmd_resolve(args) -> int:
     else:
         items = ((row, (synthesizer.example_dialog_id(row - 1), 0), example.candidates, example.user_utterance)
                  for row, example in enumerate(synthesizer.read_examples(args.input), start=1))
-    rows: list[metrics.PredictionRow] = []
+    rows: list[dict] = []
     for row, (dialog_id, turn_index), candidates, reply in items:
         try:
             names = resolver.predict_names(candidates, reply, max_fuzzy=args.max_fuzzy)
         except ValueError as exc:  # a candidate pool the resolver cannot take
             raise SchemaMismatch(f"{args.input}: row {row}: {exc}, got {len(candidates)}") from exc
-        rows.append(metrics.PredictionRow(dialog_id=dialog_id, turn_index=turn_index, entities=names))
+        rows.append({"dialog_id": dialog_id, "turn_index": turn_index, "entities": names})
     metrics.write_predictions(rows, args.out)
     _log(f"resolved {len(rows)} rows from {args.input}")
     return 0

@@ -14,14 +14,23 @@ rows: each turn holds ``speaker``, ``utterance``, ``frames`` and ``extras``
 (plus ``search_results`` when it has any), each frame ``service``,
 ``slot_values``, ``requested_slots`` and ``extras``, and each result
 ``domain``, ``name`` and ``attributes``.  The lists and dicts inside them are
-the ones ``json.loads`` built, except that a result's attribute values are
-copied as strings, and writing dumps the rows as they are.
+the ones ``json.loads`` built, except that a result is an entity row made by
+``entity_row``, and writing dumps the rows as they are.
+
+An entity row is ``{"domain": str, "name": str, "attributes": {str: str}}``.
+``entity_row`` is its one check: a string domain, a non-empty string name,
+and attribute values copied as strings.  Search results, database tables,
+synthesized candidates, augmentation pools and record targets are all entity
+rows, and ``resolver.resolve`` and ``predict_names`` take lists of them.
 
 The per-domain entity store is a JSON document::
 
     {"name_fields": {"hotel": "name", ...},
      "nouns": {"hotel": "hotel", ...},            # optional
      "tables": {"hotel": [{"name": ..., "area": ...}, ...], ...}}
+
+Its flat records load as entity rows of their domain, with the name field's
+value as the name and every other field as an attribute.
 
 Corpus and Database instances are immutable after load, the adopted
 containers included.  An operation that "modifies" a dialog returns a new
@@ -66,32 +75,6 @@ def name_key(text: str) -> str:
 
 
 @dataclass
-class Entity:
-    """One database row: a named entity plus its non-name attributes."""
-
-    domain: str
-    name: str
-    attributes: dict[str, str] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        _expect(self.name, str, "entity name")
-        if not self.name:
-            raise SchemaMismatch(f"entity in domain {self.domain!r} has an empty name")
-        _expect(self.attributes, dict, f"entity {self.name!r} attributes")
-        self.attributes = {k: str(v) for k, v in self.attributes.items()}
-
-    def to_json(self) -> dict:
-        return {"domain": self.domain, "name": self.name, "attributes": self.attributes}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Entity":
-        try:
-            return cls(domain=obj["domain"], name=obj["name"], attributes=obj.get("attributes", {}))
-        except KeyError as exc:
-            raise SchemaMismatch(f"entity record missing key {exc}") from exc
-
-
-@dataclass
 class Dialog:
     id: str
     services: list[str]
@@ -125,12 +108,28 @@ def _expect(value, kind: type, what: str) -> None:
         raise SchemaMismatch(f"{what}: expected {_KIND_NAMES[kind]}, got {value!r:.60}")
 
 
-def gold_marker(origin: str, method: str, target_names: list[str], candidates: list[Entity]) -> dict:
+def entity_row(obj: dict) -> dict:
+    """The entity row ``{"domain", "name", "attributes"}`` of ``obj``, checked:
+    a string domain, a non-empty string name and an object of attributes
+    (``{}`` when absent), whose values are copied as strings."""
+    try:
+        domain, name, attributes = obj["domain"], obj["name"], obj.get("attributes", {})
+    except KeyError as exc:
+        raise SchemaMismatch(f"entity record missing key {exc}") from exc
+    _expect(domain, str, "entity domain")
+    _expect(name, str, "entity name")
+    if not name:
+        raise SchemaMismatch(f"entity in domain {domain!r} has an empty name")
+    _expect(attributes, dict, f"entity {name!r} attributes")
+    return {"domain": domain, "name": name, "attributes": {k: str(v) for k, v in attributes.items()}}
+
+
+def gold_marker(origin: str, method: str, target_names: list[str], candidates: list[dict]) -> dict:
     """The ``disambig`` marker of a system turn that lists ``candidates`` and
     whose user reply picks ``target_names`` by addressing ``method``; it is
     the gold label for scoring, and ``_append_turn`` checks it on load."""
     return {"origin": origin, "method": method, "target_names": target_names,
-            "candidate_names": [e.name for e in candidates]}
+            "candidate_names": [e["name"] for e in candidates]}
 
 
 def _append_turn(dialog: Dialog, raw: dict) -> None:
@@ -143,7 +142,7 @@ def _append_turn(dialog: Dialog, raw: dict) -> None:
               for f in raw.get("frames", [])]
     results = raw.get("search_results")
     if results is not None:
-        results = [Entity.from_json(e).to_json() for e in results]  # stringifies attribute values
+        results = [entity_row(e) for e in results]
     extras = raw.get("extras", {})
     index = len(dialog.turns)
     where = f"dialog {dialog.id!r} turn {index}"
@@ -288,7 +287,8 @@ def guess_name_field(service: str, record: dict) -> str:
 
 
 def _entity_row(domain: str, record: dict, name_field: str, where: str) -> dict:
-    """A flat record that keeps its name under ``name_field`` as a native entity row."""
+    """A flat record that keeps its name under ``name_field`` as a native
+    entity row, for ``entity_row`` to check."""
     _expect(record, dict, where)
     if name_field not in record:
         raise SchemaMismatch(f"{where} lacks its name field {name_field!r}")
@@ -421,9 +421,9 @@ def _dialog_to_schema_guided(dialog: Dialog) -> dict:
 
 @dataclass
 class Database:
-    """Per-domain entity tables plus the attribute designated as each name."""
+    """Per-domain tables of entity rows plus the attribute designated as each name."""
 
-    tables: dict[str, list[Entity]]
+    tables: dict[str, list[dict]]
     name_fields: dict[str, str]
     nouns: dict[str, str] = field(default_factory=dict)
 
@@ -432,9 +432,9 @@ class Database:
         for domain, entities in self.tables.items():
             if domain not in self.name_fields:
                 raise SchemaMismatch(f"domain {domain!r} has no declared name field")
-            names = self._names[domain] = frozenset(name_key(e.name) for e in entities)
+            names = self._names[domain] = frozenset(name_key(e["name"]) for e in entities)
             # Two names the resolver reads as the same tokens would tie as exact matches.
-            tokens = {" ".join(normalize(e.name)) for e in entities}
+            tokens = {" ".join(normalize(e["name"])) for e in entities}
             if len(names) != len(entities) or len(tokens) != len(entities):
                 raise SchemaMismatch(f"domain {domain!r} has duplicate entity names after normalization")
 
@@ -461,26 +461,26 @@ def load_database(path: str) -> Database:
         _expect(mapping, dict, f"{path}: {key}")
         for domain, value in mapping.items():
             _expect(value, list if key == "tables" else str, f"{path}: {key}[{domain!r}]")
-    tables: dict[str, list[Entity]] = {}
+    tables: dict[str, list[dict]] = {}
     for domain, records in raw_tables.items():
         if domain not in name_fields:
             raise SchemaMismatch(f"{path}: domain {domain!r} missing from name_fields")
         where = f"{path}: record in {domain!r}"
-        tables[domain] = [Entity(**_entity_row(domain, record, name_fields[domain], where)) for record in records]
+        tables[domain] = [entity_row(_entity_row(domain, record, name_fields[domain], where)) for record in records]
     return Database(tables=tables, name_fields=name_fields, nouns=nouns)
 
 
 def write_database(db: Database, path: str) -> None:
     tables = {
-        domain: [_entity_record(e.to_json(), db.name_fields[domain]) for e in entities]
+        domain: [_entity_record(e, db.name_fields[domain]) for e in entities]
         for domain, entities in db.tables.items()
     }
     payload = {"name_fields": db.name_fields, "nouns": db.nouns, "tables": tables}
     Path(path).write_text(_dumps_pretty(payload) + "\n", encoding="utf-8")
 
 
-def sample_entities(db: Database, domain: str, n: int, seed: int) -> list[Entity]:
-    """Draw ``n`` distinct entities without replacement, deterministic per seed."""
+def sample_entities(db: Database, domain: str, n: int, seed: int) -> list[dict]:
+    """Draw ``n`` distinct entity rows without replacement, deterministic per seed."""
     if domain not in db.tables:
         raise UnknownDomain(domain)
     table = db.tables[domain]

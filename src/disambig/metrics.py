@@ -9,7 +9,8 @@ a marker carry no entity decision and are skipped, with the skip count
 reported.  Two judges compare predictions with gold: ``_entity_hits`` per
 marked turn and ``_slot_hits`` per user turn.  ``score`` judges each gold
 turn once and every bucket of its report averages a selection of that
-judgement."""
+judgement.  Predictions are the rows of their JSONL file, checked by
+``prediction_row`` and keyed by ``(dialog_id, turn_index)``."""
 
 from __future__ import annotations
 
@@ -27,54 +28,47 @@ AUGMENTED_ONLY = "AUGMENTED_ONLY"
 Key = tuple[str, int]
 
 
-@dataclass
-class PredictionRow:
-    dialog_id: str
-    turn_index: int
-    entities: list[str] = field(default_factory=list)
-    state: dict[str, list[str]] | None = None
-
-    @property
-    def key(self) -> Key:
-        return (self.dialog_id, self.turn_index)
-
-    def to_json(self) -> dict:
-        obj: dict = {"dialog_id": self.dialog_id, "turn_index": self.turn_index, "entities": self.entities}
-        if self.state is not None:
-            obj["state"] = self.state
-        return obj
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "PredictionRow":
-        """A row read from a prediction file; its types are checked, not coerced."""
-        row = cls(dialog_id=obj["dialog_id"], turn_index=obj["turn_index"], entities=obj.get("entities", []),
-                  state=obj.get("state"))
-        _expect(row.dialog_id, str, "dialog_id")
-        _expect(row.turn_index, int, "turn_index")
-        _expect(row.entities, list, "entities")
-        for name in row.entities:
-            _expect(name, str, "entities item")
-        for slot, values in ({} if row.state is None else row.state).items():
+def prediction_row(obj: dict) -> dict:
+    """The prediction row of ``obj``: ``dialog_id``, ``turn_index``,
+    ``entities`` (``[]`` when absent) and, when it has one, ``state``.
+    Its types are checked, not coerced."""
+    row = {"dialog_id": obj["dialog_id"], "turn_index": obj["turn_index"], "entities": obj.get("entities", [])}
+    state = obj.get("state")
+    _expect(row["dialog_id"], str, "dialog_id")
+    _expect(row["turn_index"], int, "turn_index")
+    _expect(row["entities"], list, "entities")
+    for name in row["entities"]:
+        _expect(name, str, "entities item")
+    if state is not None:
+        for slot, values in state.items():
             _expect(values, list, f"state slot {slot!r}")
             for value in values:
                 _expect(value, str, f"state slot {slot!r} value")
-        return row
+        row["state"] = state
+    return row
 
 
-PredictionFile = dict[Key, PredictionRow]
+PredictionFile = dict[Key, dict]
 
 
 def read_predictions(path: str) -> PredictionFile:
-    rows: PredictionFile = {}
-    for row in iter_jsonl(path, PredictionRow.from_json):
-        if row.key in rows:
-            raise SchemaMismatch(f"{path}: duplicate prediction key {row.key}")
-        rows[row.key] = row
-    return rows
+    """The prediction rows of ``path`` by key; a repeated (dialog_id,
+    turn_index) is refused with its line."""
+    seen: set[Key] = set()
+
+    def parse(obj: dict) -> tuple[Key, dict]:
+        row = prediction_row(obj)
+        key = (row["dialog_id"], row["turn_index"])
+        if key in seen:
+            raise SchemaMismatch(f"duplicate prediction key {key}")
+        seen.add(key)
+        return key, row
+
+    return dict(iter_jsonl(path, parse))
 
 
-def write_predictions(rows: list[PredictionRow], path: str) -> None:
-    write_jsonl(path, (row.to_json() for row in rows))
+def write_predictions(rows: list[dict], path: str) -> None:
+    write_jsonl(path, rows)
 
 
 @lru_cache(maxsize=4096)
@@ -139,7 +133,7 @@ def _entity_hits(preds: PredictionFile, targets: dict[Key, set[str]]) -> dict[Ke
     for key, gold_names in sorted(targets.items()):
         if key not in preds:
             raise MissingPrediction(key)
-        hits[key] = {_entity_key(n) for n in preds[key].entities} == gold_names
+        hits[key] = {_entity_key(n) for n in preds[key]["entities"]} == gold_names
     return hits
 
 
@@ -148,9 +142,9 @@ def _slot_hits(preds: PredictionFile, states: dict[Key, dict[str, set[str]]]) ->
     Extra predicted slots do not score either way."""
     hits: dict[Key, tuple[int, int]] = {}
     for key, gold_state in sorted(states.items()):
-        if key not in preds or preds[key].state is None:
+        if key not in preds or preds[key].get("state") is None:
             raise MissingPrediction(key)
-        predicted = {slot: {name_key(v) for v in values} for slot, values in preds[key].state.items()}
+        predicted = {slot: {name_key(v) for v in values} for slot, values in preds[key]["state"].items()}
         hits[key] = (sum(predicted.get(slot) == values for slot, values in gold_state.items()), len(gold_state))
     return hits
 
@@ -244,10 +238,10 @@ def score(preds: PredictionFile, gold: Corpus, records: list[AugmentationRecord]
 
     # Prediction files without any state (``resolve`` never writes one) get
     # no joint goal accuracy, so the gold states are not built for them.
-    if not any(row.state is not None for row in preds.values()):
+    if not any(row.get("state") is not None for row in preds.values()):
         return report
     states = gold_states(gold)
-    if states and all(key in preds and preds[key].state is not None for key in states):
+    if states and all(key in preds and preds[key].get("state") is not None for key in states):
         slots = _slot_hits(preds, states)
         report.jga_all = _joint(slots)
         user_keys = [(d, t + 1) for d, t in augmented_keys if (d, t + 1) in slots]

@@ -1,6 +1,7 @@
 """Rule-based resolution of a user's choice against an option list.
 
-Given the candidates a system just listed and the user's reply, find the
+Given the candidates a system just listed, as entity rows (``corpus``'s
+``{"domain", "name", "attributes"}``), and the user's reply, find the
 selected entity (or entities).  Evidence is tried in fixed priority order:
 ordinal position, exact or partial name windows, fuzzy name matches within
 an edit-distance budget, then attribute descriptions.  Everything here is
@@ -22,7 +23,7 @@ from collections.abc import Set
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .corpus import Entity, normalize
+from .corpus import normalize
 from .errors import NoMatch
 
 ORDINAL = "ORDINAL"
@@ -262,9 +263,9 @@ def _value_tokens(value: str) -> tuple[str, ...]:
     return tuple(normalize(value))
 
 
-def _attribute_evidence(utterance: list[str], candidates: list[Entity]) -> dict[int, float]:
+def _attribute_evidence(utterance: list[str], candidates: list[dict]) -> dict[int, float]:
     """Candidates by the fraction of their attribute values that are reply windows."""
-    values = [[_value_tokens(str(value)) for value in entity.attributes.values()] for entity in candidates]
+    values = [[_value_tokens(str(value)) for value in entity["attributes"].values()] for entity in candidates]
     spans = _spans(utterance, max((len(value) for entity_values in values for value in entity_values), default=0))
     scored: dict[int, float] = {}
     for index, entity_values in enumerate(values):
@@ -274,8 +275,8 @@ def _attribute_evidence(utterance: list[str], candidates: list[Entity]) -> dict[
     return scored
 
 
-def resolve(candidates: list[Entity], user_utterance: str, max_fuzzy: float = DEFAULT_MAX_FUZZY) -> Resolution:
-    """Resolve the user's reply to candidate indices.
+def resolve(candidates: list[dict], user_utterance: str, max_fuzzy: float = DEFAULT_MAX_FUZZY) -> Resolution:
+    """Resolve the user's reply to indices of ``candidates``, a list of entity rows.
 
     Raises NoMatch when no candidate clears any evidence level.  Permuting
     the candidate list permutes the returned indices accordingly, except for
@@ -292,7 +293,7 @@ def resolve(candidates: list[Entity], user_utterance: str, max_fuzzy: float = DE
         matches = [Match(position - 1, 1.0, ORDINAL) for position in positions]
         return _finish(matches)
 
-    names = [_name_record(entity.name) for entity in candidates]
+    names = [_name_record(entity["name"]) for entity in candidates]
     for evidence_kind, evidence in (
         (EXACT_NAME, lambda: _name_evidence(tokens, names)),
         (FUZZY_NAME, lambda: _fuzzy_evidence(tokens, names, max_fuzzy)),
@@ -320,8 +321,8 @@ def has_conjunction(user_utterance: str) -> bool:
     return "," in user_utterance
 
 
-def predict_names(candidates: list[Entity], user_utterance: str, max_fuzzy: float = DEFAULT_MAX_FUZZY) -> list[str]:
-    """Batch-mode prediction: the chosen entity names, empty on no match.
+def predict_names(candidates: list[dict], user_utterance: str, max_fuzzy: float = DEFAULT_MAX_FUZZY) -> list[str]:
+    """Batch-mode prediction: the names of the chosen entity rows, empty on no match.
 
     With a conjunction cue in the reply, every top-scoring candidate is
     selected (the user may have picked several); otherwise only the best.
@@ -334,4 +335,4 @@ def predict_names(candidates: list[Entity], user_utterance: str, max_fuzzy: floa
     selected = [m for m in resolution.matches if m.score == top]
     if len(selected) > 1 and not has_conjunction(user_utterance):
         selected = [resolution.matches[0]]
-    return [candidates[m.index].name for m in selected]
+    return [candidates[m.index]["name"] for m in selected]

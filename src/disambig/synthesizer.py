@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .corpus import (
-    SPLITS, SYSTEM, USER, Corpus, Database, Dialog, Entity, _expect, gold_marker, name_key, sample_entities,
+    SPLITS, SYSTEM, USER, Corpus, Database, Dialog, _expect, entity_row, gold_marker, name_key, sample_entities,
 )
 from .errors import (
     InvalidTargetArity,
@@ -75,20 +75,20 @@ METHODS = tuple(AddressingMethod)
 class SingleTurnExample:
     system_utterance: str
     user_utterance: str
-    candidates: list[Entity]
+    candidates: list[dict]
     targets: list[int]
     method: AddressingMethod
     domain: str
     seed: int
 
     def target_names(self) -> list[str]:
-        return [self.candidates[i].name for i in self.targets]
+        return [self.candidates[i]["name"] for i in self.targets]
 
     def to_json(self) -> dict:
         return {
             "system": self.system_utterance,
             "user": self.user_utterance,
-            "candidates": [e.to_json() for e in self.candidates],
+            "candidates": self.candidates,
             "target_names": self.target_names(),
             "method": self.method.value,
             "domain": self.domain,
@@ -99,8 +99,8 @@ class SingleTurnExample:
     def from_json(cls, obj: dict) -> "SingleTurnExample":
         for key in ("system", "user"):
             _expect(obj[key], str, key)
-        candidates = [Entity.from_json(e) for e in obj["candidates"]]
-        by_key = {name_key(e.name): i for i, e in enumerate(candidates)}
+        candidates = [entity_row(e) for e in obj["candidates"]]
+        by_key = {name_key(e["name"]): i for i, e in enumerate(candidates)}
         targets = [by_key[name_key(name)] for name in obj["target_names"]]
         return cls(
             system_utterance=obj["system"],
@@ -127,7 +127,7 @@ def _join_names(names: list[str], both: bool) -> str:
     return ", ".join(names[:-1]) + ", and " + names[-1]
 
 
-def _partial_mention(target: Entity, others: list[Entity]) -> str:
+def _partial_mention(target: dict, others: list[dict]) -> str:
     """Shortest uniquely-identifying contiguous token window, prefixes first.
 
     Users shorten names for simplicity, so the shortest prefix that still
@@ -135,21 +135,21 @@ def _partial_mention(target: Entity, others: list[Entity]) -> str:
     count as identifying.  A window identifies the target when it is not
     one of the other names' windows, as listed by the resolver's ``_spans``.
     """
-    tokens = target.name.split()
-    taken = set().union(*(_spans(e.name.split(), len(tokens) - 1) for e in others))
+    tokens = target["name"].split()
+    taken = set().union(*(_spans(e["name"].split(), len(tokens) - 1) for e in others))
     for _, length, start in sorted((start > 0, length, start) for length in range(1, len(tokens))
                                    for start in range(len(tokens) - length + 1)):
         window = tuple(tokens[start:start + length])
         if window not in taken and not all(t.lower() in STOPWORDS for t in window):
             return " ".join(window)
-    raise NoUniquePartial(f"every proper subsequence of {target.name!r} is ambiguous")
+    raise NoUniquePartial(f"every proper subsequence of {target['name']!r} is ambiguous")
 
 
-def _typo_mention(target: Entity, others: list[Entity], seed: int) -> str:
+def _typo_mention(target: dict, others: list[dict], seed: int) -> str:
     """The full name with exactly one character edit, avoiding collisions."""
-    rng = rng_for("typo", target.name, seed)
-    name = target.name
-    forbidden = {e.name for e in others} | {name, ""}
+    name = target["name"]
+    rng = rng_for("typo", name, seed)
+    forbidden = {e["name"] for e in others} | {name, ""}
     for _ in range(10):
         kind = rng.randrange(4)
         if kind == 0 and len(name) >= 1:  # substitution
@@ -170,7 +170,7 @@ def _typo_mention(target: Entity, others: list[Entity], seed: int) -> str:
             mention = name[:position] + name[position + 1] + name[position] + name[position + 2:]
         if mention not in forbidden and mention.strip() == mention:
             return mention
-    raise TypoGenerationFailed(f"could not produce a collision-free typo for {target.name!r}")
+    raise TypoGenerationFailed(f"could not produce a collision-free typo for {name!r}")
 
 
 def realize_attribute_phrase(attribute: str, value: str) -> str:
@@ -178,16 +178,16 @@ def realize_attribute_phrase(attribute: str, value: str) -> str:
     return pattern.replace("{value}", str(value))
 
 
-def _discriminating_attributes(target: Entity, others: list[Entity]) -> list[tuple[str, ...]]:
+def _discriminating_attributes(target: dict, others: list[dict]) -> list[tuple[str, ...]]:
     """Single attributes (then pairs) whose values set the target apart."""
+    attributes = sorted(target["attributes"])
 
-    def differs(entity: Entity, attribute: str) -> bool:
-        return name_key(str(entity.attributes.get(attribute, ""))) != name_key(str(target.attributes[attribute]))
+    def differs(entity: dict, attribute: str) -> bool:
+        return name_key(str(entity["attributes"].get(attribute, ""))) != name_key(str(target["attributes"][attribute]))
 
-    singles = [a for a in sorted(target.attributes) if all(differs(o, a) for o in others)]
+    singles = [a for a in attributes if all(differs(o, a) for o in others)]
     if singles:
         return [(a,) for a in singles]
-    attributes = sorted(target.attributes)
     pairs = []
     for i, first in enumerate(attributes):
         for second in attributes[i + 1:]:
@@ -195,25 +195,25 @@ def _discriminating_attributes(target: Entity, others: list[Entity]) -> list[tup
                 pairs.append((first, second))
     if pairs:
         return pairs
-    raise NoDiscriminatingAttribute(f"no attribute combination separates {target.name!r} from the other candidates")
+    raise NoDiscriminatingAttribute(f"no attribute combination separates {target['name']!r} from the other candidates")
 
 
 def _attribute_mention(
-    target: Entity,
-    others: list[Entity],
+    target: dict,
+    others: list[dict],
     seed: int,
     grammar: Grammar,
     domain_noun: str,
 ) -> str:
     choices = _discriminating_attributes(target, others)
-    chosen = choices[rng_for("attribute.pick", target.name, seed).randrange(len(choices))]
-    phrase = " and ".join(realize_attribute_phrase(a, target.attributes[a]) for a in chosen)
-    tokens = sample(grammar, ATTRIBUTE_MENTION, derive_seed("attribute.template", target.name, seed))
+    chosen = choices[rng_for("attribute.pick", target["name"], seed).randrange(len(choices))]
+    phrase = " and ".join(realize_attribute_phrase(a, target["attributes"][a]) for a in chosen)
+    tokens = sample(grammar, ATTRIBUTE_MENTION, derive_seed("attribute.template", target["name"], seed))
     return fill(tokens, {"domain_noun": domain_noun, "attribute_phrase": phrase})
 
 
 def apply_addressing(
-    candidates: list[Entity],
+    candidates: list[dict],
     targets: list[int],
     method: AddressingMethod,
     seed: int,
@@ -236,7 +236,7 @@ def apply_addressing(
     target = candidates[targets[0]]
     others = [c for i, c in enumerate(candidates) if i != targets[0]]
     if method is AddressingMethod.EXACT:
-        return target.name
+        return target["name"]
     if method is AddressingMethod.POSITIONAL:
         return f"the {ORDINAL_WORDS[targets[0]]} one"
     if method is AddressingMethod.PARTIAL:
@@ -244,15 +244,15 @@ def apply_addressing(
     if method is AddressingMethod.TYPO:
         return _typo_mention(target, others, seed)
     if method is AddressingMethod.MULTIPLE:
-        names = [candidates[i].name for i in targets]
+        names = [candidates[i]["name"] for i in targets]
         both = rng_for("multiple.both", seed, *names).random() < 0.5
         return _join_names(names, both=both)
     return _attribute_mention(target, others, seed, grammar, domain_noun)
 
 
-def build_system_utterance(grammar: Grammar, candidates: list[Entity], noun: str, seed: int) -> str:
+def build_system_utterance(grammar: Grammar, candidates: list[dict], noun: str, seed: int) -> str:
     tokens = sample(grammar, SYSTEM_QUESTION, seed)
-    option_list = format_option_list([e.name for e in candidates])
+    option_list = format_option_list([e["name"] for e in candidates])
     return fill(tokens, {"option_list": option_list, "entity_type": noun})
 
 
@@ -260,7 +260,7 @@ def build_user_utterance(grammar: Grammar, mention: str, seed: int) -> str:
     return fill(sample(grammar, USER_ANSWER, seed), {"mention": mention})
 
 
-def build_exchange(grammar: Grammar, candidates: list[Entity], targets: list[int], method: AddressingMethod,
+def build_exchange(grammar: Grammar, candidates: list[dict], targets: list[int], method: AddressingMethod,
                    noun: str, namespace: str, base: tuple) -> tuple[str, str]:
     """The system question listing ``candidates`` and the user answer that
     picks ``targets`` under ``method``.  The mention, the question and the

@@ -11,13 +11,16 @@ score bucket instead of one judgement per turn, and a copying decoder
 followed by a second walk of the whole corpus instead of checking each
 dialog as it is decoded, and the resolver as it was before the name index
 (every name re-normalized per call, distances by a banded cutoff DP)
-instead of the memoized name records and the bit-parallel recurrence.
+instead of the memoized name records and the bit-parallel recurrence,
+and entity and prediction rows decoded into the ``Entity`` and
+``PredictionRow`` classes and dumped again instead of one checker each.
 Keep them slow and obvious.
 """
 
 from __future__ import annotations
 
 import copy
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from disambig.augmenter import (
@@ -35,7 +38,7 @@ from disambig.corpus import (
     Corpus,
     Database,
     Dialog,
-    Entity,
+    _expect,
     _infer_split,
     _schema_guided_files,
     guess_name_field,
@@ -198,11 +201,11 @@ def _window_in(tokens: list[str], window: list[str]) -> bool:
     return any(tokens[i:i + len(window)] == window for i in range(len(tokens) - len(window) + 1))
 
 
-def slow_partial_mention(target: Entity, others: list[Entity]) -> str:
+def slow_partial_mention(target: dict, others: list[dict]) -> str:
     """``synthesizer._partial_mention``: prefixes by length, then every
     window by length and start, each checked against every other name."""
-    tokens = target.name.split()
-    other_tokens = [e.name.split() for e in others]
+    tokens = target["name"].split()
+    other_tokens = [e["name"].split() for e in others]
 
     def unique(window: list[str]) -> bool:
         if all(t.lower() in STOPWORDS for t in window):
@@ -217,21 +220,21 @@ def slow_partial_mention(target: Entity, others: list[Entity]) -> str:
         window = tokens[start:start + length]
         if unique(window):
             return " ".join(window)
-    raise NoUniquePartial(f"every proper subsequence of {target.name!r} is ambiguous")
+    raise NoUniquePartial(f"every proper subsequence of {target['name']!r} is ambiguous")
 
 
-def slow_attribute_evidence(utterance: list[str], candidates: list[Entity]) -> dict[int, float]:
+def slow_attribute_evidence(utterance: list[str], candidates: list[dict]) -> dict[int, float]:
     """The attribute stage rescanning the reply for every attribute value."""
     scored: dict[int, float] = {}
     for index, entity in enumerate(candidates):
-        if not entity.attributes:
+        if not entity["attributes"]:
             continue
         hits = sum(
-            1 for value in entity.attributes.values()
+            1 for value in entity["attributes"].values()
             if (value_tokens := normalize(str(value))) and _contains_window(utterance, tuple(value_tokens))
         )
         if hits:
-            scored[index] = hits / len(entity.attributes)
+            scored[index] = hits / len(entity["attributes"])
     return scored
 
 
@@ -318,8 +321,8 @@ def _unindexed_fuzzy_evidence(utterance: list[str], names: list[list[str]], max_
     return scored
 
 
-def _unindexed_attribute_evidence(utterance: list[str], candidates: list[Entity]) -> dict[int, float]:
-    values = [[tuple(normalize(str(value))) for value in entity.attributes.values()] for entity in candidates]
+def _unindexed_attribute_evidence(utterance: list[str], candidates: list[dict]) -> dict[int, float]:
+    values = [[tuple(normalize(str(value))) for value in entity["attributes"].values()] for entity in candidates]
     spans = _spans(utterance, max((len(value) for entity_values in values for value in entity_values), default=0))
     scored: dict[int, float] = {}
     for index, entity_values in enumerate(values):
@@ -329,7 +332,7 @@ def _unindexed_attribute_evidence(utterance: list[str], candidates: list[Entity]
     return scored
 
 
-def _unindexed_resolve(candidates: list[Entity], user_utterance: str, max_fuzzy: float) -> Resolution:
+def _unindexed_resolve(candidates: list[dict], user_utterance: str, max_fuzzy: float) -> Resolution:
     if not 1 <= len(candidates) <= 5:
         raise ValueError("resolve expects between 1 and 5 candidates")
     tokens = normalize(user_utterance)
@@ -338,7 +341,7 @@ def _unindexed_resolve(candidates: list[Entity], user_utterance: str, max_fuzzy:
     positions = _ordinal_positions(tokens, len(candidates))
     if positions is not None:
         return _finish([Match(position - 1, 1.0, ORDINAL) for position in positions])
-    names = [normalize(entity.name) for entity in candidates]
+    names = [normalize(entity["name"]) for entity in candidates]
     for evidence_kind, evidence in (
         (EXACT_NAME, lambda: _unindexed_name_evidence(tokens, names)),
         (FUZZY_NAME, lambda: _unindexed_fuzzy_evidence(tokens, names, max_fuzzy)),
@@ -350,7 +353,7 @@ def _unindexed_resolve(candidates: list[Entity], user_utterance: str, max_fuzzy:
     raise NoMatch(f"no candidate matches {user_utterance!r}")
 
 
-def slow_predict_names(candidates: list[Entity], user_utterance: str,
+def slow_predict_names(candidates: list[dict], user_utterance: str,
                        max_fuzzy: float = DEFAULT_MAX_FUZZY) -> list[str]:
     """``predict_names`` as it was before the name index and the
     bit-parallel distance: names re-normalized on every call, attribute
@@ -363,7 +366,7 @@ def slow_predict_names(candidates: list[Entity], user_utterance: str,
     selected = [m for m in resolution.matches if m.score == top]
     if len(selected) > 1 and not has_conjunction(user_utterance):
         selected = [resolution.matches[0]]
-    return [candidates[m.index].name for m in selected]
+    return [candidates[m.index]["name"] for m in selected]
 
 
 def slow_augment_dialog(
@@ -388,8 +391,8 @@ def slow_augment_dialog(
         user_turn = new_dialog.turns[turn_index + 1]
 
         count = rng_for("augment.count", *base).choice(CANDIDATE_COUNTS)
-        accepted_key = name_key(accepted.name)
-        others = [e for e in db.tables[accepted.domain] if name_key(e.name) != accepted_key]
+        accepted_key = name_key(accepted["name"])
+        others = [e for e in db.tables[accepted["domain"]] if name_key(e["name"]) != accepted_key]
         if len(others) < count - 1:
             records.append(AugmentationRecord(
                 dialog_id=dialog.id, turn_index=turn_index,
@@ -405,7 +408,7 @@ def slow_augment_dialog(
         candidates.insert(position, accepted)
 
         method = methods[rng_for("augment.method", *base).randrange(len(methods))]
-        noun = db.noun(accepted.domain)
+        noun = db.noun(accepted["domain"])
         new_system = build_system_utterance(grammar, candidates, noun, derive_seed("augment.system", *base))
         mention = apply_addressing(
             candidates, [position], method, derive_seed("augment.mention", *base),
@@ -419,8 +422,8 @@ def slow_augment_dialog(
         system_turn["extras"]["disambig"] = {
             "origin": "augment",
             "method": method.value,
-            "target_names": [accepted.name],
-            "candidate_names": [e.name for e in candidates],
+            "target_names": [accepted["name"]],
+            "candidate_names": [e["name"] for e in candidates],
             "user_prefix": prefix,
         }
         user_turn["utterance"] = prefix + " " + original_user
@@ -457,7 +460,7 @@ def _slow_entity_mean(preds, targets: dict) -> float:
     for key, gold_names in sorted(targets.items()):
         if key not in preds:
             raise MissingPrediction(key)
-        predicted = {" ".join(normalize(n)) for n in preds[key].entities}
+        predicted = {" ".join(normalize(n)) for n in preds[key]["entities"]}
         correct += predicted == gold_names
     return correct / len(targets)
 
@@ -474,9 +477,9 @@ def slow_joint_goal_accuracy(preds, gold: Corpus, subset=ALL) -> float:
         raise SchemaMismatch("no gold turns carry a dialog state in this subset")
     correct = 0
     for key, gold_state in sorted(states.items()):
-        if key not in preds or preds[key].state is None:
+        if key not in preds or preds[key].get("state") is None:
             raise MissingPrediction(key)
-        predicted = {slot: {name_key(v) for v in values} for slot, values in preds[key].state.items()}
+        predicted = {slot: {name_key(v) for v in values} for slot, values in preds[key]["state"].items()}
         correct += all(predicted.get(slot) == values for slot, values in gold_state.items())
     return correct / len(states)
 
@@ -486,9 +489,9 @@ def slow_slot_accuracy(preds, gold: Corpus, subset=ALL) -> float:
     states = _slow_select(gold_states(gold), subset, gold, turn_offset=1)
     fractions: list[float] = []
     for key, gold_state in sorted(states.items()):
-        if key not in preds or preds[key].state is None:
+        if key not in preds or preds[key].get("state") is None:
             raise MissingPrediction(key)
-        predicted = {slot: {name_key(v) for v in values} for slot, values in preds[key].state.items()}
+        predicted = {slot: {name_key(v) for v in values} for slot, values in preds[key]["state"].items()}
         if gold_state:
             hits = sum(predicted.get(slot) == values for slot, values in gold_state.items())
             fractions.append(hits / len(gold_state))
@@ -528,10 +531,10 @@ def slow_score(preds, gold: Corpus, records: list[AugmentationRecord] | None = N
     report["counts"]["turns_augmented"] = len(augmented_keys)
     if augmented_keys:
         report["entity_accuracy_augmented"] = _slow_entity_mean(preds, _slow_select(marked, augmented_keys, gold))
-    if not any(row.state is not None for row in preds.values()):
+    if not any(row.get("state") is not None for row in preds.values()):
         return report
     states = gold_states(gold)
-    has_states = bool(states) and all(preds[key].state is not None for key in states if key in preds)
+    has_states = bool(states) and all(preds[key].get("state") is not None for key in states if key in preds)
     if has_states and all(key in preds for key in states):
         report["jga_all"] = slow_joint_goal_accuracy(preds, gold, subset=ALL)
         if augmented_keys:
@@ -539,6 +542,75 @@ def slow_score(preds, gold: Corpus, records: list[AugmentationRecord] | None = N
             if user_keys:
                 report["jga_augmented"] = slow_joint_goal_accuracy(preds, gold, subset=user_keys)
     return report
+
+
+# --- entity and prediction rows as the classes they were decoded into ---------
+
+
+@dataclass
+class Entity:
+    """One database row: a named entity plus its non-name attributes."""
+
+    domain: str
+    name: str
+    attributes: dict[str, str] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        _expect(self.name, str, "entity name")
+        if not self.name:
+            raise SchemaMismatch(f"entity in domain {self.domain!r} has an empty name")
+        _expect(self.attributes, dict, f"entity {self.name!r} attributes")
+        self.attributes = {k: str(v) for k, v in self.attributes.items()}
+
+    def to_json(self) -> dict:
+        return {"domain": self.domain, "name": self.name, "attributes": self.attributes}
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "Entity":
+        try:
+            return cls(domain=obj["domain"], name=obj["name"], attributes=obj.get("attributes", {}))
+        except KeyError as exc:
+            raise SchemaMismatch(f"entity record missing key {exc}") from exc
+
+
+def slow_entity_row(obj: dict) -> dict:
+    """``corpus.entity_row`` as a round trip through ``Entity``, which did
+    not check the domain."""
+    return Entity.from_json(obj).to_json()
+
+
+@dataclass
+class PredictionRow:
+    dialog_id: str
+    turn_index: int
+    entities: list[str] = field(default_factory=list)
+    state: dict[str, list[str]] | None = None
+
+    def to_json(self) -> dict:
+        obj: dict = {"dialog_id": self.dialog_id, "turn_index": self.turn_index, "entities": self.entities}
+        if self.state is not None:
+            obj["state"] = self.state
+        return obj
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "PredictionRow":
+        row = cls(dialog_id=obj["dialog_id"], turn_index=obj["turn_index"], entities=obj.get("entities", []),
+                  state=obj.get("state"))
+        _expect(row.dialog_id, str, "dialog_id")
+        _expect(row.turn_index, int, "turn_index")
+        _expect(row.entities, list, "entities")
+        for name in row.entities:
+            _expect(name, str, "entities item")
+        for slot, values in ({} if row.state is None else row.state).items():
+            _expect(values, list, f"state slot {slot!r}")
+            for value in values:
+                _expect(value, str, f"state slot {slot!r} value")
+        return row
+
+
+def slow_prediction_row(obj: dict) -> dict:
+    """``metrics.prediction_row`` as a round trip through ``PredictionRow``."""
+    return PredictionRow.from_json(obj).to_json()
 
 
 # --- corpus loading: copy every container, then validate the whole corpus ------

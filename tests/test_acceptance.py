@@ -20,7 +20,6 @@ from disambig.cli import run as cli_run
 from disambig.corpus import name_key
 from disambig.grammar import count_language, load_grammar
 from disambig.metrics import (
-    PredictionRow,
     entity_accuracy,
     joint_goal_accuracy,
     slot_accuracy,
@@ -109,7 +108,7 @@ def test_criterion_3_resolver_round_trip(shipped_db, shipped_grammar):
             bucket[0] += hit
             bucket[1] += 1
             if method is AddressingMethod.TYPO:
-                names = [e.name for e in example.candidates]
+                names = [e["name"] for e in example.candidates]
                 separated = all(
                     edit_distance(a, b) / max(len(a), len(b)) > 2 * MAX_FUZZY
                     for i, a in enumerate(names)
@@ -181,7 +180,7 @@ def test_criterion_6_metric_correctness():
     for key, row in preds.items():
         dialog = gold.dialogs[[d.id for d in gold.dialogs].index(key[0])]
         marker_names = dialog.turns[0]["extras"]["disambig"]["target_names"]
-        perfect[key] = PredictionRow(key[0], key[1], entities=list(marker_names))
+        perfect[key] = {"dialog_id": key[0], "turn_index": key[1], "entities": list(marker_names)}
     assert entity_accuracy(perfect, gold) == 1.0
 
     from disambig.corpus import Corpus
@@ -192,7 +191,7 @@ def test_criterion_6_metric_correctness():
         gold_slots = {"hotel-area": ["north"], "hotel-name": [f"inn number {i}"]}
         dialogs.append(_state_dialog(f"s{i}", gold_slots))
         predicted = dict(gold_slots) if i < 13 else {"hotel-area": ["wrong"], "hotel-name": [f"inn number {i}"]}
-        state_preds[(f"s{i}", 0)] = PredictionRow(f"s{i}", 0, state=predicted)
+        state_preds[(f"s{i}", 0)] = {"dialog_id": f"s{i}", "turn_index": 0, "entities": [], "state": predicted}
     state_gold = Corpus(dialogs=dialogs)
     assert joint_goal_accuracy(state_preds, state_gold) == pytest.approx(0.65)
 
@@ -207,7 +206,7 @@ def test_criterion_6_metric_correctness():
             sub_dialogs.append(_state_dialog(f"s{i}", gold_slots))
             predicted = {s: [rng.choice(values)] if rng.random() < 0.5 else list(v)
                          for s, v in gold_slots.items()}
-            sub_preds[(f"s{i}", 0)] = PredictionRow(f"s{i}", 0, state=predicted)
+            sub_preds[(f"s{i}", 0)] = {"dialog_id": f"s{i}", "turn_index": 0, "entities": [], "state": predicted}
         sub_gold = Corpus(dialogs=sub_dialogs)
         assert joint_goal_accuracy(sub_preds, sub_gold) <= slot_accuracy(sub_preds, sub_gold) + 1e-12
     _passed(6, "metric correctness", "entity 7/10=0.7, JGA 13/20=0.65, JGA<=slot on 1000 randomized")

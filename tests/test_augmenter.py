@@ -18,7 +18,7 @@ from disambig.augmenter import (
     read_records,
     write_records,
 )
-from disambig.corpus import Corpus, Database, Dialog, Entity, name_key
+from disambig.corpus import Corpus, Database, Dialog, name_key
 from disambig.resolver import predict_names
 from disambig.synthesizer import AddressingMethod
 
@@ -59,15 +59,15 @@ class TestFindAugmentable:
             for frame in turn["frames"]:
                 for values in frame["slot_values"].values():
                     state_values.update(name_key(v) for v in values)
-        assert name_key(accepted.name) in state_values
+        assert name_key(accepted["name"]) in state_values
 
     def test_single_result_turn_not_augmentable(self, shipped_db):
         hotel = shipped_db.tables["hotel"][0]
         dialog = _dialog("single", ["hotel"], [
             {"speaker": "USER", "utterance": "hi", "frames": [{"service": "hotel"}]},
-            {"speaker": "SYSTEM", "utterance": f"how about {hotel.name}?", "search_results": [hotel.to_json()]},
+            {"speaker": "SYSTEM", "utterance": f"how about {hotel['name']}?", "search_results": [hotel]},
             {"speaker": "USER", "utterance": "fine",
-             "frames": [{"service": "hotel", "slot_values": {"hotel-name": [hotel.name]}}]},
+             "frames": [{"service": "hotel", "slot_values": {"hotel-name": [hotel["name"]]}}]},
         ])
         assert find_augmentable_turns(dialog, shipped_db) == []
 
@@ -79,7 +79,7 @@ class TestFindAugmentable:
             assert find_augmentable_turns(dialog, shipped_db) == []
 
     def test_offers_entering_the_state_together_are_no_choice(self, shipped_db):
-        hotels = [hotel.to_json() for hotel in shipped_db.tables["hotel"][:3]]
+        hotels = shipped_db.tables["hotel"][:3]
 
         def taking(*offers: dict) -> Dialog:
             slot_values = {f"hotel-pick-{i}": [offer["name"]] for i, offer in enumerate(offers)}
@@ -92,7 +92,7 @@ class TestFindAugmentable:
 
         assert find_augmentable_turns(taking(hotels[0], hotels[1]), shipped_db) == []
         ((turn_index, _, accepted),) = find_augmentable_turns(taking(hotels[1]), shipped_db)
-        assert (turn_index, accepted.name) == (1, hotels[1]["name"])
+        assert (turn_index, accepted["name"]) == (1, hotels[1]["name"])
 
     def test_disallowed_domain_excluded(self, shipped_db):
         offers = [{"domain": "train", "name": f"train {i} departure"} for i in range(3)]
@@ -130,9 +130,9 @@ class TestAugmentDialog:
         assert new_user == record.user_prefix + " " + record.original_user
         assert new_dialog.turns[record.turn_index]["utterance"] == record.new_system
         # candidates all distinct, same domain
-        keys = [name_key(e.name) for e in record.candidates]
+        keys = [name_key(e["name"]) for e in record.candidates]
         assert len(set(keys)) == len(keys)
-        assert {e.domain for e in record.candidates} == {record.target.domain}
+        assert {e["domain"] for e in record.candidates} == {record.target["domain"]}
 
     def test_prefix_resolves_to_target(self, toy_corpus, shipped_db, shipped_grammar):
         for seed in range(10):
@@ -141,7 +141,7 @@ class TestAugmentDialog:
                 _, records = augment_dialog(dialog, shipped_db, shipped_grammar, seed=seed)
                 for record in records:
                     names = predict_names(record.candidates, record.user_prefix)
-                    assert [name_key(n) for n in names] == [name_key(record.target.name)]
+                    assert [name_key(n) for n in names] == [name_key(record.target["name"])]
 
     def test_states_untouched(self, toy_corpus, shipped_db, shipped_grammar):
         dialog = _dialog_by_id(toy_corpus, "hotel_accept_2nd")
@@ -166,11 +166,11 @@ class TestAugmentDialog:
 
     def test_skip_when_table_too_small(self, toy_corpus, shipped_grammar, shipped_db):
         dialog = _dialog_by_id(toy_corpus, "hotel_accept_2nd")
-        accepted_names = {name_key(e.name) for _, _, e in
+        accepted_names = {name_key(e["name"]) for _, _, e in
                           [found for found in find_augmentable_turns(dialog, shipped_db)][:1]}
         tiny = Database(
             tables={"hotel": [e for e in shipped_db.tables["hotel"]
-                              if name_key(e.name) in accepted_names][:1]},
+                              if name_key(e["name"]) in accepted_names][:1]},
             name_fields={"hotel": "name"},
             nouns={"hotel": "hotel"},
         )
@@ -188,7 +188,7 @@ class TestAugmentDialog:
             _, records = augment_dialog(dialog, shipped_db, shipped_grammar, seed=seed, methods=AUGMENT_METHODS)
             (record,) = records
             names = predict_names(record.candidates, record.user_prefix)
-            assert [name_key(n) for n in names] == [name_key(record.target.name)]
+            assert [name_key(n) for n in names] == [name_key(record.target["name"])]
             seen.add(json.dumps(sorted(record.to_json().items()), default=str)[:64])
         assert len(seen) > 1
 
@@ -210,10 +210,10 @@ class TestAugmentDialogAgainstDeepCopy:
         # At most four of the toy corpus's accepted entities per domain: some
         # accepted entities are missing and some turns are skipped for want
         # of candidates, so every path of augment_dialog runs.
-        accepted: dict[str, dict[str, Entity]] = {}
+        accepted: dict[str, dict[str, dict]] = {}
         for dialog in toy_corpus.dialogs:
             for _, _, entity in find_augmentable_turns(dialog, shipped_db):
-                accepted.setdefault(entity.domain, {})[name_key(entity.name)] = entity
+                accepted.setdefault(entity["domain"], {})[name_key(entity["name"])] = entity
         return Database(
             tables={domain: list(entities.values())[:4] for domain, entities in accepted.items()},
             name_fields={domain: "name" for domain in accepted},
@@ -297,8 +297,8 @@ class TestAugmentCorpus:
         names = {domain: sorted({n for picks in exchanges.values() for d, offered, _ in picks if d == domain
                                  for n in offered}) for domain in ("hotel", "restaurant", "attraction")}
         names["restaurant"] += ["ivy bistro", "jade kitchen", "kiln pizza"]
-        db = Database(tables={d: [Entity(domain=d, name=n) for n in ns] for d, ns in names.items()},
-                      name_fields={d: "name" for d in names})
+        db = Database(tables={d: [{"domain": d, "name": n, "attributes": {}} for n in ns]
+                              for d, ns in names.items()}, name_fields={d: "name" for d in names})
         dialogs = []
         for dialog_id, picks in exchanges.items():
             turns = [{"speaker": "USER", "utterance": "i need a few places", "frames": [{"service": picks[0][0]}]}]
@@ -312,7 +312,7 @@ class TestAugmentCorpus:
 
         _, records, stats = augment_corpus(Corpus(dialogs=dialogs), db, shipped_grammar, seed=0)
 
-        assert [(r.dialog_id, r.turn_index, r.target.name, r.skipped_reason) for r in records] == [
+        assert [(r.dialog_id, r.turn_index, r.target["name"], r.skipped_reason) for r in records] == [
             ("two_hotels", 1, "alpha lodge", None),
             ("two_hotels", 3, "dune hotel", None),
             ("hotel_then_restaurant", 1, "fir manor", None),
@@ -339,7 +339,7 @@ class TestMultiResultReport:
         dialogs = [
             _dialog(f"d{i}", ["hotel"], [
                 {"speaker": "USER", "utterance": "hi", "frames": [{"service": "hotel"}]},
-                {"speaker": "SYSTEM", "utterance": "one option", "search_results": [hotel.to_json()]},
+                {"speaker": "SYSTEM", "utterance": "one option", "search_results": [hotel]},
             ])
             for i in range(3)
         ]
@@ -351,7 +351,7 @@ class TestMultiResultReport:
         dialogs = [
             _dialog(f"d{i}", ["hotel"], [
                 {"speaker": "USER", "utterance": "hi", "frames": [{"service": "hotel"}]},
-                {"speaker": "SYSTEM", "utterance": "three options", "search_results": [h.to_json() for h in hotels]},
+                {"speaker": "SYSTEM", "utterance": "three options", "search_results": hotels},
             ])
             for i in range(4)
         ]

@@ -77,6 +77,8 @@ def _record(count: int, skipped_reason: str | None = None, turn_index: int = 1) 
 
 # Two candidates, the first named by a number where a string belongs.
 _NUMBER_NAMED = [{"domain": "hotel", "name": 12345678}, {"domain": "hotel", "name": "n0"}]
+# Two candidates, the first with a list where its domain string belongs.
+_LIST_DOMAIN = [{"domain": ["hotel"], "name": "n1"}, {"domain": "hotel", "name": "n0"}]
 
 _PREDICTION = {"dialog_id": "synth-000000", "turn_index": 0, "entities": ["a"]}
 
@@ -85,10 +87,10 @@ _SLOT_VALUE_NOT_A_LIST = json.dumps({"id": "d1", "services": ["hotel"], "turns":
     {"speaker": "USER", "utterance": "hi", "frames": [{"service": "hotel", "slot_values": {"hotel-area": "north"}}]}]})
 
 
-def _hotel_offer(name: object = "aldergate lodge", utterance: object = "that one") -> str:
+def _hotel_offer(name: object = "aldergate lodge", utterance: object = "that one", domain: object = "hotel") -> str:
     """A native dialog whose system turn offers two shipped hotels and whose
     user then takes the first, so ``augment`` rewrites both turns."""
-    results = [{"domain": "hotel", "name": name}, {"domain": "hotel", "name": "birchwood innhouse"}]
+    results = [{"domain": domain, "name": name}, {"domain": "hotel", "name": "birchwood innhouse"}]
     return json.dumps({"id": "d1", "services": ["hotel"], "turns": [
         {"speaker": "USER", "utterance": "a hotel please", "frames": [{"service": "hotel"}]},
         {"speaker": "SYSTEM", "utterance": "which one?", "search_results": results},
@@ -166,12 +168,16 @@ _MALFORMED_INPUTS = {
     **{f"augment-{name}": (
         {"in.jsonl": row + "\n"}, ["augment", "--in", "in.jsonl", "--db", DB, "--grammar", GRAMMAR, "--out", "OUT"])
        for name, row in (("utterance-not-a-string", _hotel_offer(utterance=5)),
-                         ("search-result-name-not-a-string", _hotel_offer(name=7)))},
+                         ("search-result-name-not-a-string", _hotel_offer(name=7)),
+                         ("search-result-domain-not-a-string", _hotel_offer(domain=["hotel"])))},
+    "stats-search-result-domain-not-a-string": (
+        {"in.jsonl": _hotel_offer(domain=["hotel"]) + "\n"}, ["stats", "--in", "in.jsonl"]),
     **{f"resolve-examples-{name}": (
         {"in.jsonl": json.dumps({**json.loads(_EXAMPLE), **change}) + "\n"},
         ["resolve", "--in", "in.jsonl", "--out", "OUT"])
        for name, change in (("system-not-a-string", {"system": 5}), ("user-not-a-string", {"user": 5}),
-                            ("candidate-name-not-a-string", {"candidates": _NUMBER_NAMED, "target_names": ["n0"]}))},
+                            ("candidate-name-not-a-string", {"candidates": _NUMBER_NAMED, "target_names": ["n0"]}),
+                            ("candidate-domain-not-a-string", {"candidates": _LIST_DOMAIN, "target_names": ["n0"]}))},
     **{f"resolve-records-{name}": (
         {"in.jsonl": json.dumps({**json.loads(_record(2)), **change}) + "\n"},
         ["resolve", "--in", "in.jsonl", "--kind", "records", "--out", "OUT"])
@@ -179,6 +185,7 @@ _MALFORMED_INPUTS = {
                             ("dialog-id-not-a-string", {"dialog_id": 5}),
                             ("turn-index-string", {"turn_index": "3"}), ("turn-index-bool", {"turn_index": True}),
                             ("candidate-name-not-a-string", {"candidates": _NUMBER_NAMED}),
+                            ("candidate-domain-not-a-string", {"candidates": _LIST_DOMAIN}),
                             ("target-name-not-a-string", {"target": _NUMBER_NAMED[0]}))},
     **{f"score-preds-{name}": (
         {"preds.jsonl": json.dumps({**_PREDICTION, **change}) + "\n", "gold.jsonl": _EXAMPLE + "\n"},
@@ -757,6 +764,17 @@ class TestResolveAndScore:
         assert _run(capsys, "resolve", "--in", str(augmented / "records.jsonl"), "--out", str(preds))[0] == 0
         assert _run(capsys, "score", "--preds", str(preds), "--gold", str(augmented / "corpus.jsonl"),
                     "--records", str(records)) == (1, "", error)
+
+    def test_repeated_prediction_key_is_refused_with_its_line(self, capsys, tmp_path, synth_dir):
+        gold = synth_dir / "test.jsonl"
+        preds = tmp_path / "preds.jsonl"
+        assert _run(capsys, "resolve", "--in", str(gold), "--out", str(preds))[0] == 0
+        lines = preds.read_text(encoding="utf-8").splitlines(keepends=True)
+        repeated = tmp_path / "repeated.jsonl"
+        repeated.write_text("".join(lines[:3] + ["\n"] + lines[1:2] + lines[3:]), encoding="utf-8")
+        key = tuple(json.loads(lines[1])[name] for name in ("dialog_id", "turn_index"))
+        error = f"error: {repeated}: line 5: duplicate prediction key {key}\n"
+        assert _run(capsys, "score", "--preds", str(repeated), "--gold", str(gold)) == (1, "", error)
 
     def test_records_pipeline(self, capsys, tmp_path, repo_root):
         augmented = tmp_path / "aug"

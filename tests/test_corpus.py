@@ -13,7 +13,7 @@ from disambig.corpus import (
     Corpus,
     Database,
     Dialog,
-    Entity,
+    entity_row,
     load_corpus,
     load_database,
     name_key,
@@ -22,10 +22,10 @@ from disambig.corpus import (
     write_database,
 )
 from disambig.errors import NotEnoughEntities, SchemaMismatch, UnknownDomain
-from disambig.metrics import PredictionRow, score
+from disambig.metrics import score
 from disambig.resolver import predict_names
 
-from .oracles import slow_load_corpus
+from .oracles import slow_entity_row, slow_load_corpus
 
 SGD_DIALOG = {
     "dialogue_id": "1_00000",
@@ -148,8 +148,8 @@ def _native_corpora(draw) -> Corpus:
 # The two domains' offers have distinct names, so an accepted name tells its domain.
 _OFFER_NAMES = (("the palm", "crown inn", "rose court"), ("blue door", "old mill", "Café Nord"))
 _OFFER_DB = Database(
-    tables={service: [Entity(domain=service, name=name) for names in _OFFER_NAMES for name in names]
-            for service in _SERVICES},
+    tables={service: [{"domain": service, "name": name, "attributes": {}} for names in _OFFER_NAMES
+                      for name in names] for service in _SERVICES},
     name_fields=dict.fromkeys(_SERVICES, "name"),
 )
 
@@ -176,7 +176,7 @@ def _two_domain_offers(draw) -> Corpus:
 
 def _augmentable(corpus: Corpus) -> list:
     """Per dialog, each augmentable turn with its domain and accepted entity."""
-    return [[(index, pool[0].domain, accepted) for index, pool, accepted
+    return [[(index, pool[0]["domain"], accepted) for index, pool, accepted
              in find_augmentable_turns(dialog, _OFFER_DB, allowed=set(_SERVICES))]
             for dialog in corpus.dialogs]
 
@@ -245,6 +245,10 @@ def _write_native(path: Path, rows: list[dict], split: str = "train") -> Path:
     return path
 
 
+# JSON values of every scalar type; entity rows take only strings.
+_JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-5, 5), st.floats(-2, 2), st.text(max_size=3))
+
+
 class TestValidation:
     def test_duplicate_dialog_ids(self, tmp_path):
         corpus = _tiny_corpus()
@@ -282,7 +286,31 @@ class TestValidation:
 
     def test_entity_requires_name(self):
         with pytest.raises(SchemaMismatch):
-            Entity(domain="hotel", name="")
+            entity_row({"domain": "hotel", "name": ""})
+
+    @settings(max_examples=300)
+    @given(st.fixed_dictionaries({}, optional={
+        "domain": st.one_of(st.sampled_from(["hotel", ""]), _JSON_SCALARS, st.lists(st.just("hotel"), max_size=1)),
+        "name": st.one_of(st.sampled_from(["alpha inn", ""]), _JSON_SCALARS, st.lists(st.just("a"), max_size=1)),
+        "attributes": st.one_of(st.dictionaries(st.sampled_from(["area", "stars"]), _JSON_SCALARS, max_size=2),
+                                _JSON_SCALARS, st.lists(st.just("area"), max_size=1)),
+        "extra": _JSON_SCALARS,
+    }))
+    def test_entity_row_matches_the_entity_class(self, obj):
+        """``entity_row`` returns the row that ``Entity`` made or raises its
+        error; only a non-string domain, which ``Entity`` let through, is
+        refused in its place."""
+        def outcome(check):
+            try:
+                return "row", check(obj)
+            except Exception as exc:  # the oracle and the checker must fail alike
+                return type(exc), str(exc)
+
+        if "name" in obj and not isinstance(obj.get("domain", ""), str):
+            with pytest.raises(SchemaMismatch, match="^entity domain: expected a string"):
+                entity_row(obj)
+        else:
+            assert outcome(entity_row) == outcome(slow_entity_row)
 
     @pytest.mark.parametrize("mutate, match", [
         (lambda row: row.update(services="hotel"), "services: expected an array"),
@@ -581,7 +609,7 @@ class TestDatabase:
     def test_names_read_as_the_same_tokens_rejected(self, names):
         # The resolver reads both as "kestrel lodge", so it would tie them as exact matches.
         with pytest.raises(SchemaMismatch, match="duplicate"):
-            Database(tables={"hotel": [Entity(domain="hotel", name=name) for name in names]},
+            Database(tables={"hotel": [{"domain": "hotel", "name": name, "attributes": {}} for name in names]},
                      name_fields={"hotel": "name"})
 
     def test_write_load_round_trip(self, tmp_path, shipped_db):
@@ -592,7 +620,7 @@ class TestDatabase:
 
     def test_write_rejects_attribute_named_like_the_name_field(self, tmp_path):
         # Written as {"name": "other"}, it would read back named "other".
-        db = Database(tables={"d": [Entity(domain="d", name="real name", attributes={"name": "other"})]},
+        db = Database(tables={"d": [{"domain": "d", "name": "real name", "attributes": {"name": "other"}}]},
                       name_fields={"d": "name"})
         path = tmp_path / "db.json"
         with pytest.raises(SchemaMismatch, match="read back as its name"):
@@ -606,19 +634,19 @@ class TestDatabase:
 
 class TestSampleEntities:
     def test_exhaustive_draw(self):
-        entities = [Entity(domain="d", name=f"name {i}") for i in range(3)]
+        entities = [{"domain": "d", "name": f"name {i}", "attributes": {}} for i in range(3)]
         db = Database(tables={"d": entities}, name_fields={"d": "name"})
         drawn = sample_entities(db, "d", 3, seed=5)
-        assert sorted(e.name for e in drawn) == sorted(e.name for e in entities)
+        assert sorted(e["name"] for e in drawn) == sorted(e["name"] for e in entities)
 
     def test_deterministic_per_seed(self, shipped_db):
         first = sample_entities(shipped_db, "hotel", 4, seed=42)
         second = sample_entities(shipped_db, "hotel", 4, seed=42)
         assert first == second
-        assert len({name_key(e.name) for e in first}) == 4
+        assert len({name_key(e["name"]) for e in first}) == 4
 
     def test_not_enough_entities(self):
-        db = Database(tables={"d": [Entity(domain="d", name="only one")] * 1}, name_fields={"d": "name"})
+        db = Database(tables={"d": [{"domain": "d", "name": "only one", "attributes": {}}]}, name_fields={"d": "name"})
         with pytest.raises(NotEnoughEntities) as info:
             sample_entities(db, "d", 6, seed=0)
         assert info.value.have == 1 and info.value.want == 6
@@ -637,8 +665,8 @@ def test_loaded_corpus_is_never_mutated(tmp_path, repo_root, shipped_db, shipped
     preds = {}
     for r in records:
         if r.skipped_reason is None:
-            preds[(r.dialog_id, r.turn_index)] = PredictionRow(r.dialog_id, r.turn_index,
-                                                               predict_names(r.candidates, r.user_prefix))
+            preds[(r.dialog_id, r.turn_index)] = {"dialog_id": r.dialog_id, "turn_index": r.turn_index,
+                                                  "entities": predict_names(r.candidates, r.user_prefix)}
     assert score(preds, augmented, records).entity_accuracy_all is not None
     upsampled = augmented.dialogs + [replace(dialog, id=f"{dialog.id}~up1") for dialog in augmented.dialogs]
     for format in ("native", "sgd", "multiwoz22"):

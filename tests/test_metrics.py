@@ -6,13 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from disambig.augmenter import AUGMENT_METHODS, DEFAULT_ALLOWED, AugmentationRecord, augment_corpus
-from disambig.corpus import Corpus, Dialog, Entity
+from disambig.corpus import Corpus, Dialog
 from disambig import metrics
 from disambig.errors import MissingPrediction, SchemaMismatch, UnknownSubsetTurn
 from disambig.metrics import (
     ALL,
     AUGMENTED_ONLY,
-    PredictionRow,
     entity_accuracy,
     gold_entity_turns,
     gold_states,
@@ -23,7 +22,13 @@ from disambig.metrics import (
     write_predictions,
 )
 
-from .oracles import slow_entity_accuracy, slow_joint_goal_accuracy, slow_score, slow_slot_accuracy
+from .oracles import (
+    slow_entity_accuracy,
+    slow_joint_goal_accuracy,
+    slow_prediction_row,
+    slow_score,
+    slow_slot_accuracy,
+)
 
 
 def _marked_dialog(dialog_id: str, targets: list[str], origin: str = "synth") -> Dialog:
@@ -34,6 +39,11 @@ def _marked_dialog(dialog_id: str, targets: list[str], origin: str = "synth") ->
     return Dialog.from_json({"id": dialog_id, "services": ["hotel"], "turns": [system, user]})
 
 
+def _keyed(*rows: dict) -> dict:
+    """Prediction rows by their (dialog_id, turn_index) key, as ``read_predictions`` returns them."""
+    return {(row["dialog_id"], row["turn_index"]): row for row in rows}
+
+
 def _entity_fixture() -> tuple[Corpus, dict]:
     """10 marked turns; predictions get exactly 7 right."""
     gold_targets = [[f"target {i} inn"] for i in range(10)]
@@ -41,8 +51,8 @@ def _entity_fixture() -> tuple[Corpus, dict]:
     preds = {}
     for i, names in enumerate(gold_targets):
         predicted = list(names) if i < 7 else ["wrong answer lodge"]
-        row = PredictionRow(dialog_id=f"g{i}", turn_index=0, entities=predicted)
-        preds[row.key] = row
+        row = {"dialog_id": f"g{i}", "turn_index": 0, "entities": predicted}
+        preds.update(_keyed(row))
     return Corpus(dialogs=dialogs), preds
 
 
@@ -55,18 +65,18 @@ class TestEntityAccuracy:
         gold, preds = _entity_fixture()
         for key, row in preds.items():
             marker = gold_entity_turns(gold)[key]
-            row.entities = sorted(marker)
+            row["entities"] = sorted(marker)
         assert entity_accuracy(preds, gold, subset=ALL) == 1.0
 
     def test_multiple_targets_order_insensitive(self):
         gold = Corpus(dialogs=[_marked_dialog("m0", ["alpha inn", "briar manor"])])
-        row = PredictionRow(dialog_id="m0", turn_index=0, entities=["briar manor", "alpha inn"])
-        assert entity_accuracy({row.key: row}, gold, subset=ALL) == 1.0
+        row = {"dialog_id": "m0", "turn_index": 0, "entities": ["briar manor", "alpha inn"]}
+        assert entity_accuracy(_keyed(row), gold, subset=ALL) == 1.0
 
     def test_normalization_invariance(self):
         gold = Corpus(dialogs=[_marked_dialog("m0", ["Alpha Inn"])])
-        row = PredictionRow(dialog_id="m0", turn_index=0, entities=["  alpha inn!  "])
-        assert entity_accuracy({row.key: row}, gold, subset=ALL) == 1.0
+        row = {"dialog_id": "m0", "turn_index": 0, "entities": ["  alpha inn!  "]}
+        assert entity_accuracy(_keyed(row), gold, subset=ALL) == 1.0
 
     def test_missing_prediction(self):
         gold, preds = _entity_fixture()
@@ -90,8 +100,8 @@ def _state_dialog(dialog_id: str, gold_slots: dict[str, list[str]]) -> Dialog:
 class TestJointGoalAccuracy:
     def test_perfect(self):
         gold = Corpus(dialogs=[_state_dialog("s0", {"hotel-area": ["north"]})])
-        row = PredictionRow(dialog_id="s0", turn_index=0, entities=[], state={"hotel-area": ["north"]})
-        assert joint_goal_accuracy({row.key: row}, gold) == 1.0
+        row = {"dialog_id": "s0", "turn_index": 0, "entities": [], "state": {"hotel-area": ["north"]}}
+        assert joint_goal_accuracy(_keyed(row), gold) == 1.0
 
     def test_single_wrong_slot_zeroes_the_turn(self):
         gold = Corpus(dialogs=[
@@ -99,8 +109,9 @@ class TestJointGoalAccuracy:
             _state_dialog("s1", {"hotel-area": ["south"]}),
         ])
         preds = {
-            ("s0", 0): PredictionRow("s0", 0, state={"hotel-area": ["north"], "hotel-stars": ["5"]}),
-            ("s1", 0): PredictionRow("s1", 0, state={"hotel-area": ["south"]}),
+            ("s0", 0): {"dialog_id": "s0", "turn_index": 0, "entities": [],
+                        "state": {"hotel-area": ["north"], "hotel-stars": ["5"]}},
+            ("s1", 0): {"dialog_id": "s1", "turn_index": 0, "entities": [], "state": {"hotel-area": ["south"]}},
         }
         assert joint_goal_accuracy(preds, gold) == pytest.approx(0.5)
 
@@ -111,26 +122,26 @@ class TestJointGoalAccuracy:
             gold_slots = {"hotel-area": ["north"], "hotel-name": [f"inn number {i}"]}
             dialogs.append(_state_dialog(f"s{i}", gold_slots))
             predicted = dict(gold_slots) if i < 13 else {"hotel-area": ["south"], "hotel-name": [f"inn number {i}"]}
-            preds[(f"s{i}", 0)] = PredictionRow(f"s{i}", 0, state=predicted)
+            preds[(f"s{i}", 0)] = {"dialog_id": f"s{i}", "turn_index": 0, "entities": [], "state": predicted}
         assert joint_goal_accuracy(preds, Corpus(dialogs=dialogs)) == pytest.approx(0.65)
 
     def test_value_set_semantics(self):
         gold = Corpus(dialogs=[_state_dialog("s0", {"hotel-area": ["north", "North "]})])
-        row = PredictionRow("s0", 0, state={"hotel-area": ["north"]})
-        assert joint_goal_accuracy({row.key: row}, gold) == 1.0
+        row = {"dialog_id": "s0", "turn_index": 0, "entities": [], "state": {"hotel-area": ["north"]}}
+        assert joint_goal_accuracy(_keyed(row), gold) == 1.0
 
     def test_missing_state(self):
         gold = Corpus(dialogs=[_state_dialog("s0", {"hotel-area": ["north"]})])
-        row = PredictionRow("s0", 0, state=None)
+        row = {"dialog_id": "s0", "turn_index": 0, "entities": [], "state": None}
         with pytest.raises(MissingPrediction):
-            joint_goal_accuracy({row.key: row}, gold)
+            joint_goal_accuracy(_keyed(row), gold)
 
     @pytest.mark.parametrize("metric", [joint_goal_accuracy, slot_accuracy])
     def test_unknown_subset_turn(self, metric):
         gold = Corpus(dialogs=[_state_dialog("s0", {"hotel-area": ["north"]})])
-        row = PredictionRow("s0", 0, state={"hotel-area": ["north"]})
+        row = {"dialog_id": "s0", "turn_index": 0, "entities": [], "state": {"hotel-area": ["north"]}}
         with pytest.raises(UnknownSubsetTurn, match="ghost"):
-            metric({row.key: row}, gold, subset=[("ghost", 5)])
+            metric(_keyed(row), gold, subset=[("ghost", 5)])
 
 
 def test_augmented_only_subset_on_augmented_toy_corpus(toy_corpus, shipped_db, shipped_grammar):
@@ -142,11 +153,9 @@ def test_augmented_only_subset_on_augmented_toy_corpus(toy_corpus, shipped_db, s
         for index in range(len(dialog.turns)):
             right = (len(dialog.id) + index) % 3 != 0
             key = (dialog.id, index)
-            preds[key] = PredictionRow(
-                dialog.id, index,
-                entities=sorted(targets.get(key, ())) if right else ["wrong lodge"],
-                state={slot: sorted(values) for slot, values in states.get(key, {}).items()} if right else {},
-            )
+            entities = sorted(targets.get(key, ())) if right else ["wrong lodge"]
+            state = {slot: sorted(values) for slot, values in states.get(key, {}).items()} if right else {}
+            preds[key] = {"dialog_id": dialog.id, "turn_index": index, "entities": entities, "state": state}
     user_turns = [(d, t + 1) for d, t in augmented if (d, t + 1) in states]
     assert augmented and user_turns
     assert entity_accuracy(preds, gold, subset=AUGMENTED_ONLY) == entity_accuracy(preds, gold, subset=augmented)
@@ -173,7 +182,7 @@ class TestJgaNeverExceedsSlotAccuracy:
                     s: [rng.choice(values)] if rng.random() < 0.5 else list(v)
                     for s, v in gold_slots.items()
                 }
-                preds[(f"s{i}", 0)] = PredictionRow(f"s{i}", 0, state=predicted)
+                preds[(f"s{i}", 0)] = {"dialog_id": f"s{i}", "turn_index": 0, "entities": [], "state": predicted}
             gold = Corpus(dialogs=dialogs)
             assert joint_goal_accuracy(preds, gold) <= slot_accuracy(preds, gold) + 1e-12
 
@@ -194,8 +203,8 @@ class TestScore:
         ]
         gold = Corpus(dialogs=dialogs)
         preds = {
-            ("a0", 0): PredictionRow("a0", 0, entities=["alpha inn"]),
-            ("a1", 0): PredictionRow("a1", 0, entities=["wrong lodge"]),
+            ("a0", 0): {"dialog_id": "a0", "turn_index": 0, "entities": ["alpha inn"]},
+            ("a1", 0): {"dialog_id": "a1", "turn_index": 0, "entities": ["wrong lodge"]},
         }
         report = score(preds, gold)
         assert report.entity_accuracy_all == pytest.approx(0.5)
@@ -214,8 +223,8 @@ class TestScore:
 
     def test_stray_prediction_key_rejected(self):
         gold, preds = _entity_fixture()
-        stray = PredictionRow("not-in-gold", 0, entities=[])
-        preds[stray.key] = stray
+        stray = {"dialog_id": "not-in-gold", "turn_index": 0, "entities": []}
+        preds.update(_keyed(stray))
         with pytest.raises(UnknownSubsetTurn, match="not-in-gold"):
             score(preds, gold)
 
@@ -229,8 +238,8 @@ class TestScore:
         gold, records, _ = augment_corpus(toy_corpus, shipped_db, shipped_grammar, seed=0)
         preds = {}
         for record in records:
-            row = PredictionRow(record.dialog_id, record.turn_index, entities=[record.target.name])
-            preds[row.key] = row
+            preds.update(_keyed({"dialog_id": record.dialog_id, "turn_index": record.turn_index,
+                                 "entities": [record.target["name"]]}))
         monkeypatch.setattr(metrics, "gold_states", lambda gold: pytest.fail("gold states built for no state"))
         report = score(preds, gold, records)
         assert report.to_json() == {
@@ -251,11 +260,11 @@ class TestScore:
         for dialog in gold.dialogs:
             for index, turn in enumerate(dialog.turns):
                 key = (dialog.id, index)
-                preds[key] = PredictionRow(dialog.id, index, entities=sorted(targets.get(key, ())))
+                preds[key] = {"dialog_id": dialog.id, "turn_index": index, "entities": sorted(targets.get(key, ()))}
                 if "disambig" in turn["extras"]:
                     by_method.setdefault(turn["extras"]["disambig"]["method"], []).append(key)
         for key in sorted(targets)[::3]:
-            preds[key].entities = ["wrong lodge"]
+            preds[key]["entities"] = ["wrong lodge"]
         expected = {
             "entity_accuracy_all": entity_accuracy(preds, gold),
             "entity_accuracy_augmented": entity_accuracy(preds, gold, subset=AUGMENTED_ONLY),
@@ -277,8 +286,8 @@ class TestScore:
                 key = (dialog.id, index)
                 right = (len(dialog.id) + index) % 4 != 0
                 state = {slot: sorted(values) for slot, values in states[key].items()} if key in states else None
-                preds[key] = PredictionRow(dialog.id, index, entities=sorted(targets.get(key, ())),
-                                           state=state if right or state is None else {})
+                preds[key] = {"dialog_id": dialog.id, "turn_index": index, "entities": sorted(targets.get(key, ())),
+                              "state": state if right or state is None else {}}
         report = score(preds, gold, records)
         assert report.jga_all == joint_goal_accuracy(preds, gold, subset=ALL)
         assert report.jga_augmented == joint_goal_accuracy(preds, gold, subset=AUGMENTED_ONLY)
@@ -293,7 +302,8 @@ class TestScore:
             for index in range(len(dialog.turns)):
                 key = (dialog.id, index)
                 state = {slot: sorted(values) for slot, values in states[key].items()} if key in states else None
-                preds[key] = PredictionRow(dialog.id, index, entities=sorted(targets.get(key, ())), state=state)
+                preds[key] = {"dialog_id": dialog.id, "turn_index": index, "entities": sorted(targets.get(key, ())),
+                              "state": state}
         calls = []
 
         def counted(name, function):
@@ -356,7 +366,7 @@ def _scoring_case(draw):
         if with_states and draw(st.integers(0, 19)) > 0:
             state = draw(st.dictionaries(st.sampled_from(_SLOTS),
                                          st.lists(st.sampled_from(_VALUES), min_size=1, max_size=2)))
-        preds[key] = PredictionRow(key[0], key[1], entities=entities, state=state)
+        preds[key] = {"dialog_id": key[0], "turn_index": key[1], "entities": entities, "state": state}
 
     subset = draw(st.one_of(
         st.sampled_from([ALL, AUGMENTED_ONLY, "augmented"]),
@@ -364,7 +374,7 @@ def _scoring_case(draw):
     ))
     records = None
     if draw(st.booleans()):
-        entity = Entity(domain="hotel", name="alpha inn")
+        entity = {"domain": "hotel", "name": "alpha inn", "attributes": {}}
         records = [
             AugmentationRecord(dialog_id=key[0], turn_index=key[1], original_system="", new_system="",
                                user_prefix="", original_user="", candidates=[entity], target=entity,
@@ -397,19 +407,40 @@ def test_judged_tables_match_the_slow_references(case):
 
 def test_prediction_file_round_trip(tmp_path):
     rows = [
-        PredictionRow("d1", 0, entities=["alpha inn"]),
-        PredictionRow("d1", 2, entities=["briar manor"], state={"hotel-area": ["north"]}),
+        {"dialog_id": "d1", "turn_index": 0, "entities": ["alpha inn"]},
+        {"dialog_id": "d1", "turn_index": 2, "entities": ["briar manor"], "state": {"hotel-area": ["north"]}},
     ]
     path = tmp_path / "preds.jsonl"
     write_predictions(rows, str(path))
     loaded = read_predictions(str(path))
-    assert loaded[("d1", 0)].entities == ["alpha inn"]
-    assert loaded[("d1", 2)].state == {"hotel-area": ["north"]}
+    assert loaded[("d1", 0)]["entities"] == ["alpha inn"]
+    assert loaded[("d1", 2)]["state"] == {"hotel-area": ["north"]}
+
+
+# JSON values of every scalar type, and lists of them.
+_JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-2, 2), st.floats(-2, 2), st.text(max_size=3))
+_JSON_VALUES = st.one_of(_JSON_SCALARS, st.lists(_JSON_SCALARS, max_size=2))
+
+
+@settings(max_examples=300)
+@given(st.fixed_dictionaries({}, optional={
+    "dialog_id": st.one_of(st.just("d1"), _JSON_VALUES),
+    "turn_index": st.one_of(st.integers(0, 3), _JSON_VALUES),
+    "entities": st.one_of(st.lists(st.sampled_from(["alpha inn", ""]), max_size=2), _JSON_VALUES),
+    "state": st.one_of(st.dictionaries(st.sampled_from(["hotel-area", "hotel-stars"]),
+                                       st.one_of(st.lists(st.just("north"), max_size=2), _JSON_VALUES), max_size=2),
+                       _JSON_VALUES),
+    "extra": _JSON_VALUES,
+}))
+def test_prediction_row_matches_the_prediction_row_class(obj):
+    """``prediction_row`` returns the row that ``PredictionRow`` read and
+    wrote back, or raises its error."""
+    assert _outcome(metrics.prediction_row, obj) == _outcome(slow_prediction_row, obj)
 
 
 def test_duplicate_prediction_keys_rejected(tmp_path):
     path = tmp_path / "preds.jsonl"
-    row = PredictionRow("d1", 0, entities=[])
+    row = {"dialog_id": "d1", "turn_index": 0, "entities": []}
     write_predictions([row, row], str(path))
     with pytest.raises(SchemaMismatch, match="duplicate"):
         read_predictions(str(path))

@@ -5,7 +5,6 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from disambig.corpus import Entity
 from disambig.errors import NoMatch
 from disambig.resolver import (
     ATTRIBUTE,
@@ -36,8 +35,8 @@ from .oracles import (
 )
 
 
-def _candidates(*names: str, domain: str = "restaurant") -> list[Entity]:
-    return [Entity(domain=domain, name=name) for name in names]
+def _candidates(*names: str, domain: str = "restaurant") -> list[dict]:
+    return [{"domain": domain, "name": name, "attributes": {}} for name in names]
 
 
 def _records(names: list[list[str]]):
@@ -205,14 +204,14 @@ _ATTRIBUTE_VALUES = ["north", "cheap", "4", "4 stars", "free wifi", "the north",
 
 
 @st.composite
-def _attribute_case(draw) -> tuple[list[str], list[Entity]]:
+def _attribute_case(draw) -> tuple[list[str], list[dict]]:
     """1-5 candidates with attribute values that share tokens or span several,
     and a reply drawn from those values' tokens and filler words."""
     candidates = [
-        Entity(domain="hotel", name=f"name {i}", attributes=draw(st.dictionaries(
+        {"domain": "hotel", "name": f"name {i}", "attributes": draw(st.dictionaries(
             st.sampled_from(["area", "price", "stars", "internet", "parking"]),
             st.sampled_from(_ATTRIBUTE_VALUES), max_size=4,
-        )))
+        ))}
         for i in range(draw(st.integers(1, 5)))
     ]
     pool = [token for value in _ATTRIBUTE_VALUES for token in normalize(value)] + _STOPWORD_VOCAB + ["with"]
@@ -245,8 +244,8 @@ class TestWindowStages:
 
     def test_multi_token_attribute_value(self):
         candidates = [
-            Entity(domain="hotel", name="alpha lodge", attributes={"parking": "free parking lot", "area": "?"}),
-            Entity(domain="hotel", name="briar manor", attributes={"parking": "free wifi"}),
+            {"domain": "hotel", "name": "alpha lodge", "attributes": {"parking": "free parking lot", "area": "?"}},
+            {"domain": "hotel", "name": "briar manor", "attributes": {"parking": "free wifi"}},
         ]
         utterance = normalize("the one with free parking, lot please")
         assert _attribute_evidence(utterance, candidates) == {0: 0.5} == slow_attribute_evidence(utterance, candidates)
@@ -294,7 +293,7 @@ _CUES = ["and", "both", "first", "second", "last", "the", "other", "all", "three
 
 
 @st.composite
-def _resolver_call(draw) -> tuple[list[Entity], str, float]:
+def _resolver_call(draw) -> tuple[list[dict], str, float]:
     """Confusable candidates with attributes, a reply mixing name tokens (or
     one name with one edit), attribute values and ordinal or conjunction
     cues, and a budget."""
@@ -302,9 +301,9 @@ def _resolver_call(draw) -> tuple[list[Entity], str, float]:
     if draw(st.booleans()):
         utterance = normalize(_one_edit(draw, " ".join(draw(st.sampled_from(names))))) or utterance
     candidates = [
-        Entity(domain="hotel", name=draw(st.sampled_from(_SPELLINGS))(" ".join(name)), attributes=draw(st.dictionaries(
-            st.sampled_from(["area", "price", "stars", "parking"]), st.sampled_from(_ATTRIBUTE_VALUES), max_size=3,
-        )))
+        {"domain": "hotel", "name": draw(st.sampled_from(_SPELLINGS))(" ".join(name)),
+         "attributes": draw(st.dictionaries(st.sampled_from(["area", "price", "stars", "parking"]),
+                                            st.sampled_from(_ATTRIBUTE_VALUES), max_size=3))}
         for name in names
     ]
     pool = [token for value in _ATTRIBUTE_VALUES for token in normalize(value)] + _CUES
@@ -392,9 +391,9 @@ class TestResolveNames:
 class TestResolveAttributes:
     def test_paper_north_example(self):
         candidates = [
-            Entity(domain="restaurant", name="alpha kitchen", attributes={"area": "north", "price": "cheap"}),
-            Entity(domain="restaurant", name="briar manor", attributes={"area": "south", "price": "cheap"}),
-            Entity(domain="restaurant", name="cedar lodge", attributes={"area": "west", "price": "cheap"}),
+            {"domain": "restaurant", "name": "alpha kitchen", "attributes": {"area": "north", "price": "cheap"}},
+            {"domain": "restaurant", "name": "briar manor", "attributes": {"area": "south", "price": "cheap"}},
+            {"domain": "restaurant", "name": "cedar lodge", "attributes": {"area": "west", "price": "cheap"}},
         ]
         resolution = resolve(candidates, "the restaurant in the north of the city")
         assert resolution.matches[0].index == 0
@@ -403,8 +402,8 @@ class TestResolveAttributes:
 
     def test_attribute_score_is_fraction_matched(self):
         candidates = [
-            Entity(domain="hotel", name="alpha lodge", attributes={"area": "north", "stars": "4"}),
-            Entity(domain="hotel", name="briar manor", attributes={"area": "south", "stars": "2"}),
+            {"domain": "hotel", "name": "alpha lodge", "attributes": {"area": "north", "stars": "4"}},
+            {"domain": "hotel", "name": "briar manor", "attributes": {"area": "south", "stars": "2"}},
         ]
         resolution = resolve(candidates, "the one in the north with 4 stars")
         assert resolution.matches[0].index == 0
@@ -412,8 +411,8 @@ class TestResolveAttributes:
 
     def test_shared_attribute_ties_are_ambiguous(self):
         candidates = [
-            Entity(domain="hotel", name="alpha lodge", attributes={"area": "north"}),
-            Entity(domain="hotel", name="briar manor", attributes={"area": "north"}),
+            {"domain": "hotel", "name": "alpha lodge", "attributes": {"area": "north"}},
+            {"domain": "hotel", "name": "briar manor", "attributes": {"area": "north"}},
         ]
         resolution = resolve(candidates, "the one in the north")
         assert resolution.ambiguous

@@ -5,7 +5,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from disambig.corpus import SPLITS, Database, Dialog, Entity, load_corpus, name_key, write_corpus
+from disambig.corpus import SPLITS, Database, Dialog, load_corpus, name_key, write_corpus
 from disambig.errors import (
     InvalidTargetArity,
     NoDiscriminatingAttribute,
@@ -13,7 +13,7 @@ from disambig.errors import (
     NoUniquePartial,
     UnknownDomain,
 )
-from disambig.metrics import PredictionRow, score
+from disambig.metrics import score
 from disambig.resolver import predict_names
 from disambig.synthesizer import (
     AddressingMethod,
@@ -33,8 +33,8 @@ from disambig.synthesizer import (
 from .oracles import slow_edit_distance, slow_partial_mention
 
 
-def _entities(*names: str, domain: str = "restaurant") -> list[Entity]:
-    return [Entity(domain=domain, name=name) for name in names]
+def _entities(*names: str, domain: str = "restaurant") -> list[dict]:
+    return [{"domain": domain, "name": name, "attributes": {}} for name in names]
 
 
 # Case twins, stopwords in both cases, and punctuation attached to tokens.
@@ -42,7 +42,7 @@ _PARTIAL_VOCABULARY = ("palm", "Palm", "palm,", "(palm)", "the", "The", "of", "a
 
 
 @st.composite
-def _partial_cases(draw) -> tuple[Entity, list[Entity]]:
+def _partial_cases(draw) -> tuple[dict, list[dict]]:
     """A target and the other candidates, from names of one to five tokens
     drawn with repeats, sometimes with one name equal to a window of another."""
     names = draw(st.lists(st.lists(st.sampled_from(_PARTIAL_VOCABULARY), min_size=1, max_size=5),
@@ -51,7 +51,7 @@ def _partial_cases(draw) -> tuple[Entity, list[Entity]]:
         source = draw(st.sampled_from(names))
         start = draw(st.integers(0, len(source) - 1))
         names.append(source[start:draw(st.integers(start + 1, len(source)))])
-    entities = draw(st.permutations([Entity(domain="hotel", name=" ".join(tokens)) for tokens in names]))
+    entities = draw(st.permutations(_entities(*(" ".join(tokens) for tokens in names), domain="hotel")))
     index = draw(st.integers(0, len(entities) - 1))
     return entities[index], entities[:index] + entities[index + 1:]
 
@@ -125,9 +125,9 @@ class TestApplyAddressing:
 
     def test_attribute_paper_example(self, shipped_grammar):
         candidates = [
-            Entity(domain="restaurant", name="alpha kitchen", attributes={"area": "north", "price_range": "cheap"}),
-            Entity(domain="restaurant", name="briar manor", attributes={"area": "south", "price_range": "cheap"}),
-            Entity(domain="restaurant", name="cedar lodge", attributes={"area": "west", "price_range": "cheap"}),
+            {"domain": "restaurant", "name": "alpha kitchen", "attributes": {"area": "north", "price_range": "cheap"}},
+            {"domain": "restaurant", "name": "briar manor", "attributes": {"area": "south", "price_range": "cheap"}},
+            {"domain": "restaurant", "name": "cedar lodge", "attributes": {"area": "west", "price_range": "cheap"}},
         ]
         for seed in range(20):
             mention = apply_addressing(candidates, [0], AddressingMethod.ATTRIBUTE, seed, shipped_grammar, "restaurant")
@@ -135,17 +135,17 @@ class TestApplyAddressing:
 
     def test_attribute_falls_back_to_pairs(self, shipped_grammar):
         candidates = [
-            Entity(domain="hotel", name="alpha lodge", attributes={"area": "north", "stars": "4"}),
-            Entity(domain="hotel", name="briar manor", attributes={"area": "north", "stars": "3"}),
-            Entity(domain="hotel", name="cedar suites", attributes={"area": "south", "stars": "4"}),
+            {"domain": "hotel", "name": "alpha lodge", "attributes": {"area": "north", "stars": "4"}},
+            {"domain": "hotel", "name": "briar manor", "attributes": {"area": "north", "stars": "3"}},
+            {"domain": "hotel", "name": "cedar suites", "attributes": {"area": "south", "stars": "4"}},
         ]
         mention = apply_addressing(candidates, [0], AddressingMethod.ATTRIBUTE, 0, shipped_grammar, "hotel")
         assert "north" in mention and "4 stars" in mention and " and " in mention
 
     def test_attribute_no_discriminator(self, shipped_grammar):
         candidates = [
-            Entity(domain="hotel", name="alpha lodge", attributes={"area": "north"}),
-            Entity(domain="hotel", name="briar manor", attributes={"area": "north"}),
+            {"domain": "hotel", "name": "alpha lodge", "attributes": {"area": "north"}},
+            {"domain": "hotel", "name": "briar manor", "attributes": {"area": "north"}},
         ]
         with pytest.raises(NoDiscriminatingAttribute):
             apply_addressing(candidates, [0], AddressingMethod.ATTRIBUTE, 0, shipped_grammar, "hotel")
@@ -183,7 +183,7 @@ class TestSynthesizeExample:
         for seed in range(150):
             example = synthesize_example(shipped_db, shipped_grammar, "movies_1", AddressingMethod.EXACT, seed)
             for entity in example.candidates:
-                assert example.system_utterance.count(entity.name) == 1
+                assert example.system_utterance.count(entity["name"]) == 1
 
     def test_unknown_domain(self, shipped_db, shipped_grammar):
         with pytest.raises(UnknownDomain):
@@ -286,16 +286,16 @@ class TestDataset:
             assert "search_results" not in system and "search_results" not in user
             assert system["extras"]["disambig"] == {
                 "origin": "synth", "method": example.method.value, "target_names": example.target_names(),
-                "candidate_names": [e.name for e in example.candidates]}
+                "candidate_names": [e["name"] for e in example.candidates]}
 
     def test_examples_view_scores_the_same_from_a_file(self, shipped_db, shipped_grammar, tmp_path):
         # Loading checks every marker gold_marker built; the report must not move.
         examples = synthesize_split(shipped_db, shipped_grammar, SynthConfig(totals=(0, 0, 300), seed=7), "test")
         preds = {}
         for index, example in enumerate(examples):
-            row = PredictionRow(dialog_id=example_dialog_id(index), turn_index=0,
-                                entities=predict_names(example.candidates, example.user_utterance))
-            preds[row.key] = row
+            names = predict_names(example.candidates, example.user_utterance)
+            preds[(example_dialog_id(index), 0)] = {"dialog_id": example_dialog_id(index), "turn_index": 0,
+                                                    "entities": names}
         gold = examples_to_corpus(examples)
         write_corpus(gold, str(tmp_path / "gold.jsonl"))
         loaded = load_corpus(str(tmp_path / "gold.jsonl"))
@@ -310,5 +310,5 @@ def test_format_option_list():
 
 def test_option_list_lands_verbatim_in_system_utterance(shipped_db, shipped_grammar):
     example = synthesize_example(shipped_db, shipped_grammar, "hotel", AddressingMethod.EXACT, 1)
-    names = [e.name for e in example.candidates]
+    names = [e["name"] for e in example.candidates]
     assert format_option_list(names) in example.system_utterance

@@ -25,7 +25,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from disambig.corpus import Corpus, Database, Dialog, Entity, name_key, write_corpus, write_database
+from disambig.corpus import Corpus, Database, Dialog, name_key, write_corpus, write_database
 from disambig.grammar import Slot, load_grammar_file
 from disambig.resolver import STOPWORDS, edit_distance
 from disambig.seeding import rng_for
@@ -179,7 +179,7 @@ def _grammar_user_vocabulary() -> set[str]:
 def build_database() -> Database:
     domains = sorted(CATEGORY)
     assert len(domains) == 27
-    tables: dict[str, list[Entity]] = {}
+    tables: dict[str, list[dict]] = {}
     for domain_index, domain in enumerate(domains):
         category = CATEGORY[domain]
         seconds = SECONDS[category]
@@ -190,7 +190,7 @@ def build_database() -> Database:
                 name = f"{CONTACT_FIRSTS[i]} {seconds[i]}"
             else:
                 name = f"{first} {seconds[i]}"
-            entities.append(Entity(domain=domain, name=name, attributes=_attributes(category, domain_index, i)))
+            entities.append({"domain": domain, "name": name, "attributes": _attributes(category, domain_index, i)})
         tables[domain] = entities
     nouns = {domain: NOUNS[CATEGORY[domain]] for domain in domains}
     db = Database(tables=tables, name_fields={domain: "name" for domain in domains}, nouns=nouns)
@@ -205,19 +205,19 @@ def _check_database(db: Database) -> None:
 
 
 def _name_tokens(db: Database) -> set[str]:
-    return {token for entities in db.tables.values() for e in entities for token in e.name.split()}
+    return {token for entities in db.tables.values() for e in entities for token in e["name"].split()}
 
 
 def _value_tokens(db: Database) -> set[str]:
     return {token for entities in db.tables.values() for e in entities
-            for value in e.attributes.values() for token in value.split()}
+            for value in e["attributes"].values() for token in value.split()}
 
 
 def _check_name_separation(db: Database) -> None:
     """Names in one domain are unique, two-token, and far apart in spelling."""
     for domain, entities in db.tables.items():
         assert len(entities) >= 14, domain
-        names = [e.name for e in entities]
+        names = [e["name"] for e in entities]
         keys = [name_key(n) for n in names]
         assert len(set(keys)) == len(keys), f"duplicate names in {domain}"
         firsts = [n.split()[0] for n in names]
@@ -266,9 +266,9 @@ def _toy_dialog(did: str, service: str, kind: str, db: Database, rng) -> tuple[D
     if service in db.tables:
         offers = rng.sample(db.tables[service], 3)
     else:
-        offers = [Entity(domain=service, name=f"{service} option {i}", attributes={}) for i in range(3)]
+        offers = [{"domain": service, "name": f"{service} option {i}", "attributes": {}} for i in range(3)]
     if kind == "absent":
-        offers = [Entity(domain=service, name=f"phantom {w} {i}", attributes={"area": area})
+        offers = [{"domain": service, "name": f"phantom {w} {i}", "attributes": {"area": area}}
                   for i, w in enumerate(["arms", "rooms", "halls"])]
     accept_index = 1 if did == "hotel_accept_2nd" else rng.randrange(3)
     accepted = offers[accept_index]
@@ -281,10 +281,10 @@ def _toy_dialog(did: str, service: str, kind: str, db: Database, rng) -> tuple[D
         frames = [{"service": service, "slot_values": {k: list(v) for k, v in state.items()}}]
         turns.append({"speaker": "USER", "utterance": utterance, "frames": frames})
 
-    def system(utterance: str, results: list[Entity] | None = None) -> None:
+    def system(utterance: str, results: list[dict] | None = None) -> None:
         turns.append({"speaker": "SYSTEM", "utterance": utterance})
         if results is not None:
-            turns[-1]["search_results"] = [e.to_json() for e in results]
+            turns[-1]["search_results"] = results
 
     user(f"hello, i am trying to find a {noun} for my visit.")
     system(f"happy to help. which part of town would you like the {noun} to be in?")
@@ -294,20 +294,20 @@ def _toy_dialog(did: str, service: str, kind: str, db: Database, rng) -> tuple[D
     augmentable: int | None = None
     if kind in ("augment", "disallowed", "absent"):
         multi = True
-        system(f"i see {len(offers)} places that fit. how about {accepted.name}? it is quite popular.",
+        system(f"i see {len(offers)} places that fit. how about {accepted['name']}? it is quite popular.",
                results=list(offers))
-        user(f"that sounds great, let us go with {accepted.name}.", {f"{service}-name": [accepted.name]})
+        user(f"that sounds great, let us go with {accepted['name']}.", {f"{service}-name": [accepted["name"]]})
         if kind == "augment":
             augmentable = 3
     elif kind == "reject":
         multi = True
-        system(f"i see {len(offers)} places that fit. how about {offers[0].name}? it is quite popular.",
+        system(f"i see {len(offers)} places that fit. how about {offers[0]['name']}? it is quite popular.",
                results=list(offers))
         user("hmm, none of those really appeal to me. could we look for something cheaper instead?",
              {f"{service}-price_range": ["cheap"]})
     elif kind == "single":
-        system(f"there is exactly one match: {accepted.name}. shall i book it?", results=[accepted])
-        user(f"yes please, {accepted.name} will do nicely.", {f"{service}-name": [accepted.name]})
+        system(f"there is exactly one match: {accepted['name']}. shall i book it?", results=[accepted])
+        user(f"yes please, {accepted['name']} will do nicely.", {f"{service}-name": [accepted["name"]]})
     else:  # "final" and "none"
         system("i can certainly arrange that. do you have any other constraints?")
         user("not really, anything comfortable is fine.")
@@ -324,8 +324,8 @@ def _toy_dialog(did: str, service: str, kind: str, db: Database, rng) -> tuple[D
     user("thank you, that covers everything i needed.")
     if kind == "final":
         multi = True
-        system(f"before you go: two more places matched after all, {offers[0].name} and {offers[1].name}. goodbye!",
-               results=[offers[0], offers[1]])
+        system("before you go: two more places matched after all, "
+               f"{offers[0]['name']} and {offers[1]['name']}. goodbye!", results=[offers[0], offers[1]])
     else:
         system("you are very welcome. enjoy your visit, goodbye!")
 
@@ -397,12 +397,9 @@ def build_baseline() -> dict:
     gold = synthesizer.examples_to_corpus(examples)
     preds = {}
     for index, example in enumerate(examples):
-        row = metrics.PredictionRow(
-            dialog_id=synthesizer.example_dialog_id(index),
-            turn_index=0,
-            entities=resolver.predict_names(example.candidates, example.user_utterance),
-        )
-        preds[row.key] = row
+        key = (synthesizer.example_dialog_id(index), 0)
+        preds[key] = {"dialog_id": key[0], "turn_index": 0,
+                      "entities": resolver.predict_names(example.candidates, example.user_utterance)}
     report = metrics.score(preds, gold, records=None)
     return {
         "config": {"split": "test", "totals": list(config.totals), "seed": config.seed},
@@ -487,8 +484,8 @@ def build_stress_baseline(grammar) -> dict:
             count = rng.choice(CANDIDATE_COUNTS)
             names = _confusable_names(rng, SECONDS[category], count, forbidden)
             rows = rng.sample(range(ENTITIES_PER_DOMAIN), count)
-            candidates = [Entity(domain=domains[domain_index], name=name,
-                                 attributes=_attributes(category, domain_index, row))
+            candidates = [{"domain": domains[domain_index], "name": name,
+                           "attributes": _attributes(category, domain_index, row)}
                           for name, row in zip(names, rows)]
             if method is AddressingMethod.MULTIPLE:
                 targets = sorted(rng.sample(range(count), rng.randint(2, count)))
@@ -502,7 +499,7 @@ def build_stress_baseline(grammar) -> dict:
             written += 1
             predicted = predict_names(candidates, user)
             predictions.append(predicted)
-            correct += sorted(predicted) == sorted(candidates[t].name for t in targets)
+            correct += sorted(predicted) == sorted(candidates[t]["name"] for t in targets)
             try:
                 ambiguous += resolve(candidates, user).ambiguous
             except NoMatch:
