@@ -1,7 +1,7 @@
 """Toolkit for synthesizing, injecting, and scoring option-list
 disambiguation turns in task-oriented dialog corpora."""
 
-from .corpus import Corpus, Database, Dialog, load_corpus, load_database, normalize, write_corpus
+from .corpus import Corpus, Database, load_corpus, load_database, normalize, write_corpus
 from .grammar import Grammar, count_language, fill, load_grammar, sample
 from .resolver import edit_distance, resolve
 from .synthesizer import AddressingMethod, SingleTurnExample, SynthConfig, apply_addressing, synthesize_example
@@ -12,7 +12,6 @@ __all__ = [
     "AddressingMethod",
     "Corpus",
     "Database",
-    "Dialog",
     "Grammar",
     "SingleTurnExample",
     "SynthConfig",

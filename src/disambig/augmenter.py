@@ -13,9 +13,9 @@ idempotence guard and as the gold label for scoring.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
-from .corpus import SYSTEM, Corpus, Database, Dialog, _expect, entity_row, gold_marker, name_key
+from .corpus import SYSTEM, Corpus, Database, _expect, entity_row, gold_marker, name_key
 from .errors import SchemaMismatch
 from .grammar import Grammar
 from .jsonl import iter_jsonl, write_jsonl
@@ -100,10 +100,10 @@ class AugmentationStats:
         return asdict(self)
 
 
-def _state_first_seen(dialog: Dialog) -> dict[str, int]:
+def _state_first_seen(dialog: dict) -> dict[str, int]:
     """First turn index at which each normalized slot value appears."""
     first_seen: dict[str, int] = {}
-    for index, turn in enumerate(dialog.turns):
+    for index, turn in enumerate(dialog["turns"]):
         for frame in turn["frames"]:
             for values in frame["slot_values"].values():
                 for value in values:
@@ -112,7 +112,7 @@ def _state_first_seen(dialog: Dialog) -> dict[str, int]:
 
 
 def find_augmentable_turns(
-    dialog: Dialog, db: Database, allowed: frozenset[str] | set[str] = DEFAULT_ALLOWED
+    dialog: dict, db: Database, allowed: frozenset[str] | set[str] = DEFAULT_ALLOWED
 ) -> list[tuple[int, list[dict], dict]]:
     """System turns where an option list can replace the suggestion.
 
@@ -129,10 +129,10 @@ def find_augmentable_turns(
     """
     first_seen = _state_first_seen(dialog)
     found: list[tuple[int, list[dict], dict]] = []
-    for index, turn in enumerate(dialog.turns):
+    for index, turn in enumerate(dialog["turns"]):
         if turn["speaker"] != SYSTEM or not turn.get("search_results"):
             continue
-        if index + 1 >= len(dialog.turns):
+        if index + 1 >= len(dialog["turns"]):
             continue  # the dialog's final turn: no user reply to stay consistent with
         if "disambig" in turn["extras"]:
             continue  # already augmented
@@ -173,19 +173,20 @@ def _ensure_sentence_final(text: str) -> str:
 
 
 def augment_dialog(
-    dialog: Dialog,
+    dialog: dict,
     db: Database,
     grammar: Grammar,
     seed: int,
     allowed: frozenset[str] | set[str] = DEFAULT_ALLOWED,
     methods: tuple[AddressingMethod, ...] = (AddressingMethod.EXACT,),
-) -> tuple[Dialog, list[AugmentationRecord]]:
+) -> tuple[dict, list[AugmentationRecord]]:
     """Rewrite every augmentable turn of one dialog; pure in its arguments.
 
-    The returned dialog is a new object that shares every turn it does not
-    rewrite (and those turns' frames and entities) with the input; only the
-    system turn and the user turn after it are new at each applied
-    augmentation.  Input and output are both read-only from then on.
+    The returned dialog is a new row, ``{**dialog, "turns": turns}``, that
+    shares its id, services, extras and every turn it does not rewrite (with
+    those turns' frames and entities) with the input; only the ``turns``
+    list, and the system turn and the user turn after it at each applied
+    augmentation, are new.  Input and output are both read-only from then on.
     Dialogs without augmentable turns come back equal to the input.  A turn
     whose domain table is too small is skipped with a reason, never a hard
     failure.
@@ -194,10 +195,10 @@ def augment_dialog(
         if method not in AUGMENT_METHODS:
             raise SchemaMismatch(f"method {method.value!r} cannot voice a single accepted entity")
     found = find_augmentable_turns(dialog, db, allowed)
-    turns = list(dialog.turns)
+    turns = list(dialog["turns"])
     records: list[AugmentationRecord] = []
     for turn_index, pool, accepted in found:
-        base = (dialog.id, turn_index, seed)
+        base = (dialog["id"], turn_index, seed)
         system_turn = turns[turn_index]
         user_turn = turns[turn_index + 1]
         count = rng_for("augment.count", *base).choice(CANDIDATE_COUNTS)
@@ -221,7 +222,7 @@ def augment_dialog(
             turns[turn_index + 1] = {**user_turn, "utterance": prefix + " " + user_turn["utterance"],
                                      "extras": dict(user_turn["extras"])}
         records.append(AugmentationRecord(
-            dialog_id=dialog.id,
+            dialog_id=dialog["id"],
             turn_index=turn_index,
             original_system=system_turn["utterance"],
             new_system=new_system,
@@ -231,7 +232,7 @@ def augment_dialog(
             target=accepted,
             skipped_reason=skipped_reason,
         ))
-    return replace(dialog, turns=turns), records
+    return {**dialog, "turns": turns}, records
 
 
 def augment_corpus(
@@ -248,14 +249,14 @@ def augment_corpus(
     depend on the rest of the corpus.
     """
     stats = AugmentationStats(dialogs_total=len(corpus.dialogs))
-    new_dialogs: list[Dialog] = []
+    new_dialogs: list[dict] = []
     all_records: list[AugmentationRecord] = []
     for dialog in corpus.dialogs:
         new_dialog, records = augment_dialog(dialog, db, grammar, seed, allowed, methods)
         new_dialogs.append(new_dialog)
         all_records.extend(records)
         applied = Counter(r.target["domain"] for r in records if r.skipped_reason is None)
-        stats.turns_total += len(dialog.turns)
+        stats.turns_total += len(dialog["turns"])
         stats.turns_modified += applied.total()
         stats.dialogs_modified += bool(applied)
         for domain, turns_modified in applied.items():
@@ -276,9 +277,9 @@ def multi_result_report(corpus: Corpus) -> dict:
     service_totals: Counter[str] = Counter()
     service_multi: Counter[str] = Counter()
     for dialog in corpus.dialogs:
-        service_totals.update(set(dialog.services))
+        service_totals.update(set(dialog["services"]))
         multi_services = set()
-        for turn in dialog.turns:
+        for turn in dialog["turns"]:
             results = turn.get("search_results", [])
             if len(results) >= 2:
                 multi_services.update(entity["domain"] for entity in results)

@@ -24,7 +24,7 @@ from pathlib import Path
 from . import augmenter, corpus as corpus_mod, metrics, resolver, synthesizer
 from .errors import DisambigError, SchemaMismatch
 from .grammar import count_language, load_grammar_file
-from .jsonl import iter_jsonl, read_json
+from .jsonl import iter_jsonl, numbered_rows, read_json
 
 
 class _Parser(argparse.ArgumentParser):
@@ -298,7 +298,7 @@ def _cmd_stats(args) -> int:
 def _cmd_upsample(args) -> int:
     _guard_outputs([args.input], [args.out])
     base = corpus_mod.load_corpus(args.input, format="native")
-    augmented = [d for d in base.dialogs if any("disambig" in t["extras"] for t in d.turns)]
+    augmented = [d for d in base.dialogs if any("disambig" in t["extras"] for t in d["turns"])]
     if not augmented:
         raise SchemaMismatch("corpus has no augmented dialogs to upsample")
     target = round(args.factor * len(base.dialogs))
@@ -306,17 +306,16 @@ def _cmd_upsample(args) -> int:
     extra_needed = max(0, target - len(augmented))
     # Copy n of a dialog is named "<id>~up<n>"; n skips ids already in the
     # corpus, so upsampling an upsampled corpus keeps ids unique.
-    taken = {d.id for d in dialogs}
+    taken = {d["id"] for d in dialogs}
     next_copy = dict.fromkeys(taken, 1)
     for i in range(extra_needed):
         source = augmented[i % len(augmented)]
-        n = next_copy[source.id]
-        while f"{source.id}~up{n}" in taken:
+        n = next_copy[source["id"]]
+        while (copy_id := f"{source['id']}~up{n}") in taken:
             n += 1
-        next_copy[source.id] = n + 1
-        copy_id = f"{source.id}~up{n}"
+        next_copy[source["id"]] = n + 1
         taken.add(copy_id)
-        dialogs.append(replace(source, id=copy_id))
+        dialogs.append({**source, "id": copy_id})
     out = corpus_mod.Corpus(dialogs=dialogs, split_name=base.split_name, source_format=base.source_format)
     corpus_mod.write_corpus(out, args.out)
     _log(f"upsampled {len(augmented)} augmented dialogs with {extra_needed} duplicates (target {target})")
@@ -325,20 +324,21 @@ def _cmd_upsample(args) -> int:
 
 def _cmd_resolve(args) -> int:
     _guard_outputs([args.input], [args.out])
-    # One (row number, prediction key, candidates, reply) per input row to resolve.
+    # One (row index, prediction key, candidates, reply) per input row to resolve.
     if (args.kind or _sniff_kind(args.input)) == "records":
         items = ((row, (record.dialog_id, record.turn_index), record.candidates, record.user_prefix)
-                 for row, record in enumerate(augmenter.read_records(args.input), start=1)
+                 for row, record in enumerate(augmenter.read_records(args.input))
                  if record.skipped_reason is None)
     else:
-        items = ((row, (synthesizer.example_dialog_id(row - 1), 0), example.candidates, example.user_utterance)
-                 for row, example in enumerate(synthesizer.read_examples(args.input), start=1))
+        items = ((row, (synthesizer.example_dialog_id(row), 0), example.candidates, example.user_utterance)
+                 for row, example in enumerate(synthesizer.read_examples(args.input)))
     rows: list[dict] = []
     for row, (dialog_id, turn_index), candidates, reply in items:
         try:
             names = resolver.predict_names(candidates, reply, max_fuzzy=args.max_fuzzy)
         except ValueError as exc:  # a candidate pool the resolver cannot take
-            raise SchemaMismatch(f"{args.input}: row {row}: {exc}, got {len(candidates)}") from exc
+            line = [line_no for line_no, _ in numbered_rows(args.input)][row]
+            raise SchemaMismatch(f"{args.input}: line {line}: {exc}, got {len(candidates)}") from exc
         rows.append({"dialog_id": dialog_id, "turn_index": turn_index, "entities": names})
     metrics.write_predictions(rows, args.out)
     _log(f"resolved {len(rows)} rows from {args.input}")

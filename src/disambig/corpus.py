@@ -5,12 +5,13 @@ The native on-disk format is JSON lines: an optional first line
 dialog object per line.  Adapters turn SGD-style directories and
 MultiWOZ-2.2-style JSON (both share the schema-guided envelope) into native
 rows; fields the model does not cover ride along in opaque ``extras`` blobs,
-so writing back is lossless.  Both formats go through ``Dialog.from_json``,
-which checks each turn as it is appended: a broken invariant or a container
-of the wrong type raises SchemaMismatch (naming the file and line for JSONL,
-the file and the dialog's index for SGD and MultiWOZ) instead of being
-coerced.  A dialog's turns, their frames and their search results are plain
-rows: each turn holds ``speaker``, ``utterance``, ``frames`` and ``extras``
+so writing back is lossless.  Both formats go through ``dialog_row``, which
+checks each turn as it is appended: a broken invariant or a container of the
+wrong type raises SchemaMismatch (naming the file and line for JSONL, the
+file and the dialog's index for SGD and MultiWOZ) instead of being coerced.
+A dialog is a plain row ``{"id", "services", "turns", "extras"}``, and so
+are its turns, their frames and their search results: each turn holds
+``speaker``, ``utterance``, ``frames`` and ``extras``
 (plus ``search_results`` when it has any), each frame ``service``,
 ``slot_values``, ``requested_slots`` and ``extras``, and each result
 ``domain``, ``name`` and ``attributes``.  The lists and dicts inside them are
@@ -34,8 +35,8 @@ value as the name and every other field as an attribute.
 
 Corpus and Database instances are immutable after load, the adopted
 containers included.  An operation that "modifies" a dialog returns a new
-Dialog sharing every part it did not change (the augmenter rebuilds only the
-turns it rewrites), so input and output are both read-only from then on.
+dialog row sharing every part it did not change (the augmenter rebuilds only
+the turns it rewrites), so input and output are both read-only from then on.
 """
 
 from __future__ import annotations
@@ -74,29 +75,12 @@ def name_key(text: str) -> str:
     return _WS_RE.sub(" ", _EDGE_PUNCT_RE.sub("", text.strip().lower()))
 
 
-@dataclass
-class Dialog:
-    id: str
-    services: list[str]
-    turns: list[dict]
-    extras: dict = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        return {"id": self.id, "services": self.services, "turns": self.turns, "extras": self.extras}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Dialog":
-        """Decode a native row, adopting its containers and checking each turn as it is appended."""
-        try:
-            dialog = cls(id=obj["id"], services=obj["services"], turns=[], extras=obj.get("extras", {}))
-            _expect(dialog.id, str, "dialog id")  # prediction keys, which must match it, are strings
-            _expect(dialog.services, list, f"dialog {dialog.id!r} services")
-            _expect(dialog.extras, dict, f"dialog {dialog.id!r} extras")
-            for raw_turn in obj["turns"]:
-                _append_turn(dialog, raw_turn)
-            return dialog
-        except KeyError as exc:
-            raise SchemaMismatch(f"dialog record missing key {exc}") from exc
+@lru_cache(maxsize=4096)
+def name_text(name: str) -> str:
+    """The normalized tokens of ``name`` joined by spaces: the text two names
+    must differ in for the resolver and the scorer to tell them apart.
+    Memoized per distinct string."""
+    return " ".join(normalize(name))
 
 
 _KIND_NAMES = {list: "an array", dict: "an object", str: "a string", int: "an integer"}
@@ -124,6 +108,25 @@ def entity_row(obj: dict) -> dict:
     return {"domain": domain, "name": name, "attributes": {k: str(v) for k, v in attributes.items()}}
 
 
+def dialog_row(obj: dict) -> dict:
+    """The dialog row ``{"id", "services", "turns", "extras"}`` of a native
+    row, adopting its containers and checking each turn as it is appended:
+    a string id, an array of string services and an object of extras
+    (``{}`` when absent)."""
+    try:
+        dialog = {"id": obj["id"], "services": obj["services"], "turns": [], "extras": obj.get("extras", {})}
+        _expect(dialog["id"], str, "dialog id")  # prediction keys, which must match it, are strings
+        _expect(dialog["services"], list, f"dialog {dialog['id']!r} services")
+        for service in dialog["services"]:
+            _expect(service, str, f"dialog {dialog['id']!r} service")
+        _expect(dialog["extras"], dict, f"dialog {dialog['id']!r} extras")
+        for raw_turn in obj["turns"]:
+            _append_turn(dialog, raw_turn)
+        return dialog
+    except KeyError as exc:
+        raise SchemaMismatch(f"dialog record missing key {exc}") from exc
+
+
 def gold_marker(origin: str, method: str, target_names: list[str], candidates: list[dict]) -> dict:
     """The ``disambig`` marker of a system turn that lists ``candidates`` and
     whose user reply picks ``target_names`` by addressing ``method``; it is
@@ -132,7 +135,7 @@ def gold_marker(origin: str, method: str, target_names: list[str], candidates: l
             "candidate_names": [e["name"] for e in candidates]}
 
 
-def _append_turn(dialog: Dialog, raw: dict) -> None:
+def _append_turn(dialog: dict, raw: dict) -> None:
     """Append the turn row of ``raw`` to ``dialog``, or raise SchemaMismatch
     if it breaks an invariant there.  The row gets every key with its
     default, keeps the containers of ``raw`` and drops its unknown keys."""
@@ -144,11 +147,11 @@ def _append_turn(dialog: Dialog, raw: dict) -> None:
     if results is not None:
         results = [entity_row(e) for e in results]
     extras = raw.get("extras", {})
-    index = len(dialog.turns)
-    where = f"dialog {dialog.id!r} turn {index}"
+    index = len(dialog["turns"])
+    where = f"dialog {dialog['id']!r} turn {index}"
     if speaker not in (USER, SYSTEM):
         raise SchemaMismatch(f"{where}: speaker {speaker!r}")
-    if index > 0 and speaker == dialog.turns[-1]["speaker"]:
+    if index > 0 and speaker == dialog["turns"][-1]["speaker"]:
         raise SchemaMismatch(f"{where}: speakers do not alternate")
     if speaker == USER and results is not None:
         raise SchemaMismatch(f"{where}: user turns cannot carry search results")
@@ -163,7 +166,7 @@ def _append_turn(dialog: Dialog, raw: dict) -> None:
         for key in ("method", "origin"):
             _expect(marker.get(key, ""), str, f"{where}: marker {key}")
     for frame in frames:
-        if frame["service"] not in dialog.services:
+        if frame["service"] not in dialog["services"]:
             raise SchemaMismatch(f"{where}: frame service {frame['service']!r} not in dialog services")
         _expect(frame["requested_slots"], list, f"{where}: requested_slots")
         _expect(frame["extras"], dict, f"{where}: frame extras")
@@ -176,7 +179,7 @@ def _append_turn(dialog: Dialog, raw: dict) -> None:
     turn = {"speaker": speaker, "utterance": utterance, "frames": frames, "extras": extras}
     if results is not None:
         turn["search_results"] = results
-    dialog.turns.append(turn)
+    dialog["turns"].append(turn)
 
 
 SPLITS = ("train", "dev", "test")
@@ -184,7 +187,7 @@ SPLITS = ("train", "dev", "test")
 
 @dataclass
 class Corpus:
-    dialogs: list[Dialog]
+    dialogs: list[dict]
     split_name: str = "train"
     source_format: str = "native"
 
@@ -196,7 +199,7 @@ def write_corpus(corpus: Corpus, path: str, format: str = "native") -> None:
     """Serialize a corpus; the native writer is the exact inverse of the loader."""
     if format == "native":
         meta = {"meta": {"split_name": corpus.split_name, "source_format": corpus.source_format}}
-        write_jsonl(path, itertools.chain([meta], (d.to_json() for d in corpus.dialogs)))
+        write_jsonl(path, itertools.chain([meta], corpus.dialogs))
     elif format in ("sgd", "multiwoz22"):
         payload = [_dialog_to_schema_guided(d) for d in corpus.dialogs]
         Path(path).write_text(_dumps_pretty(payload), encoding="utf-8")
@@ -221,26 +224,27 @@ def load_corpus(path: str, format: str = "native") -> Corpus:
         raise SchemaMismatch(f"unknown corpus format {format!r}")
     seen_ids: set[str] = set()
     for index, row in enumerate(rows):
-        if isinstance(row, Dialog):
-            if row.id in seen_ids:
-                raise SchemaMismatch(f"duplicate dialog id {row.id!r}")
-            seen_ids.add(row.id)
-            corpus.dialogs.append(row)
-        elif index:
-            raise SchemaMismatch(f"{path}: only the first row may be a meta header")
-        else:
-            corpus.split_name, corpus.source_format = row["split_name"], row["source_format"]
+        match row:
+            case (split_name, source_format):  # the meta header
+                if index:
+                    raise SchemaMismatch(f"{path}: only the first row may be a meta header")
+                corpus.split_name, corpus.source_format = split_name, source_format
+            case _:
+                if row["id"] in seen_ids:
+                    raise SchemaMismatch(f"duplicate dialog id {row['id']!r}")
+                seen_ids.add(row["id"])
+                corpus.dialogs.append(row)
     return corpus
 
 
-def _native_row(obj: dict) -> Dialog | dict:
-    """A dialog, or the fields of a ``meta`` header row."""
+def _native_row(obj: dict) -> dict | tuple[str, str]:
+    """A dialog row, or the ``(split_name, source_format)`` of a ``meta`` header row."""
     if "meta" not in obj:
-        return Dialog.from_json(obj)
+        return dialog_row(obj)
     meta = {"split_name": "train", "source_format": "native", **obj["meta"]}
     if meta["split_name"] not in SPLITS:
         raise SchemaMismatch(f"split_name {meta['split_name']!r} not one of {SPLITS}")
-    return meta
+    return meta["split_name"], meta["source_format"]
 
 
 # --- schema-guided adapters (SGD and MultiWOZ 2.2 share the envelope) ---------
@@ -323,7 +327,7 @@ def _infer_split(path: str) -> str:
     return "train"
 
 
-def _schema_guided_dialogs(path: str) -> Iterator[Dialog]:
+def _schema_guided_dialogs(path: str) -> Iterator[dict]:
     for file_path in _schema_guided_files(path):
         payload = read_json(str(file_path))
         if not isinstance(payload, list):
@@ -333,11 +337,11 @@ def _schema_guided_dialogs(path: str) -> Iterator[Dialog]:
                 row = _native_dialog_row(obj, str(file_path))
             except (AttributeError, TypeError) as exc:  # a JSON value of the wrong type
                 raise SchemaMismatch(f"{file_path}: dialog at index {index}: {exc}") from exc
-            yield Dialog.from_json(row)
+            yield dialog_row(row)
 
 
 def _native_dialog_row(obj: dict, where: str) -> dict:
-    """A schema-guided dialog as a native row, for Dialog.from_json to decode and check."""
+    """A schema-guided dialog as a native row, for ``dialog_row`` to check."""
     if "turns" not in obj:
         raise SchemaMismatch(f"{where}: dialog {obj.get('dialogue_id')!r} has no 'turns' key")
     dialog_id = obj.get("dialogue_id") or obj.get("dialog_id")
@@ -377,12 +381,12 @@ def _native_dialog_row(obj: dict, where: str) -> dict:
     return {"id": dialog_id, "services": obj.get("services", []), "turns": turns, "extras": extras}
 
 
-def _dialog_to_schema_guided(dialog: Dialog) -> dict:
+def _dialog_to_schema_guided(dialog: dict) -> dict:
     """The schema-guided form of a dialog.  Search results go into the
     ``service_results`` of a frame of their domain (a new frame when the turn
     has none), unless a frame read from such a file still carries them raw."""
     turns = []
-    for index, turn in enumerate(dialog.turns):
+    for index, turn in enumerate(dialog["turns"]):
         carried = {frame["service"] for frame in turn["frames"] if "service_results" in frame["extras"]}
         results: dict[str, list[dict]] = {}
         for entity in turn.get("search_results", []):
@@ -393,8 +397,8 @@ def _dialog_to_schema_guided(dialog: Dialog) -> dict:
         added = [{"service": domain, "slot_values": {}, "requested_slots": [], "extras": {}}
                  for domain in results if domain not in present]
         for frame in added:
-            if frame["service"] not in dialog.services:
-                raise SchemaMismatch(f"dialog {dialog.id!r} turn {index}: search results of {frame['service']!r}, "
+            if frame["service"] not in dialog["services"]:
+                raise SchemaMismatch(f"dialog {dialog['id']!r} turn {index}: search results of {frame['service']!r}, "
                                      "which is not one of the dialog's services")
         frames = []
         for frame in turn["frames"] + added:
@@ -411,8 +415,8 @@ def _dialog_to_schema_guided(dialog: Dialog) -> dict:
         raw_turn = {"speaker": turn["speaker"], "utterance": turn["utterance"], "frames": frames}
         raw_turn.update(turn["extras"])
         turns.append(raw_turn)
-    obj = {"dialogue_id": dialog.id, "services": dialog.services, "turns": turns}
-    obj.update(dialog.extras)
+    obj = {"dialogue_id": dialog["id"], "services": dialog["services"], "turns": turns}
+    obj.update(dialog["extras"])
     return obj
 
 
@@ -434,7 +438,7 @@ class Database:
                 raise SchemaMismatch(f"domain {domain!r} has no declared name field")
             names = self._names[domain] = frozenset(name_key(e["name"]) for e in entities)
             # Two names the resolver reads as the same tokens would tie as exact matches.
-            tokens = {" ".join(normalize(e["name"])) for e in entities}
+            tokens = {name_text(e["name"]) for e in entities}
             if len(names) != len(entities) or len(tokens) != len(entities):
                 raise SchemaMismatch(f"domain {domain!r} has duplicate entity names after normalization")
 

@@ -25,17 +25,21 @@ T = TypeVar("T")
 _ROW_ERRORS = (SchemaMismatch, KeyError, TypeError, ValueError, AttributeError, RecursionError)
 
 
-def iter_jsonl(path: str, parse: Callable[[object], T]) -> Iterator[T]:
-    """Yield ``parse(row)`` for every non-blank line of ``path``."""
-    # Lines are decoded one at a time so that a UTF-8 error names its line.
+def numbered_rows(path: str) -> Iterator[tuple[int, bytes]]:
+    """The line number and bytes of every row of ``path``: each non-blank
+    line.  Row ``i`` of every reader is the ``i``-th of them."""
     with open(path, "rb") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                yield parse(json.loads(line.decode("utf-8")))
-            except _ROW_ERRORS as exc:
-                raise SchemaMismatch(f"{path}: line {line_no}: {exc}") from exc
+        yield from ((line_no, line) for line_no, line in enumerate(handle, start=1) if line.strip())
+
+
+def iter_jsonl(path: str, parse: Callable[[object], T]) -> Iterator[T]:
+    """Yield ``parse(row)`` for every row of ``path``."""
+    # Lines are decoded one at a time so that a UTF-8 error names its line.
+    for line_no, line in numbered_rows(path):
+        try:
+            yield parse(json.loads(line.decode("utf-8")))
+        except _ROW_ERRORS as exc:
+            raise SchemaMismatch(f"{path}: line {line_no}: {exc}") from exc
 
 
 def write_jsonl(path: str, rows: Iterable[dict]) -> None:

@@ -15,10 +15,8 @@ judgement.  Predictions are the rows of their JSONL file, checked by
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from functools import lru_cache
-
 from .augmenter import AugmentationRecord
-from .corpus import USER, Corpus, _expect, name_key, normalize
+from .corpus import USER, Corpus, _expect, name_key, name_text
 from .errors import MissingPrediction, SchemaMismatch, UnknownSubsetTurn
 from .jsonl import iter_jsonl, write_jsonl
 
@@ -71,22 +69,17 @@ def write_predictions(rows: list[dict], path: str) -> None:
     write_jsonl(path, rows)
 
 
-@lru_cache(maxsize=4096)
-def _entity_key(name: str) -> str:
-    return " ".join(normalize(name))
-
-
 def gold_entity_turns(gold: Corpus, origin: str | None = None) -> dict[Key, set[str]]:
     """Turns with a defined gold target set, as normalized name sets."""
     turns: dict[Key, set[str]] = {}
     for dialog in gold.dialogs:
-        for index, turn in enumerate(dialog.turns):
+        for index, turn in enumerate(dialog["turns"]):
             marker = turn["extras"].get("disambig")
             if not marker:
                 continue
             if origin is not None and marker.get("origin") != origin:
                 continue
-            turns[(dialog.id, index)] = {_entity_key(n) for n in marker["target_names"]}
+            turns[(dialog["id"], index)] = {name_text(n) for n in marker["target_names"]}
     return turns
 
 
@@ -94,14 +87,14 @@ def gold_states(gold: Corpus) -> dict[Key, dict[str, set[str]]]:
     """Per-user-turn gold dialog state: slot name -> normalized value set."""
     states: dict[Key, dict[str, set[str]]] = {}
     for dialog in gold.dialogs:
-        for index, turn in enumerate(dialog.turns):
+        for index, turn in enumerate(dialog["turns"]):
             if turn["speaker"] != USER:
                 continue
             state: dict[str, set[str]] = {}
             for frame in turn["frames"]:
                 for slot, values in frame["slot_values"].items():
                     state.setdefault(slot, set()).update(name_key(v) for v in values)
-            states[(dialog.id, index)] = state
+            states[(dialog["id"], index)] = state
     return states
 
 
@@ -133,7 +126,7 @@ def _entity_hits(preds: PredictionFile, targets: dict[Key, set[str]]) -> dict[Ke
     for key, gold_names in sorted(targets.items()):
         if key not in preds:
             raise MissingPrediction(key)
-        hits[key] = {_entity_key(n) for n in preds[key]["entities"]} == gold_names
+        hits[key] = {name_text(n) for n in preds[key]["entities"]} == gold_names
     return hits
 
 
@@ -204,17 +197,17 @@ def score(preds: PredictionFile, gold: Corpus, records: list[AugmentationRecord]
     came from the augmenter.  Buckets that do not apply stay None.
     """
     report = ScoreReport()
-    dialogs = {dialog.id: dialog for dialog in gold.dialogs}
+    dialogs = {dialog["id"]: dialog for dialog in gold.dialogs}
     if len(dialogs) != len(gold.dialogs):
         raise SchemaMismatch("gold corpus has duplicate dialog ids")
     for key in preds:
-        if key[0] not in dialogs or not 0 <= key[1] < len(dialogs[key[0]].turns):
+        if key[0] not in dialogs or not 0 <= key[1] < len(dialogs[key[0]]["turns"]):
             raise UnknownSubsetTurn(key)
     # One scan of the gold corpus and one judgement per turn; every bucket
     # below is the mean of a selection from that judgement.
     hits = _entity_hits(preds, gold_entity_turns(gold))
-    markers = {key: dialogs[key[0]].turns[key[1]]["extras"]["disambig"] for key in hits}
-    total_turns = sum(len(dialog.turns) for dialog in dialogs.values())
+    markers = {key: dialogs[key[0]]["turns"][key[1]]["extras"]["disambig"] for key in hits}
+    total_turns = sum(len(dialog["turns"]) for dialog in dialogs.values())
     report.counts["turns_total"] = total_turns
     report.counts["turns_with_gold_targets"] = len(hits)
     report.counts["turns_skipped_no_target"] = total_turns - len(hits)

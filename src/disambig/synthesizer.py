@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .corpus import (
-    SPLITS, SYSTEM, USER, Corpus, Database, Dialog, _expect, entity_row, gold_marker, name_key, sample_entities,
+    SPLITS, SYSTEM, USER, Corpus, Database, _expect, entity_row, gold_marker, name_key, sample_entities,
 )
 from .errors import (
     InvalidTargetArity,
@@ -369,14 +369,13 @@ def examples_to_corpus(examples: list[SingleTurnExample]) -> Corpus:
     """View a synthesized file as a two-turn-dialog corpus for the scoring
     harness: the system turn carries the gold marker in its extras, and
     neither turn has frames or search results, which scoring does not read.
-    The turn rows are built whole here, since there is nothing to check."""
+    The dialog and turn rows are built whole here, since there is nothing to check."""
     dialogs = []
     for index, example in enumerate(examples):
         marker = gold_marker("synth", example.method.value, example.target_names(), example.candidates)
         system_turn = {"speaker": SYSTEM, "utterance": example.system_utterance, "frames": [],
                        "extras": {"disambig": marker}}
         user_turn = {"speaker": USER, "utterance": example.user_utterance, "frames": [], "extras": {}}
-        dialogs.append(
-            Dialog(id=example_dialog_id(index), services=[example.domain], turns=[system_turn, user_turn])
-        )
+        dialogs.append({"id": example_dialog_id(index), "services": [example.domain],
+                        "turns": [system_turn, user_turn], "extras": {}})
     return Corpus(dialogs=dialogs, split_name="test", source_format="native")

@@ -37,7 +37,6 @@ from disambig.corpus import (
     USER,
     Corpus,
     Database,
-    Dialog,
     _expect,
     _infer_split,
     _schema_guided_files,
@@ -370,13 +369,13 @@ def slow_predict_names(candidates: list[dict], user_utterance: str,
 
 
 def slow_augment_dialog(
-    dialog: Dialog,
+    dialog: dict,
     db: Database,
     grammar: Grammar,
     seed: int,
     allowed=DEFAULT_ALLOWED,
     methods: tuple[AddressingMethod, ...] = (AddressingMethod.EXACT,),
-) -> tuple[Dialog, list[AugmentationRecord]]:
+) -> tuple[dict, list[AugmentationRecord]]:
     """``augment_dialog`` as it was before it shared turns: deep-copy the
     whole dialog, then rewrite the chosen turns of the copy in place."""
     for method in methods:
@@ -386,16 +385,16 @@ def slow_augment_dialog(
     new_dialog = copy.deepcopy(dialog)
     records: list[AugmentationRecord] = []
     for turn_index, pool, accepted in found:
-        base = (dialog.id, turn_index, seed)
-        system_turn = new_dialog.turns[turn_index]
-        user_turn = new_dialog.turns[turn_index + 1]
+        base = (dialog["id"], turn_index, seed)
+        system_turn = new_dialog["turns"][turn_index]
+        user_turn = new_dialog["turns"][turn_index + 1]
 
         count = rng_for("augment.count", *base).choice(CANDIDATE_COUNTS)
         accepted_key = name_key(accepted["name"])
         others = [e for e in db.tables[accepted["domain"]] if name_key(e["name"]) != accepted_key]
         if len(others) < count - 1:
             records.append(AugmentationRecord(
-                dialog_id=dialog.id, turn_index=turn_index,
+                dialog_id=dialog["id"], turn_index=turn_index,
                 original_system=system_turn["utterance"], new_system=system_turn["utterance"],
                 user_prefix="", original_user=user_turn["utterance"],
                 candidates=pool, target=accepted, skipped_reason=SKIP_NOT_ENOUGH_ENTITIES,
@@ -429,7 +428,7 @@ def slow_augment_dialog(
         user_turn["utterance"] = prefix + " " + original_user
 
         records.append(AugmentationRecord(
-            dialog_id=dialog.id, turn_index=turn_index,
+            dialog_id=dialog["id"], turn_index=turn_index,
             original_system=original_system, new_system=new_system,
             user_prefix=prefix, original_user=original_user,
             candidates=candidates, target=accepted,
@@ -505,15 +504,15 @@ def slow_score(preds, gold: Corpus, records: list[AugmentationRecord] | None = N
     entity comparison per bucket and one state scan per JGA number."""
     report: dict = {"entity_accuracy_all": None, "entity_accuracy_augmented": None,
                     "jga_all": None, "jga_augmented": None, "per_method": None, "counts": {}}
-    dialogs = {dialog.id: dialog for dialog in gold.dialogs}
+    dialogs = {dialog["id"]: dialog for dialog in gold.dialogs}
     if len(dialogs) != len(gold.dialogs):
         raise SchemaMismatch("gold corpus has duplicate dialog ids")
     for key in preds:
-        if key[0] not in dialogs or not 0 <= key[1] < len(dialogs[key[0]].turns):
+        if key[0] not in dialogs or not 0 <= key[1] < len(dialogs[key[0]]["turns"]):
             raise UnknownSubsetTurn(key)
     marked = gold_entity_turns(gold)
-    markers = {key: dialogs[key[0]].turns[key[1]]["extras"]["disambig"] for key in marked}
-    total_turns = sum(len(dialog.turns) for dialog in dialogs.values())
+    markers = {key: dialogs[key[0]]["turns"][key[1]]["extras"]["disambig"] for key in marked}
+    total_turns = sum(len(dialog["turns"]) for dialog in dialogs.values())
     report["counts"]["turns_total"] = total_turns
     report["counts"]["turns_with_gold_targets"] = len(marked)
     report["counts"]["turns_skipped_no_target"] = total_turns - len(marked)
@@ -644,15 +643,15 @@ def _slow_turn(obj: dict) -> dict:
     return turn
 
 
-def slow_dialog_from_json(obj: dict) -> Dialog:
+def slow_dialog_from_json(obj: dict) -> dict:
     """A native dialog row decoded into fresh copies of every container, unchecked."""
     try:
-        return Dialog(
-            id=obj["id"],
-            services=list(obj["services"]),
-            turns=[_slow_turn(t) for t in obj["turns"]],
-            extras=dict(obj.get("extras", {})),
-        )
+        return {
+            "id": obj["id"],
+            "services": list(obj["services"]),
+            "turns": [_slow_turn(t) for t in obj["turns"]],
+            "extras": dict(obj.get("extras", {})),
+        }
     except KeyError as exc:
         raise SchemaMismatch(f"dialog record missing key {exc}") from exc
 
@@ -663,15 +662,17 @@ def slow_validate_corpus(corpus: Corpus) -> None:
         raise SchemaMismatch(f"split_name {corpus.split_name!r} not one of {SPLITS}")
     seen_ids: set[str] = set()
     for dialog in corpus.dialogs:
-        if dialog.id in seen_ids:
-            raise SchemaMismatch(f"duplicate dialog id {dialog.id!r}")
-        seen_ids.add(dialog.id)
-        declared = set(dialog.services)
-        for index, turn in enumerate(dialog.turns):
-            where = f"dialog {dialog.id!r} turn {index}"
+        if dialog["id"] in seen_ids:
+            raise SchemaMismatch(f"duplicate dialog id {dialog['id']!r}")
+        seen_ids.add(dialog["id"])
+        for service in dialog["services"]:
+            _expect(service, str, f"dialog {dialog['id']!r} service")
+        declared = set(dialog["services"])
+        for index, turn in enumerate(dialog["turns"]):
+            where = f"dialog {dialog['id']!r} turn {index}"
             if turn["speaker"] not in (USER, SYSTEM):
                 raise SchemaMismatch(f"{where}: speaker {turn['speaker']!r}")
-            if index > 0 and turn["speaker"] == dialog.turns[index - 1]["speaker"]:
+            if index > 0 and turn["speaker"] == dialog["turns"][index - 1]["speaker"]:
                 raise SchemaMismatch(f"{where}: speakers do not alternate")
             if turn["speaker"] == USER and "search_results" in turn:
                 raise SchemaMismatch(f"{where}: user turns cannot carry search results")
@@ -693,7 +694,7 @@ def _slow_result_to_entity(service: str, record: dict) -> dict:
     return Entity(domain=service, name=str(record[name_field]), attributes=attributes).to_json()
 
 
-def _slow_dialog_from_schema_guided(obj: dict, where: str) -> Dialog:
+def _slow_dialog_from_schema_guided(obj: dict, where: str) -> dict:
     if "turns" not in obj:
         raise SchemaMismatch(f"{where}: dialog {obj.get('dialogue_id')!r} has no 'turns' key")
     dialog_id = obj.get("dialogue_id") or obj.get("dialog_id")
@@ -730,12 +731,13 @@ def _slow_dialog_from_schema_guided(obj: dict, where: str) -> Dialog:
         turns.append(turn)
     services = list(obj.get("services", []))
     dialog_extras = {k: v for k, v in obj.items() if k not in ("dialogue_id", "dialog_id", "services", "turns")}
-    return Dialog(id=str(dialog_id), services=services, turns=turns, extras=dialog_extras)
+    return {"id": str(dialog_id), "services": services, "turns": turns, "extras": dialog_extras}
 
 
-def _slow_native_row(obj: dict) -> Dialog | dict:
+def _slow_native_row(obj: dict) -> dict | tuple[str, str]:
     if "meta" in obj:
-        return {"split_name": "train", "source_format": "native", **obj["meta"]}
+        meta = {"split_name": "train", "source_format": "native", **obj["meta"]}
+        return meta["split_name"], meta["source_format"]
     return slow_dialog_from_json(obj)
 
 
@@ -743,11 +745,10 @@ def slow_load_corpus(path: str, format: str = "native") -> Corpus:
     """``corpus.load_corpus``: decode every dialog with copies, then validate the whole corpus."""
     if format == "native":
         rows = list(iter_jsonl(path, _slow_native_row))
-        default = {"split_name": "train", "source_format": "native"}
-        meta = rows.pop(0) if rows and isinstance(rows[0], dict) else default
-        if any(isinstance(row, dict) for row in rows):
+        split_name, source_format = rows.pop(0) if rows and isinstance(rows[0], tuple) else ("train", "native")
+        if any(isinstance(row, tuple) for row in rows):
             raise SchemaMismatch(f"{path}: only the first row may be a meta header")
-        corpus = Corpus(dialogs=rows, split_name=meta["split_name"], source_format=meta["source_format"])
+        corpus = Corpus(dialogs=rows, split_name=split_name, source_format=source_format)
     else:
         dialogs = []
         for file_path in _schema_guided_files(path):

@@ -143,13 +143,13 @@ def test_criterion_4_augmentation_identity(toy_corpus, shipped_db, shipped_gramm
     allowed = {(r.dialog_id, r.turn_index) for r in applied}
     allowed |= {(d, t + 1) for d, t in allowed}
     for old_dialog, new_dialog in zip(toy_corpus.dialogs, augmented.dialogs):
-        assert old_dialog.id == new_dialog.id
+        assert old_dialog["id"] == new_dialog["id"]
         # dialog-state sequences identical pre/post everywhere
-        old_states = [turn["frames"] for turn in old_dialog.turns]
-        new_states = [turn["frames"] for turn in new_dialog.turns]
+        old_states = [turn["frames"] for turn in old_dialog["turns"]]
+        new_states = [turn["frames"] for turn in new_dialog["turns"]]
         assert old_states == new_states
-        for index, (old, new) in enumerate(zip(old_dialog.turns, new_dialog.turns)):
-            if (old_dialog.id, index) not in allowed:
+        for index, (old, new) in enumerate(zip(old_dialog["turns"], new_dialog["turns"])):
+            if (old_dialog["id"], index) not in allowed:
                 assert old == new
 
     rerun, rerun_records, rerun_stats = augment_corpus(augmented, shipped_db, shipped_grammar, seed=0)
@@ -178,8 +178,8 @@ def test_criterion_6_metric_correctness():
 
     perfect = {}
     for key, row in preds.items():
-        dialog = gold.dialogs[[d.id for d in gold.dialogs].index(key[0])]
-        marker_names = dialog.turns[0]["extras"]["disambig"]["target_names"]
+        dialog = gold.dialogs[[d["id"] for d in gold.dialogs].index(key[0])]
+        marker_names = dialog["turns"][0]["extras"]["disambig"]["target_names"]
         perfect[key] = {"dialog_id": key[0], "turn_index": key[1], "entities": list(marker_names)}
     assert entity_accuracy(perfect, gold) == 1.0
 

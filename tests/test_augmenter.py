@@ -18,7 +18,7 @@ from disambig.augmenter import (
     read_records,
     write_records,
 )
-from disambig.corpus import Corpus, Database, Dialog, name_key
+from disambig.corpus import Corpus, Database, dialog_row, name_key
 from disambig.resolver import predict_names
 from disambig.synthesizer import AddressingMethod
 
@@ -26,16 +26,16 @@ from .oracles import slow_augment_dialog
 
 
 def _dialog_by_id(corpus, dialog_id):
-    return next(d for d in corpus.dialogs if d.id == dialog_id)
+    return next(d for d in corpus.dialogs if d["id"] == dialog_id)
 
 
 def _states(dialog):
-    return [turn["frames"] for turn in dialog.turns]
+    return [turn["frames"] for turn in dialog["turns"]]
 
 
-def _dialog(dialog_id: str, services: list[str], turns: list[dict]) -> Dialog:
-    """A checked dialog from hand-written turn rows."""
-    return Dialog.from_json({"id": dialog_id, "services": services, "turns": turns})
+def _dialog(dialog_id: str, services: list[str], turns: list[dict]) -> dict:
+    """A checked dialog row from hand-written turn rows."""
+    return dialog_row({"id": dialog_id, "services": services, "turns": turns})
 
 
 class TestFindAugmentable:
@@ -43,7 +43,7 @@ class TestFindAugmentable:
         found = []
         for dialog in toy_corpus.dialogs:
             for turn_index, _, _ in find_augmentable_turns(dialog, shipped_db):
-                found.append([dialog.id, turn_index])
+                found.append([dialog["id"], turn_index])
         assert sorted(found) == toy_expected["augmentable"]
 
     def test_hotel_accept_2nd_fixture(self, toy_corpus, shipped_db):
@@ -55,7 +55,7 @@ class TestFindAugmentable:
         assert len(pool) == 3
         # the accepted entity is the one whose name lands in the post-turn state
         state_values = set()
-        for turn in dialog.turns[turn_index + 1:]:
+        for turn in dialog["turns"][turn_index + 1:]:
             for frame in turn["frames"]:
                 for values in frame["slot_values"].values():
                     state_values.update(name_key(v) for v in values)
@@ -73,7 +73,7 @@ class TestFindAugmentable:
 
     def test_rejected_suggestion_excluded(self, toy_corpus, shipped_db):
         rejects = [d for d in toy_corpus.dialogs
-                   if "none of those really appeal" in " ".join(t["utterance"] for t in d.turns)]
+                   if "none of those really appeal" in " ".join(t["utterance"] for t in d["turns"])]
         assert rejects, "fixture should include rejection dialogs"
         for dialog in rejects:
             assert find_augmentable_turns(dialog, shipped_db) == []
@@ -81,7 +81,7 @@ class TestFindAugmentable:
     def test_offers_entering_the_state_together_are_no_choice(self, shipped_db):
         hotels = shipped_db.tables["hotel"][:3]
 
-        def taking(*offers: dict) -> Dialog:
+        def taking(*offers: dict) -> dict:
             slot_values = {f"hotel-pick-{i}": [offer["name"]] for i, offer in enumerate(offers)}
             return _dialog("tie", ["hotel"], [
                 {"speaker": "USER", "utterance": "hi", "frames": [{"service": "hotel"}]},
@@ -126,9 +126,9 @@ class TestAugmentDialog:
         assert record.skipped_reason is None
         assert 3 <= len(record.candidates) <= 5
         assert record.target in record.candidates
-        new_user = new_dialog.turns[record.turn_index + 1]["utterance"]
+        new_user = new_dialog["turns"][record.turn_index + 1]["utterance"]
         assert new_user == record.user_prefix + " " + record.original_user
-        assert new_dialog.turns[record.turn_index]["utterance"] == record.new_system
+        assert new_dialog["turns"][record.turn_index]["utterance"] == record.new_system
         # candidates all distinct, same domain
         keys = [name_key(e["name"]) for e in record.candidates]
         assert len(set(keys)) == len(keys)
@@ -156,7 +156,7 @@ class TestAugmentDialog:
             for record in records:
                 if record.skipped_reason is None:
                     allowed_changes.update({record.turn_index, record.turn_index + 1})
-            for index, (old, new) in enumerate(zip(dialog.turns, new_dialog.turns)):
+            for index, (old, new) in enumerate(zip(dialog["turns"], new_dialog["turns"])):
                 if index in allowed_changes:
                     assert new["utterance"] != old["utterance"] or "disambig" in new["extras"]
                     assert new["frames"] == old["frames"]
@@ -227,8 +227,8 @@ class TestAugmentDialogAgainstDeepCopy:
         for dialog in toy_corpus.dialogs:
             fast = augment_dialog(dialog, db, shipped_grammar, seed=seed, methods=methods)
             slow = slow_augment_dialog(dialog, db, shipped_grammar, seed=seed, methods=methods)
-            assert fast == slow, dialog.id
-            assert fast[0].to_json() == slow[0].to_json(), dialog.id
+            assert fast == slow, dialog["id"]
+            assert json.dumps(fast[0], sort_keys=True) == json.dumps(slow[0], sort_keys=True), dialog["id"]
             applied += sum(r.skipped_reason is None for r in fast[1])
             skipped += sum(r.skipped_reason is not None for r in fast[1])
         assert applied > 0
@@ -238,9 +238,9 @@ class TestAugmentDialogAgainstDeepCopy:
     def test_only_rewritten_turns_are_new(self, toy_corpus, shipped_db, shipped_grammar):
         for dialog in toy_corpus.dialogs:
             new_dialog, records = augment_dialog(dialog, shipped_db, shipped_grammar, seed=0)
-            assert new_dialog is not dialog and new_dialog.turns is not dialog.turns
+            assert new_dialog is not dialog and new_dialog["turns"] is not dialog["turns"]
             rewritten = {i for r in records if r.skipped_reason is None for i in (r.turn_index, r.turn_index + 1)}
-            for index, (old, new) in enumerate(zip(dialog.turns, new_dialog.turns)):
+            for index, (old, new) in enumerate(zip(dialog["turns"], new_dialog["turns"])):
                 assert (new is not old) == (index in rewritten)
                 assert new["frames"] is old["frames"]
 
@@ -251,8 +251,8 @@ class TestAugmentDialogAgainstDeepCopy:
             for record in records:
                 if record.skipped_reason is not None:
                     continue
-                system_turn = new_dialog.turns[record.turn_index]
-                user_turn = new_dialog.turns[record.turn_index + 1]
+                system_turn = new_dialog["turns"][record.turn_index]
+                user_turn = new_dialog["turns"][record.turn_index + 1]
                 system_turn["utterance"] += " changed"
                 system_turn["extras"]["disambig"]["method"] = "changed"
                 system_turn["extras"]["added"] = True

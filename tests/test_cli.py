@@ -87,6 +87,10 @@ _SLOT_VALUE_NOT_A_LIST = json.dumps({"id": "d1", "services": ["hotel"], "turns":
     {"speaker": "USER", "utterance": "hi", "frames": [{"service": "hotel", "slot_values": {"hotel-area": "north"}}]}]})
 
 
+# A native dialog with a list where a service name belongs.
+_SERVICE_NOT_A_STRING = json.dumps({"id": "d1", "services": [["hotel"]], "turns": []})
+
+
 def _hotel_offer(name: object = "aldergate lodge", utterance: object = "that one", domain: object = "hotel") -> str:
     """A native dialog whose system turn offers two shipped hotels and whose
     user then takes the first, so ``augment`` rewrites both turns."""
@@ -172,6 +176,10 @@ _MALFORMED_INPUTS = {
                          ("search-result-domain-not-a-string", _hotel_offer(domain=["hotel"])))},
     "stats-search-result-domain-not-a-string": (
         {"in.jsonl": _hotel_offer(domain=["hotel"]) + "\n"}, ["stats", "--in", "in.jsonl"]),
+    "stats-dialog-service-not-a-string": ({"in.jsonl": _SERVICE_NOT_A_STRING + "\n"}, ["stats", "--in", "in.jsonl"]),
+    "augment-dialog-service-not-a-string": (
+        {"in.jsonl": _SERVICE_NOT_A_STRING + "\n"},
+        ["augment", "--in", "in.jsonl", "--db", DB, "--grammar", GRAMMAR, "--out", "OUT"]),
     **{f"resolve-examples-{name}": (
         {"in.jsonl": json.dumps({**json.loads(_EXAMPLE), **change}) + "\n"},
         ["resolve", "--in", "in.jsonl", "--out", "OUT"])
@@ -530,6 +538,22 @@ _AUGMENT_PINS = {
 }
 _SCORE_RECORDS_MIXED_PIN = "aefee47d705b88fdfb48c28c25f92c569ba9f4f313263102ac084303fdad6d73"
 
+# sha256 of the toy corpus as write_corpus writes it in each schema-guided
+# format (the two share one envelope, so the bytes are equal) and of its
+# stats report, taken while dialogs were still decoded into a class.
+_TOY_PINS = {
+    "sgd": "4aed65e96a7d93e25722b869c82a81d54ac9164cfa2f74151f43741da39f5b74",
+    "multiwoz22": "4aed65e96a7d93e25722b869c82a81d54ac9164cfa2f74151f43741da39f5b74",
+    "stats": "eedf652ed7496a9907e0fb19c8a4350fc3c2b6e78a8ec03d140d46f25ad50f15",
+}
+
+
+@pytest.mark.parametrize("format", ["sgd", "multiwoz22"])
+def test_toy_corpus_written_as_schema_guided_is_pinned(tmp_path, repo_root, format):
+    path = tmp_path / "toy.json"
+    write_corpus(load_corpus(str(repo_root / TOY)), str(path), format=format)
+    assert _digest(path) == _TOY_PINS[format]
+
 
 class TestAugment:
     def _augment(self, capsys, tmp_path, repo_root, out_name: str, *extra: str, seed: str = "5") -> Path:
@@ -636,6 +660,11 @@ class TestStats:
         assert report["overall"] == pytest.approx(toy_expected["multi_result"]["overall"])
         assert report["per_service"] == pytest.approx(toy_expected["multi_result"]["per_service"])
 
+    def test_output_is_pinned(self, capsys, tmp_path, repo_root):
+        out = tmp_path / "stats.json"
+        assert _run(capsys, "stats", "--in", str(repo_root / TOY), "--out", str(out))[0] == 0
+        assert _digest(out) == _TOY_PINS["stats"]
+
     def test_refuses_to_overwrite_a_file_of_a_schema_guided_directory(self, capsys, tmp_path, repo_root):
         dialogs = tmp_path / "sgd" / "dialogues_001.json"
         dialogs.parent.mkdir()
@@ -685,7 +714,7 @@ class TestUpsample:
         assert _run(capsys, "upsample", "--in", str(augmented / "corpus.jsonl"), "--out", str(once),
                     "--factor", "0.5")[0] == 0
         assert _run(capsys, "upsample", "--in", str(once), "--out", str(twice), "--factor", "1")[0] == 0
-        ids = [d.id for d in load_corpus(str(twice)).dialogs]
+        ids = [d["id"] for d in load_corpus(str(twice)).dialogs]
         assert len(ids) == len(set(ids))
         assert "hotel_accept_2nd~up2" in ids  # ~up1 was already taken by the first run
         assert _run(capsys, "stats", "--in", str(twice))[0] == 0
@@ -723,6 +752,15 @@ class TestResolveAndScore:
         assert report["counts"]["turns_with_gold_targets"] == 30
         assert set(report["per_method"]) == {"exact", "positional", "partial", "typo", "multiple", "attribute"}
         assert report["entity_accuracy_all"] >= 0.9
+
+    @pytest.mark.parametrize("good, bad", [(_example(2), _example(6)), (_record(2), _record(6, turn_index=3))],
+                             ids=["examples", "records"])
+    def test_a_bad_candidate_count_names_its_file_line(self, capsys, tmp_path, good, bad):
+        # Line 2 is blank, so the bad row is the second row but the third line.
+        spaced = tmp_path / "spaced.jsonl"
+        spaced.write_text(good + "\n\n" + bad + "\n", encoding="utf-8")
+        error = f"error: {spaced}: line 3: resolve expects between 1 and 5 candidates, got 6\n"
+        assert _run(capsys, "resolve", "--in", str(spaced), "--out", str(tmp_path / "p.jsonl")) == (1, "", error)
 
     def test_skipped_records_are_not_resolved(self, capsys, tmp_path):
         records = tmp_path / "records.jsonl"

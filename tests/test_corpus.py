@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -12,7 +11,7 @@ from disambig.augmenter import AUGMENT_METHODS, augment_corpus, find_augmentable
 from disambig.corpus import (
     Corpus,
     Database,
-    Dialog,
+    dialog_row,
     entity_row,
     load_corpus,
     load_database,
@@ -101,13 +100,13 @@ def _read_view(corpus: Corpus) -> list:
     view = []
     for dialog in corpus.dialogs:
         turns = []
-        for turn in dialog.turns:
+        for turn in dialog["turns"]:
             by_domain: dict[str, list] = {}
             for entity in turn.get("search_results", []):
                 by_domain.setdefault(entity["domain"], []).append((entity["name"], entity["attributes"]))
             slots = [(frame["service"], frame["slot_values"]) for frame in turn["frames"] if frame["slot_values"]]
             turns.append((turn["speaker"], turn["utterance"], turn["extras"], slots, by_domain))
-        view.append((dialog.id, dialog.services, turns))
+        view.append((dialog["id"], dialog["services"], turns))
     return view
 
 
@@ -141,7 +140,7 @@ def _native_corpora(draw) -> Corpus:
                     for _ in range(draw(st.integers(0, 4)))
                 ]
             turns.append(turn)
-        dialogs.append(Dialog.from_json({"id": f"d{number}", "services": services, "turns": turns}))
+        dialogs.append(dialog_row({"id": f"d{number}", "services": services, "turns": turns}))
     return Corpus(dialogs=dialogs)
 
 
@@ -171,7 +170,7 @@ def _two_domain_offers(draw) -> Corpus:
              {"speaker": "SYSTEM", "utterance": "offers", "frames": frames,
               "search_results": draw(st.permutations(results))},
              {"speaker": "USER", "utterance": "that one", "frames": reply}]
-    return Corpus(dialogs=[Dialog.from_json({"id": "d0", "services": domains, "turns": turns})])
+    return Corpus(dialogs=[dialog_row({"id": "d0", "services": domains, "turns": turns})])
 
 
 def _augmentable(corpus: Corpus) -> list:
@@ -198,7 +197,7 @@ def _tiny_corpus() -> Corpus:
             {"domain": "hotel", "name": "briar manor", "attributes": {"area": "south"}},
         ]},
     ]
-    dialog = Dialog.from_json({"id": "d1", "services": ["hotel"], "turns": turns, "extras": {"note": "kept"}})
+    dialog = dialog_row({"id": "d1", "services": ["hotel"], "turns": turns, "extras": {"note": "kept"}})
     return Corpus(dialogs=[dialog], split_name="dev", source_format="native")
 
 
@@ -236,7 +235,7 @@ class TestNativeRoundTrip:
 
 def _tiny_row() -> dict:
     """The native row of the tiny corpus's dialog, in fresh containers."""
-    return json.loads(json.dumps(_tiny_corpus().dialogs[0].to_json()))
+    return json.loads(json.dumps(_tiny_corpus().dialogs[0]))
 
 
 def _write_native(path: Path, rows: list[dict], split: str = "train") -> Path:
@@ -252,7 +251,7 @@ _JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-5, 5), st.float
 class TestValidation:
     def test_duplicate_dialog_ids(self, tmp_path):
         corpus = _tiny_corpus()
-        corpus.dialogs.append(Dialog(id="d1", services=[], turns=[]))
+        corpus.dialogs.append({"id": "d1", "services": [], "turns": [], "extras": {}})
         path = tmp_path / "dup.jsonl"
         write_corpus(corpus, str(path))
         with pytest.raises(SchemaMismatch, match="duplicate dialog id"):
@@ -262,13 +261,13 @@ class TestValidation:
         row = _tiny_row()
         row["turns"].append({"speaker": "SYSTEM", "utterance": "again"})
         with pytest.raises(SchemaMismatch, match="alternate"):
-            Dialog.from_json(row)
+            dialog_row(row)
 
     def test_user_turns_cannot_carry_results(self):
         row = _tiny_row()
         row["turns"][0]["search_results"] = [{"domain": "hotel", "name": "x y"}]
         with pytest.raises(SchemaMismatch, match="search results"):
-            Dialog.from_json(row)
+            dialog_row(row)
 
     def test_frame_service_must_be_declared(self, tmp_path):
         row = _tiny_row()
@@ -282,7 +281,7 @@ class TestValidation:
         row = _tiny_row()
         row["turns"][0]["frames"][0]["slot_values"] = {"hotel-area": [""]}
         with pytest.raises(SchemaMismatch, match="empty"):
-            Dialog.from_json(row)
+            dialog_row(row)
 
     def test_entity_requires_name(self):
         with pytest.raises(SchemaMismatch):
@@ -332,18 +331,18 @@ class TestValidation:
 
     def test_loaded_containers_are_the_decoded_ones(self):
         row = _tiny_row()
-        dialog = Dialog.from_json(row)
-        frame = dialog.turns[0]["frames"][0]
-        assert dialog.services is row["services"] and dialog.extras is row["extras"]
+        dialog = dialog_row(row)
+        frame = dialog["turns"][0]["frames"][0]
+        assert dialog["services"] is row["services"] and dialog["extras"] is row["extras"]
         assert frame["slot_values"] is row["turns"][0]["frames"][0]["slot_values"]
-        assert dialog.to_json() == _tiny_row()
+        assert dialog == _tiny_row()
 
 
-# Mutations of valid rows.  The parent's loader and the current one must give
-# equal corpora or the same error; "container" mutations, which the parent
-# coerced into a value, must now be rejected.
+# Mutations of valid rows.  The slow reference loader and the current one
+# must give equal corpora or the same error; "container" mutations, which the
+# reference coerces into a value, must be rejected.
 _INVARIANT_MUTATIONS = ["none", "bad-speaker", "repeated-speaker", "user-results", "undeclared-service",
-                        "empty-slot-name", "bad-value", "missing-key", "duplicate-id"]
+                        "service-not-a-string", "empty-slot-name", "bad-value", "missing-key", "duplicate-id"]
 _CONTAINER_MUTATIONS = ["services-string", "requested-string", "values-string"]
 _NATIVE_CONTAINER_MUTATIONS = ["extras-list", "attributes-list"]
 _SGD_NAME_FIELDS = {"hotels_1": "hotel_name", "restaurants_1": "restaurant_name"}
@@ -417,6 +416,8 @@ def _mutated(draw, format: str) -> tuple[list[dict], str, str]:
             frame["service_results"] = [{_SGD_NAME_FIELDS[frame["service"]]: "the palm"}]
     elif kind == "undeclared-service":
         frame["service"] = "spaceport"
+    elif kind == "service-not-a-string":
+        dialog["services"].append(draw(st.sampled_from([["hotels_1"], 5, None])))
     elif kind == "empty-slot-name":
         slot_values[""] = ["north"]
     elif kind == "bad-value":
@@ -485,13 +486,13 @@ class TestSchemaGuidedAdapters:
         assert corpus.split_name == "train"
         assert corpus.source_format == "sgd"
         dialog = corpus.dialogs[0]
-        assert dialog.id == "1_00000"
-        results = dialog.turns[1]["search_results"]
+        assert dialog["id"] == "1_00000"
+        results = dialog["turns"][1]["search_results"]
         assert [e["name"] for e in results] == ["the palm", "the crown"]
         assert results[0]["attributes"] == {"star_rating": "4"}
         # unknown fields survive in extras
-        assert dialog.turns[1]["frames"][0]["extras"]["actions"][0]["act"] == "OFFER"
-        assert dialog.turns[0]["frames"][0]["extras"]["state_extras"]["active_intent"] == "SearchHotel"
+        assert dialog["turns"][1]["frames"][0]["extras"]["actions"][0]["act"] == "OFFER"
+        assert dialog["turns"][0]["frames"][0]["extras"]["state_extras"]["active_intent"] == "SearchHotel"
 
     def test_directory_without_dialogue_files(self, tmp_path):
         (tmp_path / "dialogues.json").write_text("[]", encoding="utf-8")  # not dialogues_*.json
@@ -528,9 +529,9 @@ class TestSchemaGuidedAdapters:
         path.write_text(json.dumps([MULTIWOZ_DIALOG]), encoding="utf-8")
         corpus = load_corpus(str(path), format="multiwoz22")
         assert corpus.split_name == "dev"
-        assert corpus.dialogs[0].turns[0]["frames"][0]["slot_values"] == {"restaurant-food": ["indian"]}
-        assert corpus.dialogs[0].turns[0]["extras"]["turn_id"] == "0"
-        assert "search_results" not in corpus.dialogs[0].turns[1]
+        assert corpus.dialogs[0]["turns"][0]["frames"][0]["slot_values"] == {"restaurant-food": ["indian"]}
+        assert corpus.dialogs[0]["turns"][0]["extras"]["turn_id"] == "0"
+        assert "search_results" not in corpus.dialogs[0]["turns"][1]
 
     @pytest.mark.parametrize("dialog, format", [(SGD_DIALOG, "sgd"), (MULTIWOZ_DIALOG, "multiwoz22")])
     def test_load_write_gives_back_the_input(self, tmp_path, dialog, format):
@@ -555,7 +556,7 @@ class TestSchemaGuidedAdapters:
         path = tmp_path / "toy.json"
         write_corpus(toy_corpus, str(path), format=format)
         again = load_corpus(str(path), format=format)
-        assert sum(1 for d in again.dialogs for t in d.turns if t.get("search_results")) == 41
+        assert sum(1 for d in again.dialogs for t in d["turns"] if t.get("search_results")) == 41
         assert _read_view(again) == _read_view(toy_corpus)
         rewritten = tmp_path / "again.json"
         write_corpus(again, str(rewritten), format=format)
@@ -578,7 +579,7 @@ class TestSchemaGuidedAdapters:
     def test_unwritable_search_results_rejected(self, tmp_path, domain, attributes, match):
         turns = [{"speaker": "SYSTEM", "utterance": "two",
                   "search_results": [{"domain": domain, "name": "the palm", "attributes": attributes}]}]
-        corpus = Corpus(dialogs=[Dialog.from_json({"id": "d1", "services": ["hotels_1", "train"], "turns": turns})])
+        corpus = Corpus(dialogs=[dialog_row({"id": "d1", "services": ["hotels_1", "train"], "turns": turns})])
         with pytest.raises(SchemaMismatch, match=match):
             write_corpus(corpus, str(tmp_path / "out.json"), format="sgd")
 
@@ -660,7 +661,7 @@ def test_loaded_corpus_is_never_mutated(tmp_path, repo_root, shipped_db, shipped
     """Decoded dialogs hold the containers json.loads built, and augmented
     dialogs share turns with them, so every later stage must leave them alone."""
     corpus = load_corpus(str(repo_root / "data" / "toy_corpus.jsonl"))
-    before = [json.dumps(dialog.to_json(), sort_keys=True) for dialog in corpus.dialogs]
+    before = [json.dumps(dialog, sort_keys=True) for dialog in corpus.dialogs]
     augmented, records, _ = augment_corpus(corpus, shipped_db, shipped_grammar, 3, methods=AUGMENT_METHODS)
     preds = {}
     for r in records:
@@ -668,12 +669,12 @@ def test_loaded_corpus_is_never_mutated(tmp_path, repo_root, shipped_db, shipped
             preds[(r.dialog_id, r.turn_index)] = {"dialog_id": r.dialog_id, "turn_index": r.turn_index,
                                                   "entities": predict_names(r.candidates, r.user_prefix)}
     assert score(preds, augmented, records).entity_accuracy_all is not None
-    upsampled = augmented.dialogs + [replace(dialog, id=f"{dialog.id}~up1") for dialog in augmented.dialogs]
+    upsampled = augmented.dialogs + [{**dialog, "id": f"{dialog['id']}~up1"} for dialog in augmented.dialogs]
     for format in ("native", "sgd", "multiwoz22"):
         write_corpus(corpus, str(tmp_path / f"corpus.{format}"), format=format)
         write_corpus(Corpus(dialogs=upsampled), str(tmp_path / f"upsampled.{format}"), format=format)
-    after = [json.dumps(dialog.to_json(), sort_keys=True) for dialog in corpus.dialogs]
-    assert [dialog.id for dialog, old, new in zip(corpus.dialogs, before, after) if old != new] == []
+    after = [json.dumps(dialog, sort_keys=True) for dialog in corpus.dialogs]
+    assert [dialog["id"] for dialog, old, new in zip(corpus.dialogs, before, after) if old != new] == []
 
 
 def test_name_key_normalization():

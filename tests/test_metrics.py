@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from disambig.augmenter import AUGMENT_METHODS, DEFAULT_ALLOWED, AugmentationRecord, augment_corpus
-from disambig.corpus import Corpus, Dialog
+from disambig.corpus import Corpus, dialog_row
 from disambig import metrics
 from disambig.errors import MissingPrediction, SchemaMismatch, UnknownSubsetTurn
 from disambig.metrics import (
@@ -31,12 +31,12 @@ from .oracles import (
 )
 
 
-def _marked_dialog(dialog_id: str, targets: list[str], origin: str = "synth") -> Dialog:
+def _marked_dialog(dialog_id: str, targets: list[str], origin: str = "synth") -> dict:
     system = {"speaker": "SYSTEM", "utterance": "pick one", "frames": [{"service": "hotel"}],
               "extras": {"disambig": {"origin": origin, "method": "exact", "target_names": targets,
                                       "candidate_names": targets + ["decoy inn"]}}}
     user = {"speaker": "USER", "utterance": "choice", "frames": [{"service": "hotel"}]}
-    return Dialog.from_json({"id": dialog_id, "services": ["hotel"], "turns": [system, user]})
+    return dialog_row({"id": dialog_id, "services": ["hotel"], "turns": [system, user]})
 
 
 def _keyed(*rows: dict) -> dict:
@@ -91,10 +91,10 @@ class TestEntityAccuracy:
             entity_accuracy(preds, gold, subset=[("ghost", 5)])
 
 
-def _state_dialog(dialog_id: str, gold_slots: dict[str, list[str]]) -> Dialog:
+def _state_dialog(dialog_id: str, gold_slots: dict[str, list[str]]) -> dict:
     user = {"speaker": "USER", "utterance": "hi", "frames": [{"service": "hotel", "slot_values": gold_slots}]}
     system = {"speaker": "SYSTEM", "utterance": "ok"}
-    return Dialog.from_json({"id": dialog_id, "services": ["hotel"], "turns": [user, system]})
+    return dialog_row({"id": dialog_id, "services": ["hotel"], "turns": [user, system]})
 
 
 class TestJointGoalAccuracy:
@@ -150,12 +150,12 @@ def test_augmented_only_subset_on_augmented_toy_corpus(toy_corpus, shipped_db, s
     targets, states = gold_entity_turns(gold), gold_states(gold)
     preds = {}
     for dialog in gold.dialogs:
-        for index in range(len(dialog.turns)):
-            right = (len(dialog.id) + index) % 3 != 0
-            key = (dialog.id, index)
+        for index in range(len(dialog["turns"])):
+            right = (len(dialog["id"]) + index) % 3 != 0
+            key = (dialog["id"], index)
             entities = sorted(targets.get(key, ())) if right else ["wrong lodge"]
             state = {slot: sorted(values) for slot, values in states.get(key, {}).items()} if right else {}
-            preds[key] = {"dialog_id": dialog.id, "turn_index": index, "entities": entities, "state": state}
+            preds[key] = {"dialog_id": dialog["id"], "turn_index": index, "entities": entities, "state": state}
     user_turns = [(d, t + 1) for d, t in augmented if (d, t + 1) in states]
     assert augmented and user_turns
     assert entity_accuracy(preds, gold, subset=AUGMENTED_ONLY) == entity_accuracy(preds, gold, subset=augmented)
@@ -258,9 +258,9 @@ class TestScore:
         targets = gold_entity_turns(gold)
         preds, by_method = {}, {}
         for dialog in gold.dialogs:
-            for index, turn in enumerate(dialog.turns):
-                key = (dialog.id, index)
-                preds[key] = {"dialog_id": dialog.id, "turn_index": index, "entities": sorted(targets.get(key, ()))}
+            for index, turn in enumerate(dialog["turns"]):
+                key = (dialog["id"], index)
+                preds[key] = {"dialog_id": dialog["id"], "turn_index": index, "entities": sorted(targets.get(key, ()))}
                 if "disambig" in turn["extras"]:
                     by_method.setdefault(turn["extras"]["disambig"]["method"], []).append(key)
         for key in sorted(targets)[::3]:
@@ -282,11 +282,11 @@ class TestScore:
         targets, states = gold_entity_turns(gold), gold_states(gold)
         preds = {}
         for dialog in gold.dialogs:
-            for index in range(len(dialog.turns)):
-                key = (dialog.id, index)
-                right = (len(dialog.id) + index) % 4 != 0
+            for index in range(len(dialog["turns"])):
+                key = (dialog["id"], index)
+                right = (len(dialog["id"]) + index) % 4 != 0
                 state = {slot: sorted(values) for slot, values in states[key].items()} if key in states else None
-                preds[key] = {"dialog_id": dialog.id, "turn_index": index, "entities": sorted(targets.get(key, ())),
+                preds[key] = {"dialog_id": dialog["id"], "turn_index": index, "entities": sorted(targets.get(key, ())),
                               "state": state if right or state is None else {}}
         report = score(preds, gold, records)
         assert report.jga_all == joint_goal_accuracy(preds, gold, subset=ALL)
@@ -299,10 +299,10 @@ class TestScore:
         targets, states = gold_entity_turns(gold), gold_states(gold)
         preds = {}
         for dialog in gold.dialogs:
-            for index in range(len(dialog.turns)):
-                key = (dialog.id, index)
+            for index in range(len(dialog["turns"])):
+                key = (dialog["id"], index)
                 state = {slot: sorted(values) for slot, values in states[key].items()} if key in states else None
-                preds[key] = {"dialog_id": dialog.id, "turn_index": index, "entities": sorted(targets.get(key, ())),
+                preds[key] = {"dialog_id": dialog["id"], "turn_index": index, "entities": sorted(targets.get(key, ())),
                               "state": state}
         calls = []
 
@@ -351,7 +351,7 @@ def _scoring_case(draw):
                 user_keys.append((dialog_id, index))
             elif extras:
                 marked.append((dialog_id, index))
-        dialogs.append(Dialog.from_json({"id": dialog_id, "services": ["hotel"], "turns": turns}))
+        dialogs.append(dialog_row({"id": dialog_id, "services": ["hotel"], "turns": turns}))
     gold = Corpus(dialogs=dialogs)
 
     with_states = draw(st.booleans())

@@ -35,7 +35,7 @@ def test_names_within_domain_stay_separated(shipped_db, build_data):
 
 def test_toy_corpus_entities_come_from_the_database(toy_corpus, shipped_db):
     for dialog in toy_corpus.dialogs:
-        for turn in dialog.turns:
+        for turn in dialog["turns"]:
             for entity in turn.get("search_results", []):
                 if entity["domain"] in shipped_db.tables and not entity["name"].startswith("phantom"):
                     assert name_key(entity["name"]) in shipped_db.names(entity["domain"])

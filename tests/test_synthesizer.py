@@ -5,7 +5,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from disambig.corpus import SPLITS, Database, Dialog, load_corpus, name_key, write_corpus
+from disambig.corpus import SPLITS, Database, dialog_row, load_corpus, name_key, write_corpus
 from disambig.errors import (
     InvalidTargetArity,
     NoDiscriminatingAttribute,
@@ -273,16 +273,16 @@ class TestDataset:
         examples = synthesize_split(shipped_db, shipped_grammar, SynthConfig(totals=(0, 0, 4), seed=2), "test")
         gold = examples_to_corpus(examples)
         assert len(gold.dialogs) == 4
-        marker = gold.dialogs[0].turns[0]["extras"]["disambig"]
+        marker = gold.dialogs[0]["turns"][0]["extras"]["disambig"]
         assert marker["origin"] == "synth"
         assert marker["target_names"] == examples[0].target_names()
 
     def test_examples_view_holds_only_what_scoring_reads(self, shipped_db, shipped_grammar):
         examples = synthesize_split(shipped_db, shipped_grammar, SynthConfig(totals=(0, 0, 6), seed=2), "test")
         for dialog, example in zip(examples_to_corpus(examples).dialogs, examples):
-            system, user = dialog.turns
-            assert Dialog.from_json(json.loads(json.dumps(dialog.to_json()))) == dialog  # the loader's rows
-            assert [t["frames"] for t in dialog.turns] == [[], []]
+            system, user = dialog["turns"]
+            assert dialog_row(json.loads(json.dumps(dialog))) == dialog  # the loader's rows
+            assert [t["frames"] for t in dialog["turns"]] == [[], []]
             assert "search_results" not in system and "search_results" not in user
             assert system["extras"]["disambig"] == {
                 "origin": "synth", "method": example.method.value, "target_names": example.target_names(),

@@ -25,7 +25,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from disambig.corpus import Corpus, Database, Dialog, name_key, write_corpus, write_database
+from disambig.corpus import Corpus, Database, dialog_row, name_key, write_corpus, write_database
 from disambig.grammar import Slot, load_grammar_file
 from disambig.resolver import STOPWORDS, edit_distance
 from disambig.seeding import rng_for
@@ -259,7 +259,7 @@ FILLER_PAIRS = [
 ]
 
 
-def _toy_dialog(did: str, service: str, kind: str, db: Database, rng) -> tuple[Dialog, bool, int | None]:
+def _toy_dialog(did: str, service: str, kind: str, db: Database, rng) -> tuple[dict, bool, int | None]:
     """Build one 16-turn dialog; returns (dialog, has_multi_result, augmentable_turn)."""
     noun = db.noun(service) if service in db.tables else service
     area = rng.choice(AREAS)
@@ -329,7 +329,7 @@ def _toy_dialog(did: str, service: str, kind: str, db: Database, rng) -> tuple[D
     else:
         system("you are very welcome. enjoy your visit, goodbye!")
 
-    dialog = Dialog.from_json({"id": did, "services": [service], "turns": turns})
+    dialog = dialog_row({"id": did, "services": [service], "turns": turns})
     assert len(turns) == TURNS_PER_DIALOG, (did, len(turns))
     return dialog, multi, augmentable
 
@@ -345,7 +345,7 @@ def build_toy_corpus(db: Database) -> tuple[Corpus, dict]:
     plan += [("single", s) for s in ["hotel"] * 3 + ["restaurant"] * 3 + ["attraction"] * 2]
     plan += [("none", "taxi")] * 9
 
-    dialogs: list[Dialog] = []
+    dialogs: list[dict] = []
     expected_augmentable: list[list] = []
     multi_by_service: dict[str, int] = {}
     totals_by_service: dict[str, int] = {}
@@ -369,7 +369,7 @@ def build_toy_corpus(db: Database) -> tuple[Corpus, dict]:
 
     corpus = Corpus(dialogs=dialogs, split_name="test", source_format="native")
     expected = {
-        "turns_total": sum(len(d.turns) for d in dialogs),
+        "turns_total": sum(len(d["turns"]) for d in dialogs),
         "augmentable": sorted(expected_augmentable),
         "multi_result": {
             "dialogs_total": len(dialogs),
