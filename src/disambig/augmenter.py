@@ -13,7 +13,7 @@ idempotence guard and as the gold label for scoring.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 from .corpus import SYSTEM, Corpus, Database, _expect, entity_row, gold_marker, name_key
 from .errors import SchemaMismatch
@@ -52,8 +52,7 @@ _SENTENCE_FINAL = (".", "!", "?")
 SKIP_NOT_ENOUGH_ENTITIES = "not_enough_entities"
 
 
-@dataclass
-class AugmentationRecord:
+class AugmentationRecord(NamedTuple):
     """Provenance of one modified (or skipped) turn."""
 
     dialog_id: str
@@ -67,7 +66,7 @@ class AugmentationRecord:
     skipped_reason: str | None = None
 
     def to_json(self) -> dict:
-        return dict(vars(self))
+        return self._asdict()
 
     @classmethod
     def from_json(cls, obj: dict) -> "AugmentationRecord":
@@ -88,16 +87,18 @@ class AugmentationRecord:
         )
 
 
-@dataclass
 class AugmentationStats:
-    dialogs_total: int = 0
-    dialogs_modified: int = 0
-    turns_total: int = 0
-    turns_modified: int = 0
-    per_domain: dict[str, dict[str, int]] = field(default_factory=dict)
+    """Corpus-level counts of one ``augment_corpus`` run, filled in as it goes."""
+
+    def __init__(self, dialogs_total: int = 0):
+        self.dialogs_total = dialogs_total
+        self.dialogs_modified = 0
+        self.turns_total = 0
+        self.turns_modified = 0
+        self.per_domain: dict[str, dict[str, int]] = {}
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
 def _state_first_seen(dialog: dict) -> dict[str, int]:

@@ -14,11 +14,11 @@ error.  Diagnostics go to stderr; data goes to the declared output files
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import augmenter, corpus as corpus_mod, metrics, resolver, synthesizer
@@ -236,7 +236,7 @@ def _cmd_synth(args) -> int:
     grammar = load_grammar_file(args.grammar)
     config = synthesizer.SynthConfig(per_method=args.per_method, methods=_parse_methods(args.methods), seed=args.seed)
     if args.total:
-        config = replace(config, totals=args.total)
+        config = config._replace(totals=args.total)
     splits = [s.strip() for s in args.splits.split(",") if s.strip()]
     for split in splits:
         if split not in corpus_mod.SPLITS:
@@ -369,6 +369,25 @@ _COMMANDS = {
 
 
 def run(argv: list[str] | None = None) -> int:
+    """Run one subcommand and return its exit code.
+
+    Cyclic garbage collection is off while it runs.  Every row the pipeline
+    holds is a tree of dicts, lists and tuples that reference counting frees
+    on its own, so the collector would only rescan a heap that grows with
+    the input and never holds a cycle; what cycles a run does make (its
+    argument parser) do not grow with the input.  The caller's
+    ``gc.isenabled()`` state is restored on return, whatever the exit.
+    """
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+
+
+def _run(argv: list[str] | None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

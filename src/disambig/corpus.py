@@ -45,10 +45,9 @@ import itertools
 import json
 import random
 import re
-from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import NotEnoughEntities, SchemaMismatch, UnknownDomain
 from .jsonl import iter_jsonl, read_json, write_jsonl
@@ -100,12 +99,16 @@ def entity_row(obj: dict) -> dict:
         domain, name, attributes = obj["domain"], obj["name"], obj.get("attributes", {})
     except KeyError as exc:
         raise SchemaMismatch(f"entity record missing key {exc}") from exc
-    _expect(domain, str, "entity domain")
-    _expect(name, str, "entity name")
-    if not name:
-        raise SchemaMismatch(f"entity in domain {domain!r} has an empty name")
-    _expect(attributes, dict, f"entity {name!r} attributes")
-    return {"domain": domain, "name": name, "attributes": {k: str(v) for k, v in attributes.items()}}
+    # The exact types json.loads makes pass at once; anything else takes the
+    # labelled checks, which raise in this order.
+    if type(domain) is not str or type(name) is not str or not name or type(attributes) is not dict:
+        _expect(domain, str, "entity domain")
+        _expect(name, str, "entity name")
+        if not name:
+            raise SchemaMismatch(f"entity in domain {domain!r} has an empty name")
+        _expect(attributes, dict, f"entity {name!r} attributes")
+    return {"domain": domain, "name": name,
+            "attributes": {k: v if type(v) is str else str(v) for k, v in attributes.items()}}
 
 
 def dialog_row(obj: dict) -> dict:
@@ -147,6 +150,32 @@ def _append_turn(dialog: dict, raw: dict) -> None:
     if results is not None:
         results = [entity_row(e) for e in results]
     extras = raw.get("extras", {})
+    turns = dialog["turns"]
+    # A turn of the exact types json.loads makes, without a marker, passes
+    # at once; any other turn takes the labelled checks of _check_turn.
+    if not (speaker in (USER, SYSTEM) and not (turns and speaker == turns[-1]["speaker"])
+            and (speaker == SYSTEM or results is None) and type(utterance) is str
+            and type(extras) is dict and "disambig" not in extras
+            and all(_plain_frame(frame, dialog["services"]) for frame in frames)):
+        _check_turn(dialog, speaker, utterance, frames, results, extras)
+    turn = {"speaker": speaker, "utterance": utterance, "frames": frames, "extras": extras}
+    if results is not None:
+        turn["search_results"] = results
+    turns.append(turn)
+
+
+def _plain_frame(frame: dict, services: list[str]) -> bool:
+    """Whether ``frame`` is sure to pass ``_check_turn``'s frame checks."""
+    slot_values = frame["slot_values"]
+    return (frame["service"] in services and type(frame["requested_slots"]) is list
+            and type(frame["extras"]) is dict and type(slot_values) is dict
+            and all(slot and type(values) is list and all(type(v) is str and v for v in values)
+                    for slot, values in slot_values.items()))
+
+
+def _check_turn(dialog: dict, speaker, utterance, frames: list[dict], results: list[dict] | None, extras) -> None:
+    """Raise SchemaMismatch, naming the dialog and the turn, at the first
+    invariant that the next turn of ``dialog`` breaks."""
     index = len(dialog["turns"])
     where = f"dialog {dialog['id']!r} turn {index}"
     if speaker not in (USER, SYSTEM):
@@ -176,17 +205,12 @@ def _append_turn(dialog: dict, raw: dict) -> None:
             _expect(values, list, f"{where}: slot {slot!r}")
             if any(not isinstance(v, str) or not v for v in values):
                 raise SchemaMismatch(f"{where}: slot {slot!r} has an empty or non-string value")
-    turn = {"speaker": speaker, "utterance": utterance, "frames": frames, "extras": extras}
-    if results is not None:
-        turn["search_results"] = results
-    dialog["turns"].append(turn)
 
 
 SPLITS = ("train", "dev", "test")
 
 
-@dataclass
-class Corpus:
+class Corpus(NamedTuple):
     dialogs: list[dict]
     split_name: str = "train"
     source_format: str = "native"
@@ -215,26 +239,26 @@ def load_corpus(path: str, format: str = "native") -> Corpus:
     """Load a corpus from any of the supported formats.  Each dialog is
     checked once, as it is decoded; a broken invariant raises SchemaMismatch."""
     if format == "native":
-        corpus = Corpus(dialogs=[])
+        split_name, source_format = "train", "native"
         rows = iter_jsonl(path, _native_row)
     elif format in ("sgd", "multiwoz22"):
-        corpus = Corpus(dialogs=[], split_name=_infer_split(path), source_format=format)
+        split_name, source_format = _infer_split(path), format
         rows = _schema_guided_dialogs(path)
     else:
         raise SchemaMismatch(f"unknown corpus format {format!r}")
+    dialogs: list[dict] = []
     seen_ids: set[str] = set()
     for index, row in enumerate(rows):
         match row:
-            case (split_name, source_format):  # the meta header
+            case (split_name, source_format):  # the meta header, whose values replace the defaults
                 if index:
                     raise SchemaMismatch(f"{path}: only the first row may be a meta header")
-                corpus.split_name, corpus.source_format = split_name, source_format
             case _:
                 if row["id"] in seen_ids:
                     raise SchemaMismatch(f"duplicate dialog id {row['id']!r}")
                 seen_ids.add(row["id"])
-                corpus.dialogs.append(row)
-    return corpus
+                dialogs.append(row)
+    return Corpus(dialogs=dialogs, split_name=split_name, source_format=source_format)
 
 
 def _native_row(obj: dict) -> dict | tuple[str, str]:
@@ -333,11 +357,16 @@ def _schema_guided_dialogs(path: str) -> Iterator[dict]:
         if not isinstance(payload, list):
             raise SchemaMismatch(f"{file_path}: expected a list of dialogs")
         for index, obj in enumerate(payload):
+            where = f"{file_path}: dialog at index {index}"
             try:
-                row = _native_dialog_row(obj, str(file_path))
+                row = _native_dialog_row(obj, str(file_path))  # its own errors name the file
             except (AttributeError, TypeError) as exc:  # a JSON value of the wrong type
-                raise SchemaMismatch(f"{file_path}: dialog at index {index}: {exc}") from exc
-            yield dialog_row(row)
+                raise SchemaMismatch(f"{where}: {exc}") from exc
+            try:
+                dialog = dialog_row(row)
+            except SchemaMismatch as exc:
+                raise SchemaMismatch(f"{where}: {exc}") from exc
+            yield dialog
 
 
 def _native_dialog_row(obj: dict, where: str) -> dict:
@@ -423,15 +452,14 @@ def _dialog_to_schema_guided(dialog: dict) -> dict:
 # --- database -------------------------------------------------------------------
 
 
-@dataclass
 class Database:
     """Per-domain tables of entity rows plus the attribute designated as each name."""
 
-    tables: dict[str, list[dict]]
-    name_fields: dict[str, str]
-    nouns: dict[str, str] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
+    def __init__(self, tables: dict[str, list[dict]], name_fields: dict[str, str],
+                 nouns: dict[str, str] | None = None):
+        self.tables = tables
+        self.name_fields = name_fields
+        self.nouns = {} if nouns is None else nouns
         self._names: dict[str, frozenset[str]] = {}
         for domain, entities in self.tables.items():
             if domain not in self.name_fields:
@@ -441,6 +469,11 @@ class Database:
             tokens = {name_text(e["name"]) for e in entities}
             if len(names) != len(entities) or len(tokens) != len(entities):
                 raise SchemaMismatch(f"domain {domain!r} has duplicate entity names after normalization")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Database):
+            return NotImplemented
+        return (self.tables, self.name_fields, self.nouns) == (other.tables, other.name_fields, other.nouns)
 
     def noun(self, domain: str) -> str:
         """Singular noun for the domain's entity type, for surface realization."""

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import graphlib
 import re
-from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 from .errors import (
     CyclicGrammar,
@@ -39,15 +39,13 @@ _NONTERMINAL_RE = re.compile(r"[A-Z][A-Z0-9_]*\Z")
 _SLOT_TOKEN_RE = re.compile(r"([^\s{}]*)\{([A-Za-z0-9_]+)\}([^\s{}]*)\Z")
 
 
-@dataclass(frozen=True)
-class Nonterminal:
+class Nonterminal(NamedTuple):
     """Reference to another rule on an alternative's right-hand side."""
 
     name: str
 
 
-@dataclass(frozen=True)
-class Slot:
+class Slot(NamedTuple):
     """Typed placeholder; ``prefix``/``suffix`` carry attached punctuation."""
 
     name: str
@@ -59,8 +57,7 @@ Symbol = str | Nonterminal | Slot
 Token = str | Slot
 
 
-@dataclass(frozen=True)
-class Grammar:
+class Grammar(NamedTuple):
     """Validated rule set; immutable after load, safe to share across threads."""
 
     rules: dict[str, tuple[tuple[Symbol, ...], ...]]
@@ -157,23 +154,25 @@ def sample(grammar: Grammar, start: str, seed: int) -> tuple[Token, ...]:
     """Derive one token sequence from ``start``, uniform over alternatives.
 
     Pure function of (grammar, start, seed): the same arguments always yield
-    the same tokens, ready for :func:`fill`.
+    the same tokens, ready for :func:`fill`.  Nonterminals are expanded
+    leftmost first from an explicit stack, so alternatives are drawn in the
+    order of a left-to-right recursive descent, and a call leaves no
+    reference cycle for the cyclic garbage collector, which the CLI runs
+    without.
     """
-    if start not in grammar.rules:
+    rules = grammar.rules
+    if start not in rules:
         raise UnknownStart(start)
-    rng = rng_for("grammar.sample", start, seed)
+    randrange = rng_for("grammar.sample", start, seed).randrange
     tokens: list[Token] = []
-
-    def expand(name: str) -> None:
-        alternatives = grammar.rules[name]
-        chosen = alternatives[rng.randrange(len(alternatives))]
-        for symbol in chosen:
-            if isinstance(symbol, Nonterminal):
-                expand(symbol.name)
-            else:
-                tokens.append(symbol)
-
-    expand(start)
+    stack: list[Symbol] = [Nonterminal(start)]
+    while stack:
+        symbol = stack.pop()
+        if isinstance(symbol, Nonterminal):
+            alternatives = rules[symbol.name]
+            stack.extend(reversed(alternatives[randrange(len(alternatives))]))
+        else:
+            tokens.append(symbol)
     return tuple(tokens)
 
 

@@ -14,7 +14,6 @@ judgement.  Predictions are the rows of their JSONL file, checked by
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
 from .augmenter import AugmentationRecord
 from .corpus import USER, Corpus, _expect, name_key, name_text
 from .errors import MissingPrediction, SchemaMismatch, UnknownSubsetTurn
@@ -176,17 +175,20 @@ def slot_accuracy(preds: PredictionFile, gold: Corpus, subset=ALL) -> float:
     return sum(fractions) / len(fractions) if fractions else 1.0
 
 
-@dataclass
 class ScoreReport:
-    entity_accuracy_all: float | None = None
-    entity_accuracy_augmented: float | None = None
-    jga_all: float | None = None
-    jga_augmented: float | None = None
-    per_method: dict[str, float] | None = None
-    counts: dict[str, int] = field(default_factory=dict)
+    """The headline numbers and bucket counts of one ``score`` call; a
+    number stays None when its bucket does not apply."""
+
+    def __init__(self):
+        self.entity_accuracy_all: float | None = None
+        self.entity_accuracy_augmented: float | None = None
+        self.jga_all: float | None = None
+        self.jga_augmented: float | None = None
+        self.per_method: dict[str, float] | None = None
+        self.counts: dict[str, int] = {}
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
 def score(preds: PredictionFile, gold: Corpus, records: list[AugmentationRecord] | None = None) -> ScoreReport:

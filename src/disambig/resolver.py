@@ -20,8 +20,8 @@ the bit-parallel OSA recurrence with the name as the pattern.
 from __future__ import annotations
 
 from collections.abc import Set
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .corpus import normalize
 from .errors import NoMatch
@@ -102,15 +102,13 @@ def edit_distance(a: str, b: str, bound: int | None = None) -> int:
     return score
 
 
-@dataclass(frozen=True)
-class Match:
+class Match(NamedTuple):
     index: int
     score: float
     evidence: str
 
 
-@dataclass(frozen=True)
-class Resolution:
+class Resolution(NamedTuple):
     matches: tuple[Match, ...]
     ambiguous: bool
 
@@ -154,8 +152,7 @@ def _ordinal_positions(tokens: list[str], n_candidates: int) -> list[int] | None
     return None
 
 
-@dataclass(frozen=True)
-class _Name:
+class _Name(NamedTuple):
     """What every stage needs of one candidate name, derived once."""
 
     tokens: tuple[str, ...]

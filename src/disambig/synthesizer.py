@@ -8,8 +8,8 @@ through derived seeds, so a dataset is a pure function of its config.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .corpus import (
     SPLITS, SYSTEM, USER, Corpus, Database, _expect, entity_row, gold_marker, name_key, sample_entities,
@@ -71,8 +71,7 @@ class AddressingMethod(Enum):
 METHODS = tuple(AddressingMethod)
 
 
-@dataclass
-class SingleTurnExample:
+class SingleTurnExample(NamedTuple):
     system_utterance: str
     user_utterance: str
     candidates: list[dict]
@@ -312,14 +311,14 @@ def synthesize_example(
     )
 
 
-@dataclass
-class SynthConfig:
+class SynthConfig(NamedTuple):
     """Dataset-level knobs.
 
     ``totals`` asks for exact split sizes with methods assigned round-robin;
     ``per_method`` asks for exact per-method sizes instead.  Exactly one of
     the two applies (``per_method`` wins when set).  Domains always cycle
-    over every table in the database, sorted by name.
+    over every table in the database, sorted by name.  Immutable; derive a
+    changed copy with ``config._replace(...)``.
     """
 
     totals: tuple[int, int, int] | None = (100_000, 10_000, 10_000)

@@ -13,7 +13,8 @@ dialog as it is decoded, and the resolver as it was before the name index
 (every name re-normalized per call, distances by a banded cutoff DP)
 instead of the memoized name records and the bit-parallel recurrence,
 and entity and prediction rows decoded into the ``Entity`` and
-``PredictionRow`` classes and dumped again instead of one checker each.
+``PredictionRow`` classes and dumped again instead of one checker each,
+and grammar sampling by a recursive closure instead of an explicit stack.
 Keep them slow and obvious.
 """
 
@@ -43,7 +44,9 @@ from disambig.corpus import (
     guess_name_field,
     name_key,
 )
-from disambig.errors import MissingPrediction, NoMatch, NoUniquePartial, SchemaMismatch, UnknownSubsetTurn
+from disambig.errors import (
+    MissingPrediction, NoMatch, NoUniquePartial, SchemaMismatch, UnknownStart, UnknownSubsetTurn,
+)
 from disambig.grammar import Grammar, Nonterminal
 from disambig.jsonl import iter_jsonl, read_json
 from disambig.metrics import ALL, AUGMENTED_ONLY, gold_entity_turns, gold_states
@@ -94,6 +97,25 @@ def enumerate_templates(grammar: Grammar, start: str, cap: int = 20_000) -> list
         return sequences
 
     return expand(start)
+
+
+def slow_sample(grammar: Grammar, start: str, seed: int) -> tuple:
+    """``grammar.sample`` as a recursive descent, drawing each alternative as it is reached."""
+    if start not in grammar.rules:
+        raise UnknownStart(start)
+    rng = rng_for("grammar.sample", start, seed)
+    tokens: list = []
+
+    def expand(name: str) -> None:
+        alternatives = grammar.rules[name]
+        for symbol in alternatives[rng.randrange(len(alternatives))]:
+            if isinstance(symbol, Nonterminal):
+                expand(symbol.name)
+            else:
+                tokens.append(symbol)
+
+    expand(start)
+    return tuple(tokens)
 
 
 def derivable(grammar: Grammar, start: str, tokens: tuple) -> bool:

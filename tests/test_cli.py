@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,6 +13,7 @@ import pytest
 from disambig import cli
 from disambig.cli import run
 from disambig.corpus import load_corpus, write_corpus
+from disambig.seeding import derive_seed
 
 GRAMMAR = "grammars/disambiguation.cfg"
 DB = "data/database.json"
@@ -106,6 +110,14 @@ def _sgd_dialog(frame: object) -> dict:
     """A one-turn schema-guided dialog whose only frame is ``frame``."""
     return {"dialogue_id": "d1", "services": ["hotels_1"],
             "turns": [{"speaker": "USER", "utterance": "hi", "frames": [frame]}]}
+
+
+# Schema-guided dialogs that only the native dialog check refuses.
+_SGD_DIALOG_CHECKS = {
+    "speaker-bot": [{**_sgd_dialog({"service": "hotels_1"}),
+                     "turns": [{"speaker": "BOT", "utterance": "hi", "frames": []}]}],
+    "service-not-a-string": [{**_sgd_dialog({"service": "hotels_1"}), "services": [5]}],
+}
 
 
 # A database of five hotels that synth accepts, to be broken one field at a time.
@@ -211,7 +223,8 @@ _MALFORMED_INPUTS = {
                              ("dialogue-id-not-a-string", [{**_sgd_dialog({"service": "hotels_1"}),
                                                             "dialogue_id": ["a"]}]),
                              ("dialog-without-dialogue-id", [{"services": [], "turns": []}]),
-                             ("frame-without-service", [_sgd_dialog({"state": {}})]))},
+                             ("frame-without-service", [_sgd_dialog({"state": {}})]),
+                             *_SGD_DIALOG_CHECKS.items())},
     **{f"stats-id-{name}": ({"in.jsonl": json.dumps({"id": value, "services": [], "turns": []}) + "\n"},
                             ["stats", "--in", "in.jsonl"])
        for name, value in (("list", ["a"]), ("int", 3))},
@@ -281,6 +294,16 @@ _MALFORMED_INPUTS = {
         {"g.cfg": "SYSTEM_QUESTION -> pick {option_list}\n"}, [command, *extra, "--grammar", "g.cfg", "--out", "OUT"])
        for command, extra in (("synth", ["--db", DB, "--total", "1,0,0"]), ("augment", ["--in", TOY, "--db", DB]))},
 }
+
+
+@pytest.mark.parametrize("name", _SGD_DIALOG_CHECKS)
+def test_schema_guided_dialog_errors_name_the_file_and_index(capsys, tmp_path, name):
+    files, argv = _MALFORMED_INPUTS[f"stats-sgd-{name}"]
+    path = tmp_path / "in.json"
+    path.write_text(files["in.json"], encoding="utf-8")
+    code, _, err = _run(capsys, *[str(path) if token == "in.json" else token for token in argv])
+    assert code == 1
+    assert err.startswith(f"error: {path}: dialog at index 0: dialog 'd1' ")
 
 
 @pytest.mark.parametrize("files, argv", _MALFORMED_INPUTS.values(), ids=list(_MALFORMED_INPUTS))
@@ -876,3 +899,55 @@ class TestResolveAndScore:
         code, _, err = _run(capsys, "score", "--preds", str(preds), "--gold", str(synth_dir / "test.jsonl"))
         assert code == 1
         assert "synth-000000" in err
+
+
+class TestProcess:
+    """Each subcommand runs as a short process: a lean import and no cyclic GC."""
+
+    def test_import_leaves_out_dataclasses_inspect_and_hashlib(self, repo_root):
+        probe = "import sys, disambig.cli; print(sorted({'dataclasses', 'inspect', 'hashlib'} & set(sys.modules)))"
+        env = {**os.environ, "PYTHONPATH": str(repo_root / "src")}
+        done = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True,
+                              check=True, timeout=60)
+        assert done.stdout.strip() == "[]"
+        # hashlib, imported on first use, still gives the seeds every pin was made with.
+        assert derive_seed("x", 1) == 6866867746733880335
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+    @pytest.mark.parametrize("argv, exit_code", [
+        (["grammar-count", GRAMMAR, "--start", "USER_ANSWER"], 0),
+        (["grammar-count", GRAMMAR, "--start", "NO_SUCH_RULE"], 1),
+        (["grammar-count", GRAMMAR], 1),
+        (["grammar-count", "no-such-grammar.cfg", "--start", "USER_ANSWER"], 2),
+    ], ids=["ok", "error", "usage", "io-error"])
+    def test_run_turns_gc_off_and_restores_it(self, capsys, monkeypatch, repo_root, enabled, argv, exit_code):
+        monkeypatch.chdir(repo_root)
+        command = cli._COMMANDS["grammar-count"]
+        seen = []
+        monkeypatch.setitem(cli._COMMANDS, "grammar-count", lambda args: seen.append(gc.isenabled()) or command(args))
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            code = _run(capsys, *argv)[0]
+            after = gc.isenabled()
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+        assert code == exit_code
+        assert after is enabled
+        assert not any(seen)
+
+    def test_synth_leaves_no_cycles_per_row(self, capsys, tmp_path, repo_root):
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            cyclic = []
+            for rows in (50, 500):
+                code, _, _ = _run(capsys, "synth", "--db", str(repo_root / DB), "--grammar", str(repo_root / GRAMMAR),
+                                  "--total", f"0,0,{rows}", "--splits", "test", "--out", str(tmp_path / str(rows)))
+                assert code == 0
+                cyclic.append(gc.collect())
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert cyclic[0] == cyclic[1]

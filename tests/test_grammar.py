@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import gc
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -19,7 +21,7 @@ from disambig.grammar import (
     sample,
 )
 
-from .oracles import enumerate_templates, template_in_language
+from .oracles import enumerate_templates, slow_sample, template_in_language
 
 
 def _slot_names(tokens: tuple) -> list[str]:
@@ -134,6 +136,24 @@ class TestSample:
         for seed in range(500):
             assert _slot_names(sample(shipped_grammar, "USER_ANSWER", seed)).count("mention") == 1
 
+    def test_equals_the_recursive_sampler_on_the_shipped_grammar(self, shipped_grammar):
+        for start in shipped_grammar.start_symbols:
+            for seed in range(3000):
+                assert sample(shipped_grammar, start, seed) == slow_sample(shipped_grammar, start, seed)
+
+    def test_leaves_no_reference_cycle(self, shipped_grammar):
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            starts = shipped_grammar.start_symbols
+            for seed in range(1000):
+                sample(shipped_grammar, starts[seed % len(starts)], seed)
+            assert gc.collect() == 0
+        finally:
+            if was_enabled:
+                gc.enable()
+
     def test_sampled_templates_are_in_the_language(self, shipped_grammar):
         small = load_grammar(VERBING_GRAMMAR)
         for seed in range(50):
@@ -208,7 +228,9 @@ class TestCountProperty:
     @given(acyclic_grammars(), st.integers(min_value=0, max_value=2**32))
     def test_samples_are_members(self, grammar_and_start, seed):
         grammar, start = grammar_and_start
-        assert template_in_language(grammar, start, sample(grammar, start, seed))
+        tokens = sample(grammar, start, seed)
+        assert template_in_language(grammar, start, tokens)
+        assert tokens == slow_sample(grammar, start, seed)
 
 
 def test_fill_paper_examples():
