@@ -13,12 +13,13 @@ idempotence guard and as the gold label for scoring.
 from __future__ import annotations
 
 from collections import Counter
+from operator import attrgetter
 from typing import NamedTuple
 
 from .corpus import SYSTEM, Corpus, Database, _expect, entity_row, gold_marker, name_key
 from .errors import SchemaMismatch
 from .grammar import Grammar
-from .jsonl import iter_jsonl, write_jsonl
+from .jsonl import iter_jsonl, once_per_key, write_jsonl
 from .seeding import rng_for
 from .synthesizer import CANDIDATE_COUNTS, AddressingMethod, build_exchange
 
@@ -301,14 +302,5 @@ def write_records(records: list[AugmentationRecord], path: str) -> None:
 def read_records(path: str) -> list[AugmentationRecord]:
     """The records of ``path``; a repeated (dialog_id, turn_index) is refused
     with its line, as two records cannot both describe one turn."""
-    seen: set[tuple[str, int]] = set()
-
-    def parse(obj: dict) -> AugmentationRecord:
-        record = AugmentationRecord.from_json(obj)
-        key = (record.dialog_id, record.turn_index)
-        if key in seen:
-            raise SchemaMismatch(f"duplicate record key {key}")
-        seen.add(key)
-        return record
-
-    return list(iter_jsonl(path, parse))
+    key = attrgetter("dialog_id", "turn_index")
+    return list(iter_jsonl(path, once_per_key(AugmentationRecord.from_json, key, "record key")))

@@ -6,9 +6,12 @@ dialog object per line.  Adapters turn SGD-style directories and
 MultiWOZ-2.2-style JSON (both share the schema-guided envelope) into native
 rows; fields the model does not cover ride along in opaque ``extras`` blobs,
 so writing back is lossless.  Both formats go through ``dialog_row``, which
-checks each turn as it is appended: a broken invariant or a container of the
-wrong type raises SchemaMismatch (naming the file and line for JSONL, the
-file and the dialog's index for SGD and MultiWOZ) instead of being coerced.
+checks each turn as it is appended, and ``load_corpus`` then refuses a
+repeated dialog id or a meta header after the first row.  Each check runs on
+every row and formats its message only when it fails: a broken invariant or
+a container of the wrong type raises SchemaMismatch instead of being
+coerced, and every error of a row names the file and its line for JSONL, or
+the file and the dialog's index for SGD and MultiWOZ.
 A dialog is a plain row ``{"id", "services", "turns", "extras"}``, and so
 are its turns, their frames and their search results: each turn holds
 ``speaker``, ``utterance``, ``frames`` and ``extras``
@@ -47,7 +50,7 @@ import random
 import re
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .errors import NotEnoughEntities, SchemaMismatch, UnknownDomain
 from .jsonl import iter_jsonl, read_json, write_jsonl
@@ -85,10 +88,15 @@ def name_text(name: str) -> str:
 _KIND_NAMES = {list: "an array", dict: "an object", str: "a string", int: "an integer"}
 
 
+def _wrong_type(value, kind: type, what: str) -> SchemaMismatch:
+    """The error for ``value`` found where ``what``, a JSON value of ``kind``, belongs."""
+    return SchemaMismatch(f"{what}: expected {_KIND_NAMES[kind]}, got {value!r:.60}")
+
+
 def _expect(value, kind: type, what: str) -> None:
     """Raise SchemaMismatch unless ``value`` is a JSON value of ``kind`` (a bool is not an integer)."""
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        raise SchemaMismatch(f"{what}: expected {_KIND_NAMES[kind]}, got {value!r:.60}")
+        raise _wrong_type(value, kind, what)
 
 
 def entity_row(obj: dict) -> dict:
@@ -99,14 +107,14 @@ def entity_row(obj: dict) -> dict:
         domain, name, attributes = obj["domain"], obj["name"], obj.get("attributes", {})
     except KeyError as exc:
         raise SchemaMismatch(f"entity record missing key {exc}") from exc
-    # The exact types json.loads makes pass at once; anything else takes the
-    # labelled checks, which raise in this order.
-    if type(domain) is not str or type(name) is not str or not name or type(attributes) is not dict:
-        _expect(domain, str, "entity domain")
-        _expect(name, str, "entity name")
-        if not name:
-            raise SchemaMismatch(f"entity in domain {domain!r} has an empty name")
-        _expect(attributes, dict, f"entity {name!r} attributes")
+    if not isinstance(domain, str):
+        raise _wrong_type(domain, str, "entity domain")
+    if not isinstance(name, str):
+        raise _wrong_type(name, str, "entity name")
+    if not name:
+        raise SchemaMismatch(f"entity in domain {domain!r} has an empty name")
+    if not isinstance(attributes, dict):
+        raise _wrong_type(attributes, dict, f"entity {name!r} attributes")
     return {"domain": domain, "name": name,
             "attributes": {k: v if type(v) is str else str(v) for k, v in attributes.items()}}
 
@@ -114,8 +122,8 @@ def entity_row(obj: dict) -> dict:
 def dialog_row(obj: dict) -> dict:
     """The dialog row ``{"id", "services", "turns", "extras"}`` of a native
     row, adopting its containers and checking each turn as it is appended:
-    a string id, an array of string services and an object of extras
-    (``{}`` when absent)."""
+    a string id, an array of string services, an object of extras (``{}``
+    when absent) and an array of turns."""
     try:
         dialog = {"id": obj["id"], "services": obj["services"], "turns": [], "extras": obj.get("extras", {})}
         _expect(dialog["id"], str, "dialog id")  # prediction keys, which must match it, are strings
@@ -123,6 +131,7 @@ def dialog_row(obj: dict) -> dict:
         for service in dialog["services"]:
             _expect(service, str, f"dialog {dialog['id']!r} service")
         _expect(dialog["extras"], dict, f"dialog {dialog['id']!r} extras")
+        _expect(obj["turns"], list, f"dialog {dialog['id']!r} turns")
         for raw_turn in obj["turns"]:
             _append_turn(dialog, raw_turn)
         return dialog
@@ -139,72 +148,63 @@ def gold_marker(origin: str, method: str, target_names: list[str], candidates: l
 
 
 def _append_turn(dialog: dict, raw: dict) -> None:
-    """Append the turn row of ``raw`` to ``dialog``, or raise SchemaMismatch
-    if it breaks an invariant there.  The row gets every key with its
-    default, keeps the containers of ``raw`` and drops its unknown keys."""
-    speaker, utterance = raw["speaker"], raw["utterance"]
-    frames = [{"service": f["service"], "slot_values": f.get("slot_values", {}),
-               "requested_slots": f.get("requested_slots", []), "extras": f.get("extras", {})}
-              for f in raw.get("frames", [])]
-    results = raw.get("search_results")
-    if results is not None:
-        results = [entity_row(e) for e in results]
-    extras = raw.get("extras", {})
+    """Append the turn row of ``raw`` to ``dialog``, or raise SchemaMismatch,
+    naming the dialog and the turn, at the first invariant it breaks there.
+    The row gets every key with its default, keeps the containers of ``raw``
+    and drops its unknown keys."""
     turns = dialog["turns"]
-    # A turn of the exact types json.loads makes, without a marker, passes
-    # at once; any other turn takes the labelled checks of _check_turn.
-    if not (speaker in (USER, SYSTEM) and not (turns and speaker == turns[-1]["speaker"])
-            and (speaker == SYSTEM or results is None) and type(utterance) is str
-            and type(extras) is dict and "disambig" not in extras
-            and all(_plain_frame(frame, dialog["services"]) for frame in frames)):
-        _check_turn(dialog, speaker, utterance, frames, results, extras)
+    speaker, utterance, raw_frames = raw["speaker"], raw["utterance"], raw.get("frames", [])
+    results, extras = raw.get("search_results"), raw.get("extras", {})
+    try:
+        if speaker not in (USER, SYSTEM):
+            raise SchemaMismatch(f"speaker {speaker!r}")
+        if turns and speaker == turns[-1]["speaker"]:
+            raise SchemaMismatch("speakers do not alternate")
+        if speaker == USER and results is not None:
+            raise SchemaMismatch("user turns cannot carry search results")
+        if not isinstance(utterance, str):
+            raise _wrong_type(utterance, str, "utterance")
+        if not isinstance(extras, dict):
+            raise _wrong_type(extras, dict, "extras")
+        if "disambig" in extras:
+            marker = extras["disambig"]
+            _expect(marker, dict, "disambig marker")
+            _expect(marker.get("target_names"), list, "marker target_names")
+            for name in marker["target_names"]:
+                _expect(name, str, "marker target name")
+            for key in ("method", "origin"):
+                _expect(marker.get(key, ""), str, f"marker {key}")
+        if not isinstance(raw_frames, list):
+            raise _wrong_type(raw_frames, list, "frames")
+        frames = [_frame_row(f, dialog["services"]) for f in raw_frames]
+    except SchemaMismatch as exc:
+        raise SchemaMismatch(f"dialog {dialog['id']!r} turn {len(turns)}: {exc}") from exc
     turn = {"speaker": speaker, "utterance": utterance, "frames": frames, "extras": extras}
     if results is not None:
-        turn["search_results"] = results
+        turn["search_results"] = [entity_row(e) for e in results]
     turns.append(turn)
 
 
-def _plain_frame(frame: dict, services: list[str]) -> bool:
-    """Whether ``frame`` is sure to pass ``_check_turn``'s frame checks."""
-    slot_values = frame["slot_values"]
-    return (frame["service"] in services and type(frame["requested_slots"]) is list
-            and type(frame["extras"]) is dict and type(slot_values) is dict
-            and all(slot and type(values) is list and all(type(v) is str and v for v in values)
-                    for slot, values in slot_values.items()))
-
-
-def _check_turn(dialog: dict, speaker, utterance, frames: list[dict], results: list[dict] | None, extras) -> None:
-    """Raise SchemaMismatch, naming the dialog and the turn, at the first
-    invariant that the next turn of ``dialog`` breaks."""
-    index = len(dialog["turns"])
-    where = f"dialog {dialog['id']!r} turn {index}"
-    if speaker not in (USER, SYSTEM):
-        raise SchemaMismatch(f"{where}: speaker {speaker!r}")
-    if index > 0 and speaker == dialog["turns"][-1]["speaker"]:
-        raise SchemaMismatch(f"{where}: speakers do not alternate")
-    if speaker == USER and results is not None:
-        raise SchemaMismatch(f"{where}: user turns cannot carry search results")
-    _expect(utterance, str, f"{where}: utterance")
-    _expect(extras, dict, f"{where}: extras")
-    if "disambig" in extras:
-        marker = extras["disambig"]
-        _expect(marker, dict, f"{where}: disambig marker")
-        _expect(marker.get("target_names"), list, f"{where}: marker target_names")
-        for name in marker["target_names"]:
-            _expect(name, str, f"{where}: marker target name")
-        for key in ("method", "origin"):
-            _expect(marker.get(key, ""), str, f"{where}: marker {key}")
-    for frame in frames:
-        if frame["service"] not in dialog["services"]:
-            raise SchemaMismatch(f"{where}: frame service {frame['service']!r} not in dialog services")
-        _expect(frame["requested_slots"], list, f"{where}: requested_slots")
-        _expect(frame["extras"], dict, f"{where}: frame extras")
-        for slot, values in frame["slot_values"].items():
-            if not slot:
-                raise SchemaMismatch(f"{where}: empty slot name")
-            _expect(values, list, f"{where}: slot {slot!r}")
-            if any(not isinstance(v, str) or not v for v in values):
-                raise SchemaMismatch(f"{where}: slot {slot!r} has an empty or non-string value")
+def _frame_row(raw: dict, services: list[str]) -> dict:
+    """The frame row of ``raw``, checked against the dialog's ``services``."""
+    frame = {"service": raw["service"], "slot_values": raw.get("slot_values", {}),
+             "requested_slots": raw.get("requested_slots", []), "extras": raw.get("extras", {})}
+    if frame["service"] not in services:
+        raise SchemaMismatch(f"frame service {frame['service']!r} not in dialog services")
+    if not isinstance(frame["requested_slots"], list):
+        raise _wrong_type(frame["requested_slots"], list, "requested_slots")
+    if not isinstance(frame["extras"], dict):
+        raise _wrong_type(frame["extras"], dict, "frame extras")
+    if not isinstance(frame["slot_values"], dict):
+        raise _wrong_type(frame["slot_values"], dict, "slot_values")
+    for slot, values in frame["slot_values"].items():
+        if not slot:
+            raise SchemaMismatch("empty slot name")
+        if not isinstance(values, list):
+            raise _wrong_type(values, list, f"slot {slot!r}")
+        if not all(isinstance(v, str) and v for v in values):
+            raise SchemaMismatch(f"slot {slot!r} has an empty or non-string value")
+    return frame
 
 
 SPLITS = ("train", "dev", "test")
@@ -236,29 +236,30 @@ def _dumps_pretty(obj) -> str:
 
 
 def load_corpus(path: str, format: str = "native") -> Corpus:
-    """Load a corpus from any of the supported formats.  Each dialog is
-    checked once, as it is decoded; a broken invariant raises SchemaMismatch."""
+    """Load a corpus from any of the supported formats.  Each row is checked
+    once, as it is decoded; a broken invariant raises SchemaMismatch naming
+    the file and the row's line (native) or the dialog's index (SGD and MultiWOZ)."""
     if format == "native":
-        split_name, source_format = "train", "native"
-        rows = iter_jsonl(path, _native_row)
+        header, decode, parse = ("train", "native"), iter_jsonl, _native_row
     elif format in ("sgd", "multiwoz22"):
-        split_name, source_format = _infer_split(path), format
-        rows = _schema_guided_dialogs(path)
+        header, decode, parse = (_infer_split(path), format), _schema_guided_rows, _schema_guided_row
     else:
         raise SchemaMismatch(f"unknown corpus format {format!r}")
-    dialogs: list[dict] = []
-    seen_ids: set[str] = set()
-    for index, row in enumerate(rows):
-        match row:
-            case (split_name, source_format):  # the meta header, whose values replace the defaults
-                if index:
-                    raise SchemaMismatch(f"{path}: only the first row may be a meta header")
-            case _:
-                if row["id"] in seen_ids:
-                    raise SchemaMismatch(f"duplicate dialog id {row['id']!r}")
-                seen_ids.add(row["id"])
-                dialogs.append(row)
-    return Corpus(dialogs=dialogs, split_name=split_name, source_format=source_format)
+    rows: dict = {}  # each dialog row by its id, and the meta header by None
+
+    def add(obj: dict) -> None:
+        row = parse(obj)
+        key = row["id"] if isinstance(row, dict) else None
+        if key is None and rows:
+            raise SchemaMismatch("only the first row may be a meta header")
+        if key in rows:
+            raise SchemaMismatch(f"duplicate dialog id {key!r}")
+        rows[key] = row
+
+    for _ in decode(path, add):
+        pass
+    split_name, source_format = rows.pop(None, header)  # the meta header's values replace the defaults
+    return Corpus(dialogs=list(rows.values()), split_name=split_name, source_format=source_format)
 
 
 def _native_row(obj: dict) -> dict | tuple[str, str]:
@@ -351,43 +352,44 @@ def _infer_split(path: str) -> str:
     return "train"
 
 
-def _schema_guided_dialogs(path: str) -> Iterator[dict]:
+def _schema_guided_rows(path: str, parse: Callable[[dict], object]) -> Iterator[object]:
+    """Yield ``parse(obj)`` for every dialog object of the schema-guided
+    file(s) at ``path``; an error names the file and the dialog's index."""
     for file_path in _schema_guided_files(path):
         payload = read_json(str(file_path))
         if not isinstance(payload, list):
             raise SchemaMismatch(f"{file_path}: expected a list of dialogs")
         for index, obj in enumerate(payload):
-            where = f"{file_path}: dialog at index {index}"
             try:
-                row = _native_dialog_row(obj, str(file_path))  # its own errors name the file
-            except (AttributeError, TypeError) as exc:  # a JSON value of the wrong type
-                raise SchemaMismatch(f"{where}: {exc}") from exc
-            try:
-                dialog = dialog_row(row)
-            except SchemaMismatch as exc:
-                raise SchemaMismatch(f"{where}: {exc}") from exc
-            yield dialog
+                yield parse(obj)
+            except (SchemaMismatch, AttributeError, TypeError) as exc:  # the last two: a JSON value of the wrong type
+                raise SchemaMismatch(f"{file_path}: dialog at index {index}: {exc}") from exc
 
 
-def _native_dialog_row(obj: dict, where: str) -> dict:
+def _schema_guided_row(obj: dict) -> dict:
+    """The checked dialog row of a schema-guided dialog object."""
+    return dialog_row(_native_dialog_row(obj))
+
+
+def _native_dialog_row(obj: dict) -> dict:
     """A schema-guided dialog as a native row, for ``dialog_row`` to check."""
     if "turns" not in obj:
-        raise SchemaMismatch(f"{where}: dialog {obj.get('dialogue_id')!r} has no 'turns' key")
+        raise SchemaMismatch(f"dialog {obj.get('dialogue_id')!r} has no 'turns' key")
     dialog_id = obj.get("dialogue_id") or obj.get("dialog_id")
     if not dialog_id:
-        raise SchemaMismatch(f"{where}: dialog without a dialogue_id")
-    _expect(dialog_id, str, f"{where}: dialogue_id")
+        raise SchemaMismatch("dialog without a dialogue_id")
+    _expect(dialog_id, str, "dialogue_id")
     turns = []
     for raw_turn in obj["turns"]:
         try:
             speaker, utterance = raw_turn["speaker"], raw_turn["utterance"]
         except (KeyError, TypeError) as exc:
-            raise SchemaMismatch(f"{where}: turn in {dialog_id!r} missing speaker/utterance") from exc
+            raise SchemaMismatch(f"turn in {dialog_id!r} missing speaker/utterance") from exc
         frames, results = [], []
         for raw_frame in raw_turn.get("frames", []):
             service = raw_frame.get("service")
             if not service:
-                raise SchemaMismatch(f"{where}: frame without service in dialog {dialog_id!r}")
+                raise SchemaMismatch(f"frame without service in dialog {dialog_id!r}")
             state = raw_frame.get("state", {})
             # Scalar slot values are stringified; a value list of the wrong type is left to the check.
             slot_values = {k: [str(v) for v in vs] if isinstance(vs, list) else vs

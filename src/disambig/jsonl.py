@@ -13,7 +13,7 @@ allow-list files, grammars) are read through :func:`read_json` and
 from __future__ import annotations
 
 import json
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Callable, Hashable, Iterable, Iterator, TypeVar
 
 from .errors import SchemaMismatch
 
@@ -39,7 +39,23 @@ def iter_jsonl(path: str, parse: Callable[[object], T]) -> Iterator[T]:
         try:
             yield parse(json.loads(line.decode("utf-8")))
         except _ROW_ERRORS as exc:
-            raise SchemaMismatch(f"{path}: line {line_no}: {exc}") from exc
+            detail = f"missing key {exc}" if type(exc) is KeyError else exc  # a KeyError's text is the bare key
+            raise SchemaMismatch(f"{path}: line {line_no}: {detail}") from exc
+
+
+def once_per_key(parse: Callable[[object], T], key: Callable[[T], Hashable], what: str) -> Callable[[object], T]:
+    """``parse`` for the rows of one file, refusing a row whose ``key`` an
+    earlier row had: ``duplicate <what> <key>``."""
+    seen: set = set()
+
+    def parse_once(obj: object) -> T:
+        row = parse(obj)
+        if (found := key(row)) in seen:
+            raise SchemaMismatch(f"duplicate {what} {found!r}")
+        seen.add(found)
+        return row
+
+    return parse_once
 
 
 def write_jsonl(path: str, rows: Iterable[dict]) -> None:

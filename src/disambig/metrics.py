@@ -14,10 +14,12 @@ judgement.  Predictions are the rows of their JSONL file, checked by
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from .augmenter import AugmentationRecord
 from .corpus import USER, Corpus, _expect, name_key, name_text
 from .errors import MissingPrediction, SchemaMismatch, UnknownSubsetTurn
-from .jsonl import iter_jsonl, write_jsonl
+from .jsonl import iter_jsonl, once_per_key, write_jsonl
 
 ALL = "ALL"
 AUGMENTED_ONLY = "AUGMENTED_ONLY"
@@ -37,6 +39,7 @@ def prediction_row(obj: dict) -> dict:
     for name in row["entities"]:
         _expect(name, str, "entities item")
     if state is not None:
+        _expect(state, dict, "state")
         for slot, values in state.items():
             _expect(values, list, f"state slot {slot!r}")
             for value in values:
@@ -46,22 +49,14 @@ def prediction_row(obj: dict) -> dict:
 
 
 PredictionFile = dict[Key, dict]
+_prediction_key = itemgetter("dialog_id", "turn_index")
 
 
 def read_predictions(path: str) -> PredictionFile:
     """The prediction rows of ``path`` by key; a repeated (dialog_id,
     turn_index) is refused with its line."""
-    seen: set[Key] = set()
-
-    def parse(obj: dict) -> tuple[Key, dict]:
-        row = prediction_row(obj)
-        key = (row["dialog_id"], row["turn_index"])
-        if key in seen:
-            raise SchemaMismatch(f"duplicate prediction key {key}")
-        seen.add(key)
-        return key, row
-
-    return dict(iter_jsonl(path, parse))
+    rows = iter_jsonl(path, once_per_key(prediction_row, _prediction_key, "prediction key"))
+    return {_prediction_key(row): row for row in rows}
 
 
 def write_predictions(rows: list[dict], path: str) -> None:

@@ -100,7 +100,10 @@ class SingleTurnExample(NamedTuple):
             _expect(obj[key], str, key)
         candidates = [entity_row(e) for e in obj["candidates"]]
         by_key = {name_key(e["name"]): i for i, e in enumerate(candidates)}
-        targets = [by_key[name_key(name)] for name in obj["target_names"]]
+        names = obj["target_names"]
+        targets = [by_key.get(name_key(name)) for name in names]
+        if None in targets:
+            raise SchemaMismatch(f"target name {names[targets.index(None)]!r} is not one of the candidates")
         return cls(
             system_utterance=obj["system"],
             user_utterance=obj["user"],

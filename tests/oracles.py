@@ -716,25 +716,25 @@ def _slow_result_to_entity(service: str, record: dict) -> dict:
     return Entity(domain=service, name=str(record[name_field]), attributes=attributes).to_json()
 
 
-def _slow_dialog_from_schema_guided(obj: dict, where: str) -> dict:
+def _slow_dialog_from_schema_guided(obj: dict) -> dict:
     if "turns" not in obj:
-        raise SchemaMismatch(f"{where}: dialog {obj.get('dialogue_id')!r} has no 'turns' key")
+        raise SchemaMismatch(f"dialog {obj.get('dialogue_id')!r} has no 'turns' key")
     dialog_id = obj.get("dialogue_id") or obj.get("dialog_id")
     if not dialog_id:
-        raise SchemaMismatch(f"{where}: dialog without a dialogue_id")
+        raise SchemaMismatch("dialog without a dialogue_id")
     turns: list[dict] = []
     for raw_turn in obj["turns"]:
         try:
             speaker = raw_turn["speaker"]
             utterance = raw_turn["utterance"]
         except (KeyError, TypeError) as exc:
-            raise SchemaMismatch(f"{where}: turn in {dialog_id!r} missing speaker/utterance") from exc
+            raise SchemaMismatch(f"turn in {dialog_id!r} missing speaker/utterance") from exc
         frames: list[dict] = []
         results: list[dict] = []
         for raw_frame in raw_turn.get("frames", []):
             service = raw_frame.get("service")
             if not service:
-                raise SchemaMismatch(f"{where}: frame without service in dialog {dialog_id!r}")
+                raise SchemaMismatch(f"frame without service in dialog {dialog_id!r}")
             state = raw_frame.get("state", {})
             slot_values = {k: [str(v) for v in vs] for k, vs in state.get("slot_values", {}).items()}
             requested = list(state.get("requested_slots", []))
@@ -777,7 +777,7 @@ def slow_load_corpus(path: str, format: str = "native") -> Corpus:
             payload = read_json(str(file_path))
             if not isinstance(payload, list):
                 raise SchemaMismatch(f"{file_path}: expected a list of dialogs")
-            dialogs.extend(_slow_dialog_from_schema_guided(obj, str(file_path)) for obj in payload)
+            dialogs.extend(_slow_dialog_from_schema_guided(obj) for obj in payload)
         corpus = Corpus(dialogs=dialogs, split_name=_infer_split(path), source_format=format)
     slow_validate_corpus(corpus)
     return corpus

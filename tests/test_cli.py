@@ -91,6 +91,9 @@ _SLOT_VALUE_NOT_A_LIST = json.dumps({"id": "d1", "services": ["hotel"], "turns":
     {"speaker": "USER", "utterance": "hi", "frames": [{"service": "hotel", "slot_values": {"hotel-area": "north"}}]}]})
 
 
+# A native dialog row without services or turns.
+_SERVICE_FREE = json.dumps({"id": "d1", "services": [], "turns": []}) + "\n"
+
 # A native dialog with a list where a service name belongs.
 _SERVICE_NOT_A_STRING = json.dumps({"id": "d1", "services": [["hotel"]], "turns": []})
 
@@ -293,6 +296,45 @@ _MALFORMED_INPUTS = {
     **{f"{command}-grammar-without-user-answer": (
         {"g.cfg": "SYSTEM_QUESTION -> pick {option_list}\n"}, [command, *extra, "--grammar", "g.cfg", "--out", "OUT"])
        for command, extra in (("synth", ["--db", DB, "--total", "1,0,0"]), ("augment", ["--in", TOY, "--db", DB]))},
+    "stats-repeated-dialog-id": ({"in.jsonl": _SERVICE_FREE * 2}, ["stats", "--in", "in.jsonl"]),
+    "stats-sgd-repeated-dialog-id": (
+        {"in.json": json.dumps([_sgd_dialog({"service": "hotels_1"})] * 2)},
+        ["stats", "--format", "sgd", "--in", "in.json"]),
+    "resolve-examples-without-user": (
+        {"in.jsonl": json.dumps({k: v for k, v in json.loads(_EXAMPLE).items() if k != "user"}) + "\n"},
+        ["resolve", "--in", "in.jsonl", "--out", "OUT"]),
+    "resolve-examples-unknown-target": (
+        {"in.jsonl": json.dumps({**json.loads(_EXAMPLE), "target_names": ["no such name"]}) + "\n"},
+        ["resolve", "--in", "in.jsonl", "--out", "OUT"]),
+    **{f"score-preds-{name}": (
+        {"preds.jsonl": json.dumps(prediction) + "\n", "gold.jsonl": _EXAMPLE + "\n"},
+        ["score", "--preds", "preds.jsonl", "--gold", "gold.jsonl"])
+       for name, prediction in (("without-turn-index", {"dialog_id": "synth-000000", "entities": ["a"]}),
+                                ("state-not-an-object", {**_PREDICTION, "state": ["x"]}))},
+    **{f"stats-{name}": ({"in.jsonl": json.dumps(row) + "\n"}, ["stats", "--in", "in.jsonl"])
+       for name, row in (("turns-not-an-array", {"id": "d1", "services": [], "turns": "ab"}),
+                         ("frames-not-an-array", {"id": "d1", "services": [], "turns": [
+                             {"speaker": "USER", "utterance": "hi", "frames": "abc"}]}),
+                         ("slot-values-not-an-object", {"id": "d1", "services": ["hotel"], "turns": [
+                             {"speaker": "USER", "utterance": "hi",
+                              "frames": [{"service": "hotel", "slot_values": ["x"]}]}]}))},
+}
+
+# The whole error line of some cases, after the path of the file it names.
+_MALFORMED_MESSAGES = {
+    "stats-meta-not-first": "in.jsonl: line 2: only the first row may be a meta header",
+    "stats-repeated-dialog-id": "in.jsonl: line 2: duplicate dialog id 'd1'",
+    "stats-sgd-repeated-dialog-id": "in.json: dialog at index 1: duplicate dialog id 'd1'",
+    "stats-sgd-dialog-without-dialogue-id": "in.json: dialog at index 0: dialog without a dialogue_id",
+    "stats-sgd-dialogue-id-not-a-string": "in.json: dialog at index 0: dialogue_id: expected a string, got ['a']",
+    "stats-sgd-frame-without-service": "in.json: dialog at index 0: frame without service in dialog 'd1'",
+    "resolve-examples-without-user": "in.jsonl: line 1: missing key 'user'",
+    "resolve-examples-unknown-target": "in.jsonl: line 1: target name 'no such name' is not one of the candidates",
+    "score-preds-without-turn-index": "preds.jsonl: line 1: missing key 'turn_index'",
+    "score-preds-state-not-an-object": "preds.jsonl: line 1: state: expected an object, got ['x']",
+    "stats-turns-not-an-array": "in.jsonl: line 1: dialog 'd1' turns: expected an array, got 'ab'",
+    "stats-frames-not-an-array": "in.jsonl: line 1: dialog 'd1' turn 0: frames: expected an array, got 'abc'",
+    "stats-slot-values-not-an-object": "in.jsonl: line 1: dialog 'd1' turn 0: slot_values: expected an object, got ['x']",
 }
 
 
@@ -306,19 +348,23 @@ def test_schema_guided_dialog_errors_name_the_file_and_index(capsys, tmp_path, n
     assert err.startswith(f"error: {path}: dialog at index 0: dialog 'd1' ")
 
 
-@pytest.mark.parametrize("files, argv", _MALFORMED_INPUTS.values(), ids=list(_MALFORMED_INPUTS))
-def test_malformed_input_is_a_validation_error(capsys, tmp_path, repo_root, files, argv):
-    paths = {name: tmp_path / name for name in files}
-    for name, content in files.items():
-        paths[name].write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
+@pytest.mark.parametrize("name", _MALFORMED_INPUTS)
+def test_malformed_input_is_a_validation_error(capsys, tmp_path, repo_root, name):
+    files, argv = _MALFORMED_INPUTS[name]
+    paths = {file: tmp_path / file for file in files}
+    for file, content in files.items():
+        paths[file].write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
     paths.update({shipped: repo_root / shipped for shipped in (DB, GRAMMAR, TOY)})
-    before = {name: _digest(path) for name, path in paths.items()}
+    before = {file: _digest(path) for file, path in paths.items()}
     argv = [str(tmp_path / "out") if token == "OUT" else str(paths.get(token, token)) for token in argv]
     code, _, err = _run(capsys, *argv)
     assert code == 1
     assert err.startswith("error:")
     assert "Traceback" not in err
-    assert {name: _digest(path) for name, path in paths.items()} == before
+    if name in _MALFORMED_MESSAGES:
+        file, _, message = _MALFORMED_MESSAGES[name].partition(": ")
+        assert err == f"error: {paths[file]}: {message}\n"
+    assert {file: _digest(path) for file, path in paths.items()} == before
     assert not (tmp_path / "out").exists()
 
 

@@ -517,7 +517,7 @@ class TestSchemaGuidedAdapters:
         path.write_text(json.dumps([dialog]), encoding="utf-8")
         with pytest.raises(SchemaMismatch) as info:
             load_corpus(str(path), format="sgd")
-        assert str(info.value) == f"{path}: turn in 'x' missing speaker/utterance"
+        assert str(info.value) == f"{path}: dialog at index 0: turn in 'x' missing speaker/utterance"
 
     def test_sgd_round_trip_preserves_content(self, sgd_dir, tmp_path):
         corpus = load_corpus(str(sgd_dir), format="sgd")
