@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from operator import itemgetter
 
-from .augmenter import AugmentationRecord
 from .corpus import USER, Corpus, _expect, name_key, name_text
 from .errors import MissingPrediction, SchemaMismatch, UnknownSubsetTurn
 from .jsonl import iter_jsonl, once_per_key, write_jsonl

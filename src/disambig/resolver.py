@@ -9,17 +9,20 @@ pure and reentrant; ties are surfaced through the ``ambiguous`` flag rather
 than silently broken.
 
 Each distinct candidate name is indexed once per process (``_name_record``,
-a bounded memo): its normalized tokens, joined text, character set and
+a bounded memo): its normalized tokens, joined text, character masks and
 proper sub-windows.  The name and attribute stages index the reply's token
 windows once per call and look names and values up in that set.  The fuzzy
-stage joins each window length's texts once per call and screens every pair
-by length ratio and character set before ``edit_distance`` runs, which is
-the bit-parallel OSA recurrence with the name as the pattern.
+stage builds each reply window's text length and character masks (the
+characters it holds at least once and at least twice, one bit each) from
+memoized token masks, and screens every pair by length ratio and by
+``_bag_bound``, a lower bound on the bag distance (Bartolini, Ciaccia &
+Patella 2002) and so on the edit distance.  Only a pair that passes has
+its window text joined and goes to ``edit_distance``, the bit-parallel OSA
+recurrence with the name as the pattern.
 """
 
 from __future__ import annotations
 
-from collections.abc import Set
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -157,18 +160,39 @@ class _Name(NamedTuple):
 
     tokens: tuple[str, ...]
     text: str
-    chars: frozenset[str]
+    once: int
+    twice: int
     windows: frozenset[tuple[str, ...]]
+
+
+# One bit per distinct character seen, assigned in order of first sight.
+# The bound below compares masks made in one process, so no result depends
+# on which bit a character got.
+_CHAR_BITS: dict[str, int] = {}
+
+
+@lru_cache(maxsize=4096)
+def _char_masks(text: str) -> tuple[int, int]:
+    """The bit masks of the characters that occur in ``text`` at least once
+    and at least twice, memoized per distinct string."""
+    once = twice = 0
+    for char in text:
+        bit = _CHAR_BITS.get(char)
+        if bit is None:
+            bit = _CHAR_BITS[char] = 1 << len(_CHAR_BITS)
+        twice |= once & bit
+        once |= bit
+    return once, twice
 
 
 @lru_cache(maxsize=4096)
 def _name_record(name: str) -> _Name:
     """The normalized tokens of ``name``, their joined text and its
-    character set, and the name's proper sub-windows (the empty one
+    character masks, and the name's proper sub-windows (the empty one
     included), memoized per distinct name string."""
     tokens = normalize(name)
     text = " ".join(tokens)
-    return _Name(tuple(tokens), text, frozenset(text), frozenset(_spans(tokens, len(tokens) - 1)))
+    return _Name(tuple(tokens), text, *_char_masks(text), frozenset(_spans(tokens, len(tokens) - 1)))
 
 
 def _name_evidence(utterance: list[str], names: list[_Name]) -> dict[int, float]:
@@ -212,41 +236,72 @@ def _edit_budget(longer: int, max_fuzzy: float) -> int:
     return k
 
 
-def _char_set_bound(a: Set[str], b: Set[str]) -> int:
-    """A lower bound on the OSA distance of two strings with character sets
-    ``a`` and ``b``.  Each character found in one string but not the other
-    needs its own deletion, insertion or substitution, one edit serves at
-    most one such character on each side, and a transposition changes
-    neither set."""
-    return max(len(a - b), len(b - a))
+def _bag_bound(once_a: int, twice_a: int, once_b: int, twice_b: int) -> int:
+    """A lower bound on the OSA distance of two strings, from their
+    ``_char_masks``.  Each side's excess counts the characters it holds at
+    least once that the other lacks, plus those it holds at least twice that
+    the other holds at most once: no more than the size of its multiset
+    difference, the larger of which (the bag distance) no edit sequence can
+    undercut.  One edit removes at most one character from each difference,
+    and a transposition changes neither multiset."""
+    return max(
+        (once_a & ~once_b).bit_count() + (twice_a & ~twice_b).bit_count(),
+        (once_b & ~once_a).bit_count() + (twice_b & ~twice_a).bit_count(),
+    )
+
+
+def _reply_windows(utterance: list[str], longest: int) -> list[dict[int, list[tuple[int, int, int]]]]:
+    """The windows of ``utterance`` of 1 to ``longest`` tokens, without their
+    text: at ``[length][text length]``, each window's ``(start, once, twice)``
+    in ``_char_masks`` form.  A window is its one-token-shorter prefix plus
+    one space and one token, so every mask comes from memoized token masks:
+    a multiset union has at least once what either side has, and at least
+    twice what either has twice or both have once."""
+    space = _char_masks(" ")[0]
+    tokens = [(len(token), *_char_masks(token)) for token in utterance]
+    windows: list[dict[int, list[tuple[int, int, int]]]] = [{}]
+    row = tokens
+    for length in range(1, longest + 1):
+        if length > 1:
+            extended = []
+            for start, (size, once, twice) in enumerate(row[:-1]):
+                token_size, token_once, token_twice = tokens[start + length - 1]
+                twice |= once & space
+                once |= space
+                extended.append((size + 1 + token_size, once | token_once, twice | token_twice | once & token_once))
+            row = extended
+        groups: dict[int, list[tuple[int, int, int]]] = {}
+        for start, (size, once, twice) in enumerate(row):
+            groups.setdefault(size, []).append((start, once, twice))
+        windows.append(groups)
+    return windows
 
 
 def _fuzzy_evidence(utterance: list[str], names: list[_Name], max_fuzzy: float) -> dict[int, float]:
     """Names within an OSA-distance budget of some utterance window: the
     distance divided by the longer string must be at most ``max_fuzzy``.
+
     The windows of each token count are grouped by text length, so the
-    length-ratio test and the budget are worked out once per group; a pair
-    whose character-set bound is over the budget skips the distance."""
-    windows: dict[int, dict[int, list[tuple[str, set[str]]]]] = {}
+    length-ratio test and the budget are worked out once per group.  A
+    window's text is joined only for a pair whose ``_bag_bound`` is within
+    the budget, and only such a pair reaches ``edit_distance``.
+    """
+    longest = min(len(utterance), max((len(name.tokens) for name in names), default=0) + 1)
+    windows = _reply_windows(utterance, longest)
     scored: dict[int, float] = {}
     for index, name in enumerate(names):
         name_len = len(name.text)
         best: float | None = None
-        for length in range(max(1, len(name.tokens) - 1), len(name.tokens) + 2):
-            if length not in windows:
-                windows[length] = {}
-                for start in range(len(utterance) - length + 1):
-                    text = " ".join(utterance[start:start + length])
-                    windows[length].setdefault(len(text), []).append((text, set(text)))
+        for length in range(max(1, len(name.tokens) - 1), min(len(name.tokens) + 1, longest) + 1):
             for window_len, group in windows[length].items():
                 longer = max(window_len, name_len)
-                if longer == 0 or abs(window_len - name_len) / longer > max_fuzzy:
+                if abs(window_len - name_len) / longer > max_fuzzy:
                     continue
                 k = _edit_budget(longer, max_fuzzy)
-                for window_text, window_chars in group:
-                    if _char_set_bound(window_chars, name.chars) > k:
+                for start, once, twice in group:
+                    if _bag_bound(once, twice, name.once, name.twice) > k:
                         continue
-                    distance = edit_distance(name.text, window_text, bound=k)
+                    distance = edit_distance(name.text, " ".join(utterance[start:start + length]), bound=k)
                     if distance <= k and (best is None or distance / longer < best):
                         best = distance / longer
         if best is not None:

@@ -10,8 +10,9 @@ instead of one set of their windows, a fresh gold scan and comparison per
 score bucket instead of one judgement per turn, and a copying decoder
 followed by a second walk of the whole corpus instead of checking each
 dialog as it is decoded, and the resolver as it was before the name index
-(every name re-normalized per call, distances by a banded cutoff DP)
-instead of the memoized name records and the bit-parallel recurrence,
+(every name re-normalized per call, pairs screened by character sets,
+distances by a banded cutoff DP) instead of the memoized name records,
+the multiset-mask screen and the bit-parallel recurrence,
 and entity and prediction rows decoded into the ``Entity`` and
 ``PredictionRow`` classes and dumped again instead of one checker each,
 and grammar sampling by a recursive closure instead of an explicit stack.
@@ -59,7 +60,6 @@ from disambig.resolver import (
     STOPWORDS,
     Match,
     Resolution,
-    _char_set_bound,
     _edit_budget,
     _finish,
     _ordinal_positions,
@@ -299,6 +299,13 @@ def _cutoff_edit_distance(a: str, b: str, bound: int | None = None) -> int:
             return over
         previous2, previous, previous_min = previous, current, row_min
     return previous[-1]
+
+
+def _char_set_bound(a: set[str], b: set[str]) -> int:
+    """A lower bound on the OSA distance of two strings with character sets
+    ``a`` and ``b``: each character found in one string but not the other
+    needs its own edit, and a transposition changes neither set."""
+    return max(len(a - b), len(b - a))
 
 
 def _unindexed_name_evidence(utterance: list[str], names: list[list[str]]) -> dict[int, float]:

@@ -997,3 +997,23 @@ class TestProcess:
             if was_enabled:
                 gc.enable()
         assert cyclic[0] == cyclic[1]
+
+    @pytest.mark.parametrize("argv, exit_code", [
+        (["grammar-count", GRAMMAR, "--start", "USER_ANSWER"], 0),
+        (["stats", "--in", TOY], 0),
+        (["grammar-count", GRAMMAR, "--start", "NO_SUCH_RULE"], 1),
+        (["grammar-count", "no-such-grammar.cfg", "--start", "USER_ANSWER"], 2),
+    ], ids=["ok", "stats", "error", "io-error"])
+    def test_main_exits_with_the_code_and_output_of_run(self, capsys, monkeypatch, repo_root, argv, exit_code):
+        # main freezes the heap before it exits; run, which embedders call,
+        # freezes nothing.
+        env = {**os.environ, "PYTHONPATH": str(repo_root / "src")}
+        done = subprocess.run([sys.executable, "-m", "disambig", *argv], cwd=repo_root, env=env,
+                              capture_output=True, text=True, timeout=60)
+        monkeypatch.chdir(repo_root)
+        frozen = gc.get_freeze_count()
+        code, out, err = _run(capsys, *argv)
+        assert gc.get_freeze_count() == frozen
+        assert (done.returncode, done.stdout, done.stderr) == (exit_code, out, err)
+        assert code == exit_code
+        assert bool(out) == (exit_code == 0)

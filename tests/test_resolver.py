@@ -19,14 +19,17 @@ from disambig.resolver import (
 )
 from disambig.resolver import (
     _attribute_evidence,
-    _char_set_bound,
+    _bag_bound,
+    _char_masks,
     _edit_budget,
     _fuzzy_evidence,
     _name_evidence,
     _name_record,
+    _reply_windows,
 )
 
 from .oracles import (
+    _char_set_bound,
     slow_attribute_evidence,
     slow_edit_distance,
     slow_fuzzy_evidence,
@@ -175,6 +178,20 @@ def _confusable_case(draw) -> tuple[list[str], list[list[str]]]:
     return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6)), names
 
 
+@st.composite
+def _repeated_letter_case(draw) -> tuple[list[str], list[list[str]]]:
+    """Names and a reply over a few letters, repeated within and across
+    tokens, so pairs often share a character set and differ only in how
+    many times a letter occurs; the reply mixes name tokens, edited names
+    and other tokens."""
+    token = st.text(alphabet="aaabbnné", min_size=1, max_size=5)
+    names = draw(st.lists(st.lists(token, min_size=1, max_size=3), min_size=1, max_size=4))
+    pool = [token for name in names for token in name]
+    for name in names:
+        pool += normalize(_one_edit(draw, " ".join(name)))
+    return draw(st.lists(st.one_of(st.sampled_from(pool), token), min_size=1, max_size=7)), names
+
+
 _STOPWORD_VOCAB = ["the", "of", "a", "one", "in"]
 
 
@@ -251,14 +268,37 @@ class TestWindowStages:
         assert _attribute_evidence(utterance, candidates) == {0: 0.5} == slow_attribute_evidence(utterance, candidates)
 
     @settings(max_examples=500)
-    @given(st.text(alphabet="abcde ", max_size=9), st.text(alphabet="abcde ", max_size=9))
-    def test_char_set_bound_never_exceeds_distance(self, a, b):
-        assert _char_set_bound(set(a), set(b)) <= slow_edit_distance(a, b)
+    @given(st.text(alphabet="aaabbcé日 ", max_size=9), st.text(alphabet="aaabbcé日 ", max_size=9))
+    def test_bag_bound_never_exceeds_distance(self, a, b):
+        bound = _bag_bound(*_char_masks(a), *_char_masks(b))
+        assert _char_set_bound(set(a), set(b)) <= bound <= slow_edit_distance(a, b)
+
+    def test_bag_bound_counts_repeated_letters(self):
+        # "aab" and "abb" share a character set, but each holds a letter
+        # twice that the other holds once.
+        assert _bag_bound(*_char_masks("aab"), *_char_masks("abb")) == 1 == slow_edit_distance("aab", "abb")
+        assert _bag_bound(*_char_masks("aaa"), *_char_masks("a")) == 1 < slow_edit_distance("aaa", "a")
+
+    @settings(max_examples=300)
+    @given(st.lists(st.text(alphabet="aabé日", min_size=1, max_size=4), max_size=8), st.integers(0, 9))
+    def test_window_masks_are_the_masks_of_the_joined_text(self, utterance, longest):
+        longest = min(longest, len(utterance))
+        windows = _reply_windows(utterance, longest)
+        assert len(windows) == longest + 1
+        for length in range(1, longest + 1):
+            seen = []
+            for text_len, group in windows[length].items():
+                for start, once, twice in group:
+                    text = " ".join(utterance[start:start + length])
+                    assert (len(text), once, twice) == (text_len, *_char_masks(text))
+                    seen.append(start)
+            assert sorted(seen) == list(range(len(utterance) - length + 1))
 
 
 class TestFuzzyEvidence:
-    @settings(max_examples=300)
-    @given(_confusable_case(), st.one_of(st.sampled_from(_BUDGETS), st.floats(0, 1)))
+    @settings(max_examples=500)
+    @given(st.one_of(_confusable_case(), _repeated_letter_case()),
+           st.one_of(st.sampled_from(_BUDGETS), st.floats(0, 1)))
     def test_bounded_agrees_with_full_distance_oracle(self, case, max_fuzzy):
         utterance, names = case
         fast = _fuzzy_evidence(utterance, _records(names), max_fuzzy)
