@@ -16,10 +16,10 @@ from collections import Counter
 from operator import attrgetter
 from typing import NamedTuple
 
-from .corpus import SYSTEM, Corpus, Database, _expect, entity_row, gold_marker, name_key
+from .corpus import SYSTEM, Corpus, Database, entity_row, gold_marker, name_key
 from .errors import SchemaMismatch
 from .grammar import Grammar
-from .jsonl import iter_jsonl, once_per_key, write_jsonl
+from .jsonl import Field, iter_jsonl, once_per_key, row_checker, write_jsonl
 from .seeding import rng_for
 from .synthesizer import CANDIDATE_COUNTS, AddressingMethod, build_exchange
 
@@ -71,35 +71,20 @@ class AugmentationRecord(NamedTuple):
 
     @classmethod
     def from_json(cls, obj: dict) -> "AugmentationRecord":
-        for key, kind in (("dialog_id", str), ("turn_index", int), ("user_prefix", str)):
-            _expect(obj[key], kind, key)
-        if obj.get("skipped_reason") is not None:
-            _expect(obj["skipped_reason"], str, "skipped_reason")
-        return cls(
-            dialog_id=obj["dialog_id"],
-            turn_index=obj["turn_index"],
-            original_system=obj["original_system"],
-            new_system=obj["new_system"],
-            user_prefix=obj["user_prefix"],
-            original_user=obj["original_user"],
-            candidates=[entity_row(e) for e in obj["candidates"]],
-            target=entity_row(obj["target"]),
-            skipped_reason=obj.get("skipped_reason"),
-        )
+        return cls(**_RECORD_ROW(obj))
 
 
-class AugmentationStats:
-    """Corpus-level counts of one ``augment_corpus`` run, filled in as it goes."""
-
-    def __init__(self, dialogs_total: int = 0):
-        self.dialogs_total = dialogs_total
-        self.dialogs_modified = 0
-        self.turns_total = 0
-        self.turns_modified = 0
-        self.per_domain: dict[str, dict[str, int]] = {}
-
-    def to_json(self) -> dict:
-        return dict(vars(self))
+_RECORD_ROW = row_checker((
+    Field("dialog_id", str),
+    Field("turn_index", int),
+    Field("user_prefix", str),
+    Field("skipped_reason", str, None),
+    Field("original_system", str),
+    Field("new_system", str),
+    Field("original_user", str),
+    Field("candidates", list[entity_row]),
+    Field("target", entity_row),
+))
 
 
 def _state_first_seen(dialog: dict) -> dict[str, int]:
@@ -244,13 +229,16 @@ def augment_corpus(
     seed: int,
     allowed: frozenset[str] | set[str] = DEFAULT_ALLOWED,
     methods: tuple[AddressingMethod, ...] = (AddressingMethod.EXACT,),
-) -> tuple[Corpus, list[AugmentationRecord], AugmentationStats]:
-    """Per-dialog augmentation plus corpus-level statistics.
+) -> tuple[Corpus, list[AugmentationRecord], dict]:
+    """Per-dialog augmentation plus corpus-level statistics, as the JSON
+    object ``{"dialogs_total", "dialogs_modified", "turns_total",
+    "turns_modified", "per_domain"}``.
 
     Each dialog derives its own seeds from its id, so its output does not
     depend on the rest of the corpus.
     """
-    stats = AugmentationStats(dialogs_total=len(corpus.dialogs))
+    stats = {"dialogs_total": len(corpus.dialogs), "dialogs_modified": 0, "turns_total": 0, "turns_modified": 0,
+             "per_domain": {}}
     new_dialogs: list[dict] = []
     all_records: list[AugmentationRecord] = []
     for dialog in corpus.dialogs:
@@ -258,11 +246,11 @@ def augment_corpus(
         new_dialogs.append(new_dialog)
         all_records.extend(records)
         applied = Counter(r.target["domain"] for r in records if r.skipped_reason is None)
-        stats.turns_total += len(dialog["turns"])
-        stats.turns_modified += applied.total()
-        stats.dialogs_modified += bool(applied)
+        stats["turns_total"] += len(dialog["turns"])
+        stats["turns_modified"] += applied.total()
+        stats["dialogs_modified"] += bool(applied)
         for domain, turns_modified in applied.items():
-            domain_stats = stats.per_domain.setdefault(domain, {"dialogs_modified": 0, "turns_modified": 0})
+            domain_stats = stats["per_domain"].setdefault(domain, {"dialogs_modified": 0, "turns_modified": 0})
             domain_stats["dialogs_modified"] += 1
             domain_stats["turns_modified"] += turns_modified
     new_corpus = Corpus(dialogs=new_dialogs, split_name=corpus.split_name, source_format=corpus.source_format)

@@ -24,7 +24,7 @@ from pathlib import Path
 from . import augmenter, corpus as corpus_mod, metrics, resolver, synthesizer
 from .errors import DisambigError, SchemaMismatch
 from .grammar import count_language, load_grammar_file
-from .jsonl import iter_jsonl, numbered_rows, read_json
+from .jsonl import iter_jsonl, numbered_rows, read_json, wrong_type
 
 
 class _Parser(argparse.ArgumentParser):
@@ -196,9 +196,9 @@ def _parse_methods(text: str | None) -> tuple[synthesizer.AddressingMethod, ...]
 
 
 def _row_kind(row: dict) -> str:
-    if "dialog_id" in row:
-        return "records"
-    return "examples" if "system" in row and "candidates" in row else "corpus"
+    if type(row) is not dict:  # a row of any kind is an object
+        raise wrong_type(row, dict)
+    return "records" if "dialog_id" in row else "examples" if "system" in row and "candidates" in row else "corpus"
 
 
 def _sniff_kind(path: str) -> str:
@@ -282,9 +282,9 @@ def _cmd_augment(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     corpus_mod.write_corpus(new_corpus, str(outputs[0]))
     augmenter.write_records(records, str(outputs[1]))
-    _write_json(stats.to_json(), str(outputs[2]))
-    _log(f"modified {stats.turns_modified} of {stats.turns_total} turns "
-         f"across {stats.dialogs_modified} of {stats.dialogs_total} dialogs")
+    _write_json(stats, str(outputs[2]))
+    _log(f"modified {stats['turns_modified']} of {stats['turns_total']} turns "
+         f"across {stats['dialogs_modified']} of {stats['dialogs_total']} dialogs")
     return 0
 
 
@@ -353,7 +353,7 @@ def _cmd_score(args) -> int:
     else:
         gold = corpus_mod.load_corpus(args.gold, format="native")
     records = augmenter.read_records(args.records) if args.records else None
-    _write_json(metrics.score(preds, gold, records).to_json(), args.out)
+    _write_json(metrics.score(preds, gold, records), args.out)
     return 0
 
 

@@ -5,13 +5,23 @@ The native on-disk format is JSON lines: an optional first line
 dialog object per line.  Adapters turn SGD-style directories and
 MultiWOZ-2.2-style JSON (both share the schema-guided envelope) into native
 rows; fields the model does not cover ride along in opaque ``extras`` blobs,
-so writing back is lossless.  Both formats go through ``dialog_row``, which
-checks each turn as it is appended, and ``load_corpus`` then refuses a
-repeated dialog id or a meta header after the first row.  Each check runs on
-every row and formats its message only when it fails: a broken invariant or
-a container of the wrong type raises SchemaMismatch instead of being
-coerced, and every error of a row names the file and its line for JSONL, or
-the file and the dialog's index for SGD and MultiWOZ.
+so writing back is lossless.
+
+Every row kind of these formats is a table of ``jsonl.Field`` entries here,
+and its checker is built from the table: the meta header, the dialog, its
+turns and frames, the ``disambig`` marker, the entity, the database
+document, and the schema-guided dialog, turn, frame and state.  Each row is
+checked once, as it is decoded, and a message is formatted only when a check
+fails: a missing key or a value of the wrong JSON type raises SchemaMismatch
+instead of being coerced.  Rules that relate fields are short code beside
+the tables: ``_read_turns`` reads a dialog's turns and checks each as it
+goes (known speakers that alternate, no search results on a user turn,
+frames of declared services, no empty slot name or value, a well-formed
+marker), ``_nonempty_name`` and ``_as_text`` read an entity's name and
+attributes, and ``_native_row`` checks the meta header's split.  Both
+formats end in ``dialog_row``, and ``load_corpus`` then refuses a repeated
+dialog id or a meta header after the first row.  Every error of a row names the file and
+its line for JSONL, or the file and the dialog's index for SGD and MultiWOZ.
 A dialog is a plain row ``{"id", "services", "turns", "extras"}``, and so
 are its turns, their frames and their search results: each turn holds
 ``speaker``, ``utterance``, ``frames`` and ``extras``
@@ -23,9 +33,11 @@ the ones ``json.loads`` built, except that a result is an entity row made by
 
 An entity row is ``{"domain": str, "name": str, "attributes": {str: str}}``.
 ``entity_row`` is its one check: a string domain, a non-empty string name,
-and attribute values copied as strings.  Search results, database tables,
-synthesized candidates, augmentation pools and record targets are all entity
-rows, and ``resolver.resolve`` and ``predict_names`` take lists of them.
+and attribute values read as text (an object whose values are all strings
+is kept, any other is copied with each value made a string).  Search
+results, database tables, synthesized candidates, augmentation pools and
+record targets are all entity rows, and ``resolver.resolve`` and
+``predict_names`` take lists of them.
 
 The per-domain entity store is a JSON document::
 
@@ -53,10 +65,12 @@ from pathlib import Path
 from typing import Callable, Iterator, NamedTuple
 
 from .errors import NotEnoughEntities, SchemaMismatch, UnknownDomain
-from .jsonl import iter_jsonl, read_json, write_jsonl
+from .jsonl import REQUIRED, Field, iter_jsonl, read_json, row_checker, write_jsonl
 
 USER = "USER"
 SYSTEM = "SYSTEM"
+_SPEAKERS = frozenset((USER, SYSTEM))
+_TEXT = frozenset((str,))
 
 _EDGE_PUNCT_RE = re.compile(r"^[^\w]+|[^\w]+$")
 _WS_RE = re.compile(r"\s+")
@@ -85,126 +99,103 @@ def name_text(name: str) -> str:
     return " ".join(normalize(name))
 
 
-_KIND_NAMES = {list: "an array", dict: "an object", str: "a string", int: "an integer"}
-
-
-def _wrong_type(value, kind: type, what: str) -> SchemaMismatch:
-    """The error for ``value`` found where ``what``, a JSON value of ``kind``, belongs."""
-    return SchemaMismatch(f"{what}: expected {_KIND_NAMES[kind]}, got {value!r:.60}")
-
-
-def _expect(value, kind: type, what: str) -> None:
-    """Raise SchemaMismatch unless ``value`` is a JSON value of ``kind`` (a bool is not an integer)."""
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        raise _wrong_type(value, kind, what)
-
-
-def entity_row(obj: dict) -> dict:
-    """The entity row ``{"domain", "name", "attributes"}`` of ``obj``, checked:
-    a string domain, a non-empty string name and an object of attributes
-    (``{}`` when absent), whose values are copied as strings."""
-    try:
-        domain, name, attributes = obj["domain"], obj["name"], obj.get("attributes", {})
-    except KeyError as exc:
-        raise SchemaMismatch(f"entity record missing key {exc}") from exc
-    if not isinstance(domain, str):
-        raise _wrong_type(domain, str, "entity domain")
-    if not isinstance(name, str):
-        raise _wrong_type(name, str, "entity name")
+def _nonempty_name(name: str, entity: dict) -> str:
     if not name:
-        raise SchemaMismatch(f"entity in domain {domain!r} has an empty name")
-    if not isinstance(attributes, dict):
-        raise _wrong_type(attributes, dict, f"entity {name!r} attributes")
-    return {"domain": domain, "name": name,
-            "attributes": {k: v if type(v) is str else str(v) for k, v in attributes.items()}}
+        raise SchemaMismatch(f"entity in domain {entity['domain']!r} has an empty name")
+    return name
 
 
-def dialog_row(obj: dict) -> dict:
-    """The dialog row ``{"id", "services", "turns", "extras"}`` of a native
-    row, adopting its containers and checking each turn as it is appended:
-    a string id, an array of string services, an object of extras (``{}``
-    when absent) and an array of turns."""
-    try:
-        dialog = {"id": obj["id"], "services": obj["services"], "turns": [], "extras": obj.get("extras", {})}
-        _expect(dialog["id"], str, "dialog id")  # prediction keys, which must match it, are strings
-        _expect(dialog["services"], list, f"dialog {dialog['id']!r} services")
-        for service in dialog["services"]:
-            _expect(service, str, f"dialog {dialog['id']!r} service")
-        _expect(dialog["extras"], dict, f"dialog {dialog['id']!r} extras")
-        _expect(obj["turns"], list, f"dialog {dialog['id']!r} turns")
-        for raw_turn in obj["turns"]:
-            _append_turn(dialog, raw_turn)
-        return dialog
-    except KeyError as exc:
-        raise SchemaMismatch(f"dialog record missing key {exc}") from exc
+def _as_text(attributes: dict, entity: dict) -> dict:
+    if _TEXT.issuperset(map(type, attributes.values())):
+        return attributes
+    return {k: v if type(v) is str else str(v) for k, v in attributes.items()}
+
+
+# The entity row: a string domain, a non-empty string name and an object of
+# attributes ({} when absent), whose values are read as text.
+entity_row = row_checker((
+    Field("domain", str, labels=("entity domain",)),
+    Field("name", str, labels=("entity name",), then=_nonempty_name),
+    Field("attributes", dict, {}, ("entity {name!r} attributes",), then=_as_text),
+), "entity record missing key {key!r}")
 
 
 def gold_marker(origin: str, method: str, target_names: list[str], candidates: list[dict]) -> dict:
     """The ``disambig`` marker of a system turn that lists ``candidates`` and
     whose user reply picks ``target_names`` by addressing ``method``; it is
-    the gold label for scoring, and ``_append_turn`` checks it on load."""
+    the gold label for scoring, and ``_read_turns`` checks it on load."""
     return {"origin": origin, "method": method, "target_names": target_names,
             "candidate_names": [e["name"] for e in candidates]}
 
 
-def _append_turn(dialog: dict, raw: dict) -> None:
-    """Append the turn row of ``raw`` to ``dialog``, or raise SchemaMismatch,
-    naming the dialog and the turn, at the first invariant it breaks there.
-    The row gets every key with its default, keeps the containers of ``raw``
-    and drops its unknown keys."""
-    turns = dialog["turns"]
-    speaker, utterance, raw_frames = raw["speaker"], raw["utterance"], raw.get("frames", [])
-    results, extras = raw.get("search_results"), raw.get("extras", {})
-    try:
-        if speaker not in (USER, SYSTEM):
-            raise SchemaMismatch(f"speaker {speaker!r}")
-        if turns and speaker == turns[-1]["speaker"]:
-            raise SchemaMismatch("speakers do not alternate")
-        if speaker == USER and results is not None:
-            raise SchemaMismatch("user turns cannot carry search results")
-        if not isinstance(utterance, str):
-            raise _wrong_type(utterance, str, "utterance")
-        if not isinstance(extras, dict):
-            raise _wrong_type(extras, dict, "extras")
-        if "disambig" in extras:
-            marker = extras["disambig"]
-            _expect(marker, dict, "disambig marker")
-            _expect(marker.get("target_names"), list, "marker target_names")
-            for name in marker["target_names"]:
-                _expect(name, str, "marker target name")
-            for key in ("method", "origin"):
-                _expect(marker.get(key, ""), str, f"marker {key}")
-        if not isinstance(raw_frames, list):
-            raise _wrong_type(raw_frames, list, "frames")
-        frames = [_frame_row(f, dialog["services"]) for f in raw_frames]
-    except SchemaMismatch as exc:
-        raise SchemaMismatch(f"dialog {dialog['id']!r} turn {len(turns)}: {exc}") from exc
-    turn = {"speaker": speaker, "utterance": utterance, "frames": frames, "extras": extras}
-    if results is not None:
-        turn["search_results"] = [entity_row(e) for e in results]
-    turns.append(turn)
+# A turn's extras, and the "disambig" marker in them, are kept whole.
+# ``_read_turns`` checks extras that hold the key by ``_TURN_EXTRAS``, whose
+# marker is required there, so that a null marker is refused too.
+_MARKER = row_checker((
+    Field("target_names", list[str], labels=("marker target_names", "marker target name")),
+    Field("method", str, "", ("marker method",)),
+    Field("origin", str, "", ("marker origin",)),
+), "marker missing key {key!r}")
+_TURN_EXTRAS = row_checker((Field("disambig", _MARKER, labels=("disambig marker",)),))
+
+_FRAME = row_checker((
+    Field("service", str, labels=("frame service",)),
+    Field("extras", dict, {}, ("frame extras",)),
+    Field("requested_slots", list[str], [], ("requested_slots", "requested slot")),
+    Field("slot_values", dict[str, list[str]], {}, ("slot_values", "slot {key!r}", "slot {key!r} value")),
+), "frame missing key {key!r}")
+
+_TURN = row_checker((
+    Field("speaker", str),
+    Field("utterance", str),
+    Field("extras", dict, {}),
+    Field("frames", list[_FRAME], []),
+    Field("search_results", list[entity_row], None),
+), "missing key {key!r}")
 
 
-def _frame_row(raw: dict, services: list[str]) -> dict:
-    """The frame row of ``raw``, checked against the dialog's ``services``."""
-    frame = {"service": raw["service"], "slot_values": raw.get("slot_values", {}),
-             "requested_slots": raw.get("requested_slots", []), "extras": raw.get("extras", {})}
-    if frame["service"] not in services:
-        raise SchemaMismatch(f"frame service {frame['service']!r} not in dialog services")
-    if not isinstance(frame["requested_slots"], list):
-        raise _wrong_type(frame["requested_slots"], list, "requested_slots")
-    if not isinstance(frame["extras"], dict):
-        raise _wrong_type(frame["extras"], dict, "frame extras")
-    if not isinstance(frame["slot_values"], dict):
-        raise _wrong_type(frame["slot_values"], dict, "slot_values")
-    for slot, values in frame["slot_values"].items():
-        if not slot:
-            raise SchemaMismatch("empty slot name")
-        if not isinstance(values, list):
-            raise _wrong_type(values, list, f"slot {slot!r}")
-        if not all(isinstance(v, str) and v for v in values):
-            raise SchemaMismatch(f"slot {slot!r} has an empty or non-string value")
-    return frame
+def _read_turns(raw_turns: list, dialog: dict) -> list[dict]:
+    """The turn rows of ``raw_turns``, each read by the turn table and then
+    checked against the dialog.  Refuse, naming the turn, its first error:
+    one the table finds, an unknown speaker, two turns of one speaker in a
+    row, a user turn with search results, a malformed ``disambig`` marker,
+    a frame of a service the dialog does not declare, or an empty slot name
+    or value."""
+    turns, previous, services = [], None, dialog["services"]
+    for index, raw in enumerate(raw_turns):
+        try:
+            turn = _TURN(raw)
+            speaker = turn["speaker"]
+            if speaker not in _SPEAKERS:
+                raise SchemaMismatch(f"speaker {speaker!r}")
+            if speaker == previous:
+                raise SchemaMismatch("speakers do not alternate")
+            if speaker == USER and "search_results" in turn:
+                raise SchemaMismatch("user turns cannot carry search results")
+            if "disambig" in turn["extras"]:
+                _TURN_EXTRAS(turn["extras"])
+            for frame in turn["frames"]:
+                if frame["service"] not in services:
+                    raise SchemaMismatch(f"frame service {frame['service']!r} not in dialog services")
+                slot_values = frame["slot_values"]
+                if "" in slot_values or not all(map(all, slot_values.values())):
+                    empty = next(slot for slot, values in slot_values.items() if not slot or not all(values))
+                    raise SchemaMismatch(f"slot {empty!r} has an empty value" if empty else "empty slot name")
+        except SchemaMismatch as exc:
+            raise SchemaMismatch(f"dialog {dialog['id']!r} turn {index}: {exc}") from exc
+        turns.append(turn)
+        previous = speaker
+    return turns
+
+
+# The dialog row of a native row, adopting its containers; the turn rows
+# get every key with its default and drop unknown keys.
+dialog_row = row_checker((
+    Field("id", str, labels=("dialog id",)),  # prediction keys, which must match it, are strings
+    Field("services", list[str], labels=("dialog {id!r} services", "dialog {id!r} service")),
+    Field("extras", dict, {}, ("dialog {id!r} extras",)),
+    Field("turns", list, labels=("dialog {id!r} turns",), then=_read_turns),
+), "dialog record missing key {key!r}")
 
 
 SPLITS = ("train", "dev", "test")
@@ -262,14 +253,22 @@ def load_corpus(path: str, format: str = "native") -> Corpus:
     return Corpus(dialogs=list(rows.values()), split_name=split_name, source_format=source_format)
 
 
+_HEADER = row_checker((
+    Field("meta", row_checker((
+        Field("split_name", str, "train", ("meta split_name",)),
+        Field("source_format", str, "native", ("meta source_format",)),
+    ))),
+))
+
+
 def _native_row(obj: dict) -> dict | tuple[str, str]:
     """A dialog row, or the ``(split_name, source_format)`` of a ``meta`` header row."""
-    if "meta" not in obj:
+    if type(obj) is not dict or "meta" not in obj:
         return dialog_row(obj)
-    meta = {"split_name": "train", "source_format": "native", **obj["meta"]}
-    if meta["split_name"] not in SPLITS:
-        raise SchemaMismatch(f"split_name {meta['split_name']!r} not one of {SPLITS}")
-    return meta["split_name"], meta["source_format"]
+    split_name, source_format = _HEADER(obj)["meta"].values()
+    if split_name not in SPLITS:
+        raise SchemaMismatch(f"split_name {split_name!r} not one of {SPLITS}")
+    return split_name, source_format
 
 
 # --- schema-guided adapters (SGD and MultiWOZ 2.2 share the envelope) ---------
@@ -318,7 +317,6 @@ def guess_name_field(service: str, record: dict) -> str:
 def _entity_row(domain: str, record: dict, name_field: str, where: str) -> dict:
     """A flat record that keeps its name under ``name_field`` as a native
     entity row, for ``entity_row`` to check."""
-    _expect(record, dict, where)
     if name_field not in record:
         raise SchemaMismatch(f"{where} lacks its name field {name_field!r}")
     attributes = {k: v for k, v in record.items() if k != name_field}
@@ -362,54 +360,74 @@ def _schema_guided_rows(path: str, parse: Callable[[dict], object]) -> Iterator[
         for index, obj in enumerate(payload):
             try:
                 yield parse(obj)
-            except (SchemaMismatch, AttributeError, TypeError) as exc:  # the last two: a JSON value of the wrong type
+            except SchemaMismatch as exc:
                 raise SchemaMismatch(f"{file_path}: dialog at index {index}: {exc}") from exc
 
 
+# The schema-guided envelope.  Keys a table does not name ride along in
+# ``extras`` (a state's in ``state_extras``), so writing back is lossless;
+# what the native tables check again (the services, the slot values and
+# the requested slots) is only given its container type here.
+_SGD_STATE = row_checker((
+    Field("slot_values", dict, {}),
+    Field("requested_slots", list, []),
+), rest="state_extras")
+_SGD_FRAME = row_checker((
+    Field("service", str, ""),
+    Field("state", _SGD_STATE, {}),
+    Field("service_results", list[dict], None, ("service_results", "search result for {service!r}")),
+), rest="extras")
+_SGD_TURN = row_checker((
+    Field("speaker", str, None),
+    Field("utterance", str, None),
+    Field("frames", list[_SGD_FRAME], []),
+), rest="extras")
+_SGD_DIALOG = row_checker((
+    Field("dialogue_id", str, None),
+    Field("dialog_id", str, None),
+    Field("services", list, []),
+    Field("turns", list, labels=("dialog {dialogue_id!r} turns",)),
+), "dialog {dialogue_id!r} has no {key!r} key", rest="extras")
+
+
 def _schema_guided_row(obj: dict) -> dict:
-    """The checked dialog row of a schema-guided dialog object."""
-    return dialog_row(_native_dialog_row(obj))
-
-
-def _native_dialog_row(obj: dict) -> dict:
-    """A schema-guided dialog as a native row, for ``dialog_row`` to check."""
-    if "turns" not in obj:
-        raise SchemaMismatch(f"dialog {obj.get('dialogue_id')!r} has no 'turns' key")
-    dialog_id = obj.get("dialogue_id") or obj.get("dialog_id")
+    """The checked dialog row of a schema-guided dialog object, read as a native row."""
+    if type(obj) is dict and not obj.get("dialogue_id") and obj.get("dialog_id"):
+        obj = {**obj, "dialogue_id": obj["dialog_id"]}  # so that errors name the dialog by the id it has
+    envelope = _SGD_DIALOG(obj)
+    dialog_id = envelope.get("dialogue_id")
     if not dialog_id:
         raise SchemaMismatch("dialog without a dialogue_id")
-    _expect(dialog_id, str, "dialogue_id")
     turns = []
-    for raw_turn in obj["turns"]:
+    for index, raw_turn in enumerate(envelope["turns"]):
         try:
-            speaker, utterance = raw_turn["speaker"], raw_turn["utterance"]
-        except (KeyError, TypeError) as exc:
-            raise SchemaMismatch(f"turn in {dialog_id!r} missing speaker/utterance") from exc
+            raw_turn = _SGD_TURN(raw_turn)
+        except SchemaMismatch as exc:
+            raise SchemaMismatch(f"dialog {dialog_id!r} turn {index}: {exc}") from exc
+        if "speaker" not in raw_turn or "utterance" not in raw_turn:
+            raise SchemaMismatch(f"turn in {dialog_id!r} missing speaker/utterance")
         frames, results = [], []
-        for raw_frame in raw_turn.get("frames", []):
-            service = raw_frame.get("service")
+        for raw_frame in raw_turn["frames"]:
+            service, state, extras = raw_frame["service"], raw_frame["state"], raw_frame["extras"]
             if not service:
                 raise SchemaMismatch(f"frame without service in dialog {dialog_id!r}")
-            state = raw_frame.get("state", {})
-            # Scalar slot values are stringified; a value list of the wrong type is left to the check.
+            if state["state_extras"]:
+                extras["state_extras"] = state["state_extras"]
+            if "service_results" in raw_frame:  # kept raw, for writing back
+                extras["service_results"] = raw_frame["service_results"]
+            for record in raw_frame.get("service_results", ()):
+                results.append(_entity_row(service, record, guess_name_field(service, record),
+                                           f"search result for {service!r}"))
+            # Scalar slot values are taken as text; a value list of the wrong type is left to the native check.
             slot_values = {k: [str(v) for v in vs] if isinstance(vs, list) else vs
-                           for k, vs in state.get("slot_values", {}).items()}
-            state_extras = {k: v for k, v in state.items() if k not in ("slot_values", "requested_slots")}
-            frame_extras = {k: v for k, v in raw_frame.items() if k not in ("service", "state")}
-            if state_extras:
-                frame_extras["state_extras"] = state_extras
-            label = f"search result for {service!r}"
-            results.extend(_entity_row(service, record, guess_name_field(service, record), label)
-                           for record in raw_frame.get("service_results", []))
+                           for k, vs in state["slot_values"].items()}
             frames.append({"service": service, "slot_values": slot_values,
-                           "requested_slots": state.get("requested_slots", []), "extras": frame_extras})
-        turn = {"speaker": speaker, "utterance": utterance, "frames": frames,
-                "extras": {k: v for k, v in raw_turn.items() if k not in ("speaker", "utterance", "frames")}}
-        if speaker == SYSTEM and results:
+                           "requested_slots": state["requested_slots"], "extras": extras})
+        turn = {**raw_turn, "frames": frames}  # its speaker, utterance and extras
+        if turn["speaker"] == SYSTEM and results:
             turn["search_results"] = results
         turns.append(turn)
-    extras = {k: v for k, v in obj.items() if k not in ("dialogue_id", "dialog_id", "services", "turns")}
-    return {"id": dialog_id, "services": obj.get("services", []), "turns": turns, "extras": extras}
+    return dialog_row({"id": dialog_id, "services": envelope["services"], "turns": turns, "extras": envelope["extras"]})
 
 
 def _dialog_to_schema_guided(dialog: dict) -> dict:
@@ -489,24 +507,25 @@ class Database:
         return self._names.get(domain, frozenset())
 
 
+_DATABASE = row_checker((
+    Field("name_fields", dict[str, str], labels=("name_fields", "name_fields[{key!r}]")),
+    Field("nouns", dict[str, str], {}, ("nouns", "nouns[{key!r}]")),
+    Field("tables", dict[str, list[dict]], labels=("tables", "tables[{key!r}]", "record in {key!r}")),
+), "database needs 'name_fields' and 'tables' keys")
+
+
 def load_database(path: str) -> Database:
-    payload = read_json(path)
     try:
-        name_fields, raw_tables = payload["name_fields"], payload["tables"]
-    except (KeyError, TypeError) as exc:
-        raise SchemaMismatch(f"{path}: database needs 'name_fields' and 'tables' keys") from exc
-    nouns = payload.get("nouns", {})
-    for key, mapping in (("name_fields", name_fields), ("nouns", nouns), ("tables", raw_tables)):
-        _expect(mapping, dict, f"{path}: {key}")
-        for domain, value in mapping.items():
-            _expect(value, list if key == "tables" else str, f"{path}: {key}[{domain!r}]")
+        payload = _DATABASE(read_json(path))
+    except SchemaMismatch as exc:
+        raise SchemaMismatch(f"{path}: {exc}") from exc
     tables: dict[str, list[dict]] = {}
-    for domain, records in raw_tables.items():
-        if domain not in name_fields:
+    for domain, records in payload["tables"].items():
+        if domain not in payload["name_fields"]:
             raise SchemaMismatch(f"{path}: domain {domain!r} missing from name_fields")
-        where = f"{path}: record in {domain!r}"
-        tables[domain] = [entity_row(_entity_row(domain, record, name_fields[domain], where)) for record in records]
-    return Database(tables=tables, name_fields=name_fields, nouns=nouns)
+        tables[domain] = [entity_row(_entity_row(domain, record, payload["name_fields"][domain],
+                                                 f"{path}: record in {domain!r}")) for record in records]
+    return Database(tables=tables, name_fields=payload["name_fields"], nouns=payload["nouns"])
 
 
 def write_database(db: Database, path: str) -> None:

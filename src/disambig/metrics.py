@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from operator import itemgetter
 
-from .corpus import USER, Corpus, _expect, name_key, name_text
+from .corpus import USER, Corpus, name_key, name_text
 from .errors import MissingPrediction, SchemaMismatch, UnknownSubsetTurn
-from .jsonl import iter_jsonl, once_per_key, write_jsonl
+from .jsonl import Field, iter_jsonl, once_per_key, row_checker, write_jsonl
 
 ALL = "ALL"
 AUGMENTED_ONLY = "AUGMENTED_ONLY"
@@ -26,25 +26,14 @@ AUGMENTED_ONLY = "AUGMENTED_ONLY"
 Key = tuple[str, int]
 
 
-def prediction_row(obj: dict) -> dict:
-    """The prediction row of ``obj``: ``dialog_id``, ``turn_index``,
-    ``entities`` (``[]`` when absent) and, when it has one, ``state``.
-    Its types are checked, not coerced."""
-    row = {"dialog_id": obj["dialog_id"], "turn_index": obj["turn_index"], "entities": obj.get("entities", [])}
-    state = obj.get("state")
-    _expect(row["dialog_id"], str, "dialog_id")
-    _expect(row["turn_index"], int, "turn_index")
-    _expect(row["entities"], list, "entities")
-    for name in row["entities"]:
-        _expect(name, str, "entities item")
-    if state is not None:
-        _expect(state, dict, "state")
-        for slot, values in state.items():
-            _expect(values, list, f"state slot {slot!r}")
-            for value in values:
-                _expect(value, str, f"state slot {slot!r} value")
-        row["state"] = state
-    return row
+# The prediction row: ``dialog_id``, ``turn_index``, ``entities`` ([] when
+# absent) and, when it has one, ``state``.  Its types are checked, not coerced.
+prediction_row = row_checker((
+    Field("dialog_id", str),
+    Field("turn_index", int),
+    Field("entities", list[str], []),
+    Field("state", dict[str, list[str]], None, ("state", "state slot {key!r}", "state slot {key!r} value")),
+))
 
 
 PredictionFile = dict[Key, dict]
@@ -169,30 +158,17 @@ def slot_accuracy(preds: PredictionFile, gold: Corpus, subset=ALL) -> float:
     return sum(fractions) / len(fractions) if fractions else 1.0
 
 
-class ScoreReport:
-    """The headline numbers and bucket counts of one ``score`` call; a
-    number stays None when its bucket does not apply."""
-
-    def __init__(self):
-        self.entity_accuracy_all: float | None = None
-        self.entity_accuracy_augmented: float | None = None
-        self.jga_all: float | None = None
-        self.jga_augmented: float | None = None
-        self.per_method: dict[str, float] | None = None
-        self.counts: dict[str, int] = {}
-
-    def to_json(self) -> dict:
-        return dict(vars(self))
-
-
-def score(preds: PredictionFile, gold: Corpus, records: list[AugmentationRecord] | None = None) -> ScoreReport:
-    """All four headline numbers plus bucket counts.
+def score(preds: PredictionFile, gold: Corpus, records: list[AugmentationRecord] | None = None) -> dict:
+    """The report of all four headline numbers plus bucket counts, as a JSON
+    object: ``entity_accuracy_all``, ``entity_accuracy_augmented``,
+    ``jga_all``, ``jga_augmented``, ``per_method`` and ``counts``.
 
     The augmented-only bucket is exactly the turn indices in ``records``
     when given (skipped records excluded), otherwise every turn whose marker
     came from the augmenter.  Buckets that do not apply stay None.
     """
-    report = ScoreReport()
+    report: dict = {"entity_accuracy_all": None, "entity_accuracy_augmented": None,
+                    "jga_all": None, "jga_augmented": None, "per_method": None, "counts": {}}
     dialogs = {dialog["id"]: dialog for dialog in gold.dialogs}
     if len(dialogs) != len(gold.dialogs):
         raise SchemaMismatch("gold corpus has duplicate dialog ids")
@@ -204,26 +180,26 @@ def score(preds: PredictionFile, gold: Corpus, records: list[AugmentationRecord]
     hits = _entity_hits(preds, gold_entity_turns(gold))
     markers = {key: dialogs[key[0]]["turns"][key[1]]["extras"]["disambig"] for key in hits}
     total_turns = sum(len(dialog["turns"]) for dialog in dialogs.values())
-    report.counts["turns_total"] = total_turns
-    report.counts["turns_with_gold_targets"] = len(hits)
-    report.counts["turns_skipped_no_target"] = total_turns - len(hits)
+    report["counts"]["turns_total"] = total_turns
+    report["counts"]["turns_with_gold_targets"] = len(hits)
+    report["counts"]["turns_skipped_no_target"] = total_turns - len(hits)
 
     if hits:
-        report.entity_accuracy_all = sum(hits.values()) / len(hits)
+        report["entity_accuracy_all"] = sum(hits.values()) / len(hits)
         by_method: dict[str, list[bool]] = {}
         for key, marker in markers.items():
             if marker.get("method"):
                 by_method.setdefault(marker["method"], []).append(hits[key])
-        report.per_method = {method: sum(bucket) / len(bucket) for method, bucket in sorted(by_method.items())}
+        report["per_method"] = {method: sum(bucket) / len(bucket) for method, bucket in sorted(by_method.items())}
 
     if records is not None:
         augmented_keys = [(r.dialog_id, r.turn_index) for r in records if r.skipped_reason is None]
     else:
         augmented_keys = [key for key, marker in markers.items() if marker.get("origin") == "augment"]
-    report.counts["turns_augmented"] = len(augmented_keys)
+    report["counts"]["turns_augmented"] = len(augmented_keys)
     if augmented_keys:
         augmented = _select(hits, augmented_keys, gold)
-        report.entity_accuracy_augmented = sum(augmented.values()) / len(augmented)
+        report["entity_accuracy_augmented"] = sum(augmented.values()) / len(augmented)
 
     # Prediction files without any state (``resolve`` never writes one) get
     # no joint goal accuracy, so the gold states are not built for them.
@@ -232,8 +208,8 @@ def score(preds: PredictionFile, gold: Corpus, records: list[AugmentationRecord]
     states = gold_states(gold)
     if states and all(key in preds and preds[key].get("state") is not None for key in states):
         slots = _slot_hits(preds, states)
-        report.jga_all = _joint(slots)
+        report["jga_all"] = _joint(slots)
         user_keys = [(d, t + 1) for d, t in augmented_keys if (d, t + 1) in slots]
         if user_keys:
-            report.jga_augmented = _joint(_select(slots, user_keys, gold))
+            report["jga_augmented"] = _joint(_select(slots, user_keys, gold))
     return report

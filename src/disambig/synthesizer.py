@@ -11,9 +11,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import NamedTuple
 
-from .corpus import (
-    SPLITS, SYSTEM, USER, Corpus, Database, _expect, entity_row, gold_marker, name_key, sample_entities,
-)
+from .corpus import SPLITS, SYSTEM, USER, Corpus, Database, entity_row, gold_marker, name_key, sample_entities
 from .errors import (
     InvalidTargetArity,
     NoDiscriminatingAttribute,
@@ -24,7 +22,7 @@ from .errors import (
     UnknownDomain,
 )
 from .grammar import Grammar, fill, sample
-from .jsonl import iter_jsonl, write_jsonl
+from .jsonl import Field, iter_jsonl, row_checker, write_jsonl
 from .resolver import STOPWORDS, _spans
 from .seeding import derive_seed, rng_for
 
@@ -70,6 +68,17 @@ class AddressingMethod(Enum):
 
 METHODS = tuple(AddressingMethod)
 
+_EXAMPLE_ROW = row_checker((
+    Field("system", str),
+    Field("user", str),
+    Field("candidates", list[entity_row]),
+    Field("target_names", list[str], labels=("target_names", "target name")),
+    Field("method", str),
+    Field("domain", str),
+    Field("seed", int),
+))
+_METHOD_OF = {method.value: method for method in METHODS}
+
 
 class SingleTurnExample(NamedTuple):
     system_utterance: str
@@ -96,23 +105,18 @@ class SingleTurnExample(NamedTuple):
 
     @classmethod
     def from_json(cls, obj: dict) -> "SingleTurnExample":
-        for key in ("system", "user"):
-            _expect(obj[key], str, key)
-        candidates = [entity_row(e) for e in obj["candidates"]]
-        by_key = {name_key(e["name"]): i for i, e in enumerate(candidates)}
-        names = obj["target_names"]
-        targets = [by_key.get(name_key(name)) for name in names]
+        """The example of a row checked by its table, whose target names
+        must each be one of the candidates'."""
+        row = _EXAMPLE_ROW(obj)
+        method = _METHOD_OF.get(row["method"])
+        if method is None:
+            raise SchemaMismatch(f"method: expected one of {', '.join(map(repr, _METHOD_OF))}, got {row['method']!r}")
+        by_key = {name_key(e["name"]): i for i, e in enumerate(row["candidates"])}
+        targets = [by_key.get(name_key(name)) for name in row["target_names"]]
         if None in targets:
-            raise SchemaMismatch(f"target name {names[targets.index(None)]!r} is not one of the candidates")
-        return cls(
-            system_utterance=obj["system"],
-            user_utterance=obj["user"],
-            candidates=candidates,
-            targets=targets,
-            method=AddressingMethod(obj["method"]),
-            domain=obj["domain"],
-            seed=obj["seed"],
-        )
+            unknown = row["target_names"][targets.index(None)]
+            raise SchemaMismatch(f"target name {unknown!r} is not one of the candidates")
+        return cls(row["system"], row["user"], row["candidates"], targets, method, row["domain"], row["seed"])
 
 
 def format_option_list(names: list[str]) -> str:

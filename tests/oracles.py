@@ -14,7 +14,8 @@ dialog as it is decoded, and the resolver as it was before the name index
 distances by a banded cutoff DP) instead of the memoized name records,
 the multiset-mask screen and the bit-parallel recurrence,
 and entity and prediction rows decoded into the ``Entity`` and
-``PredictionRow`` classes and dumped again instead of one checker each,
+``PredictionRow`` classes and dumped again, and example and record rows
+read by their hand-written checks, instead of one table-built checker each,
 and grammar sampling by a recursive closure instead of an explicit stack.
 Keep them slow and obvious.
 """
@@ -39,7 +40,6 @@ from disambig.corpus import (
     USER,
     Corpus,
     Database,
-    _expect,
     _infer_split,
     _schema_guided_files,
     guess_name_field,
@@ -49,7 +49,7 @@ from disambig.errors import (
     MissingPrediction, NoMatch, NoUniquePartial, SchemaMismatch, UnknownStart, UnknownSubsetTurn,
 )
 from disambig.grammar import Grammar, Nonterminal
-from disambig.jsonl import iter_jsonl, read_json
+from disambig.jsonl import iter_jsonl, read_json, wrong_type
 from disambig.metrics import ALL, AUGMENTED_ONLY, gold_entity_turns, gold_states
 from disambig.resolver import (
     ATTRIBUTE,
@@ -71,10 +71,17 @@ from disambig.seeding import derive_seed, rng_for
 from disambig.synthesizer import (
     CANDIDATE_COUNTS,
     AddressingMethod,
+    SingleTurnExample,
     apply_addressing,
     build_system_utterance,
     build_user_utterance,
 )
+
+
+def _expect(value, kind: type, what: str) -> None:
+    """The type check of the hand-written readers: ``isinstance``, a bool not being an integer."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise wrong_type(value, kind, what)
 
 
 def enumerate_templates(grammar: Grammar, start: str, cap: int = 20_000) -> list[tuple]:
@@ -641,6 +648,47 @@ def slow_prediction_row(obj: dict) -> dict:
     return PredictionRow.from_json(obj).to_json()
 
 
+# --- example and record rows as their hand-written checks read them ----------
+
+
+def slow_example_row(obj: dict) -> SingleTurnExample:
+    """``SingleTurnExample.from_json`` as it was before the example table:
+    two type checks, the candidates through the ``Entity`` class, and the
+    rest taken as it is, so a wrong value surfaces as whatever Python raises."""
+    for key in ("system", "user"):
+        _expect(obj[key], str, key)
+    candidates = [slow_entity_row(e) for e in obj["candidates"]]
+    by_key = {name_key(e["name"]): i for i, e in enumerate(candidates)}
+    names = obj["target_names"]
+    targets = [by_key.get(name_key(name)) for name in names]
+    if None in targets:
+        raise SchemaMismatch(f"target name {names[targets.index(None)]!r} is not one of the candidates")
+    return SingleTurnExample(system_utterance=obj["system"], user_utterance=obj["user"], candidates=candidates,
+                             targets=targets, method=AddressingMethod(obj["method"]), domain=obj["domain"],
+                             seed=obj["seed"])
+
+
+def slow_record_row(obj: dict) -> AugmentationRecord:
+    """``AugmentationRecord.from_json`` as it was before the record table:
+    four type checks, the entities through the ``Entity`` class, and the
+    utterances taken as they are."""
+    for key, kind in (("dialog_id", str), ("turn_index", int), ("user_prefix", str)):
+        _expect(obj[key], kind, key)
+    if obj.get("skipped_reason") is not None:
+        _expect(obj["skipped_reason"], str, "skipped_reason")
+    return AugmentationRecord(
+        dialog_id=obj["dialog_id"],
+        turn_index=obj["turn_index"],
+        original_system=obj["original_system"],
+        new_system=obj["new_system"],
+        user_prefix=obj["user_prefix"],
+        original_user=obj["original_user"],
+        candidates=[slow_entity_row(e) for e in obj["candidates"]],
+        target=slow_entity_row(obj["target"]),
+        skipped_reason=obj.get("skipped_reason"),
+    )
+
+
 # --- corpus loading: copy every container, then validate the whole corpus ------
 
 
@@ -652,6 +700,8 @@ def _slow_entity(obj: dict) -> dict:
 
 
 def _slow_frame(obj: dict) -> dict:
+    if "service" not in obj:
+        raise SchemaMismatch("frame missing key 'service'")
     return {
         "service": obj["service"],
         "slot_values": {k: list(v) for k, v in obj.get("slot_values", {}).items()},
@@ -673,16 +723,22 @@ def _slow_turn(obj: dict) -> dict:
 
 
 def slow_dialog_from_json(obj: dict) -> dict:
-    """A native dialog row decoded into fresh copies of every container, unchecked."""
+    """A native dialog row decoded into fresh copies of every container,
+    unchecked but for missing keys, which a turn's error names."""
     try:
-        return {
-            "id": obj["id"],
-            "services": list(obj["services"]),
-            "turns": [_slow_turn(t) for t in obj["turns"]],
-            "extras": dict(obj.get("extras", {})),
-        }
+        dialog = {"id": obj["id"], "services": list(obj["services"]), "turns": obj["turns"],
+                  "extras": dict(obj.get("extras", {}))}
     except KeyError as exc:
         raise SchemaMismatch(f"dialog record missing key {exc}") from exc
+    turns = []
+    for index, raw in enumerate(dialog["turns"]):
+        try:
+            turns.append(_slow_turn(raw))
+        except KeyError as exc:
+            raise SchemaMismatch(f"dialog {dialog['id']!r} turn {index}: missing key {exc}") from exc
+        except SchemaMismatch as exc:
+            raise SchemaMismatch(f"dialog {dialog['id']!r} turn {index}: {exc}") from exc
+    return {**dialog, "turns": turns}
 
 
 def slow_validate_corpus(corpus: Corpus) -> None:
@@ -699,6 +755,8 @@ def slow_validate_corpus(corpus: Corpus) -> None:
         declared = set(dialog["services"])
         for index, turn in enumerate(dialog["turns"]):
             where = f"dialog {dialog['id']!r} turn {index}"
+            if not isinstance(turn["speaker"], str):
+                raise SchemaMismatch(f"{where}: speaker: expected a string, got {turn['speaker']!r:.60}")
             if turn["speaker"] not in (USER, SYSTEM):
                 raise SchemaMismatch(f"{where}: speaker {turn['speaker']!r}")
             if index > 0 and turn["speaker"] == dialog["turns"][index - 1]["speaker"]:
@@ -711,8 +769,11 @@ def slow_validate_corpus(corpus: Corpus) -> None:
                 for slot, values in frame["slot_values"].items():
                     if not slot:
                         raise SchemaMismatch(f"{where}: empty slot name")
-                    if any(not isinstance(v, str) or not v for v in values):
-                        raise SchemaMismatch(f"{where}: slot {slot!r} has an empty or non-string value")
+                    for value in values:
+                        if not isinstance(value, str):
+                            raise SchemaMismatch(f"{where}: slot {slot!r} value: expected a string, got {value!r:.60}")
+                        if not value:
+                            raise SchemaMismatch(f"{where}: slot {slot!r} has an empty value")
 
 
 def _slow_result_to_entity(service: str, record: dict) -> dict:
@@ -731,11 +792,9 @@ def _slow_dialog_from_schema_guided(obj: dict) -> dict:
         raise SchemaMismatch("dialog without a dialogue_id")
     turns: list[dict] = []
     for raw_turn in obj["turns"]:
-        try:
-            speaker = raw_turn["speaker"]
-            utterance = raw_turn["utterance"]
-        except (KeyError, TypeError) as exc:
-            raise SchemaMismatch(f"turn in {dialog_id!r} missing speaker/utterance") from exc
+        speaker, utterance = raw_turn.get("speaker"), raw_turn.get("utterance")
+        if speaker is None or utterance is None:  # a null one is missing too
+            raise SchemaMismatch(f"turn in {dialog_id!r} missing speaker/utterance")
         frames: list[dict] = []
         results: list[dict] = []
         for raw_frame in raw_turn.get("frames", []):

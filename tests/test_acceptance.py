@@ -153,7 +153,7 @@ def test_criterion_4_augmentation_identity(toy_corpus, shipped_db, shipped_gramm
                 assert old == new
 
     rerun, rerun_records, rerun_stats = augment_corpus(augmented, shipped_db, shipped_grammar, seed=0)
-    assert rerun_stats.turns_modified == 0 and rerun_records == []
+    assert rerun_stats["turns_modified"] == 0 and rerun_records == []
     assert rerun == augmented
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0
@@ -162,8 +162,8 @@ def test_criterion_4_augmentation_identity(toy_corpus, shipped_db, shipped_gramm
 
 def test_criterion_5_statistics_shape(toy_corpus, shipped_db, shipped_grammar, toy_expected):
     _, _, stats = augment_corpus(toy_corpus, shipped_db, shipped_grammar, seed=0)
-    turn_fraction = stats.turns_modified / stats.turns_total
-    dialog_fraction = stats.dialogs_modified / stats.dialogs_total
+    turn_fraction = stats["turns_modified"] / stats["turns_total"]
+    dialog_fraction = stats["dialogs_modified"] / stats["dialogs_total"]
     assert abs(turn_fraction - 0.02) <= 0.01
     assert dialog_fraction >= 0.30
     report = multi_result_report(toy_corpus)

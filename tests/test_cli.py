@@ -256,6 +256,7 @@ _MALFORMED_INPUTS = {
                             ("marker-method-not-a-string", {**_MARKER, "method": ["x"]}),
                             ("marker-origin-not-a-string", {**_MARKER, "origin": 5}))},
     "stats-marker-not-an-object": ({"in.jsonl": _marked_gold(5) + "\n"}, ["stats", "--in", "in.jsonl"]),
+    "stats-marker-null": ({"in.jsonl": _marked_gold(None) + "\n"}, ["stats", "--in", "in.jsonl"]),
     "augment-marker-not-an-object": (
         {"in.jsonl": _marked_gold(5) + "\n"},
         ["augment", "--in", "in.jsonl", "--db", DB, "--grammar", GRAMMAR, "--out", "OUT"]),
@@ -317,7 +318,35 @@ _MALFORMED_INPUTS = {
                              {"speaker": "USER", "utterance": "hi", "frames": "abc"}]}),
                          ("slot-values-not-an-object", {"id": "d1", "services": ["hotel"], "turns": [
                              {"speaker": "USER", "utterance": "hi",
-                              "frames": [{"service": "hotel", "slot_values": ["x"]}]}]}))},
+                              "frames": [{"service": "hotel", "slot_values": ["x"]}]}]}),
+                         ("turn-not-an-object", {"id": "d1", "services": [], "turns": ["ab"]}),
+                         ("frame-not-an-object", {"id": "d1", "services": [], "turns": [
+                             {"speaker": "USER", "utterance": "hi", "frames": [5]}]}),
+                         ("turn-without-speaker", {"id": "d1", "services": [], "turns": [{"utterance": "hi"}]}),
+                         ("meta-source-format-not-a-string", {"meta": {"source_format": [1]}}))},
+    "stats-row-not-an-object": ({"in.jsonl": "5\n"}, ["stats", "--in", "in.jsonl"]),
+    "resolve-row-not-an-object": ({"in.jsonl": "5\n"}, ["resolve", "--in", "in.jsonl", "--out", "OUT"]),
+    **{f"stats-sgd-{name}": ({"in.json": json.dumps([{"dialogue_id": "d1", "services": [], "turns": turns}])},
+                             ["stats", "--format", "sgd", "--in", "in.json"])
+       for name, turns in (("frames-not-an-array", [{"speaker": "USER", "utterance": "hi", "frames": "abc"}]),
+                           ("turns-not-an-array", "ab"))},
+    # A dialog named only by the "dialog_id" key is named by it in errors too.
+    "stats-sgd-turn-not-an-object-under-dialog-id": (
+        {"in.json": json.dumps([{"dialog_id": "d1", "services": [], "turns": [5]}])},
+        ["stats", "--format", "sgd", "--in", "in.json"]),
+    **{f"resolve-examples-{name}": (
+        {"in.jsonl": json.dumps({**json.loads(_EXAMPLE), **change}) + "\n"},
+        ["resolve", "--in", "in.jsonl", "--out", "OUT"])
+       for name, change in (("target-name-not-a-string", {"target_names": [5]}),
+                            ("candidates-not-an-array", {"candidates": "abc"}),
+                            ("candidate-not-an-object", {"candidates": [7, {"domain": "hotel", "name": "a"}]}),
+                            ("method-unknown", {"method": "nope"}))},
+    "resolve-records-candidates-not-an-array": (
+        {"in.jsonl": json.dumps({**json.loads(_record(2)), "candidates": "xx"}) + "\n"},
+        ["resolve", "--in", "in.jsonl", "--kind", "records", "--out", "OUT"]),
+    "score-preds-row-not-an-object": (
+        {"preds.jsonl": "[5]\n", "gold.jsonl": _EXAMPLE + "\n"},
+        ["score", "--preds", "preds.jsonl", "--gold", "gold.jsonl"]),
 }
 
 # The whole error line of some cases, after the path of the file it names.
@@ -335,6 +364,27 @@ _MALFORMED_MESSAGES = {
     "stats-turns-not-an-array": "in.jsonl: line 1: dialog 'd1' turns: expected an array, got 'ab'",
     "stats-frames-not-an-array": "in.jsonl: line 1: dialog 'd1' turn 0: frames: expected an array, got 'abc'",
     "stats-slot-values-not-an-object": "in.jsonl: line 1: dialog 'd1' turn 0: slot_values: expected an object, got ['x']",
+    "stats-turn-not-an-object": "in.jsonl: line 1: dialog 'd1' turn 0: expected an object, got 'ab'",
+    "stats-frame-not-an-object":
+        "in.jsonl: line 1: dialog 'd1' turn 0: frames item: expected an object, got 5",
+    "stats-turn-without-speaker": "in.jsonl: line 1: dialog 'd1' turn 0: missing key 'speaker'",
+    "stats-row-not-an-object": "in.jsonl: line 1: expected an object, got 5",
+    "resolve-row-not-an-object": "in.jsonl: line 1: expected an object, got 5",
+    "stats-meta-not-object": "in.jsonl: line 1: meta: expected an object, got 5",
+    "stats-meta-source-format-not-a-string": "in.jsonl: line 1: meta source_format: expected a string, got [1]",
+    "stats-sgd-frames-not-an-array":
+        "in.json: dialog at index 0: dialog 'd1' turn 0: frames: expected an array, got 'abc'",
+    "stats-sgd-turns-not-an-array": "in.json: dialog at index 0: dialog 'd1' turns: expected an array, got 'ab'",
+    "resolve-examples-target-name-not-a-string": "in.jsonl: line 1: target name: expected a string, got 5",
+    "resolve-examples-candidates-not-an-array": "in.jsonl: line 1: candidates: expected an array, got 'abc'",
+    "resolve-examples-candidate-not-an-object": "in.jsonl: line 1: candidates item: expected an object, got 7",
+    "resolve-examples-method-unknown": "in.jsonl: line 1: method: expected one of 'exact', 'positional', 'partial', "
+                                       "'typo', 'multiple', 'attribute', got 'nope'",
+    "resolve-records-candidates-not-an-array": "in.jsonl: line 1: candidates: expected an array, got 'xx'",
+    "score-preds-row-not-an-object": "preds.jsonl: line 1: expected an object, got [5]",
+    "stats-marker-null": "in.jsonl: line 1: dialog 'd1' turn 0: disambig marker: expected an object, got None",
+    "stats-sgd-turn-not-an-object-under-dialog-id":
+        "in.json: dialog at index 0: dialog 'd1' turn 0: expected an object, got 5",
 }
 
 

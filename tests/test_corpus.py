@@ -670,7 +670,7 @@ def test_loaded_corpus_is_never_mutated(tmp_path, repo_root, shipped_db, shipped
         if r.skipped_reason is None:
             preds[(r.dialog_id, r.turn_index)] = {"dialog_id": r.dialog_id, "turn_index": r.turn_index,
                                                   "entities": predict_names(r.candidates, r.user_prefix)}
-    assert score(preds, augmented, records).entity_accuracy_all is not None
+    assert score(preds, augmented, records)["entity_accuracy_all"] is not None
     upsampled = augmented.dialogs + [{**dialog, "id": f"{dialog['id']}~up1"} for dialog in augmented.dialogs]
     for format in ("native", "sgd", "multiwoz22"):
         write_corpus(corpus, str(tmp_path / f"corpus.{format}"), format=format)

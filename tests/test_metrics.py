@@ -191,10 +191,10 @@ class TestScore:
     def test_empty_records_leave_augmented_unset(self):
         gold, preds = _entity_fixture()
         report = score(preds, gold, records=[])
-        assert report.entity_accuracy_all == pytest.approx(0.7)
-        assert report.entity_accuracy_augmented is None
-        assert report.counts["turns_augmented"] == 0
-        assert report.counts["turns_with_gold_targets"] == 10
+        assert report["entity_accuracy_all"] == pytest.approx(0.7)
+        assert report["entity_accuracy_augmented"] is None
+        assert report["counts"]["turns_augmented"] == 0
+        assert report["counts"]["turns_with_gold_targets"] == 10
 
     def test_augmented_subset_from_markers(self):
         dialogs = [
@@ -207,13 +207,13 @@ class TestScore:
             ("a1", 0): {"dialog_id": "a1", "turn_index": 0, "entities": ["wrong lodge"]},
         }
         report = score(preds, gold)
-        assert report.entity_accuracy_all == pytest.approx(0.5)
-        assert report.entity_accuracy_augmented == 1.0
+        assert report["entity_accuracy_all"] == pytest.approx(0.5)
+        assert report["entity_accuracy_augmented"] == 1.0
 
     def test_per_method_table(self):
         gold, preds = _entity_fixture()
         report = score(preds, gold)
-        assert report.per_method == {"exact": pytest.approx(0.7)}
+        assert report["per_method"] == {"exact": pytest.approx(0.7)}
 
     def test_missing_prediction_key_is_named(self):
         gold, preds = _entity_fixture()
@@ -242,7 +242,7 @@ class TestScore:
                                  "entities": [record.target["name"]]}))
         monkeypatch.setattr(metrics, "gold_states", lambda gold: pytest.fail("gold states built for no state"))
         report = score(preds, gold, records)
-        assert report.to_json() == {
+        assert report == {
             "entity_accuracy_all": 1.0,
             "entity_accuracy_augmented": 1.0,
             "jga_all": None,
@@ -273,7 +273,7 @@ class TestScore:
         assert len(expected["per_method"]) > 1 and 0 < expected["entity_accuracy_all"] < 1
         calls = []
         monkeypatch.setattr(metrics, "gold_entity_turns", lambda *a, **k: calls.append(a) or gold_entity_turns(*a, **k))
-        report = score(preds, gold).to_json()
+        report = score(preds, gold)
         assert {name: report[name] for name in expected} == expected
         assert len(calls) == 1
 
@@ -289,10 +289,10 @@ class TestScore:
                 preds[key] = {"dialog_id": dialog["id"], "turn_index": index, "entities": sorted(targets.get(key, ())),
                               "state": state if right or state is None else {}}
         report = score(preds, gold, records)
-        assert report.jga_all == joint_goal_accuracy(preds, gold, subset=ALL)
-        assert report.jga_augmented == joint_goal_accuracy(preds, gold, subset=AUGMENTED_ONLY)
-        assert 0 < report.jga_all < 1
-        assert report.entity_accuracy_all == 1.0
+        assert report["jga_all"] == joint_goal_accuracy(preds, gold, subset=ALL)
+        assert report["jga_augmented"] == joint_goal_accuracy(preds, gold, subset=AUGMENTED_ONLY)
+        assert 0 < report["jga_all"] < 1
+        assert report["entity_accuracy_all"] == 1.0
 
     def test_one_state_scan_with_states(self, monkeypatch, toy_corpus, shipped_db, shipped_grammar):
         gold, records, _ = augment_corpus(toy_corpus, shipped_db, shipped_grammar, seed=0)
@@ -312,7 +312,7 @@ class TestScore:
         for name in ("gold_entity_turns", "gold_states"):
             monkeypatch.setattr(metrics, name, counted(name, getattr(metrics, name)))
         report = score(preds, gold, records)
-        assert report.jga_all == 1.0 and report.jga_augmented == 1.0
+        assert report["jga_all"] == 1.0 and report["jga_augmented"] == 1.0
         assert sorted(calls) == ["gold_entity_turns", "gold_states"]
 
 
@@ -402,7 +402,7 @@ def test_judged_tables_match_the_slow_references(case):
     ]
     for fast, slow in pairs:
         assert _outcome(fast, preds, gold, subset) == _outcome(slow, preds, gold, subset), fast.__name__
-    assert _outcome(lambda: score(preds, gold, records).to_json()) == _outcome(slow_score, preds, gold, records)
+    assert _outcome(lambda: score(preds, gold, records)) == _outcome(slow_score, preds, gold, records)
 
 
 def test_prediction_file_round_trip(tmp_path):

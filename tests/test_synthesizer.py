@@ -299,7 +299,7 @@ class TestDataset:
         gold = examples_to_corpus(examples)
         write_corpus(gold, str(tmp_path / "gold.jsonl"))
         loaded = load_corpus(str(tmp_path / "gold.jsonl"))
-        assert score(preds, loaded).to_json() == score(preds, gold).to_json()
+        assert score(preds, loaded) == score(preds, gold)
 
 
 def test_format_option_list():

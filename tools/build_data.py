@@ -404,8 +404,8 @@ def build_baseline() -> dict:
     return {
         "config": {"split": "test", "totals": list(config.totals), "seed": config.seed},
         "examples": len(examples),
-        "entity_accuracy_all": report.entity_accuracy_all,
-        "per_method": report.per_method,
+        "entity_accuracy_all": report["entity_accuracy_all"],
+        "per_method": report["per_method"],
     }
 
 
