@@ -8,13 +8,21 @@ naming that same entity.  Frames, states, and every other turn are left
 byte-identical, so downstream annotations stay consistent.  Modified system
 turns carry a ``disambig`` marker in their extras, which doubles as the
 idempotence guard and as the gold label for scoring.
+
+``augment_dialogs`` is the one per-dialog loop.  The ``augment`` subcommand
+runs it over ``corpus.read_corpus`` and writes each augmented dialog and its
+records as they are made, so it holds one dialog at a time; its three
+outputs appear together when the last dialog is written, or not at all.
+``augment_corpus`` runs the same loop over an in-memory corpus and returns
+lists.  ``multi_result_report``, behind ``stats``, also counts one dialog at
+a time.  ``resolve`` and ``synth`` still hold all their rows.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from operator import attrgetter
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .corpus import SYSTEM, Corpus, Database, entity_row, gold_marker, name_key
 from .errors import SchemaMismatch
@@ -222,6 +230,44 @@ def augment_dialog(
     return {**dialog, "turns": turns}, records
 
 
+def new_stats() -> dict:
+    """The corpus-level statistics of no dialog yet, which ``augment_dialogs``
+    counts into: the JSON object ``{"dialogs_total", "dialogs_modified",
+    "turns_total", "turns_modified", "per_domain"}``."""
+    return {"dialogs_total": 0, "dialogs_modified": 0, "turns_total": 0, "turns_modified": 0, "per_domain": {}}
+
+
+def augment_dialogs(
+    dialogs: Iterable[dict],
+    db: Database,
+    grammar: Grammar,
+    seed: int,
+    allowed: frozenset[str] | set[str],
+    methods: tuple[AddressingMethod, ...],
+    stats: dict,
+) -> Iterator[tuple[dict, list[AugmentationRecord]]]:
+    """``augment_dialog`` of each of ``dialogs`` in turn, each dialog read
+    only when the one before has been taken, and counted into ``stats``
+    (made by ``new_stats``) as it is yielded.
+
+    Each dialog derives its own seeds from its id, so its output does not
+    depend on the rest of the corpus.
+    """
+    per_domain = stats["per_domain"]
+    for dialog in dialogs:
+        new_dialog, records = augment_dialog(dialog, db, grammar, seed, allowed, methods)
+        applied = Counter(r.target["domain"] for r in records if r.skipped_reason is None)
+        stats["dialogs_total"] += 1
+        stats["turns_total"] += len(dialog["turns"])
+        stats["turns_modified"] += applied.total()
+        stats["dialogs_modified"] += bool(applied)
+        for domain, turns_modified in applied.items():
+            domain_stats = per_domain.setdefault(domain, {"dialogs_modified": 0, "turns_modified": 0})
+            domain_stats["dialogs_modified"] += 1
+            domain_stats["turns_modified"] += turns_modified
+        yield new_dialog, records
+
+
 def augment_corpus(
     corpus: Corpus,
     db: Database,
@@ -230,43 +276,29 @@ def augment_corpus(
     allowed: frozenset[str] | set[str] = DEFAULT_ALLOWED,
     methods: tuple[AddressingMethod, ...] = (AddressingMethod.EXACT,),
 ) -> tuple[Corpus, list[AugmentationRecord], dict]:
-    """Per-dialog augmentation plus corpus-level statistics, as the JSON
-    object ``{"dialogs_total", "dialogs_modified", "turns_total",
-    "turns_modified", "per_domain"}``.
-
-    Each dialog derives its own seeds from its id, so its output does not
-    depend on the rest of the corpus.
-    """
-    stats = {"dialogs_total": len(corpus.dialogs), "dialogs_modified": 0, "turns_total": 0, "turns_modified": 0,
-             "per_domain": {}}
+    """``augment_dialogs`` over a whole corpus: the augmented corpus, every
+    record and the statistics."""
+    stats = new_stats()
     new_dialogs: list[dict] = []
     all_records: list[AugmentationRecord] = []
-    for dialog in corpus.dialogs:
-        new_dialog, records = augment_dialog(dialog, db, grammar, seed, allowed, methods)
+    for new_dialog, records in augment_dialogs(corpus.dialogs, db, grammar, seed, allowed, methods, stats):
         new_dialogs.append(new_dialog)
         all_records.extend(records)
-        applied = Counter(r.target["domain"] for r in records if r.skipped_reason is None)
-        stats["turns_total"] += len(dialog["turns"])
-        stats["turns_modified"] += applied.total()
-        stats["dialogs_modified"] += bool(applied)
-        for domain, turns_modified in applied.items():
-            domain_stats = stats["per_domain"].setdefault(domain, {"dialogs_modified": 0, "turns_modified": 0})
-            domain_stats["dialogs_modified"] += 1
-            domain_stats["turns_modified"] += turns_modified
-    new_corpus = Corpus(dialogs=new_dialogs, split_name=corpus.split_name, source_format=corpus.source_format)
-    return new_corpus, all_records, stats
+    return corpus._replace(dialogs=new_dialogs), all_records, stats
 
 
-def multi_result_report(corpus: Corpus) -> dict:
-    """Fraction of dialogs containing a turn with >= 2 search results.
+def multi_result_report(dialogs: Iterable[dict]) -> dict:
+    """Fraction of ``dialogs`` containing a turn with >= 2 search results,
+    read in one pass.
 
     The per-service fraction counts, among dialogs that involve a service,
     those with a multi-result turn of that same service.
     """
-    dialogs_multi = 0
+    dialogs_total = dialogs_multi = 0
     service_totals: Counter[str] = Counter()
     service_multi: Counter[str] = Counter()
-    for dialog in corpus.dialogs:
+    for dialog in dialogs:
+        dialogs_total += 1
         service_totals.update(set(dialog["services"]))
         multi_services = set()
         for turn in dialog["turns"]:
@@ -275,20 +307,26 @@ def multi_result_report(corpus: Corpus) -> dict:
                 multi_services.update(entity["domain"] for entity in results)
         dialogs_multi += bool(multi_services)
         service_multi.update(multi_services)
-    overall = dialogs_multi / len(corpus.dialogs) if corpus.dialogs else 0.0
+    overall = dialogs_multi / dialogs_total if dialogs_total else 0.0
     per_service = {
         service: service_multi[service] / total
         for service, total in sorted(service_totals.items())
     }
-    return {"dialogs_total": len(corpus.dialogs), "overall": overall, "per_service": per_service}
+    return {"dialogs_total": dialogs_total, "overall": overall, "per_service": per_service}
 
 
 def write_records(records: list[AugmentationRecord], path: str) -> None:
     write_jsonl(path, (record.to_json() for record in records))
 
 
-def read_records(path: str) -> list[AugmentationRecord]:
-    """The records of ``path``; a repeated (dialog_id, turn_index) is refused
-    with its line, as two records cannot both describe one turn."""
+def iter_records(path: str) -> Iterator[AugmentationRecord]:
+    """The records of ``path``, each read as it is consumed; a repeated
+    (dialog_id, turn_index) is refused with its line, as two records cannot
+    both describe one turn."""
     key = attrgetter("dialog_id", "turn_index")
-    return list(iter_jsonl(path, once_per_key(AugmentationRecord.from_json, key, "record key")))
+    return iter_jsonl(path, once_per_key(AugmentationRecord.from_json, key, "record key"))
+
+
+def read_records(path: str) -> list[AugmentationRecord]:
+    """``iter_records`` read into a list."""
+    return list(iter_records(path))

@@ -24,7 +24,7 @@ from pathlib import Path
 from . import augmenter, corpus as corpus_mod, metrics, resolver, synthesizer
 from .errors import DisambigError, SchemaMismatch
 from .grammar import count_language, load_grammar_file
-from .jsonl import iter_jsonl, numbered_rows, read_json, wrong_type
+from .jsonl import iter_jsonl, numbered_rows, read_json, staged_outputs, write_row, wrong_type
 
 
 class _Parser(argparse.ArgumentParser):
@@ -214,13 +214,16 @@ def _corpus_files(args) -> list[str | Path]:
     return [args.input] if args.format == "native" else corpus_mod._schema_guided_files(args.input)
 
 
+def _json_text(obj) -> str:
+    return json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=2) + "\n"
+
+
 def _write_json(obj, path: str | None) -> None:
     """Pretty-printed JSON to ``path``, or to stdout when no path is given."""
-    text = json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=2) + "\n"
     if path:
-        Path(path).write_text(text, encoding="utf-8")
+        Path(path).write_text(_json_text(obj), encoding="utf-8")
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(_json_text(obj))
 
 
 def _cmd_grammar_count(args) -> int:
@@ -266,7 +269,6 @@ def _load_allow_list(path: str | None) -> frozenset[str]:
 
 
 def _cmd_augment(args) -> int:
-    dialog_corpus = corpus_mod.load_corpus(args.input, format=args.format)
     db = corpus_mod.load_database(args.db)
     grammar = load_grammar_file(args.grammar)
     allowed = _load_allow_list(args.allow_list)
@@ -277,12 +279,17 @@ def _cmd_augment(args) -> int:
     _guard_outputs([*_corpus_files(args), args.db, args.grammar, args.allow_list, args.config],
                    [str(p) for p in outputs])
 
-    new_corpus, records, stats = augmenter.augment_corpus(dialog_corpus, db, grammar, args.seed, allowed, methods)
-
-    out_dir.mkdir(parents=True, exist_ok=True)
-    corpus_mod.write_corpus(new_corpus, str(outputs[0]))
-    augmenter.write_records(records, str(outputs[1]))
-    _write_json(stats, str(outputs[2]))
+    # Read -> augment -> write, one dialog at a time.
+    source = corpus_mod.read_corpus(args.input, format=args.format)
+    stats = augmenter.new_stats()
+    with staged_outputs(*outputs) as (corpus_out, records_out, stats_out):
+        write_row(corpus_out, corpus_mod.header_row(source))
+        for dialog, records in augmenter.augment_dialogs(source.dialogs, db, grammar, args.seed, allowed, methods,
+                                                         stats):
+            write_row(corpus_out, dialog)
+            for record in records:
+                write_row(records_out, record.to_json())
+        stats_out.write(_json_text(stats))
     _log(f"modified {stats['turns_modified']} of {stats['turns_total']} turns "
          f"across {stats['dialogs_modified']} of {stats['dialogs_total']} dialogs")
     return 0
@@ -290,7 +297,7 @@ def _cmd_augment(args) -> int:
 
 def _cmd_stats(args) -> int:
     _guard_outputs(_corpus_files(args), [args.out])
-    report = augmenter.multi_result_report(corpus_mod.load_corpus(args.input, format=args.format))
+    report = augmenter.multi_result_report(corpus_mod.read_corpus(args.input, format=args.format).dialogs)
     _write_json(report, args.out)
     return 0
 
@@ -348,12 +355,12 @@ def _cmd_resolve(args) -> int:
 def _cmd_score(args) -> int:
     _guard_outputs([args.preds, args.gold, args.records], [args.out])
     preds = metrics.read_predictions(args.preds)
+    augmented = metrics.applied_keys(augmenter.iter_records(args.records)) if args.records else None
     if _sniff_kind(args.gold) == "examples":
-        gold = synthesizer.examples_to_corpus(synthesizer.read_examples(args.gold))
+        dialogs = synthesizer.examples_to_corpus(synthesizer.read_examples(args.gold)).dialogs
     else:
-        gold = corpus_mod.load_corpus(args.gold, format="native")
-    records = augmenter.read_records(args.records) if args.records else None
-    _write_json(metrics.score(preds, gold, records), args.out)
+        dialogs = corpus_mod.read_corpus(args.gold, format="native").dialogs
+    _write_json(metrics.score(preds, metrics.gold_index(dialogs, preds, augmented)), args.out)
     return 0
 
 

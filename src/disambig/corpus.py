@@ -19,9 +19,20 @@ goes (known speakers that alternate, no search results on a user turn,
 frames of declared services, no empty slot name or value, a well-formed
 marker), ``_nonempty_name`` and ``_as_text`` read an entity's name and
 attributes, and ``_native_row`` checks the meta header's split.  Both
-formats end in ``dialog_row``, and ``load_corpus`` then refuses a repeated
-dialog id or a meta header after the first row.  Every error of a row names the file and
-its line for JSONL, or the file and the dialog's index for SGD and MultiWOZ.
+formats end in ``dialog_row``, and the same per-row check then refuses a
+repeated dialog id or a meta header after the first row.  Every error of a
+row names the file and its line for JSONL, or the file and the dialog's
+index for SGD and MultiWOZ.
+
+``read_corpus`` yields the dialog rows one at a time, as they are consumed:
+a native file line by line, an SGD or MultiWOZ directory one
+``dialogues_*.json`` file at a time.  Only the dialog ids read so far are
+kept, for the duplicate check.  ``load_corpus`` reads them into a list.
+The ``augment``, ``stats`` and ``score`` subcommands stream a native corpus
+and hold one dialog at a time (``score`` keeps a small index of the gold
+corpus, see ``metrics.gold_index``).  ``upsample`` holds the whole corpus,
+and ``resolve`` and ``synth`` hold all their rows: ``read_examples`` returns
+a list, which the benchmark's traced observer iterates.
 A dialog is a plain row ``{"id", "services", "turns", "extras"}``, and so
 are its turns, their frames and their search results: each turn holds
 ``speaker``, ``utterance``, ``frames`` and ``extras``
@@ -213,8 +224,7 @@ class Corpus(NamedTuple):
 def write_corpus(corpus: Corpus, path: str, format: str = "native") -> None:
     """Serialize a corpus; the native writer is the exact inverse of the loader."""
     if format == "native":
-        meta = {"meta": {"split_name": corpus.split_name, "source_format": corpus.source_format}}
-        write_jsonl(path, itertools.chain([meta], corpus.dialogs))
+        write_jsonl(path, itertools.chain([header_row(corpus)], corpus.dialogs))
     elif format in ("sgd", "multiwoz22"):
         payload = [_dialog_to_schema_guided(d) for d in corpus.dialogs]
         Path(path).write_text(_dumps_pretty(payload), encoding="utf-8")
@@ -222,35 +232,64 @@ def write_corpus(corpus: Corpus, path: str, format: str = "native") -> None:
         raise SchemaMismatch(f"unknown corpus format {format!r}")
 
 
+def header_row(corpus: Corpus) -> dict:
+    """The meta header, the first row of the native file of ``corpus``."""
+    return {"meta": {"split_name": corpus.split_name, "source_format": corpus.source_format}}
+
+
 def _dumps_pretty(obj) -> str:
     return json.dumps(obj, ensure_ascii=False, indent=1, sort_keys=True)
 
 
+def read_corpus(path: str, format: str = "native") -> Corpus:
+    """A corpus whose ``dialogs`` is a one-pass iterator over its checked
+    dialog rows, each read and checked as it is consumed: a native file row
+    by row, an SGD or MultiWOZ directory file by file.  The split name and
+    source format are read on the call (a native file's first row).  A row
+    that breaks an invariant, a repeated dialog id or a meta header after
+    the first row raises SchemaMismatch naming the file and the row's line
+    (native) or the dialog's index (SGD and MultiWOZ)."""
+    rows = _corpus_rows(path, format)
+    split_name, source_format = next(rows)
+    return Corpus(dialogs=rows, split_name=split_name, source_format=source_format)
+
+
 def load_corpus(path: str, format: str = "native") -> Corpus:
-    """Load a corpus from any of the supported formats.  Each row is checked
-    once, as it is decoded; a broken invariant raises SchemaMismatch naming
-    the file and the row's line (native) or the dialog's index (SGD and MultiWOZ)."""
+    """``read_corpus`` with its dialogs read into a list."""
+    corpus = read_corpus(path, format)
+    return corpus._replace(dialogs=list(corpus.dialogs))
+
+
+def _corpus_rows(path: str, format: str) -> Iterator:
+    """The ``(split_name, source_format)`` of the corpus at ``path``, then
+    each of its dialog rows."""
     if format == "native":
         header, decode, parse = ("train", "native"), iter_jsonl, _native_row
     elif format in ("sgd", "multiwoz22"):
         header, decode, parse = (_infer_split(path), format), _schema_guided_rows, _schema_guided_row
     else:
         raise SchemaMismatch(f"unknown corpus format {format!r}")
-    rows: dict = {}  # each dialog row by its id, and the meta header by None
+    seen: set = set()  # the id of each dialog row so far, and None for a meta header
 
-    def add(obj: dict) -> None:
+    def check(obj: dict) -> dict | tuple[str, str]:
         row = parse(obj)
         key = row["id"] if isinstance(row, dict) else None
-        if key is None and rows:
+        if key is None and seen:
             raise SchemaMismatch("only the first row may be a meta header")
-        if key in rows:
+        if key in seen:
             raise SchemaMismatch(f"duplicate dialog id {key!r}")
-        rows[key] = row
+        seen.add(key)
+        return row
 
-    for _ in decode(path, add):
-        pass
-    split_name, source_format = rows.pop(None, header)  # the meta header's values replace the defaults
-    return Corpus(dialogs=list(rows.values()), split_name=split_name, source_format=source_format)
+    rows = decode(path, check)
+    first = next(rows, None)
+    if isinstance(first, tuple):  # the meta header's values replace the defaults
+        yield first
+    else:
+        yield header
+        if first is not None:
+            yield first
+    yield from rows
 
 
 _HEADER = row_checker((

@@ -6,6 +6,9 @@ files are all JSONL: one JSON object per line, written with sorted keys and
 without ASCII escaping so that equal data gives equal bytes.  Reading skips
 blank lines and reports any malformed row as :class:`SchemaMismatch`
 naming the file and the line, so a bad input never escapes as a traceback.
+Rows are read one at a time, as they are consumed.  Outputs written while
+their inputs are still being read go through :func:`staged_outputs`, so
+that a bad row late in an input leaves no output behind.
 Whole-document inputs (database, schema-guided corpora, config and
 allow-list files, grammars) are read through :func:`read_json` and
 :func:`read_text` under the same rule.
@@ -25,10 +28,13 @@ names, run once the field is read.
 from __future__ import annotations
 
 import json
+import os
 from collections import defaultdict
+from contextlib import contextmanager, suppress
 from itertools import chain
+from pathlib import Path
 from types import GenericAlias
-from typing import Callable, Hashable, Iterable, Iterator, TypeVar
+from typing import Callable, Hashable, Iterable, Iterator, TextIO, TypeVar
 
 from .errors import SchemaMismatch
 
@@ -38,6 +44,9 @@ T = TypeVar("T")
 # covers JSONDecodeError and UnicodeDecodeError; json raises RecursionError
 # on nesting deeper than the interpreter's recursion limit.
 _ROW_ERRORS = (SchemaMismatch, KeyError, TypeError, ValueError, AttributeError, RecursionError)
+
+# json.dumps with these flags builds this same encoder for every call.
+_encode = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
 
 _KIND_NAMES = {list: "an array", dict: "an object", str: "a string", int: "an integer"}
 
@@ -195,7 +204,7 @@ def numbered_rows(path: str) -> Iterator[tuple[int, bytes]]:
     """The line number and bytes of every row of ``path``: each non-blank
     line.  Row ``i`` of every reader is the ``i``-th of them."""
     with open(path, "rb") as handle:
-        yield from ((line_no, line) for line_no, line in enumerate(handle, start=1) if line.strip())
+        yield from ((line_no, line) for line_no, line in enumerate(handle, start=1) if not line.isspace())
 
 
 def iter_jsonl(path: str, parse: Callable[[object], T]) -> Iterator[T]:
@@ -224,10 +233,51 @@ def once_per_key(parse: Callable[[object], T], key: Callable[[T], Hashable], wha
     return parse_once
 
 
+def write_row(handle: TextIO, row: dict) -> None:
+    """Write ``row`` to ``handle`` as one JSONL line."""
+    handle.write(_encode(row) + "\n")
+
+
 def write_jsonl(path: str, rows: Iterable[dict]) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         for row in rows:
-            handle.write(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n")
+            write_row(handle, row)
+
+
+@contextmanager
+def staged_outputs(*paths: str | Path) -> Iterator[list[TextIO]]:
+    """Text handles for writing ``paths``, all of which appear or none.
+
+    Each handle writes a temporary sibling of its path, in a directory made
+    for it when missing.  Once the body is done, every handle is closed and
+    only then is each temporary renamed over its path with ``os.replace``.
+    On any exception, the temporaries and every directory made here are
+    removed, so an earlier file at one of the paths is left as it was.
+    """
+    made: list[Path] = []  # directories made here, each after its parent
+    staged = [Path(path).with_name(f".{Path(path).name}.{os.getpid()}.tmp") for path in paths]
+    handles: list[TextIO] = []
+    try:
+        for parent in {temp.parent for temp in staged}:
+            for directory in reversed([d for d in (parent, *parent.parents) if not d.exists()]):
+                directory.mkdir()
+                made.append(directory)
+        for temp in staged:
+            handles.append(open(temp, "x", encoding="utf-8"))
+        yield handles
+        for handle in handles:
+            handle.close()
+        for temp, path in zip(staged, paths):
+            os.replace(temp, path)
+    except BaseException:
+        for handle in handles:
+            handle.close()
+        for temp in staged[:len(handles)]:
+            temp.unlink(missing_ok=True)
+        for directory in reversed(made):
+            with suppress(OSError):  # not empty: a rename was done before one failed
+                directory.rmdir()
+        raise
 
 
 def read_text(path: str) -> str:

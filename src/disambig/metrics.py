@@ -9,12 +9,16 @@ a marker carry no entity decision and are skipped, with the skip count
 reported.  Two judges compare predictions with gold: ``_entity_hits`` per
 marked turn and ``_slot_hits`` per user turn.  ``score`` judges each gold
 turn once and every bucket of its report averages a selection of that
-judgement.  Predictions are the rows of their JSONL file, checked by
-``prediction_row`` and keyed by ``(dialog_id, turn_index)``."""
+judgement.  It reads gold through a ``GoldIndex``, which ``gold_index``
+builds in one pass over the dialogs without keeping them, so the ``score``
+subcommand streams a native gold corpus and holds one dialog at a time.
+Predictions are the rows of their JSONL file, checked by ``prediction_row``
+and keyed by ``(dialog_id, turn_index)``."""
 
 from __future__ import annotations
 
 from operator import itemgetter
+from typing import Iterable, NamedTuple
 
 from .corpus import USER, Corpus, name_key, name_text
 from .errors import MissingPrediction, SchemaMismatch, UnknownSubsetTurn
@@ -51,6 +55,20 @@ def write_predictions(rows: list[dict], path: str) -> None:
     write_jsonl(path, rows)
 
 
+def _target_set(marker: dict) -> set[str]:
+    """The normalized gold target names of a ``disambig`` marker."""
+    return {name_text(n) for n in marker["target_names"]}
+
+
+def _user_state(turn: dict) -> dict[str, set[str]]:
+    """The gold dialog state of a user turn: slot name -> normalized value set."""
+    state: dict[str, set[str]] = {}
+    for frame in turn["frames"]:
+        for slot, values in frame["slot_values"].items():
+            state.setdefault(slot, set()).update(name_key(v) for v in values)
+    return state
+
+
 def gold_entity_turns(gold: Corpus, origin: str | None = None) -> dict[Key, set[str]]:
     """Turns with a defined gold target set, as normalized name sets."""
     turns: dict[Key, set[str]] = {}
@@ -61,23 +79,56 @@ def gold_entity_turns(gold: Corpus, origin: str | None = None) -> dict[Key, set[
                 continue
             if origin is not None and marker.get("origin") != origin:
                 continue
-            turns[(dialog["id"], index)] = {name_text(n) for n in marker["target_names"]}
+            turns[(dialog["id"], index)] = _target_set(marker)
     return turns
 
 
 def gold_states(gold: Corpus) -> dict[Key, dict[str, set[str]]]:
     """Per-user-turn gold dialog state: slot name -> normalized value set."""
-    states: dict[Key, dict[str, set[str]]] = {}
-    for dialog in gold.dialogs:
+    return {(dialog["id"], index): _user_state(turn)
+            for dialog in gold.dialogs for index, turn in enumerate(dialog["turns"]) if turn["speaker"] == USER}
+
+
+class GoldIndex(NamedTuple):
+    """What ``score`` reads of a gold corpus and its augmentation records."""
+
+    turns: dict[str, int]  # each dialog's turn count, by id
+    targets: dict[Key, set[str]]  # each marked turn's normalized target names
+    markers: dict[Key, tuple[str | None, str | None]]  # each marked turn's (method, origin)
+    states: dict[Key, dict[str, set[str]]] | None  # each user turn's state, when predictions carry states
+    augmented: list[Key] | None  # the keys of the applied records, in file order, when there are records
+
+
+def applied_keys(records: Iterable[AugmentationRecord]) -> list[Key]:
+    """The (dialog_id, turn_index) of every record that was not skipped."""
+    return [(r.dialog_id, r.turn_index) for r in records if r.skipped_reason is None]
+
+
+def gold_index(dialogs: Iterable[dict], preds: PredictionFile, augmented: list[Key] | None = None) -> GoldIndex:
+    """The index of gold ``dialogs``, read in one pass without keeping them.
+
+    User-turn states are kept only when some prediction carries a state,
+    since ``score`` judges no state otherwise.  ``augmented`` is the keys
+    of the applied records (``applied_keys``), or None without records.
+    A repeated dialog id is refused.
+    """
+    turns: dict[str, int] = {}
+    targets: dict[Key, set[str]] = {}
+    markers: dict[Key, tuple[str | None, str | None]] = {}
+    states = {} if any(row.get("state") is not None for row in preds.values()) else None
+    for dialog in dialogs:
+        dialog_id = dialog["id"]
+        if dialog_id in turns:
+            raise SchemaMismatch("gold corpus has duplicate dialog ids")
+        turns[dialog_id] = len(dialog["turns"])
         for index, turn in enumerate(dialog["turns"]):
-            if turn["speaker"] != USER:
-                continue
-            state: dict[str, set[str]] = {}
-            for frame in turn["frames"]:
-                for slot, values in frame["slot_values"].items():
-                    state.setdefault(slot, set()).update(name_key(v) for v in values)
-            states[(dialog["id"], index)] = state
-    return states
+            marker = turn["extras"].get("disambig")
+            if marker:
+                targets[(dialog_id, index)] = _target_set(marker)
+                markers[(dialog_id, index)] = (marker.get("method"), marker.get("origin"))
+            if states is not None and turn["speaker"] == USER:
+                states[(dialog_id, index)] = _user_state(turn)
+    return GoldIndex(turns, targets, markers, states, augmented)
 
 
 def _select(table: dict, subset, gold: Corpus, turn_offset: int = 0) -> dict:
@@ -158,28 +209,29 @@ def slot_accuracy(preds: PredictionFile, gold: Corpus, subset=ALL) -> float:
     return sum(fractions) / len(fractions) if fractions else 1.0
 
 
-def score(preds: PredictionFile, gold: Corpus, records: list[AugmentationRecord] | None = None) -> dict:
+def score(preds: PredictionFile, gold: Corpus | GoldIndex,
+          records: Iterable[AugmentationRecord] | None = None) -> dict:
     """The report of all four headline numbers plus bucket counts, as a JSON
     object: ``entity_accuracy_all``, ``entity_accuracy_augmented``,
     ``jga_all``, ``jga_augmented``, ``per_method`` and ``counts``.
 
-    The augmented-only bucket is exactly the turn indices in ``records``
+    ``gold`` is a corpus, indexed here together with ``records``, or the
+    ``gold_index`` of one, which holds its records' keys itself.
+    The augmented-only bucket is exactly the turn indices in the records
     when given (skipped records excluded), otherwise every turn whose marker
     came from the augmenter.  Buckets that do not apply stay None.
     """
+    if not isinstance(gold, GoldIndex):
+        gold = gold_index(gold.dialogs, preds, None if records is None else applied_keys(records))
     report: dict = {"entity_accuracy_all": None, "entity_accuracy_augmented": None,
                     "jga_all": None, "jga_augmented": None, "per_method": None, "counts": {}}
-    dialogs = {dialog["id"]: dialog for dialog in gold.dialogs}
-    if len(dialogs) != len(gold.dialogs):
-        raise SchemaMismatch("gold corpus has duplicate dialog ids")
     for key in preds:
-        if key[0] not in dialogs or not 0 <= key[1] < len(dialogs[key[0]]["turns"]):
+        if not 0 <= key[1] < gold.turns.get(key[0], 0):
             raise UnknownSubsetTurn(key)
-    # One scan of the gold corpus and one judgement per turn; every bucket
-    # below is the mean of a selection from that judgement.
-    hits = _entity_hits(preds, gold_entity_turns(gold))
-    markers = {key: dialogs[key[0]]["turns"][key[1]]["extras"]["disambig"] for key in hits}
-    total_turns = sum(len(dialog["turns"]) for dialog in dialogs.values())
+    # One judgement per gold turn; every bucket below is the mean of a
+    # selection from that judgement.
+    hits = _entity_hits(preds, gold.targets)
+    total_turns = sum(gold.turns.values())
     report["counts"]["turns_total"] = total_turns
     report["counts"]["turns_with_gold_targets"] = len(hits)
     report["counts"]["turns_skipped_no_target"] = total_turns - len(hits)
@@ -187,29 +239,27 @@ def score(preds: PredictionFile, gold: Corpus, records: list[AugmentationRecord]
     if hits:
         report["entity_accuracy_all"] = sum(hits.values()) / len(hits)
         by_method: dict[str, list[bool]] = {}
-        for key, marker in markers.items():
-            if marker.get("method"):
-                by_method.setdefault(marker["method"], []).append(hits[key])
+        for key, (method, _) in gold.markers.items():
+            if method:
+                by_method.setdefault(method, []).append(hits[key])
         report["per_method"] = {method: sum(bucket) / len(bucket) for method, bucket in sorted(by_method.items())}
 
-    if records is not None:
-        augmented_keys = [(r.dialog_id, r.turn_index) for r in records if r.skipped_reason is None]
-    else:
-        augmented_keys = [key for key, marker in markers.items() if marker.get("origin") == "augment"]
+    augmented_keys = gold.augmented
+    if augmented_keys is None:
+        augmented_keys = [key for key in hits if gold.markers[key][1] == "augment"]
     report["counts"]["turns_augmented"] = len(augmented_keys)
     if augmented_keys:
-        augmented = _select(hits, augmented_keys, gold)
+        augmented = _select(hits, augmented_keys, None)
         report["entity_accuracy_augmented"] = sum(augmented.values()) / len(augmented)
 
     # Prediction files without any state (``resolve`` never writes one) get
-    # no joint goal accuracy, so the gold states are not built for them.
-    if not any(row.get("state") is not None for row in preds.values()):
+    # no joint goal accuracy, and the index keeps no gold states for them.
+    states = gold.states
+    if not states or not all(key in preds and preds[key].get("state") is not None for key in states):
         return report
-    states = gold_states(gold)
-    if states and all(key in preds and preds[key].get("state") is not None for key in states):
-        slots = _slot_hits(preds, states)
-        report["jga_all"] = _joint(slots)
-        user_keys = [(d, t + 1) for d, t in augmented_keys if (d, t + 1) in slots]
-        if user_keys:
-            report["jga_augmented"] = _joint(_select(slots, user_keys, gold))
+    slots = _slot_hits(preds, states)
+    report["jga_all"] = _joint(slots)
+    user_keys = [(d, t + 1) for d, t in augmented_keys if (d, t + 1) in slots]
+    if user_keys:
+        report["jga_augmented"] = _joint(_select(slots, user_keys, None))
     return report

@@ -166,7 +166,7 @@ def test_criterion_5_statistics_shape(toy_corpus, shipped_db, shipped_grammar, t
     dialog_fraction = stats["dialogs_modified"] / stats["dialogs_total"]
     assert abs(turn_fraction - 0.02) <= 0.01
     assert dialog_fraction >= 0.30
-    report = multi_result_report(toy_corpus)
+    report = multi_result_report(toy_corpus.dialogs)
     assert report == toy_expected["multi_result"]
     _passed(5, "statistics shape",
             f"turns={turn_fraction:.3f} dialogs={dialog_fraction:.2f} multi={report['overall']:.2f}")

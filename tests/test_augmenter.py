@@ -343,7 +343,7 @@ class TestMultiResultReport:
             ])
             for i in range(3)
         ]
-        report = multi_result_report(Corpus(dialogs=dialogs))
+        report = multi_result_report(dialogs)
         assert report["overall"] == 0.0
 
     def test_every_dialog_multi_is_one(self, shipped_db):
@@ -355,12 +355,12 @@ class TestMultiResultReport:
             ])
             for i in range(4)
         ]
-        report = multi_result_report(Corpus(dialogs=dialogs))
+        report = multi_result_report(dialogs)
         assert report["overall"] == 1.0
         assert report["per_service"] == {"hotel": 1.0}
 
     def test_toy_corpus_matches_hand_count(self, toy_corpus, toy_expected):
-        report = multi_result_report(toy_corpus)
+        report = multi_result_report(toy_corpus.dialogs)
         assert report == toy_expected["multi_result"]
 
 

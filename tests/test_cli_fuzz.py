@@ -1,6 +1,7 @@
 """Fuzzing of the CLI contract: on any bad input file, flag value or config
 value, ``cli.run`` exits 1 or 2 with one ``error:`` line last on stderr,
-raises nothing, changes no input file and leaves no output behind.
+raises nothing, changes no input file and leaves no output behind, nor any
+temporary file of one.
 
 Runs in-process under the ``ci`` hypothesis profile.  A drawn file can be a
 valid input by chance (an empty JSONL file is zero rows), so every argv asks
@@ -99,6 +100,7 @@ def _run_contained(argv: list[str], files: dict[str, bytes], scratch: Path, repo
         err = err.getvalue()
         assert "Traceback" not in err
         assert [_digest(path) for path in inputs] == before
+        assert not [p for p in work.rglob("*") if p.name.endswith(".tmp")]  # no staged output is left
         if code != 0:
             assert code in (1, 2), (code, err)
             last = err.splitlines()[-1]

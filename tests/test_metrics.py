@@ -240,7 +240,7 @@ class TestScore:
         for record in records:
             preds.update(_keyed({"dialog_id": record.dialog_id, "turn_index": record.turn_index,
                                  "entities": [record.target["name"]]}))
-        monkeypatch.setattr(metrics, "gold_states", lambda gold: pytest.fail("gold states built for no state"))
+        monkeypatch.setattr(metrics, "_user_state", lambda turn: pytest.fail("gold state built for no state"))
         report = score(preds, gold, records)
         assert report == {
             "entity_accuracy_all": 1.0,
@@ -252,7 +252,7 @@ class TestScore:
                        "turns_total": 800, "turns_with_gold_targets": 16},
         }
 
-    def test_one_gold_scan_gives_every_bucket(self, monkeypatch, toy_corpus, shipped_db, shipped_grammar):
+    def test_one_gold_scan_gives_every_bucket(self, toy_corpus, shipped_db, shipped_grammar):
         gold, _, _ = augment_corpus(toy_corpus, shipped_db, shipped_grammar, 3, DEFAULT_ALLOWED, AUGMENT_METHODS)
         gold.dialogs.append(_marked_dialog("hand-0", ["alpha inn"], origin="hand"))
         targets = gold_entity_turns(gold)
@@ -271,11 +271,8 @@ class TestScore:
             "per_method": {method: entity_accuracy(preds, gold, subset=keys) for method, keys in by_method.items()},
         }
         assert len(expected["per_method"]) > 1 and 0 < expected["entity_accuracy_all"] < 1
-        calls = []
-        monkeypatch.setattr(metrics, "gold_entity_turns", lambda *a, **k: calls.append(a) or gold_entity_turns(*a, **k))
-        report = score(preds, gold)
+        report = score(preds, gold._replace(dialogs=iter(gold.dialogs)))  # gold that can be read only once
         assert {name: report[name] for name in expected} == expected
-        assert len(calls) == 1
 
     def test_predictions_with_states_get_jga(self, toy_corpus, shipped_db, shipped_grammar):
         gold, records, _ = augment_corpus(toy_corpus, shipped_db, shipped_grammar, seed=0)
@@ -304,16 +301,11 @@ class TestScore:
                 state = {slot: sorted(values) for slot, values in states[key].items()} if key in states else None
                 preds[key] = {"dialog_id": dialog["id"], "turn_index": index, "entities": sorted(targets.get(key, ())),
                               "state": state}
-        calls = []
-
-        def counted(name, function):
-            return lambda *args, **kwargs: calls.append(name) or function(*args, **kwargs)
-
-        for name in ("gold_entity_turns", "gold_states"):
-            monkeypatch.setattr(metrics, name, counted(name, getattr(metrics, name)))
-        report = score(preds, gold, records)
+        calls, user_state = [], metrics._user_state
+        monkeypatch.setattr(metrics, "_user_state", lambda turn: calls.append(turn) or user_state(turn))
+        report = score(preds, gold._replace(dialogs=iter(gold.dialogs)), records)  # gold that can be read only once
         assert report["jga_all"] == 1.0 and report["jga_augmented"] == 1.0
-        assert sorted(calls) == ["gold_entity_turns", "gold_states"]
+        assert len(calls) == len(states)  # one state per user turn
 
 
 _NAMES = ["alpha inn", "Briar Manor", "crown lodge!"]
