@@ -397,21 +397,40 @@ def run(argv: list[str] | None = None) -> int:
 def _run(argv: list[str] | None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        if getattr(args, "config", None):
-            subparser = parser.subcommands[args.command]
-            subparser.set_defaults(**_config_defaults(args.config, subparser))
+        try:
             args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        except SystemExit as exc:  # a usage error, or --help printed
+            code = int(exc.code or 0)
+        else:
+            if getattr(args, "config", None):
+                subparser = parser.subcommands[args.command]
+                subparser.set_defaults(**_config_defaults(args.config, subparser))
+                args = parser.parse_args(argv)
+            code = _COMMANDS[args.command](args)
+        # What was printed leaves the buffer here, so a reader that has gone
+        # away is an i/o error like any other, not a failure at exit.
+        sys.stdout.flush()
+        return code
     except DisambigError as exc:
         _log(f"error: {exc}")
         return 1
     except OSError as exc:
         _log(f"i/o error: {exc}")
+        _drop_unwritable_stdout()
         return 2
+
+
+def _drop_unwritable_stdout() -> None:
+    """Point fd 1 at the null device when stdout cannot be flushed, as the
+    ``signal`` module's SIGPIPE note shows: the interpreter flushes stdout
+    again at exit, and that flush would fail a second time and print its
+    own report."""
+    try:
+        sys.stdout.flush()
+    except OSError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def main() -> None:

@@ -45,8 +45,11 @@ T = TypeVar("T")
 # on nesting deeper than the interpreter's recursion limit.
 _ROW_ERRORS = (SchemaMismatch, KeyError, TypeError, ValueError, AttributeError, RecursionError)
 
-# json.dumps with these flags builds this same encoder for every call.
-_encode = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
+# json.dumps with these flags builds this same encoder for every call.  A
+# row is a tree (decoded from JSON or built by the program), never a cycle,
+# so the encoder need not track the containers it has entered: the bytes
+# are the same without the circular-reference check.
+_encode = json.JSONEncoder(ensure_ascii=False, sort_keys=True, check_circular=False).encode
 
 _KIND_NAMES = {list: "an array", dict: "an object", str: "a string", int: "an integer"}
 

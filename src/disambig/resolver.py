@@ -9,16 +9,19 @@ pure and reentrant; ties are surfaced through the ``ambiguous`` flag rather
 than silently broken.
 
 Each distinct candidate name is indexed once per process (``_name_record``,
-a bounded memo): its normalized tokens, joined text, character masks and
-proper sub-windows.  The name and attribute stages index the reply's token
-windows once per call and look names and values up in that set.  The fuzzy
-stage builds each reply window's text length and character masks (the
-characters it holds at least once and at least twice, one bit each) from
-memoized token masks, and screens every pair by length ratio and by
-``_bag_bound``, a lower bound on the bag distance (Bartolini, Ciaccia &
-Patella 2002) and so on the edit distance.  Only a pair that passes has
-its window text joined and goes to ``edit_distance``, the bit-parallel OSA
-recurrence with the name as the pattern.
+a bounded memo): its normalized tokens, joined text, character masks, and
+its text and identifying proper sub-windows padded with one space on each
+side.  The name and attribute stages join the reply's tokens once per call,
+padded the same way, and find each padded name, sub-window and attribute
+value in it by substring search.  No token holds a space, so a padded hit
+is exactly a contiguous window of whole tokens.  The fuzzy stage builds
+each reply window's text length and character masks (the characters it
+holds at least once and at least twice, one bit each) from memoized token
+masks, and screens every pair by length ratio and by ``_bag_bound``, a
+lower bound on the bag distance (Bartolini, Ciaccia & Patella 2002) and so
+on the edit distance.  Only a pair that passes has its window text joined
+and goes to ``edit_distance``, the bit-parallel OSA recurrence with the
+name as the pattern.
 """
 
 from __future__ import annotations
@@ -162,7 +165,8 @@ class _Name(NamedTuple):
     text: str
     once: int
     twice: int
-    windows: frozenset[tuple[str, ...]]
+    padded: str
+    partials: frozenset[str]
 
 
 # One bit per distinct character seen, assigned in order of first sight.
@@ -185,14 +189,26 @@ def _char_masks(text: str) -> tuple[int, int]:
     return once, twice
 
 
+def _padded(tokens) -> str:
+    """``tokens`` joined with one space between and around them: ``a`` holds
+    ``b`` as a substring exactly when ``b``'s tokens are a window of
+    ``a``'s, since no token holds a space."""
+    return f" {' '.join(tokens)} "
+
+
 @lru_cache(maxsize=4096)
 def _name_record(name: str) -> _Name:
     """The normalized tokens of ``name``, their joined text and its
-    character masks, and the name's proper sub-windows (the empty one
-    included), memoized per distinct name string."""
+    character masks, the padded text (a single space for a name with no
+    tokens, which every reply holds), and the padded texts of the name's
+    proper sub-windows not made only of stopwords, memoized per distinct
+    name string."""
     tokens = normalize(name)
     text = " ".join(tokens)
-    return _Name(tuple(tokens), text, *_char_masks(text), frozenset(_spans(tokens, len(tokens) - 1)))
+    partials = frozenset(
+        _padded(window) for window in _spans(tokens, len(tokens) - 1) if not STOPWORDS.issuperset(window)
+    )
+    return _Name(tuple(tokens), text, *_char_masks(text), _padded(tokens) if tokens else " ", partials)
 
 
 def _name_evidence(utterance: list[str], names: list[_Name]) -> dict[int, float]:
@@ -203,16 +219,15 @@ def _name_evidence(utterance: list[str], names: list[_Name]) -> dict[int, float]
     sub-window of exactly one name, and not made only of stopwords, names
     that candidate.
     """
-    spans = _spans(utterance, max((len(name.tokens) for name in names), default=0))
-    matched = {index: 1.0 for index, name in enumerate(names) if name.tokens in spans}
-    owners: dict[tuple[str, ...], set[int]] = {}
+    reply = _padded(utterance)
+    matched = {index: 1.0 for index, name in enumerate(names) if name.padded in reply}
     for index, name in enumerate(names):
-        for window in name.windows:
-            owners.setdefault(window, set()).add(index)
-    for window in spans:
-        owner = owners.get(window)
-        if owner is not None and len(owner) == 1 and not STOPWORDS.issuperset(window):
-            matched.setdefault(next(iter(owner)), 1.0)
+        if index in matched:
+            continue
+        for window in name.partials:
+            if window in reply and sum(window in other.partials for other in names) == 1:
+                matched[index] = 1.0
+                break
     return matched
 
 
@@ -234,6 +249,18 @@ def _edit_budget(longer: int, max_fuzzy: float) -> int:
     while k / longer > max_fuzzy:
         k -= 1
     return k
+
+
+@lru_cache(maxsize=4096)
+def _pair_budget(name_len: int, window_len: int, max_fuzzy: float) -> int:
+    """The edit budget of a name and a reply window of these text lengths,
+    or -1 when no distance can pass: the length ratio alone is over
+    ``max_fuzzy``, or ``_edit_budget`` finds no k.  Memoized, since replies
+    offer the same few lengths over and over."""
+    longer = max(window_len, name_len)
+    if abs(window_len - name_len) / longer > max_fuzzy:
+        return -1
+    return _edit_budget(longer, max_fuzzy)
 
 
 def _bag_bound(once_a: int, twice_a: int, once_b: int, twice_b: int) -> int:
@@ -282,9 +309,10 @@ def _fuzzy_evidence(utterance: list[str], names: list[_Name], max_fuzzy: float) 
     distance divided by the longer string must be at most ``max_fuzzy``.
 
     The windows of each token count are grouped by text length, so the
-    length-ratio test and the budget are worked out once per group.  A
-    window's text is joined only for a pair whose ``_bag_bound`` is within
-    the budget, and only such a pair reaches ``edit_distance``.
+    length-ratio test and the budget are looked up once per group in
+    ``_pair_budget``.  A window's text is joined only for a pair whose
+    ``_bag_bound`` is within the budget, and only such a pair reaches
+    ``edit_distance``.
     """
     longest = min(len(utterance), max((len(name.tokens) for name in names), default=0) + 1)
     windows = _reply_windows(utterance, longest)
@@ -294,10 +322,10 @@ def _fuzzy_evidence(utterance: list[str], names: list[_Name], max_fuzzy: float) 
         best: float | None = None
         for length in range(max(1, len(name.tokens) - 1), min(len(name.tokens) + 1, longest) + 1):
             for window_len, group in windows[length].items():
-                longer = max(window_len, name_len)
-                if abs(window_len - name_len) / longer > max_fuzzy:
+                k = _pair_budget(name_len, window_len, max_fuzzy)
+                if k < 0:
                     continue
-                k = _edit_budget(longer, max_fuzzy)
+                longer = max(window_len, name_len)
                 for start, once, twice in group:
                     if _bag_bound(once, twice, name.once, name.twice) > k:
                         continue
@@ -310,20 +338,23 @@ def _fuzzy_evidence(utterance: list[str], names: list[_Name], max_fuzzy: float) 
 
 
 @lru_cache(maxsize=4096)
-def _value_tokens(value: str) -> tuple[str, ...]:
-    """The normalized tokens of an attribute value, memoized per distinct value."""
-    return tuple(normalize(value))
+def _value_text(value: str) -> str:
+    """The padded normalized tokens of an attribute value, or the empty
+    string for a value with no tokens, memoized per distinct value."""
+    tokens = normalize(value)
+    return _padded(tokens) if tokens else ""
 
 
 def _attribute_evidence(utterance: list[str], candidates: list[dict]) -> dict[int, float]:
-    """Candidates by the fraction of their attribute values that are reply windows."""
-    values = [[_value_tokens(str(value)) for value in entity["attributes"].values()] for entity in candidates]
-    spans = _spans(utterance, max((len(value) for entity_values in values for value in entity_values), default=0))
+    """Candidates by the fraction of their attribute values that are reply
+    windows; a value with no tokens never counts."""
+    reply = _padded(utterance)
     scored: dict[int, float] = {}
-    for index, entity_values in enumerate(values):
-        hits = sum(1 for value in entity_values if value and value in spans)
+    for index, entity in enumerate(candidates):
+        values = entity["attributes"].values()
+        hits = sum(1 for value in values if (text := _value_text(str(value))) and text in reply)
         if hits:
-            scored[index] = hits / len(entity_values)
+            scored[index] = hits / len(values)
     return scored
 
 

@@ -1067,3 +1067,28 @@ class TestProcess:
         assert (done.returncode, done.stdout, done.stderr) == (exit_code, out, err)
         assert code == exit_code
         assert bool(out) == (exit_code == 0)
+
+    @pytest.mark.parametrize("argv", [
+        ["stats", "--in", TOY],
+        ["grammar-count", GRAMMAR, "--start", "USER_ANSWER"],
+        ["score", "--preds", "{tmp}/preds.jsonl", "--gold", "{tmp}/gold.jsonl"],
+        ["resolve", "--help"],
+    ], ids=["stats", "grammar-count", "score", "help"])
+    def test_closed_stdout_pipe_is_one_io_error(self, tmp_path, repo_root, argv):
+        # With PYTHONUNBUFFERED unset, stdout is block-buffered, so what a
+        # command prints reaches the pipe only when the buffer is flushed.
+        (tmp_path / "preds.jsonl").write_text(json.dumps(_PREDICTION) + "\n", encoding="utf-8")
+        (tmp_path / "gold.jsonl").write_text(_EXAMPLE + "\n", encoding="utf-8")
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(repo_root / "src")
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run([sys.executable, "-m", "disambig", *(arg.format(tmp=tmp_path) for arg in argv)],
+                                  cwd=repo_root, env=env, stdout=write_end, stderr=subprocess.PIPE, text=True,
+                                  timeout=60)
+        finally:
+            os.close(write_end)
+        assert done.returncode == 2
+        assert done.stderr.startswith("i/o error: ") and done.stderr.count("\n") == 1, done.stderr
+        assert "Traceback" not in done.stderr

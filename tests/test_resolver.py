@@ -25,6 +25,7 @@ from disambig.resolver import (
     _fuzzy_evidence,
     _name_evidence,
     _name_record,
+    _pair_budget,
     _reply_windows,
 )
 
@@ -249,6 +250,18 @@ class TestWindowStages:
         (["alpha", "kitchen"], [["alpha", "kitchen"], ["alpha", "kitchen"]], {0: 1.0, 1: 1.0}),
         (["zzz"], [[], ["alpha", "kitchen"]], {0: 1.0}),
         (["kitchen", "kitchen"], [["alpha", "kitchen"], ["briar", "manor"]], {0: 1.0}),
+        # A name token inside a longer reply token is no window of the reply.
+        (["martin"], [["art", "gallery"], ["briar", "manor"]], {}),
+        (["martins", "gallery"], [["martin"], ["gallery", "one"]], {1: 1.0}),
+        # A window that is another candidate's full name: exact for that
+        # one, partial for the name it is a proper sub-window of.
+        (["alpha"], [["alpha"], ["alpha", "kitchen"]], {0: 1.0, 1: 1.0}),
+        # A name with no tokens is in every reply, and shares no window with another name.
+        (["alpha"], [[], ["alpha", "kitchen"]], {0: 1.0, 1: 1.0}),
+        # Stopword-only windows identify nothing, but a stopword-only name
+        # still matches exactly.
+        (["the", "one"], [["the", "one", "inn"], ["briar"]], {}),
+        (["the", "one"], [["the", "one"], ["alpha", "the", "one"]], {0: 1.0}),
     ])
     def test_name_stage_edge_cases(self, utterance, names, expected):
         assert _name_evidence(utterance, _records(names)) == expected == slow_name_evidence(utterance, names)
@@ -266,6 +279,22 @@ class TestWindowStages:
         ]
         utterance = normalize("the one with free parking, lot please")
         assert _attribute_evidence(utterance, candidates) == {0: 0.5} == slow_attribute_evidence(utterance, candidates)
+
+    @pytest.mark.parametrize("reply, first, second, expected", [
+        # Value text that crosses a token boundary of the reply, or sits
+        # inside a longer reply token, is no window of it.
+        ("the north please", {"area": "h nor"}, {"area": "e north"}, {}),
+        ("martin's place", {"area": "art"}, {"area": "martin s"}, {1: 1.0}),
+        # The attribute stage has no stopword rule.
+        ("the one", {"area": "the"}, {"area": "one", "price": "cheap"}, {0: 1.0, 1: 0.5}),
+    ])
+    def test_attribute_stage_edge_cases(self, reply, first, second, expected):
+        candidates = [
+            {"domain": "hotel", "name": "alpha lodge", "attributes": first},
+            {"domain": "hotel", "name": "briar manor", "attributes": second},
+        ]
+        utterance = normalize(reply)
+        assert _attribute_evidence(utterance, candidates) == expected == slow_attribute_evidence(utterance, candidates)
 
     @settings(max_examples=500)
     @given(st.text(alphabet="aaabbcé日 ", max_size=9), st.text(alphabet="aaabbcé日 ", max_size=9))
@@ -324,6 +353,25 @@ class TestFuzzyEvidence:
     def test_any_float_budget_is_safe(self, max_fuzzy, expected):
         candidates = _candidates("glorious gardens", "marble brasserie", "willow eatery")
         assert predict_names(candidates, "glorius gardenz", max_fuzzy=max_fuzzy) == expected
+
+    def test_budgets_outside_the_unit_interval_keep_a_bounded_memo(self):
+        candidates = _candidates("glorious gardens", "marble brasserie", "willow eatery")
+        reply = "glorius gardenz or the marbel one"
+        utterance = normalize(reply)
+        names = [normalize(entity["name"]) for entity in candidates]
+        for max_fuzzy in (math.nan, float("nan"), -0.25, -math.inf, 1.0, 1.5, math.inf):
+            expected = slow_fuzzy_evidence(utterance, names, max_fuzzy)
+            assert _fuzzy_evidence(utterance, _records(names), max_fuzzy) == expected
+            assert predict_names(candidates, reply, max_fuzzy) == slow_predict_names(candidates, reply, max_fuzzy)
+        with pytest.raises(NoMatch):
+            resolve(candidates, reply, max_fuzzy=float("nan"))
+        # NaN equals nothing, so each NaN object is a memo key of its own.
+        before = _pair_budget.cache_info()
+        for _ in range(1000):
+            assert predict_names(candidates, reply, max_fuzzy=float("nan")) == []
+        after = _pair_budget.cache_info()
+        assert after.misses - before.misses > after.maxsize
+        assert after.currsize <= after.maxsize
 
 
 # Name spellings that normalize to the same tokens, so one name reaches the
