@@ -8,7 +8,8 @@ become the subcommand's argparse defaults and the command line is parsed
 again, so a flag given on the command line beats the config, and the config
 beats the flag's default.  Exit codes: 0 success, 1 validation error, 2 I/O
 error.  Diagnostics go to stderr; data goes to the declared output files
-(or stdout for the two query commands).
+(or stdout for the two query commands), each written through
+``jsonl.staged_outputs`` so that it appears whole or not at all.
 """
 
 from __future__ import annotations
@@ -221,7 +222,8 @@ def _json_text(obj) -> str:
 def _write_json(obj, path: str | None) -> None:
     """Pretty-printed JSON to ``path``, or to stdout when no path is given."""
     if path:
-        Path(path).write_text(_json_text(obj), encoding="utf-8")
+        with staged_outputs(path) as (out,):
+            out.write(_json_text(obj))
     else:
         sys.stdout.write(_json_text(obj))
 
@@ -244,18 +246,19 @@ def _cmd_synth(args) -> int:
     for split in splits:
         if split not in corpus_mod.SPLITS:
             raise SchemaMismatch(f"unknown split {split!r}")
-    out_dir = Path(args.out)
-    _guard_outputs(
-        [args.db, args.grammar, args.config],
-        [str(out_dir / f"{split}.jsonl") for split in splits],
-    )
-    # Every split is made before the first is written, so a failing split leaves no output.
-    made = [synthesizer.synthesize_split(db, grammar, config, split) for split in splits]
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for split, examples in zip(splits, made):
-        target = out_dir / f"{split}.jsonl"
-        synthesizer.write_examples(examples, str(target))
-        _log(f"wrote {len(examples)} examples to {target}")
+    outputs = [Path(args.out, f"{split}.jsonl") for split in splits]
+    _guard_outputs([args.db, args.grammar, args.config], [str(p) for p in outputs])
+    # Each split is written as it is made, and is freed before the next is made.
+    counts = []
+    with staged_outputs(*outputs) as handles:
+        for split, handle in zip(splits, handles):
+            examples = synthesizer.synthesize_split(db, grammar, config, split)
+            for example in examples:
+                write_row(handle, example.to_json())
+            counts.append(len(examples))
+            del examples
+    for count, target in zip(counts, outputs):
+        _log(f"wrote {count} examples to {target}")
     return 0
 
 

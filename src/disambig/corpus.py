@@ -76,7 +76,7 @@ from pathlib import Path
 from typing import Callable, Iterator, NamedTuple
 
 from .errors import NotEnoughEntities, SchemaMismatch, UnknownDomain
-from .jsonl import REQUIRED, Field, iter_jsonl, read_json, row_checker, write_jsonl
+from .jsonl import REQUIRED, Field, iter_jsonl, read_json, row_checker, staged_outputs, write_jsonl
 
 USER = "USER"
 SYSTEM = "SYSTEM"
@@ -227,7 +227,8 @@ def write_corpus(corpus: Corpus, path: str, format: str = "native") -> None:
         write_jsonl(path, itertools.chain([header_row(corpus)], corpus.dialogs))
     elif format in ("sgd", "multiwoz22"):
         payload = [_dialog_to_schema_guided(d) for d in corpus.dialogs]
-        Path(path).write_text(_dumps_pretty(payload), encoding="utf-8")
+        with staged_outputs(path) as (out,):
+            out.write(_dumps_pretty(payload))
     else:
         raise SchemaMismatch(f"unknown corpus format {format!r}")
 
@@ -573,7 +574,8 @@ def write_database(db: Database, path: str) -> None:
         for domain, entities in db.tables.items()
     }
     payload = {"name_fields": db.name_fields, "nouns": db.nouns, "tables": tables}
-    Path(path).write_text(_dumps_pretty(payload) + "\n", encoding="utf-8")
+    with staged_outputs(path) as (out,):
+        out.write(_dumps_pretty(payload) + "\n")
 
 
 def sample_entities(db: Database, domain: str, n: int, seed: int) -> list[dict]:

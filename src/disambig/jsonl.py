@@ -6,9 +6,9 @@ files are all JSONL: one JSON object per line, written with sorted keys and
 without ASCII escaping so that equal data gives equal bytes.  Reading skips
 blank lines and reports any malformed row as :class:`SchemaMismatch`
 naming the file and the line, so a bad input never escapes as a traceback.
-Rows are read one at a time, as they are consumed.  Outputs written while
-their inputs are still being read go through :func:`staged_outputs`, so
-that a bad row late in an input leaves no output behind.
+Rows are read one at a time, as they are consumed.  Every output goes
+through :func:`staged_outputs`, so that it appears whole or not at all: a
+bad row late in an input, or a failed write, leaves no output behind.
 Whole-document inputs (database, schema-guided corpora, config and
 allow-list files, grammars) are read through :func:`read_json` and
 :func:`read_text` under the same rule.
@@ -242,41 +242,63 @@ def write_row(handle: TextIO, row: dict) -> None:
 
 
 def write_jsonl(path: str, rows: Iterable[dict]) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
+    """Write ``rows`` to ``path`` as JSONL, all of them or none."""
+    with staged_outputs(path) as (handle,):
         for row in rows:
             write_row(handle, row)
 
 
+def _staging(path: str | Path) -> tuple[Path, Path | None]:
+    """``(target, temporary)`` for a write to ``path``: the file written,
+    and the sibling it is staged in, or None for a file written in place."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        return Path(path), None
+    target = Path(os.path.realpath(path) if os.path.islink(path) else path)
+    return target, target.with_name(f".{target.name}.{os.getpid()}.tmp")
+
+
 @contextmanager
 def staged_outputs(*paths: str | Path) -> Iterator[list[TextIO]]:
-    """Text handles for writing ``paths``, all of which appear or none.
+    """Text handles for writing ``paths``, each of which appears whole or not
+    at all; this is the one way the package writes a file.
 
     Each handle writes a temporary sibling of its path, in a directory made
     for it when missing.  Once the body is done, every handle is closed and
     only then is each temporary renamed over its path with ``os.replace``.
     On any exception, the temporaries and every directory made here are
     removed, so an earlier file at one of the paths is left as it was.
+
+    A path that is a symbolic link stands for the file it links to: the
+    temporary is made beside that file and renamed over it, and the link
+    stays.  A path that exists and is not a regular file (a device such as
+    ``/dev/null``, a FIFO) is opened and written in place, since a rename
+    would replace the device or the pipe itself.  A replaced file is a new
+    file: it gets default permissions, and a hard link to the old file
+    keeps the old bytes.
     """
+    plan = [_staging(path) for path in paths]
     made: list[Path] = []  # directories made here, each after its parent
-    staged = [Path(path).with_name(f".{Path(path).name}.{os.getpid()}.tmp") for path in paths]
     handles: list[TextIO] = []
     try:
-        for parent in {temp.parent for temp in staged}:
+        for parent in {temp.parent for _, temp in plan if temp}:
             for directory in reversed([d for d in (parent, *parent.parents) if not d.exists()]):
                 directory.mkdir()
                 made.append(directory)
-        for temp in staged:
-            handles.append(open(temp, "x", encoding="utf-8"))
+        for target, temp in plan:
+            handles.append(open(temp or target, "x" if temp else "w", encoding="utf-8"))
         yield handles
         for handle in handles:
             handle.close()
-        for temp, path in zip(staged, paths):
-            os.replace(temp, path)
+        for target, temp in plan:
+            if temp:
+                os.replace(temp, target)
     except BaseException:
         for handle in handles:
-            handle.close()
-        for temp in staged[:len(handles)]:
-            temp.unlink(missing_ok=True)
+            with suppress(OSError):  # a flush that failed in the body fails again here
+                handle.close()
+        for _, temp in plan[:len(handles)]:
+            if temp:
+                temp.unlink(missing_ok=True)
         for directory in reversed(made):
             with suppress(OSError):  # not empty: a rename was done before one failed
                 directory.rmdir()

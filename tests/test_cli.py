@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import disambig
 from disambig import cli
 from disambig.cli import run
 from disambig.corpus import load_corpus, write_corpus
@@ -1008,6 +1009,29 @@ class TestProcess:
         assert done.stdout.strip() == "[]"
         # hashlib, imported on first use, still gives the seeds every pin was made with.
         assert derive_seed("x", 1) == 6866867746733880335
+
+    def test_importing_one_module_leaves_the_rest_unloaded(self, repo_root):
+        # The package resolves its public names on first use.
+        probe = "\n".join([
+            "import json, sys",
+            "import disambig.resolver",
+            "unloaded = {'disambig.synthesizer', 'disambig.grammar', 'disambig.augmenter'} - set(sys.modules)",
+            "import disambig",
+            "star = {}",
+            "exec('from disambig import *', star)",
+            "from disambig import grammar",
+            "same = [getattr(sys.modules[star[name].__module__], name) is star[name] is getattr(disambig, name)",
+            "        and star[name].__module__.startswith('disambig.') for name in disambig.__all__]",
+            "print(json.dumps([sorted(unloaded), sorted(set(star) - {'__builtins__'}), all(same),",
+            "                  grammar is sys.modules['disambig.grammar'], set(disambig.__all__) <= set(dir(disambig))]))",
+        ])
+        env = {**os.environ, "PYTHONPATH": str(repo_root / "src")}
+        done = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True,
+                              check=True, timeout=60)
+        unloaded, star, same, grammar, listed = json.loads(done.stdout)
+        assert unloaded == ["disambig.augmenter", "disambig.grammar", "disambig.synthesizer"]
+        assert star == sorted(disambig.__all__) and len(star) == 18
+        assert same and grammar and listed
 
     @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
     @pytest.mark.parametrize("argv, exit_code", [

@@ -222,8 +222,10 @@ class TestNativeRoundTrip:
         assert loaded.dialogs == [] and loaded.split_name == "test"
 
     def test_unwritable_path_raises_oserror(self, tmp_path):
+        (tmp_path / "file").write_text("not a directory\n")  # a missing directory would be made
         with pytest.raises(OSError):
-            write_corpus(_tiny_corpus(), str(tmp_path / "missing" / "corpus.jsonl"))
+            write_corpus(_tiny_corpus(), str(tmp_path / "file" / "corpus.jsonl"))
+        assert [p.name for p in tmp_path.iterdir()] == ["file"]
 
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):

@@ -1,11 +1,12 @@
 """Streamed reading and staged writing.
 
 ``augment``, ``stats`` and ``score`` read a native corpus one dialog at a
-time, and ``augment`` writes its outputs while it reads.  These tests pin
-what that must not change: a bad row late in an input still exits 1 with
-its file and line and leaves no output behind, the streamed score report is
-byte-equal to the whole-corpus oracle, and peak memory does not grow with
-the corpus as the corpus itself does.
+time, and every output is written through one staged writer.  These tests
+pin what that must not change: a bad row late in an input, or a write that
+fails midway, still exits with its one error line and leaves no output
+behind; a linked, piped or not yet made output path keeps its meaning; the
+streamed score report is byte-equal to the whole-corpus oracle; and peak
+memory does not grow with the corpus as the corpus itself does.
 """
 
 from __future__ import annotations
@@ -14,7 +15,13 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import resource
+import stat
+import subprocess
+import sys
 import tempfile
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -25,7 +32,7 @@ from disambig import cli
 from disambig.augmenter import AUGMENT_METHODS, augment_corpus, read_records, write_records
 from disambig.corpus import Corpus, load_corpus, read_corpus, write_corpus
 from disambig.errors import DisambigError, SchemaMismatch
-from disambig.jsonl import numbered_rows, staged_outputs
+from disambig.jsonl import numbered_rows, staged_outputs, write_jsonl
 from disambig.metrics import gold_states, read_predictions, write_predictions
 
 from .oracles import slow_score
@@ -101,6 +108,41 @@ def test_a_failed_write_leaves_no_output(tmp_path, rows, earlier):
             raise OSError("disk full")
     assert _tree(tmp_path) == before
     assert (tmp_path / "out").exists() == earlier  # a directory made for the outputs is removed
+
+
+def test_a_fifo_output_is_written_in_place(tmp_path):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    write_jsonl(str(fifo), [{"a": 1}, {"b": "é"}])
+    reader.join(timeout=10)
+    assert received == ['{"a": 1}\n{"b": "é"}\n'.encode()]
+    assert stat.S_ISFIFO(fifo.lstat().st_mode)  # not renamed over
+    assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
+
+
+@pytest.mark.parametrize("earlier", [True, False], ids=["target", "dangling"])
+@pytest.mark.parametrize("link", ["data/preds.jsonl", "ABSOLUTE"])
+def test_a_linked_output_rewrites_its_target(tmp_path, link, earlier):
+    target = tmp_path / "data" / "preds.jsonl"
+    target.parent.mkdir()
+    if earlier:
+        target.write_text("old\n")
+    out = tmp_path / "out.jsonl"
+    out.symlink_to(target if link == "ABSOLUTE" else link)
+    write_jsonl(str(out), [{"a": 1}])
+    assert out.is_symlink() and os.readlink(out) == str(target if link == "ABSOLUTE" else link)
+    assert target.read_text() == '{"a": 1}\n'
+    assert _tree(tmp_path).keys() == {"data/preds.jsonl", "out.jsonl"}
+
+
+def test_a_missing_output_directory_is_made(tmp_path, repo_root):
+    out = tmp_path / "made" / "deeper" / "stats.json"
+    assert _run(["stats", "--in", repo_root / TOY, "--out", out]) == (0, "")
+    assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")) == [
+        "made", "made/deeper", "made/deeper/stats.json"]
 
 
 # --- the streaming reader ---------------------------------------------------------
@@ -180,6 +222,61 @@ def test_a_bad_last_row_leaves_no_output(tmp_path, repo_root, augmented_toy, com
     assert _run(argv_for(bad)) == (1, f"error: {bad}: {message}\n")
     assert _tree(tmp_path) == before  # no output, no temporary file, an earlier output unchanged
     assert (tmp_path / "made").exists() == (earlier and command == "augment")
+
+
+# --- a write that fails midway ------------------------------------------------
+
+# Each subcommand that writes a file: its argv, in which IN/ starts a file
+# of the augmented toy corpus and OUT is the --out path, and the file under
+# OUT, if OUT is a directory, whose size the file-size limit is set below.
+_WRITERS = {
+    "synth": (["synth", "--db", DB, "--grammar", GRAMMAR, "--total", "0,0,40", "--splits", "test", "--out", "OUT"],
+              "test.jsonl"),
+    "augment": (["augment", "--in", TOY, "--db", DB, "--grammar", GRAMMAR, "--out", "OUT"], "corpus.jsonl"),
+    "stats": (["stats", "--in", TOY, "--out", "OUT"], ""),
+    "upsample": (["upsample", "--in", "IN/corpus.jsonl", "--factor", "2", "--out", "OUT"], ""),
+    "resolve": (["resolve", "--in", "IN/records.jsonl", "--kind", "records", "--out", "OUT"], ""),
+    "score": (["score", "--preds", "IN/preds.jsonl", "--gold", "IN/corpus.jsonl", "--records", "IN/records.jsonl",
+               "--out", "OUT"], ""),
+}
+
+
+def _limited(argv: list[str], limit: int, cwd: Path) -> subprocess.CompletedProcess:
+    """``argv`` run as a CLI process whose files may not grow past ``limit``
+    bytes.  Python ignores SIGXFSZ, so a write past the limit fails with
+    EFBIG."""
+    env = {**os.environ, "PYTHONPATH": str(cwd / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    return subprocess.run([sys.executable, "-m", "disambig", *argv], cwd=cwd, env=env, capture_output=True,
+                          text=True, timeout=120,
+                          preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit)))
+
+
+@pytest.mark.parametrize("earlier", [False, True], ids=["fresh", "over-earlier-output"])
+@pytest.mark.parametrize("command", _WRITERS)
+def test_a_write_past_the_file_size_limit_leaves_no_output(tmp_path, monkeypatch, repo_root, augmented_toy, command,
+                                                           earlier):
+    monkeypatch.chdir(repo_root)
+    template, name = _WRITERS[command]
+
+    def argv_for(out: Path) -> list[str]:
+        return [str(out) if part == "OUT" else str(augmented_toy / part[3:]) if part.startswith("IN/") else part
+                for part in template]
+
+    def written(out: Path) -> Path:
+        return out / name if name else out
+
+    reference = tmp_path / "reference" / "out"
+    assert _run(argv_for(reference))[0] == 0
+    out = tmp_path / "work" / "out"
+    if earlier:
+        written(out).parent.mkdir(parents=True)
+        written(out).write_text("earlier bytes\n")
+    before = _tree(tmp_path / "work")
+    done = _limited(argv_for(out), written(reference).stat().st_size // 2, repo_root)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("i/o error: ") and done.stderr.count("\n") == 1, done.stderr
+    assert _tree(tmp_path / "work") == before  # no output, no temporary file, an earlier output unchanged
+    assert out.exists() == earlier
 
 
 # --- the streamed score against the whole-corpus oracle ---------------------------
