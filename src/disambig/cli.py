@@ -20,6 +20,7 @@ import json
 import math
 import os
 import sys
+from itertools import islice
 from pathlib import Path
 
 from . import augmenter, corpus as corpus_mod, metrics, resolver, synthesizer
@@ -202,10 +203,14 @@ def _row_kind(row: dict) -> str:
     return "records" if "dialog_id" in row else "examples" if "system" in row and "candidates" in row else "corpus"
 
 
-def _sniff_kind(path: str) -> str:
+def _sniff_kind(path: str, remedy: str) -> str:
     """What the first row of ``path`` shows the file to hold: "records",
     "examples" or else a native "corpus".  An empty file holds zero rows,
-    which every reader takes, and is called a corpus."""
+    which every reader takes, and is called a corpus.  The reader opens the
+    file again, so only a regular file is sniffed: a pipe (``/dev/stdin``
+    fed by one) can be read only once, and is refused with ``remedy``."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        raise SchemaMismatch(f"{path}: not a regular file, so its kind is not guessed from its first row: {remedy}")
     return next(iter_jsonl(path, _row_kind), "corpus")
 
 
@@ -335,7 +340,7 @@ def _cmd_upsample(args) -> int:
 def _cmd_resolve(args) -> int:
     _guard_outputs([args.input], [args.out])
     # One (row index, prediction key, candidates, reply) per input row to resolve.
-    if (args.kind or _sniff_kind(args.input)) == "records":
+    if (args.kind or _sniff_kind(args.input, "give --kind")) == "records":
         items = ((row, (record.dialog_id, record.turn_index), record.candidates, record.user_prefix)
                  for row, record in enumerate(augmenter.read_records(args.input))
                  if record.skipped_reason is None)
@@ -347,8 +352,10 @@ def _cmd_resolve(args) -> int:
         try:
             names = resolver.predict_names(candidates, reply, max_fuzzy=args.max_fuzzy)
         except ValueError as exc:  # a candidate pool the resolver cannot take
-            line = [line_no for line_no, _ in numbered_rows(args.input)][row]
-            raise SchemaMismatch(f"{args.input}: line {line}: {exc}, got {len(candidates)}") from exc
+            # The row's line is found by reading the input again, which a pipe cannot be.
+            where = (f"line {next(islice(numbered_rows(args.input), row, None))[0]}" if os.path.isfile(args.input)
+                     else f"row {row + 1}")
+            raise SchemaMismatch(f"{args.input}: {where}: {exc}, got {len(candidates)}") from exc
         rows.append({"dialog_id": dialog_id, "turn_index": turn_index, "entities": names})
     metrics.write_predictions(rows, args.out)
     _log(f"resolved {len(rows)} rows from {args.input}")
@@ -358,12 +365,12 @@ def _cmd_resolve(args) -> int:
 def _cmd_score(args) -> int:
     _guard_outputs([args.preds, args.gold, args.records], [args.out])
     preds = metrics.read_predictions(args.preds)
-    augmented = metrics.applied_keys(augmenter.iter_records(args.records)) if args.records else None
-    if _sniff_kind(args.gold) == "examples":
-        dialogs = synthesizer.examples_to_corpus(synthesizer.read_examples(args.gold)).dialogs
+    records = augmenter.iter_records(args.records) if args.records else None
+    if _sniff_kind(args.gold, "give a regular file") == "examples":
+        gold = synthesizer.examples_to_corpus(synthesizer.read_examples(args.gold))
     else:
-        dialogs = corpus_mod.read_corpus(args.gold, format="native").dialogs
-    _write_json(metrics.score(preds, metrics.gold_index(dialogs, preds, augmented)), args.out)
+        gold = corpus_mod.read_corpus(args.gold, format="native")
+    _write_json(metrics.score(preds, gold, records), args.out)
     return 0
 
 

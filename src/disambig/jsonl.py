@@ -250,8 +250,12 @@ def write_jsonl(path: str, rows: Iterable[dict]) -> None:
 
 def _staging(path: str | Path) -> tuple[Path, Path | None]:
     """``(target, temporary)`` for a write to ``path``: the file written,
-    and the sibling it is staged in, or None for a file written in place."""
-    if os.path.exists(path) and not os.path.isfile(path):
+    and the sibling it is staged in, or None for a file written in place:
+    one that is not a regular file, or the one fd 1 writes."""
+    in_place = os.path.exists(path) and not os.path.isfile(path)
+    with suppress(OSError):  # no such path, or no fd 1
+        in_place = in_place or os.path.samestat(os.stat(path), os.fstat(1))
+    if in_place:
         return Path(path), None
     target = Path(os.path.realpath(path) if os.path.islink(path) else path)
     return target, target.with_name(f".{target.name}.{os.getpid()}.tmp")
@@ -271,8 +275,11 @@ def staged_outputs(*paths: str | Path) -> Iterator[list[TextIO]]:
     A path that is a symbolic link stands for the file it links to: the
     temporary is made beside that file and renamed over it, and the link
     stays.  A path that exists and is not a regular file (a device such as
-    ``/dev/null``, a FIFO) is opened and written in place, since a rename
-    would replace the device or the pipe itself.  A replaced file is a new
+    ``/dev/null``, a FIFO), or that is the process's own standard output
+    (``/dev/stdout``), is opened for appending and written in place, since a
+    rename would replace the device or the pipe itself, and a truncating
+    open would drop what stdout held before (a shell's ``>>``); such a write
+    is not staged, so a failure can leave part of it.  A replaced file is a new
     file: it gets default permissions, and a hard link to the old file
     keeps the old bytes.
     """
@@ -285,7 +292,7 @@ def staged_outputs(*paths: str | Path) -> Iterator[list[TextIO]]:
                 directory.mkdir()
                 made.append(directory)
         for target, temp in plan:
-            handles.append(open(temp or target, "x" if temp else "w", encoding="utf-8"))
+            handles.append(open(temp or target, "x" if temp else "a", encoding="utf-8"))
         yield handles
         for handle in handles:
             handle.close()

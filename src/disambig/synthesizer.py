@@ -23,7 +23,7 @@ from .errors import (
 )
 from .grammar import Grammar, fill, sample
 from .jsonl import Field, iter_jsonl, row_checker, write_jsonl
-from .resolver import STOPWORDS, _spans
+from .resolver import _name_record
 from .seeding import derive_seed, rng_for
 
 SYSTEM_QUESTION = "SYSTEM_QUESTION"
@@ -134,20 +134,24 @@ def _join_names(names: list[str], both: bool) -> str:
 
 
 def _partial_mention(target: dict, others: list[dict]) -> str:
-    """Shortest uniquely-identifying contiguous token window, prefixes first.
+    """Shortest uniquely-identifying contiguous window of the target name's
+    words, prefixes first, written as it is in the name.
 
     Users shorten names for simplicity, so the shortest prefix that still
-    tells the candidates apart is preferred; stopword-only windows never
-    count as identifying.  A window identifies the target when it is not
-    one of the other names' windows, as listed by the resolver's ``_spans``.
+    tells the candidates apart is preferred.  A window is judged as the
+    resolver reads it, by its normalized tokens: it identifies the target
+    when it is one of the target's partial windows (``_name_record``'s
+    ``partials``, never only stopwords) and neither another candidate's
+    whole name nor one of its partial windows.
     """
     tokens = target["name"].split()
-    taken = set().union(*(_spans(e["name"].split(), len(tokens) - 1) for e in others))
+    partials = _name_record(target["name"]).partials
+    taken = {text for name in map(_name_record, (e["name"] for e in others)) for text in (name.padded, *name.partials)}
     for _, length, start in sorted((start > 0, length, start) for length in range(1, len(tokens))
                                    for start in range(len(tokens) - length + 1)):
-        window = tuple(tokens[start:start + length])
-        if window not in taken and not all(t.lower() in STOPWORDS for t in window):
-            return " ".join(window)
+        window = " ".join(tokens[start:start + length])
+        if (text := _name_record(window).padded) in partials and text not in taken:
+            return window
     raise NoUniquePartial(f"every proper subsequence of {target['name']!r} is ambiguous")
 
 

@@ -7,7 +7,8 @@ sampler, a deep copy of the whole dialog instead of rebuilding only the
 rewritten turns, a rescan of the reply per name instead of one index of
 its windows, a rescan of every other name per partial-mention window
 instead of one set of their windows, a fresh gold scan and comparison per
-score bucket instead of one judgement per turn, and a copying decoder
+score bucket instead of one judgement per turn, gold target and state scans
+of their own instead of the one ``gold_index`` pass, and a copying decoder
 followed by a second walk of the whole corpus instead of checking each
 dialog as it is decoded, and the resolver as it was before the name index
 (every name re-normalized per call, pairs screened by character sets,
@@ -50,7 +51,7 @@ from disambig.errors import (
 )
 from disambig.grammar import Grammar, Nonterminal
 from disambig.jsonl import iter_jsonl, read_json, wrong_type
-from disambig.metrics import ALL, AUGMENTED_ONLY, gold_entity_turns, gold_states
+from disambig.metrics import ALL, AUGMENTED_ONLY
 from disambig.resolver import (
     ATTRIBUTE,
     DEFAULT_MAX_FUZZY,
@@ -231,14 +232,21 @@ def _window_in(tokens: list[str], window: list[str]) -> bool:
 
 def slow_partial_mention(target: dict, others: list[dict]) -> str:
     """``synthesizer._partial_mention``: prefixes by length, then every
-    window by length and start, each checked against every other name."""
+    window by length and start, each normalized on its own and checked by a
+    window scan of the normalized tokens of the target and every other name:
+    a proper window of the target, not only stopwords, and no window (the
+    whole name included) of any other name."""
     tokens = target["name"].split()
-    other_tokens = [e["name"].split() for e in others]
+    target_tokens = normalize(target["name"])
+    other_tokens = [normalize(e["name"]) for e in others]
 
     def unique(window: list[str]) -> bool:
-        if all(t.lower() in STOPWORDS for t in window):
+        words = normalize(" ".join(window))
+        if not words or all(t in STOPWORDS for t in words):
             return False
-        return not any(_window_in(ot, window) for ot in other_tokens)
+        if len(words) >= len(target_tokens) or not _window_in(target_tokens, words):
+            return False
+        return not any(_window_in(ot, words) for ot in other_tokens)
 
     for length in range(1, len(tokens)):
         prefix = tokens[:length]
@@ -472,11 +480,46 @@ def slow_augment_dialog(
     return new_dialog, records
 
 
+def _slow_dialogs(gold: Corpus) -> list[dict]:
+    """The gold dialogs, refusing a repeated dialog id as every metric does."""
+    ids = [dialog["id"] for dialog in gold.dialogs]
+    if len(set(ids)) != len(ids):
+        raise SchemaMismatch("gold corpus has duplicate dialog ids")
+    return gold.dialogs
+
+
+def slow_gold_entity_turns(gold: Corpus, origin: str | None = None) -> dict:
+    """``metrics.gold_entity_turns`` as its own scan of the corpus: each
+    marked turn's normalized target names, of one marker origin if given."""
+    turns = {}
+    for dialog in _slow_dialogs(gold):
+        for index, turn in enumerate(dialog["turns"]):
+            marker = turn["extras"].get("disambig")
+            if marker and (origin is None or marker.get("origin") == origin):
+                turns[(dialog["id"], index)] = {" ".join(normalize(n)) for n in marker["target_names"]}
+    return turns
+
+
+def slow_gold_states(gold: Corpus) -> dict:
+    """``metrics.gold_states`` as its own scan of the corpus: each user
+    turn's slots, each with the set of its values' ``name_key``."""
+    states = {}
+    for dialog in _slow_dialogs(gold):
+        for index, turn in enumerate(dialog["turns"]):
+            if turn["speaker"] == USER:
+                state: dict[str, set[str]] = {}
+                for frame in turn["frames"]:
+                    for slot, values in frame["slot_values"].items():
+                        state.setdefault(slot, set()).update(name_key(v) for v in values)
+                states[(dialog["id"], index)] = state
+    return states
+
+
 def _slow_select(table: dict, subset, gold: Corpus, turn_offset: int = 0) -> dict:
     if subset == ALL:
         return table
     if subset == AUGMENTED_ONLY:
-        keys = [(dialog_id, index + turn_offset) for dialog_id, index in gold_entity_turns(gold, origin="augment")]
+        keys = [(dialog_id, index + turn_offset) for dialog_id, index in slow_gold_entity_turns(gold, "augment")]
         return {key: table[key] for key in keys if key in table}
     if isinstance(subset, str):
         raise ValueError(f"unknown subset {subset!r}: expected ALL, AUGMENTED_ONLY or an iterable of keys")
@@ -502,12 +545,12 @@ def _slow_entity_mean(preds, targets: dict) -> float:
 
 def slow_entity_accuracy(preds, gold: Corpus, subset=ALL) -> float:
     """``metrics.entity_accuracy`` as a fresh gold scan plus its own loop."""
-    return _slow_entity_mean(preds, _slow_select(gold_entity_turns(gold), subset, gold))
+    return _slow_entity_mean(preds, _slow_select(slow_gold_entity_turns(gold), subset, gold))
 
 
 def slow_joint_goal_accuracy(preds, gold: Corpus, subset=ALL) -> float:
     """``metrics.joint_goal_accuracy`` with its own comparison loop."""
-    states = _slow_select(gold_states(gold), subset, gold, turn_offset=1)
+    states = _slow_select(slow_gold_states(gold), subset, gold, turn_offset=1)
     if not states:
         raise SchemaMismatch("no gold turns carry a dialog state in this subset")
     correct = 0
@@ -521,7 +564,7 @@ def slow_joint_goal_accuracy(preds, gold: Corpus, subset=ALL) -> float:
 
 def slow_slot_accuracy(preds, gold: Corpus, subset=ALL) -> float:
     """``metrics.slot_accuracy`` with its own comparison loop."""
-    states = _slow_select(gold_states(gold), subset, gold, turn_offset=1)
+    states = _slow_select(slow_gold_states(gold), subset, gold, turn_offset=1)
     fractions: list[float] = []
     for key, gold_state in sorted(states.items()):
         if key not in preds or preds[key].get("state") is None:
@@ -546,7 +589,7 @@ def slow_score(preds, gold: Corpus, records: list[AugmentationRecord] | None = N
     for key in preds:
         if key[0] not in dialogs or not 0 <= key[1] < len(dialogs[key[0]]["turns"]):
             raise UnknownSubsetTurn(key)
-    marked = gold_entity_turns(gold)
+    marked = slow_gold_entity_turns(gold)
     markers = {key: dialogs[key[0]]["turns"][key[1]]["extras"]["disambig"] for key in marked}
     total_turns = sum(len(dialog["turns"]) for dialog in dialogs.values())
     report["counts"]["turns_total"] = total_turns
@@ -568,7 +611,7 @@ def slow_score(preds, gold: Corpus, records: list[AugmentationRecord] | None = N
         report["entity_accuracy_augmented"] = _slow_entity_mean(preds, _slow_select(marked, augmented_keys, gold))
     if not any(row.get("state") is not None for row in preds.values()):
         return report
-    states = gold_states(gold)
+    states = slow_gold_states(gold)
     has_states = bool(states) and all(preds[key].get("state") is not None for key in states if key in preds)
     if has_states and all(key in preds for key in states):
         report["jga_all"] = slow_joint_goal_accuracy(preds, gold, subset=ALL)

@@ -462,6 +462,61 @@ def test_failed_synth_leaves_no_split_behind(capsys, tmp_path, repo_root, rule, 
     assert not (tmp_path / "out").exists()
 
 
+def _disambig(repo_root: Path, *argv: str, **kwargs) -> subprocess.CompletedProcess:
+    """``python -m disambig argv`` from the checkout's sources, with text output."""
+    env = {**os.environ, "PYTHONPATH": str(repo_root / "src")}
+    return subprocess.run([sys.executable, "-m", "disambig", *argv], cwd=repo_root, env=env, text=True,
+                          timeout=60, **kwargs)
+
+
+_NOT_GUESSED = "error: /dev/stdin: not a regular file, so its kind is not guessed from its first row: give "
+
+
+# Inputs fed through a pipe, which can be read only once: the kind of such a
+# file is not guessed, and a row is named by its number, since no second read
+# can find its line.
+@pytest.mark.parametrize("piped, argv, error", [
+    (_EXAMPLE, ["resolve", "--in", "/dev/stdin", "--out", "OUT"], _NOT_GUESSED + "--kind\n"),
+    (_EXAMPLE, ["score", "--preds", "PREDS", "--gold", "/dev/stdin"], _NOT_GUESSED + "a regular file\n"),
+    (_example(2) + "\n\n" + _example(6), ["resolve", "--in", "/dev/stdin", "--kind", "examples", "--out", "OUT"],
+     "error: /dev/stdin: row 2: resolve expects between 1 and 5 candidates, got 6\n"),
+    (_record(2) + "\n\n" + _record(6, turn_index=3),
+     ["resolve", "--in", "/dev/stdin", "--kind", "records", "--out", "OUT"],
+     "error: /dev/stdin: row 2: resolve expects between 1 and 5 candidates, got 6\n"),
+], ids=["resolve-kind-not-guessed", "score-kind-not-guessed", "resolve-examples-pool", "resolve-records-pool"])
+def test_piped_input_is_one_error_line(tmp_path, repo_root, piped, argv, error):
+    (tmp_path / "preds.jsonl").write_text(json.dumps(_PREDICTION) + "\n", encoding="utf-8")
+    paths = {"OUT": str(tmp_path / "out.jsonl"), "PREDS": str(tmp_path / "preds.jsonl")}
+    done = _disambig(repo_root, *(paths.get(arg, arg) for arg in argv), input=piped + "\n", capture_output=True)
+    assert (done.returncode, done.stdout, done.stderr) == (1, "", error)
+    assert not (tmp_path / "out.jsonl").exists()
+
+
+def test_piped_input_of_a_given_kind_is_read_once(tmp_path, repo_root):
+    examples = tmp_path / "examples.jsonl"
+    examples.write_text(_example(3) + "\n" + _example(4) + "\n", encoding="utf-8")
+    piped = _disambig(repo_root, "resolve", "--in", "/dev/stdin", "--kind", "examples", "--out",
+                      str(tmp_path / "piped.jsonl"), input=examples.read_text(), capture_output=True)
+    named = _disambig(repo_root, "resolve", "--in", str(examples), "--out", str(tmp_path / "named.jsonl"),
+                      capture_output=True)
+    assert (piped.returncode, named.returncode) == (0, 0), piped.stderr
+    assert (tmp_path / "piped.jsonl").read_bytes() == (tmp_path / "named.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("mode", ["a", "w"], ids=["append", "truncate"])
+def test_out_dev_stdout_writes_where_stdout_does(tmp_path, repo_root, mode):
+    # As ``>> log`` and ``> log`` leave stdout: what the file held before
+    # stays after an append.
+    log = tmp_path / "log"
+    log.write_text("earlier\n", encoding="utf-8")
+    with open(log, mode, encoding="utf-8") as handle:
+        done = _disambig(repo_root, "stats", "--in", TOY, "--out", "/dev/stdout", stdout=handle,
+                         stderr=subprocess.PIPE)
+    assert done.returncode == 0, done.stderr
+    report = _disambig(repo_root, "stats", "--in", TOY, capture_output=True, check=True).stdout
+    assert log.read_text(encoding="utf-8") == ("earlier\n" if mode == "a" else "") + report
+
+
 @pytest.mark.parametrize("linked, argv", [
     ("corpus.jsonl", ["stats", "--in", "corpus.jsonl", "--out", "LINK"]),
     ("corpus.jsonl", ["upsample", "--in", "corpus.jsonl", "--out", "LINK"]),

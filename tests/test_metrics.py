@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import typing
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +25,8 @@ from disambig.metrics import (
 
 from .oracles import (
     slow_entity_accuracy,
+    slow_gold_entity_turns,
+    slow_gold_states,
     slow_joint_goal_accuracy,
     slow_prediction_row,
     slow_score,
@@ -308,6 +311,33 @@ class TestScore:
         assert len(calls) == len(states)  # one state per user turn
 
 
+class TestOnePassGold:
+    """Every metric reads its gold in one pass, so gold that can be read
+    only once gives what a list of the same dialogs gives."""
+
+    def test_accuracy_functions_take_one_pass_gold(self, toy_corpus, shipped_db, shipped_grammar):
+        gold, _, _ = augment_corpus(toy_corpus, shipped_db, shipped_grammar, 3, DEFAULT_ALLOWED, AUGMENT_METHODS)
+        targets, states = gold_entity_turns(gold), gold_states(gold)
+        preds, rng = {}, random.Random(0)
+        for dialog in gold.dialogs:
+            for index in range(len(dialog["turns"])):
+                key = (dialog["id"], index)
+                right = rng.random() < 0.7
+                state = {slot: sorted(values) for slot, values in states.get(key, {}).items()}
+                preds[key] = {"dialog_id": dialog["id"], "turn_index": index,
+                              "entities": sorted(targets.get(key, ())) if right else ["wrong lodge"],
+                              "state": state if right or not state else {}}
+        for function, table in ((entity_accuracy, targets), (joint_goal_accuracy, states), (slot_accuracy, states)):
+            for subset in (ALL, AUGMENTED_ONLY, sorted(table)[::5]):
+                expected = function(preds, gold, subset)
+                assert 0 < expected < 1, (function.__name__, subset)
+                assert function(preds, gold._replace(dialogs=iter(gold.dialogs)), subset) == expected
+
+    def test_annotations_resolve(self):
+        for function in (metrics.score, metrics.applied_keys, metrics.gold_index, entity_accuracy):
+            assert typing.get_type_hints(function)
+
+
 _NAMES = ["alpha inn", "Briar Manor", "crown lodge!"]
 _SLOTS = ["hotel-area", "hotel-name"]
 _VALUES = ["north", "North ", "south", "alpha inn"]
@@ -394,6 +424,8 @@ def test_judged_tables_match_the_slow_references(case):
     ]
     for fast, slow in pairs:
         assert _outcome(fast, preds, gold, subset) == _outcome(slow, preds, gold, subset), fast.__name__
+    assert _outcome(gold_entity_turns, gold) == _outcome(slow_gold_entity_turns, gold)
+    assert _outcome(gold_states, gold) == _outcome(slow_gold_states, gold)
     assert _outcome(lambda: score(preds, gold, records)) == _outcome(slow_score, preds, gold, records)
 
 

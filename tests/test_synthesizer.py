@@ -83,6 +83,19 @@ class TestApplyAddressing:
         candidates = _entities("the palm", "copper kettle")
         assert apply_addressing(candidates, [0], AddressingMethod.PARTIAL, 0, shipped_grammar, "restaurant") == "palm"
 
+    def test_partial_is_judged_on_the_tokens_the_resolver_reads(self, shipped_grammar):
+        # "Royal" is also a window of "royal lodge" once case is folded.
+        candidates = _entities("Royal Court", "royal lodge")
+        mention = apply_addressing(candidates, [0], AddressingMethod.PARTIAL, 0, shipped_grammar, "restaurant")
+        assert mention == "Court"
+        assert predict_names(candidates, mention) == ["Royal Court"]
+
+    def test_partial_is_never_another_candidates_whole_name(self, shipped_grammar):
+        # "Palm" would read as an exact match for "palm".
+        candidates = _entities("palm Palm", "palm")
+        with pytest.raises(NoUniquePartial):
+            apply_addressing(candidates, [0], AddressingMethod.PARTIAL, 0, shipped_grammar, "restaurant")
+
     def test_partial_single_token_name_fails(self, shipped_grammar):
         candidates = _entities("unique", "copper kettle")
         with pytest.raises(NoUniquePartial):
