@@ -19,10 +19,11 @@ goes (known speakers that alternate, no search results on a user turn,
 frames of declared services, no empty slot name or value, a well-formed
 marker), ``_nonempty_name`` and ``_as_text`` read an entity's name and
 attributes, and ``_native_row`` checks the meta header's split.  Both
-formats end in ``dialog_row``, and the same per-row check then refuses a
-repeated dialog id or a meta header after the first row.  Every error of a
-row names the file and its line for JSONL, or the file and the dialog's
-index for SGD and MultiWOZ.
+formats end in ``dialog_row`` (a native dialog already in table form in
+``_in_table_form``, which makes the same checks), and the same per-row
+check then refuses a repeated dialog id or a meta header after the first
+row.  Every error of a row names the file and its line for JSONL, or the
+file and the dialog's index for SGD and MultiWOZ.
 
 ``read_corpus`` yields the dialog rows one at a time, as they are consumed:
 a native file line by line, an SGD or MultiWOZ directory one
@@ -38,9 +39,13 @@ are its turns, their frames and their search results: each turn holds
 ``speaker``, ``utterance``, ``frames`` and ``extras``
 (plus ``search_results`` when it has any), each frame ``service``,
 ``slot_values``, ``requested_slots`` and ``extras``, and each result
-``domain``, ``name`` and ``attributes``.  The lists and dicts inside them are
-the ones ``json.loads`` built, except that a result is an entity row made by
-``entity_row``, and writing dumps the rows as they are.
+``domain``, ``name`` and ``attributes``.  A native dialog already in this
+form, as every corpus this program writes is, is kept as ``json.loads``
+built it (``_in_table_form`` says which are).  Any other is rebuilt by the
+tables: its rows hold the lists and dicts ``json.loads`` built, except that
+a result is an entity row made by ``entity_row``.  Writing dumps the rows
+as they are, with sorted keys, so no output depends on which way a row was
+read.
 
 An entity row is ``{"domain": str, "name": str, "attributes": {str: str}}``.
 ``entity_row`` is its one check: a string domain, a non-empty string name,
@@ -165,13 +170,68 @@ _TURN = row_checker((
 ), "missing key {key!r}")
 
 
+def _in_table_form(turns: list, services: list) -> bool:
+    """Whether ``turns`` is already the list ``_read_turns`` would build:
+    each turn, frame and search result holds exactly its table's keys, each
+    of its JSON type, and every check of ``_read_turns`` holds.  False at
+    the first doubt, for the tables to rebuild the list or name the fault.
+    A row is counted and then each of its table's keys read from it, so a
+    row of as many keys that lacks one raises KeyError, which is a doubt."""
+    previous = None
+    try:
+        for turn in turns:
+            if type(turn) is not dict or len(turn) not in (4, 5):
+                return False
+            speaker, extras, frames = turn["speaker"], turn["extras"], turn["frames"]
+            if (speaker == previous or speaker not in (USER, SYSTEM) or type(turn["utterance"]) is not str
+                    or type(extras) is not dict or type(frames) is not list):
+                return False
+            if len(turn) == 5:
+                results = turn["search_results"]
+                if speaker == USER or type(results) is not list:
+                    return False
+                for entity in results:
+                    if type(entity) is not dict or len(entity) != 3 or type(entity["domain"]) is not str:
+                        return False
+                    name, attributes = entity["name"], entity["attributes"]
+                    if type(name) is not str or not name or type(attributes) is not dict:
+                        return False
+                    for value in attributes.values():
+                        if type(value) is not str:
+                            return False
+            if "disambig" in extras:
+                _TURN_EXTRAS(extras)
+            for frame in frames:
+                if type(frame) is not dict or len(frame) != 4 or frame["service"] not in services:
+                    return False
+                requested, slot_values = frame["requested_slots"], frame["slot_values"]
+                if type(frame["extras"]) is not dict or type(requested) is not list or type(slot_values) is not dict:
+                    return False
+                for slot in requested:
+                    if type(slot) is not str:
+                        return False
+                for slot, values in slot_values.items():
+                    if not slot or type(values) is not list:
+                        return False
+                    for value in values:
+                        if type(value) is not str or not value:
+                            return False
+            previous = speaker
+    except (KeyError, SchemaMismatch):
+        return False
+    return True
+
+
 def _read_turns(raw_turns: list, dialog: dict) -> list[dict]:
-    """The turn rows of ``raw_turns``, each read by the turn table and then
-    checked against the dialog.  Refuse, naming the turn, its first error:
-    one the table finds, an unknown speaker, two turns of one speaker in a
-    row, a user turn with search results, a malformed ``disambig`` marker,
-    a frame of a service the dialog does not declare, or an empty slot name
-    or value."""
+    """The turn rows of ``raw_turns``: the list itself when it is already in
+    table form, else each turn read by the turn table and then checked
+    against the dialog.  Refuse, naming the turn, its first error: one the
+    table finds, an unknown speaker, two turns of one speaker in a row, a
+    user turn with search results, a malformed ``disambig`` marker, a frame
+    of a service the dialog does not declare, or an empty slot name or
+    value."""
+    if _in_table_form(raw_turns, dialog["services"]):
+        return raw_turns
     turns, previous, services = [], None, dialog["services"]
     for index, raw in enumerate(raw_turns):
         try:
@@ -301,14 +361,24 @@ _HEADER = row_checker((
 ))
 
 
+_DIALOG_KEYS = frozenset(("id", "services", "extras", "turns"))
+
+
 def _native_row(obj: dict) -> dict | tuple[str, str]:
-    """A dialog row, or the ``(split_name, source_format)`` of a ``meta`` header row."""
-    if type(obj) is not dict or "meta" not in obj:
+    """A dialog row, or the ``(split_name, source_format)`` of a ``meta``
+    header row.  A dialog already in table form is kept as decoded."""
+    if type(obj) is not dict:
         return dialog_row(obj)
-    split_name, source_format = _HEADER(obj)["meta"].values()
-    if split_name not in SPLITS:
-        raise SchemaMismatch(f"split_name {split_name!r} not one of {SPLITS}")
-    return split_name, source_format
+    if "meta" in obj:
+        split_name, source_format = _HEADER(obj)["meta"].values()
+        if split_name not in SPLITS:
+            raise SchemaMismatch(f"split_name {split_name!r} not one of {SPLITS}")
+        return split_name, source_format
+    if (obj.keys() == _DIALOG_KEYS and type(obj["id"]) is str and type(obj["extras"]) is dict
+            and type(obj["services"]) is list and _TEXT.issuperset(map(type, obj["services"]))
+            and type(obj["turns"]) is list and _in_table_form(obj["turns"], obj["services"])):
+        return obj
+    return dialog_row(obj)
 
 
 # --- schema-guided adapters (SGD and MultiWOZ 2.2 share the envelope) ---------

@@ -141,16 +141,19 @@ def _partial_mention(target: dict, others: list[dict]) -> str:
     tells the candidates apart is preferred.  A window is judged as the
     resolver reads it, by its normalized tokens: it identifies the target
     when it is one of the target's partial windows (``_name_record``'s
-    ``partials``, never only stopwords) and neither another candidate's
-    whole name nor one of its partial windows.
+    ``partials``, never only stopwords), none of another candidate's partial
+    windows, and holds no other candidate's whole name, which the resolver
+    would read as an exact match for it.
     """
     tokens = target["name"].split()
     partials = _name_record(target["name"]).partials
-    taken = {text for name in map(_name_record, (e["name"] for e in others)) for text in (name.padded, *name.partials)}
+    names = [_name_record(e["name"]) for e in others]
+    taken = {text for name in names for text in name.partials}
     for _, length, start in sorted((start > 0, length, start) for length in range(1, len(tokens))
                                    for start in range(len(tokens) - length + 1)):
         window = " ".join(tokens[start:start + length])
-        if (text := _name_record(window).padded) in partials and text not in taken:
+        text = _name_record(window).padded
+        if text in partials and text not in taken and not any(name.padded in text for name in names):
             return window
     raise NoUniquePartial(f"every proper subsequence of {target['name']!r} is ambiguous")
 

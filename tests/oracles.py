@@ -234,8 +234,8 @@ def slow_partial_mention(target: dict, others: list[dict]) -> str:
     """``synthesizer._partial_mention``: prefixes by length, then every
     window by length and start, each normalized on its own and checked by a
     window scan of the normalized tokens of the target and every other name:
-    a proper window of the target, not only stopwords, and no window (the
-    whole name included) of any other name."""
+    a proper window of the target, not only stopwords, no window of any
+    other name, and holding no other name whole."""
     tokens = target["name"].split()
     target_tokens = normalize(target["name"])
     other_tokens = [normalize(e["name"]) for e in others]
@@ -246,7 +246,7 @@ def slow_partial_mention(target: dict, others: list[dict]) -> str:
             return False
         if len(words) >= len(target_tokens) or not _window_in(target_tokens, words):
             return False
-        return not any(_window_in(ot, words) for ot in other_tokens)
+        return not any(_window_in(ot, words) or _window_in(words, ot) for ot in other_tokens)
 
     for length in range(1, len(tokens)):
         prefix = tokens[:length]

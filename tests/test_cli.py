@@ -712,6 +712,15 @@ _AUGMENT_PINS = {
     },
 }
 _SCORE_RECORDS_MIXED_PIN = "aefee47d705b88fdfb48c28c25f92c569ba9f4f313263102ac084303fdad6d73"
+# The same at corpus scale: see TestAugment.test_outputs_at_corpus_scale_are_pinned.
+_AUGMENT_X200_PINS = {
+    "aug/corpus.jsonl": "7852925e3b4f4b16d0c442bcd02e0b83d47724354022cc503f431b94b857b423",
+    "aug/records.jsonl": "3905daf403387a9a275aa6ac4155627e0bc5f07da928e5808e0df66abe6ebdf5",
+    "aug/stats.json": "4f5a8e90dc3861ca2409f2a7a0d27495da980f4f652318ce90b2df3c6623ddde",
+    "preds.jsonl": "979a76bff621aad1ebb29c93a717df65e3038cf31e138fadebbb978d35fdafe7",
+    "score.json": "e111fc1c6f5c391daa966a019f4ec370cafbd18e59e3f0c69c663ae3d258a0bb",
+    "stats.json": "ed141a73deb642a8c6491263f55f1979331f1e36ec7f41e55fdd9ad9cc68e132",
+}
 
 # sha256 of the toy corpus as write_corpus writes it in each schema-guided
 # format (the two share one envelope, so the bytes are equal) and of its
@@ -766,6 +775,31 @@ class TestAugment:
             out = self._augment(capsys, tmp_path, repo_root, kind, *extra, seed="0")
             for name, digest in _AUGMENT_PINS[kind].items():
                 assert _digest(out / name) == digest, (kind, name)
+
+    def test_outputs_at_corpus_scale_are_pinned(self, capsys, tmp_path, repo_root):
+        """Toy x200 (10,000 dialogs, copy ``c`` of dialog ``d`` named
+        ``d~s0c<c:03d>``), augmented with mixed methods at seed 0, resolved,
+        scored and summarized: the bytes of each output, pinned before
+        corpus reading kept rows that are already in table form."""
+        header, *dialogs = map(json.loads, (repo_root / TOY).read_text(encoding="utf-8").splitlines())
+        corpus = tmp_path / "toy_x200.jsonl"
+        with corpus.open("w", encoding="utf-8") as handle:
+            for row in [header] + [dict(d, id=f"{d['id']}~s0c{c:03d}") for c in range(200) for d in dialogs]:
+                handle.write(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n")
+        out = tmp_path / "aug"
+        steps = [
+            ("augment", "--in", str(corpus), "--db", str(repo_root / DB), "--grammar", str(repo_root / GRAMMAR),
+             "--out", str(out), "--seed", "0", "--mix-methods"),
+            ("resolve", "--in", str(out / "records.jsonl"), "--kind", "records",
+             "--out", str(tmp_path / "preds.jsonl")),
+            ("score", "--preds", str(tmp_path / "preds.jsonl"), "--gold", str(out / "corpus.jsonl"),
+             "--records", str(out / "records.jsonl"), "--out", str(tmp_path / "score.json")),
+            ("stats", "--in", str(corpus), "--out", str(tmp_path / "stats.json")),
+        ]
+        for argv in steps:
+            assert _run(capsys, *argv)[0] == 0, argv[0]
+        digests = {name: _digest(tmp_path / name) for name in _AUGMENT_X200_PINS}
+        assert digests == _AUGMENT_X200_PINS
 
     def test_score_records_is_pinned(self, capsys, tmp_path, repo_root):
         out = self._augment(capsys, tmp_path, repo_root, "mixed", "--mix-methods", seed="0")

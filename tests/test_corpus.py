@@ -5,12 +5,13 @@ import re
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from disambig.augmenter import AUGMENT_METHODS, augment_corpus, find_augmentable_turns
 from disambig.corpus import (
     Corpus,
     Database,
+    _read_turns,
     dialog_row,
     entity_row,
     load_corpus,
@@ -339,6 +340,14 @@ class TestValidation:
         assert frame["slot_values"] is row["turns"][0]["frames"][0]["slot_values"]
         assert dialog == _tiny_row()
 
+    def test_turns_in_table_form_are_kept_as_decoded(self):
+        row = _tiny_row()
+        assert _read_turns(row["turns"], row) is row["turns"]
+        del row["turns"][1]["extras"]
+        turns = _read_turns(row["turns"], row)
+        assert turns is not row["turns"] and turns == _tiny_row()["turns"]
+        assert turns[0] is not row["turns"][0] and turns[1]["extras"] == {}
+
 
 # Mutations of valid rows.  The slow reference loader and the current one
 # must give equal corpora or the same error; "container" mutations, which the
@@ -453,6 +462,35 @@ def _mutated(draw, format: str) -> tuple[list[dict], str, str]:
     return rows, split, kind
 
 
+def _tiny_case(edit) -> tuple[str, tuple[list[dict], str, str]]:
+    """A case of the tiny corpus's row after ``edit``."""
+    row = _tiny_row()
+    edit(row)
+    return "native", ([row], "test", "none")
+
+
+# Native rows run as explicit examples: each way a valid row can miss table
+# form, which the loader must rebuild rather than keep as decoded, a
+# disambig marker and an empty slot name, which it checks either way.
+_TINY_CASES = [_tiny_case(edit) for edit in (
+    lambda row: row.pop("extras"),
+    lambda row: row["turns"][0].pop("extras"),
+    lambda row: row["turns"][1].pop("frames"),
+    lambda row: row["turns"][0]["frames"][0].pop("requested_slots"),
+    lambda row: row["turns"][0]["frames"][0].pop("slot_values"),
+    lambda row: row.update(unknown=1),
+    lambda row: row["turns"][1].update(unknown=None),
+    lambda row: row["turns"][0]["frames"][0].update(unknown=[]),
+    lambda row: row["turns"][1]["search_results"][1].update(unknown="x"),
+    lambda row: row["turns"][0].update(search_results=None),
+    lambda row: row["turns"][1].update(search_results=None),
+    lambda row: row["turns"][1]["search_results"][0]["attributes"].update(stars=4),
+    lambda row: row["turns"][1]["extras"].update(disambig={"origin": "synth", "method": "exact",
+                                                           "target_names": ["aurora lodge"]}),
+    lambda row: row["turns"][0]["frames"][0]["slot_values"].update({"": ["north"]}),
+)]
+
+
 def _outcome(load, path: Path, format: str):
     try:
         return load(str(path), format=format)
@@ -482,6 +520,10 @@ def test_decoding_matches_the_slow_reference(tmp_path_factory, case):
         # JSONL errors name the line; an SGD dialog's own checks name its index.
         prefix = rf"{re.escape(str(path))}: (line|dialog at index) \d+: "
         assert re.fullmatch(rf"({prefix})?{re.escape(str(old))}", str(new))
+
+
+for _case in _TINY_CASES:
+    test_decoding_matches_the_slow_reference = example(case=_case)(test_decoding_matches_the_slow_reference)
 
 
 class TestSchemaGuidedAdapters:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 
 import pytest
@@ -95,6 +96,15 @@ class TestApplyAddressing:
         candidates = _entities("palm Palm", "palm")
         with pytest.raises(NoUniquePartial):
             apply_addressing(candidates, [0], AddressingMethod.PARTIAL, 0, shipped_grammar, "restaurant")
+
+    def test_partial_holds_no_other_candidates_whole_name(self, shipped_grammar):
+        # "palm court" would read as exact matches for "palm" and "court".
+        target, *others = _entities("palm court inn", "palm", "court")
+        for candidates in itertools.permutations([target, *others]):
+            mention = apply_addressing(list(candidates), [candidates.index(target)], AddressingMethod.PARTIAL, 0,
+                                       shipped_grammar, "restaurant")
+            assert mention == "inn"
+            assert predict_names(list(candidates), mention) == ["palm court inn"]
 
     def test_partial_single_token_name_fails(self, shipped_grammar):
         candidates = _entities("unique", "copper kettle")

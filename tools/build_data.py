@@ -18,6 +18,7 @@ character edit apart, or contain one another.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import sys
 from pathlib import Path
@@ -27,6 +28,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from disambig.corpus import Corpus, Database, dialog_row, name_key, write_corpus, write_database
 from disambig.grammar import Slot, load_grammar_file
+from disambig.jsonl import write_row
 from disambig.resolver import STOPWORDS, edit_distance
 from disambig.seeding import rng_for
 
@@ -386,7 +388,18 @@ def build_toy_corpus(db: Database) -> tuple[Corpus, dict]:
     return corpus, expected
 
 
+def _jsonl_sha256(rows) -> str:
+    """The sha256 of the JSONL file ``write_row`` makes of ``rows``."""
+    text = io.StringIO()
+    for row in rows:
+        write_row(text, row)
+    return hashlib.sha256(text.getvalue().encode("utf-8")).hexdigest()
+
+
 def build_baseline() -> dict:
+    """Resolver accuracy on the default 10k test split, seed 0, with the
+    sha256 of its examples file (as ``synth`` writes it) and of its
+    predictions file (as ``resolve`` writes it)."""
     from disambig import metrics, resolver, synthesizer
     from disambig.corpus import load_database
 
@@ -406,6 +419,8 @@ def build_baseline() -> dict:
         "examples": len(examples),
         "entity_accuracy_all": report["entity_accuracy_all"],
         "per_method": report["per_method"],
+        "examples_sha256": _jsonl_sha256(example.to_json() for example in examples),
+        "predictions_sha256": _jsonl_sha256(preds.values()),
     }
 
 
