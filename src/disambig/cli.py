@@ -215,7 +215,7 @@ def _sniff_kind(path: str, remedy: str) -> str:
 
 
 def _corpus_files(args) -> list[str | Path]:
-    """The files ``load_corpus`` reads for ``--in``: each ``dialogues_*.json``
+    """The files ``read_corpus`` reads for ``--in``: each ``dialogues_*.json``
     of a schema-guided directory, else the path itself."""
     return [args.input] if args.format == "native" else corpus_mod._schema_guided_files(args.input)
 
@@ -245,6 +245,7 @@ def _cmd_synth(args) -> int:
     db = corpus_mod.load_database(args.db)
     grammar = load_grammar_file(args.grammar)
     config = synthesizer.SynthConfig(per_method=args.per_method, methods=_parse_methods(args.methods), seed=args.seed)
+    synthesizer.check_grammar(grammar, config.methods)
     if args.total:
         config = config._replace(totals=args.total)
     splits = [s.strip() for s in args.splits.split(",") if s.strip()]
@@ -281,6 +282,7 @@ def _cmd_augment(args) -> int:
     grammar = load_grammar_file(args.grammar)
     allowed = _load_allow_list(args.allow_list)
     methods = augmenter.AUGMENT_METHODS if args.mix_methods else (synthesizer.AddressingMethod.EXACT,)
+    synthesizer.check_grammar(grammar, methods)
 
     out_dir = Path(args.out)
     outputs = [out_dir / "corpus.jsonl", out_dir / "records.jsonl", out_dir / "stats.json"]
@@ -312,27 +314,32 @@ def _cmd_stats(args) -> int:
 
 def _cmd_upsample(args) -> int:
     _guard_outputs([args.input], [args.out])
-    base = corpus_mod.load_corpus(args.input, format="native")
-    augmented = [d for d in base.dialogs if any("disambig" in t["extras"] for t in d["turns"])]
-    if not augmented:
-        raise SchemaMismatch("corpus has no augmented dialogs to upsample")
-    target = round(args.factor * len(base.dialogs))
-    dialogs = list(base.dialogs)
-    extra_needed = max(0, target - len(augmented))
-    # Copy n of a dialog is named "<id>~up<n>"; n skips ids already in the
-    # corpus, so upsampling an upsampled corpus keeps ids unique.
-    taken = {d["id"] for d in dialogs}
-    next_copy = dict.fromkeys(taken, 1)
-    for i in range(extra_needed):
-        source = augmented[i % len(augmented)]
-        n = next_copy[source["id"]]
-        while (copy_id := f"{source['id']}~up{n}") in taken:
-            n += 1
-        next_copy[source["id"]] = n + 1
-        taken.add(copy_id)
-        dialogs.append({**source, "id": copy_id})
-    out = corpus_mod.Corpus(dialogs=dialogs, split_name=base.split_name, source_format=base.source_format)
-    corpus_mod.write_corpus(out, args.out)
+    # One pass writes each dialog as it is read and keeps only the ids and
+    # the augmented dialogs; the copies of those follow it, round-robin.
+    source = corpus_mod.read_corpus(args.input)
+    taken, augmented = set(), []
+    with staged_outputs(args.out) as (out,):
+        write_row(out, corpus_mod.header_row(source))
+        for dialog in source.dialogs:
+            write_row(out, dialog)
+            taken.add(dialog["id"])
+            if any("disambig" in t["extras"] for t in dialog["turns"]):
+                augmented.append(dialog)
+        if not augmented:
+            raise SchemaMismatch("corpus has no augmented dialogs to upsample")
+        target = round(args.factor * len(taken))
+        extra_needed = max(0, target - len(augmented))
+        # Copy n of a dialog is named "<id>~up<n>"; n skips ids already in the
+        # corpus, so upsampling an upsampled corpus keeps ids unique.
+        next_copy: dict[str, int] = {}
+        for i in range(extra_needed):
+            dialog = augmented[i % len(augmented)]
+            n = next_copy.get(dialog["id"], 1)
+            while (copy_id := f"{dialog['id']}~up{n}") in taken:
+                n += 1
+            next_copy[dialog["id"]] = n + 1
+            taken.add(copy_id)
+            write_row(out, {**dialog, "id": copy_id})
     _log(f"upsampled {len(augmented)} augmented dialogs with {extra_needed} duplicates (target {target})")
     return 0
 

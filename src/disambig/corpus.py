@@ -2,10 +2,11 @@
 
 The native on-disk format is JSON lines: an optional first line
 ``{"meta": {"split_name": ..., "source_format": ...}}`` followed by one
-dialog object per line.  Adapters turn SGD-style directories and
-MultiWOZ-2.2-style JSON (both share the schema-guided envelope) into native
-rows; fields the model does not cover ride along in opaque ``extras`` blobs,
-so writing back is lossless.
+dialog object per line.  It is the one format the package writes.  Adapters
+read SGD-style directories and MultiWOZ-2.2-style JSON (both share the
+schema-guided envelope) into native rows; fields the model does not cover
+ride along in opaque ``extras`` blobs, so no annotation of the source is
+dropped.
 
 Every row kind of these formats is a table of ``jsonl.Field`` entries here,
 and its checker is built from the table: the meta header, the dialog, its
@@ -31,9 +32,10 @@ a native file line by line, an SGD or MultiWOZ directory one
 kept, for the duplicate check.  ``load_corpus`` reads them into a list.
 The ``augment``, ``stats`` and ``score`` subcommands stream a native corpus
 and hold one dialog at a time (``score`` keeps a small index of the gold
-corpus, see ``metrics.gold_index``).  ``upsample`` holds the whole corpus,
-and ``resolve`` and ``synth`` hold all their rows: ``read_examples`` returns
-a list, which the benchmark's traced observer iterates.
+corpus, see ``metrics.gold_index``).  ``upsample`` streams it too, and holds
+only the ids and the augmented dialogs it copies.  ``resolve`` and ``synth``
+hold all their rows: ``read_examples`` returns a list, which the benchmark's
+traced observer iterates.
 A dialog is a plain row ``{"id", "services", "turns", "extras"}``, and so
 are its turns, their frames and their search results: each turn holds
 ``speaker``, ``utterance``, ``frames`` and ``extras``
@@ -281,25 +283,14 @@ class Corpus(NamedTuple):
 # --- native format ------------------------------------------------------------
 
 
-def write_corpus(corpus: Corpus, path: str, format: str = "native") -> None:
-    """Serialize a corpus; the native writer is the exact inverse of the loader."""
-    if format == "native":
-        write_jsonl(path, itertools.chain([header_row(corpus)], corpus.dialogs))
-    elif format in ("sgd", "multiwoz22"):
-        payload = [_dialog_to_schema_guided(d) for d in corpus.dialogs]
-        with staged_outputs(path) as (out,):
-            out.write(_dumps_pretty(payload))
-    else:
-        raise SchemaMismatch(f"unknown corpus format {format!r}")
+def write_corpus(corpus: Corpus, path: str) -> None:
+    """Write a corpus as a native file, the exact inverse of the loader."""
+    write_jsonl(path, itertools.chain([header_row(corpus)], corpus.dialogs))
 
 
 def header_row(corpus: Corpus) -> dict:
     """The meta header, the first row of the native file of ``corpus``."""
     return {"meta": {"split_name": corpus.split_name, "source_format": corpus.source_format}}
-
-
-def _dumps_pretty(obj) -> str:
-    return json.dumps(obj, ensure_ascii=False, indent=1, sort_keys=True)
 
 
 def read_corpus(path: str, format: str = "native") -> Corpus:
@@ -475,7 +466,7 @@ def _schema_guided_rows(path: str, parse: Callable[[dict], object]) -> Iterator[
 
 
 # The schema-guided envelope.  Keys a table does not name ride along in
-# ``extras`` (a state's in ``state_extras``), so writing back is lossless;
+# ``extras`` (a state's in ``state_extras``), so no annotation is dropped;
 # what the native tables check again (the services, the slot values and
 # the requested slots) is only given its container type here.
 _SGD_STATE = row_checker((
@@ -523,7 +514,7 @@ def _schema_guided_row(obj: dict) -> dict:
                 raise SchemaMismatch(f"frame without service in dialog {dialog_id!r}")
             if state["state_extras"]:
                 extras["state_extras"] = state["state_extras"]
-            if "service_results" in raw_frame:  # kept raw, for writing back
+            if "service_results" in raw_frame:  # kept raw, as the source wrote them
                 extras["service_results"] = raw_frame["service_results"]
             for record in raw_frame.get("service_results", ()):
                 results.append(_entity_row(service, record, guess_name_field(service, record),
@@ -538,45 +529,6 @@ def _schema_guided_row(obj: dict) -> dict:
             turn["search_results"] = results
         turns.append(turn)
     return dialog_row({"id": dialog_id, "services": envelope["services"], "turns": turns, "extras": envelope["extras"]})
-
-
-def _dialog_to_schema_guided(dialog: dict) -> dict:
-    """The schema-guided form of a dialog.  Search results go into the
-    ``service_results`` of a frame of their domain (a new frame when the turn
-    has none), unless a frame read from such a file still carries them raw."""
-    turns = []
-    for index, turn in enumerate(dialog["turns"]):
-        carried = {frame["service"] for frame in turn["frames"] if "service_results" in frame["extras"]}
-        results: dict[str, list[dict]] = {}
-        for entity in turn.get("search_results", []):
-            if entity["domain"] not in carried:
-                name_field = guess_name_field(entity["domain"], {**entity["attributes"], "name": entity["name"]})
-                results.setdefault(entity["domain"], []).append(_entity_record(entity, name_field))
-        present = {frame["service"] for frame in turn["frames"]}
-        added = [{"service": domain, "slot_values": {}, "requested_slots": [], "extras": {}}
-                 for domain in results if domain not in present]
-        for frame in added:
-            if frame["service"] not in dialog["services"]:
-                raise SchemaMismatch(f"dialog {dialog['id']!r} turn {index}: search results of {frame['service']!r}, "
-                                     "which is not one of the dialog's services")
-        frames = []
-        for frame in turn["frames"] + added:
-            state_extras = frame["extras"].get("state_extras", {})
-            raw_frame = {"service": frame["service"]}
-            # Both formats give user frames a state and system frames none, unless it holds something.
-            if turn["speaker"] == USER or frame["slot_values"] or frame["requested_slots"] or state_extras:
-                raw_frame["state"] = {"slot_values": frame["slot_values"],
-                                      "requested_slots": frame["requested_slots"], **state_extras}
-            raw_frame.update({k: v for k, v in frame["extras"].items() if k != "state_extras"})
-            if frame["service"] in results:
-                raw_frame["service_results"] = results.pop(frame["service"])
-            frames.append(raw_frame)
-        raw_turn = {"speaker": turn["speaker"], "utterance": turn["utterance"], "frames": frames}
-        raw_turn.update(turn["extras"])
-        turns.append(raw_turn)
-    obj = {"dialogue_id": dialog["id"], "services": dialog["services"], "turns": turns}
-    obj.update(dialog["extras"])
-    return obj
 
 
 # --- database -------------------------------------------------------------------
@@ -645,7 +597,7 @@ def write_database(db: Database, path: str) -> None:
     }
     payload = {"name_fields": db.name_fields, "nouns": db.nouns, "tables": tables}
     with staged_outputs(path) as (out,):
-        out.write(_dumps_pretty(payload) + "\n")
+        out.write(json.dumps(payload, ensure_ascii=False, indent=1, sort_keys=True) + "\n")
 
 
 def sample_entities(db: Database, domain: str, n: int, seed: int) -> list[dict]:

@@ -20,8 +20,9 @@ finite, exactly countable language.
 from __future__ import annotations
 
 import graphlib
+import math
 import re
-from functools import cache
+from collections import Counter
 from typing import NamedTuple
 
 from .errors import (
@@ -136,16 +137,19 @@ def _validate(grammar: Grammar) -> None:
     for start in grammar.start_symbols:
         if start not in grammar.rules:
             raise UndefinedNonterminal(start, context="%start")
-    _check_acyclic(grammar)
+    _rule_order(grammar)
 
 
-def _check_acyclic(grammar: Grammar) -> None:
+def _rule_order(grammar: Grammar) -> tuple[str, ...]:
+    """Every rule, each after the rules it refers to, so that a walk in this
+    order needs no recursion however deep the grammar; CyclicGrammar when
+    there is no such order."""
     # Each rule's predecessors are the nonterminals it refers to, so a cycle
     # comes back against reference order.
     graph = {name: [s.name for alt in alts for s in alt if isinstance(s, Nonterminal)]
              for name, alts in grammar.rules.items()}
     try:
-        graphlib.TopologicalSorter(graph).prepare()
+        return tuple(graphlib.TopologicalSorter(graph).static_order())
     except graphlib.CycleError as exc:
         raise CyclicGrammar(exc.args[1][::-1]) from None
 
@@ -179,24 +183,46 @@ def sample(grammar: Grammar, start: str, seed: int) -> tuple[Token, ...]:
 def count_language(grammar: Grammar, start: str) -> int:
     """Exact number of distinct derivations from ``start``, without enumeration.
 
-    Product over sequence positions, sum over alternatives; arbitrary
-    precision, so counts in the millions are exact.
+    Product over sequence positions, sum over alternatives, each rule's
+    count taken once in ``_rule_order``; arbitrary precision, so counts in
+    the millions are exact.
     """
     if start not in grammar.rules:
         raise UnknownStart(start)
+    counts: dict[str, int] = {}
+    for name in _rule_order(grammar):
+        counts[name] = sum(math.prod(counts[s.name] for s in alt if isinstance(s, Nonterminal))
+                           for alt in grammar.rules[name])
+    return counts[start]
 
-    @cache
-    def count(name: str) -> int:
-        total = 0
+
+def slot_bounds(grammar: Grammar, start: str) -> dict[str, tuple[int, int]]:
+    """The least and greatest number of times each slot occurs in one
+    derivation from ``start``, for every slot that some derivation holds.
+
+    The same walk as :func:`count_language`: an alternative adds up the
+    bounds of its symbols (a slot counts once, a nonterminal by its own
+    bounds), and a rule takes the least and the greatest over its
+    alternatives (a slot an alternative lacks counts 0 there).
+    """
+    if start not in grammar.rules:
+        raise UnknownStart(start)
+    bounds: dict[str, dict[str, tuple[int, int]]] = {}
+    for name in _rule_order(grammar):
+        alternatives = []
         for alt in grammar.rules[name]:
-            product = 1
+            least, most = Counter(), Counter()
             for symbol in alt:
-                if isinstance(symbol, Nonterminal):
-                    product *= count(symbol.name)
-            total += product
-        return total
-
-    return count(start)
+                inner = (bounds[symbol.name] if isinstance(symbol, Nonterminal)
+                         else {symbol.name: (1, 1)} if isinstance(symbol, Slot) else {})
+                for slot, (low, high) in inner.items():
+                    least[slot] += low
+                    most[slot] += high
+            alternatives.append((least, most))
+        slots = set().union(*(most for _, most in alternatives))
+        bounds[name] = {slot: (min(least[slot] for least, _ in alternatives),
+                               max(most[slot] for _, most in alternatives)) for slot in slots}
+    return bounds[start]
 
 
 def fill(tokens: tuple[Token, ...], bindings: dict[str, str]) -> str:

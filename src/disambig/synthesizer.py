@@ -13,6 +13,7 @@ from typing import NamedTuple
 
 from .corpus import SPLITS, SYSTEM, USER, Corpus, Database, entity_row, gold_marker, name_key, sample_entities
 from .errors import (
+    GrammarError,
     InvalidTargetArity,
     NoDiscriminatingAttribute,
     NotEnoughEntities,
@@ -21,7 +22,7 @@ from .errors import (
     TypoGenerationFailed,
     UnknownDomain,
 )
-from .grammar import Grammar, fill, sample
+from .grammar import Grammar, fill, sample, slot_bounds
 from .jsonl import Field, iter_jsonl, row_checker, write_jsonl
 from .resolver import _name_record
 from .seeding import derive_seed, rng_for
@@ -261,6 +262,32 @@ def apply_addressing(
         both = rng_for("multiple.both", seed, *names).random() < 0.5
         return _join_names(names, both=both)
     return _attribute_mention(target, others, seed, grammar, domain_noun)
+
+
+# Each start symbol that synthesis samples: the slot that every derivation
+# must hold exactly once, and all the slots it is filled with.
+_FILLED_SLOTS = {SYSTEM_QUESTION: ("option_list", {"option_list", "entity_type"}),
+                 USER_ANSWER: ("mention", {"mention"}),
+                 ATTRIBUTE_MENTION: ("attribute_phrase", {"attribute_phrase", "domain_noun"})}
+
+
+def check_grammar(grammar: Grammar, methods: tuple[AddressingMethod, ...]) -> None:
+    """Refuse a grammar that could word an exchange wrong: a question that
+    does not list the options once, an answer that does not name its pick
+    once, or a slot its stage does not fill.  ``ATTRIBUTE_MENTION`` is
+    checked only when ``methods`` include the attribute method, the one
+    that samples it.  The GrammarError names the rule and the slot."""
+    for start, (required, filled) in _FILLED_SLOTS.items():
+        if start != ATTRIBUTE_MENTION or AddressingMethod.ATTRIBUTE in methods:
+            bounds = slot_bounds(grammar, start)
+            low, high = bounds.get(required, (0, 0))
+            if (low, high) != (1, 1):
+                times = f"{low}" if low == high else f"{low} to {high}"
+                raise GrammarError(f"rule {start!r}: slot {{{required}}} must occur exactly once in every "
+                                   f"derivation, but occurs {times} times")
+            for slot in sorted(bounds.keys() - filled):
+                raise GrammarError(f"rule {start!r}: slot {{{slot}}} can occur, but only "
+                                   f"{', '.join(f'{{{name}}}' for name in sorted(filled))} can be filled there")
 
 
 def build_system_utterance(grammar: Grammar, candidates: list[dict], noun: str, seed: int) -> str:

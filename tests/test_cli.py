@@ -13,8 +13,10 @@ import pytest
 import disambig
 from disambig import cli
 from disambig.cli import run
-from disambig.corpus import load_corpus, write_corpus
+from disambig.corpus import load_corpus
 from disambig.seeding import derive_seed
+
+from .schema_guided import write_schema_guided
 
 GRAMMAR = "grammars/disambiguation.cfg"
 DB = "data/database.json"
@@ -298,6 +300,19 @@ _MALFORMED_INPUTS = {
     **{f"{command}-grammar-without-user-answer": (
         {"g.cfg": "SYSTEM_QUESTION -> pick {option_list}\n"}, [command, *extra, "--grammar", "g.cfg", "--out", "OUT"])
        for command, extra in (("synth", ["--db", DB, "--total", "1,0,0"]), ("augment", ["--in", TOY, "--db", DB]))},
+    # Grammars whose answer does not name the pick or names it twice: each is
+    # refused before an exchange is made.
+    **{f"{command}-grammar-{name}": (
+        {"g.cfg": "SYSTEM_QUESTION -> which of {option_list}?\nUSER_ANSWER -> " + answer + "\n"},
+        [command, *extra, "--grammar", "g.cfg", "--out", "OUT"])
+       for name, answer in (("without-mention", "that one please."), ("mention-twice", "{mention} or {mention}."))
+       for command, extra in (("synth", ["--db", DB, "--total", "1,0,0"]), ("augment", ["--in", TOY, "--db", DB]))},
+    # An answer that can hold a slot no answer is filled with, in the
+    # alternative that the one row does not draw, so only the check finds it.
+    "synth-grammar-stray-slot": (
+        {"g.cfg": "SYSTEM_QUESTION -> which of {option_list}?\n"
+                  "USER_ANSWER -> {mention} please. | {mention} of {option_list}.\n"},
+        ["synth", "--db", DB, "--grammar", "g.cfg", "--total", "1,0,0", "--out", "OUT"]),
     "stats-repeated-dialog-id": ({"in.jsonl": _SERVICE_FREE * 2}, ["stats", "--in", "in.jsonl"]),
     "stats-sgd-repeated-dialog-id": (
         {"in.json": json.dumps([_sgd_dialog({"service": "hotels_1"})] * 2)},
@@ -451,14 +466,41 @@ def test_attribute_mentions_need_the_grammar_rule(capsys, tmp_path, repo_root):
     assert code == 0
 
 
+@pytest.mark.parametrize("command", ["synth", "augment"])
+def test_a_grammar_whose_answers_name_no_pick_is_refused(capsys, tmp_path, repo_root, command):
+    """With every {mention} of the shipped grammar replaced, replies would
+    name no target yet carry a gold label; the grammar is refused first."""
+    grammar = tmp_path / "g.cfg"
+    grammar.write_text((repo_root / GRAMMAR).read_text(encoding="utf-8").replace("{mention}", "it"), encoding="utf-8")
+    extra = ["--total", "0,0,12", "--splits", "test"] if command == "synth" else ["--in", str(repo_root / TOY)]
+    code, _, err = _run(capsys, command, "--db", str(repo_root / DB), "--grammar", str(grammar), *extra,
+                        "--out", str(tmp_path / "out"))
+    assert (code, err) == (1, "error: rule 'USER_ANSWER': slot {mention} must occur exactly once in every "
+                              "derivation, but occurs 0 times\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("rule, total", [("USER_ANSWER", "0,0,2"), ("ATTRIBUTE_MENTION", "1,0,6")])
 def test_failed_synth_leaves_no_split_behind(capsys, tmp_path, repo_root, rule, total):
-    # train is made (empty, or one exact example) before test fails.
+    # The grammar is refused before any split is made.
     grammar = _shipped_grammar_without(repo_root, rule, tmp_path / "g.cfg")
     code, _, err = _run(capsys, "synth", "--db", str(repo_root / DB), "--grammar", str(grammar), "--total", total,
                         "--splits", "train,test", "--out", str(tmp_path / "out"))
     assert code == 1
     assert err == f"error: unknown start symbol or rule name {rule!r}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_synth_failing_midway_leaves_no_split_behind(capsys, tmp_path, repo_root):
+    # train's one row and test's first are hotels; test's second row is drawn
+    # from a table of two inns, too few to list, after train is made.
+    inns = [{"name": f"{word} inn", "area": word} for word in ("oak", "ash")]
+    db = tmp_path / "db.json"
+    db.write_text(json.dumps({**_DATABASE, "name_fields": {"hotel": "name", "inn": "name"},
+                              "tables": {**_DATABASE["tables"], "inn": inns}}), encoding="utf-8")
+    code, _, err = _run(capsys, "synth", "--db", str(db), "--grammar", str(repo_root / GRAMMAR), "--methods", "exact",
+                        "--total", "1,0,2", "--splits", "train,test", "--out", str(tmp_path / "out"))
+    assert (code, err) == (1, "error: need 5 distinct entities, table has 2\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -722,9 +764,10 @@ _AUGMENT_X200_PINS = {
     "stats.json": "ed141a73deb642a8c6491263f55f1979331f1e36ec7f41e55fdd9ad9cc68e132",
 }
 
-# sha256 of the toy corpus as write_corpus writes it in each schema-guided
-# format (the two share one envelope, so the bytes are equal) and of its
-# stats report, taken while dialogs were still decoded into a class.
+# sha256 of the toy corpus as the schema-guided test writer writes it, pinned
+# for each format (the two share one envelope, so the bytes are equal) while
+# the writer was still part of the package, and of the toy corpus's stats
+# report, taken while dialogs were still decoded into a class.
 _TOY_PINS = {
     "sgd": "4aed65e96a7d93e25722b869c82a81d54ac9164cfa2f74151f43741da39f5b74",
     "multiwoz22": "4aed65e96a7d93e25722b869c82a81d54ac9164cfa2f74151f43741da39f5b74",
@@ -735,8 +778,9 @@ _TOY_PINS = {
 @pytest.mark.parametrize("format", ["sgd", "multiwoz22"])
 def test_toy_corpus_written_as_schema_guided_is_pinned(tmp_path, repo_root, format):
     path = tmp_path / "toy.json"
-    write_corpus(load_corpus(str(repo_root / TOY)), str(path), format=format)
+    write_schema_guided(load_corpus(str(repo_root / TOY)), str(path))
     assert _digest(path) == _TOY_PINS[format]
+    assert len(load_corpus(str(path), format=format).dialogs) == 50
 
 
 class TestAugment:
@@ -825,7 +869,7 @@ class TestAugment:
 
     def test_config_sets_format(self, capsys, tmp_path, repo_root):
         sgd = tmp_path / "toy_sgd.json"
-        write_corpus(load_corpus(str(repo_root / TOY)), str(sgd), format="sgd")
+        write_schema_guided(load_corpus(str(repo_root / TOY)), str(sgd))
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"format": "sgd"}), encoding="utf-8")
         outputs = []
@@ -877,7 +921,7 @@ class TestStats:
     def test_refuses_to_overwrite_a_file_of_a_schema_guided_directory(self, capsys, tmp_path, repo_root):
         dialogs = tmp_path / "sgd" / "dialogues_001.json"
         dialogs.parent.mkdir()
-        write_corpus(load_corpus(str(repo_root / TOY)), str(dialogs), format="sgd")
+        write_schema_guided(load_corpus(str(repo_root / TOY)), str(dialogs))
         before = dialogs.read_bytes()
         code, _, err = _run(capsys, "stats", "--in", str(dialogs.parent), "--format", "sgd", "--out", str(dialogs))
         assert code == 1

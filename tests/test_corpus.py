@@ -5,7 +5,7 @@ import re
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from disambig.augmenter import AUGMENT_METHODS, augment_corpus, find_augmentable_turns
 from disambig.corpus import (
@@ -26,6 +26,7 @@ from disambig.metrics import score
 from disambig.resolver import predict_names
 
 from .oracles import slow_entity_row, slow_load_corpus
+from .schema_guided import write_schema_guided
 
 SGD_DIALOG = {
     "dialogue_id": "1_00000",
@@ -400,14 +401,16 @@ def _rows(draw, format: str) -> list[dict]:
     return rows
 
 
+# Every (format, mutation) pair, each run as its own test.
+_MUTATIONS = [(format, kind) for format in ("native", "sgd") for kind in _INVARIANT_MUTATIONS + _CONTAINER_MUTATIONS
+              + (["bad-split"] + _NATIVE_CONTAINER_MUTATIONS if format == "native" else [])]
+
+
 @st.composite
-def _mutated(draw, format: str) -> tuple[list[dict], str, str]:
-    """Rows, the split to declare, and the mutation applied to them."""
+def _mutated(draw, format: str, kind: str) -> tuple[list[dict], str]:
+    """Rows with mutation ``kind`` applied to them, at drawn positions, and
+    the split to declare."""
     rows = draw(_rows(format))
-    kinds = _INVARIANT_MUTATIONS + _CONTAINER_MUTATIONS
-    if format == "native":
-        kinds += ["bad-split"] + _NATIVE_CONTAINER_MUTATIONS
-    kind = draw(st.sampled_from(kinds))
     dialog = draw(st.sampled_from(rows))
     turns = dialog["turns"]
     turn = draw(st.sampled_from(turns))
@@ -459,17 +462,17 @@ def _mutated(draw, format: str) -> tuple[list[dict], str, str]:
         draw(st.sampled_from([dialog, turn, frame]))["extras"] = [["k", "v"]]
     elif kind == "attributes-list":
         turns[1]["search_results"] = [{"domain": dialog["services"][0], "name": "x", "attributes": [["a", "b"]]}]
-    return rows, split, kind
+    return rows, split
 
 
-def _tiny_case(edit) -> tuple[str, tuple[list[dict], str, str]]:
-    """A case of the tiny corpus's row after ``edit``."""
+def _tiny_case(edit) -> list[dict]:
+    """The tiny corpus's row after ``edit``."""
     row = _tiny_row()
     edit(row)
-    return "native", ([row], "test", "none")
+    return [row]
 
 
-# Native rows run as explicit examples: each way a valid row can miss table
+# Native rows run as explicit cases: each way a valid row can miss table
 # form, which the loader must rebuild rather than keep as decoded, a
 # disambig marker and an empty slot name, which it checks either way.
 _TINY_CASES = [_tiny_case(edit) for edit in (
@@ -498,11 +501,8 @@ def _outcome(load, path: Path, format: str):
         return exc
 
 
-@settings(max_examples=200)
-@given(case=st.sampled_from(["native", "sgd"]).flatmap(lambda f: st.tuples(st.just(f), _mutated(f))))
-def test_decoding_matches_the_slow_reference(tmp_path_factory, case):
-    format, (rows, split, kind) = case
-    directory = tmp_path_factory.mktemp("decode")
+def _assert_decodes_like_the_slow_reference(directory: Path, format: str, rows: list[dict], split: str,
+                                            kind: str) -> None:
     if format == "native":
         path = _write_native(directory / "corpus.jsonl", rows, split)
     else:
@@ -522,8 +522,17 @@ def test_decoding_matches_the_slow_reference(tmp_path_factory, case):
         assert re.fullmatch(rf"({prefix})?{re.escape(str(old))}", str(new))
 
 
-for _case in _TINY_CASES:
-    test_decoding_matches_the_slow_reference = example(case=_case)(test_decoding_matches_the_slow_reference)
+@pytest.mark.parametrize("format, kind", _MUTATIONS)
+@settings(max_examples=10)
+@given(data=st.data())
+def test_decoding_matches_the_slow_reference(tmp_path_factory, format, kind, data):
+    rows, split = data.draw(_mutated(format, kind))
+    _assert_decodes_like_the_slow_reference(tmp_path_factory.mktemp("decode"), format, rows, split, kind)
+
+
+@pytest.mark.parametrize("rows", _TINY_CASES)
+def test_tiny_rows_decode_like_the_slow_reference(tmp_path, rows):
+    _assert_decodes_like_the_slow_reference(tmp_path, "native", rows, "test", "none")
 
 
 class TestSchemaGuidedAdapters:
@@ -566,7 +575,7 @@ class TestSchemaGuidedAdapters:
     def test_sgd_round_trip_preserves_content(self, sgd_dir, tmp_path):
         corpus = load_corpus(str(sgd_dir), format="sgd")
         out = tmp_path / "rewritten.json"
-        write_corpus(corpus, str(out), format="sgd")
+        write_schema_guided(corpus, str(out))
         again = load_corpus(str(out), format="sgd")
         assert again.dialogs == corpus.dialogs
 
@@ -584,7 +593,7 @@ class TestSchemaGuidedAdapters:
         source = tmp_path / "dialogues_001.json"
         source.write_text(json.dumps([dialog]), encoding="utf-8")
         out = tmp_path / "rewritten.json"
-        write_corpus(load_corpus(str(source), format=format), str(out), format=format)
+        write_schema_guided(load_corpus(str(source), format=format), str(out))
         assert json.loads(out.read_text(encoding="utf-8")) == [dialog]
 
     def test_sgd_results_are_written_back_as_read(self, tmp_path):
@@ -593,25 +602,25 @@ class TestSchemaGuidedAdapters:
         source = tmp_path / "dialogues_001.json"
         source.write_text(json.dumps([dialog]), encoding="utf-8")
         out = tmp_path / "rewritten.json"
-        write_corpus(load_corpus(str(source), format="sgd"), str(out), format="sgd")
+        write_schema_guided(load_corpus(str(source), format="sgd"), str(out))
         written = json.loads(out.read_text(encoding="utf-8"))[0]["turns"][1]["frames"]
         assert [frame["service_results"] for frame in written] == [dialog["turns"][1]["frames"][0]["service_results"]]
 
     @pytest.mark.parametrize("format", ["sgd", "multiwoz22"])
     def test_toy_corpus_round_trip_keeps_what_is_read(self, tmp_path, toy_corpus, format):
         path = tmp_path / "toy.json"
-        write_corpus(toy_corpus, str(path), format=format)
+        write_schema_guided(toy_corpus, str(path))
         again = load_corpus(str(path), format=format)
         assert sum(1 for d in again.dialogs for t in d["turns"] if t.get("search_results")) == 41
         assert _read_view(again) == _read_view(toy_corpus)
         rewritten = tmp_path / "again.json"
-        write_corpus(again, str(rewritten), format=format)
+        write_schema_guided(again, str(rewritten))
         assert rewritten.read_bytes() == path.read_bytes()
 
     @given(corpus=st.one_of(_native_corpora(), _two_domain_offers()), format=st.sampled_from(["sgd", "multiwoz22"]))
     def test_round_trip_keeps_what_is_read(self, tmp_path_factory, corpus, format):
         path = tmp_path_factory.mktemp("round") / "corpus.json"
-        write_corpus(corpus, str(path), format=format)
+        write_schema_guided(corpus, str(path))
         copy = load_corpus(str(path), format=format)
         assert _read_view(copy) == _read_view(corpus)
         assert _augmentable(copy) == _augmentable(corpus)
@@ -623,11 +632,13 @@ class TestSchemaGuidedAdapters:
         ("taxi", {}, "not one of the dialog's services"),
     ])
     def test_unwritable_search_results_rejected(self, tmp_path, domain, attributes, match):
+        """The test writer refuses a corpus it cannot write so that it reads
+        back the same, so the round trips above never compare a lossy copy."""
         turns = [{"speaker": "SYSTEM", "utterance": "two",
                   "search_results": [{"domain": domain, "name": "the palm", "attributes": attributes}]}]
         corpus = Corpus(dialogs=[dialog_row({"id": "d1", "services": ["hotels_1", "train"], "turns": turns})])
         with pytest.raises(SchemaMismatch, match=match):
-            write_corpus(corpus, str(tmp_path / "out.json"), format="sgd")
+            write_schema_guided(corpus, str(tmp_path / "out.json"))
 
 
 class TestDatabase:
@@ -716,9 +727,8 @@ def test_loaded_corpus_is_never_mutated(tmp_path, repo_root, shipped_db, shipped
                                                   "entities": predict_names(r.candidates, r.user_prefix)}
     assert score(preds, augmented, records)["entity_accuracy_all"] is not None
     upsampled = augmented.dialogs + [{**dialog, "id": f"{dialog['id']}~up1"} for dialog in augmented.dialogs]
-    for format in ("native", "sgd", "multiwoz22"):
-        write_corpus(corpus, str(tmp_path / f"corpus.{format}"), format=format)
-        write_corpus(Corpus(dialogs=upsampled), str(tmp_path / f"upsampled.{format}"), format=format)
+    write_corpus(corpus, str(tmp_path / "corpus.jsonl"))
+    write_corpus(Corpus(dialogs=upsampled), str(tmp_path / "upsampled.jsonl"))
     after = [json.dumps(dialog, sort_keys=True) for dialog in corpus.dialogs]
     assert [dialog["id"] for dialog, old, new in zip(corpus.dialogs, before, after) if old != new] == []
 

@@ -19,6 +19,7 @@ from disambig.grammar import (
     fill,
     load_grammar,
     sample,
+    slot_bounds,
 )
 
 from .oracles import enumerate_templates, slow_sample, template_in_language
@@ -192,9 +193,10 @@ class TestCount:
 
 
 @st.composite
-def acyclic_grammars(draw):
+def acyclic_grammars(draw, slots: bool = False):
     """Layered random grammars with distinct leaf terminals per alternative,
-    so derivations map one-to-one onto strings and stay below ~10k."""
+    so derivations map one-to-one onto strings and stay below ~10k; with
+    ``slots``, alternatives also hold slots {a} and {b}."""
     n_layers = draw(st.integers(min_value=1, max_value=3))
     lines = []
     previous: list[str] = []
@@ -211,6 +213,8 @@ def acyclic_grammars(draw):
                 if previous:
                     refs = draw(st.lists(st.sampled_from(previous), min_size=0, max_size=2))
                     symbols.extend(refs)
+                if slots:
+                    symbols.extend(draw(st.lists(st.sampled_from(["{a}", "{b}"]), max_size=2)))
                 alts.append(" ".join(symbols))
             lines.append(f"{name} -> " + " | ".join(alts))
             layer_names.append(name)
@@ -231,6 +235,39 @@ class TestCountProperty:
         tokens = sample(grammar, start, seed)
         assert template_in_language(grammar, start, tokens)
         assert tokens == slow_sample(grammar, start, seed)
+
+
+class TestSlotBounds:
+    def test_shipped_bounds(self, shipped_grammar):
+        assert {start: slot_bounds(shipped_grammar, start) for start in shipped_grammar.start_symbols} == {
+            "SYSTEM_QUESTION": {"option_list": (1, 1), "entity_type": (0, 1)},
+            "USER_ANSWER": {"mention": (1, 1)},
+            "ATTRIBUTE_MENTION": {"domain_noun": (1, 1), "attribute_phrase": (1, 1)},
+        }
+
+    def test_least_and_greatest_over_alternatives(self):
+        grammar = load_grammar("S -> A {x} | b\nA -> {x} {y} | c")
+        assert slot_bounds(grammar, "S") == {"x": (0, 2), "y": (0, 1)}
+
+    def test_unknown_start(self):
+        with pytest.raises(UnknownStart):
+            slot_bounds(load_grammar("S -> a"), "T")
+
+    @given(acyclic_grammars(slots=True))
+    def test_bounds_equal_enumeration(self, grammar_and_start):
+        grammar, start = grammar_and_start
+        counts = [[_slot_names(tokens).count(slot) for tokens in enumerate_templates(grammar, start)]
+                  for slot in ("a", "b")]
+        expected = {slot: (min(c), max(c)) for slot, c in zip(("a", "b"), counts) if max(c)}
+        assert slot_bounds(grammar, start) == expected
+
+
+def test_a_deep_grammar_is_walked_without_recursion():
+    # Deeper than the interpreter's recursion limit, as a chain of rules.
+    source = "\n".join([f"R{i} -> w R{i + 1}" for i in range(5000)] + ["R5000 -> {x} | y"])
+    grammar = load_grammar(source)
+    assert count_language(grammar, "R0") == 2
+    assert slot_bounds(grammar, "R0") == {"x": (0, 1)}
 
 
 def test_fill_paper_examples():

@@ -36,6 +36,7 @@ from disambig.jsonl import numbered_rows, staged_outputs, write_jsonl
 from disambig.metrics import gold_states, read_predictions, write_predictions
 
 from .oracles import slow_score
+from .schema_guided import write_schema_guided
 
 DB = "data/database.json"
 GRAMMAR = "grammars/disambiguation.cfg"
@@ -160,7 +161,7 @@ def test_read_corpus_reads_a_dialog_only_when_it_is_taken(tmp_path, repo_root):
 
 
 def test_schema_guided_directories_are_read_file_by_file(tmp_path, repo_root):
-    write_corpus(load_corpus(str(repo_root / TOY)), str(tmp_path / "dialogues_001.json"), format="sgd")
+    write_schema_guided(load_corpus(str(repo_root / TOY)), str(tmp_path / "dialogues_001.json"))
     (tmp_path / "dialogues_002.json").write_text("[5]")
     dialogs = read_corpus(str(tmp_path), format="sgd").dialogs
     assert len([next(dialogs) for _ in range(50)]) == 50

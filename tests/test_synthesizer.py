@@ -8,12 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 from disambig.corpus import SPLITS, Database, dialog_row, load_corpus, name_key, write_corpus
 from disambig.errors import (
+    GrammarError,
     InvalidTargetArity,
     NoDiscriminatingAttribute,
     NotEnoughEntities,
     NoUniquePartial,
     UnknownDomain,
 )
+from disambig.grammar import load_grammar
 from disambig.metrics import score
 from disambig.resolver import predict_names
 from disambig.synthesizer import (
@@ -22,6 +24,7 @@ from disambig.synthesizer import (
     SynthConfig,
     _partial_mention,
     apply_addressing,
+    check_grammar,
     example_dialog_id,
     examples_to_corpus,
     format_option_list,
@@ -335,3 +338,34 @@ def test_option_list_lands_verbatim_in_system_utterance(shipped_db, shipped_gram
     example = synthesize_example(shipped_db, shipped_grammar, "hotel", AddressingMethod.EXACT, 1)
     names = [e["name"] for e in example.candidates]
     assert format_option_list(names) in example.system_utterance
+
+
+_QUESTION = "SYSTEM_QUESTION -> which of {option_list}?\n"
+_ATTRIBUTE = "ATTRIBUTE_MENTION -> the {domain_noun} {attribute_phrase}\n"
+
+
+@pytest.mark.parametrize("source, methods, message", [
+    (_QUESTION + "USER_ANSWER -> {mention} | {mention} please.\n", METHODS[:1], None),
+    (_QUESTION + "USER_ANSWER -> {mention} | a\n", METHODS[:1],
+     "rule 'USER_ANSWER': slot {mention} must occur exactly once in every derivation, but occurs 0 to 1 times"),
+    (_QUESTION + "USER_ANSWER -> A A\nA -> {mention}\n", METHODS[:1],
+     "rule 'USER_ANSWER': slot {mention} must occur exactly once in every derivation, but occurs 2 times"),
+    ("SYSTEM_QUESTION -> which {entity_type}?\nUSER_ANSWER -> {mention}\n", METHODS[:1],
+     "rule 'SYSTEM_QUESTION': slot {option_list} must occur exactly once in every derivation, but occurs 0 times"),
+    (_QUESTION + "USER_ANSWER -> {mention} | {mention} of {entity_type}\n", METHODS[:1],
+     "rule 'USER_ANSWER': slot {entity_type} can occur, but only {mention} can be filled there"),
+    # ATTRIBUTE_MENTION is read only when the attribute method is in use.
+    (_QUESTION + "USER_ANSWER -> {mention}\nATTRIBUTE_MENTION -> the {domain_noun}\n", METHODS[:5], None),
+    (_QUESTION + "USER_ANSWER -> {mention}\nATTRIBUTE_MENTION -> the {domain_noun}\n", METHODS,
+     "rule 'ATTRIBUTE_MENTION': slot {attribute_phrase} must occur exactly once in every derivation, "
+     "but occurs 0 times"),
+    (_QUESTION + "USER_ANSWER -> {mention}\n" + _ATTRIBUTE, METHODS, None),
+])
+def test_check_grammar_names_the_rule_and_the_slot(source, methods, message):
+    grammar = load_grammar(source)
+    if message is None:
+        check_grammar(grammar, methods)
+    else:
+        with pytest.raises(GrammarError) as info:
+            check_grammar(grammar, methods)
+        assert str(info.value) == message
