@@ -24,8 +24,8 @@ from itertools import islice
 from pathlib import Path
 
 from . import augmenter, corpus as corpus_mod, metrics, resolver, synthesizer
-from .errors import DisambigError, SchemaMismatch
-from .grammar import count_language, load_grammar_file
+from .errors import DisambigError, GrammarError, SchemaMismatch
+from .grammar import Grammar, count_language, load_grammar_file
 from .jsonl import iter_jsonl, numbered_rows, read_json, staged_outputs, write_row, wrong_type
 
 
@@ -197,6 +197,28 @@ def _parse_methods(text: str | None) -> tuple[synthesizer.AddressingMethod, ...]
     return methods
 
 
+def _parse_splits(text: str) -> list[str]:
+    """The splits ``--splits`` names, in its order: at least one, each a
+    known split and each given once, since each is one output file."""
+    splits = [part.strip() for part in text.split(",") if part.strip()]
+    if not splits:
+        raise SchemaMismatch(f"no split in {text!r}")
+    for split in splits:
+        if split not in corpus_mod.SPLITS:
+            raise SchemaMismatch(f"unknown split {split!r}")
+        if splits.count(split) > 1:
+            raise SchemaMismatch(f"split {split!r} given twice")
+    return splits
+
+
+def _check_grammar(path: str, grammar: Grammar, methods: tuple[synthesizer.AddressingMethod, ...]) -> None:
+    """``synthesizer.check_grammar``, its GrammarError naming the grammar file first."""
+    try:
+        synthesizer.check_grammar(grammar, methods)
+    except GrammarError as exc:
+        raise GrammarError(f"{path}: {exc}") from exc
+
+
 def _row_kind(row: dict) -> str:
     if type(row) is not dict:  # a row of any kind is an object
         raise wrong_type(row, dict)
@@ -242,16 +264,13 @@ def _cmd_grammar_count(args) -> int:
 def _cmd_synth(args) -> int:
     if args.total is not None and args.per_method is not None:
         raise SchemaMismatch("--total and --per-method cannot both be set")
+    splits, methods = _parse_splits(args.splits), _parse_methods(args.methods)
     db = corpus_mod.load_database(args.db)
     grammar = load_grammar_file(args.grammar)
-    config = synthesizer.SynthConfig(per_method=args.per_method, methods=_parse_methods(args.methods), seed=args.seed)
-    synthesizer.check_grammar(grammar, config.methods)
+    config = synthesizer.SynthConfig(per_method=args.per_method, methods=methods, seed=args.seed)
+    _check_grammar(args.grammar, grammar, methods)
     if args.total:
         config = config._replace(totals=args.total)
-    splits = [s.strip() for s in args.splits.split(",") if s.strip()]
-    for split in splits:
-        if split not in corpus_mod.SPLITS:
-            raise SchemaMismatch(f"unknown split {split!r}")
     outputs = [Path(args.out, f"{split}.jsonl") for split in splits]
     _guard_outputs([args.db, args.grammar, args.config], [str(p) for p in outputs])
     # Each split is written as it is made, and is freed before the next is made.
@@ -282,7 +301,7 @@ def _cmd_augment(args) -> int:
     grammar = load_grammar_file(args.grammar)
     allowed = _load_allow_list(args.allow_list)
     methods = augmenter.AUGMENT_METHODS if args.mix_methods else (synthesizer.AddressingMethod.EXACT,)
-    synthesizer.check_grammar(grammar, methods)
+    _check_grammar(args.grammar, grammar, methods)
 
     out_dir = Path(args.out)
     outputs = [out_dir / "corpus.jsonl", out_dir / "records.jsonl", out_dir / "stats.json"]

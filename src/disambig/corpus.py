@@ -64,7 +64,11 @@ The per-domain entity store is a JSON document::
      "tables": {"hotel": [{"name": ..., "area": ...}, ...], ...}}
 
 Its flat records load as entity rows of their domain, with the name field's
-value as the name and every other field as an attribute.
+value as the name and every other field as an attribute.  ``load_database``
+checks the document, and ``Database`` keeps the tables, the nouns and each
+domain's normalized names, refusing two names the resolver reads as the same
+tokens.  The package reads this document and never writes it:
+``tools/build_data.py`` writes the shipped ``data/database.json``.
 
 Corpus and Database instances are immutable after load, the adopted
 containers included.  An operation that "modifies" a dialog returns a new
@@ -75,7 +79,6 @@ the turns it rewrites), so input and output are both read-only from then on.
 from __future__ import annotations
 
 import itertools
-import json
 import random
 import re
 from functools import lru_cache
@@ -83,7 +86,7 @@ from pathlib import Path
 from typing import Callable, Iterator, NamedTuple
 
 from .errors import NotEnoughEntities, SchemaMismatch, UnknownDomain
-from .jsonl import REQUIRED, Field, iter_jsonl, read_json, row_checker, staged_outputs, write_jsonl
+from .jsonl import Field, iter_jsonl, read_json, row_checker, write_jsonl
 
 USER = "USER"
 SYSTEM = "SYSTEM"
@@ -424,15 +427,6 @@ def _entity_row(domain: str, record: dict, name_field: str, where: str) -> dict:
     return {"domain": domain, "name": str(record[name_field]), "attributes": attributes}
 
 
-def _entity_record(row: dict, name_field: str) -> dict:
-    """The inverse of ``_entity_row``: an entity row as a flat record with its name under ``name_field``."""
-    if name_field in row["attributes"]:
-        raise SchemaMismatch(
-            f"entity {row['name']!r} of {row['domain']!r}: attribute {name_field!r} would read back as its name"
-        )
-    return {**row["attributes"], name_field: row["name"]}
-
-
 def _schema_guided_files(path: str) -> list[Path]:
     root = Path(path)
     if root.is_dir():
@@ -535,27 +529,18 @@ def _schema_guided_row(obj: dict) -> dict:
 
 
 class Database:
-    """Per-domain tables of entity rows plus the attribute designated as each name."""
+    """Per-domain tables of entity rows, read by ``load_database``."""
 
-    def __init__(self, tables: dict[str, list[dict]], name_fields: dict[str, str],
-                 nouns: dict[str, str] | None = None):
+    def __init__(self, tables: dict[str, list[dict]], nouns: dict[str, str] | None = None):
         self.tables = tables
-        self.name_fields = name_fields
         self.nouns = {} if nouns is None else nouns
         self._names: dict[str, frozenset[str]] = {}
         for domain, entities in self.tables.items():
-            if domain not in self.name_fields:
-                raise SchemaMismatch(f"domain {domain!r} has no declared name field")
-            names = self._names[domain] = frozenset(name_key(e["name"]) for e in entities)
-            # Two names the resolver reads as the same tokens would tie as exact matches.
-            tokens = {name_text(e["name"]) for e in entities}
-            if len(names) != len(entities) or len(tokens) != len(entities):
+            self._names[domain] = frozenset(name_key(e["name"]) for e in entities)
+            # Two names the resolver reads as the same tokens would tie as exact
+            # matches; names with one ``name_key`` always read as the same tokens.
+            if len({name_text(e["name"]) for e in entities}) != len(entities):
                 raise SchemaMismatch(f"domain {domain!r} has duplicate entity names after normalization")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Database):
-            return NotImplemented
-        return (self.tables, self.name_fields, self.nouns) == (other.tables, other.name_fields, other.nouns)
 
     def noun(self, domain: str) -> str:
         """Singular noun for the domain's entity type, for surface realization."""
@@ -587,17 +572,7 @@ def load_database(path: str) -> Database:
             raise SchemaMismatch(f"{path}: domain {domain!r} missing from name_fields")
         tables[domain] = [entity_row(_entity_row(domain, record, payload["name_fields"][domain],
                                                  f"{path}: record in {domain!r}")) for record in records]
-    return Database(tables=tables, name_fields=payload["name_fields"], nouns=payload["nouns"])
-
-
-def write_database(db: Database, path: str) -> None:
-    tables = {
-        domain: [_entity_record(e, db.name_fields[domain]) for e in entities]
-        for domain, entities in db.tables.items()
-    }
-    payload = {"name_fields": db.name_fields, "nouns": db.nouns, "tables": tables}
-    with staged_outputs(path) as (out,):
-        out.write(json.dumps(payload, ensure_ascii=False, indent=1, sort_keys=True) + "\n")
+    return Database(tables=tables, nouns=payload["nouns"])
 
 
 def sample_entities(db: Database, domain: str, n: int, seed: int) -> list[dict]:

@@ -28,6 +28,7 @@ from typing import NamedTuple
 from .errors import (
     CyclicGrammar,
     DuplicateStartSymbol,
+    GrammarError,
     ParseError,
     UnboundSlot,
     UndefinedNonterminal,
@@ -125,7 +126,12 @@ def load_grammar(text: str) -> Grammar:
 
 
 def load_grammar_file(path: str) -> Grammar:
-    return load_grammar(read_text(path))
+    """The grammar in the file at ``path``; its GrammarError names the file first."""
+    text = read_text(path)
+    try:
+        return load_grammar(text)
+    except GrammarError as exc:
+        raise GrammarError(f"{path}: {exc}") from exc
 
 
 def _validate(grammar: Grammar) -> None:

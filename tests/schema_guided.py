@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 
-from disambig.corpus import USER, Corpus, _entity_record, guess_name_field
+from disambig.corpus import USER, Corpus, guess_name_field
 from disambig.errors import SchemaMismatch
 from disambig.jsonl import staged_outputs
 
@@ -21,6 +21,17 @@ def write_schema_guided(corpus: Corpus, path: str) -> None:
     payload = [_dialog_to_schema_guided(d) for d in corpus.dialogs]
     with staged_outputs(path) as (out,):
         out.write(json.dumps(payload, ensure_ascii=False, indent=1, sort_keys=True))
+
+
+def _entity_record(row: dict, name_field: str) -> dict:
+    """An entity row as a flat record with its name under ``name_field``, as
+    the readers take a search result.  An attribute of that key would read
+    back as the name, so it is refused."""
+    if name_field in row["attributes"]:
+        raise SchemaMismatch(
+            f"entity {row['name']!r} of {row['domain']!r}: attribute {name_field!r} would read back as its name"
+        )
+    return {**row["attributes"], name_field: row["name"]}
 
 
 def _dialog_to_schema_guided(dialog: dict) -> dict:

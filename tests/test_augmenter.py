@@ -171,7 +171,6 @@ class TestAugmentDialog:
         tiny = Database(
             tables={"hotel": [e for e in shipped_db.tables["hotel"]
                               if name_key(e["name"]) in accepted_names][:1]},
-            name_fields={"hotel": "name"},
             nouns={"hotel": "hotel"},
         )
         new_dialog, records = augment_dialog(dialog, tiny, shipped_grammar, seed=0)
@@ -216,7 +215,6 @@ class TestAugmentDialogAgainstDeepCopy:
                 accepted.setdefault(entity["domain"], {})[name_key(entity["name"])] = entity
         return Database(
             tables={domain: list(entities.values())[:4] for domain, entities in accepted.items()},
-            name_fields={domain: "name" for domain in accepted},
             nouns=shipped_db.nouns,
         )
 
@@ -298,7 +296,7 @@ class TestAugmentCorpus:
                                  for n in offered}) for domain in ("hotel", "restaurant", "attraction")}
         names["restaurant"] += ["ivy bistro", "jade kitchen", "kiln pizza"]
         db = Database(tables={d: [{"domain": d, "name": n, "attributes": {}} for n in ns]
-                              for d, ns in names.items()}, name_fields={d: "name" for d in names})
+                              for d, ns in names.items()})
         dialogs = []
         for dialog_id, picks in exchanges.items():
             turns = [{"speaker": "USER", "utterance": "i need a few places", "frames": [{"service": picks[0][0]}]}]

@@ -266,11 +266,14 @@ _MALFORMED_INPUTS = {
     "resolve-records-skipped-reason-not-a-string": (
         {"in.jsonl": _record(2, skipped_reason=5) + "\n"},
         ["resolve", "--in", "in.jsonl", "--kind", "records", "--out", "OUT"]),
-    "synth-methods-empty": (
-        {}, ["synth", "--db", DB, "--grammar", GRAMMAR, "--per-method", "1,1,1", "--methods", ",", "--out", "OUT"]),
-    "synth-methods-unknown": (
-        {}, ["synth", "--db", DB, "--grammar", GRAMMAR, "--per-method", "1,1,1", "--methods", "exact,bogus",
-             "--out", "OUT"]),
+    # A flag of synth is checked before any file is read: the database here
+    # does not parse, so its error would come first otherwise.
+    **{f"synth-{flag}-{name}": (
+        {"db.json": "{"}, ["synth", "--db", "db.json", "--grammar", GRAMMAR, "--per-method", "1,1,1",
+                           f"--{flag}", value, "--out", "OUT"])
+       for flag, name, value in (("methods", "empty", ","), ("methods", "unknown", "exact,bogus"),
+                                 ("splits", "bogus", "test,bogus"), ("splits", "repeated", "test,test"),
+                                 ("splits", "empty", ""))},
     **{f"synth-grammar-{name}": (
         {"g.cfg": source}, ["synth", "--db", DB, "--grammar", "g.cfg", "--total", "1,0,0", "--out", "OUT"])
        for name, source in (("unknown-directive", "%begin USER_ANSWER\nUSER_ANSWER -> {mention}\n"),
@@ -283,9 +286,6 @@ _MALFORMED_INPUTS = {
          "gold.jsonl": _marked_gold(_MARKER) + "\n",
          "records.jsonl": _record(2, turn_index=0) + "\n" + _record(2, turn_index=0) + "\n"},
         ["score", "--preds", "preds.jsonl", "--gold", "gold.jsonl", "--records", "records.jsonl"]),
-    "synth-splits-bogus": (
-        {}, ["synth", "--db", DB, "--grammar", GRAMMAR, "--per-method", "1,1,1", "--splits", "test,bogus",
-             "--out", "OUT"]),
     "grammar-count-grammar-not-utf8": ({"g.cfg": b"S -> \xff\n"}, ["grammar-count", "g.cfg", "--start", "S"]),
     "synth-grammar-not-utf8": (
         {"g.cfg": b"S -> \xff\n"}, ["synth", "--db", DB, "--grammar", "g.cfg", "--total", "1,0,0", "--out", "OUT"]),
@@ -401,6 +401,29 @@ _MALFORMED_MESSAGES = {
     "stats-marker-null": "in.jsonl: line 1: dialog 'd1' turn 0: disambig marker: expected an object, got None",
     "stats-sgd-turn-not-an-object-under-dialog-id":
         "in.json: dialog at index 0: dialog 'd1' turn 0: expected an object, got 5",
+    # A grammar error names the grammar file first, whether the file does not
+    # parse or its rules break the slot contract.
+    "synth-grammar-unknown-directive": "g.cfg: line 1: unknown directive '%begin USER_ANSWER'",
+    "synth-grammar-lowercase-left-hand-side":
+        "g.cfg: line 1: left-hand side 'user_answer' is not an UPPERCASE nonterminal",
+    **{f"{command}-grammar-{name}": "g.cfg: " + message for command in ("synth", "augment")
+       for name, message in (
+           ("without-user-answer", "unknown start symbol or rule name 'USER_ANSWER'"),
+           ("without-mention", "rule 'USER_ANSWER': slot {mention} must occur exactly once in every derivation, "
+                               "but occurs 0 times"),
+           ("mention-twice", "rule 'USER_ANSWER': slot {mention} must occur exactly once in every derivation, "
+                             "but occurs 2 times"))},
+    "synth-grammar-stray-slot": "g.cfg: rule 'USER_ANSWER': slot {option_list} can occur, but only {mention} can be "
+                                "filled there",
+}
+
+# The whole error line of the cases that name a flag's value, not a file.
+_MALFORMED_FLAG_MESSAGES = {
+    "synth-methods-empty": "no addressing method in ','",
+    "synth-methods-unknown": "unknown addressing method in 'exact,bogus'",
+    "synth-splits-bogus": "unknown split 'bogus'",
+    "synth-splits-repeated": "split 'test' given twice",
+    "synth-splits-empty": "no split in ''",
 }
 
 
@@ -430,6 +453,8 @@ def test_malformed_input_is_a_validation_error(capsys, tmp_path, repo_root, name
     if name in _MALFORMED_MESSAGES:
         file, _, message = _MALFORMED_MESSAGES[name].partition(": ")
         assert err == f"error: {paths[file]}: {message}\n"
+    if name in _MALFORMED_FLAG_MESSAGES:
+        assert err == f"error: {_MALFORMED_FLAG_MESSAGES[name]}\n"
     assert {file: _digest(path) for file, path in paths.items()} == before
     assert not (tmp_path / "out").exists()
 
@@ -440,7 +465,7 @@ def test_missing_grammar_start_is_reported_alike(capsys, tmp_path, repo_root):
     common = ["--db", str(repo_root / DB), "--grammar", str(grammar), "--out", str(tmp_path / "out")]
     synth = _run(capsys, "synth", *common, "--total", "1,0,0")
     augment = _run(capsys, "augment", *common, "--in", str(repo_root / TOY))
-    assert synth == augment == (1, "", "error: unknown start symbol or rule name 'USER_ANSWER'\n")
+    assert synth == augment == (1, "", f"error: {grammar}: unknown start symbol or rule name 'USER_ANSWER'\n")
 
 
 def _shipped_grammar_without(repo_root: Path, rule: str, path: Path) -> Path:
@@ -454,7 +479,7 @@ def test_attribute_mentions_need_the_grammar_rule(capsys, tmp_path, repo_root):
     grammar = _shipped_grammar_without(repo_root, "ATTRIBUTE_MENTION", tmp_path / "g.cfg")
     common = ["--db", str(repo_root / DB), "--grammar", str(grammar)]
     synth = ["synth", *common, "--total", "0,0,6", "--splits", "test"]
-    missing = (1, "", "error: unknown start symbol or rule name 'ATTRIBUTE_MENTION'\n")
+    missing = (1, "", f"error: {grammar}: unknown start symbol or rule name 'ATTRIBUTE_MENTION'\n")
     assert _run(capsys, *synth, "--out", str(tmp_path / "a")) == missing
     # Seed 1 gives some of the toy corpus's turns an attribute mention; seed 0 gives none.
     augment = ["augment", *common, "--in", str(repo_root / TOY), "--seed", "1"]
@@ -475,8 +500,8 @@ def test_a_grammar_whose_answers_name_no_pick_is_refused(capsys, tmp_path, repo_
     extra = ["--total", "0,0,12", "--splits", "test"] if command == "synth" else ["--in", str(repo_root / TOY)]
     code, _, err = _run(capsys, command, "--db", str(repo_root / DB), "--grammar", str(grammar), *extra,
                         "--out", str(tmp_path / "out"))
-    assert (code, err) == (1, "error: rule 'USER_ANSWER': slot {mention} must occur exactly once in every "
-                              "derivation, but occurs 0 times\n")
+    assert (code, err) == (1, f"error: {grammar}: rule 'USER_ANSWER': slot {{mention}} must occur exactly once "
+                              "in every derivation, but occurs 0 times\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -487,7 +512,7 @@ def test_failed_synth_leaves_no_split_behind(capsys, tmp_path, repo_root, rule, 
     code, _, err = _run(capsys, "synth", "--db", str(repo_root / DB), "--grammar", str(grammar), "--total", total,
                         "--splits", "train,test", "--out", str(tmp_path / "out"))
     assert code == 1
-    assert err == f"error: unknown start symbol or rule name {rule!r}\n"
+    assert err == f"error: {grammar}: unknown start symbol or rule name {rule!r}\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -738,6 +763,19 @@ class TestSynth:
         assert code == 1
         assert err.startswith("error:") and "--per-method" in err
         assert not (tmp_path / "o").exists()
+
+    def test_default_test_split_through_the_cli_is_pinned(self, tmp_path, repo_root):
+        """``synth`` of the default 10k test split and ``resolve`` of it, each
+        run as its own process, write the files whose sha256 the resolver
+        baseline tracks."""
+        baseline = json.loads((repo_root / "baselines" / "resolver_baseline.json").read_text(encoding="utf-8"))
+        examples, preds = tmp_path / "o" / "test.jsonl", tmp_path / "preds.jsonl"
+        for argv in (["synth", "--db", DB, "--grammar", GRAMMAR, "--total", "0,0,10000", "--splits", "test",
+                      "--out", str(examples.parent)],
+                     ["resolve", "--in", str(examples), "--out", str(preds)]):
+            done = _disambig(repo_root, *argv, capture_output=True)
+            assert done.returncode == 0, done.stderr
+        assert [_digest(examples), _digest(preds)] == [baseline["examples_sha256"], baseline["predictions_sha256"]]
 
 
 # sha256 of the seed-0 toy-corpus outputs, taken before augment_dialog

@@ -19,7 +19,6 @@ from disambig.corpus import (
     name_key,
     sample_entities,
     write_corpus,
-    write_database,
 )
 from disambig.errors import NotEnoughEntities, SchemaMismatch, UnknownDomain
 from disambig.metrics import score
@@ -151,7 +150,6 @@ _OFFER_NAMES = (("the palm", "crown inn", "rose court"), ("blue door", "old mill
 _OFFER_DB = Database(
     tables={service: [{"domain": service, "name": name, "attributes": {}} for names in _OFFER_NAMES
                       for name in names] for service in _SERVICES},
-    name_fields=dict.fromkeys(_SERVICES, "name"),
 )
 
 
@@ -667,33 +665,17 @@ class TestDatabase:
     def test_names_read_as_the_same_tokens_rejected(self, names):
         # The resolver reads both as "kestrel lodge", so it would tie them as exact matches.
         with pytest.raises(SchemaMismatch, match="duplicate"):
-            Database(tables={"hotel": [{"domain": "hotel", "name": name, "attributes": {}} for name in names]},
-                     name_fields={"hotel": "name"})
-
-    def test_write_load_round_trip(self, tmp_path, shipped_db):
-        path = tmp_path / "db.json"
-        write_database(shipped_db, str(path))
-        again = load_database(str(path))
-        assert again == shipped_db
-
-    def test_write_rejects_attribute_named_like_the_name_field(self, tmp_path):
-        # Written as {"name": "other"}, it would read back named "other".
-        db = Database(tables={"d": [{"domain": "d", "name": "real name", "attributes": {"name": "other"}}]},
-                      name_fields={"d": "name"})
-        path = tmp_path / "db.json"
-        with pytest.raises(SchemaMismatch, match="read back as its name"):
-            write_database(db, str(path))
-        assert not path.exists()
+            Database(tables={"hotel": [{"domain": "hotel", "name": name, "attributes": {}} for name in names]})
 
     def test_noun_defaults(self):
-        db = Database(tables={"movies_2": []}, name_fields={"movies_2": "title"})
+        db = Database(tables={"movies_2": []})
         assert db.noun("movies_2") == "movie"
 
 
 class TestSampleEntities:
     def test_exhaustive_draw(self):
         entities = [{"domain": "d", "name": f"name {i}", "attributes": {}} for i in range(3)]
-        db = Database(tables={"d": entities}, name_fields={"d": "name"})
+        db = Database(tables={"d": entities})
         drawn = sample_entities(db, "d", 3, seed=5)
         assert sorted(e["name"] for e in drawn) == sorted(e["name"] for e in entities)
 
@@ -704,7 +686,7 @@ class TestSampleEntities:
         assert len({name_key(e["name"]) for e in first}) == 4
 
     def test_not_enough_entities(self):
-        db = Database(tables={"d": [{"domain": "d", "name": "only one", "attributes": {}}]}, name_fields={"d": "name"})
+        db = Database(tables={"d": [{"domain": "d", "name": "only one", "attributes": {}}]})
         with pytest.raises(NotEnoughEntities) as info:
             sample_entities(db, "d", 6, seed=0)
         assert info.value.have == 1 and info.value.want == 6

@@ -4,14 +4,18 @@ The resolver round-trip guarantees lean on vocabulary discipline in the
 shipped data: entity-name tokens must not collide with user-answer grammar
 words, attribute values, or ordinal/conjunction cues.  Those rules live once,
 in ``tools/build_data.py``; these tests run each of them on the shipped
-database and keep later data edits honest.
+database and keep later data edits honest.  The tool also owns the database
+writer, since the package only reads the database; its tests are here too.
 """
 
 from __future__ import annotations
 
 import json
 
-from disambig.corpus import load_database, name_key, write_corpus, write_database
+import pytest
+
+from disambig.corpus import Database, load_database, name_key, write_corpus
+from disambig.errors import SchemaMismatch
 
 
 def test_every_domain_is_synthesizable(shipped_db):
@@ -44,13 +48,29 @@ def test_toy_corpus_entities_come_from_the_database(toy_corpus, shipped_db):
 def test_build_data_tool_rebuilds_the_shipped_files(tmp_path, repo_root, build_data):
     """``tools/build_data.py`` regenerates the database and the toy corpus
     byte for byte (written under ``tmp_path``, never into ``data/``)."""
-    write_database(build_data.build_database(), str(tmp_path / "database.json"))
+    build_data.write_database(build_data.build_database(), str(tmp_path / "database.json"))
     corpus, expected = build_data.build_toy_corpus(load_database(str(tmp_path / "database.json")))
     write_corpus(corpus, str(tmp_path / "toy_corpus.jsonl"))
     (tmp_path / "toy_corpus_expected.json").write_text(json.dumps(expected, indent=2, sort_keys=True) + "\n",
                                                        encoding="utf-8")
     for name in ("database.json", "toy_corpus.jsonl", "toy_corpus_expected.json"):
         assert (tmp_path / name).read_bytes() == (repo_root / "data" / name).read_bytes(), name
+
+
+def test_database_writer_round_trip(tmp_path, shipped_db, build_data):
+    path = tmp_path / "db.json"
+    build_data.write_database(shipped_db, str(path))
+    again = load_database(str(path))
+    assert (again.tables, again.nouns) == (shipped_db.tables, shipped_db.nouns)
+
+
+def test_database_writer_refuses_an_attribute_named_name(tmp_path, build_data):
+    # Written as {"name": "other"}, it would read back named "other".
+    db = Database(tables={"d": [{"domain": "d", "name": "real name", "attributes": {"name": "other"}}]})
+    path = tmp_path / "db.json"
+    with pytest.raises(SchemaMismatch, match="read back as its name"):
+        build_data.write_database(db, str(path))
+    assert not path.exists()
 
 
 def test_stress_baseline_is_pinned(repo_root, shipped_grammar, build_data):

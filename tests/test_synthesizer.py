@@ -218,7 +218,6 @@ class TestSynthesizeExample:
     def test_small_table_rejected(self, shipped_grammar):
         db = Database(
             tables={"d": _entities("alpha kitchen", "briar manor", domain="d")},
-            name_fields={"d": "name"},
         )
         with pytest.raises(NotEnoughEntities):
             synthesize_example(db, shipped_grammar, "d", AddressingMethod.EXACT, 0)

@@ -26,9 +26,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from disambig.corpus import Corpus, Database, dialog_row, name_key, write_corpus, write_database
+from disambig.corpus import Corpus, Database, dialog_row, name_key, write_corpus
+from disambig.errors import SchemaMismatch
 from disambig.grammar import Slot, load_grammar_file
-from disambig.jsonl import write_row
+from disambig.jsonl import staged_outputs, write_row
 from disambig.resolver import STOPWORDS, edit_distance
 from disambig.seeding import rng_for
 
@@ -195,9 +196,25 @@ def build_database() -> Database:
             entities.append({"domain": domain, "name": name, "attributes": _attributes(category, domain_index, i)})
         tables[domain] = entities
     nouns = {domain: NOUNS[CATEGORY[domain]] for domain in domains}
-    db = Database(tables=tables, name_fields={domain: "name" for domain in domains}, nouns=nouns)
+    db = Database(tables=tables, nouns=nouns)
     _check_database(db)
     return db
+
+
+def write_database(db: Database, path: str) -> None:
+    """Write ``db`` as the document ``load_database`` reads, each name under
+    ``"name"``.  An attribute named ``name`` would read back as the entity's
+    name, so it is refused before anything is written."""
+    for entities in db.tables.values():
+        for e in entities:
+            if "name" in e["attributes"]:
+                raise SchemaMismatch(f"entity {e['name']!r} of {e['domain']!r}: "
+                                     "attribute 'name' would read back as its name")
+    payload = {"name_fields": dict.fromkeys(db.tables, "name"), "nouns": db.nouns,
+               "tables": {domain: [{**e["attributes"], "name": e["name"]} for e in entities]
+                          for domain, entities in db.tables.items()}}
+    with staged_outputs(path) as (out,):
+        out.write(json.dumps(payload, ensure_ascii=False, indent=1, sort_keys=True) + "\n")
 
 
 def _check_database(db: Database) -> None:
