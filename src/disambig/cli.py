@@ -93,7 +93,9 @@ def _config_defaults(path: str, parser: argparse.ArgumentParser) -> dict:
     line (a list becomes comma-separated), so a config file can set nothing
     that the flag itself would reject, even when the command line overrides
     it.  A flag that takes no value (``--mix-methods``) takes a JSON ``true``
-    (as if given) or ``false`` (as if left out), and nothing else.
+    (as if given) or ``false`` (as if left out), and nothing else; any other
+    flag takes a string, a number or a list, never ``null``, a boolean or an
+    object.
     """
     overrides = read_json(path)
     if not isinstance(overrides, dict):
@@ -109,6 +111,8 @@ def _config_defaults(path: str, parser: argparse.ArgumentParser) -> dict:
                 raise SchemaMismatch(f"{path}: key {key!r}: expected true or false, got {value!r}")
             values[action.dest] = action.const if value else action.default
             continue
+        if type(value) not in (str, int, float, list):
+            raise SchemaMismatch(f"{path}: key {key!r}: expected a string, a number or a list, got {value!r}")
         text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
         try:
             parsed = action.type(text) if action.type else text
@@ -186,6 +190,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_methods(text: str | None) -> tuple[synthesizer.AddressingMethod, ...]:
+    """The methods ``--methods`` names, in its order (all six when it is not
+    given): at least one, each known and each given once, since a method
+    given twice would be synthesized twice."""
     if not text:
         return synthesizer.METHODS
     try:
@@ -194,6 +201,9 @@ def _parse_methods(text: str | None) -> tuple[synthesizer.AddressingMethod, ...]
         raise SchemaMismatch(f"unknown addressing method in {text!r}") from exc
     if not methods:
         raise SchemaMismatch(f"no addressing method in {text!r}")
+    for method in methods:
+        if methods.count(method) > 1:
+            raise SchemaMismatch(f"method {method.value!r} given twice")
     return methods
 
 

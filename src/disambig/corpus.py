@@ -85,7 +85,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple
 
-from .errors import NotEnoughEntities, SchemaMismatch, UnknownDomain
+from .errors import SchemaMismatch
 from .jsonl import Field, iter_jsonl, read_json, row_checker, write_jsonl
 
 USER = "USER"
@@ -578,8 +578,8 @@ def load_database(path: str) -> Database:
 def sample_entities(db: Database, domain: str, n: int, seed: int) -> list[dict]:
     """Draw ``n`` distinct entity rows without replacement, deterministic per seed."""
     if domain not in db.tables:
-        raise UnknownDomain(domain)
+        raise SchemaMismatch(f"unknown domain {domain!r}")
     table = db.tables[domain]
     if n > len(table):
-        raise NotEnoughEntities(have=len(table), want=n)
+        raise SchemaMismatch(f"need {n} distinct entities, table has {len(table)}")
     return random.Random(seed).sample(table, n)

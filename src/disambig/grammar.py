@@ -25,15 +25,7 @@ import re
 from collections import Counter
 from typing import NamedTuple
 
-from .errors import (
-    CyclicGrammar,
-    DuplicateStartSymbol,
-    GrammarError,
-    ParseError,
-    UnboundSlot,
-    UndefinedNonterminal,
-    UnknownStart,
-)
+from .errors import GrammarError
 from .jsonl import read_text
 from .seeding import rng_for
 
@@ -78,12 +70,12 @@ def _classify_token(token: str) -> Symbol:
 def load_grammar(text: str) -> Grammar:
     """Parse grammar source text and validate every structural invariant.
 
-    Raises ParseError, UndefinedNonterminal, CyclicGrammar, or
-    DuplicateStartSymbol.  When no ``%start`` directive appears, the first
-    rule's left-hand side becomes the sole entry point.
+    Raises GrammarError naming the line, the undefined nonterminal, the
+    cycle or the repeated start symbol.  When no ``%start`` directive
+    appears, the first rule's left-hand side becomes the sole entry point.
     """
     if not text.strip():
-        raise ParseError(0, "empty grammar source")
+        raise GrammarError("line 0: empty grammar source")
 
     rules: dict[str, list[tuple[Symbol, ...]]] = {}
     starts: list[str] = []
@@ -94,26 +86,26 @@ def load_grammar(text: str) -> Grammar:
         if line.startswith("%"):
             parts = line.split()
             if parts[0] != "%start" or len(parts) != 2:
-                raise ParseError(line_no, f"unknown directive {line!r}")
+                raise GrammarError(f"line {line_no}: unknown directive {line!r}")
             if parts[1] in starts:
-                raise DuplicateStartSymbol(parts[1])
+                raise GrammarError(f"start symbol {parts[1]!r} declared more than once")
             starts.append(parts[1])
             continue
         if "->" not in line:
-            raise ParseError(line_no, "expected 'LHS -> alternatives'")
+            raise GrammarError(f"line {line_no}: expected 'LHS -> alternatives'")
         lhs, rhs = line.split("->", 1)
         lhs = lhs.strip()
         if not _NONTERMINAL_RE.fullmatch(lhs):
-            raise ParseError(line_no, f"left-hand side {lhs!r} is not an UPPERCASE nonterminal")
+            raise GrammarError(f"line {line_no}: left-hand side {lhs!r} is not an UPPERCASE nonterminal")
         alternatives = rules.setdefault(lhs, [])
         for alt_text in rhs.split("|"):
             symbols = tuple(_classify_token(tok) for tok in alt_text.split())
             if not symbols:
-                raise ParseError(line_no, "empty alternative (write the optional variant out explicitly)")
+                raise GrammarError(f"line {line_no}: empty alternative (write the optional variant out explicitly)")
             alternatives.append(symbols)
 
     if not rules:
-        raise ParseError(0, "grammar declares no rules")
+        raise GrammarError("line 0: grammar declares no rules")
     if not starts:
         starts = [next(iter(rules))]
 
@@ -139,16 +131,16 @@ def _validate(grammar: Grammar) -> None:
         for alt in alternatives:
             for symbol in alt:
                 if isinstance(symbol, Nonterminal) and symbol.name not in grammar.rules:
-                    raise UndefinedNonterminal(symbol.name, context=name)
+                    raise GrammarError(f"nonterminal {symbol.name!r} has no rule (referenced from {name})")
     for start in grammar.start_symbols:
         if start not in grammar.rules:
-            raise UndefinedNonterminal(start, context="%start")
+            raise GrammarError(f"nonterminal {start!r} has no rule (referenced from %start)")
     _rule_order(grammar)
 
 
 def _rule_order(grammar: Grammar) -> tuple[str, ...]:
     """Every rule, each after the rules it refers to, so that a walk in this
-    order needs no recursion however deep the grammar; CyclicGrammar when
+    order needs no recursion however deep the grammar; GrammarError when
     there is no such order."""
     # Each rule's predecessors are the nonterminals it refers to, so a cycle
     # comes back against reference order.
@@ -157,7 +149,7 @@ def _rule_order(grammar: Grammar) -> tuple[str, ...]:
     try:
         return tuple(graphlib.TopologicalSorter(graph).static_order())
     except graphlib.CycleError as exc:
-        raise CyclicGrammar(exc.args[1][::-1]) from None
+        raise GrammarError("cycle in nonterminal graph: " + " -> ".join(exc.args[1][::-1])) from None
 
 
 def sample(grammar: Grammar, start: str, seed: int) -> tuple[Token, ...]:
@@ -172,7 +164,7 @@ def sample(grammar: Grammar, start: str, seed: int) -> tuple[Token, ...]:
     """
     rules = grammar.rules
     if start not in rules:
-        raise UnknownStart(start)
+        raise GrammarError(f"unknown start symbol or rule name {start!r}")
     randrange = rng_for("grammar.sample", start, seed).randrange
     tokens: list[Token] = []
     stack: list[Symbol] = [Nonterminal(start)]
@@ -194,7 +186,7 @@ def count_language(grammar: Grammar, start: str) -> int:
     the millions are exact.
     """
     if start not in grammar.rules:
-        raise UnknownStart(start)
+        raise GrammarError(f"unknown start symbol or rule name {start!r}")
     counts: dict[str, int] = {}
     for name in _rule_order(grammar):
         counts[name] = sum(math.prod(counts[s.name] for s in alt if isinstance(s, Nonterminal))
@@ -212,7 +204,7 @@ def slot_bounds(grammar: Grammar, start: str) -> dict[str, tuple[int, int]]:
     alternatives (a slot an alternative lacks counts 0 there).
     """
     if start not in grammar.rules:
-        raise UnknownStart(start)
+        raise GrammarError(f"unknown start symbol or rule name {start!r}")
     bounds: dict[str, dict[str, tuple[int, int]]] = {}
     for name in _rule_order(grammar):
         alternatives = []
@@ -237,7 +229,7 @@ def fill(tokens: tuple[Token, ...], bindings: dict[str, str]) -> str:
     for token in tokens:
         if isinstance(token, Slot):
             if token.name not in bindings:
-                raise UnboundSlot(token.name)
+                raise GrammarError(f"no binding for slot {token.name!r}")
             parts.append(token.prefix + bindings[token.name] + token.suffix)
         else:
             parts.append(token)

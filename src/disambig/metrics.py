@@ -26,7 +26,7 @@ from typing import Iterable, NamedTuple
 
 from .augmenter import AugmentationRecord
 from .corpus import USER, Corpus, name_key, name_text
-from .errors import MissingPrediction, SchemaMismatch, UnknownSubsetTurn
+from .errors import SchemaMismatch
 from .jsonl import Field, iter_jsonl, once_per_key, row_checker, write_jsonl
 
 ALL = "ALL"
@@ -141,7 +141,7 @@ def _select(table: dict, subset, index: GoldIndex, turn_offset: int = 0) -> dict
     chosen = {}
     for key in subset:
         if key not in table:
-            raise UnknownSubsetTurn(key)
+            raise SchemaMismatch(f"prediction key (dialog_id={key[0]!r}, turn_index={key[1]}) not in gold corpus")
         chosen[key] = table[key]
     return chosen
 
@@ -151,7 +151,7 @@ def _entity_hits(preds: PredictionFile, targets: dict[Key, set[str]]) -> dict[Ke
     hits: dict[Key, bool] = {}
     for key, gold_names in sorted(targets.items()):
         if key not in preds:
-            raise MissingPrediction(key)
+            raise SchemaMismatch(f"no prediction row for (dialog_id={key[0]!r}, turn_index={key[1]})")
         hits[key] = {name_text(n) for n in preds[key]["entities"]} == gold_names
     return hits
 
@@ -162,7 +162,7 @@ def _slot_hits(preds: PredictionFile, states: dict[Key, dict[str, set[str]]]) ->
     hits: dict[Key, tuple[int, int]] = {}
     for key, gold_state in sorted(states.items()):
         if key not in preds or preds[key].get("state") is None:
-            raise MissingPrediction(key)
+            raise SchemaMismatch(f"no prediction row for (dialog_id={key[0]!r}, turn_index={key[1]})")
         predicted = {slot: {name_key(v) for v in values} for slot, values in preds[key]["state"].items()}
         hits[key] = (sum(predicted.get(slot) == values for slot, values in gold_state.items()), len(gold_state))
     return hits
@@ -222,7 +222,7 @@ def score(preds: PredictionFile, gold: Corpus, records: Iterable[AugmentationRec
                     "jga_all": None, "jga_augmented": None, "per_method": None, "counts": {}}
     for key in preds:
         if not 0 <= key[1] < index.turns.get(key[0], 0):
-            raise UnknownSubsetTurn(key)
+            raise SchemaMismatch(f"prediction key (dialog_id={key[0]!r}, turn_index={key[1]}) not in gold corpus")
     # One judgement per gold turn; every bucket below is the mean of a
     # selection from that judgement.
     hits = _entity_hits(preds, index.targets)

@@ -12,16 +12,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .corpus import SPLITS, SYSTEM, USER, Corpus, Database, entity_row, gold_marker, name_key, sample_entities
-from .errors import (
-    GrammarError,
-    InvalidTargetArity,
-    NoDiscriminatingAttribute,
-    NotEnoughEntities,
-    NoUniquePartial,
-    SchemaMismatch,
-    TypoGenerationFailed,
-    UnknownDomain,
-)
+from .errors import GrammarError, SchemaMismatch, Unwordable
 from .grammar import Grammar, fill, sample, slot_bounds
 from .jsonl import Field, iter_jsonl, row_checker, write_jsonl
 from .resolver import _name_record
@@ -156,7 +147,7 @@ def _partial_mention(target: dict, others: list[dict]) -> str:
         text = _name_record(window).padded
         if text in partials and text not in taken and not any(name.padded in text for name in names):
             return window
-    raise NoUniquePartial(f"every proper subsequence of {target['name']!r} is ambiguous")
+    raise Unwordable(f"every proper subsequence of {target['name']!r} is ambiguous")
 
 
 def _typo_mention(target: dict, others: list[dict], seed: int) -> str:
@@ -184,7 +175,7 @@ def _typo_mention(target: dict, others: list[dict], seed: int) -> str:
             mention = name[:position] + name[position + 1] + name[position] + name[position + 2:]
         if mention not in forbidden and mention.strip() == mention:
             return mention
-    raise TypoGenerationFailed(f"could not produce a collision-free typo for {name!r}")
+    raise Unwordable(f"could not produce a collision-free typo for {name!r}")
 
 
 def realize_attribute_phrase(attribute: str, value: str) -> str:
@@ -209,7 +200,7 @@ def _discriminating_attributes(target: dict, others: list[dict]) -> list[tuple[s
                 pairs.append((first, second))
     if pairs:
         return pairs
-    raise NoDiscriminatingAttribute(f"no attribute combination separates {target['name']!r} from the other candidates")
+    raise Unwordable(f"no attribute combination separates {target['name']!r} from the other candidates")
 
 
 def _attribute_mention(
@@ -240,12 +231,12 @@ def apply_addressing(
     rule, with ``domain_noun`` (the database's noun for the domain) in its
     ``{domain_noun}`` slot."""
     if len(set(targets)) != len(targets) or not all(0 <= t < len(candidates) for t in targets):
-        raise InvalidTargetArity("targets must be distinct valid candidate indices")
+        raise SchemaMismatch("targets must be distinct valid candidate indices")
     if method is AddressingMethod.MULTIPLE:
         if len(targets) < 2:
-            raise InvalidTargetArity("multiple addressing needs at least two targets")
+            raise SchemaMismatch("multiple addressing needs at least two targets")
     elif len(targets) != 1:
-        raise InvalidTargetArity(f"{method.value} addressing needs exactly one target")
+        raise SchemaMismatch(f"{method.value} addressing needs exactly one target")
 
     target = candidates[targets[0]]
     others = [c for i, c in enumerate(candidates) if i != targets[0]]
@@ -325,9 +316,9 @@ def synthesize_example(
     """One (system question, user answer, gold target) triple, pure in its args."""
     table = db.tables.get(domain)
     if table is None:
-        raise UnknownDomain(domain)
+        raise SchemaMismatch(f"unknown domain {domain!r}")
     if len(table) < max(CANDIDATE_COUNTS):
-        raise NotEnoughEntities(have=len(table), want=max(CANDIDATE_COUNTS))
+        raise SchemaMismatch(f"need {max(CANDIDATE_COUNTS)} distinct entities, table has {len(table)}")
 
     base = (domain, method.value, seed)
     count = rng_for("synth.count", *base).choice(CANDIDATE_COUNTS)

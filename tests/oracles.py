@@ -46,9 +46,7 @@ from disambig.corpus import (
     guess_name_field,
     name_key,
 )
-from disambig.errors import (
-    MissingPrediction, NoMatch, NoUniquePartial, SchemaMismatch, UnknownStart, UnknownSubsetTurn,
-)
+from disambig.errors import GrammarError, NoMatch, SchemaMismatch, Unwordable
 from disambig.grammar import Grammar, Nonterminal
 from disambig.jsonl import iter_jsonl, read_json, wrong_type
 from disambig.metrics import ALL, AUGMENTED_ONLY
@@ -110,7 +108,7 @@ def enumerate_templates(grammar: Grammar, start: str, cap: int = 20_000) -> list
 def slow_sample(grammar: Grammar, start: str, seed: int) -> tuple:
     """``grammar.sample`` as a recursive descent, drawing each alternative as it is reached."""
     if start not in grammar.rules:
-        raise UnknownStart(start)
+        raise GrammarError(f"unknown start symbol or rule name {start!r}")
     rng = rng_for("grammar.sample", start, seed)
     tokens: list = []
 
@@ -256,7 +254,7 @@ def slow_partial_mention(target: dict, others: list[dict]) -> str:
         window = tokens[start:start + length]
         if unique(window):
             return " ".join(window)
-    raise NoUniquePartial(f"every proper subsequence of {target['name']!r} is ambiguous")
+    raise Unwordable(f"every proper subsequence of {target['name']!r} is ambiguous")
 
 
 def slow_attribute_evidence(utterance: list[str], candidates: list[dict]) -> dict[int, float]:
@@ -480,6 +478,14 @@ def slow_augment_dialog(
     return new_dialog, records
 
 
+def _no_prediction(key: tuple[str, int]) -> SchemaMismatch:
+    return SchemaMismatch(f"no prediction row for (dialog_id={key[0]!r}, turn_index={key[1]})")
+
+
+def _not_in_gold(key: tuple[str, int]) -> SchemaMismatch:
+    return SchemaMismatch(f"prediction key (dialog_id={key[0]!r}, turn_index={key[1]}) not in gold corpus")
+
+
 def _slow_dialogs(gold: Corpus) -> list[dict]:
     """The gold dialogs, refusing a repeated dialog id as every metric does."""
     ids = [dialog["id"] for dialog in gold.dialogs]
@@ -526,7 +532,7 @@ def _slow_select(table: dict, subset, gold: Corpus, turn_offset: int = 0) -> dic
     chosen = {}
     for key in subset:
         if key not in table:
-            raise UnknownSubsetTurn(key)
+            raise _not_in_gold(key)
         chosen[key] = table[key]
     return chosen
 
@@ -537,7 +543,7 @@ def _slow_entity_mean(preds, targets: dict) -> float:
     correct = 0
     for key, gold_names in sorted(targets.items()):
         if key not in preds:
-            raise MissingPrediction(key)
+            raise _no_prediction(key)
         predicted = {" ".join(normalize(n)) for n in preds[key]["entities"]}
         correct += predicted == gold_names
     return correct / len(targets)
@@ -556,7 +562,7 @@ def slow_joint_goal_accuracy(preds, gold: Corpus, subset=ALL) -> float:
     correct = 0
     for key, gold_state in sorted(states.items()):
         if key not in preds or preds[key].get("state") is None:
-            raise MissingPrediction(key)
+            raise _no_prediction(key)
         predicted = {slot: {name_key(v) for v in values} for slot, values in preds[key]["state"].items()}
         correct += all(predicted.get(slot) == values for slot, values in gold_state.items())
     return correct / len(states)
@@ -568,7 +574,7 @@ def slow_slot_accuracy(preds, gold: Corpus, subset=ALL) -> float:
     fractions: list[float] = []
     for key, gold_state in sorted(states.items()):
         if key not in preds or preds[key].get("state") is None:
-            raise MissingPrediction(key)
+            raise _no_prediction(key)
         predicted = {slot: {name_key(v) for v in values} for slot, values in preds[key]["state"].items()}
         if gold_state:
             hits = sum(predicted.get(slot) == values for slot, values in gold_state.items())
@@ -588,7 +594,7 @@ def slow_score(preds, gold: Corpus, records: list[AugmentationRecord] | None = N
         raise SchemaMismatch("gold corpus has duplicate dialog ids")
     for key in preds:
         if key[0] not in dialogs or not 0 <= key[1] < len(dialogs[key[0]]["turns"]):
-            raise UnknownSubsetTurn(key)
+            raise _not_in_gold(key)
     marked = slow_gold_entity_turns(gold)
     markers = {key: dialogs[key[0]]["turns"][key[1]]["extras"]["disambig"] for key in marked}
     total_turns = sum(len(dialog["turns"]) for dialog in dialogs.values())

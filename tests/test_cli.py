@@ -171,6 +171,10 @@ _MALFORMED_INPUTS = {
         {"config.json": '{"threads": 0}'}, ["synth", "--config", "config.json", "--out", "OUT"]),
     "synth-config-threads-zero-overridden": (
         {"config.json": '{"threads": 0}'}, ["synth", "--config", "config.json", "--threads", "2", "--out", "OUT"]),
+    "synth-config-db-null": ({"config.json": '{"db": null}'}, ["synth", "--config", "config.json", "--out", "OUT"]),
+    "augment-config-grammar-true": (
+        {"config.json": '{"grammar": true}'},
+        ["augment", "--in", TOY, "--db", DB, "--config", "config.json", "--out", "OUT"]),
     "augment-config-flag-not-bool": (
         {"config.json": '{"mix-methods": "false"}'},
         ["augment", "--in", TOY, "--db", DB, "--grammar", GRAMMAR, "--config", "config.json", "--out", "OUT"]),
@@ -272,6 +276,7 @@ _MALFORMED_INPUTS = {
         {"db.json": "{"}, ["synth", "--db", "db.json", "--grammar", GRAMMAR, "--per-method", "1,1,1",
                            f"--{flag}", value, "--out", "OUT"])
        for flag, name, value in (("methods", "empty", ","), ("methods", "unknown", "exact,bogus"),
+                                 ("methods", "repeated", "exact,positional,exact"),
                                  ("splits", "bogus", "test,bogus"), ("splits", "repeated", "test,test"),
                                  ("splits", "empty", ""))},
     **{f"synth-grammar-{name}": (
@@ -363,6 +368,12 @@ _MALFORMED_INPUTS = {
     "score-preds-row-not-an-object": (
         {"preds.jsonl": "[5]\n", "gold.jsonl": _EXAMPLE + "\n"},
         ["score", "--preds", "preds.jsonl", "--gold", "gold.jsonl"]),
+    # Prediction files that parse, but leave a gold turn unpredicted or
+    # predict a turn that gold does not have.
+    **{f"score-preds-{name}": (
+        {"preds.jsonl": rows, "gold.jsonl": _EXAMPLE + "\n"}, ["score", "--preds", "preds.jsonl", "--gold", "gold.jsonl"])
+       for name, rows in (("missing-gold-turn", ""),
+                          ("key-not-in-gold", json.dumps({**_PREDICTION, "dialog_id": "ghost"}) + "\n"))},
 }
 
 # The whole error line of some cases, after the path of the file it names.
@@ -413,17 +424,23 @@ _MALFORMED_MESSAGES = {
                                "but occurs 0 times"),
            ("mention-twice", "rule 'USER_ANSWER': slot {mention} must occur exactly once in every derivation, "
                              "but occurs 2 times"))},
+    "synth-config-db-null": "config.json: key 'db': expected a string, a number or a list, got None",
+    "augment-config-grammar-true": "config.json: key 'grammar': expected a string, a number or a list, got True",
     "synth-grammar-stray-slot": "g.cfg: rule 'USER_ANSWER': slot {option_list} can occur, but only {mention} can be "
                                 "filled there",
 }
 
-# The whole error line of the cases that name a flag's value, not a file.
+# The whole error line of the cases that name no file: a flag's value, or a
+# turn that the predictions and gold do not share.
 _MALFORMED_FLAG_MESSAGES = {
     "synth-methods-empty": "no addressing method in ','",
     "synth-methods-unknown": "unknown addressing method in 'exact,bogus'",
+    "synth-methods-repeated": "method 'exact' given twice",
     "synth-splits-bogus": "unknown split 'bogus'",
     "synth-splits-repeated": "split 'test' given twice",
     "synth-splits-empty": "no split in ''",
+    "score-preds-missing-gold-turn": "no prediction row for (dialog_id='synth-000000', turn_index=0)",
+    "score-preds-key-not-in-gold": "prediction key (dialog_id='ghost', turn_index=0) not in gold corpus",
 }
 
 

@@ -1,18 +1,12 @@
 from __future__ import annotations
 
 import gc
+import re
 
 import pytest
 from hypothesis import given, strategies as st
 
-from disambig.errors import (
-    CyclicGrammar,
-    DuplicateStartSymbol,
-    ParseError,
-    UnboundSlot,
-    UndefinedNonterminal,
-    UnknownStart,
-)
+from disambig.errors import GrammarError
 from disambig.grammar import (
     Slot,
     count_language,
@@ -48,34 +42,33 @@ class TestLoad:
         assert grammar.rules["SENT"][0][3].name == "VERBING"
 
     def test_self_reference_is_cyclic(self):
-        with pytest.raises(CyclicGrammar):
+        with pytest.raises(GrammarError, match=r"^cycle in nonterminal graph: S -> S$"):
             load_grammar("S -> S a")
 
     def test_longer_cycle_reports_path(self):
-        with pytest.raises(CyclicGrammar) as info:
+        with pytest.raises(GrammarError, match="^cycle in nonterminal graph: ") as info:
             load_grammar("A -> B\nB -> C\nC -> A")
-        assert info.value.cycle[0] == info.value.cycle[-1]
+        cycle = str(info.value).removeprefix("cycle in nonterminal graph: ").split(" -> ")
+        assert cycle[0] == cycle[-1] and sorted(cycle[1:]) == ["A", "B", "C"]
 
     def test_undefined_nonterminal(self):
-        with pytest.raises(UndefinedNonterminal) as info:
+        with pytest.raises(GrammarError, match=r"^nonterminal 'MISSING' has no rule \(referenced from S\)$"):
             load_grammar("S -> a MISSING")
-        assert info.value.name == "MISSING"
 
     def test_duplicate_start_symbol(self):
-        with pytest.raises(DuplicateStartSymbol):
+        with pytest.raises(GrammarError, match="^start symbol 'S' declared more than once$"):
             load_grammar("%start S\n%start S\nS -> a")
 
     def test_unknown_start_symbol(self):
-        with pytest.raises(UndefinedNonterminal):
+        with pytest.raises(GrammarError, match=r"^nonterminal 'T' has no rule \(referenced from %start\)$"):
             load_grammar("%start T\nS -> a")
 
     def test_parse_error_carries_line_number(self):
-        with pytest.raises(ParseError) as info:
+        with pytest.raises(GrammarError, match="^line 2: expected 'LHS -> alternatives'$"):
             load_grammar("S -> a\nnot a rule")
-        assert info.value.line_no == 2
 
     def test_empty_alternative_rejected(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(GrammarError, match=r"^line 1: empty alternative \(write"):
             load_grammar("S -> a |")
 
     @pytest.mark.parametrize("source, line_no, message", [
@@ -84,12 +77,11 @@ class TestLoad:
         ("S -> a\ns -> b", 2, "left-hand side 's' is not an UPPERCASE nonterminal"),
     ])
     def test_bad_directive_or_left_hand_side_rejected(self, source, line_no, message):
-        with pytest.raises(ParseError, match=message) as info:
+        with pytest.raises(GrammarError, match=f"^line {line_no}: {re.escape(message)}$"):
             load_grammar(source)
-        assert info.value.line_no == line_no
 
     def test_empty_source_rejected(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(GrammarError, match="^line 0: grammar declares no rules$"):
             load_grammar("   \n  # only a comment\n")
 
     def test_comments_and_blank_lines_ignored(self):
@@ -121,7 +113,7 @@ class TestSample:
 
     def test_unknown_start(self):
         grammar = load_grammar("S -> a")
-        with pytest.raises(UnknownStart):
+        with pytest.raises(GrammarError, match="^unknown start symbol or rule name 'T'$"):
             sample(grammar, "T", 0)
 
     def test_sampling_from_inner_rule_allowed(self):
@@ -184,7 +176,7 @@ class TestCount:
             assert count_language(grammar, start) == len(set(enumerate_templates(grammar, start)))
 
     def test_unknown_start(self):
-        with pytest.raises(UnknownStart):
+        with pytest.raises(GrammarError, match="^unknown start symbol or rule name 'T'$"):
             count_language(load_grammar("S -> a"), "T")
 
     def test_shipped_capacity_floors(self, shipped_grammar):
@@ -250,7 +242,7 @@ class TestSlotBounds:
         assert slot_bounds(grammar, "S") == {"x": (0, 2), "y": (0, 1)}
 
     def test_unknown_start(self):
-        with pytest.raises(UnknownStart):
+        with pytest.raises(GrammarError, match="^unknown start symbol or rule name 'T'$"):
             slot_bounds(load_grammar("S -> a"), "T")
 
     @given(acyclic_grammars(slots=True))
@@ -277,7 +269,7 @@ def test_fill_paper_examples():
     option_tokens = ("your", "options:", Slot("OPTION_LIST"))
     assert "a, b, or c" in fill(option_tokens, {"OPTION_LIST": "a, b, or c"})
 
-    with pytest.raises(UnboundSlot):
+    with pytest.raises(GrammarError, match="^no binding for slot 'NAME'$"):
         fill(tokens, {})
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from disambig.augmenter import AUGMENT_METHODS, DEFAULT_ALLOWED, AugmentationRecord, augment_corpus
 from disambig.corpus import Corpus, dialog_row
 from disambig import metrics
-from disambig.errors import MissingPrediction, SchemaMismatch, UnknownSubsetTurn
+from disambig.errors import SchemaMismatch
 from disambig.metrics import (
     ALL,
     AUGMENTED_ONLY,
@@ -84,13 +84,12 @@ class TestEntityAccuracy:
     def test_missing_prediction(self):
         gold, preds = _entity_fixture()
         del preds[("g3", 0)]
-        with pytest.raises(MissingPrediction) as info:
+        with pytest.raises(SchemaMismatch, match=r"^no prediction row for \(dialog_id='g3', turn_index=0\)$"):
             entity_accuracy(preds, gold, subset=ALL)
-        assert info.value.key == ("g3", 0)
 
     def test_unknown_subset_turn(self):
         gold, preds = _entity_fixture()
-        with pytest.raises(UnknownSubsetTurn):
+        with pytest.raises(SchemaMismatch, match=r"^prediction key \(dialog_id='ghost', turn_index=5\) not in gold"):
             entity_accuracy(preds, gold, subset=[("ghost", 5)])
 
 
@@ -136,14 +135,14 @@ class TestJointGoalAccuracy:
     def test_missing_state(self):
         gold = Corpus(dialogs=[_state_dialog("s0", {"hotel-area": ["north"]})])
         row = {"dialog_id": "s0", "turn_index": 0, "entities": [], "state": None}
-        with pytest.raises(MissingPrediction):
+        with pytest.raises(SchemaMismatch, match=r"^no prediction row for \(dialog_id='s0', turn_index=0\)$"):
             joint_goal_accuracy(_keyed(row), gold)
 
     @pytest.mark.parametrize("metric", [joint_goal_accuracy, slot_accuracy])
     def test_unknown_subset_turn(self, metric):
         gold = Corpus(dialogs=[_state_dialog("s0", {"hotel-area": ["north"]})])
         row = {"dialog_id": "s0", "turn_index": 0, "entities": [], "state": {"hotel-area": ["north"]}}
-        with pytest.raises(UnknownSubsetTurn, match="ghost"):
+        with pytest.raises(SchemaMismatch, match=r"^prediction key \(dialog_id='ghost', turn_index=5\) not in gold"):
             metric(_keyed(row), gold, subset=[("ghost", 5)])
 
 
@@ -221,14 +220,14 @@ class TestScore:
     def test_missing_prediction_key_is_named(self):
         gold, preds = _entity_fixture()
         del preds[("g9", 0)]
-        with pytest.raises(MissingPrediction, match="g9"):
+        with pytest.raises(SchemaMismatch, match=r"^no prediction row for \(dialog_id='g9', turn_index=0\)$"):
             score(preds, gold)
 
     def test_stray_prediction_key_rejected(self):
         gold, preds = _entity_fixture()
         stray = {"dialog_id": "not-in-gold", "turn_index": 0, "entities": []}
         preds.update(_keyed(stray))
-        with pytest.raises(UnknownSubsetTurn, match="not-in-gold"):
+        with pytest.raises(SchemaMismatch, match=r"^prediction key \(dialog_id='not-in-gold', turn_index=0\) not in"):
             score(preds, gold)
 
     def test_duplicate_gold_dialog_ids_rejected(self):

@@ -497,7 +497,7 @@ def build_stress_baseline(grammar) -> dict:
     ``predict_names``; a set whose mention cannot be made counts as rejected
     by synthesis.  Rates other than ``synth_reject_rate`` are over the
     exchanges written."""
-    from disambig.errors import NoDiscriminatingAttribute, NoMatch, NoUniquePartial, TypoGenerationFailed
+    from disambig.errors import NoMatch, Unwordable
     from disambig.resolver import predict_names, resolve
     from disambig.synthesizer import CANDIDATE_COUNTS, METHODS, AddressingMethod, build_exchange
 
@@ -526,7 +526,7 @@ def build_stress_baseline(grammar) -> dict:
             try:
                 _, user = build_exchange(grammar, candidates, targets, method, NOUNS[category], "stress",
                                          (method.value, index))
-            except (NoUniquePartial, NoDiscriminatingAttribute, TypoGenerationFailed):
+            except Unwordable:
                 continue
             written += 1
             predicted = predict_names(candidates, user)
