@@ -94,8 +94,9 @@ def _config_defaults(path: str, parser: argparse.ArgumentParser) -> dict:
     that the flag itself would reject, even when the command line overrides
     it.  A flag that takes no value (``--mix-methods``) takes a JSON ``true``
     (as if given) or ``false`` (as if left out), and nothing else; any other
-    flag takes a string, a number or a list, never ``null``, a boolean or an
-    object.
+    flag takes a string or a number, never ``null``, a boolean or an object.
+    Only the four flags that take a comma list also take a list, of strings
+    and numbers.
     """
     overrides = read_json(path)
     if not isinstance(overrides, dict):
@@ -113,7 +114,12 @@ def _config_defaults(path: str, parser: argparse.ArgumentParser) -> dict:
             continue
         if type(value) not in (str, int, float, list):
             raise SchemaMismatch(f"{path}: key {key!r}: expected a string, a number or a list, got {value!r}")
-        text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+        if type(value) is list:
+            if action.dest not in ("total", "per_method", "methods", "splits"):
+                raise SchemaMismatch(f"{path}: key {key!r}: expected a string or a number, got {value!r}")
+            if any(type(item) not in (str, int, float) for item in value):
+                raise SchemaMismatch(f"{path}: key {key!r}: expected a list of strings and numbers, got {value!r}")
+        text = ",".join(map(str, value)) if type(value) is list else str(value)
         try:
             parsed = action.type(text) if action.type else text
         except (argparse.ArgumentTypeError, ValueError) as exc:

@@ -11,6 +11,12 @@ from disambig.grammar import load_grammar_file
 
 ROOT = Path(__file__).resolve().parents[1]
 
+def pytest_addoption(parser):
+    parser.addoption("--installed-cli", action="store_true",
+                     help="run tests/test_cli_contract.py against the disambig console script on PATH, "
+                          "from a directory outside the checkout and with no PYTHONPATH")
+
+
 settings.register_profile(
     "ci",
     derandomize=True,

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import gc
-import hashlib
 import json
 import os
 import subprocess
@@ -17,14 +16,11 @@ from disambig.corpus import load_corpus
 from disambig.seeding import derive_seed
 
 from .schema_guided import write_schema_guided
+from .test_cli_contract import _DATABASE, _digest, _example, _record
 
 GRAMMAR = "grammars/disambiguation.cfg"
 DB = "data/database.json"
 TOY = "data/toy_corpus.jsonl"
-
-
-def _digest(path: str | Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def _run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -64,418 +60,6 @@ class TestUsageErrors:
         assert code == 1
 
 
-_EXAMPLE = json.dumps({
-    "system": "hotel a or b?", "user": "a", "method": "exact", "domain": "hotel", "seed": 0,
-    "candidates": [{"domain": "hotel", "name": "a"}, {"domain": "hotel", "name": "b"}], "target_names": ["a"],
-})
-
-
-def _example(count: int) -> str:
-    candidates = [{"domain": "hotel", "name": f"n{i}"} for i in range(count)]
-    return json.dumps({**json.loads(_EXAMPLE), "user": "n0", "candidates": candidates, "target_names": ["n0"][:count]})
-
-
-def _record(count: int, skipped_reason: str | None = None, turn_index: int = 1) -> str:
-    candidates = [{"domain": "hotel", "name": f"n{i}"} for i in range(count)]
-    return json.dumps({"dialog_id": "d1", "turn_index": turn_index, "original_system": "s", "new_system": "s",
-                       "user_prefix": "n0", "original_user": "u", "candidates": candidates,
-                       "target": {"domain": "hotel", "name": "n0"}, "skipped_reason": skipped_reason})
-
-
-# Two candidates, the first named by a number where a string belongs.
-_NUMBER_NAMED = [{"domain": "hotel", "name": 12345678}, {"domain": "hotel", "name": "n0"}]
-# Two candidates, the first with a list where its domain string belongs.
-_LIST_DOMAIN = [{"domain": ["hotel"], "name": "n1"}, {"domain": "hotel", "name": "n0"}]
-
-_PREDICTION = {"dialog_id": "synth-000000", "turn_index": 0, "entities": ["a"]}
-
-# A native corpus whose slot value is a string where a list belongs.
-_SLOT_VALUE_NOT_A_LIST = json.dumps({"id": "d1", "services": ["hotel"], "turns": [
-    {"speaker": "USER", "utterance": "hi", "frames": [{"service": "hotel", "slot_values": {"hotel-area": "north"}}]}]})
-
-
-# A native dialog row without services or turns.
-_SERVICE_FREE = json.dumps({"id": "d1", "services": [], "turns": []}) + "\n"
-
-# A native dialog with a list where a service name belongs.
-_SERVICE_NOT_A_STRING = json.dumps({"id": "d1", "services": [["hotel"]], "turns": []})
-
-
-def _hotel_offer(name: object = "aldergate lodge", utterance: object = "that one", domain: object = "hotel") -> str:
-    """A native dialog whose system turn offers two shipped hotels and whose
-    user then takes the first, so ``augment`` rewrites both turns."""
-    results = [{"domain": domain, "name": name}, {"domain": "hotel", "name": "birchwood innhouse"}]
-    return json.dumps({"id": "d1", "services": ["hotel"], "turns": [
-        {"speaker": "USER", "utterance": "a hotel please", "frames": [{"service": "hotel"}]},
-        {"speaker": "SYSTEM", "utterance": "which one?", "search_results": results},
-        {"speaker": "USER", "utterance": utterance,
-         "frames": [{"service": "hotel", "slot_values": {"hotel-name": ["aldergate lodge"]}}]}]})
-
-
-def _sgd_dialog(frame: object) -> dict:
-    """A one-turn schema-guided dialog whose only frame is ``frame``."""
-    return {"dialogue_id": "d1", "services": ["hotels_1"],
-            "turns": [{"speaker": "USER", "utterance": "hi", "frames": [frame]}]}
-
-
-# Schema-guided dialogs that only the native dialog check refuses.
-_SGD_DIALOG_CHECKS = {
-    "speaker-bot": [{**_sgd_dialog({"service": "hotels_1"}),
-                     "turns": [{"speaker": "BOT", "utterance": "hi", "frames": []}]}],
-    "service-not-a-string": [{**_sgd_dialog({"service": "hotels_1"}), "services": [5]}],
-}
-
-
-# A database of five hotels that synth accepts, to be broken one field at a time.
-_DATABASE = {"name_fields": {"hotel": "name"}, "nouns": {"hotel": "hotel"}, "tables": {"hotel": [
-    {"name": f"{word} lodge", "area": word} for word in ("alder", "birch", "cedar", "elm", "fir")]}}
-
-
-def _marked_gold(marker: object) -> str:
-    """A native dialog whose system turn carries ``marker`` as its gold label."""
-    return json.dumps({"id": "d1", "services": ["hotel"], "turns": [
-        {"speaker": "SYSTEM", "utterance": "a or b?", "extras": {"disambig": marker}},
-        {"speaker": "USER", "utterance": "a"}]})
-
-
-_MARKER = {"origin": "augment", "method": "exact", "target_names": ["a"]}
-
-# Each case: the files to create under tmp_path, then argv.  An argv token
-# naming one of those files becomes its path, OUT becomes an unused path under
-# tmp_path, and DB, GRAMMAR and TOY become the shipped files.
-_MALFORMED_INPUTS = {
-    "resolve-in-not-json": (
-        {"in.jsonl": "{oops\n"}, ["resolve", "--in", "in.jsonl", "--out", "OUT"]),
-    "resolve-examples-list-row": (
-        {"in.jsonl": _EXAMPLE + "\n[1, 2]\n"}, ["resolve", "--in", "in.jsonl", "--out", "OUT"]),
-    "resolve-records-list-row": (
-        {"in.jsonl": "[1, 2]\n"}, ["resolve", "--in", "in.jsonl", "--kind", "records", "--out", "OUT"]),
-    "score-gold-not-json": (
-        {"preds.jsonl": "", "gold.jsonl": "not json\n"}, ["score", "--preds", "preds.jsonl", "--gold", "gold.jsonl"]),
-    "score-records-list-row": (
-        {"preds.jsonl": "", "gold.jsonl": _EXAMPLE + "\n", "records.jsonl": "[1]\n"},
-        ["score", "--preds", "preds.jsonl", "--gold", "gold.jsonl", "--records", "records.jsonl"]),
-    "augment-in-list-row": (
-        {"in.jsonl": "[1]\n"}, ["augment", "--in", "in.jsonl", "--db", DB, "--grammar", GRAMMAR, "--out", "OUT"]),
-    "stats-meta-not-object": ({"in.jsonl": '{"meta": 5}\n'}, ["stats", "--in", "in.jsonl"]),
-    "stats-meta-not-first": (
-        {"in.jsonl": json.dumps({"id": "d1", "services": [], "turns": []}) + '\n{"meta": {}}\n'},
-        ["stats", "--in", "in.jsonl"]),
-    "stats-string-row": ({"in.jsonl": '"x"\n'}, ["stats", "--in", "in.jsonl"]),
-    "stats-not-utf8": ({"in.jsonl": b"\xff\n"}, ["stats", "--in", "in.jsonl"]),
-    "synth-config-not-json": ({"config.json": "{"}, ["synth", "--config", "config.json", "--out", "OUT"]),
-    "synth-config-not-object": ({"config.json": "[1]"}, ["synth", "--config", "config.json", "--out", "OUT"]),
-    "synth-config-total-not-counts": (
-        {"config.json": '{"total": "abc"}'}, ["synth", "--config", "config.json", "--out", "OUT"]),
-    "synth-config-threads-zero": (
-        {"config.json": '{"threads": 0}'}, ["synth", "--config", "config.json", "--out", "OUT"]),
-    "synth-config-threads-zero-overridden": (
-        {"config.json": '{"threads": 0}'}, ["synth", "--config", "config.json", "--threads", "2", "--out", "OUT"]),
-    "synth-config-db-null": ({"config.json": '{"db": null}'}, ["synth", "--config", "config.json", "--out", "OUT"]),
-    "augment-config-grammar-true": (
-        {"config.json": '{"grammar": true}'},
-        ["augment", "--in", TOY, "--db", DB, "--config", "config.json", "--out", "OUT"]),
-    "augment-config-flag-not-bool": (
-        {"config.json": '{"mix-methods": "false"}'},
-        ["augment", "--in", TOY, "--db", DB, "--grammar", GRAMMAR, "--config", "config.json", "--out", "OUT"]),
-    "augment-config-format-not-a-choice": (
-        {"config.json": '{"format": "bogus"}'},
-        ["augment", "--in", TOY, "--db", DB, "--grammar", GRAMMAR, "--config", "config.json", "--out", "OUT"]),
-    "augment-allow-list-not-json": (
-        {"allow.json": "["},
-        ["augment", "--in", TOY, "--db", DB, "--grammar", GRAMMAR, "--allow-list", "allow.json", "--out", "OUT"]),
-    "augment-slot-value-not-a-list": (
-        {"in.jsonl": _SLOT_VALUE_NOT_A_LIST + "\n"},
-        ["augment", "--in", "in.jsonl", "--db", DB, "--grammar", GRAMMAR, "--out", "OUT"]),
-    **{f"resolve-{kind}-{count}-candidates": (
-        {"in.jsonl": (_EXAMPLE if kind == "examples" else _record(2)) + "\n" + make(count) + "\n"},
-        ["resolve", "--in", "in.jsonl", "--kind", kind, "--out", "OUT"])
-       for kind, make in (("examples", _example), ("records", _record)) for count in (0, 6)},
-    **{f"augment-{name}": (
-        {"in.jsonl": row + "\n"}, ["augment", "--in", "in.jsonl", "--db", DB, "--grammar", GRAMMAR, "--out", "OUT"])
-       for name, row in (("utterance-not-a-string", _hotel_offer(utterance=5)),
-                         ("search-result-name-not-a-string", _hotel_offer(name=7)),
-                         ("search-result-domain-not-a-string", _hotel_offer(domain=["hotel"])))},
-    "stats-search-result-domain-not-a-string": (
-        {"in.jsonl": _hotel_offer(domain=["hotel"]) + "\n"}, ["stats", "--in", "in.jsonl"]),
-    "stats-dialog-service-not-a-string": ({"in.jsonl": _SERVICE_NOT_A_STRING + "\n"}, ["stats", "--in", "in.jsonl"]),
-    "augment-dialog-service-not-a-string": (
-        {"in.jsonl": _SERVICE_NOT_A_STRING + "\n"},
-        ["augment", "--in", "in.jsonl", "--db", DB, "--grammar", GRAMMAR, "--out", "OUT"]),
-    **{f"resolve-examples-{name}": (
-        {"in.jsonl": json.dumps({**json.loads(_EXAMPLE), **change}) + "\n"},
-        ["resolve", "--in", "in.jsonl", "--out", "OUT"])
-       for name, change in (("system-not-a-string", {"system": 5}), ("user-not-a-string", {"user": 5}),
-                            ("candidate-name-not-a-string", {"candidates": _NUMBER_NAMED, "target_names": ["n0"]}),
-                            ("candidate-domain-not-a-string", {"candidates": _LIST_DOMAIN, "target_names": ["n0"]}))},
-    **{f"resolve-records-{name}": (
-        {"in.jsonl": json.dumps({**json.loads(_record(2)), **change}) + "\n"},
-        ["resolve", "--in", "in.jsonl", "--kind", "records", "--out", "OUT"])
-       for name, change in (("user-prefix-not-a-string", {"user_prefix": 5}),
-                            ("dialog-id-not-a-string", {"dialog_id": 5}),
-                            ("turn-index-string", {"turn_index": "3"}), ("turn-index-bool", {"turn_index": True}),
-                            ("candidate-name-not-a-string", {"candidates": _NUMBER_NAMED}),
-                            ("candidate-domain-not-a-string", {"candidates": _LIST_DOMAIN}),
-                            ("target-name-not-a-string", {"target": _NUMBER_NAMED[0]}))},
-    **{f"score-preds-{name}": (
-        {"preds.jsonl": json.dumps({**_PREDICTION, **change}) + "\n", "gold.jsonl": _EXAMPLE + "\n"},
-        ["score", "--preds", "preds.jsonl", "--gold", "gold.jsonl"])
-       for name, change in (("turn-index-float", {"turn_index": 0.9}), ("turn-index-bool", {"turn_index": False}),
-                            ("entities-string", {"entities": "abc"}),
-                            ("state-value-string", {"state": {"hotel-area": "north"}}),
-                            ("dialog-id-not-a-string", {"dialog_id": ["synth-000000"]}),
-                            ("entity-not-a-string", {"entities": [5]}),
-                            ("state-value-item-not-a-string", {"state": {"hotel-area": [5]}}))},
-    **{f"stats-sgd-{name}": ({"in.json": json.dumps(payload)}, ["stats", "--format", "sgd", "--in", "in.json"])
-       for name, payload in (("frame-not-an-object", [_sgd_dialog(1)]),
-                             ("state-not-an-object", [_sgd_dialog({"service": "hotels_1", "state": []})]),
-                             ("dialog-not-an-object", [1]),
-                             ("dialogue-id-not-a-string", [{**_sgd_dialog({"service": "hotels_1"}),
-                                                            "dialogue_id": ["a"]}]),
-                             ("dialog-without-dialogue-id", [{"services": [], "turns": []}]),
-                             ("frame-without-service", [_sgd_dialog({"state": {}})]),
-                             *_SGD_DIALOG_CHECKS.items())},
-    **{f"stats-id-{name}": ({"in.jsonl": json.dumps({"id": value, "services": [], "turns": []}) + "\n"},
-                            ["stats", "--in", "in.jsonl"])
-       for name, value in (("list", ["a"]), ("int", 3))},
-    **{f"synth-db-{name}": (
-        {"db.json": json.dumps({**_DATABASE, **change})},
-        ["synth", "--db", "db.json", "--grammar", GRAMMAR, "--total", "6,0,0", "--splits", "train", "--out", "OUT"])
-       for name, change in (("tables-not-an-object", {"tables": [1]}), ("table-not-an-array", {"tables": {"hotel": 5}}),
-                            ("record-not-an-object", {"tables": {"hotel": [1]}}), ("nouns-not-an-object", {"nouns": 5}),
-                            ("noun-not-a-string", {"nouns": {"hotel": 5}}),
-                            ("name-fields-not-an-object", {"name_fields": [["hotel", "name"]]}),
-                            ("name-field-not-a-string", {"name_fields": {"hotel": ["name"]}}),
-                            ("record-without-name-field", {"tables": {"hotel": [{"area": "north"}]}}))},
-    # "alder-lodge" reads as the same tokens as "alder lodge", so the resolver could not tell them apart.
-    "synth-db-names-alike": (
-        {"db.json": json.dumps({**_DATABASE, "tables": {"hotel": [*_DATABASE["tables"]["hotel"],
-                                                                 {"name": "alder-lodge", "area": "pine"}]}})},
-        ["synth", "--db", "db.json", "--grammar", GRAMMAR, "--methods", "exact", "--total", "6,0,0",
-         "--splits", "train", "--out", "OUT"]),
-    **{f"score-gold-{name}": (
-        {"preds.jsonl": json.dumps({"dialog_id": "d1", "turn_index": 0, "entities": ["a"]}) + "\n",
-         "gold.jsonl": _marked_gold(marker) + "\n"},
-        ["score", "--preds", "preds.jsonl", "--gold", "gold.jsonl"])
-       for name, marker in (("marker-not-an-object", 5),
-                            ("marker-without-target-names", {"origin": "augment", "method": "exact"}),
-                            ("marker-target-name-not-a-string", {**_MARKER, "target_names": [5]}),
-                            ("marker-method-not-a-string", {**_MARKER, "method": ["x"]}),
-                            ("marker-origin-not-a-string", {**_MARKER, "origin": 5}))},
-    "stats-marker-not-an-object": ({"in.jsonl": _marked_gold(5) + "\n"}, ["stats", "--in", "in.jsonl"]),
-    "stats-marker-null": ({"in.jsonl": _marked_gold(None) + "\n"}, ["stats", "--in", "in.jsonl"]),
-    "augment-marker-not-an-object": (
-        {"in.jsonl": _marked_gold(5) + "\n"},
-        ["augment", "--in", "in.jsonl", "--db", DB, "--grammar", GRAMMAR, "--out", "OUT"]),
-    "resolve-records-skipped-reason-not-a-string": (
-        {"in.jsonl": _record(2, skipped_reason=5) + "\n"},
-        ["resolve", "--in", "in.jsonl", "--kind", "records", "--out", "OUT"]),
-    # A flag of synth is checked before any file is read: the database here
-    # does not parse, so its error would come first otherwise.
-    **{f"synth-{flag}-{name}": (
-        {"db.json": "{"}, ["synth", "--db", "db.json", "--grammar", GRAMMAR, "--per-method", "1,1,1",
-                           f"--{flag}", value, "--out", "OUT"])
-       for flag, name, value in (("methods", "empty", ","), ("methods", "unknown", "exact,bogus"),
-                                 ("methods", "repeated", "exact,positional,exact"),
-                                 ("splits", "bogus", "test,bogus"), ("splits", "repeated", "test,test"),
-                                 ("splits", "empty", ""))},
-    **{f"synth-grammar-{name}": (
-        {"g.cfg": source}, ["synth", "--db", DB, "--grammar", "g.cfg", "--total", "1,0,0", "--out", "OUT"])
-       for name, source in (("unknown-directive", "%begin USER_ANSWER\nUSER_ANSWER -> {mention}\n"),
-                            ("lowercase-left-hand-side", "user_answer -> {mention}\n"))},
-    "resolve-records-repeated-key": (
-        {"in.jsonl": _record(2) + "\n" + _record(2) + "\n"},
-        ["resolve", "--in", "in.jsonl", "--kind", "records", "--out", "OUT"]),
-    "score-records-repeated-key": (
-        {"preds.jsonl": json.dumps({"dialog_id": "d1", "turn_index": 0, "entities": ["a"]}) + "\n",
-         "gold.jsonl": _marked_gold(_MARKER) + "\n",
-         "records.jsonl": _record(2, turn_index=0) + "\n" + _record(2, turn_index=0) + "\n"},
-        ["score", "--preds", "preds.jsonl", "--gold", "gold.jsonl", "--records", "records.jsonl"]),
-    "grammar-count-grammar-not-utf8": ({"g.cfg": b"S -> \xff\n"}, ["grammar-count", "g.cfg", "--start", "S"]),
-    "synth-grammar-not-utf8": (
-        {"g.cfg": b"S -> \xff\n"}, ["synth", "--db", DB, "--grammar", "g.cfg", "--total", "1,0,0", "--out", "OUT"]),
-    "augment-grammar-not-utf8": (
-        {"g.cfg": b"S -> \xff\n"}, ["augment", "--in", TOY, "--db", DB, "--grammar", "g.cfg", "--out", "OUT"]),
-    "stats-nested-too-deep": ({"in.jsonl": "[" * 100_000 + "\n"}, ["stats", "--in", "in.jsonl"]),
-    "stats-sgd-nested-too-deep": ({"in.json": "[" * 100_000}, ["stats", "--format", "sgd", "--in", "in.json"]),
-    "resolve-nested-too-deep": ({"in.jsonl": "[" * 100_000 + "\n"}, ["resolve", "--in", "in.jsonl", "--out", "OUT"]),
-    "synth-db-without-tables": (
-        {"db.json": '{"name_fields": {}, "tables": {}}'},
-        ["synth", "--db", "db.json", "--grammar", GRAMMAR, "--total", "1,0,0", "--out", "OUT"]),
-    **{f"{command}-grammar-without-user-answer": (
-        {"g.cfg": "SYSTEM_QUESTION -> pick {option_list}\n"}, [command, *extra, "--grammar", "g.cfg", "--out", "OUT"])
-       for command, extra in (("synth", ["--db", DB, "--total", "1,0,0"]), ("augment", ["--in", TOY, "--db", DB]))},
-    # Grammars whose answer does not name the pick or names it twice: each is
-    # refused before an exchange is made.
-    **{f"{command}-grammar-{name}": (
-        {"g.cfg": "SYSTEM_QUESTION -> which of {option_list}?\nUSER_ANSWER -> " + answer + "\n"},
-        [command, *extra, "--grammar", "g.cfg", "--out", "OUT"])
-       for name, answer in (("without-mention", "that one please."), ("mention-twice", "{mention} or {mention}."))
-       for command, extra in (("synth", ["--db", DB, "--total", "1,0,0"]), ("augment", ["--in", TOY, "--db", DB]))},
-    # An answer that can hold a slot no answer is filled with, in the
-    # alternative that the one row does not draw, so only the check finds it.
-    "synth-grammar-stray-slot": (
-        {"g.cfg": "SYSTEM_QUESTION -> which of {option_list}?\n"
-                  "USER_ANSWER -> {mention} please. | {mention} of {option_list}.\n"},
-        ["synth", "--db", DB, "--grammar", "g.cfg", "--total", "1,0,0", "--out", "OUT"]),
-    "stats-repeated-dialog-id": ({"in.jsonl": _SERVICE_FREE * 2}, ["stats", "--in", "in.jsonl"]),
-    "stats-sgd-repeated-dialog-id": (
-        {"in.json": json.dumps([_sgd_dialog({"service": "hotels_1"})] * 2)},
-        ["stats", "--format", "sgd", "--in", "in.json"]),
-    "resolve-examples-without-user": (
-        {"in.jsonl": json.dumps({k: v for k, v in json.loads(_EXAMPLE).items() if k != "user"}) + "\n"},
-        ["resolve", "--in", "in.jsonl", "--out", "OUT"]),
-    "resolve-examples-unknown-target": (
-        {"in.jsonl": json.dumps({**json.loads(_EXAMPLE), "target_names": ["no such name"]}) + "\n"},
-        ["resolve", "--in", "in.jsonl", "--out", "OUT"]),
-    **{f"score-preds-{name}": (
-        {"preds.jsonl": json.dumps(prediction) + "\n", "gold.jsonl": _EXAMPLE + "\n"},
-        ["score", "--preds", "preds.jsonl", "--gold", "gold.jsonl"])
-       for name, prediction in (("without-turn-index", {"dialog_id": "synth-000000", "entities": ["a"]}),
-                                ("state-not-an-object", {**_PREDICTION, "state": ["x"]}))},
-    **{f"stats-{name}": ({"in.jsonl": json.dumps(row) + "\n"}, ["stats", "--in", "in.jsonl"])
-       for name, row in (("turns-not-an-array", {"id": "d1", "services": [], "turns": "ab"}),
-                         ("frames-not-an-array", {"id": "d1", "services": [], "turns": [
-                             {"speaker": "USER", "utterance": "hi", "frames": "abc"}]}),
-                         ("slot-values-not-an-object", {"id": "d1", "services": ["hotel"], "turns": [
-                             {"speaker": "USER", "utterance": "hi",
-                              "frames": [{"service": "hotel", "slot_values": ["x"]}]}]}),
-                         ("turn-not-an-object", {"id": "d1", "services": [], "turns": ["ab"]}),
-                         ("frame-not-an-object", {"id": "d1", "services": [], "turns": [
-                             {"speaker": "USER", "utterance": "hi", "frames": [5]}]}),
-                         ("turn-without-speaker", {"id": "d1", "services": [], "turns": [{"utterance": "hi"}]}),
-                         ("meta-source-format-not-a-string", {"meta": {"source_format": [1]}}))},
-    "stats-row-not-an-object": ({"in.jsonl": "5\n"}, ["stats", "--in", "in.jsonl"]),
-    "resolve-row-not-an-object": ({"in.jsonl": "5\n"}, ["resolve", "--in", "in.jsonl", "--out", "OUT"]),
-    **{f"stats-sgd-{name}": ({"in.json": json.dumps([{"dialogue_id": "d1", "services": [], "turns": turns}])},
-                             ["stats", "--format", "sgd", "--in", "in.json"])
-       for name, turns in (("frames-not-an-array", [{"speaker": "USER", "utterance": "hi", "frames": "abc"}]),
-                           ("turns-not-an-array", "ab"))},
-    # A dialog named only by the "dialog_id" key is named by it in errors too.
-    "stats-sgd-turn-not-an-object-under-dialog-id": (
-        {"in.json": json.dumps([{"dialog_id": "d1", "services": [], "turns": [5]}])},
-        ["stats", "--format", "sgd", "--in", "in.json"]),
-    **{f"resolve-examples-{name}": (
-        {"in.jsonl": json.dumps({**json.loads(_EXAMPLE), **change}) + "\n"},
-        ["resolve", "--in", "in.jsonl", "--out", "OUT"])
-       for name, change in (("target-name-not-a-string", {"target_names": [5]}),
-                            ("candidates-not-an-array", {"candidates": "abc"}),
-                            ("candidate-not-an-object", {"candidates": [7, {"domain": "hotel", "name": "a"}]}),
-                            ("method-unknown", {"method": "nope"}))},
-    "resolve-records-candidates-not-an-array": (
-        {"in.jsonl": json.dumps({**json.loads(_record(2)), "candidates": "xx"}) + "\n"},
-        ["resolve", "--in", "in.jsonl", "--kind", "records", "--out", "OUT"]),
-    "score-preds-row-not-an-object": (
-        {"preds.jsonl": "[5]\n", "gold.jsonl": _EXAMPLE + "\n"},
-        ["score", "--preds", "preds.jsonl", "--gold", "gold.jsonl"]),
-    # Prediction files that parse, but leave a gold turn unpredicted or
-    # predict a turn that gold does not have.
-    **{f"score-preds-{name}": (
-        {"preds.jsonl": rows, "gold.jsonl": _EXAMPLE + "\n"}, ["score", "--preds", "preds.jsonl", "--gold", "gold.jsonl"])
-       for name, rows in (("missing-gold-turn", ""),
-                          ("key-not-in-gold", json.dumps({**_PREDICTION, "dialog_id": "ghost"}) + "\n"))},
-}
-
-# The whole error line of some cases, after the path of the file it names.
-_MALFORMED_MESSAGES = {
-    "stats-meta-not-first": "in.jsonl: line 2: only the first row may be a meta header",
-    "stats-repeated-dialog-id": "in.jsonl: line 2: duplicate dialog id 'd1'",
-    "stats-sgd-repeated-dialog-id": "in.json: dialog at index 1: duplicate dialog id 'd1'",
-    "stats-sgd-dialog-without-dialogue-id": "in.json: dialog at index 0: dialog without a dialogue_id",
-    "stats-sgd-dialogue-id-not-a-string": "in.json: dialog at index 0: dialogue_id: expected a string, got ['a']",
-    "stats-sgd-frame-without-service": "in.json: dialog at index 0: frame without service in dialog 'd1'",
-    "resolve-examples-without-user": "in.jsonl: line 1: missing key 'user'",
-    "resolve-examples-unknown-target": "in.jsonl: line 1: target name 'no such name' is not one of the candidates",
-    "score-preds-without-turn-index": "preds.jsonl: line 1: missing key 'turn_index'",
-    "score-preds-state-not-an-object": "preds.jsonl: line 1: state: expected an object, got ['x']",
-    "stats-turns-not-an-array": "in.jsonl: line 1: dialog 'd1' turns: expected an array, got 'ab'",
-    "stats-frames-not-an-array": "in.jsonl: line 1: dialog 'd1' turn 0: frames: expected an array, got 'abc'",
-    "stats-slot-values-not-an-object": "in.jsonl: line 1: dialog 'd1' turn 0: slot_values: expected an object, got ['x']",
-    "stats-turn-not-an-object": "in.jsonl: line 1: dialog 'd1' turn 0: expected an object, got 'ab'",
-    "stats-frame-not-an-object":
-        "in.jsonl: line 1: dialog 'd1' turn 0: frames item: expected an object, got 5",
-    "stats-turn-without-speaker": "in.jsonl: line 1: dialog 'd1' turn 0: missing key 'speaker'",
-    "stats-row-not-an-object": "in.jsonl: line 1: expected an object, got 5",
-    "resolve-row-not-an-object": "in.jsonl: line 1: expected an object, got 5",
-    "stats-meta-not-object": "in.jsonl: line 1: meta: expected an object, got 5",
-    "stats-meta-source-format-not-a-string": "in.jsonl: line 1: meta source_format: expected a string, got [1]",
-    "stats-sgd-frames-not-an-array":
-        "in.json: dialog at index 0: dialog 'd1' turn 0: frames: expected an array, got 'abc'",
-    "stats-sgd-turns-not-an-array": "in.json: dialog at index 0: dialog 'd1' turns: expected an array, got 'ab'",
-    "resolve-examples-target-name-not-a-string": "in.jsonl: line 1: target name: expected a string, got 5",
-    "resolve-examples-candidates-not-an-array": "in.jsonl: line 1: candidates: expected an array, got 'abc'",
-    "resolve-examples-candidate-not-an-object": "in.jsonl: line 1: candidates item: expected an object, got 7",
-    "resolve-examples-method-unknown": "in.jsonl: line 1: method: expected one of 'exact', 'positional', 'partial', "
-                                       "'typo', 'multiple', 'attribute', got 'nope'",
-    "resolve-records-candidates-not-an-array": "in.jsonl: line 1: candidates: expected an array, got 'xx'",
-    "score-preds-row-not-an-object": "preds.jsonl: line 1: expected an object, got [5]",
-    "stats-marker-null": "in.jsonl: line 1: dialog 'd1' turn 0: disambig marker: expected an object, got None",
-    "stats-sgd-turn-not-an-object-under-dialog-id":
-        "in.json: dialog at index 0: dialog 'd1' turn 0: expected an object, got 5",
-    # A grammar error names the grammar file first, whether the file does not
-    # parse or its rules break the slot contract.
-    "synth-grammar-unknown-directive": "g.cfg: line 1: unknown directive '%begin USER_ANSWER'",
-    "synth-grammar-lowercase-left-hand-side":
-        "g.cfg: line 1: left-hand side 'user_answer' is not an UPPERCASE nonterminal",
-    **{f"{command}-grammar-{name}": "g.cfg: " + message for command in ("synth", "augment")
-       for name, message in (
-           ("without-user-answer", "unknown start symbol or rule name 'USER_ANSWER'"),
-           ("without-mention", "rule 'USER_ANSWER': slot {mention} must occur exactly once in every derivation, "
-                               "but occurs 0 times"),
-           ("mention-twice", "rule 'USER_ANSWER': slot {mention} must occur exactly once in every derivation, "
-                             "but occurs 2 times"))},
-    "synth-config-db-null": "config.json: key 'db': expected a string, a number or a list, got None",
-    "augment-config-grammar-true": "config.json: key 'grammar': expected a string, a number or a list, got True",
-    "synth-grammar-stray-slot": "g.cfg: rule 'USER_ANSWER': slot {option_list} can occur, but only {mention} can be "
-                                "filled there",
-}
-
-# The whole error line of the cases that name no file: a flag's value, or a
-# turn that the predictions and gold do not share.
-_MALFORMED_FLAG_MESSAGES = {
-    "synth-methods-empty": "no addressing method in ','",
-    "synth-methods-unknown": "unknown addressing method in 'exact,bogus'",
-    "synth-methods-repeated": "method 'exact' given twice",
-    "synth-splits-bogus": "unknown split 'bogus'",
-    "synth-splits-repeated": "split 'test' given twice",
-    "synth-splits-empty": "no split in ''",
-    "score-preds-missing-gold-turn": "no prediction row for (dialog_id='synth-000000', turn_index=0)",
-    "score-preds-key-not-in-gold": "prediction key (dialog_id='ghost', turn_index=0) not in gold corpus",
-}
-
-
-@pytest.mark.parametrize("name", _SGD_DIALOG_CHECKS)
-def test_schema_guided_dialog_errors_name_the_file_and_index(capsys, tmp_path, name):
-    files, argv = _MALFORMED_INPUTS[f"stats-sgd-{name}"]
-    path = tmp_path / "in.json"
-    path.write_text(files["in.json"], encoding="utf-8")
-    code, _, err = _run(capsys, *[str(path) if token == "in.json" else token for token in argv])
-    assert code == 1
-    assert err.startswith(f"error: {path}: dialog at index 0: dialog 'd1' ")
-
-
-@pytest.mark.parametrize("name", _MALFORMED_INPUTS)
-def test_malformed_input_is_a_validation_error(capsys, tmp_path, repo_root, name):
-    files, argv = _MALFORMED_INPUTS[name]
-    paths = {file: tmp_path / file for file in files}
-    for file, content in files.items():
-        paths[file].write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
-    paths.update({shipped: repo_root / shipped for shipped in (DB, GRAMMAR, TOY)})
-    before = {file: _digest(path) for file, path in paths.items()}
-    argv = [str(tmp_path / "out") if token == "OUT" else str(paths.get(token, token)) for token in argv]
-    code, _, err = _run(capsys, *argv)
-    assert code == 1
-    assert err.startswith("error:")
-    assert "Traceback" not in err
-    if name in _MALFORMED_MESSAGES:
-        file, _, message = _MALFORMED_MESSAGES[name].partition(": ")
-        assert err == f"error: {paths[file]}: {message}\n"
-    if name in _MALFORMED_FLAG_MESSAGES:
-        assert err == f"error: {_MALFORMED_FLAG_MESSAGES[name]}\n"
-    assert {file: _digest(path) for file, path in paths.items()} == before
-    assert not (tmp_path / "out").exists()
-
-
 def test_missing_grammar_start_is_reported_alike(capsys, tmp_path, repo_root):
     grammar = tmp_path / "g.cfg"
     grammar.write_text("SYSTEM_QUESTION -> pick {option_list}\n", encoding="utf-8")
@@ -508,20 +92,6 @@ def test_attribute_mentions_need_the_grammar_rule(capsys, tmp_path, repo_root):
     assert code == 0
 
 
-@pytest.mark.parametrize("command", ["synth", "augment"])
-def test_a_grammar_whose_answers_name_no_pick_is_refused(capsys, tmp_path, repo_root, command):
-    """With every {mention} of the shipped grammar replaced, replies would
-    name no target yet carry a gold label; the grammar is refused first."""
-    grammar = tmp_path / "g.cfg"
-    grammar.write_text((repo_root / GRAMMAR).read_text(encoding="utf-8").replace("{mention}", "it"), encoding="utf-8")
-    extra = ["--total", "0,0,12", "--splits", "test"] if command == "synth" else ["--in", str(repo_root / TOY)]
-    code, _, err = _run(capsys, command, "--db", str(repo_root / DB), "--grammar", str(grammar), *extra,
-                        "--out", str(tmp_path / "out"))
-    assert (code, err) == (1, f"error: {grammar}: rule 'USER_ANSWER': slot {{mention}} must occur exactly once "
-                              "in every derivation, but occurs 0 times\n")
-    assert not (tmp_path / "out").exists()
-
-
 @pytest.mark.parametrize("rule, total", [("USER_ANSWER", "0,0,2"), ("ATTRIBUTE_MENTION", "1,0,6")])
 def test_failed_synth_leaves_no_split_behind(capsys, tmp_path, repo_root, rule, total):
     # The grammar is refused before any split is made.
@@ -544,61 +114,6 @@ def test_synth_failing_midway_leaves_no_split_behind(capsys, tmp_path, repo_root
                         "--total", "1,0,2", "--splits", "train,test", "--out", str(tmp_path / "out"))
     assert (code, err) == (1, "error: need 5 distinct entities, table has 2\n")
     assert not (tmp_path / "out").exists()
-
-
-def _disambig(repo_root: Path, *argv: str, **kwargs) -> subprocess.CompletedProcess:
-    """``python -m disambig argv`` from the checkout's sources, with text output."""
-    env = {**os.environ, "PYTHONPATH": str(repo_root / "src")}
-    return subprocess.run([sys.executable, "-m", "disambig", *argv], cwd=repo_root, env=env, text=True,
-                          timeout=60, **kwargs)
-
-
-_NOT_GUESSED = "error: /dev/stdin: not a regular file, so its kind is not guessed from its first row: give "
-
-
-# Inputs fed through a pipe, which can be read only once: the kind of such a
-# file is not guessed, and a row is named by its number, since no second read
-# can find its line.
-@pytest.mark.parametrize("piped, argv, error", [
-    (_EXAMPLE, ["resolve", "--in", "/dev/stdin", "--out", "OUT"], _NOT_GUESSED + "--kind\n"),
-    (_EXAMPLE, ["score", "--preds", "PREDS", "--gold", "/dev/stdin"], _NOT_GUESSED + "a regular file\n"),
-    (_example(2) + "\n\n" + _example(6), ["resolve", "--in", "/dev/stdin", "--kind", "examples", "--out", "OUT"],
-     "error: /dev/stdin: row 2: resolve expects between 1 and 5 candidates, got 6\n"),
-    (_record(2) + "\n\n" + _record(6, turn_index=3),
-     ["resolve", "--in", "/dev/stdin", "--kind", "records", "--out", "OUT"],
-     "error: /dev/stdin: row 2: resolve expects between 1 and 5 candidates, got 6\n"),
-], ids=["resolve-kind-not-guessed", "score-kind-not-guessed", "resolve-examples-pool", "resolve-records-pool"])
-def test_piped_input_is_one_error_line(tmp_path, repo_root, piped, argv, error):
-    (tmp_path / "preds.jsonl").write_text(json.dumps(_PREDICTION) + "\n", encoding="utf-8")
-    paths = {"OUT": str(tmp_path / "out.jsonl"), "PREDS": str(tmp_path / "preds.jsonl")}
-    done = _disambig(repo_root, *(paths.get(arg, arg) for arg in argv), input=piped + "\n", capture_output=True)
-    assert (done.returncode, done.stdout, done.stderr) == (1, "", error)
-    assert not (tmp_path / "out.jsonl").exists()
-
-
-def test_piped_input_of_a_given_kind_is_read_once(tmp_path, repo_root):
-    examples = tmp_path / "examples.jsonl"
-    examples.write_text(_example(3) + "\n" + _example(4) + "\n", encoding="utf-8")
-    piped = _disambig(repo_root, "resolve", "--in", "/dev/stdin", "--kind", "examples", "--out",
-                      str(tmp_path / "piped.jsonl"), input=examples.read_text(), capture_output=True)
-    named = _disambig(repo_root, "resolve", "--in", str(examples), "--out", str(tmp_path / "named.jsonl"),
-                      capture_output=True)
-    assert (piped.returncode, named.returncode) == (0, 0), piped.stderr
-    assert (tmp_path / "piped.jsonl").read_bytes() == (tmp_path / "named.jsonl").read_bytes()
-
-
-@pytest.mark.parametrize("mode", ["a", "w"], ids=["append", "truncate"])
-def test_out_dev_stdout_writes_where_stdout_does(tmp_path, repo_root, mode):
-    # As ``>> log`` and ``> log`` leave stdout: what the file held before
-    # stays after an append.
-    log = tmp_path / "log"
-    log.write_text("earlier\n", encoding="utf-8")
-    with open(log, mode, encoding="utf-8") as handle:
-        done = _disambig(repo_root, "stats", "--in", TOY, "--out", "/dev/stdout", stdout=handle,
-                         stderr=subprocess.PIPE)
-    assert done.returncode == 0, done.stderr
-    report = _disambig(repo_root, "stats", "--in", TOY, capture_output=True, check=True).stdout
-    assert log.read_text(encoding="utf-8") == ("earlier\n" if mode == "a" else "") + report
 
 
 @pytest.mark.parametrize("linked, argv", [
@@ -780,19 +295,6 @@ class TestSynth:
         assert code == 1
         assert err.startswith("error:") and "--per-method" in err
         assert not (tmp_path / "o").exists()
-
-    def test_default_test_split_through_the_cli_is_pinned(self, tmp_path, repo_root):
-        """``synth`` of the default 10k test split and ``resolve`` of it, each
-        run as its own process, write the files whose sha256 the resolver
-        baseline tracks."""
-        baseline = json.loads((repo_root / "baselines" / "resolver_baseline.json").read_text(encoding="utf-8"))
-        examples, preds = tmp_path / "o" / "test.jsonl", tmp_path / "preds.jsonl"
-        for argv in (["synth", "--db", DB, "--grammar", GRAMMAR, "--total", "0,0,10000", "--splits", "test",
-                      "--out", str(examples.parent)],
-                     ["resolve", "--in", str(examples), "--out", str(preds)]):
-            done = _disambig(repo_root, *argv, capture_output=True)
-            assert done.returncode == 0, done.stderr
-        assert [_digest(examples), _digest(preds)] == [baseline["examples_sha256"], baseline["predictions_sha256"]]
 
 
 # sha256 of the seed-0 toy-corpus outputs, taken before augment_dialog
@@ -1259,48 +761,3 @@ class TestProcess:
             if was_enabled:
                 gc.enable()
         assert cyclic[0] == cyclic[1]
-
-    @pytest.mark.parametrize("argv, exit_code", [
-        (["grammar-count", GRAMMAR, "--start", "USER_ANSWER"], 0),
-        (["stats", "--in", TOY], 0),
-        (["grammar-count", GRAMMAR, "--start", "NO_SUCH_RULE"], 1),
-        (["grammar-count", "no-such-grammar.cfg", "--start", "USER_ANSWER"], 2),
-    ], ids=["ok", "stats", "error", "io-error"])
-    def test_main_exits_with_the_code_and_output_of_run(self, capsys, monkeypatch, repo_root, argv, exit_code):
-        # main freezes the heap before it exits; run, which embedders call,
-        # freezes nothing.
-        env = {**os.environ, "PYTHONPATH": str(repo_root / "src")}
-        done = subprocess.run([sys.executable, "-m", "disambig", *argv], cwd=repo_root, env=env,
-                              capture_output=True, text=True, timeout=60)
-        monkeypatch.chdir(repo_root)
-        frozen = gc.get_freeze_count()
-        code, out, err = _run(capsys, *argv)
-        assert gc.get_freeze_count() == frozen
-        assert (done.returncode, done.stdout, done.stderr) == (exit_code, out, err)
-        assert code == exit_code
-        assert bool(out) == (exit_code == 0)
-
-    @pytest.mark.parametrize("argv", [
-        ["stats", "--in", TOY],
-        ["grammar-count", GRAMMAR, "--start", "USER_ANSWER"],
-        ["score", "--preds", "{tmp}/preds.jsonl", "--gold", "{tmp}/gold.jsonl"],
-        ["resolve", "--help"],
-    ], ids=["stats", "grammar-count", "score", "help"])
-    def test_closed_stdout_pipe_is_one_io_error(self, tmp_path, repo_root, argv):
-        # With PYTHONUNBUFFERED unset, stdout is block-buffered, so what a
-        # command prints reaches the pipe only when the buffer is flushed.
-        (tmp_path / "preds.jsonl").write_text(json.dumps(_PREDICTION) + "\n", encoding="utf-8")
-        (tmp_path / "gold.jsonl").write_text(_EXAMPLE + "\n", encoding="utf-8")
-        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
-        env["PYTHONPATH"] = str(repo_root / "src")
-        read_end, write_end = os.pipe()
-        os.close(read_end)
-        try:
-            done = subprocess.run([sys.executable, "-m", "disambig", *(arg.format(tmp=tmp_path) for arg in argv)],
-                                  cwd=repo_root, env=env, stdout=write_end, stderr=subprocess.PIPE, text=True,
-                                  timeout=60)
-        finally:
-            os.close(write_end)
-        assert done.returncode == 2
-        assert done.stderr.startswith("i/o error: ") and done.stderr.count("\n") == 1, done.stderr
-        assert "Traceback" not in done.stderr

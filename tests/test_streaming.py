@@ -2,24 +2,21 @@
 
 ``augment``, ``stats`` and ``score`` read a native corpus one dialog at a
 time, and every output is written through one staged writer.  These tests
-pin what that must not change: a bad row late in an input, or a write that
-fails midway, still exits with its one error line and leaves no output
+pin what that must not change: a write that fails midway leaves no output
 behind; a linked, piped or not yet made output path keeps its meaning; the
 streamed score report is byte-equal to the whole-corpus oracle; and peak
-memory does not grow with the corpus as the corpus itself does.
+memory does not grow with the corpus as the corpus itself does.  A bad row
+late in an input and a write past a file-size limit, each through the whole
+command, are cases of ``test_cli_contract.py``.
 """
 
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import io
 import json
 import os
-import resource
 import stat
-import subprocess
-import sys
 import tempfile
 import threading
 import tracemalloc
@@ -37,6 +34,7 @@ from disambig.metrics import gold_states, read_predictions, write_predictions
 
 from .oracles import slow_score
 from .schema_guided import write_schema_guided
+from .test_cli_contract import _tree
 
 DB = "data/database.json"
 GRAMMAR = "grammars/disambiguation.cfg"
@@ -48,12 +46,6 @@ def _run(argv: list[str]) -> tuple[int, str]:
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         code = cli.run([str(part) for part in argv])
     return code, err.getvalue()
-
-
-def _tree(root: Path) -> dict[str, str]:
-    """Every file under ``root`` by relative path, with its sha256."""
-    return {str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
-            for p in sorted(root.rglob("*")) if p.is_file()}
 
 
 @pytest.fixture(scope="module")
@@ -167,117 +159,6 @@ def test_schema_guided_directories_are_read_file_by_file(tmp_path, repo_root):
     assert len([next(dialogs) for _ in range(50)]) == 50
     with pytest.raises(SchemaMismatch, match=r"dialogues_002.json: dialog at index 0: expected an object, got 5"):
         next(dialogs)
-
-
-# --- a bad row late in an input ---------------------------------------------------
-
-# The last row of the toy corpus, or of the augmented toy corpus, made bad:
-# what it is and the error line it must give (the file's line 52).
-_LATE_FAULTS = {
-    "malformed": (lambda text: text + '{"id": "late", "services": [], "turns": ["ab"]}\n',
-                  "line 52: dialog 'late' turn 0: expected an object, got 'ab'"),
-    "repeated-id": (lambda text: text + text.splitlines(keepends=True)[1],
-                    "line 52: duplicate dialog id 'hotel_accept_2nd'"),
-}
-
-
-@pytest.fixture(scope="module")
-def augmented_toy(scratch, repo_root) -> Path:
-    """The seed-0 augment outputs of the toy corpus and their predictions."""
-    out = scratch / "augmented"
-    assert _run(["augment", "--in", repo_root / TOY, "--db", repo_root / DB, "--grammar", repo_root / GRAMMAR,
-                 "--out", out])[0] == 0
-    assert _run(["resolve", "--in", out / "records.jsonl", "--kind", "records", "--out", out / "preds.jsonl"])[0] == 0
-    return out
-
-
-def _late_case(command: str, work: Path, repo_root: Path, augmented: Path) -> tuple[Path, Path, list]:
-    """The input a bad row is added to, the output path and the argv, in
-    which IN is the input and OUT the output."""
-    if command == "augment":
-        return repo_root / TOY, work / "made" / "aug", [
-            "augment", "--in", "IN", "--db", repo_root / DB, "--grammar", repo_root / GRAMMAR, "--out", "OUT"]
-    if command == "score":
-        return augmented / "corpus.jsonl", work / "score.json", [
-            "score", "--preds", augmented / "preds.jsonl", "--gold", "IN", "--records", augmented / "records.jsonl",
-            "--out", "OUT"]
-    return repo_root / TOY, work / "stats.json", ["stats", "--in", "IN", "--out", "OUT"]
-
-
-@pytest.mark.parametrize("fault", _LATE_FAULTS)
-@pytest.mark.parametrize("earlier", [False, True], ids=["fresh", "over-earlier-output"])
-@pytest.mark.parametrize("command", ["augment", "score", "stats"])
-def test_a_bad_last_row_leaves_no_output(tmp_path, repo_root, augmented_toy, command, fault, earlier):
-    source, out, argv = _late_case(command, tmp_path, repo_root, augmented_toy)
-    make_bad, message = _LATE_FAULTS[fault]
-    good, bad = tmp_path / "good.jsonl", tmp_path / "bad.jsonl"
-    good.write_text(source.read_text(encoding="utf-8"), encoding="utf-8")
-    bad.write_text(make_bad(good.read_text(encoding="utf-8")), encoding="utf-8")
-
-    def argv_for(path: Path) -> list:
-        return [path if part == "IN" else out if part == "OUT" else part for part in argv]
-
-    if earlier:
-        assert _run(argv_for(good))[0] == 0
-    before = _tree(tmp_path)
-    assert _run(argv_for(bad)) == (1, f"error: {bad}: {message}\n")
-    assert _tree(tmp_path) == before  # no output, no temporary file, an earlier output unchanged
-    assert (tmp_path / "made").exists() == (earlier and command == "augment")
-
-
-# --- a write that fails midway ------------------------------------------------
-
-# Each subcommand that writes a file: its argv, in which IN/ starts a file
-# of the augmented toy corpus and OUT is the --out path, and the file under
-# OUT, if OUT is a directory, whose size the file-size limit is set below.
-_WRITERS = {
-    "synth": (["synth", "--db", DB, "--grammar", GRAMMAR, "--total", "0,0,40", "--splits", "test", "--out", "OUT"],
-              "test.jsonl"),
-    "augment": (["augment", "--in", TOY, "--db", DB, "--grammar", GRAMMAR, "--out", "OUT"], "corpus.jsonl"),
-    "stats": (["stats", "--in", TOY, "--out", "OUT"], ""),
-    "upsample": (["upsample", "--in", "IN/corpus.jsonl", "--factor", "2", "--out", "OUT"], ""),
-    "resolve": (["resolve", "--in", "IN/records.jsonl", "--kind", "records", "--out", "OUT"], ""),
-    "score": (["score", "--preds", "IN/preds.jsonl", "--gold", "IN/corpus.jsonl", "--records", "IN/records.jsonl",
-               "--out", "OUT"], ""),
-}
-
-
-def _limited(argv: list[str], limit: int, cwd: Path) -> subprocess.CompletedProcess:
-    """``argv`` run as a CLI process whose files may not grow past ``limit``
-    bytes.  Python ignores SIGXFSZ, so a write past the limit fails with
-    EFBIG."""
-    env = {**os.environ, "PYTHONPATH": str(cwd / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-    return subprocess.run([sys.executable, "-m", "disambig", *argv], cwd=cwd, env=env, capture_output=True,
-                          text=True, timeout=120,
-                          preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit)))
-
-
-@pytest.mark.parametrize("earlier", [False, True], ids=["fresh", "over-earlier-output"])
-@pytest.mark.parametrize("command", _WRITERS)
-def test_a_write_past_the_file_size_limit_leaves_no_output(tmp_path, monkeypatch, repo_root, augmented_toy, command,
-                                                           earlier):
-    monkeypatch.chdir(repo_root)
-    template, name = _WRITERS[command]
-
-    def argv_for(out: Path) -> list[str]:
-        return [str(out) if part == "OUT" else str(augmented_toy / part[3:]) if part.startswith("IN/") else part
-                for part in template]
-
-    def written(out: Path) -> Path:
-        return out / name if name else out
-
-    reference = tmp_path / "reference" / "out"
-    assert _run(argv_for(reference))[0] == 0
-    out = tmp_path / "work" / "out"
-    if earlier:
-        written(out).parent.mkdir(parents=True)
-        written(out).write_text("earlier bytes\n")
-    before = _tree(tmp_path / "work")
-    done = _limited(argv_for(out), written(reference).stat().st_size // 2, repo_root)
-    assert done.returncode == 2, done.stderr
-    assert done.stderr.startswith("i/o error: ") and done.stderr.count("\n") == 1, done.stderr
-    assert _tree(tmp_path / "work") == before  # no output, no temporary file, an earlier output unchanged
-    assert out.exists() == earlier
 
 
 # --- the streamed score against the whole-corpus oracle ---------------------------
